@@ -104,6 +104,16 @@ step "serve (golden transcript + concurrent readers, DESIGN.md §6l)"
 cargo test -q --offline -p graphz-serve --test golden --test concurrent
 step_done
 
+step "benchmark (unit tests + pagerank-fit smoke)"
+# The benchmark package's own tests, then one short pagerank-fit run: it
+# drives `graphz convert | run` with default flags, checks the top-100
+# ranks against the in-memory reference, and refuses to report unless the
+# graph really fits one partition (exit 2) — so the default resident,
+# serial path is exercised end to end on every CI run.
+cargo test --manifest-path benchmark/Cargo.toml --offline -q
+bash benchmark/run.sh --workload pagerank-fit --seconds 1
+step_done
+
 step "bench: serve queries/sec (1/2/4 reader threads)"
 # Lockstep TCP clients measure full round-trip latency; single-core boxes
 # record scaling_valid: false (same contract as bench_ingest).

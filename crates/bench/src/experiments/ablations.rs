@@ -1,6 +1,6 @@
 //! Design-choice ablations (DESIGN.md §5): the engineering knobs the paper's
 //! architecture fixes implicitly — Sio block size, pipeline threading, the
-//! opt-in in-memory fast path (§VI-E future work), and GridGraph's selective
+//! in-memory fast path (§VI-E future work, on by default), and GridGraph's selective
 //! scheduling — each swept in isolation on real runs.
 
 use std::sync::Arc;

@@ -69,9 +69,12 @@ pub enum Command {
     HelpFor(String),
 }
 
-/// Default for `--threads`: every core the OS reports.
+/// Default for `run --threads`: one, the paper's serial Worker schedule
+/// (§V-C parallelises only message replay). `N ≥ 2` opts into the fixed
+/// 8-shard schedule, which costs traversal cascades iterations and adds
+/// per-thread buffers; `serve --threads` has its own default.
 pub fn default_threads() -> usize {
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
+    1
 }
 
 /// One flag a subcommand accepts: its spelling, the placeholder for its
@@ -254,7 +257,7 @@ pub const COMMANDS: &[CommandSpec] = &[
             FlagSpec { name: "--checkpoint-dir", value: Some("D"), help: "write crash-safe generations under D" },
             FlagSpec { name: "--checkpoint-every", value: Some("N"), help: "iterations per generation (default 1)" },
             FlagSpec { name: "--resume", value: None, help: "continue from the newest valid generation" },
-            FlagSpec { name: "--threads", value: Some("N"), help: "worker threads (default: core count)" },
+            FlagSpec { name: "--threads", value: Some("N"), help: "worker threads (default 1, the paper's schedule; N >= 2 runs 8 shards)" },
             FlagSpec { name: "--no-prefetch", value: None, help: "disable the background partition loader" },
             FlagSpec { name: "--verbose", value: None, help: "print per-stage wall times and prefetch counters" },
         ],
@@ -263,12 +266,13 @@ pub const COMMANDS: &[CommandSpec] = &[
                   under D after every N completed iterations (default 1); --resume continues\n\
                   from the newest valid generation, skipping any damaged by a crash.\n\
                   \n\
-                  Parallelism: --threads defaults to the core count. With N >= 2 the Worker\n\
-                  runs a fixed 8-shard schedule per partition, so every N >= 2 produces\n\
-                  bit-identical results; --threads 1 is the paper's sequential schedule.\n\
-                  --no-prefetch disables the background partition loader (results are\n\
-                  identical either way). --verbose prints per-stage wall times and prefetch\n\
-                  hit/stall counters.",
+                  Parallelism: --threads defaults to 1, the paper's sequential schedule.\n\
+                  N >= 2 opts into a fixed 8-shard Worker schedule per partition: every\n\
+                  N >= 2 produces bit-identical results, but a different schedule than 1,\n\
+                  so traversals may need more iterations. A graph that fits one partition\n\
+                  keeps its vertex array in memory for the whole run. --no-prefetch\n\
+                  disables the background partition loader (results are identical either\n\
+                  way). --verbose prints per-stage wall times and prefetch hit/stall counters.",
     },
 ];
 
@@ -918,10 +922,8 @@ fn render_top(values: &AlgoValues, k: usize) -> String {
         AlgoValues::Hops(v) => {
             let reached = v.iter().filter(|&&d| d != u32::MAX).count();
             out.push_str(&format!("reached {reached} of {} vertices; nearest:\n", v.len()));
-            for (id, val) in
-                top_by(&v.iter().map(|&d| d as f64).collect::<Vec<_>>(), k, |a, b| a.total_cmp(b))
-            {
-                if val == u32::MAX as f64 {
+            for (id, val) in top_by(v, k, |a, b| a.total_cmp(b)) {
+                if val == f64::from(u32::MAX) {
                     break;
                 }
                 out.push_str(&format!("  {id:>8}  {val:.0} hops\n"));
@@ -943,7 +945,8 @@ fn render_top(values: &AlgoValues, k: usize) -> String {
                 *sizes.entry(l).or_default() += 1;
             }
             let mut by_size: Vec<(u32, u64)> = sizes.into_iter().collect();
-            by_size.sort_by_key(|&(_, n)| std::cmp::Reverse(n));
+            // Equal sizes list by label, not by the HashMap's per-process order.
+            by_size.sort_unstable_by_key(|&(label, n)| (std::cmp::Reverse(n), label));
             out.push_str(&format!("{} components; largest:\n", by_size.len()));
             for (label, n) in by_size.into_iter().take(k) {
                 out.push_str(&format!("  component {label:>8}: {n} vertices\n"));
@@ -960,15 +963,22 @@ fn render_top(values: &AlgoValues, k: usize) -> String {
     out
 }
 
+/// The first `k` `(id, value)` pairs under `cmp`, ties broken by ascending
+/// id. That order is total, so selecting the `k` survivors in linear time and
+/// sorting only them gives exactly the prefix a full sort would.
 fn top_by<T: Copy + Into<f64>>(
     values: &[T],
     k: usize,
     cmp: impl Fn(&f64, &f64) -> std::cmp::Ordering,
 ) -> Vec<(usize, f64)> {
+    let order = |a: &(usize, f64), b: &(usize, f64)| cmp(&a.1, &b.1).then(a.0.cmp(&b.0));
     let mut pairs: Vec<(usize, f64)> =
         values.iter().enumerate().map(|(i, &v)| (i, v.into())).collect();
-    pairs.sort_by(|a, b| cmp(&a.1, &b.1).then(a.0.cmp(&b.0)));
-    pairs.truncate(k);
+    if k < pairs.len() {
+        pairs.select_nth_unstable_by(k, order);
+        pairs.truncate(k);
+    }
+    pairs.sort_unstable_by(order);
     pairs
 }
 
@@ -1004,7 +1014,7 @@ mod tests {
                 checkpoint_dir: None,
                 checkpoint_every: 1,
                 resume: false,
-                threads: default_threads(),
+                threads: 1,
                 prefetch: true,
                 verbose: false,
             }
@@ -1491,5 +1501,26 @@ mod tests {
         let v = [3.0f32, 1.0, 2.0];
         let top = top_by(&v, 2, |a, b| b.total_cmp(a));
         assert_eq!(top, vec![(0, 3.0), (2, 2.0)]);
+
+        // k = 0 and k >= len.
+        assert!(top_by(&v, 0, |a, b| b.total_cmp(a)).is_empty());
+        let all = vec![(0, 3.0), (2, 2.0), (1, 1.0)];
+        assert_eq!(top_by(&v, 3, |a, b| b.total_cmp(a)), all);
+        assert_eq!(top_by(&v, 10, |a, b| b.total_cmp(a)), all);
+        assert!(top_by::<f32>(&[], 5, |a, b| a.total_cmp(b)).is_empty());
+
+        // Ties break by ascending id on both sides of the cut, and every k
+        // is exactly the prefix of the full sort it replaces.
+        let hops = [5u32, 1, u32::MAX, 1, 3, 1, 5, 0, u32::MAX, 3];
+        let mut full: Vec<(usize, f64)> =
+            hops.iter().enumerate().map(|(i, &d)| (i, f64::from(d))).collect();
+        full.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
+        for k in 0..=hops.len() + 1 {
+            let top = top_by(&hops, k, |a, b| a.total_cmp(b));
+            assert_eq!(top, full[..k.min(full.len())], "k={k}");
+        }
+        assert_eq!(top_by(&hops, 3, |a, b| a.total_cmp(b)), vec![(7, 0.0), (1, 1.0), (3, 1.0)]);
+        let ranks = [0.5f64, 0.5, 0.25, 0.5];
+        assert_eq!(top_by(&ranks, 2, |a, b| b.total_cmp(a)), vec![(0, 0.5), (1, 0.5)]);
     }
 }

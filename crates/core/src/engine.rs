@@ -59,6 +59,23 @@ fn copy_from_frame(src: &Path, dst: &Path, stats: &Arc<IoStats>) -> Result<()> {
     Ok(())
 }
 
+/// Encode `slab` through the reusable `buf` and write it over the vertex
+/// file's records starting at vertex `first`.
+fn write_slab<V: FixedCodec>(
+    file: &mut TrackedFile,
+    buf: &mut Vec<u8>,
+    first: VertexId,
+    slab: &[V],
+) -> Result<()> {
+    buf.resize(slab.len() * V::SIZE, 0);
+    for (v, out) in slab.iter().zip(buf.chunks_exact_mut(V::SIZE)) {
+        v.write_to(out);
+    }
+    file.seek(SeekFrom::Start(first as u64 * V::SIZE as u64))?;
+    file.write_all(buf)?;
+    Ok(())
+}
+
 use crate::msgmanager::MsgManager;
 use crate::prefetch::{Prefetched, Prefetcher};
 use crate::program::VertexProgram;
@@ -399,12 +416,10 @@ impl<P: VertexProgram> Engine<P> {
                 None
             };
 
-            // §VI-E future work, opt-in: when the whole graph is a single
-            // partition, keep the vertex array resident across iterations
-            // instead of spilling and reloading it every pass.
-            let fast_path = self.config.options.in_memory_fast_path
-                && self.partitions.num_partitions() == 1;
-            let mut resident: Option<Vec<P::VertexData>> = if fast_path {
+            // §VI-E future work: when the plan says the whole graph is one
+            // resident partition, keep the vertex array in memory across
+            // iterations instead of flushing and reloading it every pass.
+            let mut resident: Option<Vec<P::VertexData>> = if plan_cfg.resident {
                 slab_bytes.resize(num_vertices as usize * P::VertexData::SIZE, 0);
                 vfile.seek(SeekFrom::Start(0))?;
                 vfile.read_exact(&mut slab_bytes)?;
@@ -571,15 +586,10 @@ impl<P: VertexProgram> Engine<P> {
 
                     // Flush the partition's vertices back to disk, or keep
                     // them resident on the fast path.
-                    if fast_path {
+                    if plan_cfg.resident {
                         resident = Some(slab);
                     } else {
-                        slab_bytes.resize(count * P::VertexData::SIZE, 0);
-                        for (i, v) in slab.iter().enumerate() {
-                            v.write_to(&mut slab_bytes[i * P::VertexData::SIZE..]);
-                        }
-                        vfile.seek(SeekFrom::Start(a as u64 * P::VertexData::SIZE as u64))?;
-                        vfile.write_all(&slab_bytes)?;
+                        write_slab(&mut vfile, &mut slab_bytes, a, &slab)?;
                     }
                     iter_stages.flush += t_flush.elapsed();
                 }
@@ -603,12 +613,7 @@ impl<P: VertexProgram> Engine<P> {
                         // The fast path holds vertex state in memory only;
                         // write it back so the on-disk array is current.
                         if let Some(slab) = &resident {
-                            slab_bytes.resize(slab.len() * P::VertexData::SIZE, 0);
-                            for (i, v) in slab.iter().enumerate() {
-                                v.write_to(&mut slab_bytes[i * P::VertexData::SIZE..]);
-                            }
-                            vfile.seek(SeekFrom::Start(0))?;
-                            vfile.write_all(&slab_bytes)?;
+                            write_slab(&mut vfile, &mut slab_bytes, 0, slab)?;
                         }
                         vfile.flush()?;
                         self.msgs.flush()?;
@@ -625,13 +630,8 @@ impl<P: VertexProgram> Engine<P> {
             self.next_iteration += iterations;
             pool_counters = batch_pool.counters();
             // The fast path writes the final state exactly once.
-            if let Some(slab) = resident {
-                slab_bytes.resize(slab.len() * P::VertexData::SIZE, 0);
-                for (i, v) in slab.iter().enumerate() {
-                    v.write_to(&mut slab_bytes[i * P::VertexData::SIZE..]);
-                }
-                vfile.seek(SeekFrom::Start(0))?;
-                vfile.write_all(&slab_bytes)?;
+            if let Some(slab) = &resident {
+                write_slab(&mut vfile, &mut slab_bytes, 0, slab)?;
             }
             vfile.flush()?;
         } else {
@@ -1058,15 +1058,17 @@ mod tests {
     #[test]
     fn in_memory_fast_path_same_results_less_io() {
         let budget = MemoryBudget::from_mib(1); // single partition
-        let (_d1, mut slow) = dos_engine(test_graph(), budget, EngineOptions::full(), 4);
-        let (_d2, mut fast) = dos_engine(
+        let (_d1, mut slow) = dos_engine(
             test_graph(),
             budget,
-            EngineOptions::with_in_memory_fast_path(),
+            EngineOptions { in_memory_fast_path: false, ..EngineOptions::full() },
             4,
         );
+        let (_d2, mut fast) = dos_engine(test_graph(), budget, EngineOptions::full(), 4);
         let s_slow = slow.run(10).unwrap();
         let s_fast = fast.run(10).unwrap();
+        assert!(s_fast.plan.resident, "the default plans a resident single partition");
+        assert!(!s_slow.plan.resident);
         assert_eq!(s_slow.iterations, s_fast.iterations);
         assert_eq!(
             slow.values_by_original_id().unwrap(),
@@ -1085,16 +1087,17 @@ mod tests {
     fn fast_path_is_inert_when_multi_partition() {
         // With several partitions the option must not change behaviour.
         let budget = MemoryBudget(32);
-        let (_d1, mut a) = dos_engine(test_graph(), budget, EngineOptions::full(), 3);
-        let (_d2, mut b) = dos_engine(
+        let (_d1, mut a) = dos_engine(
             test_graph(),
             budget,
-            EngineOptions { in_memory_fast_path: true, ..EngineOptions::full() },
+            EngineOptions { in_memory_fast_path: false, ..EngineOptions::full() },
             3,
         );
+        let (_d2, mut b) = dos_engine(test_graph(), budget, EngineOptions::full(), 3);
         let ra = a.run(10).unwrap();
         let rb = b.run(10).unwrap();
         assert!(rb.partitions > 1);
+        assert!(!rb.plan.resident, "more than one partition never plans residency");
         assert_eq!(ra.io, rb.io);
         assert_eq!(
             a.values_by_original_id().unwrap(),

@@ -90,8 +90,7 @@ impl GraphStore for DosStore {
     ) -> Result<(u64, Vec<u32>)> {
         let idx = self.graph.index();
         let start = if a == b { 0 } else { idx.offset_of(a)? };
-        let degrees = (a..b).map(|v| idx.degree_of(v)).collect();
-        Ok((start, degrees))
+        Ok((start, idx.degrees(a, b)?))
     }
 
     fn to_storage_id(&self, original: VertexId, stats: &Arc<IoStats>) -> Result<VertexId> {

@@ -184,6 +184,41 @@ impl DosIndex {
         Ok((g.degree, Self::eq1_offset(g, v)?))
     }
 
+    /// The degree groups covering new ids `a..b`, each clipped to the range,
+    /// as `(first, end, degree)` runs in ascending id order. One binary
+    /// search locates `a`'s group; the rest is a linear walk, so a whole
+    /// partition costs one search instead of one per vertex. An empty range
+    /// (`a >= b`) yields nothing; `b` beyond `num_vertices` is
+    /// [`GraphError::UnknownVertex`].
+    pub fn degree_runs(
+        &self,
+        a: VertexId,
+        b: VertexId,
+    ) -> Result<impl Iterator<Item = (VertexId, VertexId, Degree)> + '_> {
+        if a < b {
+            self.check_range(b - 1)?;
+        }
+        let start = self.groups.partition_point(|g| g.first_id <= a).saturating_sub(1);
+        let groups = self.groups.get(start..).unwrap_or_default();
+        let ends = groups.iter().skip(1).map(|g| g.first_id).chain(std::iter::once(b));
+        Ok(groups
+            .iter()
+            .zip(ends)
+            .map(move |(g, end)| (g.first_id.max(a), end.min(b), g.degree))
+            .take_while(|&(first, end, _)| first < end))
+    }
+
+    /// Out-degrees of new ids `a..b`, expanded from
+    /// [`degree_runs`](Self::degree_runs) with one fill per degree group —
+    /// what every partition load needs. Same errors as `degree_runs`.
+    pub fn degrees(&self, a: VertexId, b: VertexId) -> Result<Vec<Degree>> {
+        let mut out = Vec::with_capacity(cast::vertex_index(b.saturating_sub(a)));
+        for (_, end, degree) in self.degree_runs(a, b)? {
+            out.resize(cast::vertex_index(end - a), degree);
+        }
+        Ok(out)
+    }
+
     /// Total edges owned by vertices in `from..to` (new-id range).
     pub fn edges_in_range(&self, from: VertexId, to: VertexId) -> Result<u64> {
         if from >= to {
@@ -1261,6 +1296,73 @@ mod tests {
         assert_eq!(idx.edges_in_range(5, 5).unwrap(), 0);
         let total: u64 = (3..17u32).map(|v| idx.degree_of(v) as u64).sum();
         assert_eq!(idx.edges_in_range(3, 17).unwrap(), total);
+    }
+
+    /// A DOS index over the non-increasing degree sequence `degrees`.
+    fn index_of(degrees: &[Degree]) -> DosIndex {
+        let mut groups: Vec<DegreeGroup> = Vec::new();
+        let mut offset = 0u64;
+        for (v, &d) in (0u32..).zip(degrees) {
+            if groups.last().map(|g| g.degree) != Some(d) {
+                groups.push(DegreeGroup { degree: d, first_id: v, offset });
+            }
+            offset += u64::from(d);
+        }
+        DosIndex::new(groups, degrees.len() as u64, offset)
+    }
+
+    #[test]
+    fn degree_expansion_matches_per_vertex_lookup() {
+        let mut x: u64 = 7;
+        let mut cases: Vec<Vec<Degree>> = vec![
+            vec![],
+            vec![0],
+            vec![3],
+            vec![4, 4, 4, 4],
+            vec![5, 2, 2, 1, 0, 0, 0],
+            vec![9, 9, 3, 1, 1],
+        ];
+        for len in [6usize, 13, 24] {
+            let mut seq: Vec<Degree> = (0..len)
+                .map(|_| {
+                    x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                    ((x >> 33) % 6) as Degree
+                })
+                .collect();
+            seq.sort_unstable_by(|a, b| b.cmp(a));
+            cases.push(seq);
+        }
+        for seq in &cases {
+            let idx = index_of(seq);
+            let n = seq.len() as VertexId;
+            for a in 0..=n {
+                for b in a..=n {
+                    let want: Vec<Degree> = (a..b).map(|v| idx.degree_of(v)).collect();
+                    assert_eq!(idx.degrees(a, b).unwrap(), want, "{seq:?} {a}..{b}");
+                    // Runs tile the range exactly, each inside one group.
+                    let mut next = a;
+                    for (first, end, d) in idx.degree_runs(a, b).unwrap() {
+                        assert_eq!(first, next, "{seq:?} {a}..{b}");
+                        assert!(first < end && (first..end).all(|v| idx.degree_of(v) == d));
+                        next = end;
+                    }
+                    assert_eq!(next, b, "{seq:?} {a}..{b}");
+                }
+            }
+            // Empty at the end of the id space; past it is a typed error.
+            assert!(idx.degrees(n, n).unwrap().is_empty());
+            let err = idx.degrees(0, n + 1).unwrap_err();
+            assert!(matches!(err, GraphError::UnknownVertex(v) if v == n), "{err:?}");
+        }
+
+        // Named edge cases on the paper example's degree sequence.
+        let idx = index_of(&[4, 2, 2, 1, 1, 0, 0, 0]);
+        assert!(idx.degrees(3, 3).unwrap().is_empty()); // empty range
+        assert!(idx.degrees(5, 2).unwrap().is_empty()); // inverted range
+        assert_eq!(idx.degrees(1, 3).unwrap(), vec![2, 2]); // inside one group
+        assert_eq!(idx.degrees(4, 8).unwrap(), vec![1, 0, 0, 0]); // into the zero tail
+        assert_eq!(idx.degrees(6, 8).unwrap(), vec![0, 0]); // inside the zero tail
+        assert_eq!(idx.degree_runs(0, 8).unwrap().count(), 4);
     }
 
     #[test]

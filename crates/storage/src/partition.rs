@@ -132,31 +132,28 @@ impl Partitioner {
 /// source **and** destination both have new-id `< c`.
 ///
 /// One sequential pass over `edges.bin`; sources are recovered by walking the
-/// DOS index's degree runs.
+/// DOS index's degree runs ([`DosIndex::degree_runs`](crate::DosIndex::degree_runs)).
 pub fn in_partition_message_cdf(
     dos: &DosGraph,
     cutoffs: &[u64],
     stats: Arc<IoStats>,
 ) -> Result<Vec<f64>> {
     assert!(cutoffs.windows(2).all(|w| w[0] <= w[1]), "cutoffs must be ascending");
-    let index = dos.index();
-    let num_edges = dos.meta().num_edges;
+    let meta = dos.meta();
+    let num_edges = meta.num_edges;
     // first_hit[k] = number of edges whose max(src, dst) falls in
     // [cutoffs[k-1], cutoffs[k]); suffix-summed below.
     let mut first_hit = vec![0u64; cutoffs.len() + 1];
     let mut reader = RecordReader::<u32>::open(&dos.edges_path(), stats)?;
-    let mut v: VertexId = 0;
-    let mut remaining = if dos.meta().num_vertices > 0 { index.degree_of(0) } else { 0 };
-    for dst in &mut reader {
-        let dst = dst?;
-        while remaining == 0 {
-            v += 1;
-            remaining = index.degree_of(v);
+    let num_vertices = cast::to_u32(meta.num_vertices, "fig2 vertex count")?;
+    'walk: for (first, end, degree) in dos.index().degree_runs(0, num_vertices)? {
+        for v in first..end {
+            for _ in 0..degree {
+                let Some(dst) = reader.next() else { break 'walk };
+                let m = cast::widen_u32(v.max(dst?));
+                first_hit[cutoffs.partition_point(|&c| c <= m)] += 1;
+            }
         }
-        remaining -= 1;
-        let m = cast::widen_u32(v.max(dst));
-        let k = cutoffs.partition_point(|&c| c <= m);
-        first_hit[k] += 1;
     }
     // counts[k] = edges with max endpoint < cutoffs[k] = prefix sum.
     let mut out = Vec::with_capacity(cutoffs.len());

@@ -192,20 +192,20 @@ pub fn verify_dos(dir: &Path, stats: Arc<IoStats>) -> Result<VerifyReport> {
         Err(e) => report.violations.push(Violation::BadEdges(format!("cannot stat: {e}"))),
     }
     if report.is_clean() {
-        let mut v: VertexId = 0;
-        let mut remaining = if meta.num_vertices > 0 { index.degree_of(0) } else { 0 };
-        let reader = RecordReader::<u32>::open(&graph.edges_path(), Arc::clone(&stats))?;
-        for dst in reader {
-            let dst = dst?;
-            while remaining == 0 {
-                v += 1;
-                remaining = index.degree_of(v);
-            }
-            remaining -= 1;
-            if cast::widen_u32(dst) >= meta.num_vertices {
-                report.violations.push(Violation::DanglingEdge { vertex: v, target: dst });
-                if report.violations.len() > 16 {
-                    break; // enough evidence
+        // Ids are u32, so no vertex at or past u32::MAX can own an edge.
+        let id_space = VertexId::try_from(meta.num_vertices).unwrap_or(VertexId::MAX);
+        let mut reader = RecordReader::<u32>::open(&graph.edges_path(), Arc::clone(&stats))?;
+        'walk: for (first, end, degree) in index.degree_runs(0, id_space)? {
+            for v in first..end {
+                for _ in 0..degree {
+                    let Some(dst) = reader.next() else { break 'walk };
+                    let dst = dst?;
+                    if cast::widen_u32(dst) >= meta.num_vertices {
+                        report.violations.push(Violation::DanglingEdge { vertex: v, target: dst });
+                        if report.violations.len() > 16 {
+                            break 'walk; // enough evidence
+                        }
+                    }
                 }
             }
         }

@@ -86,10 +86,11 @@ pub struct EngineOptions {
     /// are identical either way; the guarantee is tested).
     pub pipeline_threads: usize,
     /// Keep the vertex array resident across iterations when the whole graph
-    /// fits in one partition, skipping the per-iteration spill/reload.
-    /// Off by default: the paper's implementation "does not have many
-    /// in-memory optimizations" (§VI-E) and the reproduction benchmarks run
-    /// without it; this implements that future work as an opt-in.
+    /// fits in one partition, skipping the per-iteration spill/reload — the
+    /// paper's §VI-E future work ("does not have many in-memory
+    /// optimizations"). On by default; results are bit-identical either way,
+    /// so `false` survives only as the ablation control that reproduces the
+    /// paper's own always-spill behaviour. See [`ExecutionPlan::resident`].
     pub in_memory_fast_path: bool,
     /// Spill cross-partition messages on a dedicated MsgManager thread
     /// (the paper's four-component pipeline, §V Fig. 4) instead of on the
@@ -133,7 +134,7 @@ impl Default for EngineOptions {
             use_dos: true,
             dynamic_messages: true,
             pipeline_threads: 2,
-            in_memory_fast_path: false,
+            in_memory_fast_path: true,
             background_spill: false,
             prefetch: true,
             worker_shards: 1,
@@ -148,7 +149,9 @@ impl Default for EngineOptions {
 /// [`EngineOptions::plan_execution`]. Every field is a pure function of
 /// `(options, num_edges, num_partitions)` — never of detected cores, load,
 /// or timing — so two runs over the same graph with the same options always
-/// execute the same logical schedule.
+/// execute the same logical schedule. `worker_shards` is the only field that
+/// selects a schedule; the rest change where bytes live and which thread
+/// moves them, never the result bits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecutionPlan {
     /// Effective logical Worker shards per partition. Differs from
@@ -161,6 +164,12 @@ pub struct ExecutionPlan {
     /// Whether the partition prefetcher runs. Pure scheduling; disabled when
     /// the partition count cannot hide a load.
     pub prefetch: bool,
+    /// Whether the vertex slab stays in memory for the whole run instead of
+    /// being flushed and reloaded every iteration: `in_memory_fast_path`
+    /// and a single partition. Pure residency; the on-disk vertex array is
+    /// still brought current before every checkpoint and at the end of the
+    /// run.
+    pub resident: bool,
 }
 
 impl EngineOptions {
@@ -195,7 +204,8 @@ impl EngineOptions {
             pipeline_threads = 1;
         }
         let prefetch = self.prefetch && num_partitions >= Self::MIN_PREFETCH_PARTITIONS;
-        ExecutionPlan { worker_shards, pipeline_threads, prefetch }
+        let resident = self.in_memory_fast_path && num_partitions == 1;
+        ExecutionPlan { worker_shards, pipeline_threads, prefetch, resident }
     }
 }
 
@@ -229,11 +239,6 @@ impl EngineOptions {
     /// Fig. 7's "GraphZ w/o DOS and DM" configuration.
     pub fn without_dos_and_dm() -> Self {
         EngineOptions { use_dos: false, dynamic_messages: false, ..Self::default() }
-    }
-
-    /// §VI-E future work: enable the in-memory fast path.
-    pub fn with_in_memory_fast_path() -> Self {
-        EngineOptions { in_memory_fast_path: true, ..Self::default() }
     }
 
     /// Force every bounded pipeline queue to `cap` (≥ 1). Used by the
@@ -301,7 +306,8 @@ impl EngineOptionsBuilder {
         self
     }
 
-    /// Toggle the §VI-E in-memory fast path.
+    /// Toggle the §VI-E in-memory fast path (on by default; `false` is the
+    /// ablation control).
     pub fn in_memory_fast_path(mut self, on: bool) -> Self {
         self.opts.in_memory_fast_path = on;
         self
@@ -432,6 +438,34 @@ mod tests {
     }
 
     #[test]
+    fn resident_plan_requires_one_partition() {
+        let opts = EngineOptions::full();
+        assert!(opts.in_memory_fast_path, "the fast path is the default");
+        assert!(opts.plan_execution(1 << 20, 1).resident);
+        // Off whenever the graph does not fit one partition, at any shape.
+        for partitions in [2, 3, 8, 64] {
+            assert!(!opts.plan_execution(1 << 20, partitions).resident, "{partitions}");
+        }
+        // The ablation control is never overridden back on.
+        let off = EngineOptions { in_memory_fast_path: false, ..opts };
+        assert!(!off.plan_execution(1 << 20, 1).resident);
+        // Pure: independent of edge count, threads, shards and prefetch.
+        for (edges, threads, shards, prefetch) in
+            [(0, 1, 1, true), (1, 8, 8, false), (u64::MAX, 2, 8, true)]
+        {
+            let o = EngineOptions {
+                pipeline_threads: threads,
+                worker_shards: shards,
+                prefetch,
+                ..opts
+            };
+            assert!(o.plan_execution(edges, 1).resident);
+            assert!(!o.plan_execution(edges, 2).resident);
+            assert_eq!(o.plan_execution(edges, 1), o.plan_execution(edges, 1));
+        }
+    }
+
+    #[test]
     fn partition_count_covers_everything() {
         let b = MemoryBudget::from_kib(1); // 256 4-byte records
         assert_eq!(b.partitions_for(256, 4, 1.0), 1);
@@ -453,8 +487,10 @@ mod tests {
         assert!(EngineOptions::without_dos().dynamic_messages);
         let ab = EngineOptions::without_dos_and_dm();
         assert!(!ab.use_dos && !ab.dynamic_messages);
-        assert!(!EngineOptions::full().in_memory_fast_path);
-        assert!(EngineOptions::with_in_memory_fast_path().in_memory_fast_path);
+        assert!(EngineOptions::full().in_memory_fast_path);
+        assert!(EngineOptions::with_parallel_workers(4).in_memory_fast_path);
+        let control = EngineOptions::builder().in_memory_fast_path(false).build().unwrap();
+        assert_eq!(control, EngineOptions { in_memory_fast_path: false, ..EngineOptions::full() });
         assert!(EngineOptions::full().prefetch);
         assert!(EngineOptions::full().worker_shards >= 1);
         let par = EngineOptions::with_parallel_workers(4);
