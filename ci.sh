@@ -108,10 +108,13 @@ step "benchmark (unit tests + pagerank-fit smoke)"
 # The benchmark package's own tests, then one short pagerank-fit run: it
 # drives `graphz convert | run` with default flags, checks the top-100
 # ranks against the in-memory reference, and refuses to report unless the
-# graph really fits one partition (exit 2) — so the default resident,
-# serial path is exercised end to end on every CI run.
+# graph really fits one partition (exit 2) — so the default, fully resident
+# serial path is exercised end to end on every CI run. The pagerank-ooc run
+# does the same for the streamed multi-partition path: same oracle, and it
+# refuses to report unless the budget really yields >= 8 partitions.
 cargo test --manifest-path benchmark/Cargo.toml --offline -q
 bash benchmark/run.sh --workload pagerank-fit --seconds 1
+bash benchmark/run.sh --workload pagerank-ooc --seconds 1
 step_done
 
 step "bench: serve queries/sec (1/2/4 reader threads)"

@@ -82,6 +82,8 @@ pub struct AlgoOutcome {
     pub stages: Option<StageTimes>,
     /// Partition-prefetch effectiveness (GraphZ engines only).
     pub prefetch: Option<PrefetchSnapshot>,
+    /// The execution plan the engine resolved (GraphZ engines only).
+    pub plan: Option<ExecutionPlan>,
     /// Per-vertex results indexed by original id.
     pub values: AlgoValues,
 }
@@ -285,6 +287,7 @@ fn run_graphz_with(
             wall: run.wall,
             stages: Some(run.stages),
             prefetch: Some(run.prefetch),
+            plan: Some(run.plan),
             values,
         })
     }
@@ -585,6 +588,7 @@ pub fn run_reference(g: &CsrGraph, params: &AlgoParams) -> Result<AlgoOutcome> {
         wall: start.elapsed(),
         stages: None,
         prefetch: None,
+        plan: None,
         values,
     })
 }
@@ -609,6 +613,7 @@ fn baseline_outcome(
         wall: run.wall,
         stages: None,
         prefetch: None,
+        plan: None,
         values,
     }
 }

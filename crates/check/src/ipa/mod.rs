@@ -7,9 +7,10 @@
 //! *transitively* (DESIGN.md §6k):
 //!
 //! * `hot-path-alloc` — nothing reachable from the Worker per-message
-//!   compute loop (`ShardState::process`) or the shard-local outbox send
-//!   path (`ShardState::defer`) may allocate, take a lock, touch a file,
-//!   or spawn. BatchPool reuse stops being a bench anecdote and becomes a
+//!   compute loop (`ShardState::process`), the shard-local outbox send
+//!   path (`ShardState::defer`) or the per-iteration resident-adjacency
+//!   feed (`Executor::feed_resident`) may allocate, take a lock, touch a
+//!   file, or spawn. BatchPool reuse stops being a bench anecdote and becomes a
 //!   checked invariant.
 //! * `panic-freedom` — no unwrap/expect, release-enabled assert,
 //!   non-literal index/slice, or non-literal division reachable from the
@@ -108,7 +109,11 @@ const EXCLUDED: &[&str] = &[
 
 /// Hot-path entries: the per-message compute loop and the shard-local
 /// outbox send path (DESIGN.md §6d/§6i).
-const HOT_ENTRIES: &[(&str, &str)] = &[("ShardState", "process"), ("ShardState", "defer")];
+const HOT_ENTRIES: &[(&str, &str)] = &[
+    ("ShardState", "process"),
+    ("ShardState", "defer"),
+    ("Executor", "feed_resident"),
+];
 
 /// Compute-phase entries: everything `Engine::run`'s iteration loop drives
 /// per batch — the shard plan, the executor feed/finish protocol, and the
@@ -120,6 +125,7 @@ const PANIC_ENTRIES: &[(&str, &str)] = &[
     ("ShardState", "finish"),
     ("Executor", "start"),
     ("Executor", "feed"),
+    ("Executor", "feed_resident"),
     ("Executor", "finish"),
     ("Executor", "finish_with"),
     ("", "plan_shards"),

@@ -259,7 +259,7 @@ pub const COMMANDS: &[CommandSpec] = &[
             FlagSpec { name: "--resume", value: None, help: "continue from the newest valid generation" },
             FlagSpec { name: "--threads", value: Some("N"), help: "worker threads (default 1, the paper's schedule; N >= 2 runs 8 shards)" },
             FlagSpec { name: "--no-prefetch", value: None, help: "disable the background partition loader" },
-            FlagSpec { name: "--verbose", value: None, help: "print per-stage wall times and prefetch counters" },
+            FlagSpec { name: "--verbose", value: None, help: "print the plan, per-stage wall times and prefetch counters" },
         ],
         summary: "run an algorithm out-of-core and print the top-K vertices",
         details: "Checkpointing: with --checkpoint-dir, a crash-safe generation is written\n\
@@ -270,9 +270,10 @@ pub const COMMANDS: &[CommandSpec] = &[
                   N >= 2 opts into a fixed 8-shard Worker schedule per partition: every\n\
                   N >= 2 produces bit-identical results, but a different schedule than 1,\n\
                   so traversals may need more iterations. A graph that fits one partition\n\
-                  keeps its vertex array in memory for the whole run. --no-prefetch\n\
-                  disables the background partition loader (results are identical either\n\
-                  way). --verbose prints per-stage wall times and prefetch hit/stall counters.",
+                  keeps its vertex array in memory for the whole run, and its adjacency,\n\
+                  when both fit the budget. --no-prefetch disables the background\n\
+                  partition loader (results are identical either way). --verbose prints\n\
+                  the resolved plan, per-stage wall times and prefetch hit/stall counters.",
     },
 ];
 
@@ -788,6 +789,15 @@ pub fn execute(cmd: Command) -> Result<String> {
                 outcome.wall,
             );
             if verbose {
+                if let Some(plan) = outcome.plan {
+                    out.push_str(&format!(
+                        "plan: shards {} / threads {} / prefetch {} / residency {}\n",
+                        plan.worker_shards,
+                        plan.pipeline_threads,
+                        if plan.prefetch { "on" } else { "off" },
+                        plan.residency(),
+                    ));
+                }
                 if let Some(st) = outcome.stages {
                     out.push_str(&format!(
                         "stage times: load {:?} / replay {:?} / compute {:?} / flush {:?}\n",
@@ -1375,6 +1385,18 @@ mod tests {
         .unwrap();
         assert!(out.contains("stage times:"), "{out}");
         assert!(out.contains("prefetch:"), "{out}");
+        assert!(out.contains("plan: shards 8 / threads 2 / prefetch"), "{out}");
+        // A graph that fits runs one inline shard over a resident adjacency;
+        // without --verbose no plan line is printed.
+        let out = execute(parse(&args(&format!("run pr {dos} --iterations 3 --verbose"))).unwrap())
+            .unwrap();
+        assert!(
+            out.contains("plan: shards 1 / threads 1 / prefetch off / residency slab+adjacency\n"),
+            "{out}"
+        );
+        let out =
+            execute(parse(&args(&format!("run pr {dos} --iterations 3"))).unwrap()).unwrap();
+        assert!(!out.contains("plan:"), "{out}");
     }
 
     #[test]

@@ -76,6 +76,14 @@ fn write_slab<V: FixedCodec>(
     Ok(())
 }
 
+/// Bytes a resident adjacency of `num_vertices` vertices and `num_edges`
+/// edges occupies: a `u32` target per edge, an `f32` weight per edge when the
+/// image is weighted, and a `u32` degree per vertex.
+fn adjacency_bytes(num_vertices: u64, num_edges: u64, weighted: bool) -> u64 {
+    let per_edge = if weighted { 8 } else { 4 };
+    num_edges.saturating_mul(per_edge).saturating_add(num_vertices.saturating_mul(4))
+}
+
 use crate::msgmanager::MsgManager;
 use crate::prefetch::{Prefetched, Prefetcher};
 use crate::program::VertexProgram;
@@ -364,13 +372,17 @@ impl<P: VertexProgram> Engine<P> {
         let mut pool_counters = sio::PoolCounters::default();
 
         // Resolve the execution plan once per run: a pure function of the
-        // graph's shape and the options (never thread availability or
-        // timing), so the logical schedule — and with it the result bits —
-        // is a constant of the configuration.
-        let plan_cfg = self
-            .config
-            .options
-            .plan_execution(self.store.num_edges(), self.partitions.num_partitions());
+        // graph's shape, the budget and the options (never thread
+        // availability or timing), so the logical schedule — and with it
+        // the result bits — is a constant of the configuration.
+        let num_edges = self.store.num_edges();
+        let plan_cfg = self.config.options.plan_execution(
+            num_edges,
+            self.partitions.num_partitions(),
+            self.config.budget,
+            num_vertices.saturating_mul(P::VertexData::SIZE as u64),
+            adjacency_bytes(num_vertices, num_edges, self.store.weights_path().is_some()),
+        );
 
         if num_vertices > 0 {
             let mut vfile = TrackedFile::open_rw(&self.vertices_path, Arc::clone(&self.stats))
@@ -394,7 +406,8 @@ impl<P: VertexProgram> Engine<P> {
             let queue_cap = self.config.options.queue_cap;
             let sio_cap = queue_cap.unwrap_or(sio::DEFAULT_SIO_QUEUE_CAP).max(1);
             let job_cap = queue_cap.unwrap_or(worker::DEFAULT_JOB_QUEUE_CAP).max(1);
-            let pool_cap = 2 + sio_cap + max_shards + pipeline_threads * (job_cap + 1);
+            let workers = worker::pool_workers(pipeline_threads, max_shards);
+            let pool_cap = 2 + sio_cap + max_shards + workers * (job_cap + 1);
             let batch_pool = sio::BatchPool::prewarmed(pool_cap);
             let mut executor: Executor<P> = Executor::new(
                 pipeline_threads,
@@ -428,6 +441,11 @@ impl<P: VertexProgram> Engine<P> {
                 None
             };
 
+            // When the plan keeps the adjacency resident too, the first
+            // partition load reads it once and cuts it into one piece per
+            // shard; every later iteration feeds those same pieces.
+            let mut adjacency: Option<Vec<(usize, Arc<sio::AdjBatch>)>> = None;
+
             for step in 0..max_iterations {
                 let iter = self.next_iteration + step;
                 iterations = step + 1;
@@ -446,11 +464,13 @@ impl<P: VertexProgram> Engine<P> {
                     // (first load of a run, or prefetch disabled).
                     let prefetched: Option<Prefetched<P>> =
                         prefetcher.as_mut().and_then(|pf| pf.take(part));
-                    let (start_edge, degrees, slab, pre_msgs, claim) = match prefetched {
+                    let (start_edge, mut degrees, slab, pre_msgs, claim) = match prefetched {
                         Some(p) => (p.start_edge, p.degrees, p.slab, p.msgs, Some(p.claim)),
                         None => {
-                            let (start_edge, degrees) =
-                                self.store.partition_index(a, b, &self.stats)?;
+                            let (start_edge, degrees) = match adjacency {
+                                Some(_) => (0, Vec::new()),
+                                None => self.store.partition_index(a, b, &self.stats)?,
+                            };
                             let slab = match resident.take() {
                                 Some(s) => s,
                                 None => {
@@ -476,6 +496,11 @@ impl<P: VertexProgram> Engine<P> {
                         let next_claim = self.msgs.claim(next)?;
                         pf.request(next, na, nb, next_claim);
                     }
+                    let plan = worker::plan_shards(a, b, max_shards);
+                    if plan_cfg.resident_adjacency && adjacency.is_none() {
+                        let degrees = std::mem::take(&mut degrees);
+                        adjacency = Some(self.load_adjacency(start_edge, a, degrees, &plan)?);
+                    }
                     iter_stages.load += t_load.elapsed();
                     let t_replay = Instant::now();
 
@@ -486,7 +511,6 @@ impl<P: VertexProgram> Engine<P> {
                     // exactly one shard — so the result is identical to a
                     // sequential replay (paper §V-C: "To accelerate this
                     // process, it is parallelized").
-                    let plan = worker::plan_shards(a, b, max_shards);
                     let mut replay_groups: Vec<Vec<(VertexId, P::Message)>> =
                         plan.iter().map(|_| Vec::new()).collect();
                     let pre_count = pre_msgs.len() as u64;
@@ -525,22 +549,29 @@ impl<P: VertexProgram> Engine<P> {
                     iter_stages.replay += t_replay.elapsed();
                     let t_compute = Instant::now();
 
-                    // Sio/Dispatcher stream feeding the Worker shards.
-                    let stream = sio::stream_partition_weighted(
-                        &self.store.edges_path(),
-                        self.store.weights_path().as_deref(),
-                        start_edge,
-                        a,
-                        degrees,
-                        self.config.batch_edges,
-                        Arc::clone(&self.stats),
-                        pipeline_threads > 1,
-                        Some(Arc::clone(&batch_pool)),
-                        queue_cap,
-                    )?;
-                    for batch in stream {
-                        for (shard, piece) in worker::split_batch(batch?, &plan, &batch_pool) {
-                            executor.feed(shard, piece)?;
+                    if let Some(pieces) = &adjacency {
+                        for (shard, piece) in pieces {
+                            executor.feed_resident(*shard, piece)?;
+                        }
+                    } else {
+                        // Sio/Dispatcher stream feeding the Worker shards.
+                        let stream = sio::stream_partition_weighted(
+                            &self.store.edges_path(),
+                            self.store.weights_path().as_deref(),
+                            start_edge,
+                            a,
+                            degrees,
+                            self.config.batch_edges,
+                            Arc::clone(&self.stats),
+                            pipeline_threads > 1,
+                            Some(Arc::clone(&batch_pool)),
+                            queue_cap,
+                        )?;
+                        for batch in stream {
+                            for (shard, piece) in worker::split_batch(batch?, &plan, &batch_pool)
+                            {
+                                executor.feed(shard, piece)?;
+                            }
                         }
                     }
 
@@ -656,6 +687,54 @@ impl<P: VertexProgram> Engine<P> {
             plan: plan_cfg,
             per_iteration,
         })
+    }
+
+    /// Read the adjacency of the partition starting at vertex `a` — its
+    /// edges from `start_edge` on, their weights, and `degrees` — through the
+    /// Sio reader in one pass, and cut it into one resident piece per shard
+    /// of `plan`.
+    fn load_adjacency(
+        &self,
+        start_edge: u64,
+        a: VertexId,
+        degrees: Vec<u32>,
+        plan: &[(VertexId, VertexId)],
+    ) -> Result<Vec<(usize, Arc<sio::AdjBatch>)>> {
+        let weights_path = self.store.weights_path();
+        let num_edges: usize = degrees.iter().map(|&d| d as usize).sum();
+        let mut whole = sio::AdjBatch {
+            first_vertex: a,
+            degrees: Vec::with_capacity(degrees.len()),
+            edges: Vec::with_capacity(num_edges),
+            weights: Vec::with_capacity(if weights_path.is_some() { num_edges } else { 0 }),
+        };
+        // A private pool, freed when the load ends: it recycles the stream's
+        // blocks and takes back the whole batch when `split_batch` slices it
+        // into several shards' pieces.
+        let pool = sio::BatchPool::new(1);
+        let stream = sio::stream_partition_weighted(
+            &self.store.edges_path(),
+            weights_path.as_deref(),
+            start_edge,
+            a,
+            degrees,
+            self.config.batch_edges,
+            Arc::clone(&self.stats),
+            false,
+            Some(Arc::clone(&pool)),
+            None,
+        )?;
+        for batch in stream {
+            let batch = batch?;
+            whole.degrees.extend_from_slice(&batch.degrees);
+            whole.edges.extend_from_slice(&batch.edges);
+            whole.weights.extend_from_slice(&batch.weights);
+            pool.put(batch);
+        }
+        Ok(worker::split_batch(whole, plan, &pool)
+            .into_iter()
+            .map(|(shard, piece)| (shard, Arc::new(piece)))
+            .collect())
     }
 
     /// Checkpoint the engine's whole computation state — vertex values,
@@ -1081,6 +1160,54 @@ mod tests {
             s_slow.io.bytes_read
         );
         assert!(s_fast.io.bytes_written < s_slow.io.bytes_written);
+    }
+
+    #[test]
+    fn resident_adjacency_is_read_once_per_run() {
+        // Never converges, so every run executes exactly its cap.
+        let budget = MemoryBudget::from_mib(1);
+        let mut read = Vec::new();
+        for iterations in [2, 10] {
+            let (_d, mut engine) =
+                dos_engine(test_graph(), budget, EngineOptions::full(), u32::MAX);
+            let s = engine.run(iterations).unwrap();
+            assert_eq!(s.iterations, iterations);
+            assert!(s.plan.resident_adjacency, "a graph that fits keeps its adjacency");
+            assert_eq!(s.plan.pipeline_threads, 1, "one resident shard runs inline");
+            assert_eq!(s.pool, sio::PoolCounters::default(), "no batch-pool traffic");
+            read.push(s.io.bytes_read);
+        }
+        assert_eq!(read[0], read[1], "bytes read must not grow with iterations");
+        // The streamed control rereads the adjacency every iteration.
+        let streamed: Vec<u64> = [2, 10]
+            .into_iter()
+            .map(|iterations| {
+                let opts = EngineOptions { in_memory_fast_path: false, ..EngineOptions::full() };
+                let (_d, mut engine) = dos_engine(test_graph(), budget, opts, u32::MAX);
+                engine.run(iterations).unwrap().io.bytes_read
+            })
+            .collect();
+        assert!(streamed[1] > streamed[0]);
+        assert!(read[1] < streamed[1]);
+    }
+
+    #[test]
+    fn slab_resident_plan_streams_an_adjacency_that_does_not_fit() {
+        // 4 u64 vertices: a 64-byte budget holds the 32-byte slab in one
+        // partition, but not the 44-byte adjacency (7 edges + 4 degrees) too.
+        let budget = MemoryBudget(64);
+        let (_d1, mut slab_only) = dos_engine(test_graph(), budget, EngineOptions::full(), 4);
+        let (_d2, mut whole) =
+            dos_engine(test_graph(), MemoryBudget::from_mib(1), EngineOptions::full(), 4);
+        let s = slab_only.run(10).unwrap();
+        assert_eq!(s.partitions, 1);
+        assert!(s.plan.resident && !s.plan.resident_adjacency, "{:?}", s.plan);
+        assert_eq!(s.plan.pipeline_threads, 2, "streamed adjacency keeps the pipeline");
+        whole.run(10).unwrap();
+        assert_eq!(
+            slab_only.values_by_original_id().unwrap(),
+            whole.values_by_original_id().unwrap()
+        );
     }
 
     #[test]

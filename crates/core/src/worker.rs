@@ -7,7 +7,7 @@
 //!
 //! **The shard plan is a function of the partition and `worker_shards`
 //! only, never of the thread count.** Threads merely execute a fixed
-//! logical schedule: shard *s* always runs on worker `s % threads`, jobs
+//! logical schedule: shard *s* always runs on worker `s % workers`, jobs
 //! for a shard are FIFO, shards touch disjoint vertex ranges, and every
 //! message that crosses a shard boundary is deferred into the sending
 //! shard's ordered buffer and applied at the partition barrier in
@@ -275,6 +275,8 @@ pub struct ShardResult<P: VertexProgram> {
 enum Job<P: VertexProgram> {
     Start(Box<ShardStart<P>>),
     Piece { shard: usize, batch: AdjBatch },
+    /// A piece of a resident adjacency: shared, never recycled.
+    Resident { shard: usize, batch: Arc<AdjBatch> },
     Finish { shard: usize },
 }
 
@@ -285,6 +287,14 @@ pub const DEFAULT_JOB_QUEUE_CAP: usize = 8;
 
 fn worker_died() -> GraphError {
     GraphError::Io(std::io::Error::other("worker thread panicked"))
+}
+
+/// Worker threads a pool runs for `threads` pipeline threads and at most
+/// `max_shards` shards per partition: one per shard at most, since shard
+/// *s* always runs on worker `s % workers` and a worker with no shard would
+/// sit idle for the whole run.
+pub fn pool_workers(threads: usize, max_shards: usize) -> usize {
+    threads.max(1).min(max_shards.max(1))
 }
 
 /// A persistent pool of Worker threads. Spawned once per [`Engine::run`]
@@ -299,8 +309,9 @@ pub struct WorkerPool<P: VertexProgram> {
 }
 
 impl<P: VertexProgram> WorkerPool<P> {
-    /// `max_shards` bounds how many `Finish` results can be outstanding at
-    /// once (one partition's worth), sizing the result queue so workers
+    /// Spawns [`pool_workers`]`(threads, max_shards)` workers.
+    /// `max_shards` also bounds how many `Finish` results can be outstanding
+    /// at once (one partition's worth), sizing the result queue so workers
     /// never block on it. `queue_cap` (when set) overrides every queue
     /// depth — including down to capacity 1, which [`Executor::finish`]
     /// is written to tolerate.
@@ -311,13 +322,13 @@ impl<P: VertexProgram> WorkerPool<P> {
         program: Arc<P>,
         pool: Arc<BatchPool>,
     ) -> Result<Self> {
-        let threads = threads.max(1);
+        let workers = pool_workers(threads, max_shards);
         let results_cap = queue_cap.unwrap_or(max_shards.max(1)).max(1);
         let job_cap = queue_cap.unwrap_or(DEFAULT_JOB_QUEUE_CAP).max(1);
         let (result_tx, results) = bounded::<ShardResult<P>>(results_cap);
-        let mut txs = Vec::with_capacity(threads);
-        let mut handles = Vec::with_capacity(threads);
-        for w in 0..threads {
+        let mut txs = Vec::with_capacity(workers);
+        let mut handles = Vec::with_capacity(workers);
+        for w in 0..workers {
             let (tx, rx) = bounded::<Job<P>>(job_cap);
             let program = Arc::clone(&program);
             let batch_pool = Arc::clone(&pool);
@@ -340,6 +351,10 @@ impl<P: VertexProgram> WorkerPool<P> {
                                 let Some(state) = states.get_mut(&shard) else { return };
                                 state.process(&program, &batch);
                                 batch_pool.put(batch);
+                            }
+                            Job::Resident { shard, batch } => {
+                                let Some(state) = states.get_mut(&shard) else { return };
+                                state.process(&program, &batch);
                             }
                             Job::Finish { shard } => {
                                 let Some(state) = states.remove(&shard) else { return };
@@ -378,6 +393,18 @@ impl<P: VertexProgram> Drop for WorkerPool<P> {
             let _ = h.join();
         }
     }
+}
+
+/// The inline executor's state for `shard`, or a typed error if the engine
+/// routed a batch to a shard it never started.
+fn started<P: VertexProgram>(
+    states: &mut [Option<ShardState<P>>],
+    shard: usize,
+) -> Result<&mut ShardState<P>> {
+    states.get_mut(shard).and_then(Option::as_mut).ok_or_else(|| {
+        // ipa:allow(hot-path-alloc) — built only on an engine protocol bug, never per batch
+        GraphError::InvalidConfig(format!("batch routed to un-started shard {shard}"))
+    })
 }
 
 /// Executes one partition's shard schedule: inline on the engine thread, or
@@ -425,16 +452,29 @@ impl<P: VertexProgram> Executor<P> {
     pub fn feed(&mut self, shard: usize, batch: AdjBatch) -> Result<()> {
         match self {
             Executor::Inline { program, pool, states } => {
-                let state = states.get_mut(shard).and_then(Option::as_mut).ok_or_else(|| {
-                    GraphError::InvalidConfig(format!("batch routed to un-started shard {shard}"))
-                })?;
-                state.process(program, &batch);
+                started(states, shard)?.process(program, &batch);
                 pool.put(batch);
                 Ok(())
             }
             Executor::Pooled(pool) => {
                 pool.tx(shard).send(Job::Piece { shard, batch }).map_err(|_| worker_died())
             }
+        }
+    }
+
+    /// Feed a shard its piece of a resident adjacency. The batch is borrowed
+    /// inline and shared with a pooled worker, never moved or recycled, so
+    /// the same pieces serve every iteration of the run.
+    pub fn feed_resident(&mut self, shard: usize, batch: &Arc<AdjBatch>) -> Result<()> {
+        match self {
+            Executor::Inline { program, states, .. } => {
+                started(states, shard)?.process(program, batch);
+                Ok(())
+            }
+            Executor::Pooled(pool) => pool
+                .tx(shard)
+                .send(Job::Resident { shard, batch: Arc::clone(batch) })
+                .map_err(|_| worker_died()),
         }
     }
 
@@ -544,6 +584,69 @@ impl<P: VertexProgram> Executor<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::program::UpdateContext;
+    use crate::sio::PoolCounters;
+
+    /// Counts, at every vertex, the edges of every batch it is fed.
+    struct OutDegree;
+
+    impl VertexProgram for OutDegree {
+        type VertexData = u64;
+        type Message = u64;
+
+        fn update(&self, _vid: VertexId, data: &mut u64, ctx: &mut UpdateContext<'_, u64>) {
+            *data += ctx.neighbors().len() as u64;
+        }
+
+        fn apply_message(&self, _vid: VertexId, _data: &mut u64, _msg: &u64) {}
+    }
+
+    fn spawn(threads: usize, shards: usize) -> WorkerPool<OutDegree> {
+        WorkerPool::spawn(threads, shards, None, Arc::new(OutDegree), BatchPool::new(4)).unwrap()
+    }
+
+    #[test]
+    fn pool_spawns_no_worker_without_a_shard() {
+        assert_eq!(pool_workers(2, 1), 1);
+        assert_eq!(spawn(2, 1).handles.len(), 1, "threads = 2, shards = 1: one worker");
+        assert_eq!(spawn(2, 8).handles.len(), 2);
+        assert_eq!(spawn(8, 3).handles.len(), 3);
+        assert_eq!(pool_workers(0, 0), 1);
+    }
+
+    #[test]
+    fn resident_pieces_are_reused_not_consumed() {
+        let piece = Arc::new(AdjBatch {
+            first_vertex: 0,
+            degrees: vec![2, 0, 1],
+            edges: vec![1, 2, 0],
+            weights: vec![],
+        });
+        for threads in [1usize, 2] {
+            let pool = BatchPool::new(4);
+            let mut exec: Executor<OutDegree> =
+                Executor::new(threads, 1, None, Arc::new(OutDegree), Arc::clone(&pool)).unwrap();
+            for iteration in 0..3 {
+                exec.start(ShardStart {
+                    shard: 0,
+                    first: 0,
+                    end: 3,
+                    data: vec![iteration; 3],
+                    replay: Vec::new(),
+                    iteration: 0,
+                    num_vertices: 3,
+                    dynamic: true,
+                    per_partition: 3,
+                })
+                .unwrap();
+                exec.feed_resident(0, &piece).unwrap();
+                let out = exec.finish(1).unwrap();
+                assert_eq!(out[0].data, vec![iteration + 2, iteration, iteration + 1]);
+            }
+            assert_eq!(pool.counters(), PoolCounters::default(), "threads={threads}");
+            assert_eq!(Arc::strong_count(&piece), 1, "threads={threads}: workers hold no piece");
+        }
+    }
 
     #[test]
     fn shard_plan_is_thread_independent_and_covers_range() {

@@ -88,9 +88,13 @@ pub struct EngineOptions {
     /// Keep the vertex array resident across iterations when the whole graph
     /// fits in one partition, skipping the per-iteration spill/reload — the
     /// paper's §VI-E future work ("does not have many in-memory
-    /// optimizations"). On by default; results are bit-identical either way,
-    /// so `false` survives only as the ablation control that reproduces the
-    /// paper's own always-spill behaviour. See [`ExecutionPlan::resident`].
+    /// optimizations") — and keep the adjacency resident too when it also
+    /// fits the budget left after the vertex array, so the graph is read
+    /// once per run instead of once per iteration. On by default; results
+    /// are bit-identical either way, so `false` survives only as the
+    /// ablation control that reproduces the paper's own always-spill,
+    /// always-stream behaviour. See [`ExecutionPlan::resident`] and
+    /// [`ExecutionPlan::resident_adjacency`].
     pub in_memory_fast_path: bool,
     /// Spill cross-partition messages on a dedicated MsgManager thread
     /// (the paper's four-component pipeline, §V Fig. 4) instead of on the
@@ -146,12 +150,13 @@ impl Default for EngineOptions {
 
 /// The execution plan the engine actually runs: [`EngineOptions`] resolved
 /// against the shape of the graph by
-/// [`EngineOptions::plan_execution`]. Every field is a pure function of
-/// `(options, num_edges, num_partitions)` — never of detected cores, load,
-/// or timing — so two runs over the same graph with the same options always
-/// execute the same logical schedule. `worker_shards` is the only field that
-/// selects a schedule; the rest change where bytes live and which thread
-/// moves them, never the result bits.
+/// [`EngineOptions::plan_execution`]. Every field is a pure function of the
+/// options, the graph's shape (edges, partitions, slab and adjacency bytes)
+/// and the memory budget — never of detected cores, load, or timing — so two
+/// runs over the same graph with the same options and budget always execute
+/// the same logical schedule. `worker_shards` is the only field that selects
+/// a schedule; the rest change where bytes live and which thread moves them,
+/// never the result bits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecutionPlan {
     /// Effective logical Worker shards per partition. Differs from
@@ -159,7 +164,9 @@ pub struct ExecutionPlan {
     /// graph to the serial single-shard schedule.
     pub worker_shards: usize,
     /// Effective pipeline thread count. Pure scheduling: any value yields
-    /// bit-identical results for a fixed `worker_shards`.
+    /// bit-identical results for a fixed `worker_shards`. `1` whenever the
+    /// adjacency is resident and the plan has one shard: no IO is left to
+    /// overlap, so the Worker runs inline.
     pub pipeline_threads: usize,
     /// Whether the partition prefetcher runs. Pure scheduling; disabled when
     /// the partition count cannot hide a load.
@@ -170,6 +177,24 @@ pub struct ExecutionPlan {
     /// still brought current before every checkpoint and at the end of the
     /// run.
     pub resident: bool,
+    /// Whether the partition's adjacency — edge targets, per-edge weights
+    /// when the image has them, and per-vertex degrees — also stays in
+    /// memory: `resident`, and the adjacency fits the budget left after the
+    /// vertex slab. The engine then reads the adjacency once per run instead
+    /// of streaming it every iteration. Pure residency, like `resident`.
+    pub resident_adjacency: bool,
+}
+
+impl ExecutionPlan {
+    /// What stays in memory for the whole run: `none`, `slab`, or
+    /// `slab+adjacency`.
+    pub fn residency(&self) -> &'static str {
+        match (self.resident, self.resident_adjacency) {
+            (false, _) => "none",
+            (true, false) => "slab",
+            (true, true) => "slab+adjacency",
+        }
+    }
 }
 
 impl EngineOptions {
@@ -187,11 +212,20 @@ impl EngineOptions {
 
     /// Resolve these options against the graph's shape. The inputs are
     /// deliberately limited to the graph shape (`num_edges`, the partition
-    /// count the memory budget produced) and the options themselves —
-    /// **never** thread availability or timing — so the returned plan, and
-    /// therefore the result bits, are identical on every machine and for
-    /// every `pipeline_threads` value.
-    pub fn plan_execution(&self, num_edges: u64, num_partitions: u32) -> ExecutionPlan {
+    /// count the memory budget produced), the budget with the bytes that
+    /// would live in it — `slab_bytes` of vertex state, `adjacency_bytes` of
+    /// edges, weights and degrees — and the options themselves — **never**
+    /// thread availability or timing — so the returned plan, and therefore
+    /// the result bits, are identical on every machine and for every
+    /// `pipeline_threads` value.
+    pub fn plan_execution(
+        &self,
+        num_edges: u64,
+        num_partitions: u32,
+        budget: MemoryBudget,
+        slab_bytes: u64,
+        adjacency_bytes: u64,
+    ) -> ExecutionPlan {
         let mut worker_shards = self.worker_shards.max(1);
         let mut pipeline_threads = self.pipeline_threads.max(1);
         if self.adaptive
@@ -205,7 +239,12 @@ impl EngineOptions {
         }
         let prefetch = self.prefetch && num_partitions >= Self::MIN_PREFETCH_PARTITIONS;
         let resident = self.in_memory_fast_path && num_partitions == 1;
-        ExecutionPlan { worker_shards, pipeline_threads, prefetch, resident }
+        let resident_adjacency = resident
+            && budget.bytes().checked_sub(slab_bytes).is_some_and(|left| adjacency_bytes <= left);
+        if resident_adjacency && worker_shards == 1 {
+            pipeline_threads = 1;
+        }
+        ExecutionPlan { worker_shards, pipeline_threads, prefetch, resident, resident_adjacency }
     }
 }
 
@@ -346,6 +385,12 @@ impl EngineOptionsBuilder {
 mod tests {
     use super::*;
 
+    /// Plan with a budget no adjacency fits in, so only the options, edge
+    /// count and partition count decide.
+    fn streamed(o: &EngineOptions, num_edges: u64, num_partitions: u32) -> ExecutionPlan {
+        o.plan_execution(num_edges, num_partitions, MemoryBudget(0), 0, 1)
+    }
+
     #[test]
     fn budget_units() {
         assert_eq!(MemoryBudget::from_mib(2).bytes(), 2 * 1024 * 1024);
@@ -403,24 +448,24 @@ mod tests {
             .build()
             .unwrap();
         // Plenty of work per shard: the parallel schedule stands.
-        let big = opts.plan_execution(8 * EngineOptions::MIN_EDGES_PER_SHARD, 4);
+        let big = streamed(&opts, 8 * EngineOptions::MIN_EDGES_PER_SHARD, 4);
         assert_eq!(big.worker_shards, 8);
         assert_eq!(big.pipeline_threads, 8);
         // One edge short of the threshold per shard: serial degrade.
-        let small = opts.plan_execution(8 * EngineOptions::MIN_EDGES_PER_SHARD - 1, 4);
+        let small = streamed(&opts, 8 * EngineOptions::MIN_EDGES_PER_SHARD - 1, 4);
         assert_eq!(small.worker_shards, 1);
         assert_eq!(small.pipeline_threads, 1);
         // The shard decision never depends on pipeline_threads: every thread
         // count resolves to the same worker_shards.
         for threads in [1, 2, 8, 64] {
             let o = EngineOptions { pipeline_threads: threads, ..opts };
-            assert_eq!(o.plan_execution(100, 4).worker_shards, 1);
-            assert_eq!(o.plan_execution(1 << 20, 4).worker_shards, 8);
+            assert_eq!(streamed(&o, 100, 4).worker_shards, 1);
+            assert_eq!(streamed(&o, 1 << 20, 4).worker_shards, 8);
         }
         // Without adaptive, the requested schedule always stands.
         let fixed = EngineOptions { adaptive: false, ..opts };
-        assert_eq!(fixed.plan_execution(1, 4).worker_shards, 8);
-        assert_eq!(fixed.plan_execution(1, 4).pipeline_threads, 8);
+        assert_eq!(streamed(&fixed, 1, 4).worker_shards, 8);
+        assert_eq!(streamed(&fixed, 1, 4).pipeline_threads, 8);
     }
 
     #[test]
@@ -428,27 +473,27 @@ mod tests {
         let opts = EngineOptions::full();
         assert!(opts.prefetch, "full options request prefetch");
         // ≤2 partitions cannot hide a load behind compute: auto-disabled.
-        assert!(!opts.plan_execution(1 << 20, 1).prefetch);
-        assert!(!opts.plan_execution(1 << 20, 2).prefetch);
-        assert!(opts.plan_execution(1 << 20, 3).prefetch);
-        assert!(opts.plan_execution(1 << 20, 64).prefetch);
+        assert!(!streamed(&opts, 1 << 20, 1).prefetch);
+        assert!(!streamed(&opts, 1 << 20, 2).prefetch);
+        assert!(streamed(&opts, 1 << 20, 3).prefetch);
+        assert!(streamed(&opts, 1 << 20, 64).prefetch);
         // An explicit prefetch=false is never overridden back on.
         let off = EngineOptions { prefetch: false, ..opts };
-        assert!(!off.plan_execution(1 << 20, 64).prefetch);
+        assert!(!streamed(&off, 1 << 20, 64).prefetch);
     }
 
     #[test]
     fn resident_plan_requires_one_partition() {
         let opts = EngineOptions::full();
         assert!(opts.in_memory_fast_path, "the fast path is the default");
-        assert!(opts.plan_execution(1 << 20, 1).resident);
+        assert!(streamed(&opts, 1 << 20, 1).resident);
         // Off whenever the graph does not fit one partition, at any shape.
         for partitions in [2, 3, 8, 64] {
-            assert!(!opts.plan_execution(1 << 20, partitions).resident, "{partitions}");
+            assert!(!streamed(&opts, 1 << 20, partitions).resident, "{partitions}");
         }
         // The ablation control is never overridden back on.
         let off = EngineOptions { in_memory_fast_path: false, ..opts };
-        assert!(!off.plan_execution(1 << 20, 1).resident);
+        assert!(!streamed(&off, 1 << 20, 1).resident);
         // Pure: independent of edge count, threads, shards and prefetch.
         for (edges, threads, shards, prefetch) in
             [(0, 1, 1, true), (1, 8, 8, false), (u64::MAX, 2, 8, true)]
@@ -459,10 +504,56 @@ mod tests {
                 prefetch,
                 ..opts
             };
-            assert!(o.plan_execution(edges, 1).resident);
-            assert!(!o.plan_execution(edges, 2).resident);
-            assert_eq!(o.plan_execution(edges, 1), o.plan_execution(edges, 1));
+            assert!(streamed(&o, edges, 1).resident);
+            assert!(!streamed(&o, edges, 2).resident);
+            assert_eq!(streamed(&o, edges, 1), streamed(&o, edges, 1));
         }
+    }
+
+    #[test]
+    fn resident_adjacency_needs_the_adjacency_to_fit_after_the_slab() {
+        let opts = EngineOptions::full();
+        let budget = MemoryBudget::from_mib(64);
+        let slab = 4 << 20;
+        let left = budget.bytes() - slab;
+        // Fits exactly: the whole budget is slab + adjacency.
+        let exact = opts.plan_execution(1 << 20, 1, budget, slab, left);
+        assert!(exact.resident && exact.resident_adjacency);
+        assert_eq!(exact.residency(), "slab+adjacency");
+        // One byte over: the slab stays, the adjacency streams.
+        let over = opts.plan_execution(1 << 20, 1, budget, slab, left + 1);
+        assert!(over.resident && !over.resident_adjacency);
+        assert_eq!(over.residency(), "slab");
+        // A slab larger than the budget leaves no room at all.
+        assert!(!opts.plan_execution(1, 1, MemoryBudget(8), 9, 0).resident_adjacency);
+        // More than one partition never keeps anything resident.
+        for partitions in [2, 3, 8] {
+            let p = opts.plan_execution(1 << 20, partitions, budget, slab, 1);
+            assert!(!p.resident_adjacency, "{partitions}");
+            assert_eq!(p.residency(), "none");
+        }
+        // The ablation control is never overridden back on.
+        let off = EngineOptions { in_memory_fast_path: false, ..opts };
+        assert!(!off.plan_execution(1 << 20, 1, budget, slab, 1).resident_adjacency);
+    }
+
+    #[test]
+    fn resident_adjacency_runs_one_shard_inline() {
+        let budget = MemoryBudget::from_mib(64);
+        // The default asks for 2 threads and 1 shard: resident adjacency
+        // leaves no IO to overlap, so the plan runs inline.
+        let opts = EngineOptions::full();
+        assert_eq!(opts.pipeline_threads, 2);
+        assert_eq!(opts.plan_execution(1 << 20, 1, budget, 0, 1).pipeline_threads, 1);
+        // Streamed adjacency (one byte over, or many partitions) keeps them.
+        let over = opts.plan_execution(1 << 20, 1, budget, 0, budget.bytes() + 1);
+        assert_eq!(over.pipeline_threads, 2);
+        assert_eq!(opts.plan_execution(1 << 20, 8, budget, 0, 1).pipeline_threads, 2);
+        // Several shards keep their threads even with the adjacency resident.
+        let par = EngineOptions::with_parallel_workers(4);
+        let p = par.plan_execution(1 << 20, 1, budget, 0, 1);
+        assert!(p.resident_adjacency);
+        assert_eq!((p.worker_shards, p.pipeline_threads), (8, 4));
     }
 
     #[test]
