@@ -104,17 +104,20 @@ step "serve (golden transcript + concurrent readers, DESIGN.md §6l)"
 cargo test -q --offline -p graphz-serve --test golden --test concurrent
 step_done
 
-step "benchmark (unit tests + pagerank-fit smoke)"
+step "benchmark (unit tests + pagerank-fit, pagerank-ooc, traversal-ooc smokes)"
 # The benchmark package's own tests, then one short pagerank-fit run: it
 # drives `graphz convert | run` with default flags, checks the top-100
 # ranks against the in-memory reference, and refuses to report unless the
 # graph really fits one partition (exit 2) — so the default, fully resident
 # serial path is exercised end to end on every CI run. The pagerank-ooc run
 # does the same for the streamed multi-partition path: same oracle, and it
-# refuses to report unless the budget really yields >= 8 partitions.
+# refuses to report unless the budget really yields >= 8 partitions. The
+# traversal-ooc run checks BFS, SSSP and CC — broadcast and per-edge sends
+# through the out-of-core path — against its oracle.
 cargo test --manifest-path benchmark/Cargo.toml --offline -q
 bash benchmark/run.sh --workload pagerank-fit --seconds 1
 bash benchmark/run.sh --workload pagerank-ooc --seconds 1
+bash benchmark/run.sh --workload traversal-ooc --seconds 1
 step_done
 
 step "bench: serve queries/sec (1/2/4 reader threads)"

@@ -24,10 +24,7 @@ impl VertexProgram for Bfs {
         if data.1 < data.0 {
             data.0 = data.1;
             ctx.mark_changed();
-            let next = data.0 + 1;
-            for &n in ctx.neighbors() {
-                ctx.send(n, next);
-            }
+            ctx.send_to_neighbors(data.0 + 1);
         }
     }
 

@@ -63,9 +63,7 @@ impl VertexProgram for Bp {
             ctx.mark_changed();
             let m = bp_message(data.belief);
             let tag = (k + 1) % 2;
-            for &n in ctx.neighbors() {
-                ctx.send(n, (m[0], m[1], tag));
-            }
+            ctx.send_to_neighbors((m[0], m[1], tag));
         }
     }
 

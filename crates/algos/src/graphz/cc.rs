@@ -29,9 +29,7 @@ impl VertexProgram for Cc {
             announce = true;
         }
         if announce {
-            for &n in ctx.neighbors() {
-                ctx.send(n, data.0);
-            }
+            ctx.send_to_neighbors(data.0);
         }
     }
 

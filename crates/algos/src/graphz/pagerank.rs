@@ -33,9 +33,7 @@ impl VertexProgram for PageRank {
         let deg = ctx.out_degree();
         if deg > 0 {
             let share = data.0 / deg as f32;
-            for &n in ctx.neighbors() {
-                ctx.send(n, share);
-            }
+            ctx.send_to_neighbors(share);
         }
     }
 

@@ -39,9 +39,7 @@ impl VertexProgram for RandomWalk {
         if deg > 0 && mass != 0.0 {
             let share = mass / deg as f32;
             let tag = (k + 1) % 2;
-            for &n in ctx.neighbors() {
-                ctx.send(n, (share, tag));
-            }
+            ctx.send_to_neighbors((share, tag));
         }
     }
 

@@ -7,11 +7,12 @@
 //! *transitively* (DESIGN.md §6k):
 //!
 //! * `hot-path-alloc` — nothing reachable from the Worker per-message
-//!   compute loop (`ShardState::process`), the shard-local outbox send
-//!   path (`ShardState::defer`) or the per-iteration resident-adjacency
-//!   feed (`Executor::feed_resident`) may allocate, take a lock, touch a
-//!   file, or spawn. BatchPool reuse stops being a bench anecdote and becomes a
-//!   checked invariant.
+//!   compute loop (`ShardState::process`, which also routes every sent
+//!   message: the in-shard apply, the per-partition defer push and the
+//!   per-neighbor expansion of a broadcast all live in its body) or the
+//!   per-iteration resident-adjacency feed (`Executor::feed_resident`) may
+//!   allocate, take a lock, touch a file, or spawn. BatchPool reuse stops
+//!   being a bench anecdote and becomes a checked invariant.
 //! * `panic-freedom` — no unwrap/expect, release-enabled assert,
 //!   non-literal index/slice, or non-literal division reachable from the
 //!   compute phase entry points `Engine::run` drives (`ShardState::*`,
@@ -49,7 +50,7 @@ pub const IPA_RULES: &[Rule] = &[
         name: "hot-path-alloc",
         why: "one heap allocation, lock, or file touch per message erases \
               the small-machine win the bench gate protects; everything the \
-              Worker compute loop and outbox send path reach must run on \
+              Worker compute loop and its message routing reach must run on \
               pooled, prewarmed memory",
         scope: &[],
         allow: &[],
@@ -107,13 +108,10 @@ const EXCLUDED: &[&str] = &[
     "crates/gen/",
 ];
 
-/// Hot-path entries: the per-message compute loop and the shard-local
-/// outbox send path (DESIGN.md §6d/§6i).
-const HOT_ENTRIES: &[(&str, &str)] = &[
-    ("ShardState", "process"),
-    ("ShardState", "defer"),
-    ("Executor", "feed_resident"),
-];
+/// Hot-path entries: the per-message compute loop, whose body also holds
+/// the message routing (apply or defer, broadcast expansion), and the
+/// resident-adjacency feed (DESIGN.md §6d/§6i).
+const HOT_ENTRIES: &[(&str, &str)] = &[("ShardState", "process"), ("Executor", "feed_resident")];
 
 /// Compute-phase entries: everything `Engine::run`'s iteration loop drives
 /// per batch — the shard plan, the executor feed/finish protocol, and the
@@ -121,7 +119,6 @@ const HOT_ENTRIES: &[(&str, &str)] = &[
 const PANIC_ENTRIES: &[(&str, &str)] = &[
     ("ShardState", "start"),
     ("ShardState", "process"),
-    ("ShardState", "defer"),
     ("ShardState", "finish"),
     ("Executor", "start"),
     ("Executor", "feed"),

@@ -235,6 +235,36 @@ fn helper_chain_cases_flow_misses() {
     );
 }
 
+/// Message routing written as a closure inside `ShardState::process` — the
+/// apply-or-defer the broadcast expansion calls per neighbor — is part of
+/// the hot-path and compute-phase roots: an allocation or an unchecked
+/// index there trips both rules without naming the closure as a root.
+#[test]
+fn routing_closure_inside_process_is_covered() {
+    let root = scratch("ipa_fixture_routing_closure");
+    write(
+        &root,
+        "crates/core/src/worker.rs",
+        "pub struct ShardState { deferred: Vec<Vec<u32>> }\n\
+         impl ShardState {\n\
+         \x20   pub fn process(&mut self, neighbors: &[u32]) {\n\
+         \x20       let deferred = &mut self.deferred;\n\
+         \x20       let mut route = |dst: u32| {\n\
+         \x20           let staged = vec![dst];\n\
+         \x20           deferred[dst as usize].extend(staged);\n\
+         \x20       };\n\
+         \x20       for &n in neighbors {\n\
+         \x20           route(n);\n\
+         \x20       }\n\
+         \x20   }\n\
+         }\n",
+    );
+    let ipa = ipa_tree(&root).expect("analyze fixture");
+    let at = |rule: &str| ipa.iter().find(|v| v.rule == rule).map(|v| v.line);
+    assert_eq!(at("hot-path-alloc"), Some(6), "{ipa:?}");
+    assert_eq!(at("panic-freedom"), Some(7), "{ipa:?}");
+}
+
 /// The serve rule's offends set deliberately admits file reads — adjacency
 /// stays out-of-core, so `File::open`/`fs::read` behind a point query are
 /// the design — while an allocation one call away still trips, with the

@@ -537,7 +537,6 @@ impl<P: VertexProgram> Engine<P> {
                         executor.start(ShardStart {
                             shard,
                             first: lo,
-                            end: hi,
                             data,
                             replay,
                             iteration: iter,
@@ -587,12 +586,14 @@ impl<P: VertexProgram> Engine<P> {
                     // park until the slab is whole (paper Alg. 7).
                     let mut slab: Vec<P::VertexData> = rest; // empty, keeps capacity
                     let mut pending_local: Vec<(VertexId, P::Message)> = Vec::new();
+                    let mut rejected: u64 = 0;
                     let msgs = &mut self.msgs;
                     executor.finish_with(plan.len(), |result| {
                         slab.extend(result.data);
                         changed += result.changed;
                         messages_sent += result.sent;
                         dynamic_applied += result.dynamic_applied;
+                        rejected += result.rejected;
                         for (p, mut group) in result.deferred {
                             if dynamic && p == part {
                                 // audit:allow(dropped-result) — Vec::append returns ()
@@ -603,6 +604,12 @@ impl<P: VertexProgram> Engine<P> {
                         }
                         Ok(())
                     })?;
+                    if rejected > 0 {
+                        return Err(GraphError::Algorithm(format!(
+                            "iteration {iter}, partition {part}: {rejected} message(s) sent to a \
+                             vertex id >= num_vertices ({num_vertices})"
+                        )));
+                    }
                     debug_assert_eq!(slab.len(), count);
                     for (dst, msg) in pending_local {
                         self.program.apply_message(

@@ -144,9 +144,7 @@ impl<G: GraphChiStyleProgram, const N: usize> VertexProgram for GraphChiAdapter<
         // its per-interval in-edge window.
         data.clear();
         if let Some(edge_val) = out {
-            for &n in ctx.neighbors() {
-                ctx.send(n, (vid, edge_val));
-            }
+            ctx.send_to_neighbors((vid, edge_val));
         }
     }
 

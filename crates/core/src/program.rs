@@ -16,7 +16,10 @@ use graphz_types::{FixedCodec, VertexId};
 /// id, and all messages emitted while updating vertex `v` are applied before
 /// any vertex `w > v` in the same partition is updated. Given the same graph
 /// and program, every execution performs the identical sequence of
-/// operations regardless of thread count.
+/// operations regardless of thread count. A
+/// [`send_to_neighbors`](UpdateContext::send_to_neighbors) broadcast counts
+/// as one [`send`](UpdateContext::send) per out-neighbor, in neighbor order,
+/// at the point in the `update()` where it was called.
 pub trait VertexProgram: Send + Sync + 'static {
     /// Per-vertex resident state. Spilled to disk between partition loads,
     /// hence the [`FixedCodec`] bound.
@@ -30,7 +33,8 @@ pub trait VertexProgram: Send + Sync + 'static {
     }
 
     /// Per-iteration vertex update: read/adjust the vertex value, then
-    /// optionally send messages to out-neighbors via [`UpdateContext::send`].
+    /// optionally send messages to out-neighbors via [`UpdateContext::send`]
+    /// or [`UpdateContext::send_to_neighbors`].
     fn update(&self, vid: VertexId, data: &mut Self::VertexData, ctx: &mut UpdateContext<'_, Self::Message>);
 
     /// Fold one message into the destination's state. This is the
@@ -40,13 +44,23 @@ pub trait VertexProgram: Send + Sync + 'static {
     fn apply_message(&self, vid: VertexId, data: &mut Self::VertexData, msg: &Self::Message);
 }
 
+/// One entry of a vertex's outbox, in send order.
+#[derive(Debug, PartialEq)]
+pub(crate) enum Outgoing<M> {
+    /// [`UpdateContext::send`]: one message to one vertex.
+    To(VertexId, M),
+    /// [`UpdateContext::send_to_neighbors`]: the same message to every
+    /// out-neighbor of the sender, expanded in neighbor order when routed.
+    Neighbors(M),
+}
+
 /// Everything an `update()` call may observe and do.
 pub struct UpdateContext<'a, M> {
     pub(crate) iteration: u32,
     pub(crate) num_vertices: u64,
     pub(crate) neighbors: &'a [VertexId],
     pub(crate) weights: &'a [f32],
-    pub(crate) outbox: &'a mut Vec<(VertexId, M)>,
+    pub(crate) outbox: &'a mut Vec<Outgoing<M>>,
     pub(crate) changed: bool,
 }
 
@@ -93,11 +107,22 @@ impl<'a, M> UpdateContext<'a, M> {
     /// Send `msg` to `dst`. The runtime intercepts it (paper Alg. 7): if
     /// `dst` is in the active partition and dynamic messages are enabled it
     /// is applied as soon as this `update()` returns; otherwise the
-    /// MsgManager buffers it for `dst`'s partition.
+    /// MsgManager buffers it for `dst`'s partition. A `dst` outside
+    /// `0..num_vertices()` makes [`Engine::run`](crate::Engine::run) fail
+    /// with [`GraphError::Algorithm`](graphz_types::GraphError::Algorithm)
+    /// at the partition barrier.
     #[inline]
     pub fn send(&mut self, dst: VertexId, msg: M) {
-        debug_assert!((dst as u64) < self.num_vertices, "message to out-of-range vertex {dst}");
-        self.outbox.push((dst, msg));
+        self.outbox.push(Outgoing::To(dst, msg));
+    }
+
+    /// Send `msg` to every out-neighbor: exactly
+    /// `for &n in ctx.neighbors() { ctx.send(n, msg.clone()) }` — the same
+    /// messages in the same order — but stored as one outbox entry that the
+    /// runtime expands straight into apply-or-buffer per neighbor.
+    #[inline]
+    pub fn send_to_neighbors(&mut self, msg: M) {
+        self.outbox.push(Outgoing::Neighbors(msg));
     }
 
     /// Declare that this vertex's observable state changed this iteration.
@@ -116,7 +141,7 @@ mod tests {
     #[test]
     fn context_accessors_and_outbox() {
         let neighbors = [3u32, 5, 9];
-        let mut outbox: Vec<(VertexId, f32)> = Vec::new();
+        let mut outbox: Vec<Outgoing<f32>> = Vec::new();
         let weights = [1.5f32, 2.0, 2.5];
         let mut ctx = UpdateContext {
             iteration: 2,
@@ -133,9 +158,13 @@ mod tests {
         assert_eq!(ctx.out_degree(), 3);
         assert_eq!(ctx.neighbors(), &[3, 5, 9]);
         ctx.send(3, 1.5);
+        ctx.send_to_neighbors(0.5);
         ctx.send(5, 2.5);
         ctx.mark_changed();
         assert!(ctx.changed);
-        assert_eq!(outbox, vec![(3, 1.5), (5, 2.5)]);
+        assert_eq!(
+            outbox,
+            vec![Outgoing::To(3, 1.5), Outgoing::Neighbors(0.5), Outgoing::To(5, 2.5)]
+        );
     }
 }

@@ -25,7 +25,7 @@ use std::sync::Arc;
 use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
 use graphz_types::{cast, GraphError, Result, VertexId};
 
-use crate::program::{UpdateContext, VertexProgram};
+use crate::program::{Outgoing, UpdateContext, VertexProgram};
 use crate::sio::{AdjBatch, BatchPool};
 
 /// Shards smaller than this are not worth a hand-off; `plan_shards` lowers
@@ -118,43 +118,46 @@ pub type DeferredGroups<M> = Vec<(u32, Vec<(VertexId, M)>)>;
 /// threads), which is what makes the two bit-identical.
 pub struct ShardState<P: VertexProgram> {
     first: VertexId,
-    end: VertexId,
+    /// State of the vertices this shard owns, `first..first + data.len()`.
     data: Vec<P::VertexData>,
     /// Messages leaving this shard, coalesced into per-destination-partition
     /// buffers indexed by partition id (each bucket in shard-local send
-    /// order). Sized once in [`ShardState::start`], so the per-message
-    /// [`ShardState::defer`] is an O(1) push with no allocation and no
+    /// order). Sized once in [`ShardState::start`], so deferring a message
+    /// in [`ShardState::process`] is an O(1) push with no allocation and no
     /// group scan. [`ShardState::finish`] converts the non-empty buckets to
     /// [`DeferredGroups`]; per-destination order — the only order the
-    /// replay contract observes — is exactly the old `(shard, send order)`
+    /// replay contract observes — is exactly the `(shard, send order)`
     /// sequence projected onto that destination.
     deferred: Vec<Vec<(VertexId, P::Message)>>,
     changed: u64,
     sent: u64,
     dynamic_applied: u64,
+    /// Messages addressed outside `0..num_vertices`, dropped at routing and
+    /// reported by the engine as a typed error at the partition barrier.
+    rejected: u64,
     iteration: u32,
     num_vertices: u64,
     dynamic: bool,
     /// Uniform partition width, for routing deferred messages to their
     /// destination partition without a barrier-side pass.
     per_partition: u64,
-    outbox: Vec<(VertexId, P::Message)>,
+    outbox: Vec<Outgoing<P::Message>>,
 }
 
 impl<P: VertexProgram> ShardState<P> {
     fn start(job: ShardStart<P>, program: &P) -> Self {
         let per_partition = job.per_partition.max(1);
         // One bucket per destination partition, allocated here (outside the
-        // per-message path) so `defer` never allocates or scans.
+        // per-message path) so routing never allocates or scans.
         let partitions = job.num_vertices.div_ceil(per_partition) as usize;
         let mut state = ShardState {
             first: job.first,
-            end: job.end,
             data: job.data,
             deferred: (0..partitions).map(|_| Vec::new()).collect(),
             changed: 0,
             sent: 0,
             dynamic_applied: 0,
+            rejected: 0,
             iteration: job.iteration,
             num_vertices: job.num_vertices,
             dynamic: job.dynamic,
@@ -166,65 +169,85 @@ impl<P: VertexProgram> ShardState<P> {
         // order (each vertex lives in exactly one shard), so the result is
         // identical to the sequential replay.
         for (dst, msg) in job.replay {
-            // ipa:allow(panic-freedom) — replay is routed per shard: first <= dst < end
+            // ipa:allow(panic-freedom) — replay is routed per shard: dst is owned by this shard
             program.apply_message(dst, &mut state.data[(dst - state.first) as usize], &msg);
         }
         state
     }
 
+    /// Update every vertex of `batch` and route what each update sent
+    /// (paper Alg. 7): a destination inside this shard is applied at once
+    /// when dynamic messages are on; any other in-range destination is
+    /// deferred to its partition's bucket — an O(1) push, since bucket
+    /// membership is a pure function of `dst` and the partition width, the
+    /// same for every thread count. An [`Outgoing::Neighbors`] broadcast is
+    /// expanded here, neighbor by neighbor, into that same apply-or-defer,
+    /// so it never touches the outbox per edge.
+    ///
+    /// The shard's bounds, slab, buckets and counters live in locals for the
+    /// whole batch, so a bucket push (which may reallocate) never forces
+    /// them to be reloaded from `self`.
     fn process(&mut self, program: &P, batch: &AdjBatch) {
+        let (first, dynamic) = (self.first, self.dynamic);
+        let (iteration, num_vertices, per_partition) =
+            (self.iteration, self.num_vertices, self.per_partition);
+        let data = self.data.as_mut_slice();
+        let deferred = self.deferred.as_mut_slice();
+        let outbox = &mut self.outbox;
+        let (mut changed, mut sent, mut dynamic_applied, mut rejected) = (0u64, 0u64, 0u64, 0u64);
+        let mut route = |data: &mut [P::VertexData], dst: VertexId, msg: &P::Message| {
+            // Intra-shard dynamic fast path: the destination is owned by
+            // this shard, so the apply races with nothing. One unsigned
+            // compare both tests ownership and bounds the index.
+            let own = if dynamic { data.get_mut(dst.wrapping_sub(first) as usize) } else { None };
+            if let Some(slot) = own {
+                program.apply_message(dst, slot, msg);
+                dynamic_applied += 1;
+                return;
+            }
+            // ipa:allow(panic-freedom) — per_partition is clamped to >= 1 in start
+            let p = (cast::widen_u32(dst) / per_partition) as usize;
+            // dst < num_vertices puts p inside the buckets sized in start;
+            // anything else is the program's bug, reported at the barrier.
+            match deferred.get_mut(p) {
+                Some(bucket) if cast::widen_u32(dst) < num_vertices => {
+                    bucket.push((dst, msg.clone()))
+                }
+                _ => rejected += 1,
+            }
+        };
         for (v, neighbors, weights) in batch.vertices_weighted() {
             let mut ctx = UpdateContext {
-                iteration: self.iteration,
-                num_vertices: self.num_vertices,
+                iteration,
+                num_vertices,
                 neighbors,
                 weights,
-                outbox: &mut self.outbox,
+                outbox: &mut *outbox,
                 changed: false,
             };
-            // ipa:allow(panic-freedom) — the batch was split on shard bounds: first <= v < end
-            program.update(v, &mut self.data[(v - self.first) as usize], &mut ctx);
-            if ctx.changed {
-                self.changed += 1;
-            }
-            self.sent += self.outbox.len() as u64;
-            let mut outbox = std::mem::take(&mut self.outbox);
-            for (dst, msg) in outbox.drain(..) {
-                if self.dynamic && dst >= self.first && dst < self.end {
-                    // Intra-shard dynamic fast path: the destination is
-                    // owned by this shard, so the apply races with nothing.
-                    program.apply_message(
-                        dst,
-                        // ipa:allow(panic-freedom) — guarded by first <= dst < end just above
-                        &mut self.data[(dst - self.first) as usize],
-                        &msg,
-                    );
-                    self.dynamic_applied += 1;
-                } else {
-                    self.defer(dst, msg);
+            // ipa:allow(panic-freedom) — batches are split on shard bounds: this shard owns v
+            program.update(v, &mut data[(v - first) as usize], &mut ctx);
+            changed += u64::from(ctx.changed);
+            for out in outbox.iter() {
+                match out {
+                    Outgoing::To(dst, msg) => {
+                        sent += 1;
+                        route(data, *dst, msg);
+                    }
+                    Outgoing::Neighbors(msg) => {
+                        sent += neighbors.len() as u64;
+                        for &dst in neighbors {
+                            route(data, dst, msg);
+                        }
+                    }
                 }
             }
-            self.outbox = outbox; // hand the drained buffer back for reuse
+            outbox.clear();
         }
-    }
-
-    /// Append a cross-shard message to its destination partition's bucket.
-    /// Bucket membership is a pure function of `dst` and the partition
-    /// width, so the grouping is identical for every thread count; the
-    /// bucket vector is pre-sized in [`ShardState::start`], making this an
-    /// O(1) push with no allocation and no group scan.
-    fn defer(&mut self, dst: VertexId, msg: P::Message) {
-        // ipa:allow(panic-freedom) — per_partition is clamped to >= 1 in start
-        let p = (cast::widen_u32(dst) / self.per_partition) as usize;
-        if p >= self.deferred.len() {
-            // Unreachable while dst < num_vertices (p <= num_vertices /
-            // per_partition rounds into the last bucket); grow rather than
-            // panic or misroute if a caller ever violates that.
-            self.deferred.resize_with(p + 1, Vec::new);
-        }
-        if let Some(bucket) = self.deferred.get_mut(p) {
-            bucket.push((dst, msg));
-        }
+        self.changed += changed;
+        self.sent += sent;
+        self.dynamic_applied += dynamic_applied;
+        self.rejected += rejected;
     }
 
     fn finish(self, shard: usize) -> ShardResult<P> {
@@ -241,6 +264,7 @@ impl<P: VertexProgram> ShardState<P> {
             changed: self.changed,
             sent: self.sent,
             dynamic_applied: self.dynamic_applied,
+            rejected: self.rejected,
         }
     }
 }
@@ -248,8 +272,8 @@ impl<P: VertexProgram> ShardState<P> {
 /// Everything a shard needs to begin an iteration over its vertex range.
 pub struct ShardStart<P: VertexProgram> {
     pub shard: usize,
+    /// First vertex of the shard's range; `data` holds the whole range.
     pub first: VertexId,
-    pub end: VertexId,
     pub data: Vec<P::VertexData>,
     /// This shard's slice of the partition's replay stream, in send order.
     pub replay: Vec<(VertexId, P::Message)>,
@@ -270,6 +294,8 @@ pub struct ShardResult<P: VertexProgram> {
     pub changed: u64,
     pub sent: u64,
     pub dynamic_applied: u64,
+    /// Messages addressed outside `0..num_vertices`, which were dropped.
+    pub rejected: u64,
 }
 
 enum Job<P: VertexProgram> {
@@ -630,7 +656,6 @@ mod tests {
                 exec.start(ShardStart {
                     shard: 0,
                     first: 0,
-                    end: 3,
                     data: vec![iteration; 3],
                     replay: Vec::new(),
                     iteration: 0,
