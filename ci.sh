@@ -104,7 +104,7 @@ step "serve (golden transcript + concurrent readers, DESIGN.md §6l)"
 cargo test -q --offline -p graphz-serve --test golden --test concurrent
 step_done
 
-step "benchmark (unit tests + pagerank-fit, pagerank-ooc, traversal-ooc smokes)"
+step "benchmark (unit tests + pagerank-fit, pagerank-ooc, traversal-ooc, pipeline-cold smokes)"
 # The benchmark package's own tests, then one short pagerank-fit run: it
 # drives `graphz convert | run` with default flags, checks the top-100
 # ranks against the in-memory reference, and refuses to report unless the
@@ -113,11 +113,15 @@ step "benchmark (unit tests + pagerank-fit, pagerank-ooc, traversal-ooc smokes)"
 # does the same for the streamed multi-partition path: same oracle, and it
 # refuses to report unless the budget really yields >= 8 partitions. The
 # traversal-ooc run checks BFS, SSSP and CC — broadcast and per-edge sends
-# through the out-of-core path — against its oracle.
+# through the out-of-core path, with quiet partitions and adjacency blocks
+# skipped — against its oracle. pipeline-cold is the only workload that
+# writes checkpoints, which dirty slab write-back feeds, and serves a value
+# from them.
 cargo test --manifest-path benchmark/Cargo.toml --offline -q
 bash benchmark/run.sh --workload pagerank-fit --seconds 1
 bash benchmark/run.sh --workload pagerank-ooc --seconds 1
 bash benchmark/run.sh --workload traversal-ooc --seconds 1
+bash benchmark/run.sh --workload pipeline-cold --seconds 1
 step_done
 
 step "bench: serve queries/sec (1/2/4 reader threads)"

@@ -171,14 +171,25 @@ impl AlgoValues {
 /// engines that propagate labels in different id spaces (GraphZ propagates
 /// storage ids, the baselines original ids — the partition into components
 /// is what matters).
+///
+/// Labels below `raw.len()` — every engine's, since they are vertex ids —
+/// index a dense table; a larger label falls back to a map.
 pub fn canonicalize_labels(raw: &[u32]) -> Vec<u32> {
-    use std::collections::HashMap;
-    let mut rep: HashMap<u32, u32> = HashMap::new();
+    let mut dense: Vec<u32> = vec![u32::MAX; raw.len()];
+    let mut sparse: std::collections::HashMap<u32, u32> = Default::default();
     for (v, &label) in raw.iter().enumerate() {
-        let entry = rep.entry(label).or_insert(u32::MAX);
-        *entry = (*entry).min(v as u32);
+        let rep = match dense.get_mut(label as usize) {
+            Some(rep) => rep,
+            None => sparse.entry(label).or_insert(u32::MAX),
+        };
+        *rep = (*rep).min(v as u32);
     }
-    raw.iter().map(|l| rep[l]).collect()
+    raw.iter()
+        .map(|&label| match dense.get(label as usize) {
+            Some(&rep) => rep,
+            None => sparse[&label],
+        })
+        .collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -285,6 +296,32 @@ mod tests {
         let raw = vec![9, 5, 9, 5];
         let canon = canonicalize_labels(&raw);
         assert_eq!(canon, vec![0, 1, 0, 1]);
+    }
+
+    #[test]
+    fn canonical_labels_match_a_map_for_labels_past_the_table() {
+        // The map the dense table replaced: the oracle for any label.
+        fn by_map(raw: &[u32]) -> Vec<u32> {
+            let mut rep: std::collections::HashMap<u32, u32> = Default::default();
+            for (v, &label) in raw.iter().enumerate() {
+                let entry = rep.entry(label).or_insert(u32::MAX);
+                *entry = (*entry).min(v as u32);
+            }
+            raw.iter().map(|l| rep[l]).collect()
+        }
+        // Labels equal to and far past `len`, mixed with in-table ones.
+        let raw = vec![100, 5, 100, 7, 5, u32::MAX, 2, u32::MAX];
+        assert_eq!(canonicalize_labels(&raw), vec![0, 1, 0, 3, 1, 5, 6, 5]);
+        assert_eq!(canonicalize_labels(&raw), by_map(&raw));
+        let mut x = 12345u32;
+        let raw: Vec<u32> = (0..500)
+            .map(|_| {
+                x = x.wrapping_mul(1_103_515_245).wrapping_add(12_345);
+                (x >> 16) % 700
+            })
+            .collect();
+        assert_eq!(canonicalize_labels(&raw), by_map(&raw));
+        assert_eq!(canonicalize_labels(&[]), Vec::<u32>::new());
     }
 
     #[test]

@@ -31,4 +31,9 @@ impl VertexProgram for Bfs {
     fn apply_message(&self, _vid: VertexId, data: &mut (u32, u32), msg: &u32) {
         data.1 = data.1.min(*msg);
     }
+
+    /// Only a vertex holding a better offer than its distance does anything.
+    fn wants_update(&self, data: &(u32, u32), _iteration: u32) -> bool {
+        data.1 < data.0
+    }
 }

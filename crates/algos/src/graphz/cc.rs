@@ -36,4 +36,10 @@ impl VertexProgram for Cc {
     fn apply_message(&self, _vid: VertexId, data: &mut (u32, u32), msg: &u32) {
         data.1 = data.1.min(*msg);
     }
+
+    /// Every vertex announces in iteration 0; after that only a vertex
+    /// holding a smaller pending label does anything.
+    fn wants_update(&self, data: &(u32, u32), iteration: u32) -> bool {
+        iteration == 0 || data.1 < data.0
+    }
 }

@@ -52,4 +52,9 @@ impl VertexProgram for Sssp {
     fn apply_message(&self, _vid: VertexId, data: &mut (f32, f32), msg: &f32) {
         data.1 = data.1.min(*msg);
     }
+
+    /// Only a vertex holding a shorter offer than its distance relaxes.
+    fn wants_update(&self, data: &(f32, f32), _iteration: u32) -> bool {
+        data.1 < data.0
+    }
 }

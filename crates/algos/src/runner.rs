@@ -13,7 +13,10 @@ use graphz_baselines::graphchi::{ChiEngine, ChiEngineConfig, ChiShards, Sharding
 use graphz_baselines::gridgraph::{GridEngine, GridEngineConfig, GridPartitions};
 use graphz_baselines::xstream::{XsEngine, XsEngineConfig, XsPartitions};
 use graphz_baselines::BaselineRun;
-use graphz_core::{DenseStore, DosStore, Engine, EngineConfig, GraphStore, StageTimes, VertexProgram};
+use graphz_core::{
+    ActivityCounters, DenseStore, DosStore, Engine, EngineConfig, GraphStore, StageTimes,
+    VertexProgram,
+};
 use graphz_io::{IoSnapshot, IoStats, PrefetchSnapshot};
 use graphz_storage::{CsrFiles, CsrGraph, DosConverter, DosGraph, EdgeListFile};
 use graphz_types::prelude::*;
@@ -84,6 +87,9 @@ pub struct AlgoOutcome {
     pub prefetch: Option<PrefetchSnapshot>,
     /// The execution plan the engine resolved (GraphZ engines only).
     pub plan: Option<ExecutionPlan>,
+    /// What activity-aware scheduling skipped and wrote (GraphZ engines
+    /// only).
+    pub activity: Option<ActivityCounters>,
     /// Per-vertex results indexed by original id.
     pub values: AlgoValues,
 }
@@ -288,6 +294,7 @@ fn run_graphz_with(
             stages: Some(run.stages),
             prefetch: Some(run.prefetch),
             plan: Some(run.plan),
+            activity: Some(run.activity),
             values,
         })
     }
@@ -589,6 +596,7 @@ pub fn run_reference(g: &CsrGraph, params: &AlgoParams) -> Result<AlgoOutcome> {
         stages: None,
         prefetch: None,
         plan: None,
+        activity: None,
         values,
     })
 }
@@ -614,6 +622,7 @@ fn baseline_outcome(
         stages: None,
         prefetch: None,
         plan: None,
+        activity: None,
         values,
     }
 }

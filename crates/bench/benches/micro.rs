@@ -200,6 +200,7 @@ fn bench_weighted_stream() {
                 false,
                 None,
                 None,
+                None,
             )
             .unwrap();
             let mut acc = 0u64;

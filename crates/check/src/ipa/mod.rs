@@ -10,7 +10,8 @@
 //!   compute loop (`ShardState::process`, which also routes every sent
 //!   message: the in-shard apply, the per-partition defer push and the
 //!   per-neighbor expansion of a broadcast all live in its body) or the
-//!   per-iteration resident-adjacency feed (`Executor::feed_resident`) may
+//!   per-iteration resident-adjacency feed (`Executor::feed_resident`), or
+//!   the activity checks (`mark_active`, the gap re-check `wakes_in`) may
 //!   allocate, take a lock, touch a file, or spawn. BatchPool reuse stops
 //!   being a bench anecdote and becomes a checked invariant.
 //! * `panic-freedom` — no unwrap/expect, release-enabled assert,
@@ -109,9 +110,18 @@ const EXCLUDED: &[&str] = &[
 ];
 
 /// Hot-path entries: the per-message compute loop, whose body also holds
-/// the message routing (apply or defer, broadcast expansion), and the
-/// resident-adjacency feed (DESIGN.md §6d/§6i).
-const HOT_ENTRIES: &[(&str, &str)] = &[("ShardState", "process"), ("Executor", "feed_resident")];
+/// the message routing (apply or defer, broadcast expansion), the
+/// resident-adjacency feed, and the activity checks the serial schedule
+/// runs per partition and per skipped block — marking the vertices that
+/// want an update, and the gap re-check (DESIGN.md §6d/§6i).
+const HOT_ENTRIES: &[(&str, &str)] = &[
+    ("ShardState", "process"),
+    ("Executor", "feed_resident"),
+    ("ShardState", "mark_active"),
+    ("ShardState", "wakes_in"),
+    ("Executor", "mark_active"),
+    ("Executor", "wakes_in"),
+];
 
 /// Compute-phase entries: everything `Engine::run`'s iteration loop drives
 /// per batch — the shard plan, the executor feed/finish protocol, and the
@@ -125,6 +135,11 @@ const PANIC_ENTRIES: &[(&str, &str)] = &[
     ("Executor", "feed_resident"),
     ("Executor", "finish"),
     ("Executor", "finish_with"),
+    ("Executor", "mark_active"),
+    ("Executor", "wakes_in"),
+    ("ShardState", "mark_active"),
+    ("ShardState", "wakes_in"),
+    ("ActiveSet", "any_in"),
     ("", "plan_shards"),
     ("", "shard_of"),
     ("", "split_batch"),

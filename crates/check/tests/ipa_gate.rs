@@ -265,6 +265,44 @@ fn routing_closure_inside_process_is_covered() {
     assert_eq!(at("panic-freedom"), Some(7), "{ipa:?}");
 }
 
+/// The activity checks — marking the vertices that want an update, the gap
+/// re-check on a skipped block, and the Sio block test — are roots too: an
+/// allocation or an unchecked index in any of them trips the rules.
+#[test]
+fn activity_checks_are_hot_path_and_panic_roots() {
+    let root = scratch("ipa_fixture_activity");
+    write(
+        &root,
+        "crates/core/src/worker.rs",
+        "pub struct ShardState { data: Vec<u32> }\n\
+         impl ShardState {\n\
+         \x20   fn mark_active(&self, active: &mut Vec<bool>) {\n\
+         \x20       active.extend(vec![self.data.is_empty()]);\n\
+         \x20   }\n\
+         \x20   fn wakes_in(&self, lo: usize) -> bool {\n\
+         \x20       self.data[lo] > 0\n\
+         \x20   }\n\
+         }\n",
+    );
+    write(
+        &root,
+        "crates/core/src/sio.rs",
+        "pub struct ActiveSet { words: Vec<u64> }\n\
+         impl ActiveSet {\n\
+         \x20   pub fn any_in(&self, lo: usize) -> bool {\n\
+         \x20       self.words[lo] != 0\n\
+         \x20   }\n\
+         }\n",
+    );
+    let ipa = ipa_tree(&root).expect("analyze fixture");
+    let lines = |rule: &str, file: &str| -> Vec<usize> {
+        ipa.iter().filter(|v| v.rule == rule && v.path.ends_with(file)).map(|v| v.line).collect()
+    };
+    assert_eq!(lines("hot-path-alloc", "worker.rs"), vec![4], "{ipa:?}");
+    assert_eq!(lines("panic-freedom", "worker.rs"), vec![7], "{ipa:?}");
+    assert_eq!(lines("panic-freedom", "sio.rs"), vec![4], "{ipa:?}");
+}
+
 /// The serve rule's offends set deliberately admits file reads — adjacency
 /// stays out-of-core, so `File::open`/`fs::read` behind a point query are
 /// the design — while an allocation one call away still trips, with the

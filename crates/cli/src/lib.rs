@@ -810,6 +810,16 @@ pub fn execute(cmd: Command) -> Result<String> {
                         pf.hits, pf.stalls, pf.wasted,
                     ));
                 }
+                if let Some(act) = outcome.activity {
+                    out.push_str(&format!(
+                        "activity: {} partition passes skipped / {} adjacency bytes skipped \
+                         / {} gaps re-read / {} slab bytes written\n",
+                        act.passes_skipped,
+                        act.adjacency_bytes_skipped,
+                        act.gaps_reread,
+                        act.slab_bytes_written,
+                    ));
+                }
             }
             out.push_str(&render_top(&outcome.values, top));
             Ok(out)
@@ -950,15 +960,35 @@ fn render_top(values: &AlgoValues, k: usize) -> String {
             }
         }
         AlgoValues::Labels(v) => {
-            let mut sizes: std::collections::HashMap<u32, u64> = Default::default();
+            // Component sizes in a dense table indexed by label (canonical
+            // labels are vertex ids, below `v.len()`); a larger label falls
+            // back to a map.
+            let mut dense: Vec<u64> = vec![0; v.len()];
+            let mut sparse: std::collections::HashMap<u32, u64> = Default::default();
             for &l in v {
-                *sizes.entry(l).or_default() += 1;
+                match dense.get_mut(l as usize) {
+                    Some(n) => *n += 1,
+                    None => *sparse.entry(l).or_default() += 1,
+                }
             }
-            let mut by_size: Vec<(u32, u64)> = sizes.into_iter().collect();
-            // Equal sizes list by label, not by the HashMap's per-process order.
-            by_size.sort_unstable_by_key(|&(label, n)| (std::cmp::Reverse(n), label));
-            out.push_str(&format!("{} components; largest:\n", by_size.len()));
-            for (label, n) in by_size.into_iter().take(k) {
+            let mut by_size: Vec<(u32, u64)> = dense
+                .iter()
+                .enumerate()
+                .filter(|&(_, &n)| n > 0)
+                .map(|(l, &n)| (l as u32, n))
+                .chain(sparse)
+                .collect();
+            let components = by_size.len();
+            // Equal sizes list by label: a total order, so selecting the k
+            // largest and sorting only them prints what a full sort would.
+            let key = |&(label, n): &(u32, u64)| (std::cmp::Reverse(n), label);
+            if k < by_size.len() {
+                by_size.select_nth_unstable_by_key(k, key);
+                by_size.truncate(k);
+            }
+            by_size.sort_unstable_by_key(key);
+            out.push_str(&format!("{components} components; largest:\n"));
+            for (label, n) in by_size {
                 out.push_str(&format!("  component {label:>8}: {n} vertices\n"));
             }
         }
@@ -1386,6 +1416,27 @@ mod tests {
         assert!(out.contains("stage times:"), "{out}");
         assert!(out.contains("prefetch:"), "{out}");
         assert!(out.contains("plan: shards 8 / threads 2 / prefetch"), "{out}");
+        // PageRank keeps every partition active: nothing is skipped, and
+        // the 8-shard schedule streams every block.
+        let none_skipped =
+            "activity: 0 partition passes skipped / 0 adjacency bytes skipped / 0 gaps re-read / ";
+        assert!(out.contains(none_skipped), "{out}");
+        // Once the BFS frontier dies the last pass is skipped (this graph
+        // is one resident partition, so there are no blocks to seek past);
+        // without --verbose no activity line is printed.
+        let bfs = format!("run bfs {dos} --budget-mib 1 --source 0 --top 3");
+        let out = execute(parse(&args(&format!("{bfs} --verbose"))).unwrap()).unwrap();
+        let line = out.lines().find(|l| l.starts_with("activity: ")).expect("activity line");
+        let fields: Vec<u64> = line
+            .split(|c: char| !c.is_ascii_digit())
+            .filter(|f| !f.is_empty())
+            .map(|f| f.parse().unwrap())
+            .collect();
+        assert_eq!(fields.len(), 4, "{line}");
+        assert!(fields[0] > 0, "the quiet final pass is skipped: {line}");
+        assert!(fields[3] > 0, "the resident slab is written back: {line}");
+        let quiet = execute(parse(&args(&bfs)).unwrap()).unwrap();
+        assert!(!quiet.contains("activity:"), "{quiet}");
         // A graph that fits runs one inline shard over a resident adjacency;
         // without --verbose no plan line is printed.
         let out = execute(parse(&args(&format!("run pr {dos} --iterations 3 --verbose"))).unwrap())
@@ -1544,5 +1595,27 @@ mod tests {
         assert_eq!(top_by(&hops, 3, |a, b| a.total_cmp(b)), vec![(7, 0.0), (1, 1.0), (3, 1.0)]);
         let ranks = [0.5f64, 0.5, 0.25, 0.5];
         assert_eq!(top_by(&ranks, 2, |a, b| b.total_cmp(a)), vec![(0, 0.5), (1, 0.5)]);
+    }
+
+    #[test]
+    fn component_listing_counts_labels_in_and_past_the_table() {
+        // 6 vertices: labels 9 and u32::MAX lie past the dense table (and 6
+        // exactly at its end); sizes 3, 2, 2, 1 with ties listed by label.
+        let labels = AlgoValues::Labels(vec![9, 1, 9, 6, 1, 1, u32::MAX, 6, u32::MAX]);
+        assert_eq!(
+            render_top(&labels, 10),
+            "4 components; largest:\n\
+             \x20 component        1: 3 vertices\n\
+             \x20 component        6: 2 vertices\n\
+             \x20 component        9: 2 vertices\n\
+             \x20 component 4294967295: 2 vertices\n"
+        );
+        assert_eq!(
+            render_top(&labels, 2),
+            "4 components; largest:\n\
+             \x20 component        1: 3 vertices\n\
+             \x20 component        6: 2 vertices\n"
+        );
+        assert_eq!(render_top(&AlgoValues::Labels(vec![]), 3), "0 components; largest:\n");
     }
 }

@@ -59,21 +59,75 @@ fn copy_from_frame(src: &Path, dst: &Path, stats: &Arc<IoStats>) -> Result<()> {
     Ok(())
 }
 
+/// Encode `slab` into the reusable `buf`.
+fn encode_slab<V: FixedCodec>(buf: &mut Vec<u8>, slab: &[V]) {
+    buf.resize(slab.len() * V::SIZE, 0);
+    for (v, out) in slab.iter().zip(buf.chunks_exact_mut(V::SIZE)) {
+        v.write_to(out);
+    }
+}
+
 /// Encode `slab` through the reusable `buf` and write it over the vertex
-/// file's records starting at vertex `first`.
+/// file's records starting at vertex `first`. Returns the bytes written.
 fn write_slab<V: FixedCodec>(
     file: &mut TrackedFile,
     buf: &mut Vec<u8>,
     first: VertexId,
     slab: &[V],
-) -> Result<()> {
-    buf.resize(slab.len() * V::SIZE, 0);
-    for (v, out) in slab.iter().zip(buf.chunks_exact_mut(V::SIZE)) {
-        v.write_to(out);
-    }
+) -> Result<u64> {
+    encode_slab(buf, slab);
     file.seek(SeekFrom::Start(first as u64 * V::SIZE as u64))?;
     file.write_all(buf)?;
-    Ok(())
+    Ok(buf.len() as u64)
+}
+
+/// Granularity of dirty write-back: a flushed slab is compared with the
+/// bytes it was loaded from in blocks of about this many bytes (a whole
+/// number of records).
+const SLAB_BLOCK: usize = 4096;
+
+/// Write back only what changed: encode `slab` block by block through the
+/// reusable `scratch`, compare each block with `loaded` — the bytes the
+/// partition was read from — and write each run of differing blocks over
+/// the vertex file's records starting at vertex `first`. Afterwards
+/// `loaded` holds the new bytes. Returns the bytes written.
+fn write_dirty<V: FixedCodec>(
+    file: &mut TrackedFile,
+    loaded: &mut Vec<u8>,
+    scratch: &mut Vec<u8>,
+    first: VertexId,
+    slab: &[V],
+) -> Result<u64> {
+    let base = first as u64 * V::SIZE as u64;
+    let mut write_run = |bytes: &[u8], at: usize| -> Result<u64> {
+        file.seek(SeekFrom::Start(base + at as u64))?;
+        file.write_all(bytes)?;
+        Ok(bytes.len() as u64)
+    };
+    // Bytes that do not match the slab's shape say nothing: write it all.
+    let whole = loaded.len() != slab.len() * V::SIZE;
+    if whole {
+        loaded.clear();
+        loaded.resize(slab.len() * V::SIZE, 0);
+    }
+    let per_block = (SLAB_BLOCK / V::SIZE).max(1);
+    let mut written = 0u64;
+    let mut run_start: Option<usize> = None;
+    for (k, values) in slab.chunks(per_block).enumerate() {
+        let at = k * per_block * V::SIZE;
+        encode_slab(scratch, values);
+        let old = &mut loaded[at..at + scratch.len()];
+        if whole || old != scratch.as_slice() {
+            old.copy_from_slice(scratch);
+            run_start.get_or_insert(at);
+        } else if let Some(from) = run_start.take() {
+            written += write_run(&loaded[from..at], from)?;
+        }
+    }
+    if let Some(from) = run_start {
+        written += write_run(&loaded[from..], from)?;
+    }
+    Ok(written)
 }
 
 /// Bytes a resident adjacency of `num_vertices` vertices and `num_edges`
@@ -219,6 +273,23 @@ pub struct IterationStats {
     pub pool: sio::PoolCounters,
 }
 
+/// What activity-aware scheduling saved, or wrote, in one [`Engine::run`].
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct ActivityCounters {
+    /// Partition passes not run at all: the partition had no pending
+    /// messages and no vertex that wanted an update.
+    pub passes_skipped: u64,
+    /// Adjacency bytes (edge targets, plus weights when the image has them)
+    /// the Sio stream seeked past inside the partitions it did load.
+    pub adjacency_bytes_skipped: u64,
+    /// Skipped blocks read back after a dynamic message woke a vertex
+    /// inside them.
+    pub gaps_reread: u64,
+    /// Vertex-file bytes written back: the changed 4 KiB blocks of every
+    /// flushed slab, and the whole slab wherever the resident plan writes it.
+    pub slab_bytes_written: u64,
+}
+
 /// What one [`Engine::run`] did.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RunSummary {
@@ -250,6 +321,8 @@ pub struct RunSummary {
     pub stages: StageTimes,
     /// Batch-pool allocation/reuse counters over the whole run.
     pub pool: sio::PoolCounters,
+    /// Bytes activity-aware scheduling skipped, and slab bytes written.
+    pub activity: ActivityCounters,
     /// The execution plan the run resolved to (adaptive degrade, prefetch
     /// gating) — a pure function of graph shape and options.
     pub plan: graphz_types::ExecutionPlan,
@@ -267,6 +340,12 @@ pub struct Engine<P: VertexProgram> {
     partitions: PartitionSet,
     vertices_path: PathBuf,
     msgs: MsgManager<P::Message>,
+    /// Per partition: whether a vertex may want an update the next time the
+    /// partition comes up. Reset to all-`true` whenever a run starts — after
+    /// a restore too, so it is never part of a checkpoint — then seeded from
+    /// the initial values by a fresh run's `initialize()` and recomputed
+    /// from the slab at every flush.
+    active: Vec<bool>,
     initialized: bool,
     /// Global iteration counter: persists across `run` calls (and through
     /// checkpoint/restore) so iteration-dependent programs stay correct when
@@ -297,6 +376,7 @@ impl<P: VertexProgram> Engine<P> {
             msgs = msgs.with_background_writer(config.options.queue_cap)?;
         }
         let vertices_path = scratch.file("vertices.bin");
+        let active = vec![true; partitions.num_partitions() as usize];
         Ok(Engine {
             store: Arc::from(store),
             program: Arc::new(program),
@@ -306,6 +386,7 @@ impl<P: VertexProgram> Engine<P> {
             partitions,
             vertices_path,
             msgs,
+            active,
             initialized: false,
             next_iteration: 0,
         })
@@ -333,15 +414,20 @@ impl<P: VertexProgram> Engine<P> {
         self.store.to_storage_id(original, &self.stats)
     }
 
-    /// Write the initial vertex array (called automatically by `run`).
+    /// Write the initial vertex array (called automatically by `run`), and
+    /// seed each partition's activity bit from its initial values.
     pub fn initialize(&mut self) -> Result<()> {
         let mut w = RecordWriter::<P::VertexData>::create(&self.vertices_path, Arc::clone(&self.stats))
             .ctx("create", &self.vertices_path)?;
-        for (_, a, b) in self.partitions.iter() {
+        for (part, a, b) in self.partitions.iter() {
             let (_, degrees) = self.store.partition_index(a, b, &self.stats)?;
+            let mut active = false;
             for (i, &d) in degrees.iter().enumerate() {
-                w.push(&self.program.init(a + i as VertexId, d))?;
+                let value = self.program.init(a + i as VertexId, d);
+                active |= self.program.wants_update(&value, 0);
+                w.push(&value)?;
             }
+            self.active[part as usize] = active;
         }
         w.finish()?;
         self.initialized = true;
@@ -359,6 +445,9 @@ impl<P: VertexProgram> Engine<P> {
         let start = Instant::now();
         let io_before = self.stats.snapshot();
         let prefetch_before = self.stats.prefetch_snapshot();
+        // Conservative at every start: whatever happened since the last
+        // flush (a restore, say) is treated as activity.
+        self.active.fill(true);
         if !self.initialized {
             self.initialize()?;
         }
@@ -370,6 +459,7 @@ impl<P: VertexProgram> Engine<P> {
         let mut per_iteration: Vec<IterationStats> = Vec::new();
         let mut stages_total = StageTimes::default();
         let mut pool_counters = sio::PoolCounters::default();
+        let mut activity = ActivityCounters::default();
 
         // Resolve the execution plan once per run: a pure function of the
         // graph's shape, the budget and the options (never thread
@@ -387,7 +477,15 @@ impl<P: VertexProgram> Engine<P> {
         if num_vertices > 0 {
             let mut vfile = TrackedFile::open_rw(&self.vertices_path, Arc::clone(&self.stats))
                 .ctx("open-rw", &self.vertices_path)?;
+            // The current partition's slab bytes as loaded, and the block a
+            // flush encodes into to find the blocks that changed.
             let mut slab_bytes: Vec<u8> = Vec::new();
+            let mut block_bytes: Vec<u8> = Vec::new();
+            // The serial schedule's inline executor can say which vertices
+            // want an update, so its Sio stream can skip the quiet blocks.
+            let skip_blocks = plan_cfg.worker_shards == 1;
+            let bytes_per_edge: u64 = if self.store.weights_path().is_some() { 8 } else { 4 };
+            let mut gap_reader: Option<sio::GapReader> = None;
             let dynamic = self.config.options.dynamic_messages;
             let max_shards = plan_cfg.worker_shards;
             let pipeline_threads = plan_cfg.pipeline_threads;
@@ -455,6 +553,12 @@ impl<P: VertexProgram> Engine<P> {
                 let mut iter_stages = StageTimes::default();
 
                 for (part, a, b) in self.partitions.iter() {
+                    // Nothing to replay and nothing to update: the pass would
+                    // change no byte, so it is not run at all.
+                    if !self.active[part as usize] && self.msgs.pending_in(part) == 0 {
+                        activity.passes_skipped += 1;
+                        continue;
+                    }
                     let count = (b - a) as usize;
                     let t_load = Instant::now();
 
@@ -465,7 +569,10 @@ impl<P: VertexProgram> Engine<P> {
                     let prefetched: Option<Prefetched<P>> =
                         prefetcher.as_mut().and_then(|pf| pf.take(part));
                     let (start_edge, mut degrees, slab, pre_msgs, claim) = match prefetched {
-                        Some(p) => (p.start_edge, p.degrees, p.slab, p.msgs, Some(p.claim)),
+                        Some(p) => {
+                            slab_bytes = p.slab_bytes;
+                            (p.start_edge, p.degrees, p.slab, p.msgs, Some(p.claim))
+                        }
                         None => {
                             let (start_edge, degrees) = match adjacency {
                                 Some(_) => (0, Vec::new()),
@@ -487,14 +594,18 @@ impl<P: VertexProgram> Engine<P> {
                     };
 
                     // Kick off the next partition's load (wrapping into the
-                    // next iteration) so it overlaps this one's compute.
-                    // The claim seals the spill run the prefetcher will
-                    // read; anything spilled later lands in new segments.
+                    // next iteration) so it overlaps this one's compute —
+                    // only if it already has work, so the load is never
+                    // wasted on a partition that will be skipped. The
+                    // claim seals the spill run the prefetcher will read;
+                    // anything spilled later lands in new segments.
                     if let Some(pf) = prefetcher.as_mut() {
                         let next = (part + 1) % self.partitions.num_partitions();
-                        let (na, nb) = self.partitions.range(next);
-                        let next_claim = self.msgs.claim(next)?;
-                        pf.request(next, na, nb, next_claim);
+                        if self.active[next as usize] || self.msgs.pending_in(next) > 0 {
+                            let (na, nb) = self.partitions.range(next);
+                            let next_claim = self.msgs.claim(next)?;
+                            pf.request(next, na, nb, next_claim);
+                        }
                     }
                     let plan = worker::plan_shards(a, b, max_shards);
                     if plan_cfg.resident_adjacency && adjacency.is_none() {
@@ -528,6 +639,34 @@ impl<P: VertexProgram> Engine<P> {
 
                     // Hand each shard its slice of the slab and its replay
                     // stream; workers replay concurrently.
+                    //
+                    // On the serial schedule a partition holding a quiet
+                    // vertex may have blocks to skip, and which ones is known
+                    // only after replay, so its stream opens then. Any
+                    // other stream opens now, and Sio reads ahead while the
+                    // replay applies.
+                    let track = skip_blocks
+                        && adjacency.is_none()
+                        && !slab.iter().all(|v| self.program.wants_update(v, iter));
+                    let open = |degrees: Vec<u32>, active: Option<sio::ActiveSet>| {
+                        sio::stream_partition_weighted(
+                            &self.store.edges_path(),
+                            self.store.weights_path().as_deref(),
+                            start_edge,
+                            a,
+                            degrees,
+                            self.config.batch_edges,
+                            Arc::clone(&self.stats),
+                            pipeline_threads > 1,
+                            Some(Arc::clone(&batch_pool)),
+                            queue_cap,
+                            active,
+                        )
+                    };
+                    let mut stream = match adjacency {
+                        None if !track => Some(open(std::mem::take(&mut degrees), None)?),
+                        _ => None,
+                    };
                     let mut rest = slab;
                     for ((shard, &(lo, hi)), replay) in
                         plan.iter().enumerate().zip(replay_groups)
@@ -553,23 +692,56 @@ impl<P: VertexProgram> Engine<P> {
                             executor.feed_resident(*shard, piece)?;
                         }
                     } else {
+                        if track {
+                            // The vertices that want an update after replay
+                            // decide which blocks Sio reads.
+                            let mut set = sio::ActiveSet::new(count);
+                            let active = executor.mark_active(0, &mut set)?.then_some(set);
+                            if active.as_ref().is_some_and(sio::ActiveSet::is_empty) {
+                                // No vertex updates, so none sends and none
+                                // can wake: the adjacency is skipped unread.
+                                let edges: u64 = degrees.iter().map(|&d| u64::from(d)).sum();
+                                activity.adjacency_bytes_skipped += edges * bytes_per_edge;
+                            } else {
+                                stream = Some(open(std::mem::take(&mut degrees), active)?);
+                            }
+                        }
                         // Sio/Dispatcher stream feeding the Worker shards.
-                        let stream = sio::stream_partition_weighted(
-                            &self.store.edges_path(),
-                            self.store.weights_path().as_deref(),
-                            start_edge,
-                            a,
-                            degrees,
-                            self.config.batch_edges,
-                            Arc::clone(&self.stats),
-                            pipeline_threads > 1,
-                            Some(Arc::clone(&batch_pool)),
-                            queue_cap,
-                        )?;
-                        for batch in stream {
-                            for (shard, piece) in worker::split_batch(batch?, &plan, &batch_pool)
-                            {
-                                executor.feed(shard, piece)?;
+                        if let Some(mut stream) = stream {
+                            while let Some(block) = stream.next_block() {
+                                match block? {
+                                    sio::Block::Batch(batch) => {
+                                        for (shard, piece) in
+                                            worker::split_batch(batch, &plan, &batch_pool)
+                                        {
+                                            executor.feed(shard, piece)?;
+                                        }
+                                    }
+                                    // The stream skipped this block when the
+                                    // pass began; an in-pass dynamic message
+                                    // may have woken a vertex in it since.
+                                    // Re-check now, when the schedule reaches
+                                    // it, and read it back if so.
+                                    sio::Block::Gap(gap) => {
+                                        let (lo, hi) = gap.range();
+                                        if executor.wakes_in(0, lo, hi)? {
+                                            let reader = match &mut gap_reader {
+                                                Some(r) => r,
+                                                None => gap_reader.insert(sio::GapReader::open(
+                                                    &self.store.edges_path(),
+                                                    self.store.weights_path().as_deref(),
+                                                    Arc::clone(&self.stats),
+                                                )?),
+                                            };
+                                            executor.feed(0, reader.read(gap)?)?;
+                                            activity.gaps_reread += 1;
+                                        } else {
+                                            activity.adjacency_bytes_skipped +=
+                                                gap.edges * bytes_per_edge;
+                                            batch_pool.put(gap.batch);
+                                        }
+                                    }
+                                }
                             }
                         }
                     }
@@ -622,12 +794,16 @@ impl<P: VertexProgram> Engine<P> {
                     iter_stages.compute += t_compute.elapsed();
                     let t_flush = Instant::now();
 
-                    // Flush the partition's vertices back to disk, or keep
-                    // them resident on the fast path.
+                    // Whether the partition has work next iteration, then
+                    // flush its vertices back to disk — only the blocks that
+                    // changed — or keep them resident on the fast path.
+                    self.active[part as usize] =
+                        slab.iter().any(|v| self.program.wants_update(v, iter + 1));
                     if plan_cfg.resident {
                         resident = Some(slab);
                     } else {
-                        write_slab(&mut vfile, &mut slab_bytes, a, &slab)?;
+                        activity.slab_bytes_written +=
+                            write_dirty(&mut vfile, &mut slab_bytes, &mut block_bytes, a, &slab)?;
                     }
                     iter_stages.flush += t_flush.elapsed();
                 }
@@ -651,7 +827,8 @@ impl<P: VertexProgram> Engine<P> {
                         // The fast path holds vertex state in memory only;
                         // write it back so the on-disk array is current.
                         if let Some(slab) = &resident {
-                            write_slab(&mut vfile, &mut slab_bytes, 0, slab)?;
+                            activity.slab_bytes_written +=
+                                write_slab(&mut vfile, &mut slab_bytes, 0, slab)?;
                         }
                         vfile.flush()?;
                         self.msgs.flush()?;
@@ -669,7 +846,7 @@ impl<P: VertexProgram> Engine<P> {
             pool_counters = batch_pool.counters();
             // The fast path writes the final state exactly once.
             if let Some(slab) = &resident {
-                write_slab(&mut vfile, &mut slab_bytes, 0, slab)?;
+                activity.slab_bytes_written += write_slab(&mut vfile, &mut slab_bytes, 0, slab)?;
             }
             vfile.flush()?;
         } else {
@@ -691,6 +868,7 @@ impl<P: VertexProgram> Engine<P> {
             wall: start.elapsed(),
             stages: stages_total,
             pool: pool_counters,
+            activity,
             plan: plan_cfg,
             per_iteration,
         })
@@ -729,6 +907,7 @@ impl<P: VertexProgram> Engine<P> {
             Arc::clone(&self.stats),
             false,
             Some(Arc::clone(&pool)),
+            None,
             None,
         )?;
         for batch in stream {
@@ -984,20 +1163,77 @@ mod tests {
         config: EngineConfig,
         rounds: u32,
     ) -> (graphz_io::ScratchDir, Engine<InDegreeCounter>) {
+        program_engine(edges, config, InDegreeCounter { rounds })
+    }
+
+    fn program_engine<P: VertexProgram>(
+        edges: Vec<Edge>,
+        config: EngineConfig,
+        program: P,
+    ) -> (graphz_io::ScratchDir, Engine<P>) {
         let dir = graphz_io::ScratchDir::new("engine-test").unwrap();
         let stats = IoStats::new();
         let el = EdgeListFile::create(&dir.file("g.bin"), Arc::clone(&stats), edges).unwrap();
         let dos = DosConverter::new(MemoryBudget::from_kib(64), Arc::clone(&stats))
             .convert(&el, &dir.path().join("dos"))
             .unwrap();
-        let engine = Engine::new(
-            Box::new(DosStore::new(dos)),
-            InDegreeCounter { rounds },
-            config,
-            stats,
-        )
-        .unwrap();
+        let engine = Engine::new(Box::new(DosStore::new(dos)), program, config, stats).unwrap();
         (dir, engine)
+    }
+
+    /// Hop counts from vertex 0, declaring every vertex without a better
+    /// offer quiet.
+    struct Hops;
+
+    impl VertexProgram for Hops {
+        type VertexData = (u32, u32);
+        type Message = u32;
+
+        fn init(&self, vid: VertexId, _degree: u32) -> (u32, u32) {
+            (u32::MAX, if vid == 0 { 0 } else { u32::MAX })
+        }
+
+        fn update(&self, _vid: VertexId, data: &mut (u32, u32), ctx: &mut UpdateContext<'_, u32>) {
+            if data.1 < data.0 {
+                data.0 = data.1;
+                ctx.mark_changed();
+                ctx.send_to_neighbors(data.0 + 1);
+            }
+        }
+
+        fn apply_message(&self, _vid: VertexId, data: &mut (u32, u32), msg: &u32) {
+            data.1 = data.1.min(*msg);
+        }
+
+        fn wants_update(&self, data: &(u32, u32), _iteration: u32) -> bool {
+            data.1 < data.0
+        }
+    }
+
+    /// `P` with the default, always-`true` `wants_update`: the schedule
+    /// without activity skipping.
+    struct Eager<P>(P);
+
+    impl<P: VertexProgram> VertexProgram for Eager<P> {
+        type VertexData = P::VertexData;
+        type Message = P::Message;
+
+        fn init(&self, vid: VertexId, degree: u32) -> P::VertexData {
+            self.0.init(vid, degree)
+        }
+
+        fn update(
+            &self,
+            vid: VertexId,
+            data: &mut P::VertexData,
+            ctx: &mut UpdateContext<'_, P::Message>,
+        ) {
+            self.0.update(vid, data, ctx)
+        }
+
+        fn apply_message(&self, vid: VertexId, data: &mut P::VertexData, msg: &P::Message) {
+            self.0.apply_message(vid, data, msg)
+        }
     }
 
     #[test]
@@ -1632,6 +1868,84 @@ mod tests {
         // Root exists but holds no generation directories.
         std::fs::create_dir_all(gens.path().join("gen-bogus.tmp")).unwrap();
         assert_eq!(e.resume_latest(gens.path()).unwrap(), None);
+    }
+
+    #[test]
+    fn sparse_frontier_reads_less_and_every_vertex_active_reads_the_same() {
+        // A 512-vertex ring with a back edge per vertex, eight partitions of
+        // 64 (u32, u32) vertices, blocks of at most 16 edges: a hop count
+        // from vertex 0 keeps one partition busy per iteration.
+        let edges: Vec<Edge> = (0..512u32)
+            .flat_map(|i| [Edge::new(i, (i + 1) % 512), Edge::new(i, i / 2)])
+            .collect();
+        let config = || EngineConfig::new(MemoryBudget(2 * 64 * 8)).with_batch_edges(16);
+        let (_d1, mut lazy) = program_engine(edges.clone(), config(), Hops);
+        let (_d2, mut eager) = program_engine(edges.clone(), config(), Eager(Hops));
+        assert_eq!(lazy.num_partitions(), 8);
+        let s_lazy = lazy.run(100).unwrap();
+        let s_eager = eager.run(100).unwrap();
+        assert_eq!(lazy.values().unwrap(), eager.values().unwrap());
+        assert_eq!(
+            (s_lazy.iterations, s_lazy.messages_sent, s_lazy.buffered, s_lazy.replayed),
+            (s_eager.iterations, s_eager.messages_sent, s_eager.buffered, s_eager.replayed)
+        );
+        assert!(
+            s_lazy.io.bytes_read < s_eager.io.bytes_read,
+            "a sparse frontier must read less: {} vs {}",
+            s_lazy.io.bytes_read,
+            s_eager.io.bytes_read
+        );
+        // Both write back only changed blocks, and a quiet pass changes none.
+        assert_eq!(s_lazy.io.bytes_written, s_eager.io.bytes_written);
+        let act = s_lazy.activity;
+        assert!(act.passes_skipped > 0 && act.adjacency_bytes_skipped > 0, "{act:?}");
+        assert!(act.gaps_reread > 0, "the frontier wakes blocks the stream skipped: {act:?}");
+        assert!(act.slab_bytes_written > 0 && act.slab_bytes_written < s_lazy.io.bytes_written);
+        let eager_act = s_eager.activity;
+        assert_eq!((eager_act.passes_skipped, eager_act.adjacency_bytes_skipped), (0, 0));
+
+        // Every vertex wants an update every iteration: the same bytes move.
+        let (_d3, mut counter) =
+            program_engine(edges.clone(), config(), InDegreeCounter { rounds: 3 });
+        let (_d4, mut wrapped) =
+            program_engine(edges, config(), Eager(InDegreeCounter { rounds: 3 }));
+        let (a, b) = (counter.run(6).unwrap(), wrapped.run(6).unwrap());
+        assert_eq!(a.io.bytes_read, b.io.bytes_read);
+        assert_eq!(a.io.bytes_written, b.io.bytes_written);
+        assert_eq!(a.activity, b.activity);
+        assert_eq!(counter.values().unwrap(), wrapped.values().unwrap());
+    }
+
+    #[test]
+    fn dirty_write_back_writes_only_changed_blocks() {
+        let dir = graphz_io::ScratchDir::new("engine-dirty").unwrap();
+        let path = dir.file("v.bin");
+        let stats = IoStats::new();
+        // 3000 u64 records = 24000 bytes: blocks of 4096, the last partial.
+        let old: Vec<u64> = (0..3000).collect();
+        let mut loaded = graphz_types::codec::encode_slice(&old);
+        std::fs::write(&path, &loaded).unwrap();
+        let mut file = TrackedFile::open_rw(&path, Arc::clone(&stats)).unwrap();
+        let mut new = old.clone();
+        new[10] = 7; // block 0
+        new[1100] = 7; // block 2 (byte 8800)
+        new[2999] = 7; // block 5, the partial tail
+        let mut scratch = Vec::new();
+        let written = write_dirty(&mut file, &mut loaded, &mut scratch, 0, &new).unwrap();
+        assert_eq!(written, 4096 + 4096 + (24000 - 5 * 4096));
+        assert_eq!(loaded, graphz_types::codec::encode_slice(&new), "loaded tracks the new bytes");
+        assert_eq!(std::fs::read(&path).unwrap(), loaded);
+        // Nothing changed: nothing written. A partition at an offset too.
+        assert_eq!(write_dirty(&mut file, &mut loaded, &mut scratch, 0, &new).unwrap(), 0);
+        let tail = &new[2000..];
+        let mut tail_loaded = graphz_types::codec::encode_slice(tail);
+        let mut moved = tail.to_vec();
+        moved[0] = 1;
+        let w = write_dirty(&mut file, &mut tail_loaded, &mut scratch, 2000, &moved).unwrap();
+        assert_eq!(w, 4096);
+        let on_disk: Vec<u64> = graphz_types::codec::decode_slice(&std::fs::read(&path).unwrap());
+        assert_eq!(on_disk[2000], 1);
+        assert_eq!(on_disk[2001..], new[2001..]);
     }
 
     #[test]

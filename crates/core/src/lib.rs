@@ -27,6 +27,11 @@
 //!
 //! A [`prefetch`] stage double-buffers partition loads so the Worker never
 //! waits on the vertex file.
+//!
+//! Passes are activity-aware ([`VertexProgram::wants_update`]): a partition
+//! with nothing pending and nothing to update is not loaded at all, the
+//! serial schedule's Sio seeks past adjacency blocks of quiet vertices, and
+//! a flush writes back only the slab blocks that changed.
 
 #![forbid(unsafe_code)]
 
@@ -42,7 +47,7 @@ pub mod sio;
 pub mod store;
 pub mod worker;
 
-pub use engine::{Engine, EngineConfig, RunSummary, StageTimes};
+pub use engine::{ActivityCounters, Engine, EngineConfig, RunSummary, StageTimes};
 pub use generations::{
     generation_path, list_generations, load_manifest, parse_generation_name, Generation,
     GenerationManifest,

@@ -170,6 +170,9 @@ pub struct MsgManager<M: FixedCodec> {
     /// Next segment id to allocate, per partition (monotonic, so the
     /// zero-padded filename sort order equals creation order).
     next_seg: Vec<u32>,
+    /// Messages queued per partition (memory + disk), so the engine can
+    /// tell a partition with nothing to replay without touching a file.
+    queued: Vec<u64>,
     /// Total in-memory messages across all partitions.
     resident: usize,
     /// Cap on `resident` before everything spills.
@@ -193,6 +196,7 @@ impl<M: FixedCodec> MsgManager<M> {
             segments: vec![Vec::new(); partitions as usize],
             open_seg: vec![None; partitions as usize],
             next_seg: vec![0; partitions as usize],
+            queued: vec![0; partitions as usize],
             resident: 0,
             cap,
             counters: MsgCounters::default(),
@@ -232,6 +236,7 @@ impl<M: FixedCodec> MsgManager<M> {
     /// Queue `msg` for `dst`, owned by `partition`.
     pub fn enqueue(&mut self, partition: u32, dst: VertexId, msg: M) -> Result<()> {
         self.buffers[partition as usize].push((dst, msg));
+        self.queued[partition as usize] += 1;
         self.resident += 1;
         self.counters.buffered += 1;
         if self.resident > self.cap {
@@ -257,6 +262,7 @@ impl<M: FixedCodec> MsgManager<M> {
             // audit:allow(dropped-result) — Vec::append returns ()
             buf.append(&mut msgs);
         }
+        self.queued[partition as usize] += n as u64;
         self.resident += n;
         self.counters.buffered += n as u64;
         if self.resident > self.cap {
@@ -335,6 +341,7 @@ impl<M: FixedCodec> MsgManager<M> {
             let path = self.seg_path(claim.partition, seg);
             std::fs::remove_file(&path).ctx("remove", &path)?;
         }
+        self.queued[p] = self.queued[p].saturating_sub(replayed);
         self.counters.replayed += replayed;
         Ok(())
     }
@@ -368,6 +375,7 @@ impl<M: FixedCodec> MsgManager<M> {
             apply(dst, msg);
             replayed += 1;
         }
+        self.queued[p] = 0;
         self.counters.replayed += replayed;
         Ok(replayed)
     }
@@ -375,6 +383,12 @@ impl<M: FixedCodec> MsgManager<M> {
     /// Total messages currently queued (memory + disk).
     pub fn pending(&self) -> u64 {
         self.counters.buffered - self.counters.replayed
+    }
+
+    /// Messages currently queued for `partition` (memory + disk); 0 for a
+    /// partition id out of range.
+    pub fn pending_in(&self, partition: u32) -> u64 {
+        self.queued.get(partition as usize).copied().unwrap_or(0)
     }
 
     pub fn counters(&self) -> MsgCounters {
@@ -406,7 +420,9 @@ impl<M: FixedCodec> MsgManager<M> {
             self.segments[p].clear();
             self.open_seg[p] = None;
             self.next_seg[p] = 0;
+            self.queued[p] = 0;
         }
+        let env_size = (4 + M::SIZE) as u64;
         let mut names: Vec<String> = std::fs::read_dir(&self.dir)
             .map(|rd| {
                 rd.filter_map(|e| e.ok())
@@ -425,6 +441,10 @@ impl<M: FixedCodec> MsgManager<M> {
             if (p as usize) < self.segments.len() {
                 self.segments[p as usize].push(s);
                 self.next_seg[p as usize] = self.next_seg[p as usize].max(s + 1);
+                // A segment whose size cannot be read still counts as one
+                // message: a partition with a segment is never skipped.
+                let len = std::fs::metadata(self.dir.join(&name)).map_or(env_size, |m| m.len());
+                self.queued[p as usize] += (len / env_size).max(1);
             }
         }
         self.resident = 0;
@@ -450,9 +470,11 @@ mod tests {
             m.enqueue(1, i, i * 100).unwrap();
         }
         let mut seen = Vec::new();
+        assert_eq!((m.pending_in(1), m.pending_in(0), m.pending_in(99)), (10, 0, 0));
         m.drain(1, |dst, msg| seen.push((dst, msg))).unwrap();
         assert_eq!(seen, (0..10u32).map(|i| (i, i * 100)).collect::<Vec<_>>());
         assert_eq!(m.pending(), 0);
+        assert_eq!(m.pending_in(1), 0);
     }
 
     #[test]
@@ -585,7 +607,9 @@ mod tests {
         m.flush().unwrap();
         let pre = read_claim(&claim, IoStats::new());
         assert_eq!(pre.iter().map(|e| e.0).collect::<Vec<_>>(), (0..9).collect::<Vec<_>>());
+        assert_eq!(m.pending_in(0), 15);
         m.consume_claimed(&claim, pre.len() as u64).unwrap();
+        assert_eq!(m.pending_in(0), 6, "the consumed claim leaves the post-claim messages");
         // The remainder (post-claim segment + tail) drains in order.
         let mut rest = Vec::new();
         m.drain(0, |d, _| rest.push(d)).unwrap();
@@ -634,6 +658,8 @@ mod tests {
         let mut m2: MsgManager<u32> =
             MsgManager::new(path, 2, 1 << 20, IoStats::new()).unwrap();
         m2.restore(counters);
+        assert_eq!(m2.pending_in(0), 12, "per-partition count rebuilt from segment sizes");
+        assert_eq!(m2.pending_in(1), 0);
         let mut seen = Vec::new();
         m2.drain(0, |d, _| seen.push(d)).unwrap();
         assert_eq!(seen, (0..12).collect::<Vec<_>>());

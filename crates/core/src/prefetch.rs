@@ -2,9 +2,12 @@
 //! partition loop.
 //!
 //! While partition *p* computes, a background thread loads partition
-//! *p + 1*: its partition index, its vertex slab (read through a separate
-//! file handle — the regions are disjoint from whatever the engine is
-//! writing), and its *claimed* spilled-message run (see
+//! *p + 1* — only when that partition is already known to have work
+//! (pending messages or a vertex that wants an update), so no load is
+//! wasted on a partition the engine will skip: its partition index, its
+//! vertex slab (read through a separate file handle — the regions are
+//! disjoint from whatever the engine is writing), and its *claimed*
+//! spilled-message run (see
 //! [`MsgManager::claim`]). At most one request is in flight, so exactly two
 //! partition buffers ever exist: the one computing and the one loading.
 //!
@@ -40,6 +43,9 @@ pub struct Prefetched<P: VertexProgram> {
     pub start_edge: u64,
     pub degrees: Vec<u32>,
     pub slab: Vec<P::VertexData>,
+    /// The slab's bytes as read, which the engine's flush compares against
+    /// to write back only the blocks that changed.
+    pub slab_bytes: Vec<u8>,
     /// Decoded messages of the claimed spill run, in send order.
     pub msgs: Vec<(VertexId, P::Message)>,
     /// The claim to retire via [`MsgManager::consume_claimed`] after `msgs`
@@ -173,5 +179,13 @@ fn load<P: VertexProgram>(
             msgs.push(env?);
         }
     }
-    Ok(Prefetched { partition: req.partition, start_edge, degrees, slab, msgs, claim: req.claim })
+    Ok(Prefetched {
+        partition: req.partition,
+        start_edge,
+        degrees,
+        slab,
+        slab_bytes: bytes,
+        msgs,
+        claim: req.claim,
+    })
 }

@@ -42,6 +42,25 @@ pub trait VertexProgram: Send + Sync + 'static {
     /// commutative/associative fold (`min`, `+`, append — paper Alg. 2) but
     /// does not have to be.
     fn apply_message(&self, vid: VertexId, data: &mut Self::VertexData, msg: &Self::Message);
+
+    /// Whether `update()` on a vertex holding `data` could do anything in
+    /// `iteration`. The default, `true`, is always safe.
+    ///
+    /// # Contract
+    ///
+    /// Returning `false` promises that `update()` would leave `data`
+    /// unchanged, send nothing and not call
+    /// [`mark_changed`](UpdateContext::mark_changed) — and that the answer
+    /// stays `false` for every later iteration until a message is applied to
+    /// the vertex. The engine relies on it to move fewer bytes: a partition
+    /// with no pending messages and no vertex that wants an update is not
+    /// loaded, streamed or flushed, and on the serial schedule the Sio
+    /// stream seeks past every adjacency block whose vertices are all quiet.
+    /// Results stay bit-identical to calling `update()` everywhere only if
+    /// the promise holds; a program that lies loses updates.
+    fn wants_update(&self, _data: &Self::VertexData, _iteration: u32) -> bool {
+        true
+    }
 }
 
 /// One entry of a vertex's outbox, in send order.

@@ -9,6 +9,13 @@
 //! thread connected to the Worker by a bounded queue, overlapping IO with
 //! computation exactly as the paper's Fig. 4 pipeline does; results are
 //! bit-identical either way.
+//!
+//! A stream opened with an [`ActiveSet`] reads only the blocks that hold a
+//! vertex wanting an update. Every other block becomes a [`Gap`]: the
+//! reader seeks past its edges — the offset is the prefix sum of the degree
+//! run, DOS Eq. 1 — and hands the consumer the block's degrees and first
+//! edge instead, so a vertex woken inside the gap after the set was taken
+//! can still be read through a [`GapReader`].
 
 use std::io::{Read, Seek, SeekFrom};
 use std::path::Path;
@@ -59,6 +66,151 @@ impl AdjBatch {
             (self.first_vertex + i as VertexId, edges, ws)
         })
     }
+}
+
+/// One bit per vertex of a partition (bit `i` is the partition's `i`-th
+/// vertex): set when the vertex wanted an update as the pass began.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct ActiveSet {
+    words: Vec<u64>,
+}
+
+impl ActiveSet {
+    /// An empty set over `len` vertices.
+    pub fn new(len: usize) -> Self {
+        ActiveSet { words: vec![0; len.div_ceil(64)] }
+    }
+
+    /// Mark vertex `i`; an index past the set's length is ignored.
+    #[inline]
+    pub fn insert(&mut self, i: usize) {
+        if let Some(w) = self.words.get_mut(i / 64) {
+            *w |= 1u64 << (i % 64);
+        }
+    }
+
+    /// Whether any vertex of `lo..hi` is marked. A range reaching past the
+    /// set counts as active, so a malformed query reads rather than skips.
+    pub fn any_in(&self, lo: usize, hi: usize) -> bool {
+        if lo >= hi {
+            return false;
+        }
+        let (first, last) = (lo / 64, (hi - 1) / 64);
+        let Some(words) = self.words.get(first..=last) else { return true };
+        let (head, tail) = (u64::MAX << (lo % 64), u64::MAX >> (63 - (hi - 1) % 64));
+        words.iter().enumerate().any(|(k, &w)| {
+            let mut mask = u64::MAX;
+            if k == 0 {
+                mask &= head;
+            }
+            if k == last - first {
+                mask &= tail;
+            }
+            w & mask != 0
+        })
+    }
+
+    /// Whether no vertex is marked.
+    pub fn is_empty(&self) -> bool {
+        self.words.iter().all(|&w| w == 0)
+    }
+}
+
+/// A block the stream seeked past: `batch` holds its first vertex and
+/// degrees but no edges, and `start_edge` is the record index of its first
+/// edge in the adjacency (and weight) file.
+#[derive(Debug)]
+pub struct Gap {
+    pub batch: AdjBatch,
+    pub start_edge: u64,
+    /// Edge records the block spans.
+    pub edges: u64,
+}
+
+impl Gap {
+    /// The block's vertex range `[lo, hi)`.
+    pub fn range(&self) -> (VertexId, VertexId) {
+        let lo = self.batch.first_vertex;
+        (lo, lo + self.batch.degrees.len() as VertexId)
+    }
+}
+
+/// What a stream yields per Dispatcher block.
+#[derive(Debug)]
+pub enum Block {
+    /// The block was read.
+    Batch(AdjBatch),
+    /// The block's vertices were all quiet, so it was not read.
+    Gap(Gap),
+}
+
+/// Reads gaps back synchronously, through its own file handles, when the
+/// consumer finds that a vertex inside one woke after the stream passed it.
+pub struct GapReader {
+    file: TrackedFile,
+    weights_file: Option<TrackedFile>,
+    read_buf: Vec<u8>,
+}
+
+impl GapReader {
+    pub fn open(
+        edges_path: &Path,
+        weights_path: Option<&Path>,
+        stats: Arc<IoStats>,
+    ) -> Result<Self> {
+        let file = TrackedFile::open(edges_path, Arc::clone(&stats)).ctx("open", edges_path)?;
+        let weights_file = match weights_path {
+            Some(p) => Some(TrackedFile::open(p, stats).ctx("open", p)?),
+            None => None,
+        };
+        Ok(GapReader { file, weights_file, read_buf: Vec::new() })
+    }
+
+    /// Read the gap's edges (and weights) into its batch.
+    pub fn read(&mut self, gap: Gap) -> Result<AdjBatch> {
+        let Gap { mut batch, start_edge, edges } = gap;
+        self.file.seek(SeekFrom::Start(start_edge * 4))?;
+        if let Some(wf) = &mut self.weights_file {
+            wf.seek(SeekFrom::Start(start_edge * 4))?;
+        }
+        read_block(
+            &mut self.file,
+            self.weights_file.as_mut(),
+            &mut self.read_buf,
+            &mut batch,
+            edges as usize,
+        )?;
+        Ok(batch)
+    }
+}
+
+/// Sio: read `edge_count` edge records (and weights) at the files' current
+/// positions into `batch`, through the reusable `read_buf`.
+fn read_block(
+    file: &mut TrackedFile,
+    weights_file: Option<&mut TrackedFile>,
+    read_buf: &mut Vec<u8>,
+    batch: &mut AdjBatch,
+    edge_count: usize,
+) -> Result<()> {
+    let first_vertex = batch.first_vertex;
+    read_buf.resize(edge_count * 4, 0);
+    file.read_exact(read_buf).map_err(|e| {
+        GraphError::Corrupt(format!("adjacency file ended early at vertex {first_vertex}: {e}"))
+    })?;
+    graphz_types::codec::decode_into(read_buf, &mut batch.edges);
+    match weights_file {
+        Some(wf) => {
+            wf.read_exact(read_buf).map_err(|e| {
+                GraphError::Corrupt(format!(
+                    "weight file ended early at vertex {first_vertex}: {e}"
+                ))
+            })?;
+            graphz_types::codec::decode_into(read_buf, &mut batch.weights);
+        }
+        None => batch.weights.clear(),
+    }
+    Ok(())
 }
 
 /// How many edges a batch targets; 64 Ki edges = 256 KiB per block, a few
@@ -152,7 +304,7 @@ pub fn stream_partition(
 ) -> Result<AdjacencyStream> {
     stream_partition_weighted(
         edges_path, None, start_edge, first_vertex, degrees, batch_edges, stats, pipelined, None,
-        None,
+        None, None,
     )
 }
 
@@ -161,9 +313,13 @@ pub fn stream_partition(
 pub const DEFAULT_SIO_QUEUE_CAP: usize = 2;
 
 /// [`stream_partition`] with an optional parallel per-edge weight file, an
-/// optional [`BatchPool`] the consumer returns finished batches to, and an
+/// optional [`BatchPool`] the consumer returns finished batches to, an
 /// optional override for the pipelined channel's depth (`queue_cap`; results
-/// are bit-identical for any depth ≥ 1 — it is pure scheduling).
+/// are bit-identical for any depth ≥ 1 — it is pure scheduling), and an
+/// optional `active` set over the partition's vertices: given one, the
+/// stream seeks past every block holding no marked vertex and yields it as
+/// a [`Block::Gap`] — read such a stream with
+/// [`AdjacencyStream::next_block`].
 #[allow(clippy::too_many_arguments)]
 pub fn stream_partition_weighted(
     edges_path: &Path,
@@ -176,6 +332,7 @@ pub fn stream_partition_weighted(
     pipelined: bool,
     pool: Option<Arc<BatchPool>>,
     queue_cap: Option<usize>,
+    active: Option<ActiveSet>,
 ) -> Result<AdjacencyStream> {
     let inner = InlineStream::open(
         edges_path,
@@ -186,14 +343,15 @@ pub fn stream_partition_weighted(
         batch_edges,
         stats,
         pool,
+        active,
     )?;
     if pipelined {
-        let (tx, rx) = bounded::<Result<AdjBatch>>(queue_cap.unwrap_or(DEFAULT_SIO_QUEUE_CAP).max(1));
+        let (tx, rx) = bounded::<Result<Block>>(queue_cap.unwrap_or(DEFAULT_SIO_QUEUE_CAP).max(1));
         let handle = std::thread::Builder::new()
             .name("graphz-sio".into())
             .spawn(move || {
                 let mut inner = inner;
-                while let Some(batch) = inner.next_batch().transpose() {
+                while let Some(batch) = inner.next_block().transpose() {
                     let stop = batch.is_err();
                     if tx.send(batch).is_err() || stop {
                         break; // worker hung up or the stream failed
@@ -210,15 +368,14 @@ pub fn stream_partition_weighted(
 /// Iterator over a partition's [`AdjBatch`]es (inline or pipelined).
 pub enum AdjacencyStream {
     Inline(InlineStream),
-    Piped { rx: Receiver<Result<AdjBatch>>, handle: Option<std::thread::JoinHandle<()>> },
+    Piped { rx: Receiver<Result<Block>>, handle: Option<std::thread::JoinHandle<()>> },
 }
 
-impl Iterator for AdjacencyStream {
-    type Item = Result<AdjBatch>;
-
-    fn next(&mut self) -> Option<Result<AdjBatch>> {
+impl AdjacencyStream {
+    /// The next block, read or skipped, in vertex order.
+    pub fn next_block(&mut self) -> Option<Result<Block>> {
         match self {
-            AdjacencyStream::Inline(s) => s.next_batch().transpose(),
+            AdjacencyStream::Inline(s) => s.next_block().transpose(),
             AdjacencyStream::Piped { rx, handle } => match rx.recv() {
                 Ok(item) => Some(item),
                 Err(_) => {
@@ -229,6 +386,24 @@ impl Iterator for AdjacencyStream {
                 }
             },
         }
+    }
+}
+
+/// Iterates the read blocks of a stream opened without an [`ActiveSet`];
+/// a gap (only a stream with one yields them) is an error here — read such
+/// a stream with [`AdjacencyStream::next_block`].
+impl Iterator for AdjacencyStream {
+    type Item = Result<AdjBatch>;
+
+    fn next(&mut self) -> Option<Result<AdjBatch>> {
+        Some(match self.next_block()? {
+            Ok(Block::Batch(batch)) => Ok(batch),
+            Ok(Block::Gap(gap)) => Err(GraphError::InvalidConfig(format!(
+                "adjacency gap at vertex {} read as a batch",
+                gap.batch.first_vertex
+            ))),
+            Err(e) => Err(e),
+        })
     }
 }
 
@@ -252,6 +427,14 @@ pub struct InlineStream {
     degrees: Vec<u32>,
     next_index: usize,
     next_vertex: VertexId,
+    /// Record index of the next block's first edge (Eq. 1: the partition's
+    /// first edge plus the degrees before the block).
+    next_edge: u64,
+    /// Record index the file handles are positioned at; differs from
+    /// `next_edge` only after a gap.
+    file_edge: u64,
+    /// Blocks with no marked vertex are skipped; `None` reads every block.
+    active: Option<ActiveSet>,
     batch_edges: usize,
     /// Recycled output batches; a private pool when the caller has none.
     pool: Arc<BatchPool>,
@@ -271,6 +454,7 @@ impl InlineStream {
         batch_edges: usize,
         stats: Arc<IoStats>,
         pool: Option<Arc<BatchPool>>,
+        active: Option<ActiveSet>,
     ) -> Result<Self> {
         assert!(batch_edges > 0);
         let mut file =
@@ -290,13 +474,16 @@ impl InlineStream {
             degrees,
             next_index: 0,
             next_vertex: first_vertex,
+            next_edge: start_edge,
+            file_edge: start_edge,
+            active,
             batch_edges,
             pool: pool.unwrap_or_else(|| BatchPool::new(4)),
             read_buf: Vec::new(),
         })
     }
 
-    fn next_batch(&mut self) -> Result<Option<AdjBatch>> {
+    fn next_block(&mut self) -> Result<Option<Block>> {
         if self.next_index >= self.degrees.len() {
             return Ok(None);
         }
@@ -322,25 +509,34 @@ impl InlineStream {
         batch.first_vertex = first_vertex;
         batch.degrees.clear();
         batch.degrees.extend_from_slice(&self.degrees[start..self.next_index]);
+        let block_start = self.next_edge;
+        self.next_edge += edge_count as u64;
+        if self.active.as_ref().is_some_and(|set| !set.any_in(start, self.next_index)) {
+            batch.edges.clear();
+            batch.weights.clear();
+            return Ok(Some(Block::Gap(Gap {
+                batch,
+                start_edge: block_start,
+                edges: edge_count as u64,
+            })));
+        }
+        if self.file_edge != block_start {
+            self.file.seek(SeekFrom::Start(block_start * 4))?;
+            if let Some(wf) = &mut self.weights_file {
+                wf.seek(SeekFrom::Start(block_start * 4))?;
+            }
+        }
         // Sio: one sequential read for the whole block, into the persistent
         // buffer; the Dispatcher decodes into the recycled batch vectors.
-        self.read_buf.resize(edge_count * 4, 0);
-        self.file.read_exact(&mut self.read_buf).map_err(|e| {
-            GraphError::Corrupt(format!("adjacency file ended early at vertex {first_vertex}: {e}"))
-        })?;
-        graphz_types::codec::decode_into(&self.read_buf, &mut batch.edges);
-        match &mut self.weights_file {
-            Some(wf) => {
-                wf.read_exact(&mut self.read_buf).map_err(|e| {
-                    GraphError::Corrupt(format!(
-                        "weight file ended early at vertex {first_vertex}: {e}"
-                    ))
-                })?;
-                graphz_types::codec::decode_into(&self.read_buf, &mut batch.weights);
-            }
-            None => batch.weights.clear(),
-        }
-        Ok(Some(batch))
+        read_block(
+            &mut self.file,
+            self.weights_file.as_mut(),
+            &mut self.read_buf,
+            &mut batch,
+            edge_count,
+        )?;
+        self.file_edge = self.next_edge;
+        Ok(Some(Block::Batch(batch)))
     }
 }
 
@@ -479,6 +675,7 @@ mod tests {
             false,
             Some(Arc::clone(&pool)),
             None,
+            None,
         )
         .unwrap();
         let mut seen = Vec::new();
@@ -509,6 +706,110 @@ mod tests {
         pool.put(AdjBatch::default()); // full: silently dropped
         let _ = pool.take();
         assert_eq!(pool.take(), AdjBatch::default());
+    }
+
+    #[test]
+    fn active_set_ranges_respect_word_edges() {
+        let mut set = ActiveSet::new(200);
+        assert!(set.is_empty());
+        for i in [0, 63, 64, 130, 500] {
+            set.insert(i); // 500 is past the set: ignored
+        }
+        assert!(!set.is_empty());
+        assert!(set.any_in(0, 1) && set.any_in(63, 64) && set.any_in(64, 65));
+        assert!(!set.any_in(1, 63), "bits 1..63 are clear");
+        assert!(!set.any_in(65, 130) && set.any_in(65, 131));
+        assert!(!set.any_in(131, 200) && !set.any_in(5, 5));
+        assert!(set.any_in(150, 300), "a range past the set reads as active");
+        let mut full = ActiveSet::new(128);
+        full.insert(127);
+        assert!(full.any_in(100, 128) && !full.any_in(0, 127));
+    }
+
+    /// Collect a stream's blocks as `(first vertex, Some(edges) | None)`.
+    fn blocks(mut s: AdjacencyStream) -> Vec<(VertexId, Option<Vec<u32>>)> {
+        let mut out = Vec::new();
+        while let Some(block) = s.next_block() {
+            match block.unwrap() {
+                Block::Batch(b) => out.push((b.first_vertex, Some(b.edges))),
+                Block::Gap(g) => out.push((g.batch.first_vertex, None)),
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn active_stream_seeks_past_quiet_blocks_and_gaps_read_back() {
+        let (dir, stats) = setup();
+        let weights: Vec<f32> = vec![1.0, 1.5, 2.0, 2.5, 3.0, 3.5];
+        write_records(&dir.file("weights.bin"), Arc::clone(&stats), &weights).unwrap();
+        // Degrees [2, 0, 3, 1] in blocks of <= 2 edges: [v0] [v1 v2] [v3].
+        let open = |active: Option<ActiveSet>, pipelined: bool, stats: Arc<IoStats>| {
+            stream_partition_weighted(
+                &dir.file("edges.bin"),
+                Some(&dir.file("weights.bin")),
+                0,
+                100,
+                vec![2, 0, 3, 1],
+                2,
+                stats,
+                pipelined,
+                None,
+                None,
+                active,
+            )
+            .unwrap()
+        };
+        let mut only_v3 = ActiveSet::new(4);
+        only_v3.insert(3);
+        for pipelined in [false, true] {
+            let counted = IoStats::new();
+            let got = blocks(open(Some(only_v3.clone()), pipelined, Arc::clone(&counted)));
+            assert_eq!(got, vec![(100, None), (101, None), (103, Some(vec![30]))]);
+            // One edge and one weight read; the other five of each skipped.
+            assert_eq!(counted.snapshot().bytes_read, 8, "pipelined={pipelined}");
+        }
+        // Without a set every block is read, as before.
+        let all = blocks(open(None, false, Arc::clone(&stats)));
+        assert_eq!(all.iter().filter(|(_, e)| e.is_some()).count(), 3);
+        // A gap reads back exactly what the stream would have read.
+        let mut s = open(Some(ActiveSet::new(4)), false, Arc::clone(&stats));
+        let mut reader =
+            GapReader::open(&dir.file("edges.bin"), Some(&dir.file("weights.bin")), stats)
+                .unwrap();
+        let mut read_back = Vec::new();
+        while let Some(block) = s.next_block() {
+            let Block::Gap(gap) = block.unwrap() else { panic!("an empty set reads nothing") };
+            assert_eq!(gap.range().1 - gap.range().0, gap.batch.degrees.len() as VertexId);
+            read_back.push(reader.read(gap).unwrap());
+        }
+        let edges: Vec<u32> = read_back.iter().flat_map(|b| b.edges.clone()).collect();
+        let ws: Vec<f32> = read_back.iter().flat_map(|b| b.weights.clone()).collect();
+        assert_eq!(edges, vec![10, 11, 20, 21, 22, 30]);
+        assert_eq!(ws, weights);
+        assert_eq!(read_back[1].first_vertex, 101);
+        assert_eq!(read_back[1].degrees, vec![0, 3]);
+    }
+
+    #[test]
+    fn gap_read_as_a_batch_is_a_typed_error() {
+        let (dir, stats) = setup();
+        let s = stream_partition_weighted(
+            &dir.file("edges.bin"),
+            None,
+            0,
+            0,
+            vec![2, 0, 3, 1],
+            1000,
+            stats,
+            false,
+            None,
+            None,
+            Some(ActiveSet::new(4)),
+        )
+        .unwrap();
+        let results: Vec<_> = s.collect();
+        assert!(matches!(results[..], [Err(GraphError::InvalidConfig(_))]), "{results:?}");
     }
 
     #[test]

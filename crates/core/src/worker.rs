@@ -26,7 +26,7 @@ use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
 use graphz_types::{cast, GraphError, Result, VertexId};
 
 use crate::program::{Outgoing, UpdateContext, VertexProgram};
-use crate::sio::{AdjBatch, BatchPool};
+use crate::sio::{ActiveSet, AdjBatch, BatchPool};
 
 /// Shards smaller than this are not worth a hand-off; `plan_shards` lowers
 /// the shard count for small partitions so tiny graphs run single-sharded
@@ -250,6 +250,28 @@ impl<P: VertexProgram> ShardState<P> {
         self.rejected += rejected;
     }
 
+    /// Mark in `active` (bit `i` = this shard's `i`-th vertex) every vertex
+    /// that wants an update in this shard's iteration.
+    fn mark_active(&self, program: &P, active: &mut ActiveSet) {
+        for (i, d) in self.data.iter().enumerate() {
+            if program.wants_update(d, self.iteration) {
+                active.insert(i);
+            }
+        }
+    }
+
+    /// Whether any vertex of `[lo, hi)` wants an update now — the gap
+    /// re-check: a dynamic message may have woken a vertex inside a block
+    /// the Sio stream skipped. A range outside the shard answers `true`, so
+    /// a malformed gap is read rather than lost.
+    fn wakes_in(&self, program: &P, lo: VertexId, hi: VertexId) -> bool {
+        let range = lo.wrapping_sub(self.first) as usize..hi.wrapping_sub(self.first) as usize;
+        match self.data.get(range) {
+            Some(data) => data.iter().any(|d| program.wants_update(d, self.iteration)),
+            None => true,
+        }
+    }
+
     fn finish(self, shard: usize) -> ShardResult<P> {
         ShardResult {
             shard,
@@ -442,6 +464,11 @@ pub enum Executor<P: VertexProgram> {
 }
 
 impl<P: VertexProgram> Executor<P> {
+    /// A pool when there are several threads *and* several shards to run
+    /// on them, the same schedule inline otherwise. One shard always runs
+    /// inline on the engine thread — a single worker would only add a
+    /// hand-off — which keeps its state in reach of the activity checks
+    /// ([`mark_active`](Self::mark_active), [`wakes_in`](Self::wakes_in)).
     pub fn new(
         threads: usize,
         max_shards: usize,
@@ -449,7 +476,7 @@ impl<P: VertexProgram> Executor<P> {
         program: Arc<P>,
         pool: Arc<BatchPool>,
     ) -> Result<Self> {
-        if threads > 1 {
+        if threads > 1 && max_shards > 1 {
             Ok(Executor::Pooled(WorkerPool::spawn(threads, max_shards, queue_cap, program, pool)?))
         } else {
             Ok(Executor::Inline { program, pool, states: Vec::new() })
@@ -501,6 +528,31 @@ impl<P: VertexProgram> Executor<P> {
                 .tx(shard)
                 .send(Job::Resident { shard, batch: Arc::clone(batch) })
                 .map_err(|_| worker_died()),
+        }
+    }
+
+    /// Mark in `active` every vertex of `shard` that wants an update, after
+    /// its replay. Returns `false`, marking nothing, on the pooled executor,
+    /// whose shard state lives on a worker thread.
+    pub fn mark_active(&mut self, shard: usize, active: &mut ActiveSet) -> Result<bool> {
+        match self {
+            Executor::Inline { program, states, .. } => {
+                started(states, shard)?.mark_active(program, active);
+                Ok(true)
+            }
+            Executor::Pooled(_) => Ok(false),
+        }
+    }
+
+    /// Whether any vertex of `shard` in `[lo, hi)` wants an update now,
+    /// with every batch fed so far applied. Always `true` on the pooled
+    /// executor.
+    pub fn wakes_in(&mut self, shard: usize, lo: VertexId, hi: VertexId) -> Result<bool> {
+        match self {
+            Executor::Inline { program, states, .. } => {
+                Ok(started(states, shard)?.wakes_in(program, lo, hi))
+            }
+            Executor::Pooled(_) => Ok(true),
         }
     }
 

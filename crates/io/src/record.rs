@@ -78,11 +78,35 @@ impl<T: FixedCodec, R: Read> RecordReader<T, R> {
         Ok(out.len())
     }
 
-    /// Drain the remaining records into a vector.
+    /// Drain the remaining records into a vector. The bytes are read in
+    /// bulk — about 64 KiB per call, a whole number of records — and decoded
+    /// through `chunks_exact`; a partial trailing record is the same
+    /// corruption error [`next_record`](Self::next_record) reports, and a
+    /// framed reader's checksum failure surfaces as it does there.
     pub fn read_all(mut self) -> Result<Vec<T>> {
         let mut out = Vec::new();
-        while let Some(r) = self.next_record()? {
-            out.push(r);
+        let mut buf = vec![0u8; (64 * 1024 / T::SIZE).max(1) * T::SIZE];
+        // Bytes at the front of `buf` not yet decoded: a record split
+        // across two reads.
+        let mut held = 0;
+        loop {
+            let n = match self.inner.read(&mut buf[held..]) {
+                Ok(0) => break,
+                Ok(n) => n,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(e) => return Err(e.into()),
+            };
+            let filled = held + n;
+            let whole = filled - filled % T::SIZE;
+            out.extend(buf[..whole].chunks_exact(T::SIZE).map(T::read_from));
+            buf.copy_within(whole..filled, 0);
+            held = filled - whole;
+        }
+        if held > 0 {
+            return Err(GraphError::Corrupt(format!(
+                "truncated record: got {held} of {} bytes",
+                T::SIZE
+            )));
         }
         Ok(out)
     }
@@ -251,6 +275,55 @@ mod tests {
         let mut r = RecordReader::<Edge>::open(&path, stats).unwrap();
         let err = r.next_record().unwrap_err();
         assert!(matches!(err, GraphError::Corrupt(_)), "got {err:?}");
+    }
+
+    #[test]
+    fn read_all_reports_a_truncated_tail_as_corruption() {
+        let dir = ScratchDir::new("rec-trunc-all").unwrap();
+        let stats = IoStats::new();
+        let path = dir.file("bad.bin");
+        let mut bytes = graphz_types::codec::encode_slice(&[1u64, 2, 3]);
+        bytes.extend_from_slice(&[9, 9, 9]);
+        std::fs::write(&path, &bytes).unwrap();
+        let err = read_records::<u64>(&path, stats).unwrap_err();
+        match err {
+            GraphError::Corrupt(m) => assert!(m.contains("got 3 of 8 bytes"), "{m}"),
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
+    }
+
+    /// Hands out at most `step` bytes per read, so records straddle reads.
+    struct Trickle<'a> {
+        bytes: &'a [u8],
+        step: usize,
+    }
+
+    impl Read for Trickle<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let n = self.step.min(buf.len()).min(self.bytes.len());
+            buf[..n].copy_from_slice(&self.bytes[..n]);
+            self.bytes = &self.bytes[n..];
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn read_all_matches_record_at_a_time_across_split_reads() {
+        // 12-byte records: neither the bulk buffer nor the short reads line
+        // up with record boundaries.
+        let records: Vec<(u32, u32, u32)> =
+            (0..20_000u32).map(|i| (i, i.wrapping_mul(7), !i)).collect();
+        let bytes = graphz_types::codec::encode_slice(&records);
+        for step in [1usize, 5, 13, 4096, 1 << 20] {
+            let trickle = Trickle { bytes: &bytes, step };
+            let bulk = RecordReader::<(u32, u32, u32), _>::from_reader(trickle).read_all().unwrap();
+            assert_eq!(bulk, records, "step {step}");
+        }
+        let one_by_one: Vec<(u32, u32, u32)> =
+            RecordReader::<(u32, u32, u32), _>::from_reader(Trickle { bytes: &bytes, step: 7 })
+                .collect::<Result<_>>()
+                .unwrap();
+        assert_eq!(one_by_one, records);
     }
 
     #[test]
