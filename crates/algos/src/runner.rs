@@ -199,9 +199,9 @@ pub fn run_graphz_checkpointed(
 }
 
 /// Run the GraphZ engine over DOS with explicit [`EngineOptions`] — the
-/// entry point for parallel-worker / prefetch configurations (CLI
-/// `--threads` / `--no-prefetch`, the determinism suite, the throughput
-/// bench).
+/// entry point for pipeline configurations (CLI `--no-prefetch`, the
+/// determinism suite's sweep over prefetch, pipeline threads and background
+/// spill).
 pub fn run_graphz_configured(
     dos: &DosGraph,
     params: &AlgoParams,

@@ -2,8 +2,8 @@
 //!
 //! BFS, SSSP (over a derived-weight and a stored-weight image) and CC
 //! override `VertexProgram::wants_update`, so the engine skips quiet
-//! partitions, seeks past quiet adjacency blocks on the serial schedule and
-//! writes back only changed slab blocks. Each is run as-is and behind
+//! partitions, seeks past quiet adjacency blocks and writes back only
+//! changed slab blocks. Each is run as-is and behind
 //! [`Eager`], whose `wants_update` is always `true` — the schedule that
 //! reads and writes everything — on every plan, whole and as a
 //! checkpoint/resume split run. Compared: final values, iterations, every
@@ -135,24 +135,15 @@ impl Fixture {
 enum Plan {
     /// `graphz run` on a graph that fits: slab and adjacency resident.
     Resident,
-    /// `graphz run --threads 1` at eight partitions: serial schedule with
-    /// the Sio read-ahead thread, prefetch, spill and replay — and block
-    /// skipping.
+    /// `graphz run` at eight partitions: the Sio read-ahead thread,
+    /// prefetch, spill and replay — and block skipping.
     EightPartitions,
-    /// `--threads 2` at eight partitions: the 8-shard schedule, which
-    /// streams every block of an active partition.
-    Threads2,
     /// `EngineOptions::without_dos_and_dm()` over the dense CSR store at
     /// eight partitions: every message buffered, none applied directly.
     NoDosNoDm,
 }
 
-const PLANS: [Plan; 4] = [
-    Plan::Resident,
-    Plan::EightPartitions,
-    Plan::Threads2,
-    Plan::NoDosNoDm,
-];
+const PLANS: [Plan; 3] = [Plan::Resident, Plan::EightPartitions, Plan::NoDosNoDm];
 
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Image {
@@ -180,11 +171,6 @@ fn engine<P: VertexProgram>(
     let (options, budget, partitions) = match plan {
         Plan::Resident => (EngineOptions::default(), MemoryBudget::from_mib(4), 1),
         Plan::EightPartitions => (EngineOptions::default(), fx.eight_partitions(), 8),
-        Plan::Threads2 => (
-            EngineOptions::with_parallel_workers(2),
-            fx.eight_partitions(),
-            8,
-        ),
         Plan::NoDosNoDm => (
             EngineOptions::without_dos_and_dm(),
             fx.eight_partitions(),
@@ -337,8 +323,8 @@ fn bfs_sssp_and_cc_are_unchanged_by_activity_skipping() {
     assert_equivalent(&fx, "sssp", Image::Plain, &PLANS, &sssp);
     let sssp_w = assert_equivalent(&fx, "sssp", Image::Weighted, &PLANS, &sssp);
     assert_equivalent(&fx, "cc", Image::Plain, &PLANS, &|_: &dyn GraphStore| Cc);
-    // The mechanisms really ran: the serial 8-partition schedule skipped
-    // passes and adjacency, on the weighted image too.
+    // The mechanisms really ran: the 8-partition plan skipped passes and
+    // adjacency, on the weighted image too.
     for act in [
         &bfs_activity["EightPartitions split=false"],
         &sssp_w["EightPartitions split=false"],
@@ -348,11 +334,6 @@ fn bfs_sssp_and_cc_are_unchanged_by_activity_skipping() {
             "{act:?}"
         );
     }
-    // The 8-shard schedule streams every block of a partition it runs.
-    assert_eq!(
-        bfs_activity["Threads2 split=false"].adjacency_bytes_skipped,
-        0
-    );
 }
 
 /// A directed ring with a back edge per vertex: BFS from vertex 0 walks it,
@@ -376,7 +357,7 @@ fn a_vertex_woken_inside_a_skipped_block_is_read_back_and_updated() {
     };
     // Without dynamic messages the ring takes one iteration per hop; the
     // plans with them cross it in a few.
-    let plans = [Plan::Resident, Plan::EightPartitions, Plan::Threads2];
+    let plans = [Plan::Resident, Plan::EightPartitions];
     let activity = assert_equivalent(&fx, "ring bfs", Image::Plain, &plans, &bfs);
     // The frontier crosses the whole ring in the first iteration, so only
     // the uninterrupted run sees it (a resumed tail is the quiet pass).

@@ -134,27 +134,17 @@ impl Fixture {
 /// The execution plans compared, with the partition count each must yield.
 #[derive(Debug, Clone, Copy)]
 enum Plan {
-    /// `graphz run --threads 1` on a graph that fits: slab and adjacency
-    /// resident, one shard, inline.
+    /// `graphz run` on a graph that fits: slab and adjacency resident,
+    /// inline.
     Resident,
-    /// `--threads 1` at eight partitions: spill, replay and prefetch.
+    /// Eight partitions: spill, replay and prefetch.
     EightPartitions,
-    /// `--threads 2`: the fixed 8-shard schedule on two workers, resident.
-    Threads2,
-    /// `--threads 2` at eight partitions.
-    Threads2EightPartitions,
     /// `EngineOptions::without_dos_and_dm()` over the dense CSR store at
     /// eight partitions: every message is buffered, none applied directly.
     NoDosNoDm,
 }
 
-const PLANS: [Plan; 5] = [
-    Plan::Resident,
-    Plan::EightPartitions,
-    Plan::Threads2,
-    Plan::Threads2EightPartitions,
-    Plan::NoDosNoDm,
-];
+const PLANS: [Plan; 3] = [Plan::Resident, Plan::EightPartitions, Plan::NoDosNoDm];
 
 fn engine<P: VertexProgram>(
     fx: &Fixture,
@@ -166,10 +156,6 @@ fn engine<P: VertexProgram>(
     let (options, budget, partitions) = match plan {
         Plan::Resident => (serial, MemoryBudget::from_mib(4), 1),
         Plan::EightPartitions => (serial, fx.eight_partitions(), 8),
-        Plan::Threads2 => (EngineOptions::with_parallel_workers(2), MemoryBudget::from_mib(4), 1),
-        Plan::Threads2EightPartitions => {
-            (EngineOptions::with_parallel_workers(2), fx.eight_partitions(), 8)
-        }
         Plan::NoDosNoDm => (EngineOptions::without_dos_and_dm(), fx.eight_partitions(), 8),
     };
     let stats = IoStats::new();
@@ -279,9 +265,9 @@ fn broadcast_matches_per_edge_sends_on_every_plan() {
                 );
                 assert_eq!(*counters, broadcast.counters, "{label}");
                 match plan {
-                    Plan::Resident | Plan::Threads2 => assert_eq!(counters.buffered, 0, "{label}"),
+                    Plan::Resident => assert_eq!(counters.buffered, 0, "{label}"),
                     Plan::NoDosNoDm => assert_eq!(counters.dynamic_applied, 0, "{label}"),
-                    Plan::EightPartitions | Plan::Threads2EightPartitions => {
+                    Plan::EightPartitions => {
                         assert!(counters.spilled > 0 && counters.replayed > 0, "{label}")
                     }
                 }

@@ -1,9 +1,14 @@
-//! Parallel-Worker determinism: the shard schedule is a function of
-//! `worker_shards` alone, so any `pipeline_threads` value — and prefetch on
-//! or off — must produce bit-identical vertex arrays and identical message
-//! counters for every algorithm, including runs that spill messages across
-//! partitions and runs interrupted by a checkpoint/resume cycle.
+//! Pipeline determinism: the Worker runs one schedule — inline, in vertex
+//! order — and everything around it is pure scheduling. Sweeping every
+//! combination of `prefetch` {on, off} × `pipeline_threads` {1, 2} (the Sio
+//! read-ahead thread) × `background_spill` {off, on} must leave
+//! bit-identical vertex arrays, identical iteration and message counters,
+//! and byte-identical checkpoint generations — for every algorithm, on a
+//! starved budget that forces many partitions and message spills, and
+//! across a checkpoint/resume cycle.
 
+use std::collections::BTreeMap;
+use std::path::Path;
 use std::sync::Arc;
 
 use graphz_algos::common::{AlgoParams, Algorithm};
@@ -29,6 +34,30 @@ fn symmetrized(edges: Vec<Edge>) -> Vec<Edge> {
     out
 }
 
+/// One point of the scheduling sweep.
+#[derive(Debug, Clone, Copy)]
+struct Sched {
+    prefetch: bool,
+    threads: usize,
+    background_spill: bool,
+}
+
+/// The first entry — everything on the engine thread — is the baseline.
+fn sweep() -> Vec<Sched> {
+    let mut out = Vec::new();
+    for prefetch in [false, true] {
+        for threads in [1usize, 2] {
+            for background_spill in [false, true] {
+                out.push(Sched { prefetch, threads, background_spill });
+            }
+        }
+    }
+    out
+}
+
+/// A budget small enough to force many partitions *and* message spills.
+const STARVED: MemoryBudget = MemoryBudget(256);
+
 struct Fixture {
     _dir: ScratchDir,
     stats: Arc<IoStats>,
@@ -50,20 +79,17 @@ impl Fixture {
         Fixture { _dir: dir, stats, dos }
     }
 
-    fn run(
-        &self,
-        params: &AlgoParams,
-        budget: MemoryBudget,
-        threads: usize,
-        prefetch: bool,
-        ckpt: &CheckpointSpec,
-    ) -> AlgoOutcome {
-        let mut options = EngineOptions::with_parallel_workers(threads);
-        options.prefetch = prefetch;
+    fn run(&self, params: &AlgoParams, sched: Sched, ckpt: &CheckpointSpec) -> AlgoOutcome {
+        let options = EngineOptions {
+            prefetch: sched.prefetch,
+            pipeline_threads: sched.threads,
+            background_spill: sched.background_spill,
+            ..EngineOptions::full()
+        };
         runner::run_graphz_configured(
             &self.dos,
             params,
-            budget,
+            STARVED,
             options,
             ckpt,
             Arc::clone(&self.stats),
@@ -91,139 +117,128 @@ fn graph_for(algo: Algorithm, seed: u64) -> Vec<Edge> {
     }
 }
 
-/// The headline guarantee: for all six algorithms, at a roomy and a starved
-/// budget, every {threads} × {prefetch} combination is bit-identical to the
-/// single-threaded run of the same shard schedule.
+/// Every file under `root`, by relative path.
+fn tree(root: &Path) -> BTreeMap<String, Vec<u8>> {
+    fn walk(dir: &Path, rel: &str, out: &mut BTreeMap<String, Vec<u8>>) {
+        for entry in std::fs::read_dir(dir).unwrap() {
+            let entry = entry.unwrap();
+            let name = format!("{rel}{}", entry.file_name().to_string_lossy());
+            if entry.file_type().unwrap().is_dir() {
+                walk(&entry.path(), &format!("{name}/"), out);
+            } else {
+                out.insert(name, std::fs::read(entry.path()).unwrap());
+            }
+        }
+    }
+    let mut out = BTreeMap::new();
+    walk(root, "", &mut out);
+    out
+}
+
+/// A checkpoint tree with each partition's spill segments concatenated in
+/// sequence order under one key, and the manifest without its per-segment
+/// lines. Segment *numbering* is the one thing prefetch may change — a
+/// prefetch claim seals a partition's open segment early, so its later
+/// messages land in the next one — while every message byte stays put.
+fn normalized(tree: BTreeMap<String, Vec<u8>>) -> BTreeMap<String, Vec<u8>> {
+    let mut out: BTreeMap<String, Vec<u8>> = BTreeMap::new();
+    for (path, bytes) in tree {
+        if path.ends_with("manifest.txt") {
+            let kept: String = String::from_utf8(bytes)
+                .unwrap()
+                .lines()
+                .filter(|l| !l.starts_with("file:msgs/"))
+                .map(|l| format!("{l}\n"))
+                .collect();
+            out.insert(path, kept.into_bytes());
+        } else if let Some((dir, name)) = path.split_once("/msgs/msgs-") {
+            // `msgs-<partition>-<sequence>.bin`, both zero-padded.
+            let partition = name.split('-').next().unwrap();
+            out.entry(format!("{dir}/msgs/{partition}")).or_default().extend(bytes);
+        } else {
+            out.insert(path, bytes);
+        }
+    }
+    out
+}
+
+fn assert_same(label: &str, baseline: &AlgoOutcome, out: &AlgoOutcome) {
+    assert_eq!(baseline.values, out.values, "{label}: values diverged from the baseline");
+    assert_eq!(baseline.iterations, out.iterations, "{label}: iterations");
+    assert_eq!(baseline.messages, out.messages, "{label}: messages");
+    assert_eq!(baseline.spilled, out.spilled, "{label}: spilled");
+}
+
+/// The headline guarantee: for all six algorithms on the starved budget,
+/// every point of the sweep is bit-identical to the all-inline baseline.
 #[test]
 fn six_algorithms_bit_identical_across_threads_and_prefetch() {
     let none = CheckpointSpec::disabled();
     for (i, algo) in Algorithm::all().into_iter().enumerate() {
         let fx = Fixture::new(graph_for(algo, 11 * (i as u64 + 1)));
         let params = params_for(algo);
-        for budget in [MemoryBudget::from_kib(8), MemoryBudget::from_kib(1)] {
-            let baseline = fx.run(&params, budget, 1, true, &none);
-            for threads in [1usize, 2, 8] {
-                for prefetch in [true, false] {
-                    if threads == 1 && prefetch {
-                        continue; // that is the baseline itself
-                    }
-                    let out = fx.run(&params, budget, threads, prefetch, &none);
-                    assert_eq!(
-                        baseline.values, out.values,
-                        "{algo:?} at {budget}: threads={threads} prefetch={prefetch} \
-                         diverged from the single-threaded baseline"
-                    );
-                    assert_eq!(baseline.iterations, out.iterations, "{algo:?} iterations");
-                    assert_eq!(baseline.messages, out.messages, "{algo:?} messages");
-                    assert_eq!(baseline.spilled, out.spilled, "{algo:?} spilled");
-                }
-            }
+        let sweep = sweep();
+        let baseline = fx.run(&params, sweep[0], &none);
+        assert!(baseline.partitions >= 3, "{algo:?}: budget must force prefetchable partitions");
+        assert!(baseline.spilled > 0, "{algo:?}: budget must force message spills");
+        for &sched in &sweep[1..] {
+            let out = fx.run(&params, sched, &none);
+            assert_same(&format!("{algo:?} {sched:?}"), &baseline, &out);
         }
     }
 }
 
-/// The adaptive cost model (`EngineOptions::adaptive`) rewrites the plan as
-/// a pure function of graph shape: a small graph degrades to the serial
-/// schedule (so it must match an explicitly-serial run bit for bit, at any
-/// pipeline width), and a large graph keeps its requested shards (so it
-/// must match the fixed-plan run bit for bit). Either way, nothing about
-/// thread count or timing may leak into the results.
-#[test]
-fn adaptive_plan_keeps_results_bit_identical() {
-    let none = CheckpointSpec::disabled();
-    let budget = MemoryBudget::from_kib(1);
-    let params = AlgoParams::new(Algorithm::Cc).with_max_iterations(300);
-    let run_opts = |fx: &Fixture, options: EngineOptions| {
-        runner::run_graphz_configured(&fx.dos, &params, budget, options, &none, Arc::clone(&fx.stats))
-            .unwrap()
-    };
-
-    // 1500 edges / 8 requested shards is far below the serial-degrade
-    // threshold: every adaptive run collapses to the serial schedule.
-    let fx = Fixture::new(symmetrized(power_law_graph(7, 1500)));
-    let serial = run_opts(&fx, EngineOptions::default());
-    for threads in [1usize, 2, 8] {
-        let mut options = EngineOptions::with_parallel_workers(threads);
-        options.adaptive = true;
-        let out = run_opts(&fx, options);
-        assert_eq!(serial.values, out.values, "degraded threads={threads}");
-        assert_eq!(serial.iterations, out.iterations, "degraded threads={threads}");
-        assert_eq!(serial.messages, out.messages, "degraded threads={threads}");
-        assert_eq!(serial.spilled, out.spilled, "degraded threads={threads}");
-    }
-
-    // A symmetrized 12_000-edge graph keeps all 8 shards busy above the
-    // threshold: adaptive must be a no-op against the fixed 8-shard plan.
-    let fx = Fixture::new(symmetrized(power_law_graph(7, 12_000)));
-    assert!(
-        fx.dos.meta().num_edges / 8 >= 1024,
-        "large fixture must stay above the serial-degrade threshold, got {}",
-        fx.dos.meta().num_edges
-    );
-    let baseline = fx.run(&params, budget, 8, true, &none);
-    for threads in [2usize, 8] {
-        let mut options = EngineOptions::with_parallel_workers(threads);
-        options.adaptive = true;
-        let out = run_opts(&fx, options);
-        assert_eq!(baseline.values, out.values, "parallel threads={threads}");
-        assert_eq!(baseline.iterations, out.iterations, "parallel threads={threads}");
-        assert_eq!(baseline.messages, out.messages, "parallel threads={threads}");
-        assert_eq!(baseline.spilled, out.spilled, "parallel threads={threads}");
-    }
-}
-
-/// A budget small enough to force many partitions *and* message spills:
-/// every partition still spans multiple shards, and the claimed-segment
-/// protocol (prefetcher pre-draining spilled runs) must not change results.
+/// The claimed-segment protocol — the prefetcher pre-draining a spilled run
+/// while the background writer may still be appending to it — must not
+/// change results, and the sweep must really exercise it.
 #[test]
 fn spilled_multi_partition_run_is_deterministic() {
     let fx = Fixture::new(symmetrized(power_law_graph(99, 1500)));
     let params = AlgoParams::new(Algorithm::Cc).with_max_iterations(300);
-    let budget = MemoryBudget(256); // 32 u64-sized vertices per partition
     let none = CheckpointSpec::disabled();
-    let baseline = fx.run(&params, budget, 1, true, &none);
-    assert!(baseline.partitions > 1, "budget must force multiple partitions");
-    assert!(baseline.spilled > 0, "budget must force message spills");
-    for (threads, prefetch) in [(8, true), (8, false), (2, true)] {
-        let out = fx.run(&params, budget, threads, prefetch, &none);
-        assert_eq!(baseline.values, out.values, "threads={threads} prefetch={prefetch}");
-        assert_eq!(baseline.spilled, out.spilled);
-        assert_eq!(baseline.iterations, out.iterations);
+    let sweep = sweep();
+    let baseline = fx.run(&params, sweep[0], &none);
+    for &sched in &sweep[1..] {
+        let out = fx.run(&params, sched, &none);
+        assert_same(&format!("{sched:?}"), &baseline, &out);
+        if sched.prefetch {
+            let pf = out.prefetch.expect("an engine run reports prefetch counters");
+            assert!(pf.hits + pf.stalls > 0, "{sched:?}: prefetcher never claimed a load");
+        }
     }
 }
 
-/// Interrupt a parallel run mid-computation, then resume with a *different*
-/// thread count and prefetch setting: the checkpoint carries sealed spill
-/// segments and the global iteration counter, so the resumed run must land
-/// exactly where an uninterrupted single-threaded run does.
+/// Interrupt a run mid-computation under every point of the sweep, then
+/// resume it: the checkpoint generations written before the cut — vertex
+/// array and sealed spill segments — must be byte-identical across the
+/// sweep, and every resumed run must land exactly where the uninterrupted
+/// baseline does.
 #[test]
 fn checkpoint_resume_mid_run_matches_uninterrupted() {
     let fx = Fixture::new(symmetrized(power_law_graph(123, 1500)));
     let params = AlgoParams::new(Algorithm::Cc).with_max_iterations(300);
-    let budget = MemoryBudget::from_kib(1);
     let none = CheckpointSpec::disabled();
-    let reference = fx.run(&params, budget, 1, true, &none);
+    let sweep = sweep();
+    let reference = fx.run(&params, sweep[0], &none);
     assert!(reference.converged);
     assert!(reference.iterations >= 2, "need room to interrupt: {}", reference.iterations);
-
-    // Stop strictly before the uninterrupted run converged (the parallel run
-    // follows the same schedule, so its trajectory is the same).
+    // Stop strictly before the uninterrupted run converged.
     let cut = (reference.iterations - 1).max(1);
-    let gens = ScratchDir::new("par-det-gens").unwrap();
-    let write = CheckpointSpec {
-        dir: Some(gens.path().to_path_buf()),
-        every: 1,
-        resume: false,
-    };
-    let head = fx.run(&params.with_max_iterations(cut), budget, 8, true, &write);
-    assert!(!head.converged, "interrupted run must stop before convergence");
 
-    let resume = CheckpointSpec {
-        dir: Some(gens.path().to_path_buf()),
-        every: 0,
-        resume: true,
-    };
-    let tail = fx.run(&params, budget, 2, false, &resume);
-    assert!(tail.converged);
-    assert_eq!(reference.values, tail.values);
+    let mut first_generations: Option<BTreeMap<String, Vec<u8>>> = None;
+    for &sched in &sweep {
+        let gens = ScratchDir::new("par-det-gens").unwrap();
+        let write = CheckpointSpec { dir: Some(gens.path().to_path_buf()), every: 1, resume: false };
+        let head = fx.run(&params.with_max_iterations(cut), sched, &write);
+        assert!(!head.converged, "{sched:?}: interrupted run must stop before convergence");
+        let generations = normalized(tree(gens.path()));
+        assert!(generations.keys().any(|k| k.contains("/msgs/")), "{sched:?}: no spill segment");
+        let first = first_generations.get_or_insert_with(|| generations.clone());
+        assert!(*first == generations, "{sched:?}: checkpoint generations diverged");
+
+        let resume = CheckpointSpec { dir: Some(gens.path().to_path_buf()), every: 0, resume: true };
+        let tail = fx.run(&params, sched, &resume);
+        assert!(tail.converged, "{sched:?}");
+        assert_eq!(reference.values, tail.values, "{sched:?}: resumed values diverged");
+    }
 }

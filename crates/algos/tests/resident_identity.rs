@@ -8,8 +8,7 @@
 //!
 //! Compared: final values, the engine's `vertices.bin`, and every checkpoint
 //! generation written with `checkpoint_every = 1`, including the generations
-//! a run resumed from mid-way writes. Also covered: a weighted image and the
-//! parallel 8-shard schedule.
+//! a run resumed from mid-way writes. Also covered: a weighted image.
 
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -240,11 +239,4 @@ fn resident_adjacency_carries_weights() {
     let dir = ScratchDir::new("resident-identity-weighted").unwrap();
     let dos = fixture(&dir, Algorithm::Sssp, true);
     check_algo("weighted sssp", Algorithm::Sssp, &dos, EngineOptions::full());
-}
-
-#[test]
-fn resident_adjacency_feeds_the_parallel_shard_schedule() {
-    let dir = ScratchDir::new("resident-identity-parallel").unwrap();
-    let dos = fixture(&dir, Algorithm::PageRank, false);
-    check_algo("parallel pr", Algorithm::PageRank, &dos, EngineOptions::with_parallel_workers(2));
 }

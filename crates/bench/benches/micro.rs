@@ -200,7 +200,6 @@ fn bench_weighted_stream() {
                 false,
                 None,
                 None,
-                None,
             )
             .unwrap();
             let mut acc = 0u64;

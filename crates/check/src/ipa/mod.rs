@@ -111,9 +111,9 @@ const EXCLUDED: &[&str] = &[
 
 /// Hot-path entries: the per-message compute loop, whose body also holds
 /// the message routing (apply or defer, broadcast expansion), the
-/// resident-adjacency feed, and the activity checks the serial schedule
-/// runs per partition and per skipped block — marking the vertices that
-/// want an update, and the gap re-check (DESIGN.md §6d/§6i).
+/// resident-adjacency feed, and the activity checks the Worker runs per
+/// partition and per skipped block — marking the vertices that want an
+/// update, and the gap re-check (DESIGN.md §6d/§6i).
 const HOT_ENTRIES: &[(&str, &str)] = &[
     ("ShardState", "process"),
     ("Executor", "feed_resident"),
@@ -124,8 +124,9 @@ const HOT_ENTRIES: &[(&str, &str)] = &[
 ];
 
 /// Compute-phase entries: everything `Engine::run`'s iteration loop drives
-/// per batch — the shard plan, the executor feed/finish protocol, and the
-/// per-shard state machine (which fans out into every algorithm kernel).
+/// per batch — the inline executor's start/feed/finish protocol and the
+/// per-partition state machine (which fans out into every algorithm
+/// kernel).
 const PANIC_ENTRIES: &[(&str, &str)] = &[
     ("ShardState", "start"),
     ("ShardState", "process"),
@@ -134,15 +135,11 @@ const PANIC_ENTRIES: &[(&str, &str)] = &[
     ("Executor", "feed"),
     ("Executor", "feed_resident"),
     ("Executor", "finish"),
-    ("Executor", "finish_with"),
     ("Executor", "mark_active"),
     ("Executor", "wakes_in"),
     ("ShardState", "mark_active"),
     ("ShardState", "wakes_in"),
     ("ActiveSet", "any_in"),
-    ("", "plan_shards"),
-    ("", "shard_of"),
-    ("", "split_batch"),
 ];
 
 /// Serve read-path entries: the four GraphView point-query methods every

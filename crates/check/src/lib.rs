@@ -1,13 +1,7 @@
 //! Correctness tooling for the GraphZ workspace.
 //!
-//! Two halves, both fully offline:
+//! Static analyzers, all fully offline:
 //!
-//! * [`pipeline`] — a loom-lite model of the Sio → Dispatcher → Worker →
-//!   MsgManager → Prefetcher pipeline, run under the virtual scheduler in
-//!   `crossbeam::model`. The schedule-exploration tests
-//!   (`tests/model_check.rs`) drive hundreds of seeded interleavings plus a
-//!   bounded exhaustive pass and assert bit-identical output and deadlock
-//!   freedom (via the wait-for-graph cycle detector).
 //! * [`lint`] — the repo-invariant lint pass behind the `graphz-lint`
 //!   binary (`cargo run -p graphz-check --bin graphz-lint`), enforcing the
 //!   named rules documented in DESIGN.md §6e.
@@ -39,5 +33,4 @@ pub mod ipa;
 pub mod json;
 pub mod lint;
 pub mod parser;
-pub mod pipeline;
 pub mod stale;

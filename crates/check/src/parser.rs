@@ -319,7 +319,7 @@ pub fn parse_source(rel: &str, source: &str) -> SourceFile {
 /// Parse every non-test `.rs` file under `root/crates/` (or under `root`
 /// itself for fixture trees without a `crates/` directory). `tests/`,
 /// `benches/`, and `examples/` directories are out of scope, as are the
-/// vendored `shims/` (model-checker scaffolding, not product code).
+/// vendored `shims/` (offline dependency stand-ins, not product code).
 pub fn parse_tree(root: &Path) -> std::io::Result<Vec<SourceFile>> {
     let mut files = Vec::new();
     let crates = root.join("crates");

@@ -60,6 +60,9 @@ pub enum Command {
         checkpoint_dir: Option<PathBuf>,
         checkpoint_every: u32,
         resume: bool,
+        /// Always `1`: `run` takes no `--threads` flag. A compatibility name
+        /// for the benchmark's engine adapter (`benchmark/src/layers.rs`),
+        /// which still destructures it; goes away with that adapter.
         threads: usize,
         prefetch: bool,
         verbose: bool,
@@ -67,14 +70,6 @@ pub enum Command {
     Help,
     /// Per-subcommand help (`graphz <cmd> --help`, `graphz help <cmd>`).
     HelpFor(String),
-}
-
-/// Default for `run --threads`: one, the paper's serial Worker schedule
-/// (§V-C parallelises only message replay). `N ≥ 2` opts into the fixed
-/// 8-shard schedule, which costs traversal cascades iterations and adds
-/// per-thread buffers; `serve --threads` has its own default.
-pub fn default_threads() -> usize {
-    1
 }
 
 /// One flag a subcommand accepts: its spelling, the placeholder for its
@@ -257,7 +252,6 @@ pub const COMMANDS: &[CommandSpec] = &[
             FlagSpec { name: "--checkpoint-dir", value: Some("D"), help: "write crash-safe generations under D" },
             FlagSpec { name: "--checkpoint-every", value: Some("N"), help: "iterations per generation (default 1)" },
             FlagSpec { name: "--resume", value: None, help: "continue from the newest valid generation" },
-            FlagSpec { name: "--threads", value: Some("N"), help: "worker threads (default 1, the paper's schedule; N >= 2 runs 8 shards)" },
             FlagSpec { name: "--no-prefetch", value: None, help: "disable the background partition loader" },
             FlagSpec { name: "--verbose", value: None, help: "print the plan, per-stage wall times and prefetch counters" },
         ],
@@ -266,14 +260,14 @@ pub const COMMANDS: &[CommandSpec] = &[
                   under D after every N completed iterations (default 1); --resume continues\n\
                   from the newest valid generation, skipping any damaged by a crash.\n\
                   \n\
-                  Parallelism: --threads defaults to 1, the paper's sequential schedule.\n\
-                  N >= 2 opts into a fixed 8-shard Worker schedule per partition: every\n\
-                  N >= 2 produces bit-identical results, but a different schedule than 1,\n\
-                  so traversals may need more iterations. A graph that fits one partition\n\
-                  keeps its vertex array in memory for the whole run, and its adjacency,\n\
-                  when both fit the budget. --no-prefetch disables the background\n\
-                  partition loader (results are identical either way). --verbose prints\n\
-                  the resolved plan, per-stage wall times and prefetch hit/stall counters.",
+                  Schedule: one Worker updates vertices in ascending order, the paper's\n\
+                  sequential schedule, while a read-ahead thread streams adjacency and a\n\
+                  background loader prefetches the next partition. A graph that fits one\n\
+                  partition keeps its vertex array in memory for the whole run, and its\n\
+                  adjacency, when both fit the budget. --no-prefetch disables the\n\
+                  background partition loader (results are identical either way).\n\
+                  --verbose prints the resolved plan, per-stage wall times and prefetch\n\
+                  hit/stall counters.",
     },
 ];
 
@@ -522,7 +516,7 @@ pub fn parse(args: &[String]) -> Result<Command> {
                 checkpoint_dir: p.value("--checkpoint-dir").map(PathBuf::from),
                 checkpoint_every: p.parse_value("--checkpoint-every", 1)?,
                 resume: p.switch("--resume"),
-                threads: p.parse_value("--threads", default_threads())?.max(1),
+                threads: 1,
                 prefetch: !p.switch("--no-prefetch"),
                 verbose: p.switch("--verbose"),
             })
@@ -745,9 +739,9 @@ pub fn execute(cmd: Command) -> Result<String> {
             checkpoint_dir,
             checkpoint_every,
             resume,
-            threads,
             prefetch,
             verbose,
+            ..
         } => {
             let dos = DosGraph::open(&dos_dir, Arc::clone(&stats))?;
             let params = AlgoParams::new(algo)
@@ -759,14 +753,7 @@ pub fn execute(cmd: Command) -> Result<String> {
                 every: checkpoint_every,
                 resume,
             };
-            // Any thread count >= 2 executes the same fixed shard schedule,
-            // so results depend only on whether workers are parallel at all.
-            let mut options = if threads > 1 {
-                EngineOptions::with_parallel_workers(threads)
-            } else {
-                EngineOptions::full()
-            };
-            options.prefetch = prefetch;
+            let options = EngineOptions { prefetch, ..EngineOptions::full() };
             let outcome = runner::run_graphz_configured(
                 &dos,
                 &params,
@@ -791,8 +778,7 @@ pub fn execute(cmd: Command) -> Result<String> {
             if verbose {
                 if let Some(plan) = outcome.plan {
                     out.push_str(&format!(
-                        "plan: shards {} / threads {} / prefetch {} / residency {}\n",
-                        plan.worker_shards,
+                        "plan: threads {} / prefetch {} / residency {}\n",
                         plan.pipeline_threads,
                         if plan.prefetch { "on" } else { "off" },
                         plan.residency(),
@@ -1063,20 +1049,21 @@ mod tests {
 
     #[test]
     fn parses_run_parallelism_flags() {
-        let cmd = parse(&args("run pr dos-dir --threads 4 --no-prefetch --verbose")).unwrap();
+        let cmd = parse(&args("run pr dos-dir --no-prefetch --verbose")).unwrap();
         match cmd {
             Command::Run { threads, prefetch, verbose, .. } => {
-                assert_eq!(threads, 4);
+                assert_eq!(threads, 1);
                 assert!(!prefetch);
                 assert!(verbose);
             }
             other => panic!("parsed {other:?}"),
         }
-        // --threads 0 is clamped rather than rejected.
-        match parse(&args("run pr dos-dir --threads 0")).unwrap() {
-            Command::Run { threads, .. } => assert_eq!(threads, 1),
-            other => panic!("parsed {other:?}"),
-        }
+        // `run` has one Worker schedule: --threads is an unknown flag.
+        let err = parse(&args("run pr dos-dir --threads 2")).unwrap_err().to_string();
+        assert!(
+            err.contains("unknown flag `--threads` for `graphz run` — see `graphz run --help`"),
+            "{err}"
+        );
     }
 
     #[test]
@@ -1408,16 +1395,15 @@ mod tests {
         assert!(out.contains("top vertices by rank"), "{out}");
         let out = execute(
             parse(&args(&format!(
-                "run pr {dos} --budget-mib 1 --iterations 10 --threads 2 --verbose"
+                "run pr {dos} --budget-mib 1 --iterations 10 --verbose"
             )))
             .unwrap(),
         )
         .unwrap();
         assert!(out.contains("stage times:"), "{out}");
         assert!(out.contains("prefetch:"), "{out}");
-        assert!(out.contains("plan: shards 8 / threads 2 / prefetch"), "{out}");
-        // PageRank keeps every partition active: nothing is skipped, and
-        // the 8-shard schedule streams every block.
+        assert!(out.contains("plan: threads "), "{out}");
+        // PageRank keeps every vertex active: nothing is skipped.
         let none_skipped =
             "activity: 0 partition passes skipped / 0 adjacency bytes skipped / 0 gaps re-read / ";
         assert!(out.contains(none_skipped), "{out}");
@@ -1437,12 +1423,12 @@ mod tests {
         assert!(fields[3] > 0, "the resident slab is written back: {line}");
         let quiet = execute(parse(&args(&bfs)).unwrap()).unwrap();
         assert!(!quiet.contains("activity:"), "{quiet}");
-        // A graph that fits runs one inline shard over a resident adjacency;
-        // without --verbose no plan line is printed.
+        // A graph that fits runs inline over a resident adjacency; without
+        // --verbose no plan line is printed.
         let out = execute(parse(&args(&format!("run pr {dos} --iterations 3 --verbose"))).unwrap())
             .unwrap();
         assert!(
-            out.contains("plan: shards 1 / threads 1 / prefetch off / residency slab+adjacency\n"),
+            out.contains("plan: threads 1 / prefetch off / residency slab+adjacency\n"),
             "{out}"
         );
         let out =

@@ -143,7 +143,7 @@ use crate::prefetch::{Prefetched, Prefetcher};
 use crate::program::VertexProgram;
 use crate::sio;
 use crate::store::GraphStore;
-use crate::worker::{self, Executor, ShardStart};
+use crate::worker::{Executor, ShardStart};
 
 /// Engine construction parameters.
 #[derive(Debug, Clone)]
@@ -216,7 +216,7 @@ impl EngineConfig {
 }
 
 /// Wall-clock time spent in each pipeline stage, as observed from the
-/// engine thread (with `pipeline_threads > 1` or prefetch, work overlaps —
+/// engine thread (with the Sio read-ahead thread or prefetch, work overlaps —
 /// these measure where the *engine* waited, which is exactly what shows a
 /// prefetch win: `load` shrinks).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -224,10 +224,10 @@ pub struct StageTimes {
     /// Loading the partition index and vertex slab (or waiting for the
     /// prefetcher to deliver them).
     pub load: Duration,
-    /// Draining and routing pending messages to shards.
+    /// Draining pending messages and applying them to the slab.
     pub replay: Duration,
-    /// Streaming adjacency batches through the Worker stage and merging the
-    /// barrier results.
+    /// Streaming adjacency batches through the Worker stage and handing the
+    /// barrier's deferred messages to the MsgManager.
     pub compute: Duration,
     /// Writing the partition's vertex slab back to disk.
     pub flush: Duration,
@@ -323,8 +323,8 @@ pub struct RunSummary {
     pub pool: sio::PoolCounters,
     /// Bytes activity-aware scheduling skipped, and slab bytes written.
     pub activity: ActivityCounters,
-    /// The execution plan the run resolved to (adaptive degrade, prefetch
-    /// gating) — a pure function of graph shape and options.
+    /// The execution plan the run resolved to (prefetch gating, residency)
+    /// — a pure function of graph shape, budget and options.
     pub plan: graphz_types::ExecutionPlan,
     /// Per-iteration progress (one entry per executed iteration).
     pub per_iteration: Vec<IterationStats>,
@@ -373,7 +373,7 @@ impl<P: VertexProgram> Engine<P> {
             Arc::clone(&stats),
         )?;
         if config.options.background_spill {
-            msgs = msgs.with_background_writer(config.options.queue_cap)?;
+            msgs = msgs.with_background_writer()?;
         }
         let vertices_path = scratch.file("vertices.bin");
         let active = vec![true; partitions.num_partitions() as usize];
@@ -463,11 +463,10 @@ impl<P: VertexProgram> Engine<P> {
 
         // Resolve the execution plan once per run: a pure function of the
         // graph's shape, the budget and the options (never thread
-        // availability or timing), so the logical schedule — and with it
-        // the result bits — is a constant of the configuration.
+        // availability or timing). It decides where bytes live and which
+        // thread moves them, never the result bits.
         let num_edges = self.store.num_edges();
         let plan_cfg = self.config.options.plan_execution(
-            num_edges,
             self.partitions.num_partitions(),
             self.config.budget,
             num_vertices.saturating_mul(P::VertexData::SIZE as u64),
@@ -481,39 +480,22 @@ impl<P: VertexProgram> Engine<P> {
             // flush encodes into to find the blocks that changed.
             let mut slab_bytes: Vec<u8> = Vec::new();
             let mut block_bytes: Vec<u8> = Vec::new();
-            // The serial schedule's inline executor can say which vertices
-            // want an update, so its Sio stream can skip the quiet blocks.
-            let skip_blocks = plan_cfg.worker_shards == 1;
             let bytes_per_edge: u64 = if self.store.weights_path().is_some() { 8 } else { 4 };
             let mut gap_reader: Option<sio::GapReader> = None;
             let dynamic = self.config.options.dynamic_messages;
-            let max_shards = plan_cfg.worker_shards;
-            let pipeline_threads = plan_cfg.pipeline_threads;
+            let pipelined = plan_cfg.pipeline_threads > 1;
             let per_partition = self.partitions.per_partition();
 
-            // The Worker stage: a persistent pool when pipelined, the same
-            // sharded schedule run inline otherwise. Lives for the whole
-            // run — no per-batch or per-partition spawns.
+            // The Worker stage runs inline on this thread for the whole run.
             //
             // The batch pool persists across partitions *and* iterations,
             // pre-warmed to the pipeline's maximum in-flight batch count
-            // (producer hand + Sio queue + straddler slices in the engine's
-            // hand + every worker queue slot + every worker's hand): after
-            // the buffers grow to their working size in iteration 1, no
-            // take() ever mints a fresh batch again.
-            let queue_cap = self.config.options.queue_cap;
-            let sio_cap = queue_cap.unwrap_or(sio::DEFAULT_SIO_QUEUE_CAP).max(1);
-            let job_cap = queue_cap.unwrap_or(worker::DEFAULT_JOB_QUEUE_CAP).max(1);
-            let workers = worker::pool_workers(pipeline_threads, max_shards);
-            let pool_cap = 2 + sio_cap + max_shards + workers * (job_cap + 1);
-            let batch_pool = sio::BatchPool::prewarmed(pool_cap);
-            let mut executor: Executor<P> = Executor::new(
-                pipeline_threads,
-                max_shards,
-                queue_cap,
-                Arc::clone(&self.program),
-                Arc::clone(&batch_pool),
-            )?;
+            // (the Sio producer's hand + its queue + the Worker's hand + a
+            // gap read back): after the buffers grow to their working size
+            // in iteration 1, no take() ever mints a fresh batch again.
+            let batch_pool = sio::BatchPool::prewarmed(3 + sio::SIO_QUEUE_CAP);
+            let mut executor: Executor<P> =
+                Executor::new(Arc::clone(&self.program), Arc::clone(&batch_pool));
 
             // Double-buffered partition prefetcher; the plan enables it only
             // when enough partitions exist to hide a load behind compute.
@@ -540,9 +522,9 @@ impl<P: VertexProgram> Engine<P> {
             };
 
             // When the plan keeps the adjacency resident too, the first
-            // partition load reads it once and cuts it into one piece per
-            // shard; every later iteration feeds those same pieces.
-            let mut adjacency: Option<Vec<(usize, Arc<sio::AdjBatch>)>> = None;
+            // partition load reads it once into one batch; every later
+            // iteration feeds that same batch.
+            let mut adjacency: Option<sio::AdjBatch> = None;
 
             for step in 0..max_iterations {
                 let iter = self.next_iteration + step;
@@ -607,46 +589,30 @@ impl<P: VertexProgram> Engine<P> {
                             pf.request(next, na, nb, next_claim);
                         }
                     }
-                    let plan = worker::plan_shards(a, b, max_shards);
                     if plan_cfg.resident_adjacency && adjacency.is_none() {
                         let degrees = std::mem::take(&mut degrees);
-                        adjacency = Some(self.load_adjacency(start_edge, a, degrees, &plan)?);
+                        adjacency = Some(self.load_adjacency(start_edge, a, degrees)?);
                     }
                     iter_stages.load += t_load.elapsed();
                     let t_replay = Instant::now();
 
                     // Replay pending messages in send order: the claimed
                     // (prefetched) run is oldest, then whatever the
-                    // MsgManager still holds. Routing the stream by shard
-                    // preserves per-vertex order — each vertex lives in
-                    // exactly one shard — so the result is identical to a
-                    // sequential replay (paper §V-C: "To accelerate this
-                    // process, it is parallelized").
-                    let mut replay_groups: Vec<Vec<(VertexId, P::Message)>> =
-                        plan.iter().map(|_| Vec::new()).collect();
-                    let pre_count = pre_msgs.len() as u64;
-                    for (dst, msg) in pre_msgs {
-                        replay_groups[worker::shard_of(&plan, dst)].push((dst, msg));
-                    }
+                    // MsgManager still holds.
+                    let mut replay = pre_msgs;
+                    let pre_count = replay.len() as u64;
                     if let Some(c) = &claim {
                         // Commits the prefetched messages: retire their
                         // segments *before* draining the remainder.
                         self.msgs.consume_claimed(c, pre_count)?;
                     }
-                    self.msgs.drain(part, |dst, msg| {
-                        replay_groups[worker::shard_of(&plan, dst)].push((dst, msg));
-                    })?;
+                    self.msgs.drain(part, |dst, msg| replay.push((dst, msg)))?;
 
-                    // Hand each shard its slice of the slab and its replay
-                    // stream; workers replay concurrently.
-                    //
-                    // On the serial schedule a partition holding a quiet
-                    // vertex may have blocks to skip, and which ones is known
-                    // only after replay, so its stream opens then. Any
-                    // other stream opens now, and Sio reads ahead while the
-                    // replay applies.
-                    let track = skip_blocks
-                        && adjacency.is_none()
+                    // A partition holding a quiet vertex may have blocks to
+                    // skip, and which ones is known only after replay, so
+                    // its stream opens then. Any other stream opens now, and
+                    // Sio reads ahead while the replay applies.
+                    let track = adjacency.is_none()
                         && !slab.iter().all(|v| self.program.wants_update(v, iter));
                     let open = |degrees: Vec<u32>, active: Option<sio::ActiveSet>| {
                         sio::stream_partition_weighted(
@@ -657,9 +623,8 @@ impl<P: VertexProgram> Engine<P> {
                             degrees,
                             self.config.batch_edges,
                             Arc::clone(&self.stats),
-                            pipeline_threads > 1,
+                            pipelined,
                             Some(Arc::clone(&batch_pool)),
-                            queue_cap,
                             active,
                         )
                     };
@@ -667,56 +632,40 @@ impl<P: VertexProgram> Engine<P> {
                         None if !track => Some(open(std::mem::take(&mut degrees), None)?),
                         _ => None,
                     };
-                    let mut rest = slab;
-                    for ((shard, &(lo, hi)), replay) in
-                        plan.iter().enumerate().zip(replay_groups)
-                    {
-                        let tail = rest.split_off((hi - lo) as usize);
-                        let data = std::mem::replace(&mut rest, tail);
-                        executor.start(ShardStart {
-                            shard,
-                            first: lo,
-                            data,
-                            replay,
-                            iteration: iter,
-                            num_vertices,
-                            dynamic,
-                            per_partition,
-                        })?;
-                    }
+                    executor.start(ShardStart {
+                        first: a,
+                        data: slab,
+                        replay,
+                        iteration: iter,
+                        num_vertices,
+                        dynamic,
+                        per_partition,
+                    });
                     iter_stages.replay += t_replay.elapsed();
                     let t_compute = Instant::now();
 
-                    if let Some(pieces) = &adjacency {
-                        for (shard, piece) in pieces {
-                            executor.feed_resident(*shard, piece)?;
-                        }
+                    if let Some(whole) = &adjacency {
+                        executor.feed_resident(whole)?;
                     } else {
                         if track {
                             // The vertices that want an update after replay
                             // decide which blocks Sio reads.
-                            let mut set = sio::ActiveSet::new(count);
-                            let active = executor.mark_active(0, &mut set)?.then_some(set);
-                            if active.as_ref().is_some_and(sio::ActiveSet::is_empty) {
+                            let mut active = sio::ActiveSet::new(count);
+                            executor.mark_active(&mut active)?;
+                            if active.is_empty() {
                                 // No vertex updates, so none sends and none
                                 // can wake: the adjacency is skipped unread.
                                 let edges: u64 = degrees.iter().map(|&d| u64::from(d)).sum();
                                 activity.adjacency_bytes_skipped += edges * bytes_per_edge;
                             } else {
-                                stream = Some(open(std::mem::take(&mut degrees), active)?);
+                                stream = Some(open(std::mem::take(&mut degrees), Some(active))?);
                             }
                         }
-                        // Sio/Dispatcher stream feeding the Worker shards.
+                        // Sio/Dispatcher stream feeding the Worker.
                         if let Some(mut stream) = stream {
                             while let Some(block) = stream.next_block() {
                                 match block? {
-                                    sio::Block::Batch(batch) => {
-                                        for (shard, piece) in
-                                            worker::split_batch(batch, &plan, &batch_pool)
-                                        {
-                                            executor.feed(shard, piece)?;
-                                        }
-                                    }
+                                    sio::Block::Batch(batch) => executor.feed(batch)?,
                                     // The stream skipped this block when the
                                     // pass began; an in-pass dynamic message
                                     // may have woken a vertex in it since.
@@ -724,7 +673,7 @@ impl<P: VertexProgram> Engine<P> {
                                     // it, and read it back if so.
                                     sio::Block::Gap(gap) => {
                                         let (lo, hi) = gap.range();
-                                        if executor.wakes_in(0, lo, hi)? {
+                                        if executor.wakes_in(lo, hi)? {
                                             let reader = match &mut gap_reader {
                                                 Some(r) => r,
                                                 None => gap_reader.insert(sio::GapReader::open(
@@ -733,7 +682,7 @@ impl<P: VertexProgram> Engine<P> {
                                                     Arc::clone(&self.stats),
                                                 )?),
                                             };
-                                            executor.feed(0, reader.read(gap)?)?;
+                                            executor.feed(reader.read(gap)?)?;
                                             activity.gaps_reread += 1;
                                         } else {
                                             activity.adjacency_bytes_skipped +=
@@ -746,51 +695,25 @@ impl<P: VertexProgram> Engine<P> {
                         }
                     }
 
-                    // Partition barrier, streamed: each shard's slab slice
-                    // and coalesced message groups merge the moment shards
-                    // `0..=s` have all reported — the emission order is a
-                    // constant of the plan, so the merge is bit-identical to
-                    // a full collect-then-sort while overlapping the
-                    // still-running shards. Cross-partition groups append to
-                    // the MsgManager in bulk (one hop per group, not per
-                    // message). In-partition dynamic destinations may live
-                    // in shards that have not reported yet, so their applies
-                    // park until the slab is whole (paper Alg. 7).
-                    let mut slab: Vec<P::VertexData> = rest; // empty, keeps capacity
-                    let mut pending_local: Vec<(VertexId, P::Message)> = Vec::new();
-                    let mut rejected: u64 = 0;
-                    let msgs = &mut self.msgs;
-                    executor.finish_with(plan.len(), |result| {
-                        slab.extend(result.data);
-                        changed += result.changed;
-                        messages_sent += result.sent;
-                        dynamic_applied += result.dynamic_applied;
-                        rejected += result.rejected;
-                        for (p, mut group) in result.deferred {
-                            if dynamic && p == part {
-                                // audit:allow(dropped-result) — Vec::append returns ()
-                                pending_local.append(&mut group);
-                            } else {
-                                msgs.enqueue_bulk(p, group)?;
-                            }
-                        }
-                        Ok(())
-                    })?;
-                    if rejected > 0 {
+                    // Partition barrier: messages for other partitions (and,
+                    // without dynamic messages, for this one) append to the
+                    // MsgManager in bulk, one hop per destination partition.
+                    let result = executor.finish()?;
+                    let slab = result.data;
+                    changed += result.changed;
+                    messages_sent += result.sent;
+                    dynamic_applied += result.dynamic_applied;
+                    if result.rejected > 0 {
                         return Err(GraphError::Algorithm(format!(
-                            "iteration {iter}, partition {part}: {rejected} message(s) sent to a \
-                             vertex id >= num_vertices ({num_vertices})"
+                            "iteration {iter}, partition {part}: {} message(s) sent to a \
+                             vertex id >= num_vertices ({num_vertices})",
+                            result.rejected
                         )));
                     }
-                    debug_assert_eq!(slab.len(), count);
-                    for (dst, msg) in pending_local {
-                        self.program.apply_message(
-                            dst,
-                            &mut slab[(dst - a) as usize],
-                            &msg,
-                        );
-                        dynamic_applied += 1;
+                    for (p, group) in result.deferred {
+                        self.msgs.enqueue_bulk(p, group)?;
                     }
+                    debug_assert_eq!(slab.len(), count);
                     iter_stages.compute += t_compute.elapsed();
                     let t_flush = Instant::now();
 
@@ -876,15 +799,13 @@ impl<P: VertexProgram> Engine<P> {
 
     /// Read the adjacency of the partition starting at vertex `a` — its
     /// edges from `start_edge` on, their weights, and `degrees` — through the
-    /// Sio reader in one pass, and cut it into one resident piece per shard
-    /// of `plan`.
+    /// Sio reader in one pass, into one resident batch.
     fn load_adjacency(
         &self,
         start_edge: u64,
         a: VertexId,
         degrees: Vec<u32>,
-        plan: &[(VertexId, VertexId)],
-    ) -> Result<Vec<(usize, Arc<sio::AdjBatch>)>> {
+    ) -> Result<sio::AdjBatch> {
         let weights_path = self.store.weights_path();
         let num_edges: usize = degrees.iter().map(|&d| d as usize).sum();
         let mut whole = sio::AdjBatch {
@@ -894,8 +815,7 @@ impl<P: VertexProgram> Engine<P> {
             weights: Vec::with_capacity(if weights_path.is_some() { num_edges } else { 0 }),
         };
         // A private pool, freed when the load ends: it recycles the stream's
-        // blocks and takes back the whole batch when `split_batch` slices it
-        // into several shards' pieces.
+        // blocks.
         let pool = sio::BatchPool::new(1);
         let stream = sio::stream_partition_weighted(
             &self.store.edges_path(),
@@ -908,7 +828,6 @@ impl<P: VertexProgram> Engine<P> {
             false,
             Some(Arc::clone(&pool)),
             None,
-            None,
         )?;
         for batch in stream {
             let batch = batch?;
@@ -917,10 +836,7 @@ impl<P: VertexProgram> Engine<P> {
             whole.weights.extend_from_slice(&batch.weights);
             pool.put(batch);
         }
-        Ok(worker::split_batch(whole, plan, &pool)
-            .into_iter()
-            .map(|(shard, piece)| (shard, Arc::new(piece)))
-            .collect())
+        Ok(whole)
     }
 
     /// Checkpoint the engine's whole computation state — vertex values,
@@ -1416,7 +1332,7 @@ mod tests {
             let s = engine.run(iterations).unwrap();
             assert_eq!(s.iterations, iterations);
             assert!(s.plan.resident_adjacency, "a graph that fits keeps its adjacency");
-            assert_eq!(s.plan.pipeline_threads, 1, "one resident shard runs inline");
+            assert_eq!(s.plan.pipeline_threads, 1, "a resident adjacency runs inline");
             assert_eq!(s.pool, sio::PoolCounters::default(), "no batch-pool traffic");
             read.push(s.io.bytes_read);
         }
@@ -1504,7 +1420,7 @@ mod tests {
     #[test]
     fn parallel_message_replay_matches_sequential() {
         // Many partitions + many cross-partition messages force the replay
-        // path; compare 1 thread (sequential) against 8 (parallel groups).
+        // path; compare the inline Sio stage against the read-ahead thread.
         let edges: Vec<Edge> = (0..64u32)
             .flat_map(|i| (0..4u32).map(move |j| Edge::new(i, (i * 7 + j * 13) % 64)))
             .collect();
@@ -1525,11 +1441,11 @@ mod tests {
     }
 
     #[test]
-    fn parallel_shards_bit_identical_across_thread_counts() {
-        // 96 vertices / 48 per partition → 2 partitions of 3 shards each:
-        // exercises split_batch, cross-shard deferral, barrier merge, and
-        // prefetch. The shard plan depends on worker_shards only, so every
-        // thread count must produce byte-identical state and counters.
+    fn pipeline_threads_bit_identical_across_thread_counts() {
+        // 96 vertices / 48 per partition → 2 partitions: exercises
+        // cross-partition deferral and the barrier hand-off. The Worker runs
+        // inline whatever the thread count, so every count must produce
+        // byte-identical state and counters.
         let edges: Vec<Edge> = (0..96u32)
             .flat_map(|i| (0..4u32).map(move |j| Edge::new(i, (i * 7 + j * 13) % 96)))
             .collect();
@@ -1539,11 +1455,7 @@ mod tests {
             let (_d, mut engine) = dos_engine(
                 edges.clone(),
                 budget,
-                EngineOptions {
-                    worker_shards: 8,
-                    pipeline_threads: threads,
-                    ..EngineOptions::full()
-                },
+                EngineOptions { pipeline_threads: threads, ..EngineOptions::full() },
                 4,
             );
             let s = engine.run(10).unwrap();
@@ -1563,8 +1475,8 @@ mod tests {
     fn batch_pool_reuses_buffers_across_iterations() {
         // The engine prewarms the pool to the structural in-flight bound, so
         // every take() is a recycle: `fresh` stays zero for the whole run —
-        // not just after iteration 1 — at any thread count, and the pooled
-        // pipeline visibly recycles buffers each iteration.
+        // not just after iteration 1 — inline or with the read-ahead
+        // thread, and the pipeline visibly recycles buffers each iteration.
         let edges: Vec<Edge> = (0..96u32)
             .flat_map(|i| (0..4u32).map(move |j| Edge::new(i, (i * 7 + j * 13) % 96)))
             .collect();
@@ -1573,17 +1485,13 @@ mod tests {
             let (_d, mut engine) = dos_engine(
                 edges.clone(),
                 budget,
-                EngineOptions {
-                    worker_shards: 8,
-                    pipeline_threads: threads,
-                    ..EngineOptions::full()
-                },
+                EngineOptions { pipeline_threads: threads, ..EngineOptions::full() },
                 4,
             );
             let s = engine.run(10).unwrap();
             assert!(s.iterations >= 2, "need multiple iterations, got {}", s.iterations);
             assert_eq!(s.pool.fresh, 0, "threads={threads}: prewarmed pool must never miss");
-            assert!(s.pool.reused > 0, "threads={threads}: pooled pipeline must recycle");
+            assert!(s.pool.reused > 0, "threads={threads}: the pipeline must recycle");
             let mut prev = 0u64;
             for (i, it) in s.per_iteration.iter().enumerate() {
                 assert_eq!(it.pool.fresh, 0, "threads={threads} iteration {i}");

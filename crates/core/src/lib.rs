@@ -19,9 +19,9 @@
 //! * the **Dispatcher** parses them into per-vertex adjacency lists
 //!   (also [`sio`]; the two stages share the pipeline thread),
 //! * the **Worker** applies `update()` in ascending vertex order and
-//!   intercepts outgoing messages ([`worker`], driven by [`engine`]); with
-//!   `pipeline_threads > 1` the partition is sharded across a persistent
-//!   worker pool under a deterministic schedule,
+//!   intercepts outgoing messages ([`worker`], driven by [`engine`]); it
+//!   runs inline on the engine thread, while with `pipeline_threads > 1`
+//!   the Sio stage reads ahead on a thread of its own,
 //! * the **MsgManager** buffers cross-partition messages and replays them in
 //!   order when the destination partition loads ([`msgmanager`]).
 //!
@@ -30,7 +30,7 @@
 //!
 //! Passes are activity-aware ([`VertexProgram::wants_update`]): a partition
 //! with nothing pending and nothing to update is not loaded at all, the
-//! serial schedule's Sio seeks past adjacency blocks of quiet vertices, and
+//! Sio stream seeks past adjacency blocks of quiet vertices, and
 //! a flush writes back only the slab blocks that changed.
 
 #![forbid(unsafe_code)]
@@ -38,8 +38,6 @@
 pub mod engine;
 pub mod generations;
 pub mod graphchi_compat;
-#[cfg(feature = "model")]
-pub mod model_hooks;
 pub mod msgmanager;
 pub mod prefetch;
 pub mod program;

@@ -82,13 +82,12 @@ struct BackgroundWriter {
     submitted: u64,
 }
 
-/// Default depth of the Worker → MsgManager spill queue when no `queue_cap`
-/// override is set.
-pub const DEFAULT_SPILL_QUEUE_CAP: usize = 4;
+/// Depth of the Worker → MsgManager spill queue.
+pub const SPILL_QUEUE_CAP: usize = 4;
 
 impl BackgroundWriter {
-    fn spawn(stats: Arc<IoStats>, queue_cap: Option<usize>) -> Result<Self> {
-        let (tx, rx) = bounded::<SpillJob>(queue_cap.unwrap_or(DEFAULT_SPILL_QUEUE_CAP).max(1));
+    fn spawn(stats: Arc<IoStats>) -> Result<Self> {
+        let (tx, rx) = bounded::<SpillJob>(SPILL_QUEUE_CAP);
         let state = Arc::new(WriterState::default());
         let thread_state = Arc::clone(&state);
         let handle = std::thread::Builder::new()
@@ -206,11 +205,9 @@ impl<M: FixedCodec> MsgManager<M> {
 
     /// Spill through a dedicated background thread (the paper's MsgManager
     /// thread pool) instead of synchronously on the caller. On-disk contents
-    /// are identical; only who does the writing changes. `queue_cap`
-    /// overrides the spill queue depth (`None` keeps
-    /// [`DEFAULT_SPILL_QUEUE_CAP`]).
-    pub fn with_background_writer(mut self, queue_cap: Option<usize>) -> Result<Self> {
-        self.writer = Some(BackgroundWriter::spawn(Arc::clone(&self.stats), queue_cap)?);
+    /// are identical; only who does the writing changes.
+    pub fn with_background_writer(mut self) -> Result<Self> {
+        self.writer = Some(BackgroundWriter::spawn(Arc::clone(&self.stats))?);
         Ok(self)
     }
 
@@ -530,7 +527,7 @@ mod tests {
         let mut bg_m: MsgManager<u32> =
             MsgManager::new(dir_b.path().join("m"), 3, 64, IoStats::new())
                 .unwrap()
-                .with_background_writer(None)
+                .with_background_writer()
                 .unwrap();
         send(&mut bg_m);
         for p in 0..3 {
@@ -557,7 +554,7 @@ mod tests {
         let mut m: MsgManager<u64> =
             MsgManager::new(dir.path().join("m"), 2, 32, IoStats::new())
                 .unwrap()
-                .with_background_writer(None)
+                .with_background_writer()
                 .unwrap();
         for i in 0..1000u32 {
             m.enqueue(i % 2, i, i as u64).unwrap();

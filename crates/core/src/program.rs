@@ -54,8 +54,8 @@ pub trait VertexProgram: Send + Sync + 'static {
     /// stays `false` for every later iteration until a message is applied to
     /// the vertex. The engine relies on it to move fewer bytes: a partition
     /// with no pending messages and no vertex that wants an update is not
-    /// loaded, streamed or flushed, and on the serial schedule the Sio
-    /// stream seeks past every adjacency block whose vertices are all quiet.
+    /// loaded, streamed or flushed, and the Sio stream seeks past every
+    /// adjacency block whose vertices are all quiet.
     /// Results stay bit-identical to calling `update()` everywhere only if
     /// the promise holds; a program that lies loses updates.
     fn wants_update(&self, _data: &Self::VertexData, _iteration: u32) -> bool {

@@ -304,18 +304,15 @@ pub fn stream_partition(
 ) -> Result<AdjacencyStream> {
     stream_partition_weighted(
         edges_path, None, start_edge, first_vertex, degrees, batch_edges, stats, pipelined, None,
-        None, None,
+        None,
     )
 }
 
-/// Default depth of the pipelined Sio → Worker batch channel when no
-/// `queue_cap` override is given.
-pub const DEFAULT_SIO_QUEUE_CAP: usize = 2;
+/// Depth of the pipelined Sio → Worker batch channel.
+pub const SIO_QUEUE_CAP: usize = 2;
 
 /// [`stream_partition`] with an optional parallel per-edge weight file, an
-/// optional [`BatchPool`] the consumer returns finished batches to, an
-/// optional override for the pipelined channel's depth (`queue_cap`; results
-/// are bit-identical for any depth ≥ 1 — it is pure scheduling), and an
+/// optional [`BatchPool`] the consumer returns finished batches to, and an
 /// optional `active` set over the partition's vertices: given one, the
 /// stream seeks past every block holding no marked vertex and yields it as
 /// a [`Block::Gap`] — read such a stream with
@@ -331,7 +328,6 @@ pub fn stream_partition_weighted(
     stats: Arc<IoStats>,
     pipelined: bool,
     pool: Option<Arc<BatchPool>>,
-    queue_cap: Option<usize>,
     active: Option<ActiveSet>,
 ) -> Result<AdjacencyStream> {
     let inner = InlineStream::open(
@@ -346,7 +342,7 @@ pub fn stream_partition_weighted(
         active,
     )?;
     if pipelined {
-        let (tx, rx) = bounded::<Result<Block>>(queue_cap.unwrap_or(DEFAULT_SIO_QUEUE_CAP).max(1));
+        let (tx, rx) = bounded::<Result<Block>>(SIO_QUEUE_CAP);
         let handle = std::thread::Builder::new()
             .name("graphz-sio".into())
             .spawn(move || {
@@ -675,7 +671,6 @@ mod tests {
             false,
             Some(Arc::clone(&pool)),
             None,
-            None,
         )
         .unwrap();
         let mut seen = Vec::new();
@@ -755,7 +750,6 @@ mod tests {
                 stats,
                 pipelined,
                 None,
-                None,
                 active,
             )
             .unwrap()
@@ -803,7 +797,6 @@ mod tests {
             1000,
             stats,
             false,
-            None,
             None,
             Some(ActiveSet::new(4)),
         )

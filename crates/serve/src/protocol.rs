@@ -24,7 +24,10 @@
 //! `...` marking truncation. Every error is a single `ERR` line — a
 //! malformed or out-of-range request can never kill the connection, and an
 //! out-of-range id is the *typed* [`GraphError::UnknownVertex`] mapped to
-//! `ERR unknown-vertex <id>`, never a formatted internal error.
+//! `ERR unknown-vertex <id>`, never a formatted internal error. The one
+//! request that does close the connection is a line longer than
+//! [`MAX_REQUEST_LINE`]: it gets `ERR bad-request`, then the server hangs up
+//! rather than buffer the rest.
 
 use std::fmt::Write as _;
 
@@ -38,6 +41,13 @@ pub const MAX_K: u32 = 8;
 
 /// Cap on ids rendered in one list response.
 pub const MAX_LIST: usize = 4096;
+
+/// Longest request line the server reads, in bytes, line ending excluded.
+/// The longest valid request (`original` or `khop` with a ten-digit id) is
+/// under 32 bytes; a longer line is answered with `ERR bad-request` and the
+/// connection is closed, so a client that never sends a newline cannot grow
+/// a reader thread's buffer without bound.
+pub const MAX_REQUEST_LINE: usize = 4096;
 
 /// A parsed request line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -15,7 +15,7 @@
 //! [`max_conns`](ServeOptionsBuilder::max_conns) bound lets scripted
 //! sessions (CI, benches) end the server by exhausting it.
 
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -26,7 +26,7 @@ use graphz_io::IoStats;
 use graphz_types::error::IoCtx;
 use graphz_types::{GraphError, Result};
 
-use crate::protocol::Session;
+use crate::protocol::{Session, MAX_REQUEST_LINE};
 use crate::view::GraphView;
 
 /// Configuration for [`Server::start`]. Construct via
@@ -252,13 +252,17 @@ fn handle_conn(session: &mut Session, stream: TcpStream) -> std::io::Result<()> 
     stream.set_nodelay(true)?;
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = BufWriter::new(stream);
-    let mut line = String::new();
+    let mut buf = Vec::new();
     loop {
-        line.clear();
-        if reader.read_line(&mut line)? == 0 {
-            return Ok(()); // EOF
-        }
-        let keep = session.handle(line.trim_end_matches(['\r', '\n']));
+        let keep = match read_request(&mut reader, &mut buf)? {
+            Line::Eof => return Ok(()),
+            Line::Request(line) => session.handle(line),
+            Line::TooLong => {
+                writeln!(writer, "ERR bad-request request line exceeds {MAX_REQUEST_LINE} bytes")?;
+                writer.flush()?;
+                return Ok(());
+            }
+        };
         writer.write_all(session.response().as_bytes())?;
         writer.write_all(b"\n")?;
         writer.flush()?;
@@ -266,6 +270,38 @@ fn handle_conn(session: &mut Session, stream: TcpStream) -> std::io::Result<()> 
             return Ok(());
         }
     }
+}
+
+/// What [`read_request`] found.
+#[derive(Debug, PartialEq, Eq)]
+enum Line<'a> {
+    Eof,
+    /// One request, without its line ending.
+    Request(&'a str),
+    /// The line is longer than [`MAX_REQUEST_LINE`]; the rest of it is
+    /// left unread.
+    TooLong,
+}
+
+/// Read one request line through `buf`, reading at most a line ending's
+/// worth past [`MAX_REQUEST_LINE`] bytes, so `buf` stays bounded however
+/// long the client's line is. The length is judged before the bytes are
+/// decoded, so an over-long line is `TooLong` even if the bound splits a
+/// UTF-8 character; a short line that is not UTF-8 is an `InvalidData`
+/// error, as it always was.
+fn read_request<'a>(reader: &mut impl BufRead, buf: &'a mut Vec<u8>) -> std::io::Result<Line<'a>> {
+    buf.clear();
+    let limit = MAX_REQUEST_LINE as u64 + 2; // room for "\r\n"
+    if reader.by_ref().take(limit).read_until(b'\n', buf)? == 0 {
+        return Ok(Line::Eof);
+    }
+    let end = buf.iter().rposition(|&b| b != b'\r' && b != b'\n').map_or(0, |i| i + 1);
+    if end > MAX_REQUEST_LINE {
+        return Ok(Line::TooLong);
+    }
+    std::str::from_utf8(&buf[..end])
+        .map(Line::Request)
+        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
 }
 
 #[cfg(test)]
@@ -346,5 +382,54 @@ mod tests {
             assert_eq!(ask(&mut conn, "quit"), "OK bye");
         }
         assert_eq!(server.wait().unwrap(), 2);
+    }
+
+    #[test]
+    fn a_line_without_end_is_cut_off_at_the_bound() {
+        // `repeat` never sends a newline: an unbounded read would never
+        // return.
+        let mut endless = BufReader::new(std::io::repeat(b'a'));
+        let mut buf = Vec::new();
+        assert_eq!(read_request(&mut endless, &mut buf).unwrap(), Line::TooLong);
+        assert_eq!(buf.len(), MAX_REQUEST_LINE + 2);
+        // The bound may split a multi-byte character: still too long.
+        let wide = format!("a{}", "é".repeat(MAX_REQUEST_LINE));
+        let mut r = BufReader::new(wide.as_bytes());
+        assert_eq!(read_request(&mut r, &mut buf).unwrap(), Line::TooLong);
+        // The longest accepted line, with either line ending, is a request.
+        let longest = "a".repeat(MAX_REQUEST_LINE);
+        for end in ["\n", "\r\n", ""] {
+            let raw = format!("{longest}{end}");
+            let mut r = BufReader::new(raw.as_bytes());
+            let got = read_request(&mut r, &mut buf).unwrap();
+            assert_eq!(got, Line::Request(longest.as_str()), "{end:?}");
+            assert_eq!(read_request(&mut r, &mut buf).unwrap(), Line::Eof, "{end:?}");
+        }
+    }
+
+    #[test]
+    fn oversized_line_gets_an_error_and_others_still_answer() {
+        let dir = ScratchDir::new("serve-oversized").unwrap();
+        let dos = make_dos(&dir);
+        let options = ServeOptions::builder(&dos).threads(2).build().unwrap();
+        let server = Server::start(options).unwrap();
+        let addr = server.addr();
+        // Over the bound by the most the server reads, and no newline: the
+        // server must answer without waiting for the end of the line, then
+        // hang up (a timeout turns a server that waits into a failure).
+        let mut hostile = TcpStream::connect(addr).unwrap();
+        hostile.set_read_timeout(Some(std::time::Duration::from_secs(10))).unwrap();
+        hostile.write_all(&vec![b'a'; MAX_REQUEST_LINE + 2]).unwrap();
+        let mut reply = String::new();
+        BufReader::new(hostile.try_clone().unwrap()).read_to_string(&mut reply).unwrap();
+        assert_eq!(
+            reply,
+            format!("ERR bad-request request line exceeds {MAX_REQUEST_LINE} bytes\n")
+        );
+        let mut other = TcpStream::connect(addr).unwrap();
+        assert_eq!(ask(&mut other, "degree 0"), "OK 1");
+        assert_eq!(ask(&mut other, "quit"), "OK bye");
+        drop((hostile, other));
+        server.shutdown().unwrap();
     }
 }

@@ -81,9 +81,12 @@ pub struct EngineOptions {
     /// start of the destination partition's next load, emulating a
     /// static-message system ("GraphZ w/o DOS and DM" in Fig. 7).
     pub dynamic_messages: bool,
-    /// Number of pipeline worker threads for the Sio → Dispatcher → Worker
-    /// stages. `1` runs the deterministic single-threaded scheduler (results
-    /// are identical either way; the guarantee is tested).
+    /// Threads for the Sio → Dispatcher → Worker pipeline. `1` reads the
+    /// adjacency inline on the engine thread; any value `≥ 2` runs the Sio
+    /// read-ahead thread, which overlaps disk reads with the Worker's
+    /// compute. The Worker itself always runs inline, one vertex at a time
+    /// in ascending order — the paper's sequential-equivalent schedule — so
+    /// results are bit-identical for every value (the guarantee is tested).
     pub pipeline_threads: usize,
     /// Keep the vertex array resident across iterations when the whole graph
     /// fits in one partition, skipping the per-iteration spill/reload — the
@@ -105,31 +108,6 @@ pub struct EngineOptions {
     /// computes (GridGraph-style double buffering). Pure scheduling: results
     /// are bit-identical with prefetch on or off.
     pub prefetch: bool,
-    /// Maximum number of logical Worker shards per partition. The shard plan
-    /// is a function of the partition's vertex range and this value only —
-    /// never of `pipeline_threads` — which is what makes results bit-identical
-    /// across thread counts: threads merely execute a fixed logical schedule.
-    ///
-    /// `1` (the default) keeps the paper's sequential-equivalent semantics:
-    /// the whole partition is one shard, so every in-partition dynamic
-    /// message applies mid-sweep and traversal cascades span the partition.
-    /// Values `> 1` trade some of that same-iteration cascade reach (cross-
-    /// shard messages defer to the partition barrier) for parallel updates.
-    pub worker_shards: usize,
-    /// Force every bounded pipeline queue (Sio batches, Worker jobs and
-    /// results, background spill jobs, batch-pool recycler) to this
-    /// capacity. `None` keeps each stage's tuned default. Results are
-    /// bit-identical for any capacity ≥ 1 — queue depth is pure scheduling —
-    /// which the capacity-1 regression suite and the model checker both
-    /// enforce.
-    pub queue_cap: Option<usize>,
-    /// Let the engine degrade `worker_shards` (and with it the pooled
-    /// executor) to the serial path when the graph is too small for the
-    /// coordination to pay — see [`plan_execution`](Self::plan_execution).
-    /// The decision is a pure function of graph shape and these options, so
-    /// determinism across thread counts is untouched; it does change *which*
-    /// fixed schedule runs, which is why it is opt-in rather than default.
-    pub adaptive: bool,
 }
 
 impl Default for EngineOptions {
@@ -141,9 +119,6 @@ impl Default for EngineOptions {
             in_memory_fast_path: true,
             background_spill: false,
             prefetch: true,
-            worker_shards: 1,
-            queue_cap: None,
-            adaptive: false,
         }
     }
 }
@@ -151,22 +126,15 @@ impl Default for EngineOptions {
 /// The execution plan the engine actually runs: [`EngineOptions`] resolved
 /// against the shape of the graph by
 /// [`EngineOptions::plan_execution`]. Every field is a pure function of the
-/// options, the graph's shape (edges, partitions, slab and adjacency bytes)
-/// and the memory budget — never of detected cores, load, or timing — so two
-/// runs over the same graph with the same options and budget always execute
-/// the same logical schedule. `worker_shards` is the only field that selects
-/// a schedule; the rest change where bytes live and which thread moves them,
+/// options, the partition count, the slab and adjacency bytes and the memory
+/// budget — never of detected cores, load, or timing. No field selects a
+/// schedule: each changes only where bytes live and which thread moves them,
 /// never the result bits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecutionPlan {
-    /// Effective logical Worker shards per partition. Differs from
-    /// `options.worker_shards` only when `adaptive` degraded a too-small
-    /// graph to the serial single-shard schedule.
-    pub worker_shards: usize,
-    /// Effective pipeline thread count. Pure scheduling: any value yields
-    /// bit-identical results for a fixed `worker_shards`. `1` whenever the
-    /// adjacency is resident and the plan has one shard: no IO is left to
-    /// overlap, so the Worker runs inline.
+    /// Effective pipeline thread count (see
+    /// [`EngineOptions::pipeline_threads`]). `1` whenever the adjacency is
+    /// resident: no IO is left to overlap, so the Sio stage runs inline.
     pub pipeline_threads: usize,
     /// Whether the partition prefetcher runs. Pure scheduling; disabled when
     /// the partition count cannot hide a load.
@@ -198,76 +166,46 @@ impl ExecutionPlan {
 }
 
 impl EngineOptions {
-    /// Adaptive-plan threshold: with fewer edges per shard than this, the
-    /// per-shard work is smaller than the hand-off + barrier coordination it
-    /// buys (tuned against `BENCH_grid.json`'s crossover — batches of this
-    /// size stream in microseconds), so the plan degrades to the serial
-    /// schedule.
-    pub const MIN_EDGES_PER_SHARD: u64 = 1024;
-
     /// Prefetch pays only when a *third* partition exists: with ≤2 the
-    /// "next" partition is the one the barrier is about to need anyway, and
-    /// the measured effect is pure overhead (`BENCH_throughput.json`).
+    /// "next" partition is the one the barrier is about to need anyway, so
+    /// the background load overlaps no compute and only adds a thread
+    /// hand-off.
     pub const MIN_PREFETCH_PARTITIONS: u32 = 3;
 
     /// Resolve these options against the graph's shape. The inputs are
-    /// deliberately limited to the graph shape (`num_edges`, the partition
-    /// count the memory budget produced), the budget with the bytes that
-    /// would live in it — `slab_bytes` of vertex state, `adjacency_bytes` of
-    /// edges, weights and degrees — and the options themselves — **never**
-    /// thread availability or timing — so the returned plan, and therefore
-    /// the result bits, are identical on every machine and for every
-    /// `pipeline_threads` value.
+    /// deliberately limited to the partition count the memory budget
+    /// produced, the budget with the bytes that would live in it —
+    /// `slab_bytes` of vertex state, `adjacency_bytes` of edges, weights and
+    /// degrees — and the options themselves — **never** thread availability
+    /// or timing — so the returned plan is identical on every machine.
     pub fn plan_execution(
         &self,
-        num_edges: u64,
         num_partitions: u32,
         budget: MemoryBudget,
         slab_bytes: u64,
         adjacency_bytes: u64,
     ) -> ExecutionPlan {
-        let mut worker_shards = self.worker_shards.max(1);
-        let mut pipeline_threads = self.pipeline_threads.max(1);
-        if self.adaptive
-            && worker_shards > 1
-            && num_edges / (worker_shards as u64) < Self::MIN_EDGES_PER_SHARD
-        {
-            // Too little work per shard for the hand-off to pay: run the
-            // serial schedule (single shard, inline executor).
-            worker_shards = 1;
-            pipeline_threads = 1;
-        }
         let prefetch = self.prefetch && num_partitions >= Self::MIN_PREFETCH_PARTITIONS;
         let resident = self.in_memory_fast_path && num_partitions == 1;
         let resident_adjacency = resident
             && budget.bytes().checked_sub(slab_bytes).is_some_and(|left| adjacency_bytes <= left);
-        if resident_adjacency && worker_shards == 1 {
-            pipeline_threads = 1;
-        }
-        ExecutionPlan { worker_shards, pipeline_threads, prefetch, resident, resident_adjacency }
+        let pipeline_threads = if resident_adjacency { 1 } else { self.pipeline_threads.max(1) };
+        ExecutionPlan { pipeline_threads, prefetch, resident, resident_adjacency }
     }
-}
-
-impl EngineOptions {
-    /// Shard count used by [`with_parallel_workers`](Self::with_parallel_workers):
-    /// fixed, so every thread count executes the same logical schedule.
-    pub const PARALLEL_WORKER_SHARDS: usize = 8;
 
     /// The full-featured configuration (the "GraphZ" bars in the paper).
     pub fn full() -> Self {
         Self::default()
     }
 
-    /// Parallel Worker configuration: `threads` pipeline threads executing a
-    /// fixed [`PARALLEL_WORKER_SHARDS`](Self::PARALLEL_WORKER_SHARDS)-shard
-    /// schedule per partition. Results are bit-identical for any `threads`
-    /// value because the schedule never depends on it.
-    pub fn with_parallel_workers(threads: usize) -> Self {
-        EngineOptions {
-            pipeline_threads: threads.max(1),
-            worker_shards: Self::PARALLEL_WORKER_SHARDS,
-            ..Self::default()
-        }
+    /// Compatibility name for the benchmark's engine adapter
+    /// (`benchmark/src/layers.rs`), which still calls it when handed
+    /// `--threads N` with `N > 1` — a flag `graphz run` no longer accepts,
+    /// so the call never runs. Returns [`full`](Self::full); goes away with
+    /// that adapter.
+    #[doc(hidden)]
+    pub fn with_parallel_workers(_threads: usize) -> Self {
+        Self::full()
     }
 
     /// Fig. 7's "GraphZ w/o DOS" configuration.
@@ -278,13 +216,6 @@ impl EngineOptions {
     /// Fig. 7's "GraphZ w/o DOS and DM" configuration.
     pub fn without_dos_and_dm() -> Self {
         EngineOptions { use_dos: false, dynamic_messages: false, ..Self::default() }
-    }
-
-    /// Force every bounded pipeline queue to `cap` (≥ 1). Used by the
-    /// capacity-1 regression suite to prove queue depth never affects
-    /// results.
-    pub fn with_queue_cap(self, cap: usize) -> Self {
-        EngineOptions { queue_cap: Some(cap.max(1)), ..self }
     }
 
     /// Builder-style construction following the workspace API convention
@@ -299,9 +230,9 @@ impl EngineOptions {
 /// Builder for [`EngineOptions`].
 ///
 /// Produced by [`EngineOptions::builder`]. Every setter is chainable;
-/// [`build`](Self::build) validates the configuration (thread, shard, and
-/// queue-capacity counts must be ≥ 1) and returns a typed error rather than
-/// clamping, so misconfigurations are visible at the call site.
+/// [`build`](Self::build) validates the configuration (the thread count
+/// must be ≥ 1) and returns a typed error rather than clamping, so
+/// misconfigurations are visible at the call site.
 #[derive(Debug, Clone)]
 pub struct EngineOptionsBuilder {
     opts: EngineOptions,
@@ -326,13 +257,6 @@ impl EngineOptionsBuilder {
         self
     }
 
-    /// Logical Worker shards per partition (the fixed schedule knob; see
-    /// [`EngineOptions::worker_shards`]).
-    pub fn worker_shards(mut self, shards: usize) -> Self {
-        self.opts.worker_shards = shards;
-        self
-    }
-
     /// Toggle background partition prefetch.
     pub fn prefetch(mut self, on: bool) -> Self {
         self.opts.prefetch = on;
@@ -352,30 +276,11 @@ impl EngineOptionsBuilder {
         self
     }
 
-    /// Force every bounded pipeline queue to `cap`.
-    pub fn queue_cap(mut self, cap: usize) -> Self {
-        self.opts.queue_cap = Some(cap);
-        self
-    }
-
-    /// Toggle the adaptive execution plan (serial degrade for small graphs;
-    /// see [`EngineOptions::plan_execution`]).
-    pub fn adaptive(mut self, on: bool) -> Self {
-        self.opts.adaptive = on;
-        self
-    }
-
     /// Validate and produce the options.
     pub fn build(self) -> crate::error::Result<EngineOptions> {
         use crate::error::GraphError;
         if self.opts.pipeline_threads == 0 {
             return Err(GraphError::InvalidConfig("pipeline_threads must be >= 1".into()));
-        }
-        if self.opts.worker_shards == 0 {
-            return Err(GraphError::InvalidConfig("worker_shards must be >= 1".into()));
-        }
-        if self.opts.queue_cap == Some(0) {
-            return Err(GraphError::InvalidConfig("queue_cap must be >= 1".into()));
         }
         Ok(self.opts)
     }
@@ -385,10 +290,10 @@ impl EngineOptionsBuilder {
 mod tests {
     use super::*;
 
-    /// Plan with a budget no adjacency fits in, so only the options, edge
-    /// count and partition count decide.
-    fn streamed(o: &EngineOptions, num_edges: u64, num_partitions: u32) -> ExecutionPlan {
-        o.plan_execution(num_edges, num_partitions, MemoryBudget(0), 0, 1)
+    /// Plan with a budget no adjacency fits in, so only the options and the
+    /// partition count decide.
+    fn streamed(o: &EngineOptions, num_partitions: u32) -> ExecutionPlan {
+        o.plan_execution(num_partitions, MemoryBudget(0), 0, 1)
     }
 
     #[test]
@@ -420,52 +325,15 @@ mod tests {
     fn options_builder_matches_presets() {
         let b = EngineOptions::builder().build().unwrap();
         assert_eq!(b, EngineOptions::default());
-        let par = EngineOptions::builder()
-            .threads(4)
-            .worker_shards(EngineOptions::PARALLEL_WORKER_SHARDS)
-            .build()
-            .unwrap();
-        assert_eq!(par, EngineOptions::with_parallel_workers(4));
+        let threads = EngineOptions::builder().threads(4).build().unwrap();
+        assert_eq!(threads, EngineOptions { pipeline_threads: 4, ..EngineOptions::full() });
         let ab = EngineOptions::builder().use_dos(false).dynamic_messages(false).build().unwrap();
         assert_eq!(ab, EngineOptions::without_dos_and_dm());
-        let capped = EngineOptions::builder().queue_cap(3).build().unwrap();
-        assert_eq!(capped.queue_cap, Some(3));
     }
 
     #[test]
     fn options_builder_rejects_zeroes() {
         assert!(EngineOptions::builder().threads(0).build().is_err());
-        assert!(EngineOptions::builder().worker_shards(0).build().is_err());
-        assert!(EngineOptions::builder().queue_cap(0).build().is_err());
-    }
-
-    #[test]
-    fn adaptive_plan_is_pure_and_degrades_small_graphs() {
-        let opts = EngineOptions::builder()
-            .threads(8)
-            .worker_shards(8)
-            .adaptive(true)
-            .build()
-            .unwrap();
-        // Plenty of work per shard: the parallel schedule stands.
-        let big = streamed(&opts, 8 * EngineOptions::MIN_EDGES_PER_SHARD, 4);
-        assert_eq!(big.worker_shards, 8);
-        assert_eq!(big.pipeline_threads, 8);
-        // One edge short of the threshold per shard: serial degrade.
-        let small = streamed(&opts, 8 * EngineOptions::MIN_EDGES_PER_SHARD - 1, 4);
-        assert_eq!(small.worker_shards, 1);
-        assert_eq!(small.pipeline_threads, 1);
-        // The shard decision never depends on pipeline_threads: every thread
-        // count resolves to the same worker_shards.
-        for threads in [1, 2, 8, 64] {
-            let o = EngineOptions { pipeline_threads: threads, ..opts };
-            assert_eq!(streamed(&o, 100, 4).worker_shards, 1);
-            assert_eq!(streamed(&o, 1 << 20, 4).worker_shards, 8);
-        }
-        // Without adaptive, the requested schedule always stands.
-        let fixed = EngineOptions { adaptive: false, ..opts };
-        assert_eq!(streamed(&fixed, 1, 4).worker_shards, 8);
-        assert_eq!(streamed(&fixed, 1, 4).pipeline_threads, 8);
     }
 
     #[test]
@@ -473,40 +341,33 @@ mod tests {
         let opts = EngineOptions::full();
         assert!(opts.prefetch, "full options request prefetch");
         // ≤2 partitions cannot hide a load behind compute: auto-disabled.
-        assert!(!streamed(&opts, 1 << 20, 1).prefetch);
-        assert!(!streamed(&opts, 1 << 20, 2).prefetch);
-        assert!(streamed(&opts, 1 << 20, 3).prefetch);
-        assert!(streamed(&opts, 1 << 20, 64).prefetch);
+        assert!(!streamed(&opts, 1).prefetch);
+        assert!(!streamed(&opts, 2).prefetch);
+        assert!(streamed(&opts, 3).prefetch);
+        assert!(streamed(&opts, 64).prefetch);
         // An explicit prefetch=false is never overridden back on.
         let off = EngineOptions { prefetch: false, ..opts };
-        assert!(!streamed(&off, 1 << 20, 64).prefetch);
+        assert!(!streamed(&off, 64).prefetch);
     }
 
     #[test]
     fn resident_plan_requires_one_partition() {
         let opts = EngineOptions::full();
         assert!(opts.in_memory_fast_path, "the fast path is the default");
-        assert!(streamed(&opts, 1 << 20, 1).resident);
+        assert!(streamed(&opts, 1).resident);
         // Off whenever the graph does not fit one partition, at any shape.
         for partitions in [2, 3, 8, 64] {
-            assert!(!streamed(&opts, 1 << 20, partitions).resident, "{partitions}");
+            assert!(!streamed(&opts, partitions).resident, "{partitions}");
         }
         // The ablation control is never overridden back on.
         let off = EngineOptions { in_memory_fast_path: false, ..opts };
-        assert!(!streamed(&off, 1 << 20, 1).resident);
-        // Pure: independent of edge count, threads, shards and prefetch.
-        for (edges, threads, shards, prefetch) in
-            [(0, 1, 1, true), (1, 8, 8, false), (u64::MAX, 2, 8, true)]
-        {
-            let o = EngineOptions {
-                pipeline_threads: threads,
-                worker_shards: shards,
-                prefetch,
-                ..opts
-            };
-            assert!(streamed(&o, edges, 1).resident);
-            assert!(!streamed(&o, edges, 2).resident);
-            assert_eq!(streamed(&o, edges, 1), streamed(&o, edges, 1));
+        assert!(!streamed(&off, 1).resident);
+        // Pure: independent of threads and prefetch.
+        for (threads, prefetch) in [(1, true), (8, false), (2, true)] {
+            let o = EngineOptions { pipeline_threads: threads, prefetch, ..opts };
+            assert!(streamed(&o, 1).resident);
+            assert!(!streamed(&o, 2).resident);
+            assert_eq!(streamed(&o, 1), streamed(&o, 1));
         }
     }
 
@@ -517,43 +378,38 @@ mod tests {
         let slab = 4 << 20;
         let left = budget.bytes() - slab;
         // Fits exactly: the whole budget is slab + adjacency.
-        let exact = opts.plan_execution(1 << 20, 1, budget, slab, left);
+        let exact = opts.plan_execution(1, budget, slab, left);
         assert!(exact.resident && exact.resident_adjacency);
         assert_eq!(exact.residency(), "slab+adjacency");
         // One byte over: the slab stays, the adjacency streams.
-        let over = opts.plan_execution(1 << 20, 1, budget, slab, left + 1);
+        let over = opts.plan_execution(1, budget, slab, left + 1);
         assert!(over.resident && !over.resident_adjacency);
         assert_eq!(over.residency(), "slab");
         // A slab larger than the budget leaves no room at all.
-        assert!(!opts.plan_execution(1, 1, MemoryBudget(8), 9, 0).resident_adjacency);
+        assert!(!opts.plan_execution(1, MemoryBudget(8), 9, 0).resident_adjacency);
         // More than one partition never keeps anything resident.
         for partitions in [2, 3, 8] {
-            let p = opts.plan_execution(1 << 20, partitions, budget, slab, 1);
+            let p = opts.plan_execution(partitions, budget, slab, 1);
             assert!(!p.resident_adjacency, "{partitions}");
             assert_eq!(p.residency(), "none");
         }
         // The ablation control is never overridden back on.
         let off = EngineOptions { in_memory_fast_path: false, ..opts };
-        assert!(!off.plan_execution(1 << 20, 1, budget, slab, 1).resident_adjacency);
+        assert!(!off.plan_execution(1, budget, slab, 1).resident_adjacency);
     }
 
     #[test]
     fn resident_adjacency_runs_one_shard_inline() {
         let budget = MemoryBudget::from_mib(64);
-        // The default asks for 2 threads and 1 shard: resident adjacency
-        // leaves no IO to overlap, so the plan runs inline.
+        // The default asks for 2 threads: resident adjacency leaves no IO to
+        // overlap, so the plan runs inline.
         let opts = EngineOptions::full();
         assert_eq!(opts.pipeline_threads, 2);
-        assert_eq!(opts.plan_execution(1 << 20, 1, budget, 0, 1).pipeline_threads, 1);
+        assert_eq!(opts.plan_execution(1, budget, 0, 1).pipeline_threads, 1);
         // Streamed adjacency (one byte over, or many partitions) keeps them.
-        let over = opts.plan_execution(1 << 20, 1, budget, 0, budget.bytes() + 1);
+        let over = opts.plan_execution(1, budget, 0, budget.bytes() + 1);
         assert_eq!(over.pipeline_threads, 2);
-        assert_eq!(opts.plan_execution(1 << 20, 8, budget, 0, 1).pipeline_threads, 2);
-        // Several shards keep their threads even with the adjacency resident.
-        let par = EngineOptions::with_parallel_workers(4);
-        let p = par.plan_execution(1 << 20, 1, budget, 0, 1);
-        assert!(p.resident_adjacency);
-        assert_eq!((p.worker_shards, p.pipeline_threads), (8, 4));
+        assert_eq!(opts.plan_execution(8, budget, 0, 1).pipeline_threads, 2);
     }
 
     #[test]
@@ -579,17 +435,8 @@ mod tests {
         let ab = EngineOptions::without_dos_and_dm();
         assert!(!ab.use_dos && !ab.dynamic_messages);
         assert!(EngineOptions::full().in_memory_fast_path);
-        assert!(EngineOptions::with_parallel_workers(4).in_memory_fast_path);
         let control = EngineOptions::builder().in_memory_fast_path(false).build().unwrap();
         assert_eq!(control, EngineOptions { in_memory_fast_path: false, ..EngineOptions::full() });
         assert!(EngineOptions::full().prefetch);
-        assert!(EngineOptions::full().worker_shards >= 1);
-        let par = EngineOptions::with_parallel_workers(4);
-        assert_eq!(par.pipeline_threads, 4);
-        assert_eq!(par.worker_shards, EngineOptions::PARALLEL_WORKER_SHARDS);
-        assert_eq!(EngineOptions::with_parallel_workers(0).pipeline_threads, 1);
-        assert_eq!(EngineOptions::full().queue_cap, None);
-        assert_eq!(EngineOptions::full().with_queue_cap(0).queue_cap, Some(1));
-        assert_eq!(EngineOptions::with_parallel_workers(4).with_queue_cap(1).queue_cap, Some(1));
     }
 }

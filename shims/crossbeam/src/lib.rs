@@ -9,24 +9,15 @@
 
 #![forbid(unsafe_code)]
 
-#[cfg(feature = "model")]
-pub mod model;
-
 pub mod channel {
     use std::sync::mpsc;
     use std::sync::{Arc, Mutex};
 
     pub use std::sync::mpsc::{RecvError, SendError, TryRecvError, TrySendError};
 
-    /// Sending half of a bounded channel. Cloneable, like crossbeam's.
+    /// Sending half of a bounded channel.
     pub struct Sender<T> {
         inner: mpsc::SyncSender<T>,
-    }
-
-    impl<T> Clone for Sender<T> {
-        fn clone(&self) -> Self {
-            Sender { inner: self.inner.clone() }
-        }
     }
 
     impl<T> Sender<T> {
@@ -80,15 +71,6 @@ pub mod channel {
 
         fn into_iter(self) -> IntoIter<T> {
             IntoIter { rx: self }
-        }
-    }
-
-    impl<'a, T> IntoIterator for &'a Receiver<T> {
-        type Item = T;
-        type IntoIter = Iter<'a, T>;
-
-        fn into_iter(self) -> Iter<'a, T> {
-            self.iter()
         }
     }
 
