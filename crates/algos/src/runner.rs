@@ -76,9 +76,15 @@ pub struct AlgoOutcome {
     /// Messages / updates / edge-writes that crossed the engine's
     /// communication layer.
     pub messages: u64,
+    /// Messages queued for a non-resident partition (GraphZ engines;
+    /// baselines report 0).
+    pub buffered: u64,
     /// Buffered messages that overflowed to spill files (GraphZ engines;
     /// baselines report 0).
     pub spilled: u64,
+    /// Buffered messages replayed at partition loads (GraphZ engines;
+    /// baselines report 0).
+    pub replayed: u64,
     pub io: IoSnapshot,
     pub wall: Duration,
     /// Engine-thread wall time per pipeline stage (GraphZ engines only).
@@ -200,8 +206,7 @@ pub fn run_graphz_checkpointed(
 
 /// Run the GraphZ engine over DOS with explicit [`EngineOptions`] — the
 /// entry point for pipeline configurations (CLI `--no-prefetch`, the
-/// determinism suite's sweep over prefetch, pipeline threads and background
-/// spill).
+/// determinism suite's sweep over prefetch and pipeline threads).
 pub fn run_graphz_configured(
     dos: &DosGraph,
     params: &AlgoParams,
@@ -288,7 +293,9 @@ fn run_graphz_with(
             converged: run.converged,
             partitions: run.partitions,
             messages: run.messages_sent,
+            buffered: run.buffered,
             spilled: run.spilled,
+            replayed: run.replayed,
             io: run.io,
             wall: run.wall,
             stages: Some(run.stages),
@@ -590,7 +597,9 @@ pub fn run_reference(g: &CsrGraph, params: &AlgoParams) -> Result<AlgoOutcome> {
         converged: true,
         partitions: 1,
         messages: 0,
+        buffered: 0,
         spilled: 0,
+        replayed: 0,
         io: IoSnapshot::default(),
         wall: start.elapsed(),
         stages: None,
@@ -616,7 +625,9 @@ fn baseline_outcome(
         converged: run.converged,
         partitions: run.partitions,
         messages: run.updates_sent,
+        buffered: 0,
         spilled: 0,
+        replayed: 0,
         io: run.io,
         wall: run.wall,
         stages: None,

@@ -1,11 +1,10 @@
 //! Pipeline determinism: the Worker runs one schedule — inline, in vertex
 //! order — and everything around it is pure scheduling. Sweeping every
 //! combination of `prefetch` {on, off} × `pipeline_threads` {1, 2} (the Sio
-//! read-ahead thread) × `background_spill` {off, on} must leave
-//! bit-identical vertex arrays, identical iteration and message counters,
-//! and byte-identical checkpoint generations — for every algorithm, on a
-//! starved budget that forces many partitions and message spills, and
-//! across a checkpoint/resume cycle.
+//! read-ahead thread) must leave bit-identical vertex arrays, identical
+//! iteration and message counters, and byte-identical checkpoint
+//! generations — for every algorithm, on a starved budget that forces many
+//! partitions and message spills, and across a checkpoint/resume cycle.
 
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -39,7 +38,6 @@ fn symmetrized(edges: Vec<Edge>) -> Vec<Edge> {
 struct Sched {
     prefetch: bool,
     threads: usize,
-    background_spill: bool,
 }
 
 /// The first entry — everything on the engine thread — is the baseline.
@@ -47,9 +45,7 @@ fn sweep() -> Vec<Sched> {
     let mut out = Vec::new();
     for prefetch in [false, true] {
         for threads in [1usize, 2] {
-            for background_spill in [false, true] {
-                out.push(Sched { prefetch, threads, background_spill });
-            }
+            out.push(Sched { prefetch, threads });
         }
     }
     out
@@ -83,7 +79,6 @@ impl Fixture {
         let options = EngineOptions {
             prefetch: sched.prefetch,
             pipeline_threads: sched.threads,
-            background_spill: sched.background_spill,
             ..EngineOptions::full()
         };
         runner::run_graphz_configured(
@@ -189,8 +184,8 @@ fn six_algorithms_bit_identical_across_threads_and_prefetch() {
 }
 
 /// The claimed-segment protocol — the prefetcher pre-draining a spilled run
-/// while the background writer may still be appending to it — must not
-/// change results, and the sweep must really exercise it.
+/// while the engine keeps spilling into fresh segments — must not change
+/// results, and the sweep must really exercise it.
 #[test]
 fn spilled_multi_partition_run_is_deterministic() {
     let fx = Fixture::new(symmetrized(power_law_graph(99, 1500)));

@@ -69,14 +69,12 @@ pub const RULES: &[Rule] = &[
     Rule {
         name: "no-thread-spawn",
         why: "all concurrency flows through audited pipeline stages (the \
-              engine's Sio read-ahead, prefetcher and spill writer; the \
-              ingest and serve stages below); ad-hoc threads escape that \
-              topology",
+              engine's Sio read-ahead and prefetcher; the ingest and serve \
+              stages below); ad-hoc threads escape that topology",
         scope: &[],
         allow: &[
             "crates/core/src/prefetch.rs",
             "crates/core/src/sio.rs",
-            "crates/core/src/msgmanager.rs",
             // Ingest-side concurrency (PR 5): scoped producer shards, the
             // double-buffered run reader, and chunked text parse workers all
             // follow the deterministic-schedule rule (DESIGN.md §6g).

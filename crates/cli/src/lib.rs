@@ -253,7 +253,7 @@ pub const COMMANDS: &[CommandSpec] = &[
             FlagSpec { name: "--checkpoint-every", value: Some("N"), help: "iterations per generation (default 1)" },
             FlagSpec { name: "--resume", value: None, help: "continue from the newest valid generation" },
             FlagSpec { name: "--no-prefetch", value: None, help: "disable the background partition loader" },
-            FlagSpec { name: "--verbose", value: None, help: "print the plan, per-stage wall times and prefetch counters" },
+            FlagSpec { name: "--verbose", value: None, help: "print the plan, per-stage wall times, prefetch and message counters" },
         ],
         summary: "run an algorithm out-of-core and print the top-K vertices",
         details: "Checkpointing: with --checkpoint-dir, a crash-safe generation is written\n\
@@ -266,8 +266,8 @@ pub const COMMANDS: &[CommandSpec] = &[
                   partition keeps its vertex array in memory for the whole run, and its\n\
                   adjacency, when both fit the budget. --no-prefetch disables the\n\
                   background partition loader (results are identical either way).\n\
-                  --verbose prints the resolved plan, per-stage wall times and prefetch\n\
-                  hit/stall counters.",
+                  --verbose prints the resolved plan, per-stage wall times, prefetch\n\
+                  hit/stall counters and messages buffered / spilled / replayed.",
     },
 ];
 
@@ -796,6 +796,10 @@ pub fn execute(cmd: Command) -> Result<String> {
                         pf.hits, pf.stalls, pf.wasted,
                     ));
                 }
+                out.push_str(&format!(
+                    "msgs: {} buffered / {} spilled / {} replayed\n",
+                    outcome.buffered, outcome.spilled, outcome.replayed,
+                ));
                 if let Some(act) = outcome.activity {
                     out.push_str(&format!(
                         "activity: {} partition passes skipped / {} adjacency bytes skipped \
@@ -1403,6 +1407,8 @@ mod tests {
         assert!(out.contains("stage times:"), "{out}");
         assert!(out.contains("prefetch:"), "{out}");
         assert!(out.contains("plan: threads "), "{out}");
+        // One resident partition: no message is ever buffered or spilled.
+        assert!(out.contains("msgs: 0 buffered / 0 spilled / 0 replayed\n"), "{out}");
         // PageRank keeps every vertex active: nothing is skipped.
         let none_skipped =
             "activity: 0 partition passes skipped / 0 adjacency bytes skipped / 0 gaps re-read / ";
@@ -1422,7 +1428,7 @@ mod tests {
         assert!(fields[0] > 0, "the quiet final pass is skipped: {line}");
         assert!(fields[3] > 0, "the resident slab is written back: {line}");
         let quiet = execute(parse(&args(&bfs)).unwrap()).unwrap();
-        assert!(!quiet.contains("activity:"), "{quiet}");
+        assert!(!quiet.contains("activity:") && !quiet.contains("msgs:"), "{quiet}");
         // A graph that fits runs inline over a resident adjacency; without
         // --verbose no plan line is printed.
         let out = execute(parse(&args(&format!("run pr {dos} --iterations 3 --verbose"))).unwrap())

@@ -366,15 +366,12 @@ impl<P: VertexProgram> Engine<P> {
         };
         let partitions = Partitioner::new(config.budget)
             .layout(store.num_vertices(), P::VertexData::SIZE);
-        let mut msgs = MsgManager::new(
+        let msgs = MsgManager::new(
             scratch.file("msgs"),
             partitions.num_partitions(),
             config.budget.bytes() / 4,
             Arc::clone(&stats),
         )?;
-        if config.options.background_spill {
-            msgs = msgs.with_background_writer()?;
-        }
         let vertices_path = scratch.file("vertices.bin");
         let active = vec![true; partitions.num_partitions() as usize];
         Ok(Engine {
@@ -585,7 +582,7 @@ impl<P: VertexProgram> Engine<P> {
                         let next = (part + 1) % self.partitions.num_partitions();
                         if self.active[next as usize] || self.msgs.pending_in(next) > 0 {
                             let (na, nb) = self.partitions.range(next);
-                            let next_claim = self.msgs.claim(next)?;
+                            let next_claim = self.msgs.claim(next);
                             pf.request(next, na, nb, next_claim);
                         }
                     }
@@ -1392,29 +1389,35 @@ mod tests {
     }
 
     #[test]
-    fn background_spill_matches_synchronous() {
-        // Dense cross-partition traffic with a tiny budget forces constant
-        // spilling; the background writer must produce identical results.
+    fn torn_spill_segment_fails_the_run_with_corrupt() {
+        // Dense cross-partition traffic at a tiny budget leaves spilled
+        // messages pending when the run stops at its cap; a checkpoint
+        // flushes the in-memory tails to their segments too.
         let edges: Vec<Edge> = (0..48u32)
             .flat_map(|i| (0..5u32).map(move |j| Edge::new(i, (i * 11 + j * 17) % 48)))
             .collect();
-        let budget = MemoryBudget(64);
-        let mut results = Vec::new();
-        let mut spilled = Vec::new();
-        for background in [false, true] {
-            let (_d, mut engine) = dos_engine(
+        for prefetch in [false, true] {
+            let (dir, mut engine) = dos_engine(
                 edges.clone(),
-                budget,
-                EngineOptions { background_spill: background, ..EngineOptions::full() },
+                MemoryBudget(64),
+                EngineOptions { prefetch, ..EngineOptions::full() },
                 5,
             );
-            let s = engine.run(12).unwrap();
-            assert!(s.spilled > 0, "tiny budget must force spills");
-            spilled.push(s.spilled);
-            results.push(engine.values_by_original_id().unwrap());
+            let s = engine.run(2).unwrap();
+            assert!(s.partitions >= 3 && s.spilled > 0, "budget must force spills: {s:?}");
+            engine.checkpoint(&dir.path().join("ckpt")).unwrap();
+            let msgs = engine.scratch_dir().file("msgs");
+            let mut segs: Vec<PathBuf> =
+                std::fs::read_dir(&msgs).unwrap().map(|e| e.unwrap().path()).collect();
+            segs.sort();
+            let seg = segs.first().expect("a pending spill segment");
+            let len = std::fs::metadata(seg).unwrap().len();
+            std::fs::OpenOptions::new().write(true).open(seg).unwrap().set_len(len - 3).unwrap();
+            match engine.run(10) {
+                Err(GraphError::Corrupt(msg)) => assert!(msg.contains("truncated record"), "{msg}"),
+                other => panic!("prefetch {prefetch}: expected Corrupt, got {other:?}"),
+            }
         }
-        assert_eq!(results[0], results[1]);
-        assert_eq!(spilled[0], spilled[1]);
     }
 
     #[test]

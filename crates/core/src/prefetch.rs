@@ -23,7 +23,7 @@ use std::path::Path;
 use std::sync::Arc;
 
 use crossbeam::channel::{bounded, Receiver, Sender};
-use graphz_io::{IoStats, RecordReader, TrackedFile};
+use graphz_io::{IoStats, TrackedFile};
 use graphz_types::{FixedCodec, IoCtx, Result, VertexId};
 
 use crate::msgmanager::ClaimedSegments;
@@ -173,12 +173,7 @@ fn load<P: VertexProgram>(
     vfile.seek(SeekFrom::Start(req.a as u64 * P::VertexData::SIZE as u64))?;
     vfile.read_exact(&mut bytes)?;
     let slab = graphz_types::codec::decode_slice(&bytes);
-    let mut msgs: Vec<(VertexId, P::Message)> = Vec::new();
-    for path in &req.claim.paths {
-        for env in RecordReader::<(VertexId, P::Message)>::open(path, Arc::clone(stats))? {
-            msgs.push(env?);
-        }
-    }
+    let msgs = req.claim.read_all::<P::Message>(stats)?;
     Ok(Prefetched {
         partition: req.partition,
         start_edge,

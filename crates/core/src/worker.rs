@@ -7,8 +7,8 @@
 //! Messages it cannot apply in place are coalesced into per-partition
 //! buffers in send order and handed to the MsgManager at the partition
 //! barrier. The only overlap is around the Worker, never inside it: the Sio
-//! read-ahead thread streams adjacency ahead of it, the prefetcher loads the
-//! next partition, and the optional background writer spills messages.
+//! read-ahead thread streams adjacency ahead of it and the prefetcher loads
+//! the next partition.
 
 use std::sync::Arc;
 

@@ -83,8 +83,31 @@ impl<T: FixedCodec, R: Read> RecordReader<T, R> {
     /// through `chunks_exact`; a partial trailing record is the same
     /// corruption error [`next_record`](Self::next_record) reports, and a
     /// framed reader's checksum failure surfaces as it does there.
-    pub fn read_all(mut self) -> Result<Vec<T>> {
+    pub fn read_all(self) -> Result<Vec<T>> {
         let mut out = Vec::new();
+        self.read_chunks(|chunk| out.extend(chunk.chunks_exact(T::SIZE).map(T::read_from)))?;
+        Ok(out)
+    }
+
+    /// Pass the remaining records to `f` in order, read and decoded in bulk
+    /// as [`read_all`](Self::read_all) does, but holding only one 64 KiB
+    /// read in memory at a time. Records before a partial trailing record
+    /// (or a framed checksum failure) have already been passed to `f` when
+    /// the error is returned. Returns the record count.
+    pub fn for_each_record<F: FnMut(T)>(self, mut f: F) -> Result<u64> {
+        let mut count = 0u64;
+        self.read_chunks(|chunk| {
+            for rec in chunk.chunks_exact(T::SIZE) {
+                f(T::read_from(rec));
+            }
+            count += (chunk.len() / T::SIZE) as u64;
+        })?;
+        Ok(count)
+    }
+
+    /// Read the rest of the stream about 64 KiB per call, handing `sink`
+    /// each read's whole records as one byte slice.
+    fn read_chunks<F: FnMut(&[u8])>(mut self, mut sink: F) -> Result<()> {
         let mut buf = vec![0u8; (64 * 1024 / T::SIZE).max(1) * T::SIZE];
         // Bytes at the front of `buf` not yet decoded: a record split
         // across two reads.
@@ -98,7 +121,7 @@ impl<T: FixedCodec, R: Read> RecordReader<T, R> {
             };
             let filled = held + n;
             let whole = filled - filled % T::SIZE;
-            out.extend(buf[..whole].chunks_exact(T::SIZE).map(T::read_from));
+            sink(&buf[..whole]);
             buf.copy_within(whole..filled, 0);
             held = filled - whole;
         }
@@ -108,7 +131,7 @@ impl<T: FixedCodec, R: Read> RecordReader<T, R> {
                 T::SIZE
             )));
         }
-        Ok(out)
+        Ok(())
     }
 }
 

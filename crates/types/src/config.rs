@@ -99,10 +99,6 @@ pub struct EngineOptions {
     /// always-stream behaviour. See [`ExecutionPlan::resident`] and
     /// [`ExecutionPlan::resident_adjacency`].
     pub in_memory_fast_path: bool,
-    /// Spill cross-partition messages on a dedicated MsgManager thread
-    /// (the paper's four-component pipeline, §V Fig. 4) instead of on the
-    /// Worker. Byte-identical spill files; only scheduling changes.
-    pub background_spill: bool,
     /// Prefetch the next partition's vertex slab, partition index, and
     /// spilled message run on a background thread while the current partition
     /// computes (GridGraph-style double buffering). Pure scheduling: results
@@ -117,7 +113,6 @@ impl Default for EngineOptions {
             dynamic_messages: true,
             pipeline_threads: 2,
             in_memory_fast_path: true,
-            background_spill: false,
             prefetch: true,
         }
     }
@@ -260,12 +255,6 @@ impl EngineOptionsBuilder {
     /// Toggle background partition prefetch.
     pub fn prefetch(mut self, on: bool) -> Self {
         self.opts.prefetch = on;
-        self
-    }
-
-    /// Toggle the dedicated MsgManager spill thread.
-    pub fn background_spill(mut self, on: bool) -> Self {
-        self.opts.background_spill = on;
         self
     }
 
