@@ -100,8 +100,11 @@ step "serve (golden transcript + concurrent readers, DESIGN.md §6l)"
 cargo test -q --offline -p graphz-serve --test golden --test concurrent
 step_done
 
-step "benchmark (unit tests + pagerank-fit, pagerank-ooc, traversal-ooc, pipeline-cold smokes)"
-# The benchmark package's own tests, then one short pagerank-fit run: it
+step "benchmark (unit tests + ingest-text, pagerank-fit, pagerank-ooc, traversal-ooc, pipeline-cold smokes)"
+# The benchmark package's own tests, then one short ingest-text run: the
+# text -> `graphz convert` path (byte-level parse, run sorts, manifests and
+# checksums folded while writing), with the image checked by `verify_dos`.
+# Then one short pagerank-fit run: it
 # drives `graphz convert | run` with default flags, checks the top-100
 # ranks against the in-memory reference, and refuses to report unless the
 # graph really fits one partition (exit 2) — so the default, fully resident
@@ -114,6 +117,7 @@ step "benchmark (unit tests + pagerank-fit, pagerank-ooc, traversal-ooc, pipelin
 # writes checkpoints, which dirty slab write-back feeds, and serves a value
 # from them.
 cargo test --manifest-path benchmark/Cargo.toml --offline -q
+bash benchmark/run.sh --workload ingest-text --seconds 1
 bash benchmark/run.sh --workload pagerank-fit --seconds 1
 bash benchmark/run.sh --workload pagerank-ooc --seconds 1
 bash benchmark/run.sh --workload traversal-ooc --seconds 1

@@ -29,6 +29,7 @@ const SINK_PATHS: &[(&str, &str)] = &[
     ("TrackedFile", "create"),
     ("TrackedFile", "open_rw"),
     ("tracked", "writer"),
+    ("tracked", "checksummed_writer"),
     ("RecordWriter", "create"),
 ];
 

@@ -25,8 +25,24 @@
 //! which is how the DOS converter chains one sort's output into the next
 //! sort's run formation without an intermediate file.
 //!
-//! Sorting is stable across equal keys only within a run; engine code that
-//! needs total determinism (all of ours) uses keys that are total orders.
+//! Runs are sorted in place with the standard library's unstable sort
+//! (no scratch allocation per run), so records with equal keys may leave
+//! run formation in any order — the same order on every run of the same
+//! input, since that sort is deterministic. Byte-identical output therefore
+//! rests on the keys: every caller's key is total over its record or
+//! unique by construction (DESIGN.md §6g):
+//!
+//! * DOS conversion (`graphz-storage`, `dos.rs`): edges by `(src, dst)`,
+//!   triads by `(Reverse(deg), src, dst)`, half-relabeled triples by
+//!   `(old_dst, new_src, old_src)`, quads by all four fields — each the
+//!   whole record, packed into one integer of the same order; assignment
+//!   pairs `(old, new)` by `old` and inverse pairs `(new, old)` by `new` —
+//!   one pair per vertex, so the key is unique.
+//! * CSR build (`csr.rs`) and `EdgeListFile::symmetrize` (`edgelist.rs`):
+//!   edges by `(src, dst)`.
+//! * GraphChi shards (`graphz-baselines`): edges by `(dst, src)` and by
+//!   `(src, dst)`; the by-`src` sort only feeds an out-degree count, which
+//!   the order among one source's edges cannot change.
 
 #![forbid(unsafe_code)]
 

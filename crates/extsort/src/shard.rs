@@ -32,7 +32,8 @@ pub(crate) struct RunPlan<T> {
     pub total: u64,
 }
 
-/// Sort `buf` by `key` and spill it as run file `idx`. All bytes flow
+/// Sort `buf` in place by `key` (unstable: every caller's key is total or
+/// unique, see the crate docs) and spill it as run file `idx`. All bytes flow
 /// through the sorter's [`FaultSurface`], so chaos tests reach every run
 /// writer and a disk budget sees every spilled byte.
 fn spill<T, K, F>(
@@ -48,7 +49,7 @@ where
     K: Ord,
     F: Fn(&T) -> K,
 {
-    buf.sort_by_key(|r| key(r));
+    buf.sort_unstable_by_key(|r| key(r));
     let path = scratch.file(&format!("run-{idx:06}.bin"));
     let mut w = RecordWriter::<T, _>::from_writer(
         surface.wrap(graphz_io::tracked::writer(&path, Arc::clone(stats))?),
@@ -84,7 +85,7 @@ where
             files.push(spill(key, stats, surface, scratch, files.len(), &mut buf)?);
         }
     }
-    buf.sort_by_key(|r| key(r));
+    buf.sort_unstable_by_key(|r| key(r));
     Ok(RunPlan { files, tail: buf, total })
 }
 

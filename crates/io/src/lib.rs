@@ -26,7 +26,7 @@ pub mod stats;
 pub mod tracked;
 
 pub use atomic::{write_atomic, AtomicFile, StagedDir};
-pub use checksum::{crc32, crc32_stream, Crc32};
+pub use checksum::{crc32, crc32_stream, Crc32, CrcWriter, Fingerprint};
 pub use device::{DeviceKind, DeviceModel};
 pub use fault::{
     is_transient, retry_transient, DiskBudget, FaultInjector, FaultKind, FaultPlan, FaultState,
@@ -38,4 +38,4 @@ pub use readahead::ReadAheadReader;
 pub use record::{RecordReader, RecordWriter};
 pub use scratch::ScratchDir;
 pub use stats::{IoSnapshot, IoStats, PrefetchSnapshot};
-pub use tracked::{TrackedFile, TrackedReader, TrackedWriter};
+pub use tracked::{ChecksummedWriter, TrackedFile, TrackedReader, TrackedWriter};

@@ -7,8 +7,10 @@
 //! order; a missing, torn, or checksum-failing manifest simply reads as
 //! "stage incomplete" ([`StageManifest::load`] returns `None`) and the
 //! stage is redone. Manifests also record the length + CRC of the artifact
-//! files a stage produced ([`record_file`](StageManifest::record_file)), so
-//! resume can prove the artifacts themselves survived before trusting them.
+//! files a stage produced ([`record_file`](StageManifest::record_file)),
+//! taken while the stage wrote them ([`CrcWriter`](crate::CrcWriter)), so
+//! resume can prove the artifacts themselves survived before trusting them
+//! ([`verify_files`](StageManifest::verify_files) re-reads every one).
 //!
 //! The commit is gated through a [`FaultSurface`] under the label
 //! `commit-manifest:<stage>`, which is what lets the chaos sweep kill a run
@@ -19,7 +21,7 @@ use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
 use crate::atomic::AtomicFile;
-use crate::checksum::{crc32, crc32_stream};
+use crate::checksum::{crc32, crc32_stream, Fingerprint};
 use crate::fault::FaultSurface;
 
 /// Key prefix for recorded artifact files.
@@ -58,13 +60,16 @@ impl StageManifest {
         self.get(key)?.parse().ok()
     }
 
-    /// Fingerprint an artifact file the stage produced (`name` is the
-    /// logical name resume will look it up under; `path` is where it lives
-    /// right now). Streams the file, so large artifacts are fine.
-    pub fn record_file(&mut self, name: &str, path: &Path) -> io::Result<()> {
-        let (len, crc) = crc32_stream(std::fs::File::open(path)?)?;
-        self.entries.insert(format!("{FILE_PREFIX}{name}"), format!("{len},{crc:08x}"));
-        Ok(())
+    /// Record the fingerprint of an artifact file the stage produced, as
+    /// folded while the stage wrote it (`name` is the logical name resume
+    /// will look it up under).
+    pub fn record_file(&mut self, name: &str, fingerprint: Fingerprint) {
+        self.entries.insert(format!("{FILE_PREFIX}{name}"), fingerprint.to_string());
+    }
+
+    /// The recorded fingerprint of artifact `name`, if any.
+    pub fn file(&self, name: &str) -> Option<Fingerprint> {
+        Fingerprint::parse(self.get(&format!("{FILE_PREFIX}{name}"))?)
     }
 
     /// Logical names of all recorded artifact files.
@@ -88,7 +93,8 @@ impl StageManifest {
                 Err(e) => return Err(e),
             };
             let (len, crc) = crc32_stream(file)?;
-            if format!("{len},{crc:08x}") != *want {
+            let found = Fingerprint { len, crc };
+            if found.to_string() != *want {
                 return Ok(false);
             }
         }
@@ -207,12 +213,14 @@ mod tests {
         let artifact = dir.file("runs.bin");
         std::fs::write(&artifact, b"sorted run payload").unwrap();
         let mut m = StageManifest::new("by-src");
-        m.record_file("runs.bin", &artifact).unwrap();
+        m.record_file("runs.bin", Fingerprint::of(b"sorted run payload"));
         let path = dir.file("by-src.manifest");
         m.commit(&path, &FaultSurface::none()).unwrap();
 
         let loaded = StageManifest::load(&path).unwrap().unwrap();
         assert_eq!(loaded.files().collect::<Vec<_>>(), vec!["runs.bin"]);
+        assert_eq!(loaded.file("runs.bin"), Some(Fingerprint::of(b"sorted run payload")));
+        assert_eq!(loaded.file("other.bin"), None);
         let resolve = |name: &str| dir.file(name);
         assert!(loaded.verify_files(resolve).unwrap());
 

@@ -238,6 +238,14 @@ impl<T: FixedCodec, W: Write> RecordWriter<T, W> {
         self.inner.flush()?;
         Ok(self.written)
     }
+
+    /// Flush buffered bytes and hand back the inner writer, for state it
+    /// folded while writing (a [`CrcWriter`](crate::CrcWriter)'s
+    /// fingerprint).
+    pub fn into_inner(mut self) -> Result<W> {
+        self.inner.flush()?;
+        Ok(self.inner)
+    }
 }
 
 /// Convenience: write a whole slice of records to `path`.

@@ -5,6 +5,7 @@ use std::io::{self, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::Path;
 use std::sync::Arc;
 
+use crate::checksum::CrcWriter;
 use crate::stats::IoStats;
 
 /// A file handle that records its traffic into a shared [`IoStats`].
@@ -150,6 +151,21 @@ pub fn writer_with_block(
 ) -> io::Result<TrackedWriter> {
     // ipa:allow(fault-surface-reach) — byte-level primitive under every writer; gating is the call-site contract
     Ok(BufWriter::with_capacity(block, TrackedFile::create(path, stats)?))
+}
+
+/// Buffered writer whose file sink folds the [`Fingerprint`] of every byte
+/// that reaches the file, in whole blocks; each flush of the buffer is one
+/// tracked write op, as with [`TrackedWriter`].
+///
+/// [`Fingerprint`]: crate::Fingerprint
+pub type ChecksummedWriter = BufWriter<CrcWriter<TrackedFile>>;
+
+/// Create/truncate `path` for buffered writing with the default block size,
+/// fingerprinting the bytes as they land.
+pub fn checksummed_writer(path: &Path, stats: Arc<IoStats>) -> io::Result<ChecksummedWriter> {
+    // ipa:allow(fault-surface-reach) — byte-level primitive under every writer; gating is the call-site contract
+    let file = TrackedFile::create(path, stats)?;
+    Ok(BufWriter::with_capacity(DEFAULT_BLOCK, CrcWriter::new(file)))
 }
 
 #[cfg(test)]

@@ -17,14 +17,15 @@
 //! the tail of a line owned by the previous chunk. It then parses every line
 //! beginning before `end`, reading past `end` to finish the final line.
 
-use std::io::{BufRead, BufReader, Seek, SeekFrom};
+use std::io::{Seek, SeekFrom};
 use std::path::Path;
 use std::sync::{mpsc, Arc};
 
-use graphz_io::IoStats;
+use graphz_io::{IoStats, TrackedFile};
 use graphz_types::prelude::*;
 
 use crate::edgelist::EdgeListFile;
+use crate::text::{LineError, TextLines};
 
 /// Default span size for parallel text parsing (4 MiB — large enough that
 /// per-chunk overhead vanishes, small enough that a handful of chunks exist
@@ -54,65 +55,49 @@ pub fn plan_chunks(total_bytes: u64, chunk_bytes: u64) -> Vec<ChunkSpan> {
     spans
 }
 
-/// Parse one text line: `Ok(None)` for blanks and `#` comments, `Ok(Some)`
-/// for a `src dst` pair. `where_` prefixes error messages (the parallel
-/// parser reports byte spans instead of the serial path's line numbers).
-fn parse_line(line: &str, where_: &dyn Fn() -> String) -> Result<Option<Edge>> {
-    let line = line.trim();
-    if line.is_empty() || line.starts_with('#') {
-        return Ok(None);
+/// Open `text_path` at the first line `span` owns (see the module docs for
+/// the ownership rule); returns the line reader and that line's offset.
+fn open_span(
+    text_path: &Path,
+    stats: &Arc<IoStats>,
+    span: ChunkSpan,
+) -> Result<(TextLines<TrackedFile>, u64)> {
+    let mut file = TrackedFile::open(text_path, Arc::clone(stats)).ctx("open", text_path)?;
+    if span.start == 0 {
+        return Ok((TextLines::new(file), 0));
     }
-    let mut it = line.split_whitespace();
-    let mut field = |name: &str| -> Result<VertexId> {
-        it.next()
-            .ok_or_else(|| GraphError::Corrupt(format!("{}: expected `src dst`", where_())))?
-            .parse()
-            .map_err(|_| GraphError::Corrupt(format!("{}: {name} is not a u32", where_())))
-    };
-    let src = field("src")?;
-    let dst = field("dst")?;
-    Ok(Some(Edge::new(src, dst)))
+    file.seek(SeekFrom::Start(span.start - 1))?;
+    let mut lines = TextLines::new(file);
+    // Discard through the first newline: exactly that byte when the line
+    // before ends at `start - 1`, else the tail the previous chunk owns.
+    let skipped = lines.next_line()?.map_or(0, |(line, _)| line.len());
+    let at = cast::add_u64(span.start - 1, cast::len_u64(skipped), "text chunk position")?;
+    Ok((lines, at))
 }
 
-/// Parse the lines a single span owns (see the module docs for the
-/// ownership rule).
-fn parse_span(text_path: &Path, span: ChunkSpan) -> Result<Vec<Edge>> {
-    let mut file = std::fs::File::open(text_path).ctx("open", text_path)?;
-    let mut skew = 0u64; // bytes consumed before the first owned line
-    if span.start > 0 {
-        file.seek(SeekFrom::Start(span.start - 1))?;
-        skew = 1;
-    }
-    let mut reader = BufReader::new(file);
-    let mut raw = Vec::new();
-    if span.start > 0 {
-        let n = reader.read_until(b'\n', &mut raw)?;
-        skew = cast::len_u64(n) - skew;
-        raw.clear();
-    }
-    // `span.start + skew` is where the first owned line begins.
-    let mut at = cast::add_u64(span.start, skew, "text chunk position")?;
+/// Parse the lines a single span owns.
+fn parse_span(text_path: &Path, stats: &Arc<IoStats>, span: ChunkSpan) -> Result<Vec<Edge>> {
+    let (mut lines, mut at) = open_span(text_path, stats, span)?;
     let mut edges = Vec::new();
     while at < span.end {
-        raw.clear();
-        let n = reader.read_until(b'\n', &mut raw)?;
-        if n == 0 {
+        let Some((line, verdict)) = lines.next_line()? else {
             break;
+        };
+        let next = cast::add_u64(at, cast::len_u64(line.len()), "text chunk position")?;
+        match verdict {
+            Ok(Some(e)) => edges.push(e),
+            Ok(None) => {}
+            Err(LineError::NotUtf8) => {
+                return Err(GraphError::Corrupt(format!(
+                    "{}: bytes {at}..{next}: line is not valid UTF-8",
+                    text_path.display()
+                )))
+            }
+            Err(e) => {
+                return Err(GraphError::Corrupt(format!("{}: byte {at}: {e}", text_path.display())))
+            }
         }
-        let line = std::str::from_utf8(&raw).map_err(|_| {
-            GraphError::Corrupt(format!(
-                "{}: bytes {at}..{}: line is not valid UTF-8",
-                text_path.display(),
-                at + cast::len_u64(n)
-            ))
-        })?;
-        let here = at;
-        if let Some(e) = parse_line(line, &|| {
-            format!("{}: byte {here}", text_path.display())
-        })? {
-            edges.push(e);
-        }
-        at = cast::add_u64(at, cast::len_u64(n), "text chunk position")?;
+        at = next;
     }
     Ok(edges)
 }
@@ -142,58 +127,29 @@ struct LenientSpan {
 /// Lenient variant of [`parse_span`]: malformed lines (bad field counts,
 /// non-numeric ids, invalid UTF-8) are collected instead of aborting. IO
 /// errors still abort — they say nothing about the input's content.
-fn parse_span_lenient(text_path: &Path, span: ChunkSpan) -> Result<LenientSpan> {
-    let mut file = std::fs::File::open(text_path).ctx("open", text_path)?;
-    let mut skew = 0u64;
-    if span.start > 0 {
-        file.seek(SeekFrom::Start(span.start - 1))?;
-        skew = 1;
-    }
-    let mut reader = BufReader::new(file);
-    let mut raw = Vec::new();
-    if span.start > 0 {
-        let n = reader.read_until(b'\n', &mut raw)?;
-        skew = cast::len_u64(n) - skew;
-        raw.clear();
-    }
-    let mut at = cast::add_u64(span.start, skew, "text chunk position")?;
+fn parse_span_lenient(
+    text_path: &Path,
+    stats: &Arc<IoStats>,
+    span: ChunkSpan,
+) -> Result<LenientSpan> {
+    let (mut lines, mut at) = open_span(text_path, stats, span)?;
     let mut out = LenientSpan { edges: Vec::new(), owned_lines: 0, bad: Vec::new() };
     while at < span.end {
-        raw.clear();
-        let n = reader.read_until(b'\n', &mut raw)?;
-        if n == 0 {
+        let Some((line, verdict)) = lines.next_line()? else {
             break;
-        }
-        let here = at;
-        let local_line = out.owned_lines;
-        out.owned_lines += 1;
-        match std::str::from_utf8(&raw) {
-            Err(_) => out.bad.push(BadRecord {
-                line: local_line,
-                byte: here,
-                text: String::from_utf8_lossy(&raw).trim_end().to_string(),
-                reason: "line is not valid UTF-8".into(),
+        };
+        match verdict {
+            Ok(Some(e)) => out.edges.push(e),
+            Ok(None) => {}
+            Err(e) => out.bad.push(BadRecord {
+                line: out.owned_lines,
+                byte: at,
+                text: String::from_utf8_lossy(line).trim_end().to_string(),
+                reason: e.to_string(),
             }),
-            Ok(line) => match parse_line(line, &|| format!("byte {here}")) {
-                Ok(Some(e)) => out.edges.push(e),
-                Ok(None) => {}
-                Err(e) => {
-                    // The sidecar already prints the byte offset; strip the
-                    // error's own location prefix so it is not said twice.
-                    let noise = format!("corrupt data: byte {here}: ");
-                    let reason = e.to_string();
-                    let reason =
-                        reason.strip_prefix(&noise).map(str::to_string).unwrap_or(reason);
-                    out.bad.push(BadRecord {
-                        line: local_line,
-                        byte: here,
-                        text: line.trim_end().to_string(),
-                        reason,
-                    });
-                }
-            },
         }
-        at = cast::add_u64(at, cast::len_u64(n), "text chunk position")?;
+        out.owned_lines += 1;
+        at = cast::add_u64(at, cast::len_u64(line.len()), "text chunk position")?;
     }
     Ok(out)
 }
@@ -218,10 +174,10 @@ pub fn import_text_quarantined(
     let total_bytes = std::fs::metadata(text_path).ctx("stat", text_path)?.len();
     let plan = plan_chunks(total_bytes, chunk_bytes);
 
-    let spans: Vec<LenientSpan> = if threads <= 1 || plan.len() <= 1 {
+    let mut spans: Vec<LenientSpan> = if threads <= 1 || plan.len() <= 1 {
         let mut out = Vec::with_capacity(plan.len());
         for span in &plan {
-            out.push(parse_span_lenient(text_path, *span)?);
+            out.push(parse_span_lenient(text_path, &stats, *span)?);
         }
         out
     } else {
@@ -230,6 +186,7 @@ pub fn import_text_quarantined(
             for worker in 0..threads.min(plan.len()) {
                 let done_tx = done_tx.clone();
                 let plan = &plan;
+                let stats = &stats;
                 std::thread::Builder::new()
                     .name(format!("graphz-parse-{worker}"))
                     .spawn_scoped(scope, move || {
@@ -237,7 +194,7 @@ pub fn import_text_quarantined(
                             if idx % threads != worker {
                                 continue;
                             }
-                            let parsed = parse_span_lenient(text_path, *span);
+                            let parsed = parse_span_lenient(text_path, stats, *span);
                             if done_tx.send((idx, parsed)).is_err() {
                                 return;
                             }
@@ -284,14 +241,12 @@ pub fn import_text_quarantined(
     // prefix sum of each span's owned-line count.
     let mut bad: Vec<BadRecord> = Vec::new();
     let mut lines_before: u64 = 0;
-    let mut edges: Vec<Edge> = Vec::new();
-    for span in spans {
-        for mut b in span.bad {
+    for span in &mut spans {
+        for mut b in span.bad.drain(..) {
             b.line = cast::add_u64(lines_before, b.line, "quarantine line number")? + 1;
             bad.push(b);
         }
         lines_before = cast::add_u64(lines_before, span.owned_lines, "quarantine line count")?;
-        edges.extend(span.edges);
     }
     if cast::len_u64(bad.len()) > max_bad_records {
         let first = bad.first().map_or(0, |b| b.line);
@@ -302,7 +257,7 @@ pub fn import_text_quarantined(
             bad.len(),
         )));
     }
-    let file = EdgeListFile::create(bin_path, stats, edges)?;
+    let file = EdgeListFile::create(bin_path, stats, spans.into_iter().flat_map(|s| s.edges))?;
     Ok((file, bad))
 }
 
@@ -332,6 +287,7 @@ pub fn import_text_chunked(
         for worker in 0..threads.min(plan.len()) {
             let done_tx = done_tx.clone();
             let plan = &plan;
+            let stats = &stats;
             std::thread::Builder::new()
                 .name(format!("graphz-parse-{worker}"))
                 .spawn_scoped(scope, move || {
@@ -339,7 +295,7 @@ pub fn import_text_chunked(
                         if idx % threads != worker {
                             continue;
                         }
-                        let parsed = parse_span(text_path, *span);
+                        let parsed = parse_span(text_path, stats, *span);
                         if done_tx.send((idx, parsed)).is_err() {
                             return;
                         }
@@ -533,6 +489,150 @@ mod tests {
             import_text_quarantined(&txt, &dir.file("ok.bin"), stats(), 2, 4, 2).unwrap();
         assert_eq!(f.meta().num_edges, 2);
         assert_eq!(bad.len(), 2);
+    }
+
+    /// One line's verdict under the reference parse: the good edge (or
+    /// `None` for a blank/comment), or the chunked path's reason.
+    type Verdict = std::result::Result<Option<Edge>, String>;
+
+    /// The reference: the `str` parse the import used before the byte-level
+    /// parser, applied line by line. Returns each line's start offset, raw
+    /// bytes and verdict.
+    fn reference(bytes: &[u8]) -> Vec<(u64, Vec<u8>, Verdict)> {
+        let mut out = Vec::new();
+        let mut at = 0u64;
+        for raw in bytes.split_inclusive(|&b| b == b'\n') {
+            let verdict = match std::str::from_utf8(raw) {
+                Err(_) => Err("line is not valid UTF-8".to_string()),
+                Ok(line) => {
+                    let line = line.trim();
+                    if line.is_empty() || line.starts_with('#') {
+                        Ok(None)
+                    } else {
+                        let mut it = line.split_whitespace();
+                        let mut field = |name: &str| -> std::result::Result<u32, String> {
+                            it.next()
+                                .ok_or_else(|| "expected `src dst`".to_string())?
+                                .parse()
+                                .map_err(|_| format!("{name} is not a u32"))
+                        };
+                        field("src").and_then(|src| Ok(Some(Edge::new(src, field("dst")?))))
+                    }
+                }
+            };
+            out.push((at, raw.to_vec(), verdict));
+            at += raw.len() as u64;
+        }
+        out
+    }
+
+    /// The error text each strict path gives for the first bad line.
+    fn strict_errors(path: &Path, lines: &[(u64, Vec<u8>, Verdict)]) -> Option<(String, String)> {
+        let (idx, (at, raw, verdict)) =
+            lines.iter().enumerate().find(|(_, (_, _, v))| v.is_err())?;
+        let reason = verdict.clone().unwrap_err();
+        let serial_reason =
+            if reason.ends_with("is not a u32") { "vertex id is not a u32" } else { &reason };
+        let serial = format!("corrupt data: {}:{}: {serial_reason}", path.display(), idx + 1);
+        let chunked = if reason == "line is not valid UTF-8" {
+            let end = at + raw.len() as u64;
+            format!("corrupt data: {}: bytes {at}..{end}: {reason}", path.display())
+        } else {
+            format!("corrupt data: {}: byte {at}: {reason}", path.display())
+        };
+        Some((serial, chunked))
+    }
+
+    /// Documents covering the grammar's corners; each is imported whole.
+    fn corpus() -> Vec<Vec<u8>> {
+        let mut docs: Vec<Vec<u8>> = vec![
+            b"0 1\r\n1\t2\r\n  3 4  \n\t5\t6\t\n\n   \n  # 7 8\n#c\n".to_vec(),
+            b"+5 6\n7 8 9\n9 10 extra field\n4294967295 0\n0 4294967295\n".to_vec(),
+            "1\u{a0}2\n3 \u{a0}4\u{a0}\n\u{2003}5 6\n".as_bytes().to_vec(),
+            b"1 2\n3 4".to_vec(),
+            b"1 2\r".to_vec(),
+            b"".to_vec(),
+            b"4294967296 0\n1 2\n".to_vec(),
+            b"1 2\n0 4294967296\n".to_vec(),
+            b"1 2\n7\n".to_vec(),
+            b"1 2\n-1 2\n".to_vec(),
+            b"1 2\n1 \xff\n3 4\n".to_vec(),
+            b"1 2\n\xc3\n".to_vec(),
+            b"0 1\n1 x\n2 y\n\xfe 3\n4 5\n".to_vec(),
+        ];
+        // A line straddling the first 64 KiB block boundary, then a bad one.
+        let mut big = Vec::new();
+        let mut i = 0u32;
+        while big.len() < 64 * 1024 - 5 {
+            big.extend_from_slice(format!("{} {}\n", i % 1000, i % 777).as_bytes());
+            i += 1;
+        }
+        big.extend_from_slice(b"123456 654321\n");
+        big.extend_from_slice(b"8 9\n");
+        docs.push(big.clone());
+        big.extend_from_slice(b"8 nine\n");
+        docs.push(big);
+        docs
+    }
+
+    #[test]
+    fn every_path_matches_the_reference_str_parse() {
+        let dir = ScratchDir::new("chunked-diff").unwrap();
+        for (d, doc) in corpus().into_iter().enumerate() {
+            let txt = dir.file(&format!("doc-{d}.txt"));
+            std::fs::write(&txt, &doc).unwrap();
+            let lines = reference(&doc);
+            let good: Vec<Edge> =
+                lines.iter().filter_map(|(_, _, v)| v.clone().ok().flatten()).collect();
+            let want_bin = dir.file(&format!("want-{d}.bin"));
+            EdgeListFile::create(&want_bin, stats(), good.clone()).unwrap();
+            let want_meta = std::fs::read(dir.file(&format!("want-{d}.bin.meta.txt"))).unwrap();
+            let want = std::fs::read(&want_bin).unwrap();
+            let chunk = if doc.len() > 4096 { 4096 } else { 5 };
+            let matches_reference = |bin: &Path, what: &str| {
+                assert_eq!(std::fs::read(bin).unwrap(), want, "doc {d} {what}: edges");
+                let mut meta = bin.as_os_str().to_owned();
+                meta.push(".meta.txt");
+                assert_eq!(std::fs::read(meta).unwrap(), want_meta, "doc {d} {what}: meta.txt");
+            };
+
+            let serial = dir.file(&format!("serial-{d}.bin"));
+            let chunked = dir.file(&format!("chunked-{d}.bin"));
+            let serial_out = EdgeListFile::import_text(&txt, &serial, stats());
+            let chunked_out = import_text_chunked(&txt, &chunked, stats(), 2, chunk);
+            match strict_errors(&txt, &lines) {
+                None => {
+                    serial_out.unwrap();
+                    chunked_out.unwrap();
+                    matches_reference(&serial, "serial");
+                    matches_reference(&chunked, "chunked");
+                }
+                Some((serial_err, chunked_err)) => {
+                    let err = serial_out.unwrap_err();
+                    assert!(matches!(err, GraphError::Corrupt(_)), "doc {d}: {err:?}");
+                    assert_eq!(err.to_string(), serial_err, "doc {d} serial");
+                    let err = chunked_out.unwrap_err();
+                    assert!(matches!(err, GraphError::Corrupt(_)), "doc {d}: {err:?}");
+                    assert_eq!(err.to_string(), chunked_err, "doc {d} chunked");
+                }
+            }
+
+            let want_bad: Vec<BadRecord> = (1u64..)
+                .zip(&lines)
+                .filter_map(|(line, (at, raw, v))| {
+                    let reason = v.clone().err()?;
+                    let text = String::from_utf8_lossy(raw).trim_end().to_string();
+                    Some(BadRecord { line, byte: *at, text, reason })
+                })
+                .collect();
+            for threads in [1usize, 2] {
+                let quar = dir.file(&format!("quar-{d}-{threads}.bin"));
+                let (_, bad) =
+                    import_text_quarantined(&txt, &quar, stats(), threads, chunk, 100).unwrap();
+                assert_eq!(bad, want_bad, "doc {d} quarantine threads={threads}");
+                matches_reference(&quar, "quarantine");
+            }
+        }
     }
 
     #[test]

@@ -35,7 +35,8 @@ use std::sync::Arc;
 
 use graphz_extsort::{ExternalSorter, SortTimings};
 use graphz_io::{
-    FaultSurface, IoStats, RecordReader, RecordWriter, ScratchDir, StageManifest, TrackedFile,
+    ChecksummedWriter, FaultSurface, Fingerprint, IoStats, RecordReader, RecordWriter, ScratchDir,
+    StageManifest, SurfaceWriter, TrackedFile,
 };
 use graphz_types::prelude::*;
 
@@ -392,22 +393,49 @@ type Triad = (u32, u32, u32);
 /// stage input is ever written.
 const DEGRADED_FAN_IN: usize = 4096;
 
+/// The sort key `(a, b)` packed into one integer of the same order, so the
+/// run sorts and merges compare once instead of field by field.
+#[inline]
+fn key2(a: u32, b: u32) -> u64 {
+    (u64::from(a) << 32) | u64::from(b)
+}
+
+/// The sort key `(a, b, c, d)` packed likewise.
+#[inline]
+fn key4(a: u32, b: u32, c: u32, d: u32) -> u128 {
+    (u128::from(key2(a, b)) << 64) | u128::from(key2(c, d))
+}
+
 /// Adapts the by-`(src, dst)` sorted edge stream into `(deg, src, dst)`
 /// triads: each source's contiguous run is buffered to learn its length
 /// (= out-degree), then re-emitted with the degree attached. This is pass 2
 /// of §III-C, running concurrently with pass 1's merge — the upstream
 /// [`SortedStream`](graphz_extsort::SortedStream) drains while the
-/// downstream sorter's run formation consumes these triads.
+/// downstream sorter's run formation consumes these triads. One buffer of
+/// destinations serves every source.
 struct TriadEmitter<S: Iterator<Item = Result<Edge>>> {
     inner: S,
-    queued: std::vec::IntoIter<Triad>,
+    /// The current source, its degree, and its run's destinations.
+    src: u32,
+    deg: u32,
+    dsts: Vec<u32>,
+    /// Next index of `dsts` to emit.
+    next: usize,
     pending: Option<Edge>,
     done: bool,
 }
 
 impl<S: Iterator<Item = Result<Edge>>> TriadEmitter<S> {
     fn new(inner: S) -> Self {
-        TriadEmitter { inner, queued: Vec::new().into_iter(), pending: None, done: false }
+        TriadEmitter {
+            inner,
+            src: 0,
+            deg: 0,
+            dsts: Vec::new(),
+            next: 0,
+            pending: None,
+            done: false,
+        }
     }
 }
 
@@ -415,50 +443,52 @@ impl<S: Iterator<Item = Result<Edge>>> Iterator for TriadEmitter<S> {
     type Item = Result<Triad>;
 
     fn next(&mut self) -> Option<Result<Triad>> {
+        if let Some(&dst) = self.dsts.get(self.next) {
+            self.next += 1;
+            return Some(Ok((self.deg, self.src, dst)));
+        }
+        if self.done {
+            return None;
+        }
+        // Gather one source's whole run; its length is the degree.
+        self.dsts.clear();
+        self.next = 0;
+        if let Some(e) = self.pending.take() {
+            self.src = e.src;
+            self.dsts.push(e.dst);
+        }
         loop {
-            if let Some(t) = self.queued.next() {
-                return Some(Ok(t));
-            }
-            if self.done {
-                return None;
-            }
-            // Gather one source's whole run; its length is the degree.
-            let mut run: Vec<Edge> = Vec::new();
-            if let Some(e) = self.pending.take() {
-                run.push(e);
-            }
-            loop {
-                match self.inner.next() {
-                    Some(Ok(e)) => {
-                        if run.last().is_some_and(|p| p.src != e.src) {
-                            self.pending = Some(e);
-                            break;
-                        }
-                        run.push(e);
-                    }
-                    Some(Err(e)) => {
-                        self.done = true;
-                        return Some(Err(e));
-                    }
-                    None => {
-                        self.done = true;
+            match self.inner.next() {
+                Some(Ok(e)) => {
+                    if self.dsts.is_empty() {
+                        self.src = e.src;
+                    } else if e.src != self.src {
+                        self.pending = Some(e);
                         break;
                     }
+                    self.dsts.push(e.dst);
                 }
-            }
-            if run.is_empty() {
-                return None;
-            }
-            let deg = match cast::usize_to_u32(run.len(), "dos out-degree") {
-                Ok(d) => d,
-                Err(e) => {
+                Some(Err(e)) => {
                     self.done = true;
                     return Some(Err(e));
                 }
-            };
-            let triads: Vec<Triad> = run.into_iter().map(|e| (deg, e.src, e.dst)).collect();
-            self.queued = triads.into_iter();
+                None => {
+                    self.done = true;
+                    break;
+                }
+            }
         }
+        let &dst = self.dsts.first()?;
+        self.deg = match cast::usize_to_u32(self.dsts.len(), "dos out-degree") {
+            Ok(d) => d,
+            Err(e) => {
+                self.done = true;
+                self.dsts.clear();
+                return Some(Err(e));
+            }
+        };
+        self.next = 1;
+        Some(Ok((self.deg, self.src, dst)))
     }
 }
 
@@ -510,6 +540,23 @@ impl<S: Iterator<Item = Result<(u32, u32, u32)>>> Iterator for RelabelIter<S> {
             }
         }
     }
+}
+
+/// A stage artifact's writer: bytes pass the fault surface, then a block
+/// buffer, then a file sink that folds their fingerprint as they land.
+type StageWriter = SurfaceWriter<ChecksummedWriter>;
+
+/// Flush a stage artifact and return the fingerprint of the bytes that
+/// reached its file — what the stage manifest records, with no re-read.
+fn seal<T: FixedCodec>(w: RecordWriter<T, StageWriter>) -> Result<Fingerprint> {
+    Ok(w.into_inner()?.into_inner().get_ref().fingerprint())
+}
+
+/// The fingerprint a verified stage manifest recorded for artifact `name`.
+fn recorded(m: &StageManifest, name: &str) -> Result<Fingerprint> {
+    m.file(name).ok_or_else(|| {
+        GraphError::Corrupt(format!("{} manifest lacks a fingerprint for `{name}`", m.stage()))
+    })
 }
 
 impl DosConverter {
@@ -599,9 +646,12 @@ impl DosConverter {
     }
 
     /// Open `path` for writing with the converter's stats sink, routed
-    /// through its fault surface.
-    fn writer(&self, path: &Path) -> Result<graphz_io::SurfaceWriter<graphz_io::TrackedWriter>> {
-        Ok(self.surface.wrap(graphz_io::tracked::writer(path, Arc::clone(&self.stats))?))
+    /// through its fault surface; [`seal`] returns the file's fingerprint.
+    fn writer(&self, path: &Path) -> Result<StageWriter> {
+        Ok(self.surface.wrap(
+            graphz_io::tracked::checksummed_writer(path, Arc::clone(&self.stats))
+                .ctx("create", path)?,
+        ))
     }
 
     /// Run the full conversion, producing `edges.bin`, `index.tbl`,
@@ -680,14 +730,14 @@ impl DosConverter {
             let fan_in = self.stage_fan_in("triads", meta.num_edges.saturating_mul(20))?;
             groups = Vec::new();
             let mut next_new: u32 = 0;
-            {
-                let by_src_sorter = self.sorter(|e: &Edge| (e.src, e.dst), fan_in)?;
-                // Ties between equal degrees break by ascending old id — the
+            let (half_fp, assign_fp) = {
+                let by_src_sorter = self.sorter(|e: &Edge| key2(e.src, e.dst), fan_in)?;
+                // Descending degree (`!deg` reverses the order). Ties
+                // between equal degrees break by ascending old id — the
                 // paper breaks them "randomly"; a deterministic break makes
                 // runs reproducible, which §IV-C's ordering guarantee
                 // requires anyway.
-                let by_deg_sorter =
-                    self.sorter(|t: &Triad| (std::cmp::Reverse(t.0), t.1, t.2), fan_in)?;
+                let by_deg_sorter = self.sorter(|t: &Triad| key4(!t.0, t.1, t.2, 0), fan_in)?;
                 let by_src_runs = ScratchDir::new_in(&root, "by-src").ctx("scratch", &root)?;
                 let by_deg_runs = ScratchDir::new_in(&root, "by-deg").ctx("scratch", &root)?;
                 let by_src = by_src_sorter
@@ -720,20 +770,17 @@ impl DosConverter {
                     }
                     half_w.push(&(next_new - 1, dst, src))?;
                 }
-                half_w.finish()?;
-                assign_w.finish()?;
-            }
+                (seal(half_w)?, seal(assign_w)?)
+            };
             assigned = cast::widen_u32(next_new);
-            {
-                let mut gw = RecordWriter::<DegreeGroup, _>::from_writer(self.writer(&groups_path)?);
-                gw.push_all(groups.iter())?;
-                gw.finish()?;
-            }
+            let mut gw = RecordWriter::<DegreeGroup, _>::from_writer(self.writer(&groups_path)?);
+            gw.push_all(groups.iter())?;
+            let groups_fp = seal(gw)?;
             let mut m = StageManifest::new("triads");
             m.set("assigned", assigned);
-            m.record_file("half-relabeled.bin", &half).ctx("record", &half)?;
-            m.record_file("assign.bin", &assign).ctx("record", &assign)?;
-            m.record_file("groups.bin", &groups_path).ctx("record", &groups_path)?;
+            m.record_file("half-relabeled.bin", half_fp);
+            m.record_file("assign.bin", assign_fp);
+            m.record_file("groups.bin", groups_fp);
             m.commit(&manifest_path("triads"), &self.surface)?;
         }
 
@@ -751,10 +798,12 @@ impl DosConverter {
         // Stage `old2new` (pass 4): materialize old2new.bin by draining the
         // assignment sort's merge straight into the zero-degree co-scan.
         let old2new_path = dir.join("old2new.bin");
-        if stage_done(live, "old2new", dir)?.is_none() {
+        let old2new_fp = if let Some(m) = stage_done(live, "old2new", dir)? {
+            recorded(&m, "old2new.bin")?
+        } else {
             live = false;
             let fan_in = self.stage_fan_in("old2new", assigned.saturating_mul(16))?;
-            {
+            let fp = {
                 let by_old_sorter = self.sorter(|p: &(u32, u32)| p.0, fan_in)?;
                 let by_old_runs = ScratchDir::new_in(&root, "assign").ctx("scratch", &root)?;
                 let mut by_old = by_old_sorter.sort_stream(
@@ -781,20 +830,23 @@ impl DosConverter {
                         "DOS conversion saw a source id beyond num_vertices".into(),
                     ));
                 }
-                w.finish()?;
-            }
+                seal(w)?
+            };
             let mut m = StageManifest::new("old2new");
-            m.record_file("old2new.bin", &old2new_path).ctx("record", &old2new_path)?;
+            m.record_file("old2new.bin", fp);
             m.commit(&manifest_path("old2new"), &self.surface)?;
-        }
+            fp
+        };
 
         // Stage `new2old` (pass 5): old2new inverted via one more external
         // sort, its merge draining directly into the new2old writer.
         let new2old_path = dir.join("new2old.bin");
-        if stage_done(live, "new2old", dir)?.is_none() {
+        let new2old_fp = if let Some(m) = stage_done(live, "new2old", dir)? {
+            recorded(&m, "new2old.bin")?
+        } else {
             live = false;
             let fan_in = self.stage_fan_in("new2old", num_vertices.saturating_mul(16))?;
-            {
+            let fp = {
                 let by_new_sorter = self.sorter(|p: &(u32, u32)| p.0, fan_in)?;
                 let by_new_runs = ScratchDir::new_in(&root, "pairs").ctx("scratch", &root)?;
                 let olds = RecordReader::<u32>::open(&old2new_path, Arc::clone(&self.stats))?;
@@ -807,12 +859,13 @@ impl DosConverter {
                 while let Some((_, old)) = by_new.next_record()? {
                     w.push(&old)?;
                 }
-                w.finish()?;
-            }
+                seal(w)?
+            };
             let mut m = StageManifest::new("new2old");
-            m.record_file("new2old.bin", &new2old_path).ctx("record", &new2old_path)?;
+            m.record_file("new2old.bin", fp);
             m.commit(&manifest_path("new2old"), &self.surface)?;
-        }
+            fp
+        };
 
         // Stage `adjacency` (passes 6–7, pipelined): sort half-relabeled
         // edges by old dst, relabel destinations by co-scanning old2new.bin
@@ -822,15 +875,22 @@ impl DosConverter {
         // offsets are computed by Eq. 1) plus, when requested, the parallel
         // per-edge weight file.
         let edges_path = dir.join("edges.bin");
-        if stage_done(live, "adjacency", dir)?.is_none() {
+        let (edges_fp, weights_fp) = if let Some(m) = stage_done(live, "adjacency", dir)? {
+            let weights_fp = match self.weight_fn {
+                Some(_) => Some(recorded(&m, "weights.bin")?),
+                None => None,
+            };
+            (recorded(&m, "edges.bin")?, weights_fp)
+        } else {
             live = false;
             // By-dst runs (12 B/edge) and final-quad runs (16 B/edge) coexist.
             let fan_in = self.stage_fan_in("adjacency", meta.num_edges.saturating_mul(28))?;
             let mut written: u64 = 0;
-            {
-                let by_dst_sorter = self.sorter(|p: &(u32, u32, u32)| (p.1, p.0, p.2), fan_in)?;
+            let (edges_fp, weights_fp) = {
+                let by_dst_sorter =
+                    self.sorter(|p: &(u32, u32, u32)| key4(p.1, p.0, p.2, 0), fan_in)?;
                 let final_sorter =
-                    self.sorter(|p: &(u32, u32, u32, u32)| (p.0, p.1, p.2, p.3), fan_in)?;
+                    self.sorter(|p: &(u32, u32, u32, u32)| key4(p.0, p.1, p.2, p.3), fan_in)?;
                 let by_dst_runs = ScratchDir::new_in(&root, "half-by-dst").ctx("scratch", &root)?;
                 let final_runs = ScratchDir::new_in(&root, "final").ctx("scratch", &root)?;
                 let by_dst = by_dst_sorter.sort_stream(
@@ -861,11 +921,13 @@ impl DosConverter {
                     }
                     written += 1;
                 }
-                w.finish()?;
-                if let Some(ww) = weights_w {
-                    ww.finish()?;
-                }
-            }
+                let edges_fp = seal(w)?;
+                let weights_fp = match weights_w {
+                    Some(ww) => Some(seal(ww)?),
+                    None => None,
+                };
+                (edges_fp, weights_fp)
+            };
             if written != meta.num_edges {
                 return Err(GraphError::Corrupt(format!(
                     "DOS conversion wrote {written} edges, expected {}",
@@ -874,19 +936,21 @@ impl DosConverter {
             }
             let mut m = StageManifest::new("adjacency");
             m.set("written", written);
-            m.record_file("edges.bin", &edges_path).ctx("record", &edges_path)?;
-            if self.weight_fn.is_some() {
-                let weights = dir.join("weights.bin");
-                m.record_file("weights.bin", &weights).ctx("record", &weights)?;
+            m.record_file("edges.bin", edges_fp);
+            if let Some(fp) = weights_fp {
+                m.record_file("weights.bin", fp);
             }
             m.commit(&manifest_path("adjacency"), &self.surface)?;
-        }
+            (edges_fp, weights_fp)
+        };
 
         // Stage `emit`: the in-memory index, metadata, and the integrity
         // sidecar (length + CRC32 of every data file, checked by
-        // `verify_dos`). The sidecar is written after the data files, so an
-        // interrupted conversion cannot leave a complete-looking sidecar
-        // over partial data.
+        // `verify_dos`). The data files' fingerprints are the ones their
+        // stages folded while writing them (or, for a stage resume skipped,
+        // recorded and re-verified). The sidecar is written after the data
+        // files, so an interrupted conversion cannot leave a complete-looking
+        // sidecar over partial data.
         let index = DosIndex::new(groups, num_vertices, meta.num_edges);
         let dos_meta = GraphMeta {
             num_vertices,
@@ -895,39 +959,36 @@ impl DosConverter {
             max_degree: index.groups().first().map_or(0, |g| cast::widen_u32(g.degree)),
         };
         if stage_done(live, "emit", dir)?.is_none() {
-            {
-                let mut w =
-                    RecordWriter::<DegreeGroup, _>::from_writer(self.writer(&dir.join("index.tbl"))?);
-                w.push_all(index.groups().iter())?;
-                w.finish()?;
-            }
+            let mut w =
+                RecordWriter::<DegreeGroup, _>::from_writer(self.writer(&dir.join("index.tbl"))?);
+            w.push_all(index.groups().iter())?;
+            let index_fp = seal(w)?;
             let mut mf = MetaFile::new();
             mf.set("format", "dos")
                 .set("weighted", if self.weight_fn.is_some() { 1 } else { 0 })
                 .set_graph_meta(&dos_meta);
-            mf.save_with(&dir.join("meta.txt"), &self.surface)?;
+            let meta_fp = mf.save_with(&dir.join("meta.txt"), &self.surface)?;
 
             let mut sums = MetaFile::new();
             sums.set("format", "dos-checksums");
-            let mut data_files = vec!["edges.bin", "index.tbl", "old2new.bin", "new2old.bin"];
-            if self.weight_fn.is_some() {
-                data_files.push("weights.bin");
+            let mut data_files = vec![
+                ("edges.bin", edges_fp),
+                ("index.tbl", index_fp),
+                ("old2new.bin", old2new_fp),
+                ("new2old.bin", new2old_fp),
+            ];
+            if let Some(fp) = weights_fp {
+                data_files.push(("weights.bin", fp));
             }
-            for name in data_files {
-                let reader =
-                    graphz_io::tracked::reader(&dir.join(name), Arc::clone(&self.stats))?;
-                let (len, crc) = graphz_io::crc32_stream(reader)?;
-                sums.set(&format!("file:{name}"), format!("{len},{crc:08x}"));
+            for (name, fp) in data_files {
+                sums.set(&format!("file:{name}"), fp);
             }
-            sums.save_with(&dir.join("checksums.txt"), &self.surface)?;
+            let sums_fp = sums.save_with(&dir.join("checksums.txt"), &self.surface)?;
 
             let mut m = StageManifest::new("emit");
-            let index_tbl = dir.join("index.tbl");
-            m.record_file("index.tbl", &index_tbl).ctx("record", &index_tbl)?;
-            let meta_txt = dir.join("meta.txt");
-            m.record_file("meta.txt", &meta_txt).ctx("record", &meta_txt)?;
-            let checksums = dir.join("checksums.txt");
-            m.record_file("checksums.txt", &checksums).ctx("record", &checksums)?;
+            m.record_file("index.tbl", index_fp);
+            m.record_file("meta.txt", meta_fp);
+            m.record_file("checksums.txt", sums_fp);
             m.commit(&manifest_path("emit"), &self.surface)?;
         }
 

@@ -10,10 +10,13 @@ use std::io::{BufRead, BufReader, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use graphz_io::{IoStats, RecordReader, RecordWriter, ScratchDir};
+use graphz_io::{
+    ChecksummedWriter, Fingerprint, IoStats, RecordReader, RecordWriter, ScratchDir, TrackedFile,
+};
 use graphz_types::prelude::*;
 
 use crate::meta::MetaFile;
+use crate::text::{LineError, TextLines};
 
 /// A binary edge-list file (`edges.bin`) with its metadata sidecar
 /// (`<stem>.meta.txt`).
@@ -21,6 +24,70 @@ use crate::meta::MetaFile;
 pub struct EdgeListFile {
     path: PathBuf,
     meta: GraphMeta,
+    /// Fingerprint of the data file, folded while this handle wrote it
+    /// (`None` for a handle from [`open`](Self::open)).
+    written: Option<Fingerprint>,
+}
+
+/// Streams edges into a new edge-list file, folding the metadata and the
+/// data file's fingerprint as it goes; [`close`](Self::close) writes the
+/// sidecar.
+pub(crate) struct EdgeListWriter {
+    path: PathBuf,
+    w: RecordWriter<Edge, ChecksummedWriter>,
+    max_id: Option<VertexId>,
+    degrees: HashMap<VertexId, u64>,
+}
+
+impl EdgeListWriter {
+    pub(crate) fn create(path: &Path, stats: Arc<IoStats>) -> Result<Self> {
+        // Input-fixture constructor (tests/benches/baselines build edge
+        // lists with it); the ingest fault boundary starts at import.
+        // flow:allow(fault-surface-bypass) ipa:allow(fault-surface-reach)
+        let file = graphz_io::tracked::checksummed_writer(path, stats).ctx("create", path)?;
+        Ok(EdgeListWriter {
+            path: path.to_path_buf(),
+            w: RecordWriter::from_writer(file),
+            max_id: None,
+            degrees: HashMap::new(),
+        })
+    }
+
+    #[inline]
+    pub(crate) fn push(&mut self, e: Edge) -> Result<()> {
+        self.w.push(&e)?;
+        self.max_id = Some(self.max_id.map_or(e.src.max(e.dst), |m| m.max(e.src).max(e.dst)));
+        *self.degrees.entry(e.src).or_default() += 1;
+        Ok(())
+    }
+
+    /// Flush the data file, write the sidecar, and return the handle.
+    pub(crate) fn close(self) -> Result<EdgeListFile> {
+        let num_edges = self.w.count();
+        let written = self.w.into_inner()?.get_ref().fingerprint();
+        let num_vertices = self.max_id.map_or(0, |m| cast::widen_u32(m) + 1);
+        let zero_degree = num_vertices - cast::len_u64(self.degrees.len());
+        let mut unique: std::collections::HashSet<u64> = self.degrees.values().copied().collect();
+        if zero_degree > 0 {
+            unique.insert(0);
+        }
+        let meta = GraphMeta {
+            num_vertices,
+            num_edges,
+            unique_degrees: cast::len_u64(unique.len()),
+            max_degree: self.degrees.values().copied().max().unwrap_or(0),
+        };
+        EdgeListFile::sidecar(&meta).save(&EdgeListFile::meta_path(&self.path))?;
+        Ok(EdgeListFile { path: self.path, meta, written: Some(written) })
+    }
+
+    /// Give up: remove the partial data file, so a failed import leaves no
+    /// edge list behind.
+    pub(crate) fn abandon(self) {
+        let path = self.path.clone();
+        drop(self);
+        let _ = std::fs::remove_file(path);
+    }
 }
 
 impl EdgeListFile {
@@ -38,6 +105,24 @@ impl EdgeListFile {
         PathBuf::from(os)
     }
 
+    fn sidecar(meta: &GraphMeta) -> MetaFile {
+        let mut mf = MetaFile::new();
+        mf.set("format", "edgelist").set_graph_meta(meta);
+        mf
+    }
+
+    /// Fingerprint of the data file as this handle wrote it; `None` for a
+    /// handle from [`open`](Self::open).
+    pub(crate) fn written(&self) -> Option<Fingerprint> {
+        self.written
+    }
+
+    /// Fingerprint of the metadata sidecar, rendered from the metadata
+    /// (the sidecar is a pure function of it).
+    pub(crate) fn sidecar_fingerprint(&self) -> Fingerprint {
+        Self::sidecar(&self.meta).fingerprint()
+    }
+
     /// Write `edges` to `path` and compute metadata.
     ///
     /// `num_vertices` is `max id + 1` (the id space may be sparse — paper
@@ -47,34 +132,11 @@ impl EdgeListFile {
     where
         I: IntoIterator<Item = Edge>,
     {
-        // Input-fixture constructor (tests/benches/baselines build edge
-        // lists with it); the ingest fault boundary starts at import.
-        // flow:allow(fault-surface-bypass) ipa:allow(fault-surface-reach)
-        let mut w = RecordWriter::<Edge>::create(path, Arc::clone(&stats)).ctx("create", path)?;
-        let mut max_id: Option<VertexId> = None;
-        let mut degrees: HashMap<VertexId, u64> = HashMap::new();
+        let mut w = EdgeListWriter::create(path, stats)?;
         for e in edges {
-            w.push(&e)?;
-            max_id = Some(max_id.map_or(e.src.max(e.dst), |m| m.max(e.src).max(e.dst)));
-            *degrees.entry(e.src).or_default() += 1;
+            w.push(e)?;
         }
-        let num_edges = w.finish()?;
-        let num_vertices = max_id.map_or(0, |m| cast::widen_u32(m) + 1);
-        let zero_degree = num_vertices - cast::len_u64(degrees.len());
-        let mut unique: std::collections::HashSet<u64> = degrees.values().copied().collect();
-        if zero_degree > 0 {
-            unique.insert(0);
-        }
-        let meta = GraphMeta {
-            num_vertices,
-            num_edges,
-            unique_degrees: cast::len_u64(unique.len()),
-            max_degree: degrees.values().copied().max().unwrap_or(0),
-        };
-        let mut mf = MetaFile::new();
-        mf.set("format", "edgelist").set_graph_meta(&meta);
-        mf.save(&Self::meta_path(path))?;
-        Ok(EdgeListFile { path: path.to_path_buf(), meta })
+        w.close()
     }
 
     /// Open an existing edge-list file.
@@ -87,7 +149,7 @@ impl EdgeListFile {
                 mf.get("format")
             )));
         }
-        Ok(EdgeListFile { path: path.to_path_buf(), meta: mf.graph_meta()? })
+        Ok(EdgeListFile { path: path.to_path_buf(), meta: mf.graph_meta()?, written: None })
     }
 
     /// Stream the edges.
@@ -101,40 +163,47 @@ impl EdgeListFile {
     }
 
     /// Import a SNAP-style text file: whitespace-separated `src dst` pairs,
-    /// `#`-prefixed comment lines ignored.
+    /// `#`-prefixed comment lines ignored; further fields on a line are
+    /// ignored too. Edges stream from the text, read in 64 KiB blocks,
+    /// straight into the binary writer. A malformed line fails with
+    /// [`GraphError::Corrupt`] naming `path:line`, and leaves no edge list
+    /// behind.
     pub fn import_text(text_path: &Path, bin_path: &Path, stats: Arc<IoStats>) -> Result<Self> {
-        let file = std::fs::File::open(text_path).ctx("open", text_path)?;
-        let reader = BufReader::new(file);
-        let mut edges = Vec::new();
-        for (lineno, line) in reader.lines().enumerate() {
-            let line = line?;
-            let line = line.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
+        let file = TrackedFile::open(text_path, Arc::clone(&stats)).ctx("open", text_path)?;
+        let mut w = EdgeListWriter::create(bin_path, stats)?;
+        match Self::stream_text(text_path, TextLines::new(file), &mut w) {
+            Ok(()) => w.close(),
+            Err(e) => {
+                w.abandon();
+                Err(e)
             }
-            let mut it = line.split_whitespace();
-            let parse = |tok: Option<&str>| -> Result<VertexId> {
-                tok.ok_or_else(|| {
-                    GraphError::Corrupt(format!(
-                        "{}:{}: expected `src dst`",
-                        text_path.display(),
-                        lineno + 1
-                    ))
-                })?
-                .parse()
-                .map_err(|_| {
-                    GraphError::Corrupt(format!(
-                        "{}:{}: vertex id is not a u32",
-                        text_path.display(),
-                        lineno + 1
-                    ))
-                })
-            };
-            let src = parse(it.next())?;
-            let dst = parse(it.next())?;
-            edges.push(Edge::new(src, dst));
         }
-        Self::create(bin_path, stats, edges)
+    }
+
+    fn stream_text(
+        text_path: &Path,
+        mut lines: TextLines<TrackedFile>,
+        w: &mut EdgeListWriter,
+    ) -> Result<()> {
+        let mut lineno = 0u64;
+        while let Some((_, verdict)) = lines.next_line()? {
+            lineno += 1;
+            match verdict {
+                Ok(Some(e)) => w.push(e)?,
+                Ok(None) => {}
+                Err(e) => {
+                    let reason = match e {
+                        LineError::NotU32(_) => "vertex id is not a u32".to_string(),
+                        e => e.to_string(),
+                    };
+                    return Err(GraphError::Corrupt(format!(
+                        "{}:{lineno}: {reason}",
+                        text_path.display()
+                    )));
+                }
+            }
+        }
+        Ok(())
     }
 
     /// Import a Matrix Market coordinate file (`%%MatrixMarket matrix
@@ -413,6 +482,39 @@ mod tests {
         std::fs::write(&txt, "0 notanumber\n").unwrap();
         let err = EdgeListFile::import_text(&txt, &dir.file("g.bin"), stats()).unwrap_err();
         assert!(matches!(err, GraphError::Corrupt(_)));
+    }
+
+    #[test]
+    fn non_utf8_line_is_a_typed_error_naming_path_and_line() {
+        let dir = ScratchDir::new("el-utf8").unwrap();
+        let txt = dir.file("g.txt");
+        std::fs::write(&txt, b"0 1\n1 \xff\xfe\n2 0\n").unwrap();
+        let want = format!("{}:2: line is not valid UTF-8", txt.display());
+        for threads in [1usize, 2] {
+            let bin = dir.file(&format!("g-{threads}.bin"));
+            let err = crate::chunked::import_text_chunked(&txt, &bin, stats(), threads, 1 << 20)
+                .unwrap_err();
+            match err {
+                GraphError::Corrupt(m) => assert_eq!(m, want, "threads={threads}"),
+                other => panic!("threads={threads}: expected Corrupt, got {other:?}"),
+            }
+            assert!(!bin.exists(), "a failed import must leave no edge list behind");
+        }
+    }
+
+    #[test]
+    fn created_file_knows_its_fingerprints() {
+        let dir = ScratchDir::new("el-fp").unwrap();
+        let path = dir.file("g.bin");
+        let edges: Vec<Edge> = (0..20_000).map(|i| Edge::new(i % 97, i % 13)).collect();
+        let f = EdgeListFile::create(&path, stats(), edges).unwrap();
+        let on_disk = |p: &Path| {
+            let (len, crc) = graphz_io::crc32_stream(std::fs::File::open(p).unwrap()).unwrap();
+            Fingerprint { len, crc }
+        };
+        assert_eq!(f.written(), Some(on_disk(&path)));
+        assert_eq!(f.sidecar_fingerprint(), on_disk(&EdgeListFile::meta_path(&path)));
+        assert_eq!(EdgeListFile::open(&path).unwrap().written(), None);
     }
 
     #[test]

@@ -329,11 +329,13 @@ impl IngestPipeline {
                         )?,
                         _ => self.import_text(src, &imported, dir)?,
                     };
+                    let written = file.written().ok_or_else(|| {
+                        GraphError::Corrupt("the import did not fingerprint imported.bin".into())
+                    })?;
                     let mut m = StageManifest::new("import");
                     m.set("edges", file.meta().num_edges);
-                    m.record_file("imported.bin", &imported).ctx("record", &imported)?;
-                    let meta_txt = root.join("imported.bin.meta.txt");
-                    m.record_file("imported.bin.meta.txt", &meta_txt).ctx("record", &meta_txt)?;
+                    m.record_file("imported.bin", written);
+                    m.record_file("imported.bin.meta.txt", file.sidecar_fingerprint());
                     m.commit(&manifest, &self.surface)?;
                     file
                 }
@@ -380,6 +382,7 @@ mod tests {
     use super::*;
     use crate::dos::DosGraph;
     use graphz_io::ScratchDir;
+    use std::path::Path;
 
     fn stats() -> Arc<IoStats> {
         IoStats::new()
@@ -520,6 +523,114 @@ mod tests {
             std::fs::read(resumed.edges_path()).unwrap(),
             std::fs::read(fresh.edges_path()).unwrap()
         );
+    }
+
+    /// Every fingerprint the stage manifests under `root` record equals the
+    /// file on disk (an artifact lives in `root` or in `dir`); returns the
+    /// stages seen.
+    fn assert_manifests_match_disk(root: &Path, dir: &Path) -> Vec<String> {
+        let mut stages = Vec::new();
+        for entry in std::fs::read_dir(root).unwrap() {
+            let path = entry.unwrap().path();
+            if path.extension().and_then(|e| e.to_str()) != Some("manifest") {
+                continue;
+            }
+            let m = StageManifest::load(&path).unwrap().expect("manifest loads");
+            let names: Vec<String> = m.files().map(str::to_string).collect();
+            assert!(!names.is_empty(), "{} records no artifact", m.stage());
+            for name in names {
+                let file = [root.join(&name), dir.join(&name)]
+                    .into_iter()
+                    .find(|p| p.exists())
+                    .unwrap_or_else(|| panic!("{}: `{name}` missing", m.stage()));
+                let (len, crc) =
+                    graphz_io::crc32_stream(std::fs::File::open(&file).unwrap()).unwrap();
+                assert_eq!(
+                    m.file(&name),
+                    Some(graphz_io::Fingerprint { len, crc }),
+                    "{}: `{name}`",
+                    m.stage()
+                );
+            }
+            stages.push(m.stage().to_string());
+        }
+        stages.sort();
+        stages
+    }
+
+    #[test]
+    fn manifest_fingerprints_taken_while_writing_match_the_files() {
+        use graphz_io::{FaultPlan, FaultState, FaultSurface, RetryPolicy};
+        let dir = ScratchDir::new("ingest-fp").unwrap();
+        let txt = dir.file("g.txt");
+        let mut text = String::from("# sample\n");
+        let mut x: u64 = 11;
+        for _ in 0..3000 {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            text.push_str(&format!("{}\t{}\n", (x >> 33) % 300, (x >> 13) % 450));
+        }
+        std::fs::write(&txt, text).unwrap();
+
+        // The import stage: stop the pipeline at the next stage's commit so
+        // the scratch root (and its import manifest) stays behind.
+        let out = dir.path().join("dos");
+        let stop = FaultSurface::none()
+            .with_faults(FaultState::fail_at_label("commit-manifest:triads"))
+            .with_retry(RetryPolicy::none());
+        let err = IngestPipeline::builder()
+            .budget(MemoryBudget::from_kib(16))
+            .stats(stats())
+            .faults(stop)
+            .build()
+            .unwrap()
+            .run(&txt, &out)
+            .unwrap_err();
+        assert!(err.to_string().contains("commit-manifest:triads"), "{err}");
+        let root = scratch_root_for(&out);
+        assert_eq!(assert_manifests_match_disk(&root, &out), vec!["import"]);
+        let edges = EdgeListFile::open(&root.join("imported.bin")).unwrap();
+
+        // The five conversion stages, with the scratch root kept: once
+        // clean (counting the gated ops), then with a transient fault
+        // retried at points spread over the run, the last few inside the
+        // adjacency writes.
+        let convert = |name: &str, surface: FaultSurface| {
+            let out = dir.path().join(name);
+            let root = dir.path().join(format!("{name}.scratch"));
+            DosConverter::builder()
+                .budget(MemoryBudget::from_kib(16))
+                .stats(stats())
+                .weights(graphz_types::derive_weight)
+                .faults(surface)
+                .scratch_root(&root)
+                .build()
+                .unwrap()
+                .convert(&edges, &out)
+                .unwrap();
+            let stages = assert_manifests_match_disk(&root, &out);
+            assert_eq!(stages, ["adjacency", "emit", "new2old", "old2new", "triads"]);
+            out
+        };
+        let counting = FaultState::counting();
+        let clean = convert("clean", FaultSurface::none().with_faults(Arc::clone(&counting)));
+        let ops = counting.ops_seen();
+        assert!(ops > 6000, "{ops} gated ops");
+        let files = |d: &Path| {
+            let mut names: Vec<_> =
+                std::fs::read_dir(d).unwrap().map(|e| e.unwrap().file_name()).collect();
+            names.sort();
+            let bytes = |n: &std::ffi::OsString| std::fs::read(d.join(n)).unwrap();
+            names.iter().map(|n| (n.clone(), bytes(n))).collect::<Vec<_>>()
+        };
+        for at in [ops / 4, ops / 2, ops - 1500, ops - 200] {
+            let faults = FaultState::new(FaultPlan::transient_at(at, 2));
+            let surface = FaultSurface::none().with_faults(Arc::clone(&faults)).with_retry(
+                RetryPolicy { base_backoff: std::time::Duration::ZERO, ..RetryPolicy::default() },
+            );
+            let out = convert(&format!("transient-{at}"), surface);
+            assert!(faults.fired(), "transient fault at op {at} never fired");
+            assert_eq!(files(&out), files(&clean), "transient at op {at}");
+        }
     }
 
     #[test]

@@ -17,9 +17,10 @@
 //! directory layouts use.
 //!
 //! The input side is unified behind [`ingest::IngestPipeline`]: one builder
-//! that detects the source format, parses text in parallel byte chunks
-//! ([`chunked`]), and runs the pipelined DOS conversion — byte-identical
-//! output for every thread count (DESIGN.md §6g).
+//! that detects the source format, parses text (one byte-level line parser,
+//! serial or in parallel byte chunks — [`chunked`]), and runs the pipelined
+//! DOS conversion — byte-identical output for every thread count
+//! (DESIGN.md §6g).
 
 #![forbid(unsafe_code)]
 
@@ -30,6 +31,7 @@ pub mod edgelist;
 pub mod ingest;
 pub mod meta;
 pub mod partition;
+mod text;
 pub mod verify;
 
 pub use chunked::{import_text_chunked, import_text_quarantined, BadRecord};

@@ -58,6 +58,11 @@ impl MetaFile {
         out
     }
 
+    /// Length and CRC of the bytes [`save`](Self::save) writes.
+    pub(crate) fn fingerprint(&self) -> graphz_io::Fingerprint {
+        graphz_io::Fingerprint::of(self.render().as_bytes())
+    }
+
     /// Write atomically (tmp + fsync + rename): a crash mid-save leaves the
     /// previous metadata, never a half-written file.
     pub fn save(&self, path: &Path) -> Result<()> {
@@ -73,17 +78,23 @@ impl MetaFile {
     /// gated as `save-meta:<file>` and streamed through the surface, so the
     /// chaos sweeps can kill exactly this sidecar write (mirroring
     /// `StageManifest::commit`). An inert surface degrades to `save`.
-    pub fn save_with(&self, path: &Path, surface: &graphz_io::FaultSurface) -> Result<()> {
+    /// Returns the fingerprint of the bytes written.
+    pub fn save_with(
+        &self,
+        path: &Path,
+        surface: &graphz_io::FaultSurface,
+    ) -> Result<graphz_io::Fingerprint> {
         use std::io::Write;
         let name = path.file_name().map(|n| n.to_string_lossy().into_owned()).unwrap_or_default();
         surface.op(&format!("save-meta:{name}")).ctx("gate", path)?;
+        let body = self.render();
         let mut file = graphz_io::atomic::AtomicFile::create(path).ctx("stage", path)?;
         {
             let mut w = surface.wrap(&mut file);
-            w.write_all(self.render().as_bytes()).ctx("write", path)?;
+            w.write_all(body.as_bytes()).ctx("write", path)?;
         }
         file.commit().ctx("commit", path)?;
-        Ok(())
+        Ok(graphz_io::Fingerprint::of(body.as_bytes()))
     }
 
     pub fn load(path: &Path) -> Result<Self> {
