@@ -49,9 +49,23 @@ step "ingest chaos (fault sweep + resume, DESIGN.md §6h)"
 # A fault planted at every sampled file operation — hard, torn, transient,
 # disk-full — must either retry to success or fail typed with the scratch
 # root resumable to a byte-identical directory. The sweep summary lands in
-# chaos_ingest.json.
+# chaos_ingest.json and must equal the committed one: its gated op count and
+# injection points are a function of the pipeline's file operations, so a
+# change that moves them on purpose commits the summary this step wrote.
+committed_chaos=$(mktemp)
+cp chaos_ingest.json "$committed_chaos"
 CHAOS_INGEST_OUT="$PWD/chaos_ingest.json" \
   cargo test -q --offline -p graphz-bench --test ingest_chaos
+if ! cmp -s "$committed_chaos" chaos_ingest.json; then
+    echo "-- chaos_ingest.json differs from the committed summary" >&2
+    echo "-- committed:" >&2
+    cat "$committed_chaos" >&2
+    echo "-- this run:" >&2
+    cat chaos_ingest.json >&2
+    rm -f "$committed_chaos"
+    exit 1
+fi
+rm -f "$committed_chaos"
 step_done
 
 step "clippy (warnings are errors)"

@@ -29,15 +29,18 @@
 //! (no scratch allocation per run), so records with equal keys may leave
 //! run formation in any order — the same order on every run of the same
 //! input, since that sort is deterministic. Byte-identical output therefore
-//! rests on the keys: every caller's key is total over its record or
-//! unique by construction (DESIGN.md §6g):
+//! rests on the keys: every caller's key determines its record's bytes or
+//! is unique by construction (DESIGN.md §6g):
 //!
-//! * DOS conversion (`graphz-storage`, `dos.rs`): edges by `(src, dst)`,
-//!   triads by `(Reverse(deg), src, dst)`, half-relabeled triples by
-//!   `(old_dst, new_src, old_src)`, quads by all four fields — each the
-//!   whole record, packed into one integer of the same order; assignment
-//!   pairs `(old, new)` by `old` and inverse pairs `(new, old)` by `new` —
-//!   one pair per vertex, so the key is unique.
+//! * DOS conversion (`graphz-storage`, `dos.rs`), each key packed into one
+//!   integer of the same order: edges by `(src, dst)` and triads by
+//!   `(Reverse(deg), src, dst)` — the whole record; half-relabeled records
+//!   `(new_src, old_dst[, weight])` by `(old_dst, new_src)` and final
+//!   records `(new_src, new_dst[, weight])` by `(new_src, new_dst)` — the
+//!   ids fix the old pair (relabeling is a bijection), and the weight is a
+//!   function of it; assignment pairs `(old, new)` by `old` and inverse
+//!   pairs `(new, old)` by `new` — one pair per vertex, so the key is
+//!   unique.
 //! * CSR build (`csr.rs`) and `EdgeListFile::symmetrize` (`edgelist.rs`):
 //!   edges by `(src, dst)`.
 //! * GraphChi shards (`graphz-baselines`): edges by `(dst, src)` and by

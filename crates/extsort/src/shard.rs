@@ -10,7 +10,7 @@
 //! set of runs is identical for any interleaving. Run *boundaries* do differ
 //! between thread counts (each producer works under a split
 //! [`MemoryBudget`]), which is harmless for byte-identical output because
-//! every sort key used by the ingest pipeline is total over the record bytes
+//! every sort key used by the ingest pipeline determines the record bytes
 //! — see DESIGN.md §6g for the full argument.
 //!
 //! Producer threads are plain scoped workers (no locks — chunks arrive over
@@ -32,10 +32,10 @@ pub(crate) struct RunPlan<T> {
     pub total: u64,
 }
 
-/// Sort `buf` in place by `key` (unstable: every caller's key is total or
-/// unique, see the crate docs) and spill it as run file `idx`. All bytes flow
-/// through the sorter's [`FaultSurface`], so chaos tests reach every run
-/// writer and a disk budget sees every spilled byte.
+/// Sort `buf` in place by `key` (unstable: every caller's key determines
+/// its record or is unique, see the crate docs) and spill it as run file
+/// `idx`. All bytes flow through the sorter's [`FaultSurface`], so chaos
+/// tests reach every run writer and a disk budget sees every spilled byte.
 fn spill<T, K, F>(
     key: &F,
     stats: &Arc<IoStats>,

@@ -7,7 +7,9 @@
 //! worker `i % threads`. Reassembling parsed chunks in index order therefore
 //! reproduces the serial line order exactly, so the resulting binary edge
 //! list is byte-identical to [`EdgeListFile::import_text`] for every thread
-//! count and chunk size.
+//! count and chunk size. The collector streams each chunk into the edge
+//! list as it arrives, so memory holds one parsed chunk per worker, not the
+//! file.
 //!
 //! A line "begins at" byte `p` when `p == 0` or the previous byte is `\n`.
 //! A worker assigned span `[start, end)` seeks to `start - 1` (when
@@ -24,13 +26,14 @@ use std::sync::{mpsc, Arc};
 use graphz_io::{IoStats, TrackedFile};
 use graphz_types::prelude::*;
 
-use crate::edgelist::EdgeListFile;
+use crate::edgelist::{EdgeListFile, EdgeListWriter};
 use crate::text::{LineError, TextLines};
 
-/// Default span size for parallel text parsing (4 MiB — large enough that
-/// per-chunk overhead vanishes, small enough that a handful of chunks exist
-/// even for modest inputs).
-pub const DEFAULT_CHUNK_BYTES: u64 = 4 << 20;
+/// Default span size for parallel text parsing (1 MiB — large enough that
+/// per-chunk overhead vanishes, small enough that the parsed chunks in
+/// flight, about 1 MiB of edges per worker plus the one being written, stay
+/// well under the conversion's sort budget).
+pub const DEFAULT_CHUNK_BYTES: u64 = 1 << 20;
 
 /// One byte span of the chunk plan: the lines beginning in `start..end`
 /// belong to this chunk.
@@ -154,15 +157,67 @@ fn parse_span_lenient(
     Ok(out)
 }
 
+/// Parse every span of `plan` with `parse` and hand the results to `sink`
+/// in plan order.
+///
+/// With `threads > 1`, chunk `i` is parsed by worker `i % threads`, and each
+/// worker hands its chunks over a rendezvous channel of its own; the
+/// collector receives chunk `i` from worker `i % threads`. A worker that
+/// finishes a chunk waits until the collector takes it, so at most one
+/// parsed chunk per worker plus the one in `sink` are in memory, whatever
+/// the size of the file. The first error in plan order — a chunk's parse
+/// error or the sink's — is the one returned: the collector meets errors in
+/// the order the serial parser would. Returning drops the channels, which
+/// stops every worker at its next hand-over.
+fn for_each_span<T: Send>(
+    plan: &[ChunkSpan],
+    threads: usize,
+    parse: impl Fn(ChunkSpan) -> Result<T> + Sync,
+    mut sink: impl FnMut(T) -> Result<()>,
+) -> Result<()> {
+    if threads <= 1 || plan.len() <= 1 {
+        for span in plan {
+            sink(parse(*span)?)?;
+        }
+        return Ok(());
+    }
+    let workers = threads.min(plan.len());
+    std::thread::scope(|scope| -> Result<()> {
+        let mut inboxes = Vec::with_capacity(workers);
+        for worker in 0..workers {
+            let (tx, rx) = mpsc::sync_channel::<Result<T>>(0);
+            inboxes.push(rx);
+            let parse = &parse;
+            std::thread::Builder::new()
+                .name(format!("graphz-parse-{worker}"))
+                .spawn_scoped(scope, move || {
+                    for span in plan.iter().skip(worker).step_by(workers) {
+                        if tx.send(parse(*span)).is_err() {
+                            return; // the collector stopped at an earlier chunk
+                        }
+                    }
+                })?;
+        }
+        for (idx, inbox) in (0..plan.len()).zip(inboxes.iter().cycle()) {
+            let parsed = inbox
+                .recv()
+                .map_err(|_| GraphError::Corrupt(format!("parse worker lost chunk {idx}")))?;
+            sink(parsed?)?;
+        }
+        Ok(())
+    })
+}
+
 /// Import a SNAP-style text file, quarantining up to `max_bad_records`
 /// malformed lines instead of aborting on the first one.
 ///
 /// Returns the imported edge list (malformed lines simply dropped from it)
 /// plus the quarantined records with **global 1-based line numbers** —
-/// chunk-local counts are summed in plan order, so numbering, edges, and
-/// output bytes are identical for every `threads` and `chunk_bytes`.
-/// Exceeding `max_bad_records` is a typed [`GraphError::Corrupt`] naming
-/// the first offending line.
+/// chunk-local counts are summed in plan order as the chunks reach the
+/// writer, so numbering, edges, and output bytes are identical for every
+/// `threads` and `chunk_bytes`. Exceeding `max_bad_records` is a typed
+/// [`GraphError::Corrupt`] naming the first offending line, raised at the
+/// chunk that exceeds it, and leaves no edge list behind.
 pub fn import_text_quarantined(
     text_path: &Path,
     bin_path: &Path,
@@ -173,99 +228,39 @@ pub fn import_text_quarantined(
 ) -> Result<(EdgeListFile, Vec<BadRecord>)> {
     let total_bytes = std::fs::metadata(text_path).ctx("stat", text_path)?.len();
     let plan = plan_chunks(total_bytes, chunk_bytes);
-
-    let mut spans: Vec<LenientSpan> = if threads <= 1 || plan.len() <= 1 {
-        let mut out = Vec::with_capacity(plan.len());
-        for span in &plan {
-            out.push(parse_span_lenient(text_path, &stats, *span)?);
-        }
-        out
-    } else {
-        std::thread::scope(|scope| -> Result<Vec<LenientSpan>> {
-            let (done_tx, done_rx) = mpsc::channel::<(usize, Result<LenientSpan>)>();
-            for worker in 0..threads.min(plan.len()) {
-                let done_tx = done_tx.clone();
-                let plan = &plan;
-                let stats = &stats;
-                std::thread::Builder::new()
-                    .name(format!("graphz-parse-{worker}"))
-                    .spawn_scoped(scope, move || {
-                        for (idx, span) in plan.iter().enumerate() {
-                            if idx % threads != worker {
-                                continue;
-                            }
-                            let parsed = parse_span_lenient(text_path, stats, *span);
-                            if done_tx.send((idx, parsed)).is_err() {
-                                return;
-                            }
-                        }
-                    })?;
-            }
-            drop(done_tx);
-
-            let mut slots: Vec<Option<LenientSpan>> = (0..plan.len()).map(|_| None).collect();
-            let mut first_err: Option<(usize, GraphError)> = None;
-            for (idx, outcome) in done_rx.iter() {
-                match outcome {
-                    Ok(parsed) => {
-                        if let Some(slot) = slots.get_mut(idx) {
-                            *slot = Some(parsed);
-                        }
-                    }
-                    Err(e) => {
-                        if first_err.as_ref().is_none_or(|(at, _)| idx < *at) {
-                            first_err = Some((idx, e));
-                        }
-                    }
-                }
-            }
-            if let Some((_, e)) = first_err {
-                return Err(e);
-            }
-            let mut ordered = Vec::with_capacity(slots.len());
-            for (idx, slot) in slots.into_iter().enumerate() {
-                match slot {
-                    Some(parsed) => ordered.push(parsed),
-                    None => {
-                        return Err(GraphError::Corrupt(format!(
-                            "parse worker lost chunk {idx}"
-                        )))
-                    }
-                }
-            }
-            Ok(ordered)
-        })?
-    };
-
-    // Chunk-local line indices become global 1-based numbers via a running
-    // prefix sum of each span's owned-line count.
     let mut bad: Vec<BadRecord> = Vec::new();
     let mut lines_before: u64 = 0;
-    for span in &mut spans {
-        for mut b in span.bad.drain(..) {
-            b.line = cast::add_u64(lines_before, b.line, "quarantine line number")? + 1;
-            bad.push(b);
-        }
-        lines_before = cast::add_u64(lines_before, span.owned_lines, "quarantine line count")?;
-    }
-    if cast::len_u64(bad.len()) > max_bad_records {
-        let first = bad.first().map_or(0, |b| b.line);
-        return Err(GraphError::Corrupt(format!(
-            "{}: {} malformed records exceed --max-bad-records {max_bad_records} \
-             (first at line {first})",
-            text_path.display(),
-            bad.len(),
-        )));
-    }
-    let file = EdgeListFile::create(bin_path, stats, spans.into_iter().flat_map(|s| s.edges))?;
+    let file = EdgeListWriter::write_streamed(bin_path, Arc::clone(&stats), |w| {
+        let parse = |span| parse_span_lenient(text_path, &stats, span);
+        for_each_span(&plan, threads, parse, |span| {
+            // Chunk-local line indices become global 1-based numbers via a
+            // running prefix sum of each span's owned-line count.
+            for mut b in span.bad {
+                b.line = cast::add_u64(lines_before, b.line, "quarantine line number")? + 1;
+                bad.push(b);
+            }
+            if cast::len_u64(bad.len()) > max_bad_records {
+                let first = bad.first().map_or(0, |b| b.line);
+                return Err(GraphError::Corrupt(format!(
+                    "{}: malformed records exceed --max-bad-records {max_bad_records} \
+                     (first at line {first})",
+                    text_path.display(),
+                )));
+            }
+            lines_before = cast::add_u64(lines_before, span.owned_lines, "quarantine line count")?;
+            span.edges.into_iter().try_for_each(|e| w.push(e))
+        })
+    })?;
     Ok((file, bad))
 }
 
 /// Import a SNAP-style text file by parsing `chunk_bytes`-sized spans on
-/// `threads` workers and reassembling the parsed chunks in plan order.
+/// `threads` workers and streaming the parsed chunks into the edge list in
+/// plan order (memory: one chunk per worker, see [`for_each_span`]).
 ///
 /// Byte-identical to [`EdgeListFile::import_text`] for every `threads` and
-/// `chunk_bytes`; `threads <= 1` delegates to the serial path outright.
+/// `chunk_bytes`; `threads <= 1` delegates to the serial path outright. A
+/// parse error is the earliest chunk's, and leaves no edge list behind.
 pub fn import_text_chunked(
     text_path: &Path,
     bin_path: &Path,
@@ -281,65 +276,10 @@ pub fn import_text_chunked(
     if plan.len() <= 1 {
         return EdgeListFile::import_text(text_path, bin_path, stats);
     }
-
-    let chunks = std::thread::scope(|scope| -> Result<Vec<Vec<Edge>>> {
-        let (done_tx, done_rx) = mpsc::channel::<(usize, Result<Vec<Edge>>)>();
-        for worker in 0..threads.min(plan.len()) {
-            let done_tx = done_tx.clone();
-            let plan = &plan;
-            let stats = &stats;
-            std::thread::Builder::new()
-                .name(format!("graphz-parse-{worker}"))
-                .spawn_scoped(scope, move || {
-                    for (idx, span) in plan.iter().enumerate() {
-                        if idx % threads != worker {
-                            continue;
-                        }
-                        let parsed = parse_span(text_path, stats, *span);
-                        if done_tx.send((idx, parsed)).is_err() {
-                            return;
-                        }
-                    }
-                })?;
-        }
-        drop(done_tx);
-
-        let mut slots: Vec<Option<Vec<Edge>>> = (0..plan.len()).map(|_| None).collect();
-        let mut first_err: Option<(usize, GraphError)> = None;
-        for (idx, outcome) in done_rx.iter() {
-            match outcome {
-                Ok(edges) => {
-                    if let Some(slot) = slots.get_mut(idx) {
-                        *slot = Some(edges);
-                    }
-                }
-                Err(e) => {
-                    // Report the error of the earliest chunk, matching what
-                    // the serial parser would have hit first.
-                    if first_err.as_ref().is_none_or(|(at, _)| idx < *at) {
-                        first_err = Some((idx, e));
-                    }
-                }
-            }
-        }
-        if let Some((_, e)) = first_err {
-            return Err(e);
-        }
-        let mut ordered = Vec::with_capacity(slots.len());
-        for (idx, slot) in slots.into_iter().enumerate() {
-            match slot {
-                Some(edges) => ordered.push(edges),
-                None => {
-                    return Err(GraphError::Corrupt(format!(
-                        "parse worker lost chunk {idx}"
-                    )))
-                }
-            }
-        }
-        Ok(ordered)
-    })?;
-
-    EdgeListFile::create(bin_path, stats, chunks.into_iter().flatten())
+    EdgeListWriter::write_streamed(bin_path, Arc::clone(&stats), |w| {
+        let parse = |span| parse_span(text_path, &stats, span);
+        for_each_span(&plan, threads, parse, |edges| edges.into_iter().try_for_each(|e| w.push(e)))
+    })
 }
 
 #[cfg(test)]
@@ -435,6 +375,24 @@ mod tests {
     }
 
     #[test]
+    fn two_failing_chunks_report_the_earlier_and_leave_no_file() {
+        let dir = ScratchDir::new("chunked-two-bad").unwrap();
+        let txt = dir.file("g.txt");
+        // Eight-byte lines and eight-byte chunks: line `i` is chunk `i`.
+        let mut text: String = (0..40).map(|i| format!("{:03} {:03}\n", i, i + 1)).collect();
+        text.replace_range(5 * 8..5 * 8 + 7, "005 xyz");
+        text.replace_range(30 * 8..30 * 8 + 7, "030 -1 ");
+        std::fs::write(&txt, &text).unwrap();
+        let want = format!("corrupt data: {}: byte 40: dst is not a u32", txt.display());
+        for threads in [2usize, 3, 7] {
+            let bin = dir.file(&format!("imported-{threads}.bin"));
+            let err = import_text_chunked(&txt, &bin, stats(), threads, 8).unwrap_err();
+            assert_eq!(err.to_string(), want, "threads={threads}");
+            assert!(!bin.exists(), "threads={threads}: a failed import leaves no edge list");
+        }
+    }
+
+    #[test]
     fn single_chunk_and_single_thread_delegate_to_serial() {
         let dir = ScratchDir::new("chunked-serial").unwrap();
         let txt = dir.file("g.txt");
@@ -484,6 +442,7 @@ mod tests {
         assert!(matches!(err, GraphError::Corrupt(_)), "got {err:?}");
         assert!(err.to_string().contains("max-bad-records"), "{err}");
         assert!(err.to_string().contains("line 2"), "{err}");
+        assert!(!dir.file("g.bin").exists(), "an import over the limit leaves no edge list");
         // With a budget that fits, the same file imports.
         let (f, bad) =
             import_text_quarantined(&txt, &dir.file("ok.bin"), stats(), 2, 4, 2).unwrap();

@@ -28,7 +28,9 @@
 //! sort and its consumer), and with [`DosConverterBuilder::threads`] > 1
 //! each sort's run formation is sharded across producer threads — with
 //! byte-identical output for every thread count, because every sort key in
-//! the pipeline is a total order over the record bytes (DESIGN.md §6g).
+//! the pipeline determines its record's bytes (DESIGN.md §6g). The records
+//! carry only what the image needs: after the degree pass an edge is two
+//! ids, plus its weight when the image is weighted.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -388,6 +390,92 @@ pub fn scratch_root_for(dir: &Path) -> PathBuf {
 /// paper §III-C's `EDGES` list of `<src, dest, deg>`.
 type Triad = (u32, u32, u32);
 
+/// What an edge record of the stages after the degree pass carries beside
+/// its two ids: nothing for an unweighted image, the edge's `f32` weight
+/// under `--weighted`. The weight is a function of the *old* endpoint ids,
+/// so it is taken once, where the triads stage still has both at hand, and
+/// rides along to the final pass as four bytes.
+trait Payload: Copy + Send + 'static {
+    /// Encoded bytes (0: the record is just its two ids).
+    const SIZE: usize;
+    fn write_to(&self, buf: &mut [u8]);
+    fn read_from(buf: &[u8]) -> Self;
+    /// The value `weights.bin` stores for this edge, if the image has one.
+    fn weight(self) -> Option<f32>;
+}
+
+impl Payload for () {
+    const SIZE: usize = 0;
+
+    #[inline]
+    fn write_to(&self, _buf: &mut [u8]) {}
+
+    #[inline]
+    fn read_from(_buf: &[u8]) -> Self {}
+
+    #[inline]
+    fn weight(self) -> Option<f32> {
+        None
+    }
+}
+
+impl Payload for f32 {
+    const SIZE: usize = <f32 as FixedCodec>::SIZE;
+
+    #[inline]
+    fn write_to(&self, buf: &mut [u8]) {
+        FixedCodec::write_to(self, buf);
+    }
+
+    #[inline]
+    fn read_from(buf: &[u8]) -> Self {
+        <f32 as FixedCodec>::read_from(buf)
+    }
+
+    #[inline]
+    fn weight(self) -> Option<f32> {
+        Some(self)
+    }
+}
+
+/// An edge record of the stages after the degree pass: `half-relabeled.bin`
+/// and the by-dst runs hold `(new_src, old_dst)`, the final sort's runs
+/// `(new_src, new_dst)`, each followed by the payload.
+#[derive(Clone, Copy)]
+struct StageEdge<P> {
+    src: u32,
+    dst: u32,
+    payload: P,
+}
+
+impl<P: Payload> FixedCodec for StageEdge<P> {
+    const SIZE: usize = 8 + P::SIZE;
+
+    #[inline]
+    fn write_to(&self, buf: &mut [u8]) {
+        buf[..4].copy_from_slice(&self.src.to_le_bytes());
+        buf[4..8].copy_from_slice(&self.dst.to_le_bytes());
+        self.payload.write_to(&mut buf[8..]);
+    }
+
+    #[inline]
+    fn read_from(buf: &[u8]) -> Self {
+        StageEdge {
+            src: u32::from_le_bytes(buf[..4].try_into().unwrap()),
+            dst: u32::from_le_bytes(buf[4..8].try_into().unwrap()),
+            payload: P::read_from(&buf[8..]),
+        }
+    }
+}
+
+/// Scratch bytes a sort stage needs per edge while the runs of its two
+/// chained sorts coexist: one `A` and one `B` record — the DESIGN.md §6h
+/// pre-stage disk check's estimate, derived from the record types so it
+/// tracks their size.
+fn run_bytes<A: FixedCodec, B: FixedCodec>(num_edges: u64) -> u64 {
+    num_edges.saturating_mul(cast::len_u64(A::SIZE + B::SIZE))
+}
+
 /// Merge fan-in used in disk-degraded mode: high enough that every
 /// realistic run count merges in a single pass, so no pre-merge copy of the
 /// stage input is ever written.
@@ -400,19 +488,21 @@ fn key2(a: u32, b: u32) -> u64 {
     (u64::from(a) << 32) | u64::from(b)
 }
 
-/// The sort key `(a, b, c, d)` packed likewise.
+/// The sort key `(a, b, c)` packed likewise.
 #[inline]
-fn key4(a: u32, b: u32, c: u32, d: u32) -> u128 {
-    (u128::from(key2(a, b)) << 64) | u128::from(key2(c, d))
+fn key3(a: u32, b: u32, c: u32) -> u128 {
+    (u128::from(key2(a, b)) << 32) | u128::from(c)
 }
 
 /// Adapts the by-`(src, dst)` sorted edge stream into `(deg, src, dst)`
-/// triads: each source's contiguous run is buffered to learn its length
-/// (= out-degree), then re-emitted with the degree attached. This is pass 2
-/// of §III-C, running concurrently with pass 1's merge — the upstream
-/// [`SortedStream`](graphz_extsort::SortedStream) drains while the
-/// downstream sorter's run formation consumes these triads. One buffer of
-/// destinations serves every source.
+/// triads, all in old ids: each source's contiguous run is buffered to
+/// learn its length (= out-degree), then re-emitted with the degree
+/// attached. This is pass 2 of §III-C, running concurrently with pass 1's
+/// merge — the upstream [`SortedStream`](graphz_extsort::SortedStream)
+/// drains while the downstream sorter's run formation consumes these
+/// triads. One buffer of destinations serves every source. The triads are
+/// the last records that hold the old source id: the walk over them
+/// relabels the source and, for a weighted image, takes each edge's weight.
 struct TriadEmitter<S: Iterator<Item = Result<Edge>>> {
     inner: S,
     /// The current source, its degree, and its run's destinations.
@@ -493,10 +583,10 @@ impl<S: Iterator<Item = Result<Edge>>> Iterator for TriadEmitter<S> {
 }
 
 /// Relabels destinations of the dst-sorted half-relabeled stream by
-/// co-scanning `old2new.bin` (pass 6 of §III-C), yielding
-/// `(new_src, new_dst, old_src, old_dst)` quads straight into the final
-/// sort's run formation.
-struct RelabelIter<S: Iterator<Item = Result<(u32, u32, u32)>>> {
+/// co-scanning `old2new.bin` (pass 6 of §III-C): each `(new_src, old_dst)`
+/// record leaves as `(new_src, new_dst)` with its payload untouched,
+/// straight into the final sort's run formation. No old id survives it.
+struct RelabelIter<S> {
     inner: S,
     map: RecordReader<u32>,
     map_pos: u64,
@@ -504,21 +594,25 @@ struct RelabelIter<S: Iterator<Item = Result<(u32, u32, u32)>>> {
     failed: bool,
 }
 
-impl<S: Iterator<Item = Result<(u32, u32, u32)>>> Iterator for RelabelIter<S> {
-    type Item = Result<(u32, u32, u32, u32)>;
+impl<S, P> Iterator for RelabelIter<S>
+where
+    S: Iterator<Item = Result<StageEdge<P>>>,
+    P: Payload,
+{
+    type Item = Result<StageEdge<P>>;
 
     fn next(&mut self) -> Option<Self::Item> {
         if self.failed {
             return None;
         }
-        let (new_src, old_dst, old_src) = match self.inner.next()? {
+        let half = match self.inner.next()? {
             Ok(rec) => rec,
             Err(e) => {
                 self.failed = true;
                 return Some(Err(e));
             }
         };
-        while self.map_pos <= cast::widen_u32(old_dst) {
+        while self.map_pos <= cast::widen_u32(half.dst) {
             match self.map.next_record() {
                 Ok(v) => {
                     self.cur_new = v;
@@ -531,7 +625,7 @@ impl<S: Iterator<Item = Result<(u32, u32, u32)>>> Iterator for RelabelIter<S> {
             }
         }
         match self.cur_new {
-            Some(new_dst) => Some(Ok((new_src, new_dst, old_src, old_dst))),
+            Some(new_dst) => Some(Ok(StageEdge { dst: new_dst, ..half })),
             None => {
                 self.failed = true;
                 Some(Err(GraphError::Corrupt(
@@ -668,6 +762,27 @@ impl DosConverter {
     /// stage is a deterministic function of the previous stage's files, the
     /// resumed directory is byte-identical to a clean run's.
     pub fn convert(&self, input: &EdgeListFile, dir: &Path) -> Result<DosGraph> {
+        match self.weight_fn {
+            None => self.convert_shaped(input, dir, |_, _| ()),
+            Some(f) => self.convert_shaped(input, dir, f),
+        }
+    }
+
+    /// The body of [`convert`](Self::convert) for one record shape: `P` is
+    /// `()` for an unweighted image and `f32` for a weighted one, whose
+    /// value `weigh(old_src, old_dst)` the triads stage computes.
+    ///
+    /// Every sort key after the degree pass determines its record: source
+    /// relabeling is a bijection, so `new_src` fixes `old_src`, and the
+    /// payload is a function of the old pair. Equal keys therefore mean
+    /// equal bytes, and the output does not depend on how a sort orders
+    /// ties (DESIGN.md §6g).
+    fn convert_shaped<P: Payload>(
+        &self,
+        input: &EdgeListFile,
+        dir: &Path,
+        weigh: impl Fn(VertexId, VertexId) -> P,
+    ) -> Result<DosGraph> {
         std::fs::create_dir_all(dir).ctx("create-dir", dir)?;
         let owns_root = self.scratch_root.is_none();
         let root = self.scratch_root.clone().unwrap_or_else(|| scratch_root_for(dir));
@@ -712,13 +827,18 @@ impl DosConverter {
         // stream the merge through the triad emitter into the by-degree
         // sort's run formation; then walk the degree-sorted triads assigning
         // new ids, building the per-unique-degree groups, and emitting
-        // half-relabeled edges (new src, old dst).
+        // half-relabeled edges (new src, old dst, payload). A manifest
+        // written for another record shape (the other `--weighted` setting)
+        // does not count: its half-relabeled records have another size.
+        let half_bytes = cast::len_u64(StageEdge::<P>::SIZE);
         let half = root.join("half-relabeled.bin");
         let assign = root.join("assign.bin"); // (old_id, new_id) per vertex with deg > 0
         let groups_path = root.join("groups.bin");
         let mut groups: Vec<DegreeGroup>;
         let assigned: u64;
-        if let Some(m) = stage_done(live, "triads", &root)? {
+        if let Some(m) = stage_done(live, "triads", &root)?
+            .filter(|m| m.get_u64("half_record_bytes") == Some(half_bytes))
+        {
             assigned = m.get_u64("assigned").ok_or_else(|| {
                 GraphError::Corrupt("triads manifest lacks an `assigned` count".into())
             })?;
@@ -726,8 +846,8 @@ impl DosConverter {
                 .read_all()?;
         } else {
             live = false;
-            // By-src runs (8 B/edge) and by-deg runs (12 B/edge) coexist.
-            let fan_in = self.stage_fan_in("triads", meta.num_edges.saturating_mul(20))?;
+            // By-src runs and by-deg runs coexist.
+            let fan_in = self.stage_fan_in("triads", run_bytes::<Edge, Triad>(meta.num_edges))?;
             groups = Vec::new();
             let mut next_new: u32 = 0;
             let (half_fp, assign_fp) = {
@@ -737,7 +857,7 @@ impl DosConverter {
                 // paper breaks them "randomly"; a deterministic break makes
                 // runs reproducible, which §IV-C's ordering guarantee
                 // requires anyway.
-                let by_deg_sorter = self.sorter(|t: &Triad| key4(!t.0, t.1, t.2, 0), fan_in)?;
+                let by_deg_sorter = self.sorter(|t: &Triad| key3(!t.0, t.1, t.2), fan_in)?;
                 let by_src_runs = ScratchDir::new_in(&root, "by-src").ctx("scratch", &root)?;
                 let by_deg_runs = ScratchDir::new_in(&root, "by-deg").ctx("scratch", &root)?;
                 let by_src = by_src_sorter
@@ -746,10 +866,10 @@ impl DosConverter {
                     by_deg_sorter.sort_stream(TriadEmitter::new(by_src), &by_deg_runs)?;
                 drop(by_src_runs); // pass-1 runs fully drained into pass-2 runs
 
-                // (new src, old dst, old src) — the old source rides along so
-                // weights can be derived from original ids at the final pass.
+                // The last pass that knows the old source: the payload (a
+                // weight of the original ids) is taken here.
                 let mut half_w =
-                    RecordWriter::<(u32, u32, u32), _>::from_writer(self.writer(&half)?);
+                    RecordWriter::<StageEdge<P>, _>::from_writer(self.writer(&half)?);
                 let mut assign_w =
                     RecordWriter::<(u32, u32), _>::from_writer(self.writer(&assign)?);
                 let mut cur_src: Option<u32> = None;
@@ -768,7 +888,11 @@ impl DosConverter {
                             });
                         }
                     }
-                    half_w.push(&(next_new - 1, dst, src))?;
+                    half_w.push(&StageEdge {
+                        src: next_new - 1,
+                        dst,
+                        payload: weigh(src, dst),
+                    })?;
                 }
                 (seal(half_w)?, seal(assign_w)?)
             };
@@ -778,6 +902,7 @@ impl DosConverter {
             let groups_fp = seal(gw)?;
             let mut m = StageManifest::new("triads");
             m.set("assigned", assigned);
+            m.set("half_record_bytes", half_bytes);
             m.record_file("half-relabeled.bin", half_fp);
             m.record_file("assign.bin", assign_fp);
             m.record_file("groups.bin", groups_fp);
@@ -873,7 +998,7 @@ impl DosConverter {
         // sequentially relabel dests") straight into the final sort's run
         // formation, and write the adjacency file (destination ids only;
         // offsets are computed by Eq. 1) plus, when requested, the parallel
-        // per-edge weight file.
+        // per-edge weight file from the records' payload.
         let edges_path = dir.join("edges.bin");
         let (edges_fp, weights_fp) = if let Some(m) = stage_done(live, "adjacency", dir)? {
             let weights_fp = match self.weight_fn {
@@ -883,18 +1008,19 @@ impl DosConverter {
             (recorded(&m, "edges.bin")?, weights_fp)
         } else {
             live = false;
-            // By-dst runs (12 B/edge) and final-quad runs (16 B/edge) coexist.
-            let fan_in = self.stage_fan_in("adjacency", meta.num_edges.saturating_mul(28))?;
+            // By-dst runs and final runs coexist.
+            let fan_in = self.stage_fan_in(
+                "adjacency",
+                run_bytes::<StageEdge<P>, StageEdge<P>>(meta.num_edges),
+            )?;
             let mut written: u64 = 0;
             let (edges_fp, weights_fp) = {
-                let by_dst_sorter =
-                    self.sorter(|p: &(u32, u32, u32)| key4(p.1, p.0, p.2, 0), fan_in)?;
-                let final_sorter =
-                    self.sorter(|p: &(u32, u32, u32, u32)| key4(p.0, p.1, p.2, p.3), fan_in)?;
+                let by_dst_sorter = self.sorter(|r: &StageEdge<P>| key2(r.dst, r.src), fan_in)?;
+                let final_sorter = self.sorter(|r: &StageEdge<P>| key2(r.src, r.dst), fan_in)?;
                 let by_dst_runs = ScratchDir::new_in(&root, "half-by-dst").ctx("scratch", &root)?;
                 let final_runs = ScratchDir::new_in(&root, "final").ctx("scratch", &root)?;
                 let by_dst = by_dst_sorter.sort_stream(
-                    RecordReader::<(u32, u32, u32)>::open(&half, Arc::clone(&self.stats))?,
+                    RecordReader::<StageEdge<P>>::open(&half, Arc::clone(&self.stats))?,
                     &by_dst_runs,
                 )?;
                 let relabel = RelabelIter {
@@ -914,10 +1040,10 @@ impl DosConverter {
                     )),
                     None => None,
                 };
-                while let Some((_, new_dst, old_src, old_dst)) = final_sorted.next_record()? {
-                    w.push(&new_dst)?;
-                    if let (Some(ww), Some(f)) = (&mut weights_w, self.weight_fn) {
-                        ww.push(&f(old_src, old_dst))?;
+                while let Some(r) = final_sorted.next_record()? {
+                    w.push(&r.dst)?;
+                    if let (Some(ww), Some(weight)) = (&mut weights_w, r.payload.weight()) {
+                        ww.push(&weight)?;
                     }
                     written += 1;
                 }
@@ -1206,6 +1332,28 @@ mod tests {
         let err = conv.stage_fan_in("x", 2000).unwrap_err();
         assert!(matches!(err, GraphError::StorageFull(_)), "got {err:?}");
         assert!(err.to_string().contains("stage `x`"), "{err}");
+
+        // The estimates follow the stage record types: the triads stage's
+        // by-src edge and by-deg triad, the adjacency stage's two edge
+        // records — two ids, plus the weight in a weighted image.
+        assert_eq!(run_bytes::<Edge, Triad>(1), 20);
+        let adjacency = |weighted: bool, edges: u64| {
+            let bytes = if weighted {
+                run_bytes::<StageEdge<f32>, StageEdge<f32>>(edges)
+            } else {
+                run_bytes::<StageEdge<()>, StageEdge<()>>(edges)
+            };
+            conv.stage_fan_in("adjacency", bytes)
+        };
+        assert_eq!((adjacency(false, 1).unwrap(), adjacency(true, 1).unwrap()), (None, None));
+        // 30 edges: 480 B unweighted still fits twice; 720 B weighted does not.
+        assert_eq!(adjacency(false, 30).unwrap(), None);
+        assert_eq!(adjacency(true, 30).unwrap(), Some(DEGRADED_FAN_IN));
+        // 50 edges: 800 B unweighted degrades; 1200 B weighted cannot start.
+        assert_eq!(adjacency(false, 50).unwrap(), Some(DEGRADED_FAN_IN));
+        let err = adjacency(true, 50).unwrap_err();
+        assert!(matches!(err, GraphError::StorageFull(_)), "got {err:?}");
+        assert!(err.to_string().contains("stage `adjacency` needs about 1200"), "{err}");
     }
 
     fn convert(edges: Vec<Edge>) -> (ScratchDir, DosGraph) {
@@ -1612,6 +1760,49 @@ mod tests {
                 .unwrap();
             assert_eq!(dir_contents(&par_dir), serial, "threads={threads}");
         }
+    }
+
+    /// The half-relabeled records are 8 bytes unweighted and 12 weighted, so
+    /// a resume that switches `--weighted` must redo the triads stage, not
+    /// read the other shape's file.
+    #[test]
+    fn resume_with_the_other_record_shape_redoes_the_triads_stage() {
+        let edges: Vec<Edge> =
+            (0..300u32).map(|i| Edge::new(i % 23, (i * 7) % 41)).collect();
+        let dir = ScratchDir::new("dos-reshape").unwrap();
+        let el = EdgeListFile::create(&dir.file("g.bin"), stats(), edges).unwrap();
+        let root = dir.path().join("root");
+        let converter = |weighted: bool, resume: bool| {
+            let mut b = DosConverter::builder()
+                .budget(MemoryBudget::from_kib(1))
+                .stats(stats())
+                .scratch_root(&root)
+                .resume(resume);
+            if weighted {
+                b = b.weights(graphz_types::derive_weight);
+            }
+            b.build().unwrap()
+        };
+        let clean_dir = dir.path().join("clean");
+        DosConverter::new(MemoryBudget::from_kib(1), stats())
+            .with_weights(graphz_types::derive_weight)
+            .convert(&el, &clean_dir)
+            .unwrap();
+        for (first, then) in [(false, true), (true, false)] {
+            let out = dir.path().join(format!("dos-{first}-{then}"));
+            converter(first, false).convert(&el, &out).unwrap();
+            let resumed = converter(then, true).convert(&el, &out).unwrap();
+            assert_eq!(resumed.has_weights(), then);
+            let want_dir = dir.path().join(format!("want-{then}"));
+            converter(then, false).convert(&el, &want_dir).unwrap();
+            let mut got = dir_contents(&out);
+            if !then {
+                // The first, weighted run left its weights file behind.
+                got.remove("weights.bin");
+            }
+            assert_eq!(got, dir_contents(&want_dir), "{first} then {then}");
+        }
+        assert_eq!(dir_contents(&dir.path().join("want-true")), dir_contents(&clean_dir));
     }
 
     #[test]

@@ -81,12 +81,23 @@ impl EdgeListWriter {
         Ok(EdgeListFile { path: self.path, meta, written: Some(written) })
     }
 
-    /// Give up: remove the partial data file, so a failed import leaves no
+    /// Create `path`, stream edges into it with `fill`, and seal it. On any
+    /// error the partial data file is removed, so a failed import leaves no
     /// edge list behind.
-    pub(crate) fn abandon(self) {
-        let path = self.path.clone();
-        drop(self);
-        let _ = std::fs::remove_file(path);
+    pub(crate) fn write_streamed(
+        path: &Path,
+        stats: Arc<IoStats>,
+        fill: impl FnOnce(&mut EdgeListWriter) -> Result<()>,
+    ) -> Result<EdgeListFile> {
+        let mut w = EdgeListWriter::create(path, stats)?;
+        match fill(&mut w) {
+            Ok(()) => w.close(),
+            Err(e) => {
+                drop(w);
+                let _ = std::fs::remove_file(path);
+                Err(e)
+            }
+        }
     }
 }
 
@@ -170,14 +181,9 @@ impl EdgeListFile {
     /// behind.
     pub fn import_text(text_path: &Path, bin_path: &Path, stats: Arc<IoStats>) -> Result<Self> {
         let file = TrackedFile::open(text_path, Arc::clone(&stats)).ctx("open", text_path)?;
-        let mut w = EdgeListWriter::create(bin_path, stats)?;
-        match Self::stream_text(text_path, TextLines::new(file), &mut w) {
-            Ok(()) => w.close(),
-            Err(e) => {
-                w.abandon();
-                Err(e)
-            }
-        }
+        EdgeListWriter::write_streamed(bin_path, stats, |w| {
+            Self::stream_text(text_path, TextLines::new(file), w)
+        })
     }
 
     fn stream_text(
