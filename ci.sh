@@ -38,10 +38,11 @@ step "test"
 cargo test -q --offline
 step_done
 
-step "ingest equivalence (parallel == serial, byte-for-byte)"
-# Part of the tier-1 gate: the sharded ingest pipeline must produce DOS
-# directories byte-identical to the serial build at every thread count and
-# chunk size (DESIGN.md §6g).
+step "ingest equivalence (any budget, any resume point: same bytes)"
+# Part of the tier-1 gate: a budget that spills many runs and pre-merges
+# must produce DOS directories byte-identical to a budget where every sort
+# is one in-memory run, and a run killed at any stage commit must resume to
+# the same bytes (DESIGN.md §6g, §6h).
 cargo test -q --offline -p graphz-bench --test ingest_equivalence
 step_done
 
@@ -136,22 +137,6 @@ bash benchmark/run.sh --workload pagerank-fit --seconds 1
 bash benchmark/run.sh --workload pagerank-ooc --seconds 1
 bash benchmark/run.sh --workload traversal-ooc --seconds 1
 bash benchmark/run.sh --workload pipeline-cold --seconds 1
-step_done
-
-step "bench: serve queries/sec (1/2/4 reader threads)"
-# Lockstep TCP clients measure full round-trip latency; single-core boxes
-# record scaling_valid: false (same contract as bench_ingest).
-cargo run --release --offline -q -p graphz-bench --bin bench_serve -- \
-  --scale 10 --edges 60000 --queries 4000 --threads 1,2,4 \
-  --out BENCH_serve.json > /dev/null
-step_done
-
-step "bench: ingest throughput (serial vs sharded parallel)"
-# Single-core machines will show speedup <= 1; the JSON records the core
-# count and marks the speedup verdict invalid there (speedup_valid: false).
-cargo run --release --offline -q -p graphz-bench --bin bench_ingest -- \
-  --scale 9 --edges 120000 --budget-kib 256 --threads 1,2,4 \
-  --out BENCH_ingest.json
 step_done
 
 echo "CI gate passed."

@@ -42,9 +42,9 @@ pub const AUDIT_RULES: &[Rule] = &[
             "crates/io/",
             "crates/storage/",
             "crates/check/",
-            // The sharded extsort (PR 5) is deliberately lock-free — chunks
-            // move over channels — so keeping it in scope is a cheap
-            // invariant: any future Mutex here joins the global order graph.
+            // The external sort runs on the calling thread and takes no
+            // lock; keeping it in scope is a cheap invariant: any future
+            // Mutex here joins the global order graph.
             "crates/extsort/",
             // The serve read path is lock-free by design (each reader owns
             // its view); in-scope so any future lock joins the order graph.

@@ -69,28 +69,17 @@ pub const RULES: &[Rule] = &[
     Rule {
         name: "no-thread-spawn",
         why: "all concurrency flows through audited pipeline stages (the \
-              engine's Sio read-ahead and prefetcher; the ingest and serve \
-              stages below); ad-hoc threads escape that topology",
+              engine's Sio read-ahead and prefetcher; the serve fleet); \
+              ad-hoc threads escape that topology, and ingest runs on the \
+              calling thread",
         scope: &[],
         allow: &[
             "crates/core/src/prefetch.rs",
             "crates/core/src/sio.rs",
-            // Ingest-side concurrency (PR 5): scoped producer shards, the
-            // double-buffered run reader, and chunked text parse workers all
-            // follow the deterministic-schedule rule (DESIGN.md §6g).
-            "crates/extsort/src/shard.rs",
-            // Key-partitioned parallel merge (PR 7): scoped range workers
-            // whose output is byte-identical for any worker count.
-            "crates/extsort/src/pmerge.rs",
-            "crates/io/src/readahead.rs",
-            "crates/storage/src/chunked.rs",
-            // Serve fleet (PR 10): one accept thread + N reader threads,
+            // Serve fleet: one accept thread + N reader threads,
             // joined in Server::shutdown/wait; queries themselves never spawn
             // (enforced by the serve-read-alloc ipa rule).
             "crates/serve/src/server.rs",
-            // bench_serve's lockstep TCP clients: one joined driver thread
-            // per connection, measurement harness only — never engine code.
-            "crates/bench/src/bin/bench_serve.rs",
         ],
     },
     Rule {
@@ -678,6 +667,14 @@ mod tests {
         assert_eq!(lint_str("crates/core/src/worker.rs", src).len(), 1, "the Worker runs inline");
         assert_eq!(lint_str("crates/core/src/sio.rs", src).len(), 0);
         assert_eq!(lint_str("crates/core/src/prefetch.rs", src).len(), 0);
+        // Ingest has one path, on the calling thread.
+        for path in [
+            "crates/extsort/src/lib.rs",
+            "crates/storage/src/edgelist.rs",
+            "crates/io/src/tracked.rs",
+        ] {
+            assert_eq!(lint_str(path, src).len(), 1, "{path}");
+        }
     }
 
     #[test]

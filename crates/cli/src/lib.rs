@@ -26,12 +26,16 @@ use graphz_types::{EngineOptions, GraphError, IoCtx, MemoryBudget, Result};
 #[derive(Debug, Clone, PartialEq)]
 pub enum Command {
     Generate { out: PathBuf, scale: u32, edges: u64, seed: u64 },
-    Import { text: PathBuf, out: PathBuf, ingest_threads: usize },
+    Import { text: PathBuf, out: PathBuf },
     Convert {
         edges: PathBuf,
         dos_dir: PathBuf,
         budget_mib: u64,
         weighted: bool,
+        /// Always `1`: `convert` takes no `--ingest-threads` flag. A
+        /// compatibility name for the benchmark's convert adapter
+        /// (`benchmark/src/layers.rs`), which still destructures it; goes
+        /// away with that adapter.
         ingest_threads: usize,
         max_bad_records: Option<u64>,
         resume: bool,
@@ -110,12 +114,7 @@ pub const COMMANDS: &[CommandSpec] = &[
         name: "import",
         aliases: &[],
         positionals: &["<edges.txt | matrix.mtx>", "<out.bin>"],
-        flags: &[FlagSpec {
-            name: "--ingest-threads",
-            value: Some("N"),
-            help: "parallel text-parse workers; output is byte-identical \
-                   for every N (default 1)",
-        }],
+        flags: &[],
         summary: "convert SNAP-style text or Matrix Market to a binary edge list",
         details: "",
     },
@@ -126,12 +125,6 @@ pub const COMMANDS: &[CommandSpec] = &[
         flags: &[
             FlagSpec { name: "--budget-mib", value: Some("B"), help: "sort memory budget in MiB (default 8)" },
             FlagSpec { name: "--weighted", value: None, help: "also emit weights.bin (deterministic per-edge weights)" },
-            FlagSpec {
-                name: "--ingest-threads",
-                value: Some("N"),
-                help: "parse workers and sort-run producers; the DOS \
-                       directory is byte-identical for every N (default 1)",
-            },
             FlagSpec {
                 name: "--max-bad-records",
                 value: Some("N"),
@@ -146,12 +139,7 @@ pub const COMMANDS: &[CommandSpec] = &[
             },
         ],
         summary: "build degree-ordered storage (detects text vs binary input)",
-        details: "Ingest parallelism: --ingest-threads shards text parsing into fixed\n\
-                  byte chunks and external-sort run formation across N producers. The\n\
-                  plan depends only on the input size and budget — never on thread\n\
-                  timing — so the produced directory is byte-identical for every N.\n\
-                  \n\
-                  Fault tolerance: each pipeline stage commits a checksummed manifest\n\
+        details: "Fault tolerance: each pipeline stage commits a checksummed manifest\n\
                   into a <dos-dir>.scratch directory; --resume skips stages whose\n\
                   manifests verify and restarts at the first incomplete one, producing\n\
                   a byte-identical directory. --max-bad-records N diverts up to N\n\
@@ -432,14 +420,13 @@ pub fn parse(args: &[String]) -> Result<Command> {
         "import" => Ok(Command::Import {
             text: p.pos(0)?,
             out: p.pos(1)?,
-            ingest_threads: p.parse_value("--ingest-threads", 1usize)?.max(1),
         }),
         "convert" => Ok(Command::Convert {
             edges: p.pos(0)?,
             dos_dir: p.pos(1)?,
             budget_mib: p.parse_value("--budget-mib", 8)?,
             weighted: p.switch("--weighted"),
-            ingest_threads: p.parse_value("--ingest-threads", 1usize)?.max(1),
+            ingest_threads: 1,
             max_bad_records: p
                 .value("--max-bad-records")
                 .map(|raw| {
@@ -551,20 +538,13 @@ pub fn execute(cmd: Command) -> Result<String> {
                 m.unique_degrees
             ))
         }
-        Command::Import { text, out, ingest_threads } => {
+        Command::Import { text, out } => {
             // `.mtx` files go through the Matrix Market reader; anything
-            // else is SNAP-style `src dst` text, parsed in parallel byte
-            // chunks (byte-identical output for every thread count).
+            // else is SNAP-style `src dst` text.
             let el = if text.extension().is_some_and(|e| e == "mtx") {
                 EdgeListFile::import_matrix_market(&text, &out, Arc::clone(&stats))?
             } else {
-                graphz_storage::import_text_chunked(
-                    &text,
-                    &out,
-                    Arc::clone(&stats),
-                    ingest_threads,
-                    graphz_storage::chunked::DEFAULT_CHUNK_BYTES,
-                )?
+                EdgeListFile::import_text(&text, &out, Arc::clone(&stats))?
             };
             Ok(format!(
                 "imported {} edges over {} vertices into {}\n",
@@ -578,14 +558,13 @@ pub fn execute(cmd: Command) -> Result<String> {
             dos_dir,
             budget_mib,
             weighted,
-            ingest_threads,
             max_bad_records,
             resume,
+            ..
         } => {
             let mut pipeline = IngestPipeline::builder()
                 .budget(MemoryBudget::from_mib(budget_mib))
                 .stats(Arc::clone(&stats))
-                .threads(ingest_threads)
                 .resume(resume);
             if weighted {
                 // Deterministic weights derived from original endpoint ids.
@@ -1304,8 +1283,9 @@ mod tests {
             assert_eq!(cmd, Command::HelpFor("convert".into()), "{spelled}");
         }
         let page = execute(Command::HelpFor("convert".into())).unwrap();
-        assert!(page.contains("--ingest-threads"), "{page}");
+        assert!(page.contains("--resume"), "{page}");
         assert!(page.contains("byte-identical"), "{page}");
+        assert!(!page.contains("--ingest-threads"), "{page}");
         assert!(page.contains("--weighted"), "{page}");
         // `--help` wins even when the rest of the line is malformed.
         assert_eq!(
@@ -1347,16 +1327,21 @@ mod tests {
     }
 
     #[test]
-    fn parses_ingest_threads_on_import_and_convert() {
-        let cmd = parse(&args("import e.txt e.bin --ingest-threads 4")).unwrap();
-        assert_eq!(
-            cmd,
-            Command::Import { text: "e.txt".into(), out: "e.bin".into(), ingest_threads: 4 }
-        );
-        match parse(&args("convert e.bin dos --ingest-threads 0")).unwrap() {
-            Command::Convert { ingest_threads, .. } => assert_eq!(ingest_threads, 1),
-            other => panic!("parsed {other:?}"),
+    fn ingest_threads_is_an_unknown_flag_on_import_and_convert() {
+        // Ingest has one path, on the calling thread.
+        for cmd in ["import", "convert"] {
+            let err = parse(&args(&format!("{cmd} e.txt out --ingest-threads 2")))
+                .unwrap_err()
+                .to_string();
+            let want = format!(
+                "unknown flag `--ingest-threads` for `graphz {cmd}` — see `graphz {cmd} --help`"
+            );
+            assert!(err.contains(&want), "{err}");
         }
+        assert_eq!(
+            parse(&args("import e.txt e.bin")).unwrap(),
+            Command::Import { text: "e.txt".into(), out: "e.bin".into() }
+        );
         match parse(&args("convert e.bin dos")).unwrap() {
             Command::Convert { ingest_threads, .. } => assert_eq!(ingest_threads, 1),
             other => panic!("parsed {other:?}"),
@@ -1443,34 +1428,25 @@ mod tests {
     }
 
     #[test]
-    fn convert_accepts_text_directly_and_parallel_matches_serial() {
+    fn convert_accepts_text_directly_and_matches_import_then_convert() {
         let dir = graphz_io::ScratchDir::new("cli-text-convert").unwrap();
         let txt = dir.file("g.txt");
+        let bin = dir.file("g.bin");
         std::fs::write(&txt, "0 1\n1 2\n2 0\n0 2\n3 1\n").unwrap();
-        let serial = dir.path().join("serial");
-        let par = dir.path().join("par");
-        let out = execute(
-            parse(&args(&format!("convert {} {}", txt.display(), serial.display()))).unwrap(),
-        )
-        .unwrap();
+        let from_text = dir.path().join("from-text");
+        let from_bin = dir.path().join("from-bin");
+        let run = |line: String| execute(parse(&args(&line)).unwrap()).unwrap();
+        let out = run(format!("convert {} {}", txt.display(), from_text.display()));
         assert!(out.contains("degree-ordered storage"), "{out}");
-        execute(
-            parse(&args(&format!(
-                "convert {} {} --ingest-threads 4",
-                txt.display(),
-                par.display()
-            )))
-            .unwrap(),
-        )
-        .unwrap();
-        assert_eq!(
-            std::fs::read(serial.join("edges.bin")).unwrap(),
-            std::fs::read(par.join("edges.bin")).unwrap()
-        );
-        assert_eq!(
-            std::fs::read(serial.join("checksums.txt")).unwrap(),
-            std::fs::read(par.join("checksums.txt")).unwrap()
-        );
+        run(format!("import {} {}", txt.display(), bin.display()));
+        run(format!("convert {} {}", bin.display(), from_bin.display()));
+        for name in ["edges.bin", "checksums.txt"] {
+            assert_eq!(
+                std::fs::read(from_text.join(name)).unwrap(),
+                std::fs::read(from_bin.join(name)).unwrap(),
+                "{name}"
+            );
+        }
     }
 
     #[test]

@@ -14,7 +14,6 @@
 //! internally sorted, so at most one record per run is ever pending and the
 //! `seq` component can never decide a comparison.
 
-use std::io::Read;
 use std::vec;
 
 use graphz_io::RecordReader;
@@ -22,7 +21,7 @@ use graphz_types::{FixedCodec, Result};
 
 /// One merge input: a spilled run file or the in-memory tail run.
 pub(crate) enum RunSource<T: FixedCodec> {
-    File(RecordReader<T, Box<dyn Read + Send>>),
+    File(RecordReader<T>),
     Memory(vec::IntoIter<T>),
 }
 

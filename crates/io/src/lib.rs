@@ -19,7 +19,6 @@ pub mod device;
 pub mod fault;
 pub mod framed;
 pub mod manifest;
-pub mod readahead;
 pub mod record;
 pub mod scratch;
 pub mod stats;
@@ -34,7 +33,6 @@ pub use fault::{
 };
 pub use framed::{FramedReader, FramedWriter};
 pub use manifest::StageManifest;
-pub use readahead::ReadAheadReader;
 pub use record::{RecordReader, RecordWriter};
 pub use scratch::ScratchDir;
 pub use stats::{IoSnapshot, IoStats, PrefetchSnapshot};

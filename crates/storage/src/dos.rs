@@ -25,10 +25,9 @@
 //! Conversion (§III-C) uses only sequential passes and external sorts, so it
 //! runs in bounded memory no matter the graph size. The passes run as a
 //! *pipeline* of chained lazy sort merges (no intermediate file between a
-//! sort and its consumer), and with [`DosConverterBuilder::threads`] > 1
-//! each sort's run formation is sharded across producer threads — with
-//! byte-identical output for every thread count, because every sort key in
-//! the pipeline determines its record's bytes (DESIGN.md §6g). The records
+//! sort and its consumer). The image bytes do not depend on the budget:
+//! every sort key in the pipeline determines its record's bytes, so run
+//! boundaries cannot show in the output (DESIGN.md §6g). The records
 //! carry only what the image needs: after the degree pass an edge is two
 //! ids, plus its weight when the image is weighted.
 
@@ -263,7 +262,7 @@ impl DosIndex {
 /// Converts an edge list into a DOS directory (paper §III-C).
 ///
 /// Construct via [`DosConverter::builder`] (the workspace builder
-/// convention) or [`DosConverter::new`] for the single-threaded default.
+/// convention) or [`DosConverter::new`] for the defaults.
 pub struct DosConverter {
     budget: MemoryBudget,
     stats: Arc<IoStats>,
@@ -271,9 +270,6 @@ pub struct DosConverter {
     /// `edges.bin`) is produced from the *original* endpoint ids, so weights
     /// survive the relabeling unchanged.
     weight_fn: Option<fn(VertexId, VertexId) -> f32>,
-    /// Producer threads per external sort. The produced directory is
-    /// byte-identical for every value (DESIGN.md §6g).
-    threads: usize,
     /// Fault surface gating every file op of the conversion (default inert).
     surface: FaultSurface,
     /// When set, completed stages found in the scratch root are skipped.
@@ -291,7 +287,6 @@ pub struct DosConverterBuilder {
     budget: Option<MemoryBudget>,
     stats: Option<Arc<IoStats>>,
     weight_fn: Option<fn(VertexId, VertexId) -> f32>,
-    threads: usize,
     surface: FaultSurface,
     resume: bool,
     scratch_root: Option<PathBuf>,
@@ -314,12 +309,6 @@ impl DosConverterBuilder {
     /// Also emit per-edge weights computed by `f(original_src, original_dst)`.
     pub fn weights(mut self, f: fn(VertexId, VertexId) -> f32) -> Self {
         self.weight_fn = Some(f);
-        self
-    }
-
-    /// Producer threads for each external sort (≥ 1; default 1).
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
         self
     }
 
@@ -361,14 +350,10 @@ impl DosConverterBuilder {
         let stats = self.stats.ok_or_else(|| {
             GraphError::InvalidConfig("DOS conversion requires a stats sink".into())
         })?;
-        if self.threads == 0 {
-            return Err(GraphError::InvalidConfig("ingest threads must be >= 1".into()));
-        }
         Ok(DosConverter {
             budget,
             stats,
             weight_fn: self.weight_fn,
-            threads: self.threads,
             surface: self.surface,
             resume: self.resume,
             scratch_root: self.scratch_root,
@@ -660,7 +645,6 @@ impl DosConverter {
             budget: None,
             stats: None,
             weight_fn: None,
-            threads: 1,
             surface: FaultSurface::none(),
             resume: false,
             scratch_root: None,
@@ -668,14 +652,13 @@ impl DosConverter {
         }
     }
 
-    /// Single-threaded converter; shorthand for
+    /// Converter with the defaults; shorthand for
     /// `DosConverter::builder().budget(..).stats(..).build()`.
     pub fn new(budget: MemoryBudget, stats: Arc<IoStats>) -> Self {
         DosConverter {
             budget,
             stats,
             weight_fn: None,
-            threads: 1,
             surface: FaultSurface::none(),
             resume: false,
             scratch_root: None,
@@ -703,7 +686,6 @@ impl DosConverter {
         let mut b = ExternalSorter::builder(key)
             .budget(self.budget.split(2))
             .stats(Arc::clone(&self.stats))
-            .threads(self.threads)
             .faults(self.surface.clone());
         if let Some(t) = &self.timings {
             b = b.timings(Arc::clone(t));
@@ -1697,14 +1679,7 @@ mod tests {
         assert!(DosConverter::builder()
             .budget(MemoryBudget::from_kib(64))
             .stats(stats())
-            .threads(0)
-            .build()
-            .is_err());
-        assert!(DosConverter::builder()
-            .budget(MemoryBudget::from_kib(64))
-            .stats(stats())
             .weights(graphz_types::derive_weight)
-            .threads(4)
             .build()
             .is_ok());
     }
@@ -1720,46 +1695,6 @@ mod tests {
             );
         }
         out
-    }
-
-    #[test]
-    fn parallel_conversion_is_byte_identical_to_serial() {
-        // Deterministic pseudo-random graph with duplicate edges, repeated
-        // degrees, and a sparse id space (zero-degree tail).
-        let mut edges = Vec::new();
-        let mut x: u64 = 99;
-        for _ in 0..800 {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            let src = ((x >> 33) % 60) as u32;
-            let dst = ((x >> 13) % 90) as u32;
-            edges.push(Edge::new(src, dst));
-        }
-        let dir = ScratchDir::new("dos-par").unwrap();
-        let el = EdgeListFile::create(&dir.file("g.bin"), stats(), edges).unwrap();
-        let serial_dir = dir.path().join("serial");
-        DosConverter::builder()
-            .budget(MemoryBudget::from_kib(4))
-            .stats(stats())
-            .weights(graphz_types::derive_weight)
-            .build()
-            .unwrap()
-            .convert(&el, &serial_dir)
-            .unwrap();
-        let serial = dir_contents(&serial_dir);
-        assert!(serial.contains_key("edges.bin") && serial.contains_key("checksums.txt"));
-        for threads in [2usize, 4] {
-            let par_dir = dir.path().join(format!("par-{threads}"));
-            DosConverter::builder()
-                .budget(MemoryBudget::from_kib(4))
-                .stats(stats())
-                .weights(graphz_types::derive_weight)
-                .threads(threads)
-                .build()
-                .unwrap()
-                .convert(&el, &par_dir)
-                .unwrap();
-            assert_eq!(dir_contents(&par_dir), serial, "threads={threads}");
-        }
     }
 
     /// The half-relabeled records are 8 bytes unweighted and 12 weighted, so

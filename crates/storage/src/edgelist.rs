@@ -18,6 +18,19 @@ use graphz_types::prelude::*;
 use crate::meta::MetaFile;
 use crate::text::{LineError, TextLines};
 
+/// One malformed input line, quarantined instead of aborting the import
+/// (see [`EdgeListFile::import_text_quarantined`]).
+///
+/// `line` is the 1-based line number, `byte` the offset where the line
+/// begins, `text` the line without its line break.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct BadRecord {
+    pub line: u64,
+    pub byte: u64,
+    pub text: String,
+    pub reason: String,
+}
+
 /// A binary edge-list file (`edges.bin`) with its metadata sidecar
 /// (`<stem>.meta.txt`).
 #[derive(Debug, Clone)]
@@ -182,32 +195,74 @@ impl EdgeListFile {
     pub fn import_text(text_path: &Path, bin_path: &Path, stats: Arc<IoStats>) -> Result<Self> {
         let file = TrackedFile::open(text_path, Arc::clone(&stats)).ctx("open", text_path)?;
         EdgeListWriter::write_streamed(bin_path, stats, |w| {
-            Self::stream_text(text_path, TextLines::new(file), w)
+            Self::stream_text(file, w, |lineno, _, _, e| {
+                let reason = match e {
+                    LineError::NotU32(_) => "vertex id is not a u32".to_string(),
+                    e => e.to_string(),
+                };
+                Err(GraphError::Corrupt(format!("{}:{lineno}: {reason}", text_path.display())))
+            })
         })
     }
 
-    fn stream_text(
+    /// Import a SNAP-style text file like [`import_text`](Self::import_text),
+    /// but quarantine up to `max_bad_records` malformed lines instead of
+    /// aborting on the first one.
+    ///
+    /// Returns the imported edge list (malformed lines simply dropped from
+    /// it) plus the quarantined records in line order. The (n+1)-th
+    /// malformed line, for `n = max_bad_records`, stops the import with a
+    /// typed [`GraphError::Corrupt`] naming the first one, and leaves no
+    /// edge list behind. IO errors abort as in the strict import: they say
+    /// nothing about the input's content.
+    pub fn import_text_quarantined(
         text_path: &Path,
-        mut lines: TextLines<TrackedFile>,
+        bin_path: &Path,
+        stats: Arc<IoStats>,
+        max_bad_records: u64,
+    ) -> Result<(Self, Vec<BadRecord>)> {
+        let file = TrackedFile::open(text_path, Arc::clone(&stats)).ctx("open", text_path)?;
+        let mut bad: Vec<BadRecord> = Vec::new();
+        let edges = EdgeListWriter::write_streamed(bin_path, stats, |w| {
+            Self::stream_text(file, w, |line, byte, text, e| {
+                bad.push(BadRecord {
+                    line,
+                    byte,
+                    text: String::from_utf8_lossy(text).trim_end().to_string(),
+                    reason: e.to_string(),
+                });
+                if cast::len_u64(bad.len()) <= max_bad_records {
+                    return Ok(());
+                }
+                let first = bad.first().map_or(0, |b| b.line);
+                Err(GraphError::Corrupt(format!(
+                    "{}: malformed records exceed --max-bad-records {max_bad_records} \
+                     (first at line {first})",
+                    text_path.display(),
+                )))
+            })
+        })?;
+        Ok((edges, bad))
+    }
+
+    /// Stream the edges of a text file into `w`, in file order. Each
+    /// malformed line goes to `on_bad(line number, byte offset, bytes,
+    /// reason)`, whose error stops the import.
+    fn stream_text(
+        file: TrackedFile,
         w: &mut EdgeListWriter,
+        mut on_bad: impl FnMut(u64, u64, &[u8], LineError) -> Result<()>,
     ) -> Result<()> {
-        let mut lineno = 0u64;
-        while let Some((_, verdict)) = lines.next_line()? {
+        let mut lines = TextLines::new(file);
+        let (mut lineno, mut at) = (0u64, 0u64);
+        while let Some((line, verdict)) = lines.next_line()? {
             lineno += 1;
             match verdict {
                 Ok(Some(e)) => w.push(e)?,
                 Ok(None) => {}
-                Err(e) => {
-                    let reason = match e {
-                        LineError::NotU32(_) => "vertex id is not a u32".to_string(),
-                        e => e.to_string(),
-                    };
-                    return Err(GraphError::Corrupt(format!(
-                        "{}:{lineno}: {reason}",
-                        text_path.display()
-                    )));
-                }
+                Err(e) => on_bad(lineno, at, line, e)?,
             }
+            at = cast::add_u64(at, cast::len_u64(line.len()), "text line offset")?;
         }
         Ok(())
     }
@@ -496,15 +551,222 @@ mod tests {
         let txt = dir.file("g.txt");
         std::fs::write(&txt, b"0 1\n1 \xff\xfe\n2 0\n").unwrap();
         let want = format!("{}:2: line is not valid UTF-8", txt.display());
-        for threads in [1usize, 2] {
-            let bin = dir.file(&format!("g-{threads}.bin"));
-            let err = crate::chunked::import_text_chunked(&txt, &bin, stats(), threads, 1 << 20)
+        let bin = dir.file("g.bin");
+        match EdgeListFile::import_text(&txt, &bin, stats()).unwrap_err() {
+            GraphError::Corrupt(m) => assert_eq!(m, want),
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
+        assert!(!bin.exists(), "a failed import must leave no edge list behind");
+    }
+
+    #[test]
+    fn quarantine_collects_bad_lines_with_stable_global_numbers() {
+        let dir = ScratchDir::new("el-quar").unwrap();
+        let txt = dir.file("g.txt");
+        // Line numbers (1-based): 1 comment, 2 good, 3 bad, 4 good, 5 blank,
+        // 6 bad, 7 good.
+        std::fs::write(&txt, "# header\n0 1\n1 nope\n1 2\n\n999999999999 0\n2 0\n").unwrap();
+        // Reference: the same file with the bad lines removed.
+        let clean_bin = dir.file("clean.bin");
+        std::fs::write(dir.file("clean.txt"), "# header\n0 1\n1 2\n\n2 0\n").unwrap();
+        EdgeListFile::import_text(&dir.file("clean.txt"), &clean_bin, stats()).unwrap();
+        let bin = dir.file("q.bin");
+        let (f, bad) = EdgeListFile::import_text_quarantined(&txt, &bin, stats(), 10).unwrap();
+        assert_eq!(f.meta().num_edges, 3);
+        assert_eq!(std::fs::read(&bin).unwrap(), std::fs::read(&clean_bin).unwrap());
+        let lines: Vec<u64> = bad.iter().map(|b| b.line).collect();
+        assert_eq!(lines, vec![3, 6]);
+        assert_eq!(bad[0].text, "1 nope");
+        assert_eq!(bad[0].byte, 13);
+        assert!(bad[0].reason.contains("not a u32"), "{}", bad[0].reason);
+        assert!(bad[1].reason.contains("not a u32"), "{}", bad[1].reason);
+    }
+
+    #[test]
+    fn quarantine_over_budget_is_a_typed_error() {
+        let dir = ScratchDir::new("el-quar-cap").unwrap();
+        let txt = dir.file("g.txt");
+        std::fs::write(&txt, "0 1\nbad one\nbad two\n1 2\n").unwrap();
+        let err = EdgeListFile::import_text_quarantined(&txt, &dir.file("g.bin"), stats(), 1)
+            .unwrap_err();
+        assert!(matches!(err, GraphError::Corrupt(_)), "got {err:?}");
+        assert!(err.to_string().contains("max-bad-records"), "{err}");
+        assert!(err.to_string().contains("line 2"), "{err}");
+        assert!(!dir.file("g.bin").exists(), "an import over the limit leaves no edge list");
+        // With a budget that fits, the same file imports.
+        let (f, bad) =
+            EdgeListFile::import_text_quarantined(&txt, &dir.file("ok.bin"), stats(), 2).unwrap();
+        assert_eq!(f.meta().num_edges, 2);
+        assert_eq!(bad.len(), 2);
+    }
+
+    #[test]
+    fn quarantine_stops_at_the_first_line_past_the_limit() {
+        // Bad lines 2 and (near byte 150 000) 15 002 of a ~400 KB file; the
+        // text is read in 64 KiB blocks, so the bytes read show where the
+        // import stopped.
+        let dir = ScratchDir::new("el-quar-stop").unwrap();
+        let txt = dir.file("g.txt");
+        let mut text = String::from("0 1\nfirst bad\n");
+        while text.len() < 150_000 {
+            text.push_str("12345 678\n");
+        }
+        let second_at = text.len() as u64;
+        text.push_str("second bad\n");
+        while text.len() < 400_000 {
+            text.push_str("12345 678\n");
+        }
+        std::fs::write(&txt, &text).unwrap();
+        let block = 64 * 1024;
+        for (max, stop) in [(0u64, 0u64), (1, second_at)] {
+            let stats = stats();
+            let bin = dir.file(&format!("g-{max}.bin"));
+            let err = EdgeListFile::import_text_quarantined(&txt, &bin, Arc::clone(&stats), max)
                 .unwrap_err();
-            match err {
-                GraphError::Corrupt(m) => assert_eq!(m, want, "threads={threads}"),
-                other => panic!("threads={threads}: expected Corrupt, got {other:?}"),
+            assert_eq!(
+                err.to_string(),
+                format!(
+                    "corrupt data: {}: malformed records exceed --max-bad-records {max} \
+                     (first at line 2)",
+                    txt.display()
+                )
+            );
+            let read = stats.snapshot().bytes_read;
+            assert!(read > stop && read <= stop + block, "max {max}: read {read} bytes");
+            assert!(!bin.exists(), "max {max}: an import over the limit leaves no edge list");
+        }
+        let (f, bad) =
+            EdgeListFile::import_text_quarantined(&txt, &dir.file("ok.bin"), stats(), 2).unwrap();
+        assert_eq!(bad.iter().map(|b| (b.line, b.byte)).collect::<Vec<_>>(), [
+            (2, 4),
+            (cast::len_u64(text[..second_at as usize].lines().count()) + 1, second_at)
+        ]);
+        assert_eq!(f.meta().num_edges, cast::len_u64(text.lines().count()) - 2);
+    }
+
+    /// One line's verdict under the reference parse: the good edge (or
+    /// `None` for a blank/comment), or the quarantine's reason.
+    type Verdict = std::result::Result<Option<Edge>, String>;
+
+    /// The reference: the `str` parse the import used before the byte-level
+    /// parser, applied line by line. Returns each line's start offset, raw
+    /// bytes and verdict.
+    fn reference(bytes: &[u8]) -> Vec<(u64, Vec<u8>, Verdict)> {
+        let mut out = Vec::new();
+        let mut at = 0u64;
+        for raw in bytes.split_inclusive(|&b| b == b'\n') {
+            let verdict = match std::str::from_utf8(raw) {
+                Err(_) => Err("line is not valid UTF-8".to_string()),
+                Ok(line) => {
+                    let line = line.trim();
+                    if line.is_empty() || line.starts_with('#') {
+                        Ok(None)
+                    } else {
+                        let mut it = line.split_whitespace();
+                        let mut field = |name: &str| -> std::result::Result<u32, String> {
+                            it.next()
+                                .ok_or_else(|| "expected `src dst`".to_string())?
+                                .parse()
+                                .map_err(|_| format!("{name} is not a u32"))
+                        };
+                        field("src").and_then(|src| Ok(Some(Edge::new(src, field("dst")?))))
+                    }
+                }
+            };
+            out.push((at, raw.to_vec(), verdict));
+            at += raw.len() as u64;
+        }
+        out
+    }
+
+    /// The error text the strict import gives for the first bad line.
+    fn strict_error(path: &Path, lines: &[(u64, Vec<u8>, Verdict)]) -> Option<String> {
+        let (idx, (_, _, verdict)) =
+            lines.iter().enumerate().find(|(_, (_, _, v))| v.is_err())?;
+        let reason = verdict.clone().unwrap_err();
+        let reason =
+            if reason.ends_with("is not a u32") { "vertex id is not a u32" } else { &reason };
+        Some(format!("corrupt data: {}:{}: {reason}", path.display(), idx + 1))
+    }
+
+    /// Documents covering the grammar's corners; each is imported whole.
+    fn corpus() -> Vec<Vec<u8>> {
+        let mut docs: Vec<Vec<u8>> = vec![
+            b"0 1\r\n1\t2\r\n  3 4  \n\t5\t6\t\n\n   \n  # 7 8\n#c\n".to_vec(),
+            b"+5 6\n7 8 9\n9 10 extra field\n4294967295 0\n0 4294967295\n".to_vec(),
+            "1\u{a0}2\n3 \u{a0}4\u{a0}\n\u{2003}5 6\n".as_bytes().to_vec(),
+            b"1 2\n3 4".to_vec(),
+            b"1 2\r".to_vec(),
+            b"".to_vec(),
+            b"4294967296 0\n1 2\n".to_vec(),
+            b"1 2\n0 4294967296\n".to_vec(),
+            b"1 2\n7\n".to_vec(),
+            b"1 2\n-1 2\n".to_vec(),
+            b"1 2\n1 \xff\n3 4\n".to_vec(),
+            b"1 2\n\xc3\n".to_vec(),
+            b"0 1\n1 x\n2 y\n\xfe 3\n4 5\n".to_vec(),
+        ];
+        // A line straddling the first 64 KiB block boundary, then a bad one.
+        let mut big = Vec::new();
+        let mut i = 0u32;
+        while big.len() < 64 * 1024 - 5 {
+            big.extend_from_slice(format!("{} {}\n", i % 1000, i % 777).as_bytes());
+            i += 1;
+        }
+        big.extend_from_slice(b"123456 654321\n");
+        big.extend_from_slice(b"8 9\n");
+        docs.push(big.clone());
+        big.extend_from_slice(b"8 nine\n");
+        docs.push(big);
+        docs
+    }
+
+    #[test]
+    fn every_path_matches_the_reference_str_parse() {
+        let dir = ScratchDir::new("el-diff").unwrap();
+        for (d, doc) in corpus().into_iter().enumerate() {
+            let txt = dir.file(&format!("doc-{d}.txt"));
+            std::fs::write(&txt, &doc).unwrap();
+            let lines = reference(&doc);
+            let good: Vec<Edge> =
+                lines.iter().filter_map(|(_, _, v)| v.clone().ok().flatten()).collect();
+            let want_bin = dir.file(&format!("want-{d}.bin"));
+            EdgeListFile::create(&want_bin, stats(), good.clone()).unwrap();
+            let want_meta = std::fs::read(EdgeListFile::meta_path(&want_bin)).unwrap();
+            let want = std::fs::read(&want_bin).unwrap();
+            let matches_reference = |bin: &Path, what: &str| {
+                assert_eq!(std::fs::read(bin).unwrap(), want, "doc {d} {what}: edges");
+                let meta = std::fs::read(EdgeListFile::meta_path(bin)).unwrap();
+                assert_eq!(meta, want_meta, "doc {d} {what}: meta.txt");
+            };
+
+            let serial = dir.file(&format!("serial-{d}.bin"));
+            let serial_out = EdgeListFile::import_text(&txt, &serial, stats());
+            match strict_error(&txt, &lines) {
+                None => {
+                    serial_out.unwrap();
+                    matches_reference(&serial, "serial");
+                }
+                Some(want_err) => {
+                    let err = serial_out.unwrap_err();
+                    assert!(matches!(err, GraphError::Corrupt(_)), "doc {d}: {err:?}");
+                    assert_eq!(err.to_string(), want_err, "doc {d} serial");
+                }
             }
-            assert!(!bin.exists(), "a failed import must leave no edge list behind");
+
+            let want_bad: Vec<BadRecord> = (1u64..)
+                .zip(&lines)
+                .filter_map(|(line, (at, raw, v))| {
+                    let reason = v.clone().err()?;
+                    let text = String::from_utf8_lossy(raw).trim_end().to_string();
+                    Some(BadRecord { line, byte: *at, text, reason })
+                })
+                .collect();
+            let quar = dir.file(&format!("quar-{d}.bin"));
+            let (_, bad) =
+                EdgeListFile::import_text_quarantined(&txt, &quar, stats(), 100).unwrap();
+            assert_eq!(bad, want_bad, "doc {d} quarantine");
+            matches_reference(&quar, "quarantine");
         }
     }
 

@@ -1,9 +1,8 @@
 //! The unified ingest front door: source file → DOS directory in one call.
 //!
-//! [`IngestPipeline`] composes the whole input side — text parsing
-//! ([`chunked`](crate::chunked) when parallel), binary edge-list handling,
-//! and the pipelined DOS conversion ([`DosConverter`]) — behind the
-//! workspace builder convention:
+//! [`IngestPipeline`] composes the whole input side — text parsing, binary
+//! edge-list handling, and the pipelined DOS conversion ([`DosConverter`])
+//! — behind the workspace builder convention:
 //!
 //! ```no_run
 //! # use std::path::Path;
@@ -14,7 +13,6 @@
 //! let dos = IngestPipeline::builder()
 //!     .budget(MemoryBudget::from_mib(64))
 //!     .stats(stats)
-//!     .threads(4)
 //!     .weights(graphz_types::derive_weight)
 //!     .build()?
 //!     .run(Path::new("graph.txt"), Path::new("graph.dos"))?;
@@ -22,9 +20,9 @@
 //! # }
 //! ```
 //!
-//! The produced directory is byte-identical for every `threads` value and
-//! chunk size (DESIGN.md §6g), so callers pick parallelism purely on
-//! wall-clock grounds.
+//! The produced directory is byte-identical for every memory budget
+//! (DESIGN.md §6g): the budget trades scratch IO for memory and changes no
+//! output byte.
 
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -35,9 +33,8 @@ use graphz_extsort::SortTimings;
 use graphz_io::{FaultSurface, IoStats, StageManifest};
 use graphz_types::prelude::*;
 
-use crate::chunked::{self, BadRecord, DEFAULT_CHUNK_BYTES};
 use crate::dos::{scratch_root_for, DosConverter, DosGraph};
-use crate::edgelist::EdgeListFile;
+use crate::edgelist::{BadRecord, EdgeListFile};
 
 /// How [`IngestPipeline::run`] interprets its source path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -115,8 +112,6 @@ impl IngestTimings {
 pub struct IngestPipeline {
     budget: MemoryBudget,
     stats: Arc<IoStats>,
-    threads: usize,
-    chunk_bytes: u64,
     weight_fn: Option<fn(VertexId, VertexId) -> f32>,
     surface: FaultSurface,
     resume: bool,
@@ -129,8 +124,6 @@ pub struct IngestPipeline {
 pub struct IngestPipelineBuilder {
     budget: Option<MemoryBudget>,
     stats: Option<Arc<IoStats>>,
-    threads: usize,
-    chunk_bytes: u64,
     weight_fn: Option<fn(VertexId, VertexId) -> f32>,
     surface: FaultSurface,
     resume: bool,
@@ -151,18 +144,11 @@ impl IngestPipelineBuilder {
         self
     }
 
-    /// Ingest threads (≥ 1; default 1): parse workers for text sources and
-    /// run-formation producers for every sort. Output bytes are identical
-    /// for every value.
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
-
-    /// Byte-span size for chunked text parsing (default
-    /// [`DEFAULT_CHUNK_BYTES`]; mostly a test knob).
-    pub fn chunk_bytes(mut self, chunk_bytes: u64) -> Self {
-        self.chunk_bytes = chunk_bytes;
+    /// Changes nothing: ingest runs on the calling thread. A compatibility
+    /// name for the benchmark's convert adapter (`benchmark/src/layers.rs`),
+    /// which still calls it; goes away with that adapter.
+    #[doc(hidden)]
+    pub fn threads(self, _threads: usize) -> Self {
         self
     }
 
@@ -212,17 +198,9 @@ impl IngestPipelineBuilder {
         let stats = self
             .stats
             .ok_or_else(|| GraphError::InvalidConfig("ingest requires a stats sink".into()))?;
-        if self.threads == 0 {
-            return Err(GraphError::InvalidConfig("ingest threads must be >= 1".into()));
-        }
-        if self.chunk_bytes == 0 {
-            return Err(GraphError::InvalidConfig("ingest chunk size must be > 0".into()));
-        }
         Ok(IngestPipeline {
             budget,
             stats,
-            threads: self.threads,
-            chunk_bytes: self.chunk_bytes,
             weight_fn: self.weight_fn,
             surface: self.surface,
             resume: self.resume,
@@ -238,8 +216,6 @@ impl IngestPipeline {
         IngestPipelineBuilder {
             budget: None,
             stats: None,
-            threads: 1,
-            chunk_bytes: DEFAULT_CHUNK_BYTES,
             weight_fn: None,
             surface: FaultSurface::none(),
             resume: false,
@@ -250,25 +226,13 @@ impl IngestPipeline {
 
     /// Import a text source, quarantining malformed lines when a budget was
     /// configured. Quarantined lines land in `dir/quarantine.txt` with
-    /// their global 1-based line numbers.
+    /// their 1-based line numbers.
     fn import_text(&self, src: &Path, imported: &Path, dir: &Path) -> Result<EdgeListFile> {
+        let stats = Arc::clone(&self.stats);
         let Some(max_bad) = self.max_bad_records else {
-            return chunked::import_text_chunked(
-                src,
-                imported,
-                Arc::clone(&self.stats),
-                self.threads,
-                self.chunk_bytes,
-            );
+            return EdgeListFile::import_text(src, imported, stats);
         };
-        let (file, bad) = chunked::import_text_quarantined(
-            src,
-            imported,
-            Arc::clone(&self.stats),
-            self.threads,
-            self.chunk_bytes,
-            max_bad,
-        )?;
+        let (file, bad) = EdgeListFile::import_text_quarantined(src, imported, stats, max_bad)?;
         if !bad.is_empty() {
             // The quarantine report is part of the pipeline's fault surface:
             // chaos sweeps can fail it like any other staged write.
@@ -347,7 +311,6 @@ impl IngestPipeline {
         let mut converter = DosConverter::builder()
             .budget(self.budget)
             .stats(Arc::clone(&self.stats))
-            .threads(self.threads)
             .faults(self.surface.clone())
             .resume(self.resume)
             .scratch_root(&root);
@@ -388,13 +351,8 @@ mod tests {
         IoStats::new()
     }
 
-    fn pipeline(threads: usize) -> IngestPipeline {
-        IngestPipeline::builder()
-            .budget(MemoryBudget::from_kib(64))
-            .stats(stats())
-            .threads(threads)
-            .build()
-            .unwrap()
+    fn pipeline() -> IngestPipeline {
+        IngestPipeline::builder().budget(MemoryBudget::from_kib(64)).stats(stats()).build().unwrap()
     }
 
     #[test]
@@ -404,15 +362,8 @@ mod tests {
         assert!(IngestPipeline::builder()
             .budget(MemoryBudget::from_kib(1))
             .stats(stats())
-            .threads(0)
             .build()
-            .is_err());
-        assert!(IngestPipeline::builder()
-            .budget(MemoryBudget::from_kib(1))
-            .stats(stats())
-            .chunk_bytes(0)
-            .build()
-            .is_err());
+            .is_ok());
     }
 
     #[test]
@@ -420,52 +371,23 @@ mod tests {
         let dir = ScratchDir::new("ingest-kinds").unwrap();
         let txt = dir.file("g.txt");
         std::fs::write(&txt, "0 1\n1 2\n2 0\n0 2\n").unwrap();
-        let from_text = pipeline(1).run(&txt, &dir.path().join("from-text")).unwrap();
+        let from_text = pipeline().run(&txt, &dir.path().join("from-text")).unwrap();
         assert_eq!(from_text.meta().num_edges, 4);
 
         let bin = dir.file("g.bin");
         EdgeListFile::import_text(&txt, &bin, stats()).unwrap();
-        let from_bin = pipeline(1).run(&bin, &dir.path().join("from-bin")).unwrap();
+        let from_bin = pipeline().run(&bin, &dir.path().join("from-bin")).unwrap();
         assert_eq!(from_bin.meta(), from_text.meta());
         assert_eq!(from_bin.index(), from_text.index());
+        // The produced directory reopens cleanly.
+        let reopened = DosGraph::open(&dir.path().join("from-text"), stats()).unwrap();
+        assert_eq!(reopened.meta(), from_text.meta());
 
         let mtx = dir.file("g.mtx");
         std::fs::write(&mtx, "%%MatrixMarket matrix coordinate pattern general\n3 3 2\n1 2\n2 3\n")
             .unwrap();
-        let from_mtx = pipeline(2).run(&mtx, &dir.path().join("from-mtx")).unwrap();
+        let from_mtx = pipeline().run(&mtx, &dir.path().join("from-mtx")).unwrap();
         assert_eq!(from_mtx.meta().num_edges, 2);
-    }
-
-    #[test]
-    fn parallel_ingest_reopens_and_matches_serial() {
-        let dir = ScratchDir::new("ingest-par").unwrap();
-        let txt = dir.file("g.txt");
-        let mut text = String::new();
-        let mut x: u64 = 3;
-        for _ in 0..400 {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            text.push_str(&format!("{} {}\n", (x >> 33) % 70, (x >> 15) % 70));
-        }
-        std::fs::write(&txt, text).unwrap();
-        let serial = pipeline(1).run(&txt, &dir.path().join("serial")).unwrap();
-        let par = IngestPipeline::builder()
-            .budget(MemoryBudget::from_kib(64))
-            .stats(stats())
-            .threads(4)
-            .chunk_bytes(256)
-            .build()
-            .unwrap()
-            .run(&txt, &dir.path().join("par"))
-            .unwrap();
-        assert_eq!(par.meta(), serial.meta());
-        assert_eq!(par.index(), serial.index());
-        assert_eq!(
-            std::fs::read(par.edges_path()).unwrap(),
-            std::fs::read(serial.edges_path()).unwrap()
-        );
-        // The produced directory reopens cleanly.
-        let reopened = DosGraph::open(&dir.path().join("par"), stats()).unwrap();
-        assert_eq!(reopened.meta(), serial.meta());
     }
 
     #[test]
@@ -475,7 +397,7 @@ mod tests {
         std::fs::write(&txt, "0 1\n1 oops\n1 2\n2 0\n").unwrap();
         let out = dir.path().join("dos");
         // Strict default: the malformed line aborts the ingest.
-        let err = pipeline(1).run(&txt, &out).unwrap_err();
+        let err = pipeline().run(&txt, &out).unwrap_err();
         assert!(matches!(err, GraphError::Corrupt(_)), "got {err:?}");
         // With a quarantine budget the good edges import and the sidecar
         // names the bad line.
@@ -499,7 +421,7 @@ mod tests {
         let txt = dir.file("g.txt");
         std::fs::write(&txt, "0 1\n1 2\n").unwrap();
         let out = dir.path().join("dos");
-        pipeline(1).run(&txt, &out).unwrap();
+        pipeline().run(&txt, &out).unwrap();
         assert!(!scratch_root_for(&out).exists(), "scratch root must be cleaned up");
     }
 
@@ -508,7 +430,7 @@ mod tests {
         let dir = ScratchDir::new("ingest-resume-fresh").unwrap();
         let txt = dir.file("g.txt");
         std::fs::write(&txt, "0 1\n1 2\n2 0\n0 2\n").unwrap();
-        let fresh = pipeline(1).run(&txt, &dir.path().join("fresh")).unwrap();
+        let fresh = pipeline().run(&txt, &dir.path().join("fresh")).unwrap();
         let resumed = IngestPipeline::builder()
             .budget(MemoryBudget::from_kib(64))
             .stats(stats())
@@ -641,7 +563,6 @@ mod tests {
         let dos = IngestPipeline::builder()
             .budget(MemoryBudget::from_kib(64))
             .stats(stats())
-            .threads(2)
             .weights(graphz_types::derive_weight)
             .build()
             .unwrap()

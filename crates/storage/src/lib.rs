@@ -18,13 +18,13 @@
 //!
 //! The input side is unified behind [`ingest::IngestPipeline`]: one builder
 //! that detects the source format, parses text (one byte-level line parser,
-//! serial or in parallel byte chunks — [`chunked`]), and runs the pipelined
-//! DOS conversion — byte-identical output for every thread count
-//! (DESIGN.md §6g).
+//! strict or quarantining — [`EdgeListFile::import_text`] and
+//! [`EdgeListFile::import_text_quarantined`]), and runs the pipelined DOS
+//! conversion, whose bytes do not depend on the memory budget (DESIGN.md
+//! §6g).
 
 #![forbid(unsafe_code)]
 
-pub mod chunked;
 pub mod csr;
 pub mod dos;
 pub mod edgelist;
@@ -34,10 +34,9 @@ pub mod partition;
 mod text;
 pub mod verify;
 
-pub use chunked::{import_text_chunked, import_text_quarantined, BadRecord};
 pub use csr::{CsrFiles, CsrGraph};
 pub use dos::{scratch_root_for, AdjCursor, DosConverter, DosConverterBuilder, DosGraph, DosIndex};
-pub use edgelist::EdgeListFile;
+pub use edgelist::{BadRecord, EdgeListFile};
 pub use ingest::{IngestPipeline, IngestPipelineBuilder, IngestTimings};
 pub use partition::{PartitionSet, Partitioner};
 pub use verify::{verify_dos, VerifyReport, Violation};

@@ -1,9 +1,10 @@
 //! Byte-level reading and parsing of SNAP-style text edge lists.
 //!
-//! One line parser serves the serial import
-//! ([`EdgeListFile::import_text`](crate::EdgeListFile::import_text)), the
-//! chunked parallel import and the quarantining import
-//! ([`chunked`](crate::chunked)). [`TextLines`] hands out lines straight
+//! One line parser serves the strict import
+//! ([`EdgeListFile::import_text`](crate::EdgeListFile::import_text)) and the
+//! quarantining import
+//! ([`EdgeListFile::import_text_quarantined`](crate::EdgeListFile::import_text_quarantined)).
+//! [`TextLines`] hands out lines straight
 //! from 64 KiB blocks, so no line is copied into a `String`, and parses
 //! each in the same pass that finds its end: a line made only of ASCII
 //! digits and blanks (space, tab, CR, LF) is read without building a

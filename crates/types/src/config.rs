@@ -39,9 +39,7 @@ impl MemoryBudget {
     /// aggregate above the original budget), and the split never collapses to
     /// zero: like [`records`](Self::records), a degenerate budget still lets
     /// every shard make forward progress one byte at a time. The split is a
-    /// pure function of `(budget, shards)`, which is what lets the sharded
-    /// ingest pipeline keep a deterministic run plan for a fixed
-    /// configuration.
+    /// pure function of `(budget, shards)`.
     pub fn split(self, shards: usize) -> Self {
         let n = shards.max(1) as u64;
         MemoryBudget((self.0 / n).max(1))

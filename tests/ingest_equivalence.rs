@@ -1,8 +1,10 @@
-//! Property test for the tentpole determinism claim (DESIGN.md §6g): for
-//! any ingest thread count and parse chunk size, the DOS directory produced
-//! by [`IngestPipeline`] is **byte-identical** to the serial build — every
-//! file, including the `checksums.txt` sidecar — and `verify_dos` reports
-//! the same clean result.
+//! Property test for the ingest determinism claim (DESIGN.md §6g): run
+//! boundaries cannot show in the bytes. For a memory budget so small that
+//! every edge sort spills 50 or more runs and most need pre-merge passes, the
+//! DOS directory produced by [`IngestPipeline`] is **byte-identical** to
+//! the one built under a budget where every sort is one in-memory run —
+//! every file, including the `checksums.txt` sidecar — and `verify_dos`
+//! reports the same clean result.
 //!
 //! Covered shapes:
 //! * an unweighted power-law-ish graph from a seeded LCG;
@@ -19,10 +21,12 @@ use graphz_io::{FaultState, FaultSurface, IoStats, ScratchDir};
 use graphz_storage::{scratch_root_for, verify_dos, IngestPipeline, IngestPipelineBuilder};
 use graphz_types::MemoryBudget;
 
-const THREAD_COUNTS: &[usize] = &[1, 2, 8];
-/// Tiny forces many chunk boundaries inside lines; the default exercises
-/// the single-chunk fast path on these inputs.
-const CHUNK_SIZES: &[u64] = &[48, graphz_storage::chunked::DEFAULT_CHUNK_BYTES];
+/// Every sort of these fixtures fits one in-memory run: the reference.
+const FITS: MemoryBudget = MemoryBudget::from_mib(64);
+/// Each stage sort gets half (48 bytes): 6 edges or 4 triads per run, so the
+/// 300- to 600-edge fixtures spill 50 to 150 runs per edge sort, and every
+/// sort of more than 64 runs (the merge fan-in) takes a pre-merge pass.
+const SPILLS: MemoryBudget = MemoryBudget(96);
 
 fn stats() -> Arc<IoStats> {
     IoStats::new()
@@ -42,7 +46,7 @@ fn dir_contents(dir: &Path) -> BTreeMap<String, Vec<u8>> {
 }
 
 /// A deterministic edge-list text with comments, blank lines, and mixed
-/// separators, so chunk boundaries land inside all of them.
+/// separators.
 fn lcg_graph_text(seed: u64, edges: usize, id_space: u64) -> String {
     let mut text = String::from("# ingest equivalence fixture\n\n");
     let mut x = seed;
@@ -59,60 +63,54 @@ fn lcg_graph_text(seed: u64, edges: usize, id_space: u64) -> String {
     text
 }
 
-fn builder(threads: usize, chunk_bytes: u64) -> IngestPipelineBuilder {
-    IngestPipeline::builder()
-        // Small budget so every configuration spills to multi-run sorts.
-        .budget(MemoryBudget::from_kib(32))
-        .stats(stats())
-        .threads(threads)
-        .chunk_bytes(chunk_bytes)
+fn builder() -> IngestPipelineBuilder {
+    IngestPipeline::builder().budget(MemoryBudget::from_kib(32)).stats(stats())
 }
 
-/// Ingest `text` at every (threads, chunk) configuration and assert the
-/// produced directories are byte-identical to the serial one.
+/// Ingest `text` under `budget`; returns the directory and the bytes the
+/// ingest wrote.
+fn ingest(src: &Path, dir: &Path, budget: MemoryBudget, weighted: bool) -> u64 {
+    let stats = stats();
+    let mut b = IngestPipeline::builder().budget(budget).stats(Arc::clone(&stats));
+    if weighted {
+        b = b.weights(graphz_types::derive_weight);
+    }
+    b.build().unwrap().run(src, dir).unwrap();
+    stats.snapshot().bytes_written
+}
+
+/// Ingest `text` under the spilling budget and assert the produced
+/// directory is byte-identical to the one-run build.
 fn assert_equivalent(label: &str, text: &str, weighted: bool) {
     let scratch = ScratchDir::new(&format!("ingest-eq-{label}")).unwrap();
     let src = scratch.file("g.txt");
     std::fs::write(&src, text).unwrap();
 
-    let serial_dir = scratch.path().join("serial");
-    let mut serial_b = builder(1, graphz_storage::chunked::DEFAULT_CHUNK_BYTES);
-    if weighted {
-        serial_b = serial_b.weights(graphz_types::derive_weight);
-    }
-    serial_b.build().unwrap().run(&src, &serial_dir).unwrap();
-    let want = dir_contents(&serial_dir);
-    let want_report = verify_dos(&serial_dir, stats()).unwrap();
-    assert!(want_report.is_clean(), "{label}: serial build fails verify");
+    let want_dir = scratch.path().join("fits");
+    let fits_written = ingest(&src, &want_dir, FITS, weighted);
+    let want = dir_contents(&want_dir);
+    let want_report = verify_dos(&want_dir, stats()).unwrap();
+    assert!(want_report.is_clean(), "{label}: one-run build fails verify");
     assert!(want_report.files_checksummed > 0, "{label}: sidecar missing");
 
-    for &threads in THREAD_COUNTS {
-        for &chunk in CHUNK_SIZES {
-            let dir = scratch.path().join(format!("t{threads}-c{chunk}"));
-            let mut b = builder(threads, chunk);
-            if weighted {
-                b = b.weights(graphz_types::derive_weight);
-            }
-            b.build().unwrap().run(&src, &dir).unwrap();
-            let got = dir_contents(&dir);
-            assert_eq!(
-                got.keys().collect::<Vec<_>>(),
-                want.keys().collect::<Vec<_>>(),
-                "{label}: file set differs at threads={threads} chunk={chunk}"
-            );
-            for (name, bytes) in &got {
-                assert_eq!(
-                    bytes, &want[name],
-                    "{label}: {name} differs at threads={threads} chunk={chunk}"
-                );
-            }
-            let report = verify_dos(&dir, stats()).unwrap();
-            assert_eq!(
-                report, want_report,
-                "{label}: verify report differs at threads={threads} chunk={chunk}"
-            );
-        }
+    let dir = scratch.path().join("spills");
+    let spills_written = ingest(&src, &dir, SPILLS, weighted);
+    // Spilled runs and pre-merged runs are written on top of the image.
+    assert!(
+        spills_written > fits_written,
+        "{label}: the small budget wrote {spills_written} bytes, the large {fits_written}"
+    );
+    let got = dir_contents(&dir);
+    assert_eq!(
+        got.keys().collect::<Vec<_>>(),
+        want.keys().collect::<Vec<_>>(),
+        "{label}: file set differs between budgets"
+    );
+    for (name, bytes) in &got {
+        assert_eq!(bytes, &want[name], "{label}: {name} differs between budgets");
     }
+    let report = verify_dos(&dir, stats()).unwrap();
+    assert_eq!(report, want_report, "{label}: verify report differs between budgets");
 }
 
 #[test]
@@ -136,7 +134,7 @@ fn resume_after_a_kill_at_every_stage_is_byte_identical() {
     std::fs::write(&src, lcg_graph_text(31, 300, 50)).unwrap();
 
     let clean_dir = scratch.path().join("clean");
-    builder(1, graphz_storage::chunked::DEFAULT_CHUNK_BYTES)
+    builder()
         .build()
         .unwrap()
         .run(&src, &clean_dir)
@@ -149,7 +147,7 @@ fn resume_after_a_kill_at_every_stage_is_byte_identical() {
     for stage in STAGES {
         let dir = scratch.path().join(format!("kill-{stage}"));
         let faults = FaultState::fail_at_label(&format!("commit-manifest:{stage}"));
-        let err = builder(1, graphz_storage::chunked::DEFAULT_CHUNK_BYTES)
+        let err = builder()
             .faults(FaultSurface::none().with_faults(Arc::clone(&faults)))
             .build()
             .unwrap()
@@ -164,7 +162,7 @@ fn resume_after_a_kill_at_every_stage_is_byte_identical() {
             "kill at `{stage}`: the scratch root must survive the crash for resume"
         );
 
-        builder(1, graphz_storage::chunked::DEFAULT_CHUNK_BYTES)
+        builder()
             .resume(true)
             .build()
             .unwrap()

@@ -39,8 +39,12 @@ fn extsort_matches_std_sort() {
         let stats = IoStats::new();
         record::write_records(&dir.file("in.bin"), Arc::clone(&stats), &values).unwrap();
         let scratch = ScratchDir::new("prop-sort-scratch").unwrap();
-        ExternalSorter::new(|v: &u64| *v, MemoryBudget(budget), Arc::clone(&stats))
-            .with_fan_in(3)
+        ExternalSorter::builder(|v: &u64| *v)
+            .budget(MemoryBudget(budget))
+            .stats(Arc::clone(&stats))
+            .fan_in(3)
+            .build()
+            .unwrap()
             .sort_file(&dir.file("in.bin"), &dir.file("out.bin"), &scratch)
             .unwrap();
         let out: Vec<u64> = record::read_records(&dir.file("out.bin"), stats).unwrap();
