@@ -69,6 +69,17 @@ fi
 rm -f "$committed_chaos"
 step_done
 
+step "checkpoint chaos + retention (DESIGN.md §6c)"
+# A crash planted at every gated op of a checkpointing run — teed vertex
+# frame writes, spill frames, the staged manifest write, the commit, and the
+# retention that retires generations older than the newest two — must
+# resume to the uninterrupted run's exact values; label probes show the
+# manifest and retention ops are in the swept range. Then all six
+# algorithms resume from an intermediate generation, and a run keeps exactly
+# its newest two generations, the older a usable fallback.
+cargo test -q --offline -p graphz-bench --test chaos_checkpoint --test checkpoint_algos
+step_done
+
 step "clippy (warnings are errors)"
 cargo clippy --offline --all-targets -- -D warnings
 step_done

@@ -219,8 +219,28 @@ pub fn run_graphz_configured(
         Box::new(DosStore::new(dos.clone())),
         EngineKind::GraphZ,
         params,
-        budget,
-        options,
+        EngineConfig::new(budget).with_options(options),
+        ckpt,
+        stats,
+    )
+}
+
+/// [`run_graphz_configured`] keeping every checkpoint generation instead of
+/// the newest two — a test hook for suites that inspect the whole
+/// generation history (`golden_values.rs`). The CLI never calls it.
+pub fn run_graphz_keeping_generations(
+    dos: &DosGraph,
+    params: &AlgoParams,
+    budget: MemoryBudget,
+    options: EngineOptions,
+    ckpt: &CheckpointSpec,
+    stats: Arc<IoStats>,
+) -> Result<AlgoOutcome> {
+    run_graphz_with(
+        Box::new(DosStore::new(dos.clone())),
+        EngineKind::GraphZ,
+        params,
+        EngineConfig::new(budget).with_options(options).keeping_all_generations(),
         ckpt,
         stats,
     )
@@ -245,8 +265,7 @@ pub fn run_graphz_dense(
         Box::new(store),
         kind,
         params,
-        budget,
-        options,
+        EngineConfig::new(budget).with_options(options),
         &CheckpointSpec::disabled(),
         stats,
     )
@@ -256,12 +275,10 @@ fn run_graphz_with(
     store: Box<dyn GraphStore>,
     kind: EngineKind,
     params: &AlgoParams,
-    budget: MemoryBudget,
-    options: EngineOptions,
+    mut config: EngineConfig,
     ckpt: &CheckpointSpec,
     stats: Arc<IoStats>,
 ) -> Result<AlgoOutcome> {
-    let mut config = EngineConfig::new(budget).with_options(options);
     if let Some(dir) = &ckpt.dir {
         config = config.checkpoint_every(dir, ckpt.every);
     }

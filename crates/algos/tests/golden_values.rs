@@ -106,7 +106,9 @@ fn observe(algo: Algorithm) -> String {
     .unwrap();
     let gens = dir.path().join("gens");
     let ckpt = CheckpointSpec { dir: Some(gens.clone()), every: 1, resume: false };
-    let out = runner::run_graphz_configured(
+    // Every generation stays on disk so `msgs_crc` sees the whole history,
+    // not just the newest two a run keeps.
+    let out = runner::run_graphz_keeping_generations(
         &dos,
         &params_for(algo),
         STARVED,

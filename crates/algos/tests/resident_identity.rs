@@ -94,7 +94,10 @@ fn capture<P: VertexProgram>(
     resume: bool,
     max: u32,
 ) -> Capture {
-    let config = residency.config::<P>(base, dos).checkpoint_every(gens, 1);
+    // Every generation stays on disk: the comparison covers the whole
+    // history, and the resumed root is seeded from the uninterrupted one's.
+    let config =
+        residency.config::<P>(base, dos).checkpoint_every(gens, 1).keeping_all_generations();
     let mut engine =
         Engine::new(Box::new(DosStore::new(dos.clone())), program, config, IoStats::new())
             .unwrap();

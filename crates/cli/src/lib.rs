@@ -211,7 +211,7 @@ pub const COMMANDS: &[CommandSpec] = &[
             FlagSpec { name: "--addr", value: Some("A"), help: "listen address (default 127.0.0.1:0 = OS-assigned port)" },
             FlagSpec { name: "--threads", value: Some("N"), help: "reader threads, each with its own GraphView (default 4)" },
             FlagSpec { name: "--checkpoint-dir", value: Some("D"), help: "pin a checkpoint snapshot from D (enables value queries)" },
-            FlagSpec { name: "--generation", value: Some("G"), help: "pin generation G instead of the newest usable one" },
+            FlagSpec { name: "--generation", value: Some("G"), help: "pin generation G instead of the newest usable one (a run keeps its newest two)" },
             FlagSpec { name: "--max-conns", value: Some("N"), help: "exit after serving N connections (scripted sessions)" },
             FlagSpec { name: "--port-file", value: Some("FILE"), help: "write the bound address to FILE once listening" },
         ],
@@ -245,8 +245,9 @@ pub const COMMANDS: &[CommandSpec] = &[
         ],
         summary: "run an algorithm out-of-core and print the top-K vertices",
         details: "Checkpointing: with --checkpoint-dir, a crash-safe generation is written\n\
-                  under D after every N completed iterations (default 1); --resume continues\n\
-                  from the newest valid generation, skipping any damaged by a crash.\n\
+                  under D after every N completed iterations (default 1). The newest two\n\
+                  generations are kept; each commit removes the older ones. --resume\n\
+                  continues from the newest valid generation, skipping one damaged by a crash.\n\
                   \n\
                   Schedule: one Worker updates vertices in ascending order, the paper's\n\
                   sequential schedule, while a read-ahead thread streams adjacency and a\n\
@@ -1518,13 +1519,24 @@ mod tests {
         )
         .unwrap();
         assert!(out.contains("top vertices by rank"), "{out}");
-        let generations = std::fs::read_dir(&ck)
-            .unwrap()
-            .filter(|e| {
-                e.as_ref().unwrap().file_name().to_string_lossy().starts_with("gen-")
-            })
-            .count();
-        assert!(generations >= 2, "expected checkpoint generations, found {generations}");
+        // Retention: of one generation per iteration, only the newest two
+        // stay on disk, and nothing else does.
+        let generations = graphz_core::list_generations(&ck).unwrap();
+        assert_eq!(generations.len(), 2, "expected the newest two generations: {generations:?}");
+        assert_eq!(std::fs::read_dir(&ck).unwrap().count(), 2, "retention left debris");
+        let newest = generations[0].number;
+        assert!(newest > 2, "the run must have retired generations: newest is {newest}");
+
+        // A retired generation is a typed not-found that names it.
+        let err = execute(
+            parse(&args(&format!(
+                "serve {dos} --addr 127.0.0.1:0 --checkpoint-dir {ck_s} --generation 1"
+            )))
+            .unwrap(),
+        )
+        .unwrap_err();
+        assert!(matches!(err, GraphError::NotFound(_)), "{err:?}");
+        assert!(err.to_string().contains("generation 1 "), "{err}");
 
         let out = execute(
             parse(&args(&format!(

@@ -7,8 +7,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use graphz_io::{
-    Crc32, FaultState, FramedReader, FramedWriter, GatedWriter, IoSnapshot, IoStats,
-    PrefetchSnapshot, RecordWriter, RetryPolicy, ScratchDir, StagedDir, TrackedFile,
+    FaultState, FramedReader, FramedWriter, GatedWriter, IoSnapshot, IoStats, PrefetchSnapshot,
+    RecordWriter, RetryPolicy, ScratchDir, StagedDir, TrackedFile,
 };
 use graphz_storage::{PartitionSet, Partitioner};
 use graphz_types::{
@@ -20,34 +20,131 @@ use graphz_types::{
 /// consumer of a checkpoint root (the serving layer's snapshot pinning).
 use crate::generations::{self, CHECKPOINT_VERSION};
 
-/// Copy `src` into `dst` wrapped in a checksummed frame, returning the
-/// payload length and CRC32 recorded in the checkpoint manifest. Writes pass
-/// through the optional fault gate *unbuffered* so chaos tests see a
-/// deterministic op sequence.
-fn copy_into_frame(
-    src: &Path,
+/// A framed checkpoint file being written: the frame takes the payload's
+/// length and CRC32 as it streams through, and every write passes the
+/// optional fault gate *unbuffered* so chaos tests see a deterministic op
+/// sequence.
+type FrameFile = FramedWriter<GatedWriter<TrackedFile>>;
+
+fn create_frame(
     dst: &Path,
     stats: &Arc<IoStats>,
     faults: &Option<Arc<FaultState>>,
     retry: RetryPolicy,
-) -> Result<(u64, u32)> {
-    let mut reader = graphz_io::tracked::reader(src, Arc::clone(stats)).ctx("read", src)?;
+) -> Result<FrameFile> {
     let out = TrackedFile::create(dst, Arc::clone(stats)).ctx("create", dst)?;
-    let mut writer =
-        FramedWriter::new(GatedWriter::new(out, faults.clone(), retry)).ctx("write", dst)?;
-    let mut crc = Crc32::new();
-    let mut buf = vec![0u8; 64 * 1024];
-    loop {
-        let n = reader.read(&mut buf).ctx("read", src)?;
-        if n == 0 {
-            break;
+    FramedWriter::new(GatedWriter::new(out, faults.clone(), retry)).ctx("write", dst)
+}
+
+/// One checkpoint generation on its way to disk. It is staged when the
+/// iteration that ends in it starts, so the vertex frame can take each
+/// partition's bytes right after that partition's flush — from the slab the
+/// engine holds, never read back from the working file — and is committed
+/// once the iteration's last partition and the message spills are in.
+struct PendingGeneration {
+    staged: StagedDir,
+    next_iteration: u32,
+    vertices: FrameFile,
+    faults: Option<Arc<FaultState>>,
+    retry: RetryPolicy,
+}
+
+impl PendingGeneration {
+    fn stage(
+        dest: &Path,
+        next_iteration: u32,
+        stats: &Arc<IoStats>,
+        faults: Option<Arc<FaultState>>,
+        retry: RetryPolicy,
+    ) -> Result<Self> {
+        if let Some(parent) = dest.parent() {
+            std::fs::create_dir_all(parent).ctx("create-dir", parent)?;
         }
-        crc.update(&buf[..n]);
-        writer.write_all(&buf[..n]).ctx("write", dst)?;
+        let staged = StagedDir::stage_with_faults(dest, faults.clone(), retry).ctx("stage", dest)?;
+        let vertices = create_frame(&staged.path().join("vertices.bin"), stats, &faults, retry)?;
+        Ok(PendingGeneration { staged, next_iteration, vertices, faults, retry })
     }
-    let len = writer.payload_len();
-    writer.finish().ctx("write", dst)?;
-    Ok((len, crc.finish()))
+
+    /// Append the next partition's vertex bytes (partitions come in
+    /// ascending order, so the frame is the vertex array in storage order).
+    fn append(&mut self, bytes: &[u8]) -> Result<()> {
+        self.vertices.write_all(bytes).ctx("write", self.staged.path())
+    }
+
+    /// Append vertices `[a, b)` as the working file holds them — a partition
+    /// this iteration did not flush. `buf` is reused scratch.
+    fn copy_range<V: FixedCodec>(
+        &mut self,
+        vfile: &mut TrackedFile,
+        buf: &mut Vec<u8>,
+        a: VertexId,
+        b: VertexId,
+    ) -> Result<()> {
+        buf.resize((b - a) as usize * V::SIZE, 0);
+        vfile.seek(SeekFrom::Start(a as u64 * V::SIZE as u64))?;
+        vfile.read_exact(buf)?;
+        self.append(buf)
+    }
+
+    /// Seal the vertex frame, frame every spill segment of `msgs_dir`, write
+    /// the manifest into the staged tree, and commit it: one CRC pass per
+    /// file (the frame's own) and one fsync per file (the commit's).
+    fn commit(
+        mut self,
+        msgs_dir: &Path,
+        partitions: u32,
+        counters: crate::msgmanager::MsgCounters,
+        stats: &Arc<IoStats>,
+    ) -> Result<()> {
+        let mut mf = graphz_storage::meta::MetaFile::new();
+        mf.set("format", "graphz-checkpoint")
+            .set("version", CHECKPOINT_VERSION)
+            .set("next_iteration", self.next_iteration)
+            .set("partitions", partitions)
+            .set("msg_buffered", counters.buffered)
+            .set("msg_spilled", counters.spilled)
+            .set("msg_replayed", counters.replayed);
+
+        let (len, crc) = self.vertices.finish().ctx("write", self.staged.path())?;
+        mf.set("file:vertices.bin", format!("{len},{crc:08x}"));
+
+        let msg_dst = self.staged.path().join("msgs");
+        std::fs::create_dir(&msg_dst).ctx("create-dir", &msg_dst)?;
+        let mut spill_names: Vec<std::ffi::OsString> = Vec::new();
+        for entry in std::fs::read_dir(msgs_dir).ctx("read-dir", msgs_dir)? {
+            spill_names.push(entry.ctx("read-dir", msgs_dir)?.file_name());
+        }
+        // Deterministic order so fault-sweep op counts are reproducible.
+        spill_names.sort();
+        let mut buf = vec![0u8; 64 * 1024];
+        for name in spill_names {
+            // Spill segments are sealed files: copied, framed on the way.
+            let (src, dst) = (msgs_dir.join(&name), msg_dst.join(&name));
+            let mut reader = graphz_io::tracked::reader(&src, Arc::clone(stats)).ctx("read", &src)?;
+            let mut frame = create_frame(&dst, stats, &self.faults, self.retry)?;
+            loop {
+                let n = reader.read(&mut buf).ctx("read", &src)?;
+                if n == 0 {
+                    break;
+                }
+                frame.write_all(&buf[..n]).ctx("write", &dst)?;
+            }
+            let (len, crc) = frame.finish().ctx("write", &dst)?;
+            mf.set(&format!("file:msgs/{}", name.to_string_lossy()), format!("{len},{crc:08x}"));
+        }
+
+        // The manifest is one more staged file: written once, gated, and
+        // fsynced with the rest of the tree by the commit.
+        let manifest = self.staged.path().join("manifest.txt");
+        let out = TrackedFile::create(&manifest, Arc::clone(stats)).ctx("create", &manifest)?;
+        GatedWriter::new(out, self.faults.clone(), self.retry)
+            .labeled("write-manifest")
+            .write_all(mf.render().as_bytes())
+            .ctx("write", &manifest)?;
+        let dest = self.staged.dest().to_path_buf();
+        self.staged.commit().ctx("commit", &dest)?;
+        Ok(())
+    }
 }
 
 /// Unframe checkpoint file `src` into engine scratch file `dst`.
@@ -168,6 +265,11 @@ pub struct EngineConfig {
     pub checkpoint_faults: Option<Arc<graphz_io::FaultState>>,
     /// Retry policy for transient checkpoint IO failures.
     pub checkpoint_retry: graphz_io::RetryPolicy,
+    /// Test hook: keep every checkpoint generation instead of the newest
+    /// [`RETAINED_GENERATIONS`](crate::generations::RETAINED_GENERATIONS),
+    /// for suites that inspect the whole history (`golden_values.rs`).
+    /// Production code, the CLI included, leaves it `false`.
+    pub keep_all_generations: bool,
 }
 
 impl EngineConfig {
@@ -181,6 +283,7 @@ impl EngineConfig {
             checkpoint_every: 0,
             checkpoint_faults: None,
             checkpoint_retry: graphz_io::RetryPolicy::default(),
+            keep_all_generations: false,
         }
     }
 
@@ -200,6 +303,13 @@ impl EngineConfig {
     pub fn checkpoint_every(mut self, dir: impl Into<PathBuf>, n: u32) -> Self {
         self.checkpoint_dir = Some(dir.into());
         self.checkpoint_every = n;
+        self
+    }
+
+    /// Keep every checkpoint generation (test hook; see
+    /// [`keep_all_generations`](Self::keep_all_generations)).
+    pub fn keeping_all_generations(mut self) -> Self {
+        self.keep_all_generations = true;
         self
     }
 
@@ -482,6 +592,7 @@ impl<P: VertexProgram> Engine<P> {
             let dynamic = self.config.options.dynamic_messages;
             let pipelined = plan_cfg.pipeline_threads > 1;
             let per_partition = self.partitions.per_partition();
+            let checkpoint_every = self.config.checkpoint_every;
 
             // The Worker stage runs inline on this thread for the whole run.
             //
@@ -531,11 +642,34 @@ impl<P: VertexProgram> Engine<P> {
                 let dynamic_before = dynamic_applied;
                 let mut iter_stages = StageTimes::default();
 
+                // Periodic crash-safe checkpoint. The generation number is
+                // the iteration count a restored engine resumes at, so the
+                // sequence keeps ascending across crash/resume cycles. It is
+                // staged now so each partition's flush can feed its frame.
+                let mut generation = match &self.config.checkpoint_dir {
+                    Some(root) if checkpoint_every > 0 && (step + 1) % checkpoint_every == 0 => {
+                        Some(PendingGeneration::stage(
+                            &generations::generation_path(root, iter + 1),
+                            iter + 1,
+                            &self.stats,
+                            self.config.checkpoint_faults.clone(),
+                            self.config.checkpoint_retry,
+                        )?)
+                    }
+                    _ => None,
+                };
+
                 for (part, a, b) in self.partitions.iter() {
                     // Nothing to replay and nothing to update: the pass would
-                    // change no byte, so it is not run at all.
+                    // change no byte, so it is not run at all. The working
+                    // file holds its vertices, the one range a checkpoint
+                    // reads (the resident slab is framed at the iteration's
+                    // end instead).
                     if !self.active[part as usize] && self.msgs.pending_in(part) == 0 {
                         activity.passes_skipped += 1;
+                        if let (Some(g), None) = (generation.as_mut(), resident.as_ref()) {
+                            g.copy_range::<P::VertexData>(&mut vfile, &mut slab_bytes, a, b)?;
+                        }
                         continue;
                     }
                     let count = (b - a) as usize;
@@ -726,6 +860,11 @@ impl<P: VertexProgram> Engine<P> {
                             write_dirty(&mut vfile, &mut slab_bytes, &mut block_bytes, a, &slab)?;
                     }
                     iter_stages.flush += t_flush.elapsed();
+                    // After the flush `slab_bytes` holds exactly the bytes
+                    // the working file now has for this partition.
+                    if let (Some(g), false) = (generation.as_mut(), plan_cfg.resident) {
+                        g.append(&slab_bytes)?;
+                    }
                 }
 
                 stages_total = stages_total + iter_stages;
@@ -738,23 +877,15 @@ impl<P: VertexProgram> Engine<P> {
                     pool: batch_pool.counters(),
                 });
 
-                // Periodic crash-safe checkpoint. The generation number is
-                // the iteration count a restored engine resumes at, so the
-                // sequence keeps ascending across crash/resume cycles.
-                if let Some(root) = self.config.checkpoint_dir.clone() {
-                    let every = self.config.checkpoint_every;
-                    if every > 0 && (step + 1) % every == 0 {
-                        // The fast path holds vertex state in memory only;
-                        // write it back so the on-disk array is current.
-                        if let Some(slab) = &resident {
-                            activity.slab_bytes_written +=
-                                write_slab(&mut vfile, &mut slab_bytes, 0, slab)?;
-                        }
-                        vfile.flush()?;
-                        self.msgs.flush()?;
-                        let next = iter + 1;
-                        self.write_checkpoint(&generations::generation_path(&root, next), next)?;
+                if let Some(mut g) = generation.take() {
+                    // The fast path holds vertex state in memory only: frame
+                    // it from there; the working file waits for the run's end.
+                    if let Some(slab) = &resident {
+                        encode_slab(&mut slab_bytes, slab);
+                        g.append(&slab_bytes)?;
                     }
+                    self.msgs.flush()?;
+                    self.commit_generation(g)?;
                 }
 
                 if changed == 0 {
@@ -854,61 +985,44 @@ impl<P: VertexProgram> Engine<P> {
             ));
         }
         self.msgs.flush()?;
-        self.write_checkpoint(dir, self.next_iteration)
+        // The same writer a run uses, with no partition teed from a flush:
+        // every partition's vertices come from the working file.
+        let mut g = PendingGeneration::stage(
+            dir,
+            self.next_iteration,
+            &self.stats,
+            self.config.checkpoint_faults.clone(),
+            self.config.checkpoint_retry,
+        )?;
+        let mut vfile = TrackedFile::open(&self.vertices_path, Arc::clone(&self.stats))
+            .ctx("open", &self.vertices_path)?;
+        let mut buf = Vec::new();
+        for (_, a, b) in self.partitions.iter() {
+            g.copy_range::<P::VertexData>(&mut vfile, &mut buf, a, b)?;
+        }
+        self.commit(g)
     }
 
-    /// Write one checkpoint into `dest` recording `next_iteration` as the
-    /// resume point. Assumes message buffers are already flushed and the
-    /// on-disk vertex array is current.
-    fn write_checkpoint(&mut self, dest: &Path, next_iteration: u32) -> Result<()> {
-        let faults = self.config.checkpoint_faults.clone();
-        let retry = self.config.checkpoint_retry;
-        if let Some(parent) = dest.parent() {
-            std::fs::create_dir_all(parent).ctx("create-dir", parent)?;
-        }
-        let staged = StagedDir::stage_with_faults(dest, faults.clone(), retry)
-            .ctx("stage", dest)?;
-
-        let mut mf = graphz_storage::meta::MetaFile::new();
+    /// Commit `g` with the engine's current message state.
+    fn commit(&self, g: PendingGeneration) -> Result<()> {
         let counters = self.msgs.counters();
-        mf.set("format", "graphz-checkpoint")
-            .set("version", CHECKPOINT_VERSION)
-            .set("next_iteration", next_iteration)
-            .set("partitions", self.partitions.num_partitions())
-            .set("msg_buffered", counters.buffered)
-            .set("msg_spilled", counters.spilled)
-            .set("msg_replayed", counters.replayed);
+        g.commit(self.msgs.dir(), self.partitions.num_partitions(), counters, &self.stats)
+    }
 
-        let (len, crc) = copy_into_frame(
-            &self.vertices_path,
-            &staged.path().join("vertices.bin"),
-            &self.stats,
-            &faults,
-            retry,
-        )?;
-        mf.set("file:vertices.bin", format!("{len},{crc:08x}"));
-
-        let msg_dst = staged.path().join("msgs");
-        std::fs::create_dir(&msg_dst).ctx("create-dir", &msg_dst)?;
-        let mut spill_names: Vec<std::ffi::OsString> = Vec::new();
-        for entry in std::fs::read_dir(self.msgs.dir()).ctx("read-dir", self.msgs.dir())? {
-            spill_names.push(entry.ctx("read-dir", self.msgs.dir())?.file_name());
-        }
-        // Deterministic order so fault-sweep op counts are reproducible.
-        spill_names.sort();
-        for name in spill_names {
-            let (len, crc) = copy_into_frame(
-                &self.msgs.dir().join(&name),
-                &msg_dst.join(&name),
-                &self.stats,
-                &faults,
-                retry,
+    /// Commit a run's periodic generation, then retire the generations it
+    /// made redundant (unless the test hook keeps them all).
+    fn commit_generation(&self, g: PendingGeneration) -> Result<()> {
+        let committed = g.next_iteration;
+        self.commit(g)?;
+        if let (Some(root), false) = (&self.config.checkpoint_dir, self.config.keep_all_generations)
+        {
+            generations::retire_older(
+                root,
+                committed,
+                &self.config.checkpoint_faults,
+                self.config.checkpoint_retry,
             )?;
-            mf.set(&format!("file:msgs/{}", name.to_string_lossy()), format!("{len},{crc:08x}"));
         }
-
-        mf.save(&staged.path().join("manifest.txt"))?;
-        staged.commit().ctx("commit", dest)?;
         Ok(())
     }
 

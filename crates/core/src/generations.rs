@@ -7,12 +7,14 @@
 //! A checkpoint root holds `gen-NNNNNNNN/` directories (one per completed
 //! generation, named by the iteration the run would continue from), each
 //! written atomically via a staged rename and described by a `manifest.txt`
-//! recording the payload length and CRC32 of every framed file. The
-//! functions here only ever *read*: listing is one `read_dir`, and
-//! verification replays each file's frame against the manifest entry
-//! without touching the files' contents on disk — which is what makes a
-//! pinned generation safe to serve from while a writer lays down newer
-//! ones next to it (DESIGN.md §6l).
+//! recording the payload length and CRC32 of every framed file. Listing is
+//! one `read_dir`, and verification replays each file's frame against the
+//! manifest entry without touching the files' contents on disk — which is
+//! what makes a pinned generation safe to serve from while a writer lays
+//! down newer ones next to it (DESIGN.md §6l). The one writer here is
+//! [`retire_older`], which removes whole generations the writer no longer
+//! needs (DESIGN.md §6c); a reader that loses one mid-pin sees it vanish
+//! and moves on, like any other crash damage.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -164,51 +166,137 @@ impl GenerationManifest {
     /// as typed [`GraphError::Corrupt`] so a caller scanning newest-first
     /// can skip to the next older generation.
     pub fn verify_files(&self, stats: &Arc<IoStats>) -> Result<()> {
-        for (rel, want_len, want_crc) in &self.files {
-            let path = self.dir.join(rel);
-            let reader =
-                graphz_io::tracked::reader(&path, Arc::clone(stats)).map_err(|e| match e.kind() {
-                    std::io::ErrorKind::NotFound => GraphError::Corrupt(format!(
-                        "checkpoint file {} listed in manifest is missing",
-                        path.display()
-                    )),
-                    _ => GraphError::Io(e),
-                })?;
-            let (len, crc) = graphz_io::framed::verify_stream(reader)
-                .map_err(GraphError::from)
-                .ctx("verify", &path)?;
-            if len != *want_len || crc != *want_crc {
-                return Err(GraphError::Corrupt(format!(
-                    "checkpoint file {} does not match its manifest entry: \
-                     len {len} vs {want_len}, crc {crc:08x} vs {want_crc:08x}",
-                    path.display()
-                )));
-            }
-        }
-        Ok(())
+        self.files.iter().try_for_each(|entry| self.verify_entry(entry, stats))
     }
 
-    /// Unframe one manifest-listed file fully into memory (the serving
-    /// layer's way to read `vertices.bin` from a pinned generation without
-    /// an engine scratch directory). The frame's own trailer checksum is
-    /// verified by the reader as a side effect of draining it.
-    pub fn read_file(&self, rel: &str, stats: &Arc<IoStats>) -> Result<Vec<u8>> {
-        if !self.files.iter().any(|(r, _, _)| r == rel) {
+    /// Replay one manifest-listed file's frame against its entry.
+    fn verify_entry(
+        &self,
+        (rel, len, crc): &(String, u64, u32),
+        stats: &Arc<IoStats>,
+    ) -> Result<()> {
+        let path = self.dir.join(rel);
+        let digest = graphz_io::framed::verify_stream(open_listed(&path, stats)?)
+            .map_err(GraphError::from)
+            .ctx("verify", &path)?;
+        check_entry(&path, digest, (*len, *crc))
+    }
+
+    /// Unframe manifest-listed file `rel` fully into memory while checking it
+    /// against its manifest entry, and verify every other listed file by
+    /// stream — each file is read exactly once (the serving layer's way to
+    /// pin `vertices.bin` without an engine scratch directory). Damage
+    /// anywhere is the same typed [`GraphError::Corrupt`] as
+    /// [`verify_files`](Self::verify_files); a `rel` the manifest does not
+    /// list is [`GraphError::NotFound`].
+    pub fn load_verified(&self, rel: &str, stats: &Arc<IoStats>) -> Result<Vec<u8>> {
+        let Some(&(_, want_len, want_crc)) = self.files.iter().find(|(r, _, _)| r == rel) else {
             return Err(GraphError::NotFound(format!(
                 "checkpoint manifest at {} lists no `{rel}`",
                 self.dir.display()
             )));
+        };
+        for entry in self.files.iter().filter(|(other, _, _)| other != rel) {
+            self.verify_entry(entry, stats)?;
         }
         let path = self.dir.join(rel);
-        let reader = graphz_io::tracked::reader(&path, Arc::clone(stats)).ctx("read", &path)?;
+        let reader = open_listed(&path, stats)?;
+        // Sized once from the manifest, but never past the file itself: a
+        // damaged entry must not size an allocation.
+        let on_disk = reader.get_ref().len().ctx("stat", &path)?;
+        let mut out = Vec::with_capacity(usize::try_from(want_len.min(on_disk)).unwrap_or(0));
         let mut framed =
             graphz_io::FramedReader::new(reader).map_err(GraphError::from).ctx("read", &path)?;
-        let mut out = Vec::new();
         std::io::Read::read_to_end(&mut framed, &mut out)
             .map_err(GraphError::from)
             .ctx("read", &path)?;
+        let digest = framed.verified().ok_or_else(|| {
+            GraphError::Corrupt(format!("checkpoint file {} ended unverified", path.display()))
+        })?;
+        check_entry(&path, digest, (want_len, want_crc))?;
         Ok(out)
     }
+}
+
+/// Open a manifest-listed file; a missing one is crash damage (typed
+/// [`GraphError::Corrupt`]), not a caller error.
+fn open_listed(path: &Path, stats: &Arc<IoStats>) -> Result<graphz_io::TrackedReader> {
+    graphz_io::tracked::reader(path, Arc::clone(stats)).map_err(|e| match e.kind() {
+        std::io::ErrorKind::NotFound => GraphError::Corrupt(format!(
+            "checkpoint file {} listed in manifest is missing",
+            path.display()
+        )),
+        _ => GraphError::Io(e),
+    })
+}
+
+/// A verified frame's `(len, crc)` must equal the manifest entry's.
+fn check_entry(
+    path: &Path,
+    (len, crc): (u64, u32),
+    (want_len, want_crc): (u64, u32),
+) -> Result<()> {
+    if len != want_len || crc != want_crc {
+        return Err(GraphError::Corrupt(format!(
+            "checkpoint file {} does not match its manifest entry: \
+             len {len} vs {want_len}, crc {crc:08x} vs {want_crc:08x}",
+            path.display()
+        )));
+    }
+    Ok(())
+}
+
+/// Generations a checkpoint root keeps after each commit: the one just
+/// committed and the one before it. Commits are atomic (staged, fsynced,
+/// renamed), so a crash never leaves a committed generation half-written;
+/// what can still go is the newest one — a rename the crash kept from
+/// reaching the disk, a file damaged after the fact — and then
+/// [`Engine::resume_latest`](crate::Engine::resume_latest) falls back one
+/// generation, never two. The older one also keeps a reader that listed the
+/// root just before a commit able to pin what it listed.
+pub const RETAINED_GENERATIONS: usize = 2;
+
+/// Retire the generations under `root` that the commit of generation
+/// `committed` made redundant: every generation numbered below the newest
+/// [`RETAINED_GENERATIONS`] at or below `committed`, plus `.old` debris of
+/// an earlier crashed retirement. Each is renamed to `.old` and then
+/// deleted, both gated ops. The decision comes from the directory listing
+/// alone — nothing is read back — and generations numbered *above*
+/// `committed` are left alone: a resumed run only continues below a
+/// generation it could not use, so such a generation is damaged or from an
+/// abandoned timeline, and it must never crowd out the one just committed.
+/// Returns how many generations were retired.
+pub fn retire_older(
+    root: &Path,
+    committed: u32,
+    faults: &Option<Arc<graphz_io::FaultState>>,
+    retry: graphz_io::RetryPolicy,
+) -> Result<usize> {
+    let mut leftovers: Vec<PathBuf> = Vec::new();
+    for entry in std::fs::read_dir(root).ctx("read-dir", root)? {
+        let entry = entry.ctx("read-dir", root)?;
+        let name = entry.file_name();
+        let name = name.to_string_lossy();
+        if name.strip_suffix(".old").and_then(parse_generation_name).is_some() {
+            leftovers.push(entry.path());
+        }
+    }
+    // Deterministic order so fault-sweep op counts are reproducible.
+    leftovers.sort();
+    for old in &leftovers {
+        graphz_io::atomic::remove_leftover(old, faults, retry).ctx("retire", old)?;
+    }
+    let older = list_generations(root)?
+        .into_iter()
+        .filter(|g| g.number <= committed)
+        .skip(RETAINED_GENERATIONS);
+    let mut retired = 0;
+    for generation in older {
+        graphz_io::atomic::retire_dir(&generation.path, faults, retry)
+            .ctx("retire", &generation.path)?;
+        retired += 1;
+    }
+    Ok(retired)
 }
 
 #[cfg(test)]

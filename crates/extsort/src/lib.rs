@@ -287,7 +287,7 @@ where
         let total = plan.total;
         let started = std::time::Instant::now();
         let mut sorted = self.open_merge_stream(plan)?;
-        self.write_all(&mut sorted, output)?;
+        self.write_all(&mut sorted, output, "write")?;
         if let Some(t) = &self.timings {
             t.add_merge(started.elapsed());
         }
@@ -382,19 +382,28 @@ where
         Ok(RecordReader::from_reader(inner))
     }
 
-    /// Merge already-sorted run files into `output`.
+    /// Merge already-sorted run files into `output` (a pre-merge pass; its
+    /// writes are gated as `write-merge`).
     fn merge_files(&self, runs: &[PathBuf], output: &Path) -> Result<()> {
         let mut sources = Vec::with_capacity(runs.len());
         for r in runs {
             sources.push(RunSource::File(self.open_run(r)?));
         }
         let mut merged = SortedStream::new(sources, &self.key, 0)?;
-        self.write_all(&mut merged, output)
+        self.write_all(&mut merged, output, "write-merge")
     }
 
-    fn write_all(&self, sorted: &mut SortedStream<'_, T, K, F>, output: &Path) -> Result<()> {
+    /// Drain `sorted` into `output`, every write gated as `label`.
+    fn write_all(
+        &self,
+        sorted: &mut SortedStream<'_, T, K, F>,
+        output: &Path,
+        label: &'static str,
+    ) -> Result<()> {
         let mut w = RecordWriter::<T, _>::from_writer(
-            self.surface.wrap(graphz_io::tracked::writer(output, Arc::clone(&self.stats))?),
+            self.surface
+                .wrap(graphz_io::tracked::writer(output, Arc::clone(&self.stats))?)
+                .labeled(label),
         );
         while let Some(rec) = sorted.next_record()? {
             w.push(&rec)?;

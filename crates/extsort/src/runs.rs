@@ -41,7 +41,7 @@ where
     buf.sort_unstable_by_key(|r| key(r));
     let path = scratch.file(&format!("run-{idx:06}.bin"));
     let mut w = RecordWriter::<T, _>::from_writer(
-        surface.wrap(graphz_io::tracked::writer(&path, Arc::clone(stats))?),
+        surface.wrap(graphz_io::tracked::writer(&path, Arc::clone(stats))?).labeled("write-run"),
     );
     w.push_all(buf.iter())?;
     w.finish()?;

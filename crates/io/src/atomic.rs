@@ -229,6 +229,34 @@ impl StagedDir {
     }
 }
 
+/// Retire a committed directory: rename it to `<dir>.old`, then delete it.
+/// Both steps are gated ops (`retire-rename`, `retire-remove`), so a chaos
+/// sweep can crash between them. A crash after the rename leaves only
+/// `.old` debris, which no reader takes for the artifact and the next
+/// retirement sweeps with [`remove_leftover`].
+pub fn retire_dir(
+    dir: &Path,
+    faults: &Option<Arc<FaultState>>,
+    retry: RetryPolicy,
+) -> io::Result<()> {
+    let old = old_name(dir);
+    gated(faults, &retry, "retire-rename", || fs::rename(dir, &old))?;
+    remove_leftover(&old, faults, retry)
+}
+
+/// Delete `.old` debris a crashed [`retire_dir`] left behind (gated as
+/// `retire-remove`).
+pub fn remove_leftover(
+    old: &Path,
+    faults: &Option<Arc<FaultState>>,
+    retry: RetryPolicy,
+) -> io::Result<()> {
+    gated(faults, &retry, "retire-remove", || match fs::remove_dir_all(old) {
+        Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(()),
+        other => other,
+    })
+}
+
 fn old_name(path: &Path) -> PathBuf {
     let mut name = path.file_name().unwrap_or_default().to_os_string();
     name.push(".old");

@@ -158,10 +158,14 @@ pub fn is_transient(e: &io::Error) -> bool {
 #[derive(Debug)]
 pub struct FaultState {
     plan: FaultPlan,
-    /// When set, the fault triggers on the first gated op whose label equals
-    /// this string instead of on an op index — letting tests target a named
-    /// point ("commit-manifest:triads") without counting ops.
+    /// When set, the fault triggers on the `label_nth`-th (0-based) gated op
+    /// whose label equals this string instead of on an op index — letting
+    /// tests target a named point ("commit-manifest:triads") without
+    /// counting ops.
     at_label: Option<String>,
+    label_nth: u64,
+    /// Ops labeled `at_label` that passed before the targeted one.
+    label_seen: AtomicU64,
     op: AtomicU64,
     transient_left: AtomicU32,
     fired: AtomicBool,
@@ -169,7 +173,7 @@ pub struct FaultState {
 
 impl FaultState {
     pub fn new(plan: FaultPlan) -> Arc<Self> {
-        Self::build(plan, None)
+        Self::build(plan, None, 0)
     }
 
     /// A fault that fires at the first gated operation labeled `label`
@@ -177,7 +181,14 @@ impl FaultState {
     ///
     /// [`op_gate`]: Self::op_gate
     pub fn new_at_label(plan: FaultPlan, label: &str) -> Arc<Self> {
-        Self::build(plan, Some(label.to_string()))
+        Self::at_label_occurrence(plan, label, 0)
+    }
+
+    /// A fault that fires at the `nth` (0-based) gated operation labeled
+    /// `label` — a sampled point inside a long run of same-labeled ops (the
+    /// writes of one spilled run, the opens of one merge).
+    pub fn at_label_occurrence(plan: FaultPlan, label: &str, nth: u64) -> Arc<Self> {
+        Self::build(plan, Some(label.to_string()), nth)
     }
 
     /// Shorthand for a hard failure at the named operation.
@@ -185,7 +196,7 @@ impl FaultState {
         Self::new_at_label(FaultPlan::fail_at(u64::MAX), label)
     }
 
-    fn build(plan: FaultPlan, at_label: Option<String>) -> Arc<Self> {
+    fn build(plan: FaultPlan, at_label: Option<String>, label_nth: u64) -> Arc<Self> {
         let transient_left = match plan.kind {
             FaultKind::Transient { failures } => failures,
             _ => 0,
@@ -193,6 +204,8 @@ impl FaultState {
         Arc::new(FaultState {
             plan,
             at_label,
+            label_nth,
+            label_seen: AtomicU64::new(0),
             op: AtomicU64::new(0),
             transient_left: AtomicU32::new(transient_left),
             fired: AtomicBool::new(false),
@@ -218,7 +231,16 @@ impl FaultState {
     /// Returns `Some(kind)` if the fault should fire for the current op.
     fn arm(&self, what: &str) -> Option<FaultKind> {
         let triggered = match &self.at_label {
-            Some(label) => what == label,
+            Some(label) if what == label => {
+                // Earlier occurrences pass; from the targeted one on, every
+                // occurrence is the target (a transient retry hits it again).
+                let seen = self.label_seen.load(Ordering::SeqCst);
+                if seen < self.label_nth {
+                    self.label_seen.store(seen + 1, Ordering::SeqCst);
+                }
+                seen >= self.label_nth
+            }
+            Some(_) => false,
             None => self.op.load(Ordering::SeqCst) == self.plan.at_op,
         };
         if !triggered {
@@ -278,13 +300,19 @@ impl FaultState {
     /// Gate a byte-carrying write of `buf` into `w`. A `Torn` plan writes
     /// the planned prefix before failing, leaving real partial bytes behind.
     pub fn write_gate<W: Write>(&self, w: &mut W, buf: &[u8]) -> io::Result<usize> {
-        match self.arm("write") {
+        self.write_gate_as("write", w, buf)
+    }
+
+    /// [`write_gate`](Self::write_gate) under the label `what`, so a label
+    /// probe can target one particular write.
+    pub fn write_gate_as<W: Write>(&self, what: &str, w: &mut W, buf: &[u8]) -> io::Result<usize> {
+        match self.arm(what) {
             Some(FaultKind::Torn { keep_bytes }) => {
                 let keep = (keep_bytes as usize).min(buf.len());
                 w.write_all(&buf[..keep])?;
-                Err(self.injected("write"))
+                Err(self.injected(what))
             }
-            Some(_) => Err(self.injected("write")),
+            Some(_) => Err(self.injected(what)),
             None => {
                 self.advance();
                 w.write_all(buf)?;
@@ -303,11 +331,18 @@ pub struct GatedWriter<W: Write> {
     inner: W,
     faults: Option<Arc<FaultState>>,
     retry: RetryPolicy,
+    label: &'static str,
 }
 
 impl<W: Write> GatedWriter<W> {
     pub fn new(inner: W, faults: Option<Arc<FaultState>>, retry: RetryPolicy) -> Self {
-        GatedWriter { inner, faults, retry }
+        GatedWriter { inner, faults, retry, label: "write" }
+    }
+
+    /// Gate every write under `label` instead of `write`.
+    pub fn labeled(mut self, label: &'static str) -> Self {
+        self.label = label;
+        self
     }
 
     pub fn into_inner(self) -> W {
@@ -320,8 +355,8 @@ impl<W: Write> Write for GatedWriter<W> {
         match &self.faults {
             None => self.inner.write(buf),
             Some(faults) => {
-                let inner = &mut self.inner;
-                retry_transient(&self.retry, || faults.write_gate(inner, buf))
+                let (inner, label) = (&mut self.inner, self.label);
+                retry_transient(&self.retry, || faults.write_gate_as(label, inner, buf))
             }
         }
     }
@@ -522,7 +557,7 @@ impl FaultSurface {
     /// Wrap a writer so its bytes are charged against the disk budget and
     /// gated through the fault plan (with transparent transient retry).
     pub fn wrap<W: Write>(&self, inner: W) -> SurfaceWriter<W> {
-        SurfaceWriter { inner, surface: self.clone() }
+        SurfaceWriter { inner, surface: self.clone(), label: "write" }
     }
 }
 
@@ -533,9 +568,17 @@ impl FaultSurface {
 pub struct SurfaceWriter<W: Write> {
     inner: W,
     surface: FaultSurface,
+    label: &'static str,
 }
 
 impl<W: Write> SurfaceWriter<W> {
+    /// Gate every write under `label` instead of `write`, so a label probe
+    /// can target one kind of write (a spilled run, a pre-merge).
+    pub fn labeled(mut self, label: &'static str) -> Self {
+        self.label = label;
+        self
+    }
+
     pub fn into_inner(self) -> W {
         self.inner
     }
@@ -549,8 +592,8 @@ impl<W: Write> Write for SurfaceWriter<W> {
         match &self.surface.faults {
             None => self.inner.write(buf),
             Some(faults) => {
-                let inner = &mut self.inner;
-                retry_transient(&self.surface.retry, || faults.write_gate(inner, buf))
+                let (inner, label) = (&mut self.inner, self.label);
+                retry_transient(&self.surface.retry, || faults.write_gate_as(label, inner, buf))
             }
         }
     }
@@ -718,6 +761,18 @@ mod tests {
         assert_eq!(err.kind(), io::ErrorKind::StorageFull);
         assert!(faults.fired());
         assert_eq!(sink, b"aa", "a full device writes nothing");
+    }
+
+    #[test]
+    fn labeled_fault_fires_at_the_nth_occurrence() {
+        let faults = FaultState::at_label_occurrence(FaultPlan::fail_at(u64::MAX), "open-run", 2);
+        assert!(faults.op_gate("open-run").is_ok());
+        assert!(faults.op_gate("fsync").is_ok());
+        assert!(faults.op_gate("open-run").is_ok());
+        assert!(faults.op_gate("open-run").is_err(), "the third open-run is the target");
+        assert!(faults.fired());
+        assert_eq!(faults.ops_seen(), 3, "the failed op does not advance the counter");
+        assert!(faults.op_gate("open-run").is_ok(), "a hard fault fires once");
     }
 
     #[test]

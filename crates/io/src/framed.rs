@@ -57,8 +57,12 @@ pub struct FramedWriter<W: Write> {
 
 impl<W: Write> FramedWriter<W> {
     pub fn new(mut inner: W) -> io::Result<Self> {
-        inner.write_all(&FRAME_MAGIC)?;
-        inner.write_all(&FRAME_VERSION.to_le_bytes())?;
+        let mut header = [0u8; HEADER_LEN];
+        let fields = FRAME_MAGIC.into_iter().chain(FRAME_VERSION.to_le_bytes());
+        for (dst, b) in header.iter_mut().zip(fields) {
+            *dst = b;
+        }
+        inner.write_all(&header)?;
         Ok(FramedWriter { inner, crc: Crc32::new(), len: 0, finished: false })
     }
 
@@ -67,17 +71,25 @@ impl<W: Write> FramedWriter<W> {
         self.len
     }
 
-    /// Write the footer and flush. Idempotent.
-    pub fn finish(&mut self) -> io::Result<()> {
+    /// Write the footer and flush. Idempotent. Returns the payload length
+    /// and CRC32 the footer records — the digest a manifest lists for this
+    /// file, taken while the bytes streamed through, so nobody reads the file
+    /// back to checksum it.
+    pub fn finish(&mut self) -> io::Result<(u64, u32)> {
+        let crc = self.crc.finish();
         if self.finished {
-            return Ok(());
+            return Ok((self.len, crc));
         }
-        self.inner.write_all(&self.len.to_le_bytes())?;
-        self.inner.write_all(&self.crc.finish().to_le_bytes())?;
-        self.inner.write_all(&FRAME_END_MAGIC)?;
+        let mut footer = [0u8; FOOTER_LEN];
+        let fields =
+            self.len.to_le_bytes().into_iter().chain(crc.to_le_bytes()).chain(FRAME_END_MAGIC);
+        for (dst, b) in footer.iter_mut().zip(fields) {
+            *dst = b;
+        }
+        self.inner.write_all(&footer)?;
         self.inner.flush()?;
         self.finished = true;
-        Ok(())
+        Ok((self.len, crc))
     }
 
     /// Finish (if not already finished) and return the underlying writer.
@@ -117,6 +129,8 @@ pub struct FramedReader<R: Read> {
     len: u64,
     /// Set after the footer has been validated (or validation failed).
     done: bool,
+    /// Set once the footer matched the payload.
+    verified: bool,
 }
 
 impl<R: Read> FramedReader<R> {
@@ -155,6 +169,7 @@ impl<R: Read> FramedReader<R> {
             crc: Crc32::new(),
             len: 0,
             done: false,
+            verified: false,
         })
     }
 
@@ -188,7 +203,15 @@ impl<R: Read> FramedReader<R> {
                 "frame checksum mismatch: footer {stored_crc:#010x}, computed {actual:#010x}"
             )));
         }
+        self.verified = true;
         Ok(())
+    }
+
+    /// The payload length and CRC32 of a stream read to its verified end;
+    /// `None` before that. Callers comparing a file against a manifest entry
+    /// take the digest from here instead of checksumming the payload again.
+    pub fn verified(&self) -> Option<(u64, u32)> {
+        self.verified.then(|| (self.len, self.crc.finish()))
     }
 
     fn fill_inner(&mut self, buf: &mut [u8]) -> io::Result<usize> {
@@ -216,27 +239,41 @@ impl<R: Read> Read for FramedReader<R> {
             }
             self.tail_len += n;
         }
-        let mut fresh = vec![0u8; out.len()];
-        let n = self.fill_inner(&mut fresh)?;
+        if out.len() > FOOTER_LEN {
+            return self.deliver(out);
+        }
+        // A short read goes through a stack block, so no read allocates.
+        let mut block = [0u8; 2 * FOOTER_LEN];
+        let n = self.deliver(&mut block[..FOOTER_LEN + out.len()])?;
+        out[..n].copy_from_slice(&block[..n]);
+        Ok(n)
+    }
+}
+
+impl<R: Read> FramedReader<R> {
+    /// Read fresh bytes into `buf[16..]` (`buf` is longer than the
+    /// lookahead), then deliver the first `n` bytes of (lookahead ++ fresh)
+    /// in `buf[..n]`; the final 16 bytes of that concatenation become the new
+    /// lookahead.
+    fn deliver(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let n = self.fill_inner(&mut buf[FOOTER_LEN..])?;
         if n == 0 {
             self.check_footer()?;
             return Ok(0);
         }
-        // Deliver the first `n` bytes of (tail ++ fresh[..n]); the final 16
-        // bytes of that concatenation become the new lookahead.
-        let delivered = n;
+        let mut next = [0u8; FOOTER_LEN];
         if n <= FOOTER_LEN {
-            out[..n].copy_from_slice(&self.tail[..n]);
-            self.tail.copy_within(n..FOOTER_LEN, 0);
-            self.tail[FOOTER_LEN - n..].copy_from_slice(&fresh[..n]);
+            next[..FOOTER_LEN - n].copy_from_slice(&self.tail[n..]);
+            next[FOOTER_LEN - n..].copy_from_slice(&buf[FOOTER_LEN..FOOTER_LEN + n]);
+            buf[..n].copy_from_slice(&self.tail[..n]);
         } else {
-            out[..FOOTER_LEN].copy_from_slice(&self.tail);
-            out[FOOTER_LEN..n].copy_from_slice(&fresh[..n - FOOTER_LEN]);
-            self.tail.copy_from_slice(&fresh[n - FOOTER_LEN..n]);
+            next.copy_from_slice(&buf[n..n + FOOTER_LEN]);
+            buf[..FOOTER_LEN].copy_from_slice(&self.tail);
         }
-        self.crc.update(&out[..delivered]);
-        self.len += delivered as u64;
-        Ok(delivered)
+        self.tail = next;
+        self.crc.update(&buf[..n]);
+        self.len += n as u64;
+        Ok(n)
     }
 }
 
@@ -256,17 +293,8 @@ impl<R: Read> FramedReader<R> {
 pub fn verify_stream<R: Read>(r: R) -> io::Result<(u64, u32)> {
     let mut fr = FramedReader::new(r)?;
     let mut buf = [0u8; 8192];
-    let mut crc = Crc32::new();
-    let mut len = 0u64;
-    loop {
-        let n = fr.read(&mut buf)?;
-        if n == 0 {
-            break;
-        }
-        crc.update(&buf[..n]);
-        len += n as u64;
-    }
-    Ok((len, crc.finish()))
+    while fr.read(&mut buf)? > 0 {}
+    fr.verified().ok_or_else(|| corrupt("framed stream ended without a verified footer".into()))
 }
 
 #[cfg(test)]
@@ -300,6 +328,21 @@ mod tests {
             let framed = frame(&payload);
             assert_eq!(framed.len(), HEADER_LEN + size + FOOTER_LEN);
             assert_eq!(read_all(&framed).unwrap(), payload, "size {size}");
+            // Reads at, just past and well past the lookahead, and the
+            // growing reads of `read_to_end`; the digest matches the writer's.
+            for chunk in [16usize, 17, 33, 4096] {
+                let mut r = FramedReader::new(&framed[..]).unwrap();
+                let (mut out, mut buf) = (Vec::new(), vec![0u8; chunk]);
+                while let n @ 1.. = r.read(&mut buf).unwrap() {
+                    out.extend_from_slice(&buf[..n]);
+                }
+                assert_eq!(out, payload, "size {size}, chunk {chunk}");
+                assert_eq!(r.verified(), Some((size as u64, crate::checksum::crc32(&payload))));
+            }
+            let mut r = FramedReader::new(&framed[..]).unwrap();
+            let mut out = Vec::new();
+            r.read_to_end(&mut out).unwrap();
+            assert_eq!(out, payload, "size {size}, read_to_end");
         }
     }
 
@@ -356,6 +399,11 @@ mod tests {
         let (len, crc) = verify_stream(&framed[..]).unwrap();
         assert_eq!(len, payload.len() as u64);
         assert_eq!(crc, crate::checksum::crc32(&payload));
+        // The writer hands out the same digest it wrote into the footer.
+        let mut w = FramedWriter::new(Vec::new()).unwrap();
+        w.write_all(&payload).unwrap();
+        assert_eq!(w.finish().unwrap(), (len, crc));
+        assert_eq!(w.finish().unwrap(), (len, crc), "finish is idempotent");
     }
 
     #[test]

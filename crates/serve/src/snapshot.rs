@@ -8,7 +8,9 @@
 //! window is an in-progress generation, which either has no `gen-NNNNNNNN`
 //! name yet (staged dirs are skipped by the lister) or fails manifest/CRC
 //! verification and is skipped by [`Snapshot::pin_latest`] exactly like
-//! `Engine::resume_latest` skips crash damage. Once pinned, the vertex
+//! `Engine::resume_latest` skips crash damage. The writer also retires
+//! generations older than the newest two; one that vanishes under a pin is
+//! skipped the same way. Once pinned, the vertex
 //! values live in this struct's own buffer: a reader can never observe a
 //! newer or partial generation because it never goes back to disk.
 
@@ -38,7 +40,9 @@ pub struct Snapshot {
 
 impl Snapshot {
     /// Pin generation `number` under `root`, verifying the manifest and
-    /// every recorded checksum before loading `vertices.bin`.
+    /// every recorded checksum while loading `vertices.bin`. A generation
+    /// that is not there — never written, or already retired by the writer's
+    /// retention — is the typed [`GraphError::NotFound`], naming `number`.
     pub fn pin(
         root: &Path,
         number: u32,
@@ -46,6 +50,14 @@ impl Snapshot {
         stats: &Arc<IoStats>,
     ) -> Result<Snapshot> {
         let dir = generations::generation_path(root, number);
+        if !dir.is_dir() {
+            return Err(GraphError::NotFound(format!(
+                "checkpoint generation {number} not found under {} \
+                 (never written, or retired: a run keeps only the newest {})",
+                root.display(),
+                generations::RETAINED_GENERATIONS
+            )));
+        }
         let manifest = generations::load_manifest(&dir)?;
         Self::from_manifest(&manifest, number, num_vertices, stats)
     }
@@ -54,23 +66,30 @@ impl Snapshot {
     /// scanned newest-first and any that fail verification (torn rename,
     /// truncated file, checksum mismatch — i.e. a writer mid-flight or
     /// crash damage) are skipped, so a concurrent checkpoint writer can
-    /// never be observed half-written. [`GraphError::NotFound`] if no
-    /// generation verifies.
+    /// never be observed half-written. A generation the writer retires while
+    /// it is being read vanishes and is skipped the same way; if the whole
+    /// listing vanished, the root is listed again. [`GraphError::NotFound`]
+    /// if no generation verifies.
     pub fn pin_latest(root: &Path, num_vertices: u64, stats: &Arc<IoStats>) -> Result<Snapshot> {
-        for generation in generations::list_generations(root)? {
-            let manifest = match generations::load_manifest(&generation.path) {
-                Ok(m) => m,
-                Err(GraphError::Corrupt(_) | GraphError::NotFound(_) | GraphError::Io(_)) => {
-                    continue
+        // A writer that retires faster than a reader verifies would need
+        // several commits per pin to exhaust this.
+        const RESCANS: usize = 8;
+        for _ in 0..RESCANS {
+            let mut vanished = false;
+            for generation in generations::list_generations(root)? {
+                let pinned = generations::load_manifest(&generation.path).and_then(|manifest| {
+                    Self::from_manifest(&manifest, generation.number, num_vertices, stats)
+                });
+                match pinned {
+                    Ok(snap) => return Ok(snap),
+                    Err(GraphError::Corrupt(_) | GraphError::NotFound(_) | GraphError::Io(_)) => {
+                        vanished |= !generation.path.is_dir();
+                    }
+                    Err(other) => return Err(other),
                 }
-                Err(other) => return Err(other),
-            };
-            match Self::from_manifest(&manifest, generation.number, num_vertices, stats) {
-                Ok(snap) => return Ok(snap),
-                Err(GraphError::Corrupt(_) | GraphError::NotFound(_) | GraphError::Io(_)) => {
-                    continue
-                }
-                Err(other) => return Err(other),
+            }
+            if !vanished {
+                break;
             }
         }
         Err(GraphError::NotFound(format!(
@@ -85,8 +104,9 @@ impl Snapshot {
         num_vertices: u64,
         stats: &Arc<IoStats>,
     ) -> Result<Snapshot> {
-        manifest.verify_files(stats)?;
-        let values = manifest.read_file("vertices.bin", stats)?;
+        // One read per file: vertices.bin is checked against its manifest
+        // entry while it drains into memory, the others by stream.
+        let values = manifest.load_verified("vertices.bin", stats)?;
         let bytes = cast::len_u64(values.len());
         // checked_div covers the empty graph; the multiply-back check
         // rejects a vertices.bin that is not a whole number of records
@@ -135,5 +155,93 @@ impl Snapshot {
         }
         let start = cast::vertex_index(v) * self.record_size;
         self.values.get(start..start + self.record_size).ok_or(GraphError::UnknownVertex(v))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use graphz_algos::runner::{self, CheckpointSpec};
+    use graphz_algos::{AlgoParams, Algorithm};
+    use graphz_io::ScratchDir;
+    use graphz_storage::EdgeListFile;
+    use graphz_types::MemoryBudget;
+
+    /// PageRank generations under a budget small enough that each one
+    /// carries spill segments beside `vertices.bin`. Returns the root, the
+    /// vertex count and the newest generation number.
+    fn generations(dir: &ScratchDir) -> (std::path::PathBuf, u64, u32) {
+        let stats = IoStats::new();
+        let edges = graphz_gen::rmat_edges(9, 3000, Default::default(), 5);
+        let el = EdgeListFile::create(&dir.file("g.bin"), Arc::clone(&stats), edges).unwrap();
+        let prep = MemoryBudget::from_mib(4);
+        let dos = runner::prepare_dos(&el, &dir.file("dos"), prep, Arc::clone(&stats)).unwrap();
+        let root = dir.file("gens");
+        let ckpt = CheckpointSpec { dir: Some(root.clone()), every: 1, resume: false };
+        let params = AlgoParams::new(Algorithm::PageRank).with_max_iterations(4);
+        let starved = MemoryBudget(512);
+        let out = runner::run_graphz_checkpointed(&dos, &params, starved, &ckpt, stats).unwrap();
+        (root, dos.index().num_vertices(), out.iterations)
+    }
+
+    /// Bytes of the files a generation's manifest lists (the frames a pin
+    /// must read; the manifest itself is parsed, not counted).
+    fn listed_bytes(root: &Path, number: u32) -> (u64, usize) {
+        let dir = generations::generation_path(root, number);
+        let manifest = generations::load_manifest(&dir).unwrap();
+        let sizes = manifest
+            .files()
+            .iter()
+            .map(|(rel, _, _)| std::fs::metadata(manifest.dir().join(rel)).unwrap().len());
+        (sizes.clone().sum(), sizes.count())
+    }
+
+    #[test]
+    fn a_pin_reads_each_generation_file_once() {
+        let dir = ScratchDir::new("snapshot-once").unwrap();
+        let (root, n, newest) = generations(&dir);
+        let (bytes, files) = listed_bytes(&root, newest);
+        assert!(files > 1, "the fixture must carry spill segments: {files} file(s)");
+        let stats = IoStats::new();
+        let snap = Snapshot::pin_latest(&root, n, &stats).unwrap();
+        assert_eq!(snap.generation(), newest);
+        assert_eq!(stats.snapshot().bytes_read, bytes, "every listed file read exactly once");
+    }
+
+    #[test]
+    fn damage_is_corrupt_and_the_newest_good_generation_pins() {
+        let dir = ScratchDir::new("snapshot-damage").unwrap();
+        let (root, n, newest) = generations(&dir);
+        let gen_dir = generations::generation_path(&root, newest);
+        let stats = IoStats::new();
+        let mut spills = std::fs::read_dir(gen_dir.join("msgs")).unwrap();
+        let spill = spills.next().unwrap().unwrap().path();
+        for victim in [gen_dir.join("vertices.bin"), spill] {
+            let good = std::fs::read(&victim).unwrap();
+            // A flipped payload byte, then a truncation.
+            let mut flipped = good.clone();
+            flipped[graphz_io::framed::HEADER_LEN] ^= 0x10;
+            for bad in [flipped, good[..good.len() - 3].to_vec()] {
+                std::fs::write(&victim, &bad).unwrap();
+                let err = Snapshot::pin(&root, newest, n, &stats).err();
+                assert!(matches!(err, Some(GraphError::Corrupt(_))), "{victim:?}: {err:?}");
+                let fallback = Snapshot::pin_latest(&root, n, &stats).unwrap();
+                assert_eq!(fallback.generation(), newest - 1, "{victim:?}");
+            }
+            std::fs::write(&victim, &good).unwrap();
+        }
+        assert_eq!(Snapshot::pin_latest(&root, n, &stats).unwrap().generation(), newest);
+    }
+
+    #[test]
+    fn a_retired_generation_is_not_found_by_number() {
+        let dir = ScratchDir::new("snapshot-retired").unwrap();
+        let (root, n, newest) = generations(&dir);
+        assert!(newest > 2, "the run must have retired generation 1");
+        let err = Snapshot::pin(&root, 1, n, &IoStats::new()).err();
+        match err {
+            Some(GraphError::NotFound(msg)) => assert!(msg.contains("generation 1 "), "{msg}"),
+            other => panic!("expected NotFound, got {other:?}"),
+        }
     }
 }

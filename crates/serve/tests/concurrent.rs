@@ -6,12 +6,19 @@
 //! 1. every concurrent transcript is bit-identical to a single-threaded
 //!    [`Session`] replay over an identically pinned [`GraphView`];
 //! 2. no reader observes a generation newer than the pinned one, even
-//!    while the resumed engine run commits generations mid-flight;
-//! 3. a fresh pin afterwards lands on the newest *valid* generation,
+//!    while the resumed engine run commits generations mid-flight — and
+//!    retires the older ones, the pinned one included;
+//! 3. pins taken *while* the writer commits and retires always succeed, and
+//!    every response of a session over such a pin comes from one
+//!    generation: the same bytes a pin of that generation from a run that
+//!    kept every generation serves;
+//! 4. a fresh pin afterwards lands on the newest *valid* generation,
 //!    skipping a torn in-progress directory.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
+use std::path::Path;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
 
@@ -20,7 +27,7 @@ use graphz_algos::runner::{self, CheckpointSpec};
 use graphz_gen::rmat_edges;
 use graphz_io::{IoStats, ScratchDir};
 use graphz_serve::{GraphView, ServeOptions, Server, Session};
-use graphz_types::{Edge, MemoryBudget};
+use graphz_types::{Edge, EngineOptions, MemoryBudget};
 
 const CLIENTS: usize = 4;
 const ROUNDS: usize = 3;
@@ -52,6 +59,26 @@ fn script(num_vertices: u32) -> Vec<String> {
     lines
 }
 
+/// What a session over one pin answers: the generation line, every
+/// vertex's value, and the generation line again.
+fn pinned_transcript(dos_dir: &Path, root: &Path, generation: Option<u32>) -> (u32, Vec<String>) {
+    let mut view = GraphView::open(dos_dir, IoStats::new()).unwrap();
+    let pinned = view.pin_snapshot(root, generation).unwrap();
+    let num_vertices = u32::try_from(view.graph().index().num_vertices()).unwrap();
+    let mut lines = vec!["snapshot".to_string()];
+    lines.extend((0..num_vertices).map(|v| format!("value {v}")));
+    lines.push("snapshot".to_string());
+    let mut session = Session::new(view);
+    let answers = lines
+        .iter()
+        .map(|line| {
+            assert!(session.handle(line));
+            session.response().to_string()
+        })
+        .collect();
+    (pinned, answers)
+}
+
 #[test]
 fn concurrent_readers_match_single_threaded_replay_under_writes() {
     let dir = ScratchDir::new("serve-concurrent").unwrap();
@@ -76,8 +103,10 @@ fn concurrent_readers_match_single_threaded_replay_under_writes() {
     let reference =
         runner::run_graphz_checkpointed(&dos, &params, budget, &none, Arc::clone(&stats)).unwrap();
     assert!(reference.converged);
-    assert!(reference.iterations >= 3, "need room to interrupt: {}", reference.iterations);
-    let cut = reference.iterations - 1;
+    assert!(reference.iterations >= 4, "need room to interrupt: {}", reference.iterations);
+    // Far enough from the end that the tail retires the generation the
+    // server pins.
+    let cut = reference.iterations / 2;
 
     let gens = dir.path().join("gens");
     let head = CheckpointSpec { dir: Some(gens.clone()), every: 1, resume: false };
@@ -153,9 +182,26 @@ fn concurrent_readers_match_single_threaded_replay_under_writes() {
         }));
     }
 
+    // Two more threads pin afresh, over and over, while the writer commits
+    // and retires generations under them.
+    let writing = Arc::new(AtomicBool::new(true));
+    let pinners: Vec<_> = (0..2)
+        .map(|_| {
+            let (writing, dos_dir, gens) = (Arc::clone(&writing), dos_dir.clone(), gens.clone());
+            thread::spawn(move || {
+                let mut pins = vec![pinned_transcript(&dos_dir, &gens, None)];
+                while writing.load(Ordering::SeqCst) {
+                    pins.push(pinned_transcript(&dos_dir, &gens, None));
+                }
+                pins
+            })
+        })
+        .collect();
+
     let tail = CheckpointSpec { dir: Some(gens.clone()), every: 1, resume: true };
     let resumed =
         runner::run_graphz_checkpointed(&dos, &params, budget, &tail, Arc::clone(&stats)).unwrap();
+    writing.store(false, Ordering::SeqCst);
     assert!(resumed.converged);
     assert_eq!(reference.values, resumed.values, "resume must land where the clean run did");
 
@@ -163,6 +209,34 @@ fn concurrent_readers_match_single_threaded_replay_under_writes() {
         client.join().unwrap();
     }
     assert_eq!(server.wait().unwrap(), CLIENTS as u64);
+
+    // The writer kept only the newest two generations; the one the server
+    // pinned is gone from disk, and its readers never noticed.
+    let on_disk: Vec<u32> =
+        graphz_core::list_generations(&gens).unwrap().iter().map(|g| g.number).collect();
+    assert_eq!(on_disk, vec![reference.iterations, reference.iterations - 1]);
+    assert!(!on_disk.contains(&pinned), "the pinned generation must have been retired");
+
+    // Oracle for the mid-flight pins: the same run, every generation kept.
+    let all = dir.path().join("all-gens");
+    let keep = CheckpointSpec { dir: Some(all.clone()), every: 1, resume: false };
+    runner::run_graphz_keeping_generations(
+        &dos,
+        &params,
+        budget,
+        EngineOptions::full(),
+        &keep,
+        Arc::clone(&stats),
+    )
+    .unwrap();
+    for pinner in pinners {
+        for (generation, answers) in pinner.join().unwrap() {
+            let tag = format!("generation={generation} ");
+            assert!(answers[0].contains(&tag) && answers[answers.len() - 1].contains(&tag));
+            let (_, want) = pinned_transcript(&dos_dir, &all, Some(generation));
+            assert_eq!(answers, want, "a mid-flight pin of generation {generation} mixed bytes");
+        }
+    }
 
     // A torn in-progress generation (manifest garbage) must be invisible:
     // a fresh pin lands on the newest generation the resumed run committed.

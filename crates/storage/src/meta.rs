@@ -47,7 +47,9 @@ impl MetaFile {
             .map_err(|_| GraphError::Corrupt(format!("meta key `{key}` is not a u64: `{raw}`")))
     }
 
-    fn render(&self) -> String {
+    /// The exact bytes [`save`](Self::save) writes, for callers that write
+    /// them through a gate of their own (a checkpoint's staged manifest).
+    pub fn render(&self) -> String {
         let mut out = String::from("# GraphZ metadata\n");
         for (k, v) in &self.entries {
             out.push_str(k);
@@ -67,8 +69,9 @@ impl MetaFile {
     /// previous metadata, never a half-written file.
     pub fn save(&self, path: &Path) -> Result<()> {
         // For callers with no surface in reach (baseline converters, CSR,
-        // engine run manifests), all outside the ingest fault boundary; the
-        // DOS pipeline saves its sidecars through `save_with` instead.
+        // edge-list sidecars), all outside the ingest fault boundary; the
+        // DOS pipeline saves its sidecars through `save_with` instead, and a
+        // checkpoint writes its `render`ed manifest through its own gate.
         // flow:allow(fault-surface-bypass) ipa:allow(fault-surface-reach)
         graphz_io::atomic::write_atomic(path, self.render().as_bytes()).ctx("write", path)?;
         Ok(())

@@ -1,12 +1,18 @@
 //! Chaos sweep over the checkpoint path: inject a crash at *every* gated IO
 //! operation a periodically-checkpointing run performs — hard error and torn
 //! write — and assert that a fresh engine resuming from whatever survived
-//! finishes with exactly the values of an uninterrupted run. Transient
-//! faults must instead be retried through to success.
+//! finishes with exactly the values of an uninterrupted run. The ops include
+//! the vertex frame teed from each flush, the spill frames, the staged
+//! manifest write and the retention that retires generations older than the
+//! newest two (rename to `.old`, then remove). Transient faults must instead
+//! be retried through to success.
 
 use std::sync::Arc;
 
-use graphz_core::{DosStore, Engine, EngineConfig, UpdateContext, VertexProgram};
+use graphz_core::{
+    generation_path, list_generations, load_manifest, DosStore, Engine, EngineConfig,
+    UpdateContext, VertexProgram,
+};
 use graphz_io::{FaultPlan, FaultState, IoStats, RetryPolicy, ScratchDir};
 use graphz_storage::{DosConverter, EdgeListFile};
 use graphz_types::{Edge, EngineOptions, MemoryBudget, VertexId};
@@ -168,4 +174,89 @@ fn exhausted_retry_budget_still_recovers() {
     resumed.resume_latest(gens.path()).unwrap();
     resumed.run(MAX_ITER).unwrap();
     assert_eq!(resumed.values_by_original_id().unwrap(), expected);
+}
+
+/// Every checkpoint op kind has a probe that fires, and a crash there still
+/// resumes to the exact values: the staged manifest write and both
+/// retention steps.
+#[test]
+fn label_probes_fire_at_manifest_and_retention_ops() {
+    let expected = reference_values();
+    for label in ["write-manifest", "retire-rename", "retire-remove"] {
+        let gens = ScratchDir::new("chaos-label").unwrap();
+        let faults = FaultState::fail_at_label(label);
+        let config = plain_config()
+            .checkpoint_every(gens.path(), 1)
+            .with_checkpoint_faults(Arc::clone(&faults), RetryPolicy::none());
+        let (_dir, mut victim) = make_engine(config);
+        assert!(victim.run(MAX_ITER).is_err(), "a fault at `{label}` must kill the run");
+        assert!(faults.fired(), "no op labeled `{label}` ran");
+        drop(victim);
+
+        let (_dir2, mut resumed) = make_engine(plain_config());
+        resumed.resume_latest(gens.path()).unwrap();
+        resumed.run(MAX_ITER).unwrap();
+        assert_eq!(resumed.values_by_original_id().unwrap(), expected, "after `{label}`");
+    }
+}
+
+#[test]
+fn a_run_keeps_only_the_newest_two_generations() {
+    let gens = ScratchDir::new("chaos-retain").unwrap();
+    let (_dir, mut engine) = make_engine(plain_config().checkpoint_every(gens.path(), 1));
+    let run = engine.run(MAX_ITER).unwrap();
+    let numbers: Vec<u32> =
+        list_generations(gens.path()).unwrap().iter().map(|g| g.number).collect();
+    assert_eq!(numbers, vec![run.iterations, run.iterations - 1]);
+    assert_eq!(std::fs::read_dir(gens.path()).unwrap().count(), 2, "retention left debris");
+}
+
+/// Copy generation `from` to number `to` with its vertex frame truncated:
+/// a damaged generation numbered above the resume point.
+fn plant_damaged(root: &std::path::Path, from: u32, to: u32) {
+    let (src, dst) = (generation_path(root, from), generation_path(root, to));
+    std::fs::create_dir_all(dst.join("msgs")).unwrap();
+    for entry in std::fs::read_dir(&src).unwrap() {
+        let entry = entry.unwrap();
+        if entry.file_type().unwrap().is_file() {
+            std::fs::copy(entry.path(), dst.join(entry.file_name())).unwrap();
+        }
+    }
+    let vertices = dst.join("vertices.bin");
+    let len = std::fs::metadata(&vertices).unwrap().len();
+    std::fs::OpenOptions::new().write(true).open(&vertices).unwrap().set_len(len - 5).unwrap();
+}
+
+#[test]
+fn damaged_newer_generations_never_retire_the_one_just_committed() {
+    let expected = reference_values();
+    let gens = ScratchDir::new("chaos-damaged").unwrap();
+    let root = gens.path();
+    // A run that stops after generation 2, then two damaged generations
+    // numbered above it — what a run that crashed further on could leave.
+    let (_dir, mut head) = make_engine(plain_config().checkpoint_every(root, 1));
+    head.run(2).unwrap();
+    drop(head);
+    plant_damaged(root, 2, 5);
+    plant_damaged(root, 2, 6);
+
+    // Resume from 2 (5 and 6 fail verification) and commit one generation:
+    // it and the one before it stay, the damaged ones are not counted.
+    let (_dir2, mut one) = make_engine(plain_config().checkpoint_every(root, 1));
+    assert_eq!(one.resume_latest(root).unwrap(), Some(2));
+    one.run(1).unwrap();
+    drop(one);
+    let numbers: Vec<u32> = list_generations(root).unwrap().iter().map(|g| g.number).collect();
+    assert_eq!(numbers, vec![6, 5, 3, 2], "generation 3 must survive its own retention pass");
+
+    // Resume from 3 and run on past the damaged numbers: they are replaced,
+    // and the newest generation on disk is valid.
+    let (_dir3, mut tail) = make_engine(plain_config().checkpoint_every(root, 1));
+    assert_eq!(tail.resume_latest(root).unwrap(), Some(3));
+    tail.run(MAX_ITER).unwrap();
+    assert_eq!(tail.values_by_original_id().unwrap(), expected);
+    let newest = &list_generations(root).unwrap()[0];
+    load_manifest(&newest.path).unwrap().verify_files(&IoStats::new()).unwrap();
+    let (_dir4, mut again) = make_engine(plain_config());
+    assert_eq!(again.resume_latest(root).unwrap(), Some(newest.number));
 }

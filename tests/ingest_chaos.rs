@@ -49,6 +49,14 @@ fn builder() -> IngestPipelineBuilder {
     IngestPipeline::builder().budget(MemoryBudget::from_kib(32)).stats(stats())
 }
 
+/// The same pipeline at 96 bytes: each stage sort gets 48 (6 edges or 4
+/// triads per run), so every sort of the fixture spills at least 2 runs,
+/// the edge sorts 50 or more, and a sort of more than 64 runs (the merge
+/// fan-in) takes a pre-merge pass.
+fn spilling_builder() -> IngestPipelineBuilder {
+    IngestPipeline::builder().budget(MemoryBudget(96)).stats(stats())
+}
+
 /// Every file in a DOS directory, name → bytes.
 fn dir_contents(dir: &Path) -> BTreeMap<String, Vec<u8>> {
     let mut out = BTreeMap::new();
@@ -83,14 +91,25 @@ fn fail_then_resume(
     want: &BTreeMap<String, Vec<u8>>,
     ctx: &str,
 ) -> GraphError {
-    let faults = FaultState::new(plan);
+    fail_then_resume_with(builder, src, dir, FaultState::new(plan), want, ctx)
+}
+
+/// [`fail_then_resume`] for any pipeline and any armed fault state.
+fn fail_then_resume_with(
+    pipeline: fn() -> IngestPipelineBuilder,
+    src: &Path,
+    dir: &Path,
+    faults: Arc<FaultState>,
+    want: &BTreeMap<String, Vec<u8>>,
+    ctx: &str,
+) -> GraphError {
     let surface = FaultSurface::none()
         .with_faults(Arc::clone(&faults))
         .with_retry(RetryPolicy::none());
-    let err = builder().faults(surface).build().unwrap().run(src, dir).unwrap_err();
+    let err = pipeline().faults(surface).build().unwrap().run(src, dir).unwrap_err();
     assert!(faults.fired(), "{ctx}: planted fault never fired ({err})");
     assert!(scratch_root_for(dir).exists(), "{ctx}: scratch root must survive the failure");
-    builder().resume(true).build().unwrap().run(src, dir).unwrap();
+    pipeline().resume(true).build().unwrap().run(src, dir).unwrap();
     assert_identical(dir, want, ctx);
     assert!(!scratch_root_for(dir).exists(), "{ctx}: resume must clean up scratch");
     err
@@ -183,6 +202,63 @@ fn fault_sweep_across_the_whole_pipeline() {
         );
         std::fs::write(out, json).unwrap();
     }
+}
+
+/// The sweep above converts at 32 KiB, where no sort spills, so it never
+/// reaches a run file. This one converts the same fixture at 96 bytes and
+/// plants faults by label at sampled occurrences: the writes of spilled runs
+/// (`write-run`), the opens of run files for pre-merges and final merges
+/// (`open-run`) and the writes of pre-merged runs (`write-merge`). Every one
+/// must fire, fail the run with a typed error — `StorageFull` for an
+/// injected ENOSPC — and resume to the bytes of the one-run build. Not part
+/// of the `CHAOS_INGEST_OUT` summary.
+#[test]
+fn faults_in_spilled_runs_and_pre_merge_passes_resume_byte_identical() {
+    let scratch = ScratchDir::new("ingest-chaos-spill").unwrap();
+    let src = scratch.file("g.txt");
+    std::fs::write(&src, graph_text()).unwrap();
+    let clean = scratch.path().join("clean");
+    builder().build().unwrap().run(&src, &clean).unwrap();
+    let want = dir_contents(&clean);
+    let dir = scratch.path().join("dos");
+
+    let sampled: [(&str, &[u64]); 3] = [
+        ("write-run", &[0, 1, 17, 120, 400]),
+        ("open-run", &[0, 1, 40, 63, 64, 90]),
+        ("write-merge", &[0, 3, 30]),
+    ];
+    for (label, occurrences) in sampled {
+        for &nth in occurrences {
+            for (kind, plan) in [
+                ("hard", FaultPlan::fail_at(u64::MAX)),
+                ("torn", FaultPlan::torn_at(u64::MAX, 3)),
+                ("full", FaultPlan::full_at(u64::MAX)),
+            ] {
+                let ctx = format!("{kind}@{label}#{nth}");
+                let faults = FaultState::at_label_occurrence(plan, label, nth);
+                let err = fail_then_resume_with(spilling_builder, &src, &dir, faults, &want, &ctx);
+                match kind {
+                    "full" => assert!(matches!(err, GraphError::StorageFull(_)), "{ctx}: {err:?}"),
+                    _ => assert!(
+                        err.to_string().contains(&format!("injected fault: {label}")),
+                        "{ctx}: the error must carry the injected fault: {err}"
+                    ),
+                }
+            }
+        }
+    }
+
+    // A transient fault at a spilled run's write retries through.
+    let transient = FaultPlan::transient_at(u64::MAX, 2);
+    let faults = FaultState::at_label_occurrence(transient, "write-run", 5);
+    spilling_builder()
+        .faults(FaultSurface::none().with_faults(Arc::clone(&faults)))
+        .build()
+        .unwrap()
+        .run(&src, &dir)
+        .unwrap();
+    assert!(faults.fired(), "transient@write-run: planted fault never fired");
+    assert_identical(&dir, &want, "transient@write-run");
 }
 
 /// DESIGN.md §6h graceful degradation: a pipeline run against an exhausted

@@ -67,6 +67,10 @@ fn builder() -> IngestPipelineBuilder {
     IngestPipeline::builder().budget(MemoryBudget::from_kib(32)).stats(stats())
 }
 
+fn spilling() -> IngestPipelineBuilder {
+    IngestPipeline::builder().budget(SPILLS).stats(stats())
+}
+
 /// Ingest `text` under `budget`; returns the directory and the bytes the
 /// ingest wrote.
 fn ingest(src: &Path, dir: &Path, budget: MemoryBudget, weighted: bool) -> u64 {
@@ -126,7 +130,9 @@ fn weighted_graph_is_byte_identical_across_configurations() {
 /// DESIGN.md §6h: kill the pipeline at *every* stage-commit point in turn,
 /// then rerun with `resume(true)` — the finished directory must be
 /// byte-identical to an uninterrupted run, `checksums.txt` included, and the
-/// scratch root must be gone afterwards.
+/// scratch root must be gone afterwards. Under both the 32 KiB budget, where
+/// every sort is one in-memory run, and [`SPILLS`], where the stages killed
+/// and resumed have spilled and pre-merged runs.
 #[test]
 fn resume_after_a_kill_at_every_stage_is_byte_identical() {
     let scratch = ScratchDir::new("ingest-kill-resume").unwrap();
@@ -141,48 +147,60 @@ fn resume_after_a_kill_at_every_stage_is_byte_identical() {
         .unwrap();
     let want = dir_contents(&clean_dir);
 
+    kill_at_every_stage(&scratch, &src, builder, "one-run", &want);
+    kill_at_every_stage(&scratch, &src, spilling, "spilling", &want);
+}
+
+/// Kill `pipeline` at each stage commit, resume it, and compare with `want`.
+fn kill_at_every_stage(
+    scratch: &ScratchDir,
+    src: &Path,
+    pipeline: fn() -> IngestPipelineBuilder,
+    arm: &str,
+    want: &BTreeMap<String, Vec<u8>>,
+) {
     // Every stage the pipeline commits, in order. A text source exercises
     // the import stage too; binary sources simply have one fewer commit.
     const STAGES: &[&str] = &["import", "triads", "old2new", "new2old", "adjacency", "emit"];
     for stage in STAGES {
-        let dir = scratch.path().join(format!("kill-{stage}"));
+        let dir = scratch.path().join(format!("kill-{arm}-{stage}"));
         let faults = FaultState::fail_at_label(&format!("commit-manifest:{stage}"));
-        let err = builder()
+        let err = pipeline()
             .faults(FaultSurface::none().with_faults(Arc::clone(&faults)))
             .build()
             .unwrap()
-            .run(&src, &dir)
+            .run(src, &dir)
             .unwrap_err();
         assert!(
             faults.fired(),
-            "kill at `{stage}`: the labeled commit never ran — stage renamed? ({err})"
+            "{arm}: kill at `{stage}`: the labeled commit never ran — stage renamed? ({err})"
         );
         assert!(
             scratch_root_for(&dir).exists(),
-            "kill at `{stage}`: the scratch root must survive the crash for resume"
+            "{arm}: kill at `{stage}`: the scratch root must survive the crash for resume"
         );
 
-        builder()
+        pipeline()
             .resume(true)
             .build()
             .unwrap()
-            .run(&src, &dir)
+            .run(src, &dir)
             .unwrap();
         let got = dir_contents(&dir);
         assert_eq!(
             got.keys().collect::<Vec<_>>(),
             want.keys().collect::<Vec<_>>(),
-            "kill at `{stage}`: file set differs after resume"
+            "{arm}: kill at `{stage}`: file set differs after resume"
         );
         for (name, bytes) in &got {
-            assert_eq!(bytes, &want[name], "kill at `{stage}`: {name} differs after resume");
+            assert_eq!(bytes, &want[name], "{arm}: kill at `{stage}`: {name} differs after resume");
         }
         assert!(
             !scratch_root_for(&dir).exists(),
-            "kill at `{stage}`: resume must clean up the scratch root"
+            "{arm}: kill at `{stage}`: resume must clean up the scratch root"
         );
         let report = verify_dos(&dir, stats()).unwrap();
-        assert!(report.is_clean(), "kill at `{stage}`: resumed directory fails verify");
+        assert!(report.is_clean(), "{arm}: kill at `{stage}`: resumed directory fails verify");
     }
 }
 
