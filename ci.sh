@@ -42,8 +42,11 @@ step "ingest equivalence (any budget, any resume point: same bytes)"
 # Part of the tier-1 gate: a budget that spills many runs and pre-merges
 # must produce DOS directories byte-identical to a budget where every sort
 # is one in-memory run, and a run killed at any stage commit must resume to
-# the same bytes (DESIGN.md §6g, §6h).
+# the same bytes (DESIGN.md §6g, §6h). The golden image pins those bytes
+# across versions: a convert change that moves any image byte fails here,
+# naming the file.
 cargo test -q --offline -p graphz-bench --test ingest_equivalence
+cargo test -q --offline -p graphz-storage --test golden_image
 step_done
 
 step "ingest chaos (fault sweep + resume, DESIGN.md §6h)"

@@ -121,7 +121,7 @@ pub const COMMANDS: &[CommandSpec] = &[
     CommandSpec {
         name: "convert",
         aliases: &[],
-        positionals: &["<edges.bin | edges.txt>", "<dos-dir>"],
+        positionals: &["<edges.bin | edges.txt | matrix.mtx>", "<dos-dir>"],
         flags: &[
             FlagSpec { name: "--budget-mib", value: Some("B"), help: "sort memory budget in MiB (default 8)" },
             FlagSpec { name: "--weighted", value: None, help: "also emit weights.bin (deterministic per-edge weights)" },
@@ -138,13 +138,17 @@ pub const COMMANDS: &[CommandSpec] = &[
                        run's scratch directory",
             },
         ],
-        summary: "build degree-ordered storage (detects text vs binary input)",
-        details: "Fault tolerance: each pipeline stage commits a checksummed manifest\n\
+        summary: "build degree-ordered storage (detects text, .mtx or binary input)",
+        details: "Stages: runs (text or .mtx parsed straight into sorted runs on disk;\n\
+                  a binary edge list is read in place), old2new (degrees counted,\n\
+                  vertices numbered from the degree histogram), new2old, adjacency\n\
+                  (edges.bin, weights.bin), emit (index.tbl, meta.txt, checksums.txt).\n\
+                  Fault tolerance: each stage commits a checksummed manifest\n\
                   into a <dos-dir>.scratch directory; --resume skips stages whose\n\
                   manifests verify and restarts at the first incomplete one, producing\n\
                   a byte-identical directory. --max-bad-records N diverts up to N\n\
                   malformed text lines into <dos-dir>/quarantine.txt instead of\n\
-                  aborting the import.",
+                  aborting the conversion.",
     },
     CommandSpec {
         name: "info",

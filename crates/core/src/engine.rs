@@ -7,7 +7,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use graphz_io::{
-    FaultState, FramedReader, FramedWriter, GatedWriter, IoSnapshot, IoStats, PrefetchSnapshot,
+    FaultState, FramedWriter, GatedWriter, IoSnapshot, IoStats, PrefetchSnapshot,
     RecordWriter, RetryPolicy, ScratchDir, StagedDir, TrackedFile,
 };
 use graphz_storage::{PartitionSet, Partitioner};
@@ -145,15 +145,6 @@ impl PendingGeneration {
         self.staged.commit().ctx("commit", &dest)?;
         Ok(())
     }
-}
-
-/// Unframe checkpoint file `src` into engine scratch file `dst`.
-fn copy_from_frame(src: &Path, dst: &Path, stats: &Arc<IoStats>) -> Result<()> {
-    let reader = graphz_io::tracked::reader(src, Arc::clone(stats)).ctx("read", src)?;
-    let mut framed = FramedReader::new(reader).map_err(GraphError::from).ctx("read", src)?;
-    let mut out = TrackedFile::create(dst, Arc::clone(stats)).ctx("create", dst)?;
-    std::io::copy(&mut framed, &mut out).map_err(GraphError::from).ctx("restore", src)?;
-    Ok(())
 }
 
 /// Encode `slab` into the reusable `buf`.
@@ -1031,8 +1022,10 @@ impl<P: VertexProgram> Engine<P> {
     /// over the same graph, program, and budget (partition layout is
     /// verified).
     ///
-    /// Every file is verified against the manifest's length and CRC32
-    /// before any engine state is touched; damage surfaces as typed
+    /// Every file is read once: unframed into a staged scratch name and
+    /// verified against the manifest's length and CRC32 as it streams. The
+    /// staged files replace the engine's only after all of them verified;
+    /// damage surfaces as typed
     /// [`GraphError::Corrupt`] (or [`GraphError::NotFound`] for a missing
     /// checkpoint), never as silently wrong values.
     pub fn restore(&mut self, dir: &Path) -> Result<()> {
@@ -1049,17 +1042,20 @@ impl<P: VertexProgram> Engine<P> {
             )));
         }
 
-        // Verification pass: every manifest-listed file must exist and match
-        // its recorded length + checksum. Nothing is modified yet, so a
-        // corrupt generation leaves the engine untouched.
-        manifest.verify_files(&self.stats)?;
-
-        // Apply pass: unframe into engine scratch.
-        for entry in std::fs::read_dir(self.msgs.dir()).ctx("read-dir", self.msgs.dir())? {
-            let _ = std::fs::remove_file(entry.ctx("read-dir", self.msgs.dir())?.path());
+        // Staging pass: unframe every listed file once into a staged name
+        // under the engine's scratch directory, checking it against its
+        // manifest entry as it streams. Nothing the engine uses is touched
+        // yet, so a damaged generation leaves the engine as it was.
+        let staging = self.scratch.file("restore");
+        match std::fs::remove_dir_all(&staging) {
+            Ok(()) => {}
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
+            Err(e) => return Err(GraphError::from(e)).ctx("remove-dir", &staging),
         }
-        for (rel, _, _) in manifest.files() {
-            let src = dir.join(rel);
+        std::fs::create_dir_all(&staging).ctx("create-dir", &staging)?;
+        let mut moves = Vec::with_capacity(manifest.files().len());
+        for (i, entry) in manifest.files().iter().enumerate() {
+            let rel = entry.0.as_str();
             let dst = if rel == "vertices.bin" {
                 self.vertices_path.clone()
             } else if let Some(name) = rel.strip_prefix("msgs/") {
@@ -1069,8 +1065,19 @@ impl<P: VertexProgram> Engine<P> {
                     "checkpoint manifest lists unexpected file `{rel}`"
                 )));
             };
-            copy_from_frame(&src, &dst, &self.stats)?;
+            let staged = staging.join(format!("{i:06}"));
+            manifest.unframe_to(entry, &staged, &self.stats)?;
+            moves.push((staged, dst));
         }
+
+        // Apply pass: every file verified; move them into place.
+        for entry in std::fs::read_dir(self.msgs.dir()).ctx("read-dir", self.msgs.dir())? {
+            let _ = std::fs::remove_file(entry.ctx("read-dir", self.msgs.dir())?.path());
+        }
+        for (staged, dst) in &moves {
+            std::fs::rename(staged, dst).ctx("rename", dst)?;
+        }
+        let _ = std::fs::remove_dir(&staging);
 
         let mf = manifest.meta();
         self.msgs.restore(crate::msgmanager::MsgCounters {
@@ -1881,6 +1888,35 @@ mod tests {
             resumed.values_by_original_id().unwrap(),
             reference.values_by_original_id().unwrap()
         );
+    }
+
+    /// A resume reads each file of the generation it restores exactly once:
+    /// unframed into a staged name and checked as it streams, then moved
+    /// into place.
+    #[test]
+    fn resume_latest_reads_the_generation_once() {
+        let budget = MemoryBudget(32);
+        let gens = graphz_io::ScratchDir::new("engine-gens-once").unwrap();
+        let cfg = EngineConfig::new(budget)
+            .with_options(EngineOptions::full())
+            .checkpoint_every(gens.path(), 1);
+        let (_d1, mut first) = dos_engine_cfg(test_graph(), cfg, 6);
+        first.run(3).unwrap();
+        drop(first);
+        let newest = gens.path().join("gen-00000003");
+        let manifest = crate::generations::load_manifest(&newest).unwrap();
+        let files: u64 = manifest
+            .files()
+            .iter()
+            .map(|(rel, _, _)| std::fs::metadata(newest.join(rel)).unwrap().len())
+            .sum();
+        assert!(manifest.files().len() > 1, "the generation should hold message files too");
+
+        let (_d2, mut resumed) = dos_engine(test_graph(), budget, EngineOptions::full(), 6);
+        let before = resumed.stats.snapshot().bytes_read;
+        assert_eq!(resumed.resume_latest(gens.path()).unwrap(), Some(3));
+        assert_eq!(resumed.stats.snapshot().bytes_read - before, files);
+        assert!(!resumed.scratch.file("restore").exists(), "staging left behind");
     }
 
     #[test]

@@ -182,6 +182,20 @@ impl GenerationManifest {
         check_entry(&path, digest, (*len, *crc))
     }
 
+    /// Unframe the manifest-listed file of `entry` into `dst` in one read,
+    /// checking it against the entry as it streams. Damage is the same
+    /// typed [`GraphError::Corrupt`] as [`verify_files`](Self::verify_files);
+    /// `dst` then holds a partial payload the caller must discard.
+    pub fn unframe_to(
+        &self,
+        entry: &(String, u64, u32),
+        dst: &Path,
+        stats: &Arc<IoStats>,
+    ) -> Result<()> {
+        let mut out = graphz_io::TrackedFile::create(dst, Arc::clone(stats)).ctx("create", dst)?;
+        self.unframe(entry, &mut out, stats)
+    }
+
     /// Unframe manifest-listed file `rel` fully into memory while checking it
     /// against its manifest entry, and verify every other listed file by
     /// stream — each file is read exactly once (the serving layer's way to
@@ -190,7 +204,7 @@ impl GenerationManifest {
     /// [`verify_files`](Self::verify_files); a `rel` the manifest does not
     /// list is [`GraphError::NotFound`].
     pub fn load_verified(&self, rel: &str, stats: &Arc<IoStats>) -> Result<Vec<u8>> {
-        let Some(&(_, want_len, want_crc)) = self.files.iter().find(|(r, _, _)| r == rel) else {
+        let Some(entry) = self.files.iter().find(|(r, _, _)| r == rel) else {
             return Err(GraphError::NotFound(format!(
                 "checkpoint manifest at {} lists no `{rel}`",
                 self.dir.display()
@@ -200,21 +214,31 @@ impl GenerationManifest {
             self.verify_entry(entry, stats)?;
         }
         let path = self.dir.join(rel);
-        let reader = open_listed(&path, stats)?;
         // Sized once from the manifest, but never past the file itself: a
         // damaged entry must not size an allocation.
-        let on_disk = reader.get_ref().len().ctx("stat", &path)?;
-        let mut out = Vec::with_capacity(usize::try_from(want_len.min(on_disk)).unwrap_or(0));
-        let mut framed =
-            graphz_io::FramedReader::new(reader).map_err(GraphError::from).ctx("read", &path)?;
-        std::io::Read::read_to_end(&mut framed, &mut out)
+        let on_disk = std::fs::metadata(&path).map_or(0, |m| m.len());
+        let mut out = Vec::with_capacity(usize::try_from(entry.1.min(on_disk)).unwrap_or(0));
+        self.unframe(entry, &mut out, stats)?;
+        Ok(out)
+    }
+
+    /// Stream the payload of `entry`'s file into `sink`, then check the
+    /// frame's length and CRC against the entry.
+    fn unframe(
+        &self,
+        (rel, len, crc): &(String, u64, u32),
+        sink: &mut impl std::io::Write,
+        stats: &Arc<IoStats>,
+    ) -> Result<()> {
+        let path = self.dir.join(rel);
+        let mut framed = graphz_io::FramedReader::new(open_listed(&path, stats)?)
             .map_err(GraphError::from)
             .ctx("read", &path)?;
+        std::io::copy(&mut framed, sink).map_err(GraphError::from).ctx("read", &path)?;
         let digest = framed.verified().ok_or_else(|| {
             GraphError::Corrupt(format!("checkpoint file {} ended unverified", path.display()))
         })?;
-        check_entry(&path, digest, (want_len, want_crc))?;
-        Ok(out)
+        check_entry(&path, digest, (*len, *crc))
     }
 }
 

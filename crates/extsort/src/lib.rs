@@ -1,10 +1,12 @@
 //! External k-way merge sort over fixed-size records.
 //!
-//! The DOS conversion pipeline (paper §III-C) is built entirely from external
-//! sorts: "we use external k-way merge sort to sort it using deg as 1st key
-//! and src as 2nd key", then again by `dest`, then by `src`. The GraphChi
-//! baseline's shard construction and X-Stream's partition bucketing reuse the
-//! same substrate.
+//! The paper's DOS conversion (§III-C) is built from external sorts: "we
+//! use external k-way merge sort to sort it using deg as 1st key and src as
+//! 2nd key", then again by `dest`, then by `src`. Ours sorts the edges by
+//! `(src, dst)` once, into durable runs, numbers the vertices from a degree
+//! histogram instead of the degree sort, and keeps the sorts by `dest` and
+//! by `src`. The GraphChi baseline's shard construction and X-Stream's
+//! partition bucketing reuse the same substrate.
 //!
 //! The implementation is the classic two-phase algorithm, on the calling
 //! thread:
@@ -20,6 +22,15 @@
 //! which is how the DOS converter chains one sort's output into the next
 //! sort's run formation without an intermediate file.
 //!
+//! A sort whose runs must outlive the process splits the two phases:
+//! [`ExternalSorter::spill_runs`] forms runs and spills every one of them
+//! (the final partial run too), folding each file's [`Fingerprint`] while
+//! writing it, and pre-merges down to at most fan-in runs;
+//! [`ExternalSorter::merge_runs`] then merges a given list of run files,
+//! as many times as the caller needs. The DOS converter commits the run
+//! list to a stage manifest between the two, so a restarted conversion
+//! merges the same runs again instead of re-reading its source.
+//!
 //! Runs are sorted in place with the standard library's unstable sort
 //! (no scratch allocation per run), so records with equal keys may leave
 //! run formation in any order — the same order on every run of the same
@@ -29,14 +40,13 @@
 //! construction (DESIGN.md §6g):
 //!
 //! * DOS conversion (`graphz-storage`, `dos.rs`), each key packed into one
-//!   integer of the same order: edges by `(src, dst)` and triads by
-//!   `(Reverse(deg), src, dst)` — the whole record; half-relabeled records
+//!   integer of the same order: the durable source runs' edges by
+//!   `(src, dst)` — the whole record; source-relabeled records
 //!   `(new_src, old_dst[, weight])` by `(old_dst, new_src)` and final
 //!   records `(new_src, new_dst[, weight])` by `(new_src, new_dst)` — the
 //!   ids fix the old pair (relabeling is a bijection), and the weight is a
-//!   function of it; assignment pairs `(old, new)` by `old` and inverse
-//!   pairs `(new, old)` by `new` — one pair per vertex, so the key is
-//!   unique.
+//!   function of it; inverse pairs `(new, old)` by `new` — one pair per
+//!   vertex, so the key is unique.
 //! * CSR build (`csr.rs`) and `EdgeListFile::symmetrize` (`edgelist.rs`):
 //!   edges by `(src, dst)`.
 //! * GraphChi shards (`graphz-baselines`): edges by `(dst, src)` and by
@@ -54,9 +64,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use graphz_io::{FaultSurface, IoStats, RecordReader, RecordWriter, ScratchDir};
-use graphz_types::{cast, FixedCodec, GraphError, MemoryBudget, Result};
+use graphz_io::{FaultSurface, Fingerprint, IoStats, RecordReader, RecordWriter, ScratchDir};
+use graphz_types::{cast, FixedCodec, GraphError, IoCtx, MemoryBudget, Result};
 
+pub use runs::Run;
 pub use stream::SortedStream;
 use stream::RunSource;
 
@@ -81,6 +92,7 @@ pub const DEFAULT_FAN_IN: usize = 64;
 pub struct SortTimings {
     form_ns: AtomicU64,
     merge_ns: AtomicU64,
+    input_ns: AtomicU64,
 }
 
 impl SortTimings {
@@ -109,6 +121,11 @@ impl SortTimings {
     /// Total wall time spent in eager merge work.
     pub fn merge(&self) -> Duration {
         Duration::from_nanos(self.merge_ns.load(Ordering::Relaxed))
+    }
+
+    /// Total wall time durable run formation spent waiting on its input.
+    pub fn input(&self) -> Duration {
+        Duration::from_nanos(self.input_ns.load(Ordering::Relaxed))
     }
 }
 
@@ -287,7 +304,10 @@ where
         let total = plan.total;
         let started = std::time::Instant::now();
         let mut sorted = self.open_merge_stream(plan)?;
-        self.write_all(&mut sorted, output, "write")?;
+        let w = self.surface.wrap(
+            graphz_io::tracked::writer(output, Arc::clone(&self.stats)).ctx("create", output)?,
+        );
+        Self::drain(&mut sorted, w.labeled("write"))?;
         if let Some(t) = &self.timings {
             t.add_merge(started.elapsed());
         }
@@ -311,6 +331,78 @@ where
     {
         let plan = self.collapse_runs(input, scratch)?;
         self.open_merge_stream(plan)
+    }
+
+    /// Durable run formation: consume the input and spill every run into
+    /// `dir` as `run-{i:06}.bin` — the final partial run too — each with
+    /// the fingerprint of its bytes, folded while they were written. Then
+    /// pre-merge groups of fan-in runs (as `merge-{pass}-{i:06}.bin`,
+    /// fingerprinted likewise, inputs deleted) until at most fan-in remain,
+    /// unless the surface's disk budget has no room for a merged copy of
+    /// the runs: then they stay as they are and one merge opens them all.
+    /// Returns the runs in merge order and the record count. An empty input
+    /// leaves no run.
+    ///
+    /// `form` times the sorts and spills, `merge` the pre-merge passes, and
+    /// `input` the rest of the formation (see [`SortTimings`]).
+    pub fn spill_runs<I>(&self, input: I, dir: &Path) -> Result<(Vec<Run>, u64)>
+    where
+        I: IntoIterator<Item = Result<T>>,
+    {
+        let started = std::time::Instant::now();
+        let plan = runs::form_durable_runs(
+            &self.key,
+            &self.stats,
+            &self.surface,
+            dir,
+            self.chunk_records(),
+            input.into_iter(),
+        )?;
+        if let Some(t) = &self.timings {
+            t.add_form(plan.spill_time);
+            SortTimings::add(&t.input_ns, started.elapsed().saturating_sub(plan.spill_time));
+        }
+        let runs::DurablePlan { mut runs, total, .. } = plan;
+        let copy_bytes = total.saturating_mul(cast::len_u64(T::SIZE));
+        if self.surface.disk().is_some_and(|d| d.remaining() < copy_bytes) {
+            return Ok((runs, total));
+        }
+        let started = std::time::Instant::now();
+        let mut pass = 0;
+        while runs.len() > self.fan_in {
+            let mut next = Vec::with_capacity(runs.len().div_ceil(self.fan_in));
+            for (group_idx, group) in runs.chunks(self.fan_in).enumerate() {
+                if let [single] = group {
+                    next.push(single.clone());
+                    continue;
+                }
+                let path = dir.join(format!("merge-{pass}-{group_idx:06}.bin"));
+                let paths: Vec<PathBuf> = group.iter().map(|r| r.path.clone()).collect();
+                let fingerprint = self.merge_files_durable(&paths, &path)?;
+                for r in &paths {
+                    let _ = std::fs::remove_file(r);
+                }
+                next.push(Run { path, fingerprint });
+            }
+            runs = next;
+            pass += 1;
+        }
+        if let Some(t) = &self.timings {
+            t.add_merge(started.elapsed());
+        }
+        Ok((runs, total))
+    }
+
+    /// Merge the sorted run files `runs` (any number; each open is the
+    /// gated `open-run`) as a lazy stream — the read side of
+    /// [`spill_runs`](Self::spill_runs), callable as often as the runs
+    /// exist.
+    pub fn merge_runs(&self, runs: &[PathBuf]) -> Result<SortedStream<'_, T, K, F>> {
+        let mut bytes = 0u64;
+        for r in runs {
+            bytes = bytes.saturating_add(std::fs::metadata(r).ctx("stat", r)?.len());
+        }
+        SortedStream::new(self.open_runs(runs)?, &self.key, bytes / cast::len_u64(T::SIZE))
     }
 
     /// Run formation plus pre-merge passes: consume the input and leave at
@@ -364,52 +456,55 @@ where
     /// Open the collapsed runs as a lazy final merge.
     fn open_merge_stream(&self, plan: runs::RunPlan<T>) -> Result<SortedStream<'_, T, K, F>> {
         let runs::RunPlan { files, tail, total } = plan;
-        let mut sources = Vec::with_capacity(files.len() + usize::from(!tail.is_empty()));
-        for f in &files {
-            sources.push(RunSource::File(self.open_run(f)?));
-        }
+        let mut sources = self.open_runs(&files)?;
         if !tail.is_empty() {
             sources.push(RunSource::Memory(tail.into_iter()));
         }
         SortedStream::new(sources, &self.key, total)
     }
 
-    /// Open a run file for merging. The open is a gated op, so the read
+    /// Open run files for merging. Each open is a gated op, so the read
     /// side of the merge is under fault coverage too.
-    fn open_run(&self, path: &Path) -> Result<RecordReader<T>> {
-        self.surface.op("open-run")?;
-        let inner = graphz_io::tracked::reader(path, Arc::clone(&self.stats))?;
-        Ok(RecordReader::from_reader(inner))
+    fn open_runs(&self, paths: &[PathBuf]) -> Result<Vec<RunSource<T>>> {
+        let mut sources = Vec::with_capacity(paths.len() + 1);
+        for path in paths {
+            self.surface.op("open-run")?;
+            let inner = graphz_io::tracked::reader(path, Arc::clone(&self.stats)).ctx("open", path)?;
+            sources.push(RunSource::File(RecordReader::from_reader(inner)));
+        }
+        Ok(sources)
     }
 
     /// Merge already-sorted run files into `output` (a pre-merge pass; its
     /// writes are gated as `write-merge`).
     fn merge_files(&self, runs: &[PathBuf], output: &Path) -> Result<()> {
-        let mut sources = Vec::with_capacity(runs.len());
-        for r in runs {
-            sources.push(RunSource::File(self.open_run(r)?));
-        }
-        let mut merged = SortedStream::new(sources, &self.key, 0)?;
-        self.write_all(&mut merged, output, "write-merge")
+        let mut merged = SortedStream::new(self.open_runs(runs)?, &self.key, 0)?;
+        let w = self.surface.wrap(
+            graphz_io::tracked::writer(output, Arc::clone(&self.stats)).ctx("create", output)?,
+        );
+        Self::drain(&mut merged, w.labeled("write-merge"))?;
+        Ok(())
     }
 
-    /// Drain `sorted` into `output`, every write gated as `label`.
-    fn write_all(
-        &self,
-        sorted: &mut SortedStream<'_, T, K, F>,
-        output: &Path,
-        label: &'static str,
-    ) -> Result<()> {
-        let mut w = RecordWriter::<T, _>::from_writer(
-            self.surface
-                .wrap(graphz_io::tracked::writer(output, Arc::clone(&self.stats))?)
-                .labeled(label),
+    /// [`merge_files`](Self::merge_files) into a file sink that folds the
+    /// output's fingerprint while writing; returns it.
+    fn merge_files_durable(&self, runs: &[PathBuf], output: &Path) -> Result<Fingerprint> {
+        let mut merged = SortedStream::new(self.open_runs(runs)?, &self.key, 0)?;
+        let w = self.surface.wrap(
+            graphz_io::tracked::checksummed_writer(output, Arc::clone(&self.stats))
+                .ctx("create", output)?,
         );
+        let w = Self::drain(&mut merged, w.labeled("write-merge"))?;
+        Ok(w.into_inner().get_ref().fingerprint())
+    }
+
+    /// Drain `sorted` through `w`; returns `w` flushed.
+    fn drain<W: std::io::Write>(sorted: &mut SortedStream<'_, T, K, F>, w: W) -> Result<W> {
+        let mut w = RecordWriter::<T, _>::from_writer(w);
         while let Some(rec) = sorted.next_record()? {
             w.push(&rec)?;
         }
-        w.finish()?;
-        Ok(())
+        w.into_inner()
     }
 }
 
@@ -567,6 +662,81 @@ mod tests {
             count += 1;
         }
         assert_eq!(count, 1000);
+    }
+
+    /// Durable run formation leaves every run on disk, the partial last one
+    /// included, each fingerprint equal to its file's; pre-merges to at
+    /// most fan-in runs; and the run list merges to sorted order as often
+    /// as it is asked.
+    #[test]
+    fn spill_runs_leaves_fingerprinted_runs_that_merge_repeatedly() {
+        let stats = IoStats::new();
+        let mut rng = StdRng::seed_from_u64(3);
+        let values: Vec<u64> = (0..1_000).map(|_| rng.random_range(0..500)).collect();
+        let mut expected = values.clone();
+        expected.sort_unstable();
+        let on_disk = |p: &Path| {
+            let (len, crc) = graphz_io::crc32_stream(std::fs::File::open(p).unwrap()).unwrap();
+            Fingerprint { len, crc }
+        };
+        // 8 records per run: 126 runs, the last one partial and spilled
+        // too; fan-in 4 takes three pre-merge passes, fan-in 200 none.
+        for (fan_in, want_runs) in [(4usize, 2usize), (200, 126)] {
+            let dir = ScratchDir::new("xs-durable").unwrap();
+            let timings = SortTimings::new();
+            let sorter = ExternalSorter::builder(|v: &u64| *v)
+                .budget(MemoryBudget(64))
+                .stats(Arc::clone(&stats))
+                .fan_in(fan_in)
+                .timings(Arc::clone(&timings))
+                .build()
+                .unwrap();
+            let input = values.iter().copied().chain([7, 7, 7]).map(Ok);
+            let (runs, total) = sorter.spill_runs(input, dir.path()).unwrap();
+            assert_eq!((runs.len(), total), (want_runs, 1_003), "fan-in {fan_in}");
+            for r in &runs {
+                assert_eq!(r.fingerprint, on_disk(&r.path), "{}", r.path.display());
+            }
+            let files = std::fs::read_dir(dir.path()).unwrap().count();
+            assert_eq!(files, runs.len(), "fan-in {fan_in}: merged inputs are deleted");
+            assert!(timings.form() > Duration::ZERO && timings.input() > Duration::ZERO);
+            let mut want = expected.clone();
+            want.extend([7, 7, 7]);
+            want.sort_unstable();
+            let paths: Vec<PathBuf> = runs.iter().map(|r| r.path.clone()).collect();
+            for _ in 0..2 {
+                let mut merged = sorter.merge_runs(&paths).unwrap();
+                assert_eq!(merged.total_records(), 1_003);
+                let got: Vec<u64> = (&mut merged).map(|v| v.unwrap()).collect();
+                assert_eq!(got, want, "fan-in {fan_in}");
+            }
+        }
+        let dir = ScratchDir::new("xs-durable-empty").unwrap();
+        let sorter = ExternalSorter::new(|v: &u64| *v, MemoryBudget(64), Arc::clone(&stats));
+        let (runs, total) = sorter.spill_runs(std::iter::empty(), dir.path()).unwrap();
+        assert!(runs.is_empty() && total == 0);
+        assert_eq!(sorter.merge_runs(&[]).unwrap().next_record().unwrap(), None);
+    }
+
+    /// With no room in the disk budget for a merged copy of the runs, the
+    /// pre-merge is skipped and the runs stay as they were spilled.
+    #[test]
+    fn spill_runs_skips_the_pre_merge_without_room_for_a_copy() {
+        use graphz_io::DiskBudget;
+        let dir = ScratchDir::new("xs-durable-disk").unwrap();
+        let disk = DiskBudget::new(8 * 100 + 8 * 50);
+        let sorter = ExternalSorter::builder(|v: &u64| *v)
+            .budget(MemoryBudget(64))
+            .stats(IoStats::new())
+            .fan_in(4)
+            .faults(FaultSurface::none().with_disk_budget(Arc::clone(&disk)))
+            .build()
+            .unwrap();
+        let (runs, total) = sorter.spill_runs((0..100u64).rev().map(Ok), dir.path()).unwrap();
+        assert_eq!((runs.len(), total, disk.used()), (13, 100, 800));
+        let paths: Vec<PathBuf> = runs.iter().map(|r| r.path.clone()).collect();
+        let got: Vec<u64> = sorter.merge_runs(&paths).unwrap().map(|v| v.unwrap()).collect();
+        assert_eq!(got, (0..100).collect::<Vec<_>>());
     }
 
     #[test]

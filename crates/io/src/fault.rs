@@ -160,7 +160,7 @@ pub struct FaultState {
     plan: FaultPlan,
     /// When set, the fault triggers on the `label_nth`-th (0-based) gated op
     /// whose label equals this string instead of on an op index — letting
-    /// tests target a named point ("commit-manifest:triads") without
+    /// tests target a named point ("commit-manifest:runs") without
     /// counting ops.
     at_label: Option<String>,
     label_nth: u64,

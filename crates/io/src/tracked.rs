@@ -163,7 +163,6 @@ pub type ChecksummedWriter = BufWriter<CrcWriter<TrackedFile>>;
 /// Create/truncate `path` for buffered writing with the default block size,
 /// fingerprinting the bytes as they land.
 pub fn checksummed_writer(path: &Path, stats: Arc<IoStats>) -> io::Result<ChecksummedWriter> {
-    // ipa:allow(fault-surface-reach) — byte-level primitive under every writer; gating is the call-site contract
     let file = TrackedFile::create(path, stats)?;
     Ok(BufWriter::with_capacity(DEFAULT_BLOCK, CrcWriter::new(file)))
 }

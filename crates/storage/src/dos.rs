@@ -23,25 +23,32 @@
 //! in memory — the property Table XI quantifies.
 //!
 //! Conversion (§III-C) uses only sequential passes and external sorts, so it
-//! runs in bounded memory no matter the graph size. The passes run as a
-//! *pipeline* of chained lazy sort merges (no intermediate file between a
-//! sort and its consumer). The image bytes do not depend on the budget:
-//! every sort key in the pipeline determines its record's bytes, so run
-//! boundaries cannot show in the output (DESIGN.md §6g). The records
-//! carry only what the image needs: after the degree pass an edge is two
-//! ids, plus its weight when the image is weighted.
+//! runs in bounded memory no matter the graph size. It makes four passes
+//! over the edges: the source is parsed straight into durable by-`(src,
+//! dst)` runs; one merge of them counts out-degrees, and the new ids follow
+//! from the degree histogram (at most [`unique_degree_bound`] entries)
+//! without a sort; a second merge relabels sources into a *pipeline* of
+//! chained lazy sort merges (no intermediate file between a sort and its
+//! consumer) that writes the adjacency. The image bytes do not depend on
+//! the budget: every sort key in the pipeline determines its record's
+//! bytes, so run boundaries cannot show in the output (DESIGN.md §6g). The
+//! records carry only what the image needs: after the source runs an edge
+//! is two ids, plus its weight when the image is weighted.
 
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use graphz_extsort::{ExternalSorter, SortTimings};
+use graphz_extsort::{ExternalSorter, Run, SortTimings};
 use graphz_io::{
     ChecksummedWriter, FaultSurface, Fingerprint, IoStats, RecordReader, RecordWriter, ScratchDir,
     StageManifest, SurfaceWriter, TrackedFile,
 };
 use graphz_types::prelude::*;
 
-use crate::edgelist::EdgeListFile;
+use crate::edgelist::{
+    quarantining, render_quarantine, strict, EdgeListFile, MatrixMarketEdges, TextEdges,
+};
 use crate::meta::MetaFile;
 
 /// Upper bound on the number of unique out-degrees (paper §III-D, Claim 1):
@@ -371,15 +378,23 @@ pub fn scratch_root_for(dir: &Path) -> PathBuf {
     PathBuf::from(os)
 }
 
-/// Triad record used by the conversion pipeline: `(degree, src, dst)` —
-/// paper §III-C's `EDGES` list of `<src, dest, deg>`.
-type Triad = (u32, u32, u32);
+/// Where the `runs` stage reads its edges from.
+pub(crate) enum EdgeSource<'a> {
+    /// A binary edge list, read in place.
+    Binary(&'a EdgeListFile),
+    /// SNAP-style text. With `Some(n)`, up to `n` malformed lines are
+    /// quarantined into `quarantine.txt` beside the image instead of
+    /// failing the conversion.
+    Text { path: &'a Path, max_bad_records: Option<u64> },
+    /// A Matrix Market coordinate file.
+    MatrixMarket(&'a Path),
+}
 
 /// What an edge record of the stages after the degree pass carries beside
 /// its two ids: nothing for an unweighted image, the edge's `f32` weight
 /// under `--weighted`. The weight is a function of the *old* endpoint ids,
-/// so it is taken once, where the triads stage still has both at hand, and
-/// rides along to the final pass as four bytes.
+/// so it is taken once, where the adjacency stage still has both at hand,
+/// and rides along to the final pass as four bytes.
 trait Payload: Copy + Send + 'static {
     /// Encoded bytes (0: the record is just its two ids).
     const SIZE: usize;
@@ -423,9 +438,9 @@ impl Payload for f32 {
     }
 }
 
-/// An edge record of the stages after the degree pass: `half-relabeled.bin`
-/// and the by-dst runs hold `(new_src, old_dst)`, the final sort's runs
-/// `(new_src, new_dst)`, each followed by the payload.
+/// An edge record of the adjacency stage: the by-dst runs hold
+/// `(new_src, old_dst)`, the final sort's runs `(new_src, new_dst)`, each
+/// followed by the payload.
 #[derive(Clone, Copy)]
 struct StageEdge<P> {
     src: u32,
@@ -473,152 +488,112 @@ fn key2(a: u32, b: u32) -> u64 {
     (u64::from(a) << 32) | u64::from(b)
 }
 
-/// The sort key `(a, b, c)` packed likewise.
-#[inline]
-fn key3(a: u32, b: u32, c: u32) -> u128 {
-    (u128::from(key2(a, b)) << 32) | u128::from(c)
+/// The out-degree histogram: `(degree, number of sources with it)` for
+/// every degree a source has, in descending degree. At most
+/// `2 * sqrt(|E|)` entries ([`unique_degree_bound`]), so it stays in
+/// memory like the index it becomes.
+type Histogram = Vec<(Degree, u32)>;
+
+/// The histogram as the `old2new` stage manifest records it:
+/// `degree:count` pairs joined by commas.
+fn render_histogram(hist: &[(Degree, u32)]) -> String {
+    let pairs: Vec<String> = hist.iter().map(|(d, c)| format!("{d}:{c}")).collect();
+    pairs.join(",")
 }
 
-/// Adapts the by-`(src, dst)` sorted edge stream into `(deg, src, dst)`
-/// triads, all in old ids: each source's contiguous run is buffered to
-/// learn its length (= out-degree), then re-emitted with the degree
-/// attached. This is pass 2 of §III-C, running concurrently with pass 1's
-/// merge — the upstream [`SortedStream`](graphz_extsort::SortedStream)
-/// drains while the downstream sorter's run formation consumes these
-/// triads. One buffer of destinations serves every source. The triads are
-/// the last records that hold the old source id: the walk over them
-/// relabels the source and, for a weighted image, takes each edge's weight.
-struct TriadEmitter<S: Iterator<Item = Result<Edge>>> {
-    inner: S,
-    /// The current source, its degree, and its run's destinations.
-    src: u32,
-    deg: u32,
-    dsts: Vec<u32>,
-    /// Next index of `dsts` to emit.
-    next: usize,
-    pending: Option<Edge>,
-    done: bool,
-}
-
-impl<S: Iterator<Item = Result<Edge>>> TriadEmitter<S> {
-    fn new(inner: S) -> Self {
-        TriadEmitter {
-            inner,
-            src: 0,
-            deg: 0,
-            dsts: Vec::new(),
-            next: 0,
-            pending: None,
-            done: false,
-        }
+/// Inverse of [`render_histogram`]; `None` for anything it did not write.
+fn parse_histogram(s: &str) -> Option<Histogram> {
+    if s.is_empty() {
+        return Some(Vec::new());
     }
+    s.split(',')
+        .map(|pair| {
+            let (d, c) = pair.split_once(':')?;
+            Some((d.parse().ok()?, c.parse().ok()?))
+        })
+        .collect()
 }
 
-impl<S: Iterator<Item = Result<Edge>>> Iterator for TriadEmitter<S> {
-    type Item = Result<Triad>;
-
-    fn next(&mut self) -> Option<Result<Triad>> {
-        if let Some(&dst) = self.dsts.get(self.next) {
-            self.next += 1;
-            return Some(Ok((self.deg, self.src, dst)));
-        }
-        if self.done {
-            return None;
-        }
-        // Gather one source's whole run; its length is the degree.
-        self.dsts.clear();
-        self.next = 0;
-        if let Some(e) = self.pending.take() {
-            self.src = e.src;
-            self.dsts.push(e.dst);
-        }
-        loop {
-            match self.inner.next() {
-                Some(Ok(e)) => {
-                    if self.dsts.is_empty() {
-                        self.src = e.src;
-                    } else if e.src != self.src {
-                        self.pending = Some(e);
-                        break;
-                    }
-                    self.dsts.push(e.dst);
-                }
-                Some(Err(e)) => {
-                    self.done = true;
-                    return Some(Err(e));
-                }
-                None => {
-                    self.done = true;
-                    break;
-                }
-            }
-        }
-        let &dst = self.dsts.first()?;
-        self.deg = match cast::usize_to_u32(self.dsts.len(), "dos out-degree") {
-            Ok(d) => d,
-            Err(e) => {
-                self.done = true;
-                self.dsts.clear();
-                return Some(Err(e));
-            }
-        };
-        self.next = 1;
-        Some(Ok((self.deg, self.src, dst)))
+/// The DOS index groups of a histogram (paper Tables VI and VII): each
+/// degree's first new id is the number of sources with a larger degree,
+/// its offset the edges they own. Vertices without out-edges follow as
+/// one zero-degree group. The histogram must account for every edge.
+fn degree_groups(hist: &[(Degree, u32)], num_vertices: u64, num_edges: u64) -> Result<Vec<DegreeGroup>> {
+    let mut groups = Vec::with_capacity(hist.len() + 1);
+    let (mut next_id, mut offset) = (0u64, 0u64);
+    for &(degree, count) in hist {
+        groups.push(DegreeGroup {
+            degree,
+            first_id: cast::to_u32(next_id, "dos first id of a degree group")?,
+            offset,
+        });
+        next_id += cast::widen_u32(count);
+        let owned = cast::mul_u64(cast::widen_u32(degree), cast::widen_u32(count), "dos group edges")?;
+        offset = cast::add_u64(offset, owned, "dos group offset")?;
     }
+    if offset != num_edges || next_id > num_vertices {
+        return Err(GraphError::Corrupt(format!(
+            "degree histogram covers {next_id} sources and {offset} edges, \
+             the runs hold {num_vertices} vertices and {num_edges} edges"
+        )));
+    }
+    // Zero-degree fill (paper: "we need to fill in those vertices with 0
+    // degrees").
+    if next_id < num_vertices {
+        groups.push(DegreeGroup {
+            degree: 0,
+            first_id: cast::to_u32(next_id, "dos first zero-degree id")?,
+            offset: num_edges,
+        });
+    }
+    Ok(groups)
 }
 
-/// Relabels destinations of the dst-sorted half-relabeled stream by
-/// co-scanning `old2new.bin` (pass 6 of §III-C): each `(new_src, old_dst)`
-/// record leaves as `(new_src, new_dst)` with its payload untouched,
-/// straight into the final sort's run formation. No old id survives it.
-struct RelabelIter<S> {
-    inner: S,
+/// Reads `old2new.bin` forward in step with a stream whose looked-up old
+/// ids never decrease (paper: "with the mapping from oldid to newid, we
+/// sequentially relabel"), so each co-scan reads the map once.
+struct Old2NewScan {
     map: RecordReader<u32>,
-    map_pos: u64,
-    cur_new: Option<u32>,
-    failed: bool,
+    /// Old ids read so far; `cur` is the new id of old id `read - 1`.
+    read: u64,
+    cur: Option<u32>,
 }
 
-impl<S, P> Iterator for RelabelIter<S>
-where
-    S: Iterator<Item = Result<StageEdge<P>>>,
-    P: Payload,
-{
-    type Item = Result<StageEdge<P>>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.failed {
-            return None;
-        }
-        let half = match self.inner.next()? {
-            Ok(rec) => rec,
-            Err(e) => {
-                self.failed = true;
-                return Some(Err(e));
-            }
-        };
-        while self.map_pos <= cast::widen_u32(half.dst) {
-            match self.map.next_record() {
-                Ok(v) => {
-                    self.cur_new = v;
-                    self.map_pos += 1;
-                }
-                Err(e) => {
-                    self.failed = true;
-                    return Some(Err(e));
-                }
-            }
-        }
-        match self.cur_new {
-            Some(new_dst) => Some(Ok(StageEdge { dst: new_dst, ..half })),
-            None => {
-                self.failed = true;
-                Some(Err(GraphError::Corrupt(
-                    "old2new.bin shorter than the id space".into(),
-                )))
-            }
-        }
+impl Old2NewScan {
+    fn open(path: &Path, stats: Arc<IoStats>) -> Result<Self> {
+        Ok(Old2NewScan { map: RecordReader::open(path, stats)?, read: 0, cur: None })
     }
+
+    /// The new id of `old`.
+    fn new_id(&mut self, old: u32) -> Result<u32> {
+        while self.read <= cast::widen_u32(old) {
+            self.cur = self.map.next_record()?;
+            self.read += 1;
+        }
+        self.cur.ok_or_else(|| GraphError::Corrupt("old2new.bin shorter than the id space".into()))
+    }
+}
+
+/// Spill the edges of a source as the durable by-`(src, dst)` runs in
+/// `dir`, counting the vertex id space (max id + 1) as they pass. Returns
+/// the runs, the vertex count and the edge count.
+fn spill_counting<K, F>(
+    sorter: &ExternalSorter<Edge, K, F>,
+    edges: impl Iterator<Item = Result<Edge>>,
+    dir: &Path,
+) -> Result<(Vec<Run>, u64, u64)>
+where
+    K: Ord,
+    F: Fn(&Edge) -> K,
+{
+    let mut num_vertices = 0u64;
+    let counted = edges.inspect(|e| {
+        if let Ok(e) = e {
+            num_vertices = num_vertices.max(cast::widen_u32(e.src.max(e.dst)) + 1);
+        }
+    });
+    let (runs, num_edges) = sorter.spill_runs(counted, dir)?;
+    Ok((runs, num_vertices, num_edges))
 }
 
 /// A stage artifact's writer: bytes pass the fault surface, then a block
@@ -635,6 +610,13 @@ fn seal<T: FixedCodec>(w: RecordWriter<T, StageWriter>) -> Result<Fingerprint> {
 fn recorded(m: &StageManifest, name: &str) -> Result<Fingerprint> {
     m.file(name).ok_or_else(|| {
         GraphError::Corrupt(format!("{} manifest lacks a fingerprint for `{name}`", m.stage()))
+    })
+}
+
+/// A stage manifest value that must be there.
+fn required(m: &StageManifest, key: &str) -> Result<u64> {
+    m.get_u64(key).ok_or_else(|| {
+        GraphError::Corrupt(format!("{} manifest lacks a `{key}` count", m.stage()))
     })
 }
 
@@ -696,26 +678,38 @@ impl DosConverter {
         b.build()
     }
 
-    /// Pre-stage disk check (DESIGN.md §6h). A sort stage's scratch
-    /// footprint is roughly its input bytes as run files plus, when the run
-    /// count exceeds the merge fan-in, one more full copy for a pre-merge
-    /// pass. When only the pre-merge copy no longer fits the disk budget,
-    /// degrade gracefully: raise the fan-in so the merge runs in a single
-    /// pass (more seeks, no extra copy). When even the run files cannot fit,
-    /// fail up front with a typed [`GraphError::StorageFull`] instead of
-    /// dying mid-stage with scratch half-written.
-    fn stage_fan_in(&self, stage: &str, input_bytes: u64) -> Result<Option<usize>> {
-        let Some(disk) = self.surface.disk() else {
-            return Ok(None);
-        };
-        let remaining = disk.remaining();
+    /// The sorter of the durable source runs: edges by `(src, dst)`.
+    fn by_src_sorter(&self) -> Result<ExternalSorter<Edge, u64, impl Fn(&Edge) -> u64>> {
+        self.sorter(|e: &Edge| key2(e.src, e.dst), None)
+    }
+
+    /// Pre-stage disk check (DESIGN.md §6h): when a stage's scratch
+    /// footprint cannot fit the disk budget, fail up front with a typed
+    /// [`GraphError::StorageFull`] instead of dying mid-stage with scratch
+    /// half-written.
+    fn check_disk(&self, stage: &str, input_bytes: u64) -> Result<()> {
+        let remaining = self.surface.disk().map_or(u64::MAX, |d| d.remaining());
         if input_bytes > remaining {
             return Err(GraphError::StorageFull(format!(
                 "DOS stage `{stage}` needs about {input_bytes} scratch bytes but only \
                  {remaining} remain in the disk budget"
             )));
         }
-        if input_bytes.saturating_mul(2) > remaining {
+        Ok(())
+    }
+
+    /// [`check_disk`](Self::check_disk) for a sort stage, whose scratch
+    /// footprint is roughly its input bytes as run files plus, when the run
+    /// count exceeds the merge fan-in, one more full copy for a pre-merge
+    /// pass. When only the pre-merge copy no longer fits the disk budget,
+    /// degrade gracefully: raise the fan-in so the merge runs in a single
+    /// pass (more seeks, no extra copy).
+    fn stage_fan_in(&self, stage: &str, input_bytes: u64) -> Result<Option<usize>> {
+        let Some(disk) = self.surface.disk() else {
+            return Ok(None);
+        };
+        self.check_disk(stage, input_bytes)?;
+        if input_bytes.saturating_mul(2) > disk.remaining() {
             return Ok(Some(DEGRADED_FAN_IN));
         }
         Ok(None)
@@ -730,38 +724,187 @@ impl DosConverter {
         ))
     }
 
-    /// Run the full conversion, producing `edges.bin`, `index.tbl`,
-    /// `new2old.bin`, `old2new.bin`, and `meta.txt` under `dir`.
+    /// Run the full conversion of a binary edge list, producing
+    /// `edges.bin`, `index.tbl`, `new2old.bin`, `old2new.bin`, and
+    /// `meta.txt` under `dir`.
     ///
-    /// The seven passes of §III-C run as a pipeline of chained
-    /// [`sort_stream`](ExternalSorter::sort_stream)s grouped into five
-    /// durable *stages* — `triads`, `old2new`, `new2old`, `adjacency`,
-    /// `emit` — each of which commits a checksummed [`StageManifest`] into
-    /// the stable scratch root when it completes (DESIGN.md §6h). A
-    /// converter built with [`resume(true)`](DosConverterBuilder::resume)
-    /// skips stages whose manifests (and recorded artifacts) verify and
-    /// redoes everything from the first incomplete stage; because every
-    /// stage is a deterministic function of the previous stage's files, the
-    /// resumed directory is byte-identical to a clean run's.
+    /// The passes of §III-C run as five durable *stages* — `runs`,
+    /// `old2new`, `new2old`, `adjacency`, `emit` — each of which commits a
+    /// checksummed [`StageManifest`] into the stable scratch root when it
+    /// completes (DESIGN.md §6h). A converter built with
+    /// [`resume(true)`](DosConverterBuilder::resume) skips stages whose
+    /// manifests (and recorded artifacts) verify and redoes everything from
+    /// the first incomplete stage; because every stage is a deterministic
+    /// function of the previous stages' files, the resumed directory is
+    /// byte-identical to a clean run's.
     pub fn convert(&self, input: &EdgeListFile, dir: &Path) -> Result<DosGraph> {
+        self.convert_from(EdgeSource::Binary(input), dir)
+    }
+
+    /// [`convert`](Self::convert) from any [`EdgeSource`]: text and Matrix
+    /// Market sources are parsed straight into the `runs` stage.
+    pub(crate) fn convert_from(&self, source: EdgeSource<'_>, dir: &Path) -> Result<DosGraph> {
         match self.weight_fn {
-            None => self.convert_shaped(input, dir, |_, _| ()),
-            Some(f) => self.convert_shaped(input, dir, f),
+            None => self.convert_shaped(source, dir, |_, _| ()),
+            Some(f) => self.convert_shaped(source, dir, f),
         }
     }
 
-    /// The body of [`convert`](Self::convert) for one record shape: `P` is
-    /// `()` for an unweighted image and `f32` for a weighted one, whose
-    /// value `weigh(old_src, old_dst)` the triads stage computes.
+    /// Stage `runs`: parse the source (or read a binary edge list in place)
+    /// straight into durable by-`(src, dst)` runs under `runs_dir`,
+    /// pre-merged to at most the fan-in. Returns the runs, the vertex count
+    /// (max id + 1, counted while parsing, or a binary edge list's own)
+    /// and the edge count.
+    fn runs_stage(
+        &self,
+        source: EdgeSource<'_>,
+        runs_dir: &Path,
+        dir: &Path,
+    ) -> Result<(Vec<Run>, u64, u64)> {
+        match std::fs::remove_dir_all(runs_dir) {
+            Ok(()) => {}
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
+            Err(e) => return Err(GraphError::from(e)).ctx("remove-dir", runs_dir),
+        }
+        std::fs::create_dir_all(runs_dir).ctx("create-dir", runs_dir)?;
+        let sorter = self.by_src_sorter()?;
+        let stats = || Arc::clone(&self.stats);
+        match source {
+            EdgeSource::Binary(input) => {
+                let meta = input.meta();
+                // A binary source knows its edge count up front; text
+                // learns it only by parsing, so its first check is the next
+                // stage's, on the counts this one commits.
+                self.check_disk("runs", meta.num_edges.saturating_mul(cast::len_u64(Edge::SIZE)))?;
+                let (runs, max_vertices, num_edges) =
+                    spill_counting(&sorter, input.reader(stats())?, runs_dir)?;
+                if num_edges != meta.num_edges || max_vertices > meta.num_vertices {
+                    return Err(GraphError::Corrupt(format!(
+                        "{} holds {num_edges} edges over {max_vertices} vertex ids, its \
+                         metadata says {} edges and {} vertices",
+                        input.path().display(),
+                        meta.num_edges,
+                        meta.num_vertices
+                    )));
+                }
+                Ok((runs, meta.num_vertices, num_edges))
+            }
+            EdgeSource::Text { path, max_bad_records: None } => {
+                spill_counting(&sorter, TextEdges::open(path, stats(), strict(path))?, runs_dir)
+            }
+            EdgeSource::Text { path, max_bad_records: Some(max_bad) } => {
+                let mut bad = Vec::new();
+                let edges = TextEdges::open(path, stats(), quarantining(path, &mut bad, max_bad))?;
+                let spilled = spill_counting(&sorter, edges, runs_dir)?;
+                if !bad.is_empty() {
+                    // The quarantine report is part of the pipeline's fault
+                    // surface: chaos sweeps can fail it like any other
+                    // staged write.
+                    self.surface.op("quarantine")?;
+                    let report = dir.join("quarantine.txt");
+                    graphz_io::write_atomic(&report, render_quarantine(&bad).as_bytes())
+                        .ctx("write", &report)?;
+                }
+                Ok(spilled)
+            }
+            EdgeSource::MatrixMarket(path) => {
+                spill_counting(&sorter, MatrixMarketEdges::open(path, stats())?, runs_dir)
+            }
+        }
+    }
+
+    /// Stage `old2new`, first half: merge the runs once, write each
+    /// source's `(old id, out-degree)` to `degrees_path` in old-id order (8
+    /// bytes per source with edges), and count the degrees into the
+    /// histogram.
+    fn count_degrees(&self, runs: &[PathBuf], degrees_path: &Path) -> Result<Histogram> {
+        let sorter = self.by_src_sorter()?;
+        let mut edges = sorter.merge_runs(runs)?;
+        let mut w = RecordWriter::<(u32, u32), _>::from_writer(self.writer(degrees_path)?);
+        let mut counts: BTreeMap<Degree, u32> = BTreeMap::new();
+        let mut end_source = |src: u32, degree: u64| -> Result<()> {
+            let degree = cast::to_u32(degree, "dos out-degree")?;
+            w.push(&(src, degree))?;
+            let count = counts.entry(degree).or_default();
+            *count = count.checked_add(1).ok_or_else(|| {
+                GraphError::OffsetOverflow("dos degree histogram count".into())
+            })?;
+            Ok(())
+        };
+        let mut cur: Option<(u32, u64)> = None;
+        while let Some(e) = edges.next_record()? {
+            cur = match cur {
+                Some((src, degree)) if src == e.src => Some((src, degree + 1)),
+                Some((src, degree)) => {
+                    end_source(src, degree)?;
+                    Some((e.src, 1))
+                }
+                None => Some((e.src, 1)),
+            };
+        }
+        if let Some((src, degree)) = cur {
+            end_source(src, degree)?;
+        }
+        seal(w)?;
+        Ok(counts.into_iter().rev().collect())
+    }
+
+    /// Stage `old2new`, second half: number the vertices from the groups
+    /// without a sort. Walking the degree file in old-id order, a source of
+    /// degree `d` gets `first_id[d] + seen[d]++`; an id with no out-edges
+    /// takes the next zero-degree id. That is exactly the numbering of a
+    /// sort by `(degree desc, old id asc)`, the paper's order with its ties
+    /// broken deterministically.
+    fn write_old2new(
+        &self,
+        degrees_path: &Path,
+        groups: &[DegreeGroup],
+        num_vertices: u64,
+        out: &Path,
+    ) -> Result<Fingerprint> {
+        let mut next: BTreeMap<Degree, u32> =
+            groups.iter().map(|g| (g.degree, g.first_id)).collect();
+        let mut degrees = RecordReader::<(u32, u32)>::open(degrees_path, Arc::clone(&self.stats))?;
+        let mut w = RecordWriter::<u32, _>::from_writer(self.writer(out)?);
+        let mut pending = degrees.next_record()?;
+        for old in 0..cast::to_u32(num_vertices, "dos vertex count")? {
+            let degree = match pending {
+                Some((src, degree)) if src == old => {
+                    pending = degrees.next_record()?;
+                    degree
+                }
+                _ => 0,
+            };
+            let slot = next.get_mut(&degree).ok_or_else(|| {
+                GraphError::Corrupt(format!("degree {degree} missing from the histogram"))
+            })?;
+            w.push(slot)?;
+            // Saturating is exact: the histogram bounds every group, so a
+            // slot never advances past the last id of its group.
+            *slot = slot.saturating_add(1);
+        }
+        if pending.is_some() {
+            return Err(GraphError::Corrupt(
+                "DOS conversion saw a source id beyond num_vertices".into(),
+            ));
+        }
+        seal(w)
+    }
+
+    /// The body of [`convert_from`](Self::convert_from) for one record
+    /// shape: `P` is `()` for an unweighted image and `f32` for a weighted
+    /// one, whose value `weigh(old_src, old_dst)` the adjacency stage
+    /// computes.
     ///
-    /// Every sort key after the degree pass determines its record: source
-    /// relabeling is a bijection, so `new_src` fixes `old_src`, and the
-    /// payload is a function of the old pair. Equal keys therefore mean
-    /// equal bytes, and the output does not depend on how a sort orders
-    /// ties (DESIGN.md §6g).
+    /// Every sort key determines its record: the source runs' key is the
+    /// whole edge; after the relabeling, `new_src` fixes `old_src` (a
+    /// bijection) and the payload is a function of the old pair. Equal keys
+    /// therefore mean equal bytes, and the output does not depend on how a
+    /// sort orders ties (DESIGN.md §6g). The numbering itself is computed,
+    /// not sorted: see [`write_old2new`](Self::write_old2new).
     fn convert_shaped<P: Payload>(
         &self,
-        input: &EdgeListFile,
+        source: EdgeSource<'_>,
         dir: &Path,
         weigh: impl Fn(VertexId, VertexId) -> P,
     ) -> Result<DosGraph> {
@@ -776,8 +919,6 @@ impl DosConverter {
             }
         }
         std::fs::create_dir_all(&root).ctx("create-dir", &root)?;
-        let meta = input.meta();
-        let num_vertices = meta.num_vertices;
 
         // A stage is "done" when its manifest loads, names that stage, and
         // every artifact it recorded still verifies (length + CRC). Anything
@@ -805,144 +946,56 @@ impl DosConverter {
         // older attempt) are redone and re-committed rather than trusted.
         let mut live = self.resume;
 
-        // Stage `triads` (passes 1–3, pipelined): sort edges by (src, dst);
-        // stream the merge through the triad emitter into the by-degree
-        // sort's run formation; then walk the degree-sorted triads assigning
-        // new ids, building the per-unique-degree groups, and emitting
-        // half-relabeled edges (new src, old dst, payload). A manifest
-        // written for another record shape (the other `--weighted` setting)
-        // does not count: its half-relabeled records have another size.
-        let half_bytes = cast::len_u64(StageEdge::<P>::SIZE);
-        let half = root.join("half-relabeled.bin");
-        let assign = root.join("assign.bin"); // (old_id, new_id) per vertex with deg > 0
-        let groups_path = root.join("groups.bin");
-        let mut groups: Vec<DegreeGroup>;
-        let assigned: u64;
-        if let Some(m) = stage_done(live, "triads", &root)?
-            .filter(|m| m.get_u64("half_record_bytes") == Some(half_bytes))
-        {
-            assigned = m.get_u64("assigned").ok_or_else(|| {
-                GraphError::Corrupt("triads manifest lacks an `assigned` count".into())
-            })?;
-            groups = RecordReader::<DegreeGroup>::open(&groups_path, Arc::clone(&self.stats))?
-                .read_all()?;
+        // Stage `runs` (pass 1): the source parsed straight into durable
+        // by-(src, dst) runs — every run a file, named relative to the
+        // scratch root in the manifest — which the next stages merge, each
+        // as often as it needs.
+        let (runs, num_vertices, num_edges) = if let Some(m) = stage_done(live, "runs", &root)? {
+            let runs: Vec<PathBuf> = m.files().map(|name| root.join(name)).collect();
+            (runs, required(&m, "num_vertices")?, required(&m, "num_edges")?)
         } else {
             live = false;
-            // By-src runs and by-deg runs coexist.
-            let fan_in = self.stage_fan_in("triads", run_bytes::<Edge, Triad>(meta.num_edges))?;
-            groups = Vec::new();
-            let mut next_new: u32 = 0;
-            let (half_fp, assign_fp) = {
-                let by_src_sorter = self.sorter(|e: &Edge| key2(e.src, e.dst), fan_in)?;
-                // Descending degree (`!deg` reverses the order). Ties
-                // between equal degrees break by ascending old id — the
-                // paper breaks them "randomly"; a deterministic break makes
-                // runs reproducible, which §IV-C's ordering guarantee
-                // requires anyway.
-                let by_deg_sorter = self.sorter(|t: &Triad| key3(!t.0, t.1, t.2), fan_in)?;
-                let by_src_runs = ScratchDir::new_in(&root, "by-src").ctx("scratch", &root)?;
-                let by_deg_runs = ScratchDir::new_in(&root, "by-deg").ctx("scratch", &root)?;
-                let by_src = by_src_sorter
-                    .sort_stream(input.reader(Arc::clone(&self.stats))?, &by_src_runs)?;
-                let mut by_deg =
-                    by_deg_sorter.sort_stream(TriadEmitter::new(by_src), &by_deg_runs)?;
-                drop(by_src_runs); // pass-1 runs fully drained into pass-2 runs
+            let (runs, num_vertices, num_edges) =
+                self.runs_stage(source, &root.join("runs"), dir)?;
+            let mut m = StageManifest::new("runs");
+            m.set("num_vertices", num_vertices);
+            m.set("num_edges", num_edges);
+            let mut paths = Vec::with_capacity(runs.len());
+            for run in runs {
+                let name = run.path.strip_prefix(&root).map_err(|_| {
+                    GraphError::Corrupt(format!("run {} outside the scratch root", run.path.display()))
+                })?;
+                m.record_file(&name.to_string_lossy(), run.fingerprint);
+                paths.push(run.path);
+            }
+            m.commit(&manifest_path("runs"), &self.surface)?;
+            (paths, num_vertices, num_edges)
+        };
 
-                // The last pass that knows the old source: the payload (a
-                // weight of the original ids) is taken here.
-                let mut half_w =
-                    RecordWriter::<StageEdge<P>, _>::from_writer(self.writer(&half)?);
-                let mut assign_w =
-                    RecordWriter::<(u32, u32), _>::from_writer(self.writer(&assign)?);
-                let mut cur_src: Option<u32> = None;
-                for (edge_offset, t) in (0u64..).zip(&mut by_deg) {
-                    let (deg, src, dst) = t?;
-                    if cur_src != Some(src) {
-                        cur_src = Some(src);
-                        let new_id = next_new;
-                        next_new += 1;
-                        assign_w.push(&(src, new_id))?;
-                        if groups.last().map(|g| g.degree) != Some(deg) {
-                            groups.push(DegreeGroup {
-                                degree: deg,
-                                first_id: new_id,
-                                offset: edge_offset,
-                            });
-                        }
-                    }
-                    half_w.push(&StageEdge {
-                        src: next_new - 1,
-                        dst,
-                        payload: weigh(src, dst),
-                    })?;
-                }
-                (seal(half_w)?, seal(assign_w)?)
-            };
-            assigned = cast::widen_u32(next_new);
-            let mut gw = RecordWriter::<DegreeGroup, _>::from_writer(self.writer(&groups_path)?);
-            gw.push_all(groups.iter())?;
-            let groups_fp = seal(gw)?;
-            let mut m = StageManifest::new("triads");
-            m.set("assigned", assigned);
-            m.set("half_record_bytes", half_bytes);
-            m.record_file("half-relabeled.bin", half_fp);
-            m.record_file("assign.bin", assign_fp);
-            m.record_file("groups.bin", groups_fp);
-            m.commit(&manifest_path("triads"), &self.surface)?;
-        }
-
-        // Zero-degree fill (paper: "we need to fill in those vertices with
-        // 0 degrees") — a pure function of the triads outputs, so it is
-        // recomputed on resume rather than persisted.
-        if assigned < num_vertices {
-            groups.push(DegreeGroup {
-                degree: 0,
-                first_id: cast::to_u32(assigned, "dos first zero-degree id")?,
-                offset: meta.num_edges,
-            });
-        }
-
-        // Stage `old2new` (pass 4): materialize old2new.bin by draining the
-        // assignment sort's merge straight into the zero-degree co-scan.
+        // Stage `old2new` (passes 2–4): one merge of the runs counts every
+        // source's degree into a scratch file and the in-memory histogram;
+        // the groups follow from the histogram, and old2new.bin from the
+        // scratch file in old-id order. The histogram rides in the manifest,
+        // so a resumed run rebuilds the groups without re-reading anything.
         let old2new_path = dir.join("old2new.bin");
-        let old2new_fp = if let Some(m) = stage_done(live, "old2new", dir)? {
-            recorded(&m, "old2new.bin")?
+        let done = stage_done(live, "old2new", dir)?
+            .and_then(|m| Some((parse_histogram(m.get("histogram")?)?, m)));
+        let (old2new_fp, groups) = if let Some((hist, m)) = done {
+            (recorded(&m, "old2new.bin")?, degree_groups(&hist, num_vertices, num_edges)?)
         } else {
             live = false;
-            let fan_in = self.stage_fan_in("old2new", assigned.saturating_mul(16))?;
-            let fp = {
-                let by_old_sorter = self.sorter(|p: &(u32, u32)| p.0, fan_in)?;
-                let by_old_runs = ScratchDir::new_in(&root, "assign").ctx("scratch", &root)?;
-                let mut by_old = by_old_sorter.sort_stream(
-                    RecordReader::<(u32, u32)>::open(&assign, Arc::clone(&self.stats))?,
-                    &by_old_runs,
-                )?;
-                let mut w = RecordWriter::<u32, _>::from_writer(self.writer(&old2new_path)?);
-                let mut pending = by_old.next_record()?;
-                let mut next_zero: u32 = cast::to_u32(assigned, "dos first zero-degree id")?;
-                for old in 0..cast::to_u32(num_vertices, "dos vertex count")? {
-                    match pending {
-                        Some((o, n)) if o == old => {
-                            w.push(&n)?;
-                            pending = by_old.next_record()?;
-                        }
-                        _ => {
-                            w.push(&next_zero)?;
-                            next_zero += 1;
-                        }
-                    }
-                }
-                if pending.is_some() {
-                    return Err(GraphError::Corrupt(
-                        "DOS conversion saw a source id beyond num_vertices".into(),
-                    ));
-                }
-                seal(w)?
-            };
+            // 8 scratch bytes per source with edges, 4 per vertex in old2new.bin.
+            self.check_disk("old2new", num_vertices.saturating_mul(12))?;
+            let degrees_path = root.join("degrees.bin");
+            let hist = self.count_degrees(&runs, &degrees_path)?;
+            let groups = degree_groups(&hist, num_vertices, num_edges)?;
+            let fp = self.write_old2new(&degrees_path, &groups, num_vertices, &old2new_path)?;
             let mut m = StageManifest::new("old2new");
+            m.set("histogram", render_histogram(&hist));
             m.record_file("old2new.bin", fp);
             m.commit(&manifest_path("old2new"), &self.surface)?;
-            fp
+            let _ = std::fs::remove_file(&degrees_path);
+            (fp, groups)
         };
 
         // Stage `new2old` (pass 5): old2new inverted via one more external
@@ -974,15 +1027,20 @@ impl DosConverter {
             fp
         };
 
-        // Stage `adjacency` (passes 6–7, pipelined): sort half-relabeled
-        // edges by old dst, relabel destinations by co-scanning old2new.bin
-        // sequentially (paper: "with the mapping from oldid to newid, we
-        // sequentially relabel dests") straight into the final sort's run
-        // formation, and write the adjacency file (destination ids only;
-        // offsets are computed by Eq. 1) plus, when requested, the parallel
-        // per-edge weight file from the records' payload.
+        // Stage `adjacency` (passes 6–7, pipelined): merge the runs a second
+        // time, relabel sources by co-scanning old2new.bin and take each
+        // edge's payload while both old ids are at hand; sort by old dst,
+        // relabel destinations by a second co-scan straight into the final
+        // sort's run formation, and write the adjacency file (destination
+        // ids only; offsets are computed by Eq. 1) plus, when requested, the
+        // parallel per-edge weight file from the records' payload. A
+        // manifest written for the other record shape (the other
+        // `--weighted` setting) does not count.
+        let record_bytes = cast::len_u64(StageEdge::<P>::SIZE);
         let edges_path = dir.join("edges.bin");
-        let (edges_fp, weights_fp) = if let Some(m) = stage_done(live, "adjacency", dir)? {
+        let done = stage_done(live, "adjacency", dir)?
+            .filter(|m| m.get_u64("record_bytes") == Some(record_bytes));
+        let (edges_fp, weights_fp) = if let Some(m) = done {
             let weights_fp = match self.weight_fn {
                 Some(_) => Some(recorded(&m, "weights.bin")?),
                 None => None,
@@ -993,26 +1051,31 @@ impl DosConverter {
             // By-dst runs and final runs coexist.
             let fan_in = self.stage_fan_in(
                 "adjacency",
-                run_bytes::<StageEdge<P>, StageEdge<P>>(meta.num_edges),
+                run_bytes::<StageEdge<P>, StageEdge<P>>(num_edges),
             )?;
             let mut written: u64 = 0;
             let (edges_fp, weights_fp) = {
+                let by_src_sorter = self.by_src_sorter()?;
                 let by_dst_sorter = self.sorter(|r: &StageEdge<P>| key2(r.dst, r.src), fan_in)?;
                 let final_sorter = self.sorter(|r: &StageEdge<P>| key2(r.src, r.dst), fan_in)?;
-                let by_dst_runs = ScratchDir::new_in(&root, "half-by-dst").ctx("scratch", &root)?;
+                let by_dst_runs = ScratchDir::new_in(&root, "by-dst").ctx("scratch", &root)?;
                 let final_runs = ScratchDir::new_in(&root, "final").ctx("scratch", &root)?;
-                let by_dst = by_dst_sorter.sort_stream(
-                    RecordReader::<StageEdge<P>>::open(&half, Arc::clone(&self.stats))?,
-                    &by_dst_runs,
-                )?;
-                let relabel = RelabelIter {
-                    inner: by_dst,
-                    map: RecordReader::<u32>::open(&old2new_path, Arc::clone(&self.stats))?,
-                    map_pos: 0,
-                    cur_new: None,
-                    failed: false,
-                };
-                let mut final_sorted = final_sorter.sort_stream(relabel, &final_runs)?;
+                let mut sources = Old2NewScan::open(&old2new_path, Arc::clone(&self.stats))?;
+                let src_relabeled = by_src_sorter.merge_runs(&runs)?.map(|e| {
+                    let e = e?;
+                    Ok(StageEdge {
+                        src: sources.new_id(e.src)?,
+                        dst: e.dst,
+                        payload: weigh(e.src, e.dst),
+                    })
+                });
+                let by_dst = by_dst_sorter.sort_stream(src_relabeled, &by_dst_runs)?;
+                let mut dests = Old2NewScan::open(&old2new_path, Arc::clone(&self.stats))?;
+                let relabeled = by_dst.map(|r| {
+                    let r = r?;
+                    Ok(StageEdge { dst: dests.new_id(r.dst)?, ..r })
+                });
+                let mut final_sorted = final_sorter.sort_stream(relabeled, &final_runs)?;
                 drop(by_dst_runs); // pass-6 runs fully drained into pass-7 runs
 
                 let mut w = RecordWriter::<u32, _>::from_writer(self.writer(&edges_path)?);
@@ -1036,14 +1099,14 @@ impl DosConverter {
                 };
                 (edges_fp, weights_fp)
             };
-            if written != meta.num_edges {
+            if written != num_edges {
                 return Err(GraphError::Corrupt(format!(
-                    "DOS conversion wrote {written} edges, expected {}",
-                    meta.num_edges
+                    "DOS conversion wrote {written} edges, expected {num_edges}"
                 )));
             }
             let mut m = StageManifest::new("adjacency");
             m.set("written", written);
+            m.set("record_bytes", record_bytes);
             m.record_file("edges.bin", edges_fp);
             if let Some(fp) = weights_fp {
                 m.record_file("weights.bin", fp);
@@ -1059,10 +1122,10 @@ impl DosConverter {
         // recorded and re-verified). The sidecar is written after the data
         // files, so an interrupted conversion cannot leave a complete-looking
         // sidecar over partial data.
-        let index = DosIndex::new(groups, num_vertices, meta.num_edges);
+        let index = DosIndex::new(groups, num_vertices, num_edges);
         let dos_meta = GraphMeta {
             num_vertices,
-            num_edges: meta.num_edges,
+            num_edges,
             unique_degrees: index.unique_degrees(),
             max_degree: index.groups().first().map_or(0, |g| cast::widen_u32(g.degree)),
         };
@@ -1100,8 +1163,8 @@ impl DosConverter {
             m.commit(&manifest_path("emit"), &self.surface)?;
         }
 
-        // Everything durable: the scratch root (intermediate artifacts and
-        // stage manifests) has served its purpose.
+        // Everything durable: the scratch root (source runs, intermediate
+        // artifacts and stage manifests) has served its purpose.
         if owns_root {
             let _ = std::fs::remove_dir_all(&root);
         }
@@ -1315,10 +1378,13 @@ mod tests {
         assert!(matches!(err, GraphError::StorageFull(_)), "got {err:?}");
         assert!(err.to_string().contains("stage `x`"), "{err}");
 
-        // The estimates follow the stage record types: the triads stage's
-        // by-src edge and by-deg triad, the adjacency stage's two edge
-        // records — two ids, plus the weight in a weighted image.
-        assert_eq!(run_bytes::<Edge, Triad>(1), 20);
+        // A stage without a sort only fails or passes.
+        conv.check_disk("old2new", 1000).unwrap();
+        assert!(matches!(conv.check_disk("old2new", 1001), Err(GraphError::StorageFull(_))));
+
+        // The estimates follow the stage record types: the adjacency
+        // stage's two edge records — two ids, plus the weight in a weighted
+        // image.
         let adjacency = |weighted: bool, edges: u64| {
             let bytes = if weighted {
                 run_bytes::<StageEdge<f32>, StageEdge<f32>>(edges)
@@ -1697,11 +1763,13 @@ mod tests {
         out
     }
 
-    /// The half-relabeled records are 8 bytes unweighted and 12 weighted, so
-    /// a resume that switches `--weighted` must redo the triads stage, not
-    /// read the other shape's file.
+    /// The adjacency stage's records are 8 bytes unweighted and 12
+    /// weighted, so a resume that switches `--weighted` must redo the
+    /// adjacency stage — and emit after it — while the shape-free stages
+    /// before it stand, and produce the bytes of a fresh run with the new
+    /// setting.
     #[test]
-    fn resume_with_the_other_record_shape_redoes_the_triads_stage() {
+    fn resume_with_the_other_record_shape_redoes_the_adjacency_stage() {
         let edges: Vec<Edge> =
             (0..300u32).map(|i| Edge::new(i % 23, (i * 7) % 41)).collect();
         let dir = ScratchDir::new("dos-reshape").unwrap();
@@ -1718,6 +1786,7 @@ mod tests {
             }
             b.build().unwrap()
         };
+        let manifest = |stage: &str| std::fs::read(root.join(format!("{stage}.manifest"))).unwrap();
         let clean_dir = dir.path().join("clean");
         DosConverter::new(MemoryBudget::from_kib(1), stats())
             .with_weights(graphz_types::derive_weight)
@@ -1726,8 +1795,12 @@ mod tests {
         for (first, then) in [(false, true), (true, false)] {
             let out = dir.path().join(format!("dos-{first}-{then}"));
             converter(first, false).convert(&el, &out).unwrap();
+            let kept = ["runs", "old2new", "new2old"].map(manifest);
+            let adjacency = manifest("adjacency");
             let resumed = converter(then, true).convert(&el, &out).unwrap();
             assert_eq!(resumed.has_weights(), then);
+            assert_eq!(["runs", "old2new", "new2old"].map(manifest), kept, "{first} then {then}");
+            assert_ne!(manifest("adjacency"), adjacency, "{first} then {then}: adjacency kept");
             let want_dir = dir.path().join(format!("want-{then}"));
             converter(then, false).convert(&el, &want_dir).unwrap();
             let mut got = dir_contents(&out);

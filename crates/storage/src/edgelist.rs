@@ -10,9 +10,7 @@ use std::io::{BufRead, BufReader, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use graphz_io::{
-    ChecksummedWriter, Fingerprint, IoStats, RecordReader, RecordWriter, ScratchDir, TrackedFile,
-};
+use graphz_io::{IoStats, RecordReader, RecordWriter, ScratchDir, TrackedFile};
 use graphz_types::prelude::*;
 
 use crate::meta::MetaFile;
@@ -37,17 +35,13 @@ pub struct BadRecord {
 pub struct EdgeListFile {
     path: PathBuf,
     meta: GraphMeta,
-    /// Fingerprint of the data file, folded while this handle wrote it
-    /// (`None` for a handle from [`open`](Self::open)).
-    written: Option<Fingerprint>,
 }
 
-/// Streams edges into a new edge-list file, folding the metadata and the
-/// data file's fingerprint as it goes; [`close`](Self::close) writes the
-/// sidecar.
+/// Streams edges into a new edge-list file, folding the metadata as it
+/// goes; [`close`](Self::close) writes the sidecar.
 pub(crate) struct EdgeListWriter {
     path: PathBuf,
-    w: RecordWriter<Edge, ChecksummedWriter>,
+    w: RecordWriter<Edge>,
     max_id: Option<VertexId>,
     degrees: HashMap<VertexId, u64>,
 }
@@ -57,10 +51,10 @@ impl EdgeListWriter {
         // Input-fixture constructor (tests/benches/baselines build edge
         // lists with it); the ingest fault boundary starts at import.
         // flow:allow(fault-surface-bypass) ipa:allow(fault-surface-reach)
-        let file = graphz_io::tracked::checksummed_writer(path, stats).ctx("create", path)?;
+        let w = RecordWriter::create(path, stats).ctx("create", path)?;
         Ok(EdgeListWriter {
             path: path.to_path_buf(),
-            w: RecordWriter::from_writer(file),
+            w,
             max_id: None,
             degrees: HashMap::new(),
         })
@@ -74,10 +68,17 @@ impl EdgeListWriter {
         Ok(())
     }
 
+    /// Push every edge of a fallible stream, stopping at its first error.
+    pub(crate) fn push_all(&mut self, edges: impl Iterator<Item = Result<Edge>>) -> Result<()> {
+        for e in edges {
+            self.push(e?)?;
+        }
+        Ok(())
+    }
+
     /// Flush the data file, write the sidecar, and return the handle.
     pub(crate) fn close(self) -> Result<EdgeListFile> {
-        let num_edges = self.w.count();
-        let written = self.w.into_inner()?.get_ref().fingerprint();
+        let num_edges = self.w.finish()?;
         let num_vertices = self.max_id.map_or(0, |m| cast::widen_u32(m) + 1);
         let zero_degree = num_vertices - cast::len_u64(self.degrees.len());
         let mut unique: std::collections::HashSet<u64> = self.degrees.values().copied().collect();
@@ -91,7 +92,7 @@ impl EdgeListWriter {
             max_degree: self.degrees.values().copied().max().unwrap_or(0),
         };
         EdgeListFile::sidecar(&meta).save(&EdgeListFile::meta_path(&self.path))?;
-        Ok(EdgeListFile { path: self.path, meta, written: Some(written) })
+        Ok(EdgeListFile { path: self.path, meta })
     }
 
     /// Create `path`, stream edges into it with `fill`, and seal it. On any
@@ -114,6 +115,203 @@ impl EdgeListWriter {
     }
 }
 
+/// What a text source does with a malformed line: `(line number, byte
+/// offset, bytes, reason)`; an error stops the parse.
+pub(crate) trait OnBadLine: FnMut(u64, u64, &[u8], LineError) -> Result<()> {}
+impl<F: FnMut(u64, u64, &[u8], LineError) -> Result<()>> OnBadLine for F {}
+
+/// The strict verdict on a malformed line: a [`GraphError::Corrupt`] naming
+/// `path:line`.
+pub(crate) fn strict(text_path: &Path) -> impl OnBadLine + '_ {
+    move |lineno, _, _, e| {
+        let reason = match e {
+            LineError::NotU32(_) => "vertex id is not a u32".to_string(),
+            e => e.to_string(),
+        };
+        Err(GraphError::Corrupt(format!("{}:{lineno}: {reason}", text_path.display())))
+    }
+}
+
+/// Quarantine malformed lines into `bad`; the (n+1)-th, for
+/// `n = max_bad_records`, is a [`GraphError::Corrupt`] naming the first.
+pub(crate) fn quarantining<'a>(
+    text_path: &'a Path,
+    bad: &'a mut Vec<BadRecord>,
+    max_bad_records: u64,
+) -> impl OnBadLine + 'a {
+    move |line, byte, text, e| {
+        bad.push(BadRecord {
+            line,
+            byte,
+            text: String::from_utf8_lossy(text).trim_end().to_string(),
+            reason: e.to_string(),
+        });
+        if cast::len_u64(bad.len()) <= max_bad_records {
+            return Ok(());
+        }
+        let first = bad.first().map_or(0, |b| b.line);
+        Err(GraphError::Corrupt(format!(
+            "{}: malformed records exceed --max-bad-records {max_bad_records} \
+             (first at line {first})",
+            text_path.display(),
+        )))
+    }
+}
+
+/// Render quarantined records as the `quarantine.txt` sidecar: one line per
+/// bad record — `line <n> (byte <b>): <reason>: <text>`.
+pub(crate) fn render_quarantine(bad: &[BadRecord]) -> String {
+    let mut out = String::new();
+    for b in bad {
+        out.push_str(&format!("line {} (byte {}): {}: {}\n", b.line, b.byte, b.reason, b.text));
+    }
+    out
+}
+
+/// The edges of a SNAP-style text file in file order, read in 64 KiB
+/// blocks. Each malformed line goes to the [`OnBadLine`] verdict, whose
+/// error ends the stream.
+pub(crate) struct TextEdges<F> {
+    lines: TextLines<TrackedFile>,
+    lineno: u64,
+    at: u64,
+    on_bad: F,
+    done: bool,
+}
+
+impl<F: OnBadLine> TextEdges<F> {
+    pub(crate) fn open(text_path: &Path, stats: Arc<IoStats>, on_bad: F) -> Result<Self> {
+        let file = TrackedFile::open(text_path, stats).ctx("open", text_path)?;
+        Ok(TextEdges { lines: TextLines::new(file), lineno: 0, at: 0, on_bad, done: false })
+    }
+
+    fn next_edge(&mut self) -> Result<Option<Edge>> {
+        while let Some((line, verdict)) = self.lines.next_line()? {
+            self.lineno += 1;
+            let at = self.at;
+            self.at = cast::add_u64(at, cast::len_u64(line.len()), "text line offset")?;
+            match verdict {
+                Ok(Some(e)) => return Ok(Some(e)),
+                Ok(None) => {}
+                Err(e) => (self.on_bad)(self.lineno, at, line, e)?,
+            }
+        }
+        Ok(None)
+    }
+}
+
+impl<F: OnBadLine> Iterator for TextEdges<F> {
+    type Item = Result<Edge>;
+
+    fn next(&mut self) -> Option<Result<Edge>> {
+        if self.done {
+            return None;
+        }
+        let next = self.next_edge().transpose();
+        self.done = !matches!(next, Some(Ok(_)));
+        next
+    }
+}
+
+/// The edges of a Matrix Market coordinate file (`%%MatrixMarket matrix
+/// coordinate ...`) in file order: 1-based `row col [value]` entries become
+/// 0-based directed edges; a `symmetric` header adds the mirrored edge
+/// right after each off-diagonal entry. A malformed entry ends the stream
+/// with a [`GraphError::Corrupt`] naming `path:line`.
+pub(crate) struct MatrixMarketEdges<'a> {
+    path: &'a Path,
+    lines: std::io::Lines<BufReader<TrackedFile>>,
+    lineno: u64,
+    symmetric: bool,
+    saw_dims: bool,
+    mirror: Option<Edge>,
+    done: bool,
+}
+
+impl<'a> MatrixMarketEdges<'a> {
+    pub(crate) fn open(path: &'a Path, stats: Arc<IoStats>) -> Result<Self> {
+        let file = TrackedFile::open(path, stats).ctx("open", path)?;
+        let mut lines = BufReader::with_capacity(graphz_io::tracked::DEFAULT_BLOCK, file).lines();
+        let header = lines
+            .next()
+            .transpose()?
+            .ok_or_else(|| GraphError::Corrupt(format!("{}: empty file", path.display())))?;
+        if !header.starts_with("%%MatrixMarket") {
+            return Err(GraphError::Corrupt(format!(
+                "{}: missing %%MatrixMarket header",
+                path.display()
+            )));
+        }
+        let symmetric = header.to_lowercase().contains("symmetric");
+        Ok(MatrixMarketEdges {
+            path,
+            lines,
+            lineno: 1,
+            symmetric,
+            saw_dims: false,
+            mirror: None,
+            done: false,
+        })
+    }
+
+    fn corrupt(&self, what: &str) -> GraphError {
+        GraphError::Corrupt(format!("{}:{}: {what}", self.path.display(), self.lineno))
+    }
+
+    fn next_edge(&mut self) -> Result<Option<Edge>> {
+        if let Some(e) = self.mirror.take() {
+            return Ok(Some(e));
+        }
+        while let Some(line) = self.lines.next().transpose()? {
+            self.lineno += 1;
+            let line = line.trim();
+            if line.is_empty() || line.starts_with('%') {
+                continue;
+            }
+            if !self.saw_dims {
+                self.saw_dims = true; // "rows cols nnz" — counts recomputed downstream
+                continue;
+            }
+            let mut it = line.split_whitespace();
+            let mut index = || -> Result<u64> {
+                it.next()
+                    .ok_or_else(|| self.corrupt("expected `row col [value]`"))?
+                    .parse()
+                    .map_err(|_| self.corrupt("index is not an integer"))
+            };
+            let (row, col) = (index()?, index()?);
+            if row == 0 || col == 0 {
+                return Err(self.corrupt("Matrix Market indices are 1-based"));
+            }
+            // Fallible narrowing: a 1-based index above 2^32 must be a
+            // parse error, not a silently wrapped vertex id.
+            let to_id = |n: u64| {
+                cast::to_u32(n - 1, "matrix market index")
+                    .map_err(|_| self.corrupt(&format!("index {n} exceeds the u32 id space")))
+            };
+            let (src, dst) = (to_id(row)?, to_id(col)?);
+            if self.symmetric && src != dst {
+                self.mirror = Some(Edge::new(dst, src));
+            }
+            return Ok(Some(Edge::new(src, dst)));
+        }
+        Ok(None)
+    }
+}
+
+impl Iterator for MatrixMarketEdges<'_> {
+    type Item = Result<Edge>;
+
+    fn next(&mut self) -> Option<Result<Edge>> {
+        if self.done {
+            return None;
+        }
+        let next = self.next_edge().transpose();
+        self.done = !matches!(next, Some(Ok(_)));
+        next
+    }
+}
+
 impl EdgeListFile {
     pub fn path(&self) -> &Path {
         &self.path
@@ -133,18 +331,6 @@ impl EdgeListFile {
         let mut mf = MetaFile::new();
         mf.set("format", "edgelist").set_graph_meta(meta);
         mf
-    }
-
-    /// Fingerprint of the data file as this handle wrote it; `None` for a
-    /// handle from [`open`](Self::open).
-    pub(crate) fn written(&self) -> Option<Fingerprint> {
-        self.written
-    }
-
-    /// Fingerprint of the metadata sidecar, rendered from the metadata
-    /// (the sidecar is a pure function of it).
-    pub(crate) fn sidecar_fingerprint(&self) -> Fingerprint {
-        Self::sidecar(&self.meta).fingerprint()
     }
 
     /// Write `edges` to `path` and compute metadata.
@@ -173,7 +359,7 @@ impl EdgeListFile {
                 mf.get("format")
             )));
         }
-        Ok(EdgeListFile { path: path.to_path_buf(), meta: mf.graph_meta()?, written: None })
+        Ok(EdgeListFile { path: path.to_path_buf(), meta: mf.graph_meta()? })
     }
 
     /// Stream the edges.
@@ -193,16 +379,8 @@ impl EdgeListFile {
     /// [`GraphError::Corrupt`] naming `path:line`, and leaves no edge list
     /// behind.
     pub fn import_text(text_path: &Path, bin_path: &Path, stats: Arc<IoStats>) -> Result<Self> {
-        let file = TrackedFile::open(text_path, Arc::clone(&stats)).ctx("open", text_path)?;
-        EdgeListWriter::write_streamed(bin_path, stats, |w| {
-            Self::stream_text(file, w, |lineno, _, _, e| {
-                let reason = match e {
-                    LineError::NotU32(_) => "vertex id is not a u32".to_string(),
-                    e => e.to_string(),
-                };
-                Err(GraphError::Corrupt(format!("{}:{lineno}: {reason}", text_path.display())))
-            })
-        })
+        let edges = TextEdges::open(text_path, Arc::clone(&stats), strict(text_path))?;
+        EdgeListWriter::write_streamed(bin_path, stats, |w| w.push_all(edges))
     }
 
     /// Import a SNAP-style text file like [`import_text`](Self::import_text),
@@ -221,50 +399,14 @@ impl EdgeListFile {
         stats: Arc<IoStats>,
         max_bad_records: u64,
     ) -> Result<(Self, Vec<BadRecord>)> {
-        let file = TrackedFile::open(text_path, Arc::clone(&stats)).ctx("open", text_path)?;
         let mut bad: Vec<BadRecord> = Vec::new();
-        let edges = EdgeListWriter::write_streamed(bin_path, stats, |w| {
-            Self::stream_text(file, w, |line, byte, text, e| {
-                bad.push(BadRecord {
-                    line,
-                    byte,
-                    text: String::from_utf8_lossy(text).trim_end().to_string(),
-                    reason: e.to_string(),
-                });
-                if cast::len_u64(bad.len()) <= max_bad_records {
-                    return Ok(());
-                }
-                let first = bad.first().map_or(0, |b| b.line);
-                Err(GraphError::Corrupt(format!(
-                    "{}: malformed records exceed --max-bad-records {max_bad_records} \
-                     (first at line {first})",
-                    text_path.display(),
-                )))
-            })
-        })?;
-        Ok((edges, bad))
-    }
-
-    /// Stream the edges of a text file into `w`, in file order. Each
-    /// malformed line goes to `on_bad(line number, byte offset, bytes,
-    /// reason)`, whose error stops the import.
-    fn stream_text(
-        file: TrackedFile,
-        w: &mut EdgeListWriter,
-        mut on_bad: impl FnMut(u64, u64, &[u8], LineError) -> Result<()>,
-    ) -> Result<()> {
-        let mut lines = TextLines::new(file);
-        let (mut lineno, mut at) = (0u64, 0u64);
-        while let Some((line, verdict)) = lines.next_line()? {
-            lineno += 1;
-            match verdict {
-                Ok(Some(e)) => w.push(e)?,
-                Ok(None) => {}
-                Err(e) => on_bad(lineno, at, line, e)?,
-            }
-            at = cast::add_u64(at, cast::len_u64(line.len()), "text line offset")?;
-        }
-        Ok(())
+        let edges = TextEdges::open(
+            text_path,
+            Arc::clone(&stats),
+            quarantining(text_path, &mut bad, max_bad_records),
+        )?;
+        let file = EdgeListWriter::write_streamed(bin_path, stats, |w| w.push_all(edges))?;
+        Ok((file, bad))
     }
 
     /// Import a Matrix Market coordinate file (`%%MatrixMarket matrix
@@ -275,77 +417,10 @@ impl EdgeListFile {
         bin_path: &Path,
         stats: Arc<IoStats>,
     ) -> Result<Self> {
-        let file = std::fs::File::open(mm_path).ctx("open", mm_path)?;
-        let reader = BufReader::new(file);
-        let mut lines = reader.lines();
-        let header = lines
-            .next()
-            .transpose()?
-            .ok_or_else(|| GraphError::Corrupt(format!("{}: empty file", mm_path.display())))?;
-        if !header.starts_with("%%MatrixMarket") {
-            return Err(GraphError::Corrupt(format!(
-                "{}: missing %%MatrixMarket header",
-                mm_path.display()
-            )));
-        }
-        let symmetric = header.to_lowercase().contains("symmetric");
-        let mut edges = Vec::new();
-        let mut saw_dims = false;
-        for (lineno, line) in lines.enumerate() {
-            let line = line?;
-            let line = line.trim();
-            if line.is_empty() || line.starts_with('%') {
-                continue;
-            }
-            if !saw_dims {
-                saw_dims = true; // "rows cols nnz" — counts recomputed below
-                continue;
-            }
-            let mut it = line.split_whitespace();
-            let parse = |tok: Option<&str>| -> Result<u64> {
-                tok.ok_or_else(|| {
-                    GraphError::Corrupt(format!(
-                        "{}:{}: expected `row col [value]`",
-                        mm_path.display(),
-                        lineno + 2
-                    ))
-                })?
-                .parse()
-                .map_err(|_| {
-                    GraphError::Corrupt(format!(
-                        "{}:{}: index is not an integer",
-                        mm_path.display(),
-                        lineno + 2
-                    ))
-                })
-            };
-            let row = parse(it.next())?;
-            let col = parse(it.next())?;
-            if row == 0 || col == 0 {
-                return Err(GraphError::Corrupt(format!(
-                    "{}:{}: Matrix Market indices are 1-based",
-                    mm_path.display(),
-                    lineno + 2
-                )));
-            }
-            // Fallible narrowing: a 1-based index above 2^32 must be a
-            // parse error, not a silently wrapped vertex id.
-            let to_id = |n: u64| {
-                cast::to_u32(n - 1, "matrix market index").map_err(|_| {
-                    GraphError::Corrupt(format!(
-                        "{}:{}: index {n} exceeds the u32 id space",
-                        mm_path.display(),
-                        lineno + 2
-                    ))
-                })
-            };
-            let (src, dst) = (to_id(row)?, to_id(col)?);
-            edges.push(Edge::new(src, dst));
-            if symmetric && src != dst {
-                edges.push(Edge::new(dst, src));
-            }
-        }
-        Self::create(bin_path, stats, edges)
+        let edges = MatrixMarketEdges::open(mm_path, Arc::clone(&stats))?;
+        let mut w = EdgeListWriter::create(bin_path, stats)?;
+        w.push_all(edges)?;
+        w.close()
     }
 
     /// Export to SNAP-style text.
@@ -768,21 +843,6 @@ mod tests {
             assert_eq!(bad, want_bad, "doc {d} quarantine");
             matches_reference(&quar, "quarantine");
         }
-    }
-
-    #[test]
-    fn created_file_knows_its_fingerprints() {
-        let dir = ScratchDir::new("el-fp").unwrap();
-        let path = dir.file("g.bin");
-        let edges: Vec<Edge> = (0..20_000).map(|i| Edge::new(i % 97, i % 13)).collect();
-        let f = EdgeListFile::create(&path, stats(), edges).unwrap();
-        let on_disk = |p: &Path| {
-            let (len, crc) = graphz_io::crc32_stream(std::fs::File::open(p).unwrap()).unwrap();
-            Fingerprint { len, crc }
-        };
-        assert_eq!(f.written(), Some(on_disk(&path)));
-        assert_eq!(f.sidecar_fingerprint(), on_disk(&EdgeListFile::meta_path(&path)));
-        assert_eq!(EdgeListFile::open(&path).unwrap().written(), None);
     }
 
     #[test]

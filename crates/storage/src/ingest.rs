@@ -30,48 +30,30 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use graphz_extsort::SortTimings;
-use graphz_io::{FaultSurface, IoStats, StageManifest};
+use graphz_io::{FaultSurface, IoStats};
 use graphz_types::prelude::*;
 
-use crate::dos::{scratch_root_for, DosConverter, DosGraph};
-use crate::edgelist::{BadRecord, EdgeListFile};
-
-/// How [`IngestPipeline::run`] interprets its source path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum SourceKind {
-    /// A binary edge list with its `.meta.txt` sidecar.
-    Binary,
-    /// A Matrix Market coordinate file (`.mtx`).
-    MatrixMarket,
-    /// SNAP-style whitespace-separated text (the default).
-    Text,
-}
-
-fn detect(src: &Path) -> SourceKind {
-    if EdgeListFile::open(src).is_ok() {
-        return SourceKind::Binary;
-    }
-    match src.extension().and_then(|e| e.to_str()) {
-        Some("mtx") => SourceKind::MatrixMarket,
-        _ => SourceKind::Text,
-    }
-}
+use crate::dos::{scratch_root_for, DosConverter, DosGraph, EdgeSource};
+use crate::edgelist::EdgeListFile;
 
 /// Wall-time attribution for one ingest, filled in by
 /// [`IngestPipeline::run`] when attached via
 /// [`timings`](IngestPipelineBuilder::timings):
 ///
-/// * `import` — source parsing (text/Matrix Market → binary edge list);
-/// * `convert` — the whole DOS conversion (all five stages);
+/// * `import` — source parsing (or, for a binary edge list, reading it)
+///   inside the `runs` stage, measured at spill boundaries: the run
+///   formation's wall minus the time inside its spills;
+/// * `convert` — the rest of the ingest: all five stages with the parse
+///   time taken out;
 /// * `sort` — the [`SortTimings`] sink shared by every conversion-stage
 ///   sorter, so `sort.form()` isolates run formation *within* `convert`.
 ///
-/// Benchmarks attribute `convert − sort.form()` to merge + emit work: the
-/// conversion's lazy merge drains happen on stage-writer clocks and cannot
-/// be separated from emission without per-record timing overhead.
+/// `import + convert` is the whole ingest. Benchmarks attribute
+/// `convert − sort.form()` to merge + emit work: the conversion's lazy
+/// merge drains happen on stage-writer clocks and cannot be separated from
+/// emission without per-record timing overhead.
 #[derive(Debug, Default)]
 pub struct IngestTimings {
-    import_ns: AtomicU64,
     convert_ns: AtomicU64,
     sort: Arc<SortTimings>,
 }
@@ -81,17 +63,13 @@ impl IngestTimings {
         Arc::new(Self::default())
     }
 
-    fn add(counter: &AtomicU64, d: Duration) {
-        let ns = u64::try_from(d.as_nanos()).unwrap_or(u64::MAX);
-        counter.fetch_add(ns, Ordering::Relaxed);
-    }
-
-    /// Total wall time spent importing the source into a binary edge list.
+    /// Total wall time spent parsing (or reading) the source.
     pub fn import(&self) -> Duration {
-        Duration::from_nanos(self.import_ns.load(Ordering::Relaxed))
+        self.sort.input()
     }
 
-    /// Total wall time of the DOS conversion (includes the sort time).
+    /// Total wall time of the DOS conversion, parsing excluded (includes
+    /// the sort time).
     pub fn convert(&self) -> Duration {
         Duration::from_nanos(self.convert_ns.load(Ordering::Relaxed))
     }
@@ -224,33 +202,22 @@ impl IngestPipeline {
         }
     }
 
-    /// Import a text source, quarantining malformed lines when a budget was
-    /// configured. Quarantined lines land in `dir/quarantine.txt` with
-    /// their 1-based line numbers.
-    fn import_text(&self, src: &Path, imported: &Path, dir: &Path) -> Result<EdgeListFile> {
-        let stats = Arc::clone(&self.stats);
-        let Some(max_bad) = self.max_bad_records else {
-            return EdgeListFile::import_text(src, imported, stats);
-        };
-        let (file, bad) = EdgeListFile::import_text_quarantined(src, imported, stats, max_bad)?;
-        if !bad.is_empty() {
-            // The quarantine report is part of the pipeline's fault surface:
-            // chaos sweeps can fail it like any other staged write.
-            self.surface.op("quarantine")?;
-            graphz_io::write_atomic(&dir.join("quarantine.txt"), render_quarantine(&bad).as_bytes())?;
-        }
-        Ok(file)
-    }
-
     /// Ingest `src` (binary edge list, `.mtx`, or SNAP-style text — detected
     /// automatically) into the DOS directory `dir`.
     ///
-    /// The whole pipeline is staged and resumable (DESIGN.md §6h): the
-    /// import and each conversion stage commit a [`StageManifest`] into the
-    /// stable scratch root `<dir>.scratch`, and a pipeline built with
+    /// Text and Matrix Market sources are parsed straight into the
+    /// conversion's durable source runs; a binary edge list is read in
+    /// place. The whole pipeline is staged and resumable (DESIGN.md §6h):
+    /// each conversion stage commits a
+    /// [`StageManifest`](graphz_io::StageManifest) into the stable
+    /// scratch root `<dir>.scratch`, and a pipeline built with
     /// [`resume(true)`](IngestPipelineBuilder::resume) skips verified
-    /// stages. On success the scratch root is removed.
+    /// stages. With [`max_bad_records`](IngestPipelineBuilder::max_bad_records)
+    /// set, malformed text lines land in `dir/quarantine.txt` with their
+    /// 1-based line numbers. On success the scratch root is removed.
     pub fn run(&self, src: &Path, dir: &Path) -> Result<DosGraph> {
+        let started = std::time::Instant::now();
+        let parse_before = self.timings.as_ref().map(|t| t.import());
         let root = scratch_root_for(dir);
         if !self.resume {
             match std::fs::remove_dir_all(&root) {
@@ -262,52 +229,14 @@ impl IngestPipeline {
         std::fs::create_dir_all(&root).ctx("create-dir", &root)?;
         std::fs::create_dir_all(dir).ctx("create-dir", dir)?;
 
-        // Stage `import`: the imported edge list lives in scratch until the
-        // conversion has fully consumed it. A binary source needs no import
-        // (and no stage): the conversion reads it in place.
-        let imported = root.join("imported.bin");
-        let manifest = root.join("import.manifest");
-        let import_started = std::time::Instant::now();
-        let edges = match detect(src) {
-            SourceKind::Binary => EdgeListFile::open(src)?,
-            kind => {
-                let done = if self.resume {
-                    match StageManifest::load(&manifest)? {
-                        Some(m) if m.stage() == "import" => {
-                            let root = root.clone();
-                            m.verify_files(|name| root.join(name))?
-                        }
-                        _ => false,
-                    }
-                } else {
-                    false
-                };
-                if done {
-                    EdgeListFile::open(&imported)?
-                } else {
-                    let file = match kind {
-                        SourceKind::MatrixMarket => EdgeListFile::import_matrix_market(
-                            src,
-                            &imported,
-                            Arc::clone(&self.stats),
-                        )?,
-                        _ => self.import_text(src, &imported, dir)?,
-                    };
-                    let written = file.written().ok_or_else(|| {
-                        GraphError::Corrupt("the import did not fingerprint imported.bin".into())
-                    })?;
-                    let mut m = StageManifest::new("import");
-                    m.set("edges", file.meta().num_edges);
-                    m.record_file("imported.bin", written);
-                    m.record_file("imported.bin.meta.txt", file.sidecar_fingerprint());
-                    m.commit(&manifest, &self.surface)?;
-                    file
-                }
-            }
+        // A binary edge list is whatever opens as one (its sidecar names
+        // the format); otherwise `.mtx` is Matrix Market and the rest text.
+        let binary = EdgeListFile::open(src).ok();
+        let source = match &binary {
+            Some(edges) => EdgeSource::Binary(edges),
+            None if src.extension().is_some_and(|e| e == "mtx") => EdgeSource::MatrixMarket(src),
+            None => EdgeSource::Text { path: src, max_bad_records: self.max_bad_records },
         };
-        if let Some(t) = &self.timings {
-            IngestTimings::add(&t.import_ns, import_started.elapsed());
-        }
         let mut converter = DosConverter::builder()
             .budget(self.budget)
             .stats(Arc::clone(&self.stats))
@@ -320,31 +249,22 @@ impl IngestPipeline {
         if let Some(t) = &self.timings {
             converter = converter.timings(Arc::clone(&t.sort));
         }
-        let convert_started = std::time::Instant::now();
-        let dos = converter.build()?.convert(&edges, dir)?;
-        if let Some(t) = &self.timings {
-            IngestTimings::add(&t.convert_ns, convert_started.elapsed());
-        }
+        let dos = converter.build()?.convert_from(source, dir)?;
         let _ = std::fs::remove_dir_all(&root);
+        if let (Some(t), Some(before)) = (&self.timings, parse_before) {
+            let parse = t.import().saturating_sub(before);
+            let ns = u64::try_from(started.elapsed().saturating_sub(parse).as_nanos());
+            t.convert_ns.fetch_add(ns.unwrap_or(u64::MAX), Ordering::Relaxed);
+        }
         Ok(dos)
     }
-}
-
-/// Render quarantined records as the `quarantine.txt` sidecar: one line per
-/// bad record — `line <n> (byte <b>): <reason>: <text>`.
-fn render_quarantine(bad: &[BadRecord]) -> String {
-    let mut out = String::new();
-    for b in bad {
-        out.push_str(&format!("line {} (byte {}): {}: {}\n", b.line, b.byte, b.reason, b.text));
-    }
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::dos::DosGraph;
-    use graphz_io::ScratchDir;
+    use graphz_io::{ScratchDir, StageManifest};
     use std::path::Path;
 
     fn stats() -> Arc<IoStats> {
@@ -493,11 +413,12 @@ mod tests {
         }
         std::fs::write(&txt, text).unwrap();
 
-        // The import stage: stop the pipeline at the next stage's commit so
-        // the scratch root (and its import manifest) stays behind.
+        // The runs stage: stop the pipeline at the next stage's commit so
+        // the scratch root (and the runs manifest) stays behind. At 16 KiB
+        // the 3000 parsed edges spill as three runs.
         let out = dir.path().join("dos");
         let stop = FaultSurface::none()
-            .with_faults(FaultState::fail_at_label("commit-manifest:triads"))
+            .with_faults(FaultState::fail_at_label("commit-manifest:old2new"))
             .with_retry(RetryPolicy::none());
         let err = IngestPipeline::builder()
             .budget(MemoryBudget::from_kib(16))
@@ -507,10 +428,12 @@ mod tests {
             .unwrap()
             .run(&txt, &out)
             .unwrap_err();
-        assert!(err.to_string().contains("commit-manifest:triads"), "{err}");
+        assert!(err.to_string().contains("commit-manifest:old2new"), "{err}");
         let root = scratch_root_for(&out);
-        assert_eq!(assert_manifests_match_disk(&root, &out), vec!["import"]);
-        let edges = EdgeListFile::open(&root.join("imported.bin")).unwrap();
+        assert_eq!(assert_manifests_match_disk(&root, &out), vec!["runs"]);
+        let runs = StageManifest::load(&root.join("runs.manifest")).unwrap().unwrap();
+        assert_eq!(runs.files().count(), 3, "every run, the last one too, is on disk");
+        let edges = EdgeListFile::import_text(&txt, &dir.file("g.bin"), stats()).unwrap();
 
         // The five conversion stages, with the scratch root kept: once
         // clean (counting the gated ops), then with a transient fault
@@ -530,7 +453,7 @@ mod tests {
                 .convert(&edges, &out)
                 .unwrap();
             let stages = assert_manifests_match_disk(&root, &out);
-            assert_eq!(stages, ["adjacency", "emit", "new2old", "old2new", "triads"]);
+            assert_eq!(stages, ["adjacency", "emit", "new2old", "old2new", "runs"]);
             out
         };
         let counting = FaultState::counting();
@@ -570,5 +493,167 @@ mod tests {
             .unwrap();
         assert!(dos.has_weights());
         assert!(dos.weights_path().unwrap().exists());
+    }
+
+    /// A text fixture of `edges` lines over ids `0..id_space`, plus comments.
+    fn text_fixture(path: &Path, seed: u64, edges: usize, id_space: u64) {
+        let mut text = String::from("# fixture\n");
+        let mut x = seed;
+        for _ in 0..edges {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            text.push_str(&format!("{} {}\n", (x >> 33) % id_space, (x >> 15) % id_space));
+        }
+        std::fs::write(path, text).unwrap();
+    }
+
+    /// The parse time is the runs stage's formation wall minus its spills,
+    /// taken out of `convert()` and `sort().form()`: parse, form, merge and
+    /// emit (`convert − form − merge`) add up to the whole ingest, which
+    /// fits inside the wall around the call.
+    #[test]
+    fn timings_split_the_ingest_into_parse_form_merge_and_emit() {
+        let dir = ScratchDir::new("ingest-timings").unwrap();
+        let txt = dir.file("g.txt");
+        text_fixture(&txt, 5, 20_000, 3_000);
+        let timings = IngestTimings::new();
+        let started = std::time::Instant::now();
+        IngestPipeline::builder()
+            .budget(MemoryBudget::from_kib(64))
+            .stats(stats())
+            .timings(Arc::clone(&timings))
+            .build()
+            .unwrap()
+            .run(&txt, &dir.path().join("dos"))
+            .unwrap();
+        let wall = started.elapsed();
+        let (parse, convert) = (timings.import(), timings.convert());
+        let (form, merge) = (timings.sort().form(), timings.sort().merge());
+        assert!(parse > Duration::ZERO, "no parse time");
+        assert!(form > Duration::ZERO, "no run formation time");
+        assert!(form + merge <= convert, "form {form:?} + merge {merge:?} > convert {convert:?}");
+        let emit = convert - form - merge;
+        assert_eq!(parse + form + merge + emit, parse + convert);
+        assert!(parse + convert <= wall, "{parse:?} + {convert:?} > wall {wall:?}");
+    }
+
+    /// Every file, recursively, under `dir`.
+    fn all_files(dir: &Path) -> Vec<String> {
+        let mut out = Vec::new();
+        for entry in std::fs::read_dir(dir).unwrap() {
+            let path = entry.unwrap().path();
+            if path.is_dir() {
+                out.extend(all_files(&path));
+            } else {
+                out.push(path.file_name().unwrap().to_string_lossy().into_owned());
+            }
+        }
+        out
+    }
+
+    /// The bytes a text convert moves, to the byte, at a budget where only
+    /// the source runs reach disk: the text read once; the runs written
+    /// once and merged twice (by the degree count and by the adjacency
+    /// stage); the degree scratch written and read once; old2new.bin read
+    /// three times (by the new2old sort and the two relabeling co-scans);
+    /// and the image. meta.txt, checksums.txt and the stage manifests are
+    /// written through atomic files the stats sink does not count. No
+    /// imported.bin, assign.bin or half-relabeled.bin is ever created: the
+    /// run is stopped at the last commit, so the scratch root is still
+    /// there to show it.
+    #[test]
+    fn a_text_convert_moves_the_predicted_bytes() {
+        use graphz_io::{FaultState, RetryPolicy};
+        let dir = ScratchDir::new("ingest-ledger").unwrap();
+        let txt = dir.file("g.txt");
+        // Ids 0..600 for sources and destinations alike, and a last line
+        // that touches the top id as a source, so each co-scan reads
+        // old2new.bin to its end (one block: it is under 64 KiB).
+        text_fixture(&txt, 9, 5_000, 600);
+        let mut text = std::fs::read_to_string(&txt).unwrap();
+        text.push_str("599 0\n");
+        std::fs::write(&txt, &text).unwrap();
+        for weighted in [false, true] {
+            let stats = stats();
+            let out = dir.path().join(format!("dos-{weighted}"));
+            let mut b = IngestPipeline::builder()
+                .budget(MemoryBudget::from_mib(64))
+                .stats(Arc::clone(&stats))
+                .faults(
+                    FaultSurface::none()
+                        .with_faults(FaultState::fail_at_label("commit-manifest:emit"))
+                        .with_retry(RetryPolicy::none()),
+                );
+            if weighted {
+                b = b.weights(graphz_types::derive_weight);
+            }
+            let err = b.build().unwrap().run(&txt, &out).unwrap_err();
+            assert!(err.to_string().contains("commit-manifest:emit"), "{err}");
+            let dos = DosGraph::open(&out, IoStats::new()).unwrap();
+            let (e, v) = (dos.meta().num_edges, dos.meta().num_vertices);
+            assert_eq!((e, v), (5_001, 600));
+            // Sources with edges: the ids before the zero-degree group.
+            let groups = dos.index().groups();
+            let sources = groups.iter().find(|g| g.degree == 0).map_or(v, |g| u64::from(g.first_id));
+            let len = |name: &str| std::fs::metadata(out.join(name)).unwrap().len();
+            let mut image = len("edges.bin") + len("index.tbl") + 2 * 4 * v;
+            if weighted {
+                image += len("weights.bin");
+            }
+            let io = stats.snapshot();
+            assert_eq!(io.bytes_written, 8 * e + 8 * sources + image, "weighted {weighted}");
+            let text_bytes = cast::len_u64(text.len());
+            assert_eq!(
+                io.bytes_read,
+                text_bytes + 16 * e + 8 * sources + 3 * 4 * v,
+                "weighted {weighted}"
+            );
+            let mut files = all_files(&scratch_root_for(&out));
+            files.extend(all_files(&out));
+            for gone in ["imported.bin", "assign.bin", "half-relabeled.bin"] {
+                assert!(!files.iter().any(|f| f == gone), "{gone} in {files:?}");
+            }
+            assert!(files.iter().any(|f| f == "run-000000.bin"), "{files:?}");
+        }
+    }
+
+    /// Each stage commits under `commit-manifest:<stage>`, in pipeline
+    /// order, for every source kind; the label probe stops the run at
+    /// exactly that stage.
+    #[test]
+    fn every_source_commits_the_five_stages_in_order() {
+        use graphz_io::{FaultState, RetryPolicy};
+        let dir = ScratchDir::new("ingest-stages").unwrap();
+        let txt = dir.file("g.txt");
+        text_fixture(&txt, 3, 200, 40);
+        let bin = dir.file("g.bin");
+        EdgeListFile::import_text(&txt, &bin, stats()).unwrap();
+        let mtx = dir.file("g.mtx");
+        std::fs::write(&mtx, "%%MatrixMarket matrix coordinate pattern general\n3 3 2\n1 2\n2 3\n")
+            .unwrap();
+        const STAGES: [&str; 5] = ["runs", "old2new", "new2old", "adjacency", "emit"];
+        for (kind, src) in [("text", &txt), ("binary", &bin), ("mtx", &mtx)] {
+            for (i, stage) in STAGES.iter().enumerate() {
+                let out = dir.path().join(format!("{kind}-{stage}"));
+                let label = format!("commit-manifest:{stage}");
+                let err = IngestPipeline::builder()
+                    .budget(MemoryBudget::from_kib(64))
+                    .stats(stats())
+                    .faults(
+                        FaultSurface::none()
+                            .with_faults(FaultState::fail_at_label(&label))
+                            .with_retry(RetryPolicy::none()),
+                    )
+                    .build()
+                    .unwrap()
+                    .run(src, &out)
+                    .unwrap_err();
+                assert!(err.to_string().contains(&label), "{kind}: {err}");
+                let mut committed = assert_manifests_match_disk(&scratch_root_for(&out), &out);
+                let mut want: Vec<String> = STAGES[..i].iter().map(|s| s.to_string()).collect();
+                want.sort();
+                committed.sort();
+                assert_eq!(committed, want, "{kind}: killed at {stage}");
+            }
+        }
     }
 }

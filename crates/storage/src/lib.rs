@@ -17,10 +17,11 @@
 //! directory layouts use.
 //!
 //! The input side is unified behind [`ingest::IngestPipeline`]: one builder
-//! that detects the source format, parses text (one byte-level line parser,
-//! strict or quarantining — [`EdgeListFile::import_text`] and
-//! [`EdgeListFile::import_text_quarantined`]), and runs the pipelined DOS
-//! conversion, whose bytes do not depend on the memory budget (DESIGN.md
+//! that detects the source format and runs the staged DOS conversion, which
+//! parses text (one byte-level line parser, strict or quarantining — the
+//! same one [`EdgeListFile::import_text`] and
+//! [`EdgeListFile::import_text_quarantined`] use) straight into its sorted
+//! source runs. Its bytes do not depend on the memory budget (DESIGN.md
 //! §6g).
 
 #![forbid(unsafe_code)]

@@ -60,11 +60,6 @@ impl MetaFile {
         out
     }
 
-    /// Length and CRC of the bytes [`save`](Self::save) writes.
-    pub(crate) fn fingerprint(&self) -> graphz_io::Fingerprint {
-        graphz_io::Fingerprint::of(self.render().as_bytes())
-    }
-
     /// Write atomically (tmp + fsync + rename): a crash mid-save leaves the
     /// previous metadata, never a half-written file.
     pub fn save(&self, path: &Path) -> Result<()> {

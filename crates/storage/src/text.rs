@@ -1,9 +1,11 @@
 //! Byte-level reading and parsing of SNAP-style text edge lists.
 //!
-//! One line parser serves the strict import
-//! ([`EdgeListFile::import_text`](crate::EdgeListFile::import_text)) and the
-//! quarantining import
-//! ([`EdgeListFile::import_text_quarantined`](crate::EdgeListFile::import_text_quarantined)).
+//! One line parser serves the DOS conversion's `runs` stage and the
+//! edge-list import, strict
+//! ([`EdgeListFile::import_text`](crate::EdgeListFile::import_text)) or
+//! quarantining
+//! ([`EdgeListFile::import_text_quarantined`](crate::EdgeListFile::import_text_quarantined)),
+//! all through one edge stream (`edgelist::TextEdges`).
 //! [`TextLines`] hands out lines straight
 //! from 64 KiB blocks, so no line is copied into a `String`, and parses
 //! each in the same pass that finds its end: a line made only of ASCII

@@ -31,12 +31,14 @@ fn stats() -> Arc<IoStats> {
     IoStats::new()
 }
 
-/// A deterministic ~300-edge graph with comments and a zero-degree tail so
-/// every conversion stage has real work.
+/// A deterministic 301-edge graph with comments and a zero-degree tail so
+/// every conversion stage has real work. 301 is no multiple of the
+/// spilling budget's four edges per run, so the source runs end in a
+/// partial run, spilled like the rest.
 fn graph_text() -> String {
     let mut text = String::from("# chaos fixture\n");
     let mut x: u64 = 77;
-    for _ in 0..300 {
+    for _ in 0..301 {
         x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
         text.push_str(&format!("{} {}\n", (x >> 33) % 60, (x >> 15) % 90));
     }
@@ -49,12 +51,12 @@ fn builder() -> IngestPipelineBuilder {
     IngestPipeline::builder().budget(MemoryBudget::from_kib(32)).stats(stats())
 }
 
-/// The same pipeline at 96 bytes: each stage sort gets 48 (6 edges or 4
-/// triads per run), so every sort of the fixture spills at least 2 runs,
-/// the edge sorts 50 or more, and a sort of more than 64 runs (the merge
-/// fan-in) takes a pre-merge pass.
+/// The same pipeline at 64 bytes: each stage sort gets 32 (4 edges or id
+/// pairs per run), so every sort of the fixture spills runs, the edge sorts
+/// 75 or more, and each of those takes a pre-merge pass at the merge
+/// fan-in of 64 — the durable source runs' inside the `runs` stage too.
 fn spilling_builder() -> IngestPipelineBuilder {
-    IngestPipeline::builder().budget(MemoryBudget(96)).stats(stats())
+    IngestPipeline::builder().budget(MemoryBudget(64)).stats(stats())
 }
 
 /// Every file in a DOS directory, name → bytes.
@@ -204,14 +206,23 @@ fn fault_sweep_across_the_whole_pipeline() {
     }
 }
 
-/// The sweep above converts at 32 KiB, where no sort spills, so it never
-/// reaches a run file. This one converts the same fixture at 96 bytes and
-/// plants faults by label at sampled occurrences: the writes of spilled runs
-/// (`write-run`), the opens of run files for pre-merges and final merges
+/// The sweep above converts at 32 KiB, where only the source runs reach
+/// disk, one run. This one converts the same fixture at 64 bytes and plants
+/// faults by label at sampled occurrences: the writes of spilled runs
+/// (`write-run`), the opens of run files for pre-merges and merges
 /// (`open-run`) and the writes of pre-merged runs (`write-merge`). Every one
 /// must fire, fail the run with a typed error — `StorageFull` for an
 /// injected ENOSPC — and resume to the bytes of the one-run build. Not part
 /// of the `CHAOS_INGEST_OUT` summary.
+///
+/// Occurrences, in pipeline order, one per 8- or 12-byte record written or
+/// per file opened: `write-run` 0–300 are the source runs of the `runs`
+/// stage (300, the last, in the partial run at the end), 301–388 the
+/// new2old sort's, then the by-dst and final sorts'; `write-merge` 0–300
+/// are the `runs` stage's pre-merge, then the by-dst and final pre-merges;
+/// `open-run` 0–75 open the source runs for that pre-merge, 76–77 for the
+/// degree count, 78–99 the new2old runs, 100–101 the source runs again for
+/// the adjacency stage, then the by-dst and final merges'.
 #[test]
 fn faults_in_spilled_runs_and_pre_merge_passes_resume_byte_identical() {
     let scratch = ScratchDir::new("ingest-chaos-spill").unwrap();
@@ -223,9 +234,9 @@ fn faults_in_spilled_runs_and_pre_merge_passes_resume_byte_identical() {
     let dir = scratch.path().join("dos");
 
     let sampled: [(&str, &[u64]); 3] = [
-        ("write-run", &[0, 1, 17, 120, 400]),
-        ("open-run", &[0, 1, 40, 63, 64, 90]),
-        ("write-merge", &[0, 3, 30]),
+        ("write-run", &[0, 1, 150, 300, 301, 500, 988]),
+        ("open-run", &[0, 1, 75, 76, 100, 140, 255]),
+        ("write-merge", &[0, 3, 280, 301, 900]),
     ];
     for (label, occurrences) in sampled {
         for &nth in occurrences {
@@ -264,7 +275,10 @@ fn faults_in_spilled_runs_and_pre_merge_passes_resume_byte_identical() {
 /// DESIGN.md §6h graceful degradation: a pipeline run against an exhausted
 /// scratch disk budget fails with the *typed* `StorageFull` — scratch left
 /// resumable — and an attached-but-ample budget both completes and is
-/// actually charged.
+/// actually charged. A text source learns its edge count only by parsing,
+/// so the first pre-stage check that can refuse it is the next stage's, on
+/// the counts the `runs` stage committed: a budget that holds the runs but
+/// not the adjacency stage's two sorts fails there, before either starts.
 #[test]
 fn enospc_fails_typed_and_resumes() {
     let scratch = ScratchDir::new("ingest-enospc").unwrap();
@@ -284,6 +298,17 @@ fn enospc_fails_typed_and_resumes() {
         .unwrap_err();
     assert!(matches!(err, GraphError::StorageFull(_)), "got {err:?}");
     assert!(scratch_root_for(&dir).exists(), "scratch must survive ENOSPC for resume");
+
+    // 301 edges: 2408 bytes of runs fit, 2 * 8 * 301 = 4816 bytes of
+    // adjacency runs do not fit what is left.
+    let err = builder()
+        .faults(FaultSurface::none().with_disk_budget(DiskBudget::new(6000)))
+        .build()
+        .unwrap()
+        .run(&src, &scratch.path().join("dos-checked"))
+        .unwrap_err();
+    assert!(matches!(err, GraphError::StorageFull(_)), "got {err:?}");
+    assert!(err.to_string().contains("stage `adjacency` needs about 4816"), "{err}");
 
     // Resume with a budget that fits: the run completes, the budget is
     // charged, and the output is byte-identical to the clean run.

@@ -18,14 +18,17 @@ use std::path::Path;
 use std::sync::Arc;
 
 use graphz_io::{FaultState, FaultSurface, IoStats, ScratchDir};
-use graphz_storage::{scratch_root_for, verify_dos, IngestPipeline, IngestPipelineBuilder};
+use graphz_storage::{
+    scratch_root_for, verify_dos, EdgeListFile, IngestPipeline, IngestPipelineBuilder,
+};
 use graphz_types::MemoryBudget;
 
 /// Every sort of these fixtures fits one in-memory run: the reference.
 const FITS: MemoryBudget = MemoryBudget::from_mib(64);
-/// Each stage sort gets half (48 bytes): 6 edges or 4 triads per run, so the
-/// 300- to 600-edge fixtures spill 50 to 150 runs per edge sort, and every
-/// sort of more than 64 runs (the merge fan-in) takes a pre-merge pass.
+/// Each stage sort gets half (48 bytes): 6 edges (4 weighted) per run, so
+/// the 300- to 600-edge fixtures spill 50 to 150 runs per edge sort, and
+/// every sort of more than 64 runs (the merge fan-in) takes a pre-merge
+/// pass — the source runs' inside the `runs` stage among them.
 const SPILLS: MemoryBudget = MemoryBudget(96);
 
 fn stats() -> Arc<IoStats> {
@@ -127,28 +130,56 @@ fn weighted_graph_is_byte_identical_across_configurations() {
     assert_equivalent("weighted", &lcg_graph_text(11, 400, 60), true);
 }
 
+/// The edges of [`lcg_graph_text`] as a Matrix Market file: the same ids,
+/// one-based.
+fn as_matrix_market(text: &str) -> String {
+    let mut out = String::from("%%MatrixMarket matrix coordinate pattern general\n% fixture\n");
+    let edges: Vec<(u64, u64)> = text
+        .lines()
+        .filter(|l| !l.is_empty() && !l.starts_with('#'))
+        .map(|l| {
+            let mut it = l.split_whitespace().map(|f| f.parse::<u64>().unwrap());
+            (it.next().unwrap(), it.next().unwrap())
+        })
+        .collect();
+    let n = edges.iter().map(|&(s, d)| s.max(d) + 1).max().unwrap_or(0);
+    out.push_str(&format!("{n} {n} {}\n", edges.len()));
+    for (s, d) in edges {
+        out.push_str(&format!("{} {}\n", s + 1, d + 1));
+    }
+    out
+}
+
 /// DESIGN.md §6h: kill the pipeline at *every* stage-commit point in turn,
 /// then rerun with `resume(true)` — the finished directory must be
 /// byte-identical to an uninterrupted run, `checksums.txt` included, and the
-/// scratch root must be gone afterwards. Under both the 32 KiB budget, where
-/// every sort is one in-memory run, and [`SPILLS`], where the stages killed
+/// scratch root must be gone afterwards. For a text, a Matrix Market and a
+/// binary source of the same edges, under both the 32 KiB budget, where
+/// only the source runs reach disk, and [`SPILLS`], where the stages killed
 /// and resumed have spilled and pre-merged runs.
 #[test]
 fn resume_after_a_kill_at_every_stage_is_byte_identical() {
     let scratch = ScratchDir::new("ingest-kill-resume").unwrap();
-    let src = scratch.file("g.txt");
-    std::fs::write(&src, lcg_graph_text(31, 300, 50)).unwrap();
+    let text = lcg_graph_text(31, 300, 50);
+    let txt = scratch.file("g.txt");
+    std::fs::write(&txt, &text).unwrap();
+    let mtx = scratch.file("g.mtx");
+    std::fs::write(&mtx, as_matrix_market(&text)).unwrap();
+    let bin = scratch.file("g.bin");
+    EdgeListFile::import_text(&txt, &bin, stats()).unwrap();
 
     let clean_dir = scratch.path().join("clean");
     builder()
         .build()
         .unwrap()
-        .run(&src, &clean_dir)
+        .run(&txt, &clean_dir)
         .unwrap();
     let want = dir_contents(&clean_dir);
 
-    kill_at_every_stage(&scratch, &src, builder, "one-run", &want);
-    kill_at_every_stage(&scratch, &src, spilling, "spilling", &want);
+    for (kind, src) in [("text", &txt), ("mtx", &mtx), ("binary", &bin)] {
+        kill_at_every_stage(&scratch, src, builder, &format!("{kind}-one-run"), &want);
+        kill_at_every_stage(&scratch, src, spilling, &format!("{kind}-spilling"), &want);
+    }
 }
 
 /// Kill `pipeline` at each stage commit, resume it, and compare with `want`.
@@ -159,9 +190,8 @@ fn kill_at_every_stage(
     arm: &str,
     want: &BTreeMap<String, Vec<u8>>,
 ) {
-    // Every stage the pipeline commits, in order. A text source exercises
-    // the import stage too; binary sources simply have one fewer commit.
-    const STAGES: &[&str] = &["import", "triads", "old2new", "new2old", "adjacency", "emit"];
+    // Every stage the pipeline commits, in order, for every source kind.
+    const STAGES: &[&str] = &["runs", "old2new", "new2old", "adjacency", "emit"];
     for stage in STAGES {
         let dir = scratch.path().join(format!("kill-{arm}-{stage}"));
         let faults = FaultState::fail_at_label(&format!("commit-manifest:{stage}"));
