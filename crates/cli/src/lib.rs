@@ -123,7 +123,11 @@ pub const COMMANDS: &[CommandSpec] = &[
         aliases: &[],
         positionals: &["<edges.bin | edges.txt | matrix.mtx>", "<dos-dir>"],
         flags: &[
-            FlagSpec { name: "--budget-mib", value: Some("B"), help: "sort memory budget in MiB (default 8)" },
+            FlagSpec {
+                name: "--budget-mib",
+                value: Some("B"),
+                help: "memory budget in MiB for the sorts and the id map (default 8)",
+            },
             FlagSpec { name: "--weighted", value: None, help: "also emit weights.bin (deterministic per-edge weights)" },
             FlagSpec {
                 name: "--max-bad-records",
@@ -143,6 +147,9 @@ pub const COMMANDS: &[CommandSpec] = &[
                   a binary edge list is read in place), old2new (degrees counted,\n\
                   vertices numbered from the degree histogram), new2old, adjacency\n\
                   (edges.bin, weights.bin), emit (index.tbl, meta.txt, checksums.txt).\n\
+                  Memory: the id map (4 bytes per vertex) stays in memory when it\n\
+                  fits half of --budget-mib; a larger id space is streamed from\n\
+                  old2new.bin through one more sort. The output is the same.\n\
                   Fault tolerance: each stage commits a checksummed manifest\n\
                   into a <dos-dir>.scratch directory; --resume skips stages whose\n\
                   manifests verify and restarts at the first incomplete one, producing\n\

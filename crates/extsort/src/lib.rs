@@ -4,8 +4,9 @@
 //! use external k-way merge sort to sort it using deg as 1st key and src as
 //! 2nd key", then again by `dest`, then by `src`. Ours sorts the edges by
 //! `(src, dst)` once, into durable runs, numbers the vertices from a degree
-//! histogram instead of the degree sort, and keeps the sorts by `dest` and
-//! by `src`. The GraphChi baseline's shard construction and X-Stream's
+//! histogram instead of the degree sort, and keeps the sort by `src`; the
+//! sort by `dest` remains only where the id map does not fit in memory.
+//! The GraphChi baseline's shard construction and X-Stream's
 //! partition bucketing reuse the same substrate.
 //!
 //! The implementation is the classic two-phase algorithm, on the calling
@@ -41,11 +42,12 @@
 //!
 //! * DOS conversion (`graphz-storage`, `dos.rs`), each key packed into one
 //!   integer of the same order: the durable source runs' edges by
-//!   `(src, dst)` — the whole record; source-relabeled records
-//!   `(new_src, old_dst[, weight])` by `(old_dst, new_src)` and final
-//!   records `(new_src, new_dst[, weight])` by `(new_src, new_dst)` — the
-//!   ids fix the old pair (relabeling is a bijection), and the weight is a
-//!   function of it; inverse pairs `(new, old)` by `new` — one pair per
+//!   `(src, dst)` — the whole record; final records `(new_src,
+//!   new_dst[, weight])` by `(new_src, new_dst)` and, where the id map does
+//!   not fit in memory, source-relabeled records `(new_src, old_dst[,
+//!   weight])` by `(old_dst, new_src)` — the ids fix the old pair
+//!   (relabeling is a bijection), and the weight is a function of it; on
+//!   that path too, inverse pairs `(new, old)` by `new` — one pair per
 //!   vertex, so the key is unique.
 //! * CSR build (`csr.rs`) and `EdgeListFile::symmetrize` (`edgelist.rs`):
 //!   edges by `(src, dst)`.

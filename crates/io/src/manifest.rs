@@ -10,19 +10,33 @@
 //! files a stage produced ([`record_file`](StageManifest::record_file)),
 //! taken while the stage wrote them ([`CrcWriter`](crate::CrcWriter)), so
 //! resume can prove the artifacts themselves survived before trusting them
-//! ([`verify_files`](StageManifest::verify_files) re-reads every one).
+//! ([`verify_files`](StageManifest::verify_files) re-reads every one). Both
+//! the manifest load and that re-read go through [`TrackedFile`], so a
+//! resumed pipeline's [`IoStats`] count the bytes it verified.
 //!
 //! The commit is gated through a [`FaultSurface`] under the label
 //! `commit-manifest:<stage>`, which is what lets the chaos sweep kill a run
 //! at exactly each stage boundary without counting ops.
 
 use std::collections::BTreeMap;
-use std::io::{self, Write};
+use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 use crate::atomic::AtomicFile;
 use crate::checksum::{crc32, crc32_stream, Fingerprint};
 use crate::fault::FaultSurface;
+use crate::stats::IoStats;
+use crate::tracked::TrackedFile;
+
+/// Open `path` for reading through `stats`; `Ok(None)` when it is missing.
+fn open_tracked(path: &Path, stats: &Arc<IoStats>) -> io::Result<Option<TrackedFile>> {
+    match TrackedFile::open(path, Arc::clone(stats)) {
+        Ok(f) => Ok(Some(f)),
+        Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(None),
+        Err(e) => Err(e),
+    }
+}
 
 /// Key prefix for recorded artifact files.
 const FILE_PREFIX: &str = "file:";
@@ -78,19 +92,21 @@ impl StageManifest {
     }
 
     /// Check every recorded artifact still exists with the recorded length
-    /// and CRC; `resolve` maps a logical name to its current path. Returns
-    /// `false` (not an error) when anything is missing or mismatched —
-    /// the caller treats that exactly like a missing manifest.
-    pub fn verify_files(&self, resolve: impl Fn(&str) -> PathBuf) -> io::Result<bool> {
+    /// and CRC, reading each through `stats`; `resolve` maps a logical name
+    /// to its current path. Returns `false` (not an error) when anything is
+    /// missing or mismatched — the caller treats that exactly like a
+    /// missing manifest.
+    pub fn verify_files(
+        &self,
+        stats: &Arc<IoStats>,
+        resolve: impl Fn(&str) -> PathBuf,
+    ) -> io::Result<bool> {
         for (key, want) in &self.entries {
             let Some(name) = key.strip_prefix(FILE_PREFIX) else {
                 continue;
             };
-            let path = resolve(name);
-            let file = match std::fs::File::open(&path) {
-                Ok(f) => f,
-                Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(false),
-                Err(e) => return Err(e),
+            let Some(file) = open_tracked(&resolve(name), stats)? else {
+                return Ok(false);
             };
             let (len, crc) = crc32_stream(file)?;
             let found = Fingerprint { len, crc };
@@ -126,15 +142,21 @@ impl StageManifest {
         file.commit()
     }
 
-    /// Load a committed manifest. `Ok(None)` means "stage incomplete":
-    /// the file is missing, torn, malformed, or fails its CRC — every
-    /// damaged shape resume must shrug at rather than trust or die on.
-    pub fn load(path: &Path) -> io::Result<Option<Self>> {
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
-            Err(e) => return Err(e),
+    /// Load a committed manifest, reading it through `stats`. `Ok(None)`
+    /// means "stage incomplete": the file is missing, torn, malformed, or
+    /// fails its CRC — every damaged shape resume must shrug at rather than
+    /// trust or die on.
+    pub fn load(path: &Path, stats: &Arc<IoStats>) -> io::Result<Option<Self>> {
+        let Some(mut file) = open_tracked(path, stats)? else {
+            return Ok(None);
         };
+        let mut text = String::new();
+        match file.read_to_string(&mut text) {
+            Ok(_) => {}
+            // Not UTF-8: no manifest this code wrote.
+            Err(e) if e.kind() == io::ErrorKind::InvalidData => return Ok(None),
+            Err(e) => return Err(e),
+        }
         // The CRC line covers every byte before it.
         let Some(crc_start) = text.rfind("crc = ") else {
             return Ok(None);
@@ -168,18 +190,18 @@ mod tests {
     use super::*;
     use crate::fault::{FaultState, RetryPolicy};
     use crate::scratch::ScratchDir;
-    use std::sync::Arc;
 
     #[test]
     fn commit_then_load_round_trips() {
         let dir = ScratchDir::new("manifest").unwrap();
         let path = dir.file("import.manifest");
+        let stats = IoStats::new();
         let mut m = StageManifest::new("import");
         m.set("edges", 1234u64);
         m.set("source", "g.txt");
         m.commit(&path, &FaultSurface::none()).unwrap();
 
-        let loaded = StageManifest::load(&path).unwrap().expect("manifest loads");
+        let loaded = StageManifest::load(&path, &stats).unwrap().expect("manifest loads");
         assert_eq!(loaded.stage(), "import");
         assert_eq!(loaded.get_u64("edges"), Some(1234));
         assert_eq!(loaded.get("source"), Some("g.txt"));
@@ -189,22 +211,23 @@ mod tests {
     fn missing_or_corrupt_manifest_reads_as_incomplete() {
         let dir = ScratchDir::new("manifest-bad").unwrap();
         let path = dir.file("stage.manifest");
-        assert!(StageManifest::load(&path).unwrap().is_none(), "missing = incomplete");
+        let stats = IoStats::new();
+        assert!(StageManifest::load(&path, &stats).unwrap().is_none(), "missing = incomplete");
 
         let mut m = StageManifest::new("triads");
         m.set("assigned", 7u64);
         m.commit(&path, &FaultSurface::none()).unwrap();
-        assert!(StageManifest::load(&path).unwrap().is_some());
+        assert!(StageManifest::load(&path, &stats).unwrap().is_some());
 
         // Any byte flip fails the CRC and demotes the stage to incomplete.
         let mut bytes = std::fs::read(&path).unwrap();
         bytes[8] ^= 0x20;
         std::fs::write(&path, &bytes).unwrap();
-        assert!(StageManifest::load(&path).unwrap().is_none(), "tampered = incomplete");
+        assert!(StageManifest::load(&path, &stats).unwrap().is_none(), "tampered = incomplete");
 
         // A truncated (torn) manifest likewise.
         std::fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
-        assert!(StageManifest::load(&path).unwrap().is_none(), "torn = incomplete");
+        assert!(StageManifest::load(&path, &stats).unwrap().is_none(), "torn = incomplete");
     }
 
     #[test]
@@ -217,24 +240,30 @@ mod tests {
         let path = dir.file("by-src.manifest");
         m.commit(&path, &FaultSurface::none()).unwrap();
 
-        let loaded = StageManifest::load(&path).unwrap().unwrap();
+        let stats = IoStats::new();
+        let loaded = StageManifest::load(&path, &stats).unwrap().unwrap();
+        let manifest_len = std::fs::metadata(&path).unwrap().len();
+        assert_eq!(stats.snapshot().bytes_read, manifest_len, "the load is counted");
         assert_eq!(loaded.files().collect::<Vec<_>>(), vec!["runs.bin"]);
         assert_eq!(loaded.file("runs.bin"), Some(Fingerprint::of(b"sorted run payload")));
         assert_eq!(loaded.file("other.bin"), None);
         let resolve = |name: &str| dir.file(name);
-        assert!(loaded.verify_files(resolve).unwrap());
+        assert!(loaded.verify_files(&stats, resolve).unwrap());
+        // The re-read of the artifact is counted too.
+        assert_eq!(stats.snapshot().bytes_read, manifest_len + 18);
 
         // Damage the artifact: same length, different bytes.
         std::fs::write(&artifact, b"sorted run pAyload").unwrap();
-        assert!(!loaded.verify_files(resolve).unwrap(), "bit rot undetected");
+        assert!(!loaded.verify_files(&stats, resolve).unwrap(), "bit rot undetected");
         std::fs::remove_file(&artifact).unwrap();
-        assert!(!loaded.verify_files(resolve).unwrap(), "missing file undetected");
+        assert!(!loaded.verify_files(&stats, resolve).unwrap(), "missing file undetected");
     }
 
     #[test]
     fn labeled_fault_kills_exactly_this_commit() {
         let dir = ScratchDir::new("manifest-fault").unwrap();
         let path = dir.file("emit.manifest");
+        let stats = IoStats::new();
         let faults = FaultState::fail_at_label("commit-manifest:emit");
         let surface =
             FaultSurface::none().with_faults(Arc::clone(&faults)).with_retry(RetryPolicy::none());
@@ -242,11 +271,11 @@ mod tests {
         // A different stage's commit passes through the same surface.
         let other = dir.file("import.manifest");
         StageManifest::new("import").commit(&other, &surface).unwrap();
-        assert!(StageManifest::load(&other).unwrap().is_some());
+        assert!(StageManifest::load(&other, &stats).unwrap().is_some());
 
         let err = StageManifest::new("emit").commit(&path, &surface).unwrap_err();
         assert!(err.to_string().contains("commit-manifest:emit"), "{err}");
         assert!(faults.fired());
-        assert!(StageManifest::load(&path).unwrap().is_none(), "failed commit left debris");
+        assert!(StageManifest::load(&path, &stats).unwrap().is_none(), "failed commit left debris");
     }
 }

@@ -23,17 +23,24 @@
 //! in memory — the property Table XI quantifies.
 //!
 //! Conversion (§III-C) uses only sequential passes and external sorts, so it
-//! runs in bounded memory no matter the graph size. It makes four passes
-//! over the edges: the source is parsed straight into durable by-`(src,
-//! dst)` runs; one merge of them counts out-degrees, and the new ids follow
-//! from the degree histogram (at most [`unique_degree_bound`] entries)
-//! without a sort; a second merge relabels sources into a *pipeline* of
-//! chained lazy sort merges (no intermediate file between a sort and its
-//! consumer) that writes the adjacency. The image bytes do not depend on
-//! the budget: every sort key in the pipeline determines its record's
-//! bytes, so run boundaries cannot show in the output (DESIGN.md §6g). The
-//! records carry only what the image needs: after the source runs an edge
-//! is two ids, plus its weight when the image is weighted.
+//! runs in bounded memory no matter the graph size. The source is parsed
+//! straight into durable by-`(src, dst)` runs; one merge of them counts
+//! out-degrees, and the new ids follow from the degree histogram (at most
+//! [`unique_degree_bound`] entries) without a sort; a second merge relabels
+//! the edges into a *pipeline* of lazy sort merges (no intermediate file
+//! between a sort and its consumer) that writes the adjacency. When the id
+//! map (4 bytes per vertex) fits the half of the budget a second sort would
+//! hold ([`id_map_fits`]), the map stays in memory: the second merge
+//! relabels both endpoints from it and feeds the final sort directly, so
+//! the edges pass four times (parse, count, relabel, final merge). Above
+//! that, the map is streamed from `old2new.bin` and destinations are
+//! relabeled by a co-scan after a by-destination sort, a fifth pass. The
+//! image bytes depend on neither the budget nor the path: every sort key in
+//! the pipeline determines its record's bytes, so run boundaries cannot
+//! show in the output (DESIGN.md §6g), and both paths number the vertices
+//! the same way. The records carry only what the image needs: after the
+//! source runs an edge is two ids, plus its weight when the image is
+//! weighted.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -438,9 +445,9 @@ impl Payload for f32 {
     }
 }
 
-/// An edge record of the adjacency stage: the by-dst runs hold
-/// `(new_src, old_dst)`, the final sort's runs `(new_src, new_dst)`, each
-/// followed by the payload.
+/// An edge record of the adjacency stage: the final sort's runs hold
+/// `(new_src, new_dst)`, the sorted path's by-dst runs `(new_src,
+/// old_dst)`, each followed by the payload.
 #[derive(Clone, Copy)]
 struct StageEdge<P> {
     src: u32,
@@ -468,12 +475,21 @@ impl<P: Payload> FixedCodec for StageEdge<P> {
     }
 }
 
-/// Scratch bytes a sort stage needs per edge while the runs of its two
-/// chained sorts coexist: one `A` and one `B` record — the DESIGN.md §6h
-/// pre-stage disk check's estimate, derived from the record types so it
-/// tracks their size.
-fn run_bytes<A: FixedCodec, B: FixedCodec>(num_edges: u64) -> u64 {
-    num_edges.saturating_mul(cast::len_u64(A::SIZE + B::SIZE))
+/// Scratch bytes one sort's runs of `num_edges` `R` records take — the unit
+/// of the DESIGN.md §6h pre-stage disk check's estimates, derived from the
+/// record type so it tracks its size.
+fn run_bytes<R: FixedCodec>(num_edges: u64) -> u64 {
+    num_edges.saturating_mul(cast::len_u64(R::SIZE))
+}
+
+/// Whether a conversion of `num_vertices` ids under `budget` keeps the id
+/// map in memory: 4 bytes per vertex within `budget.split(2)`, the half the
+/// by-destination sort would otherwise hold while the final sort holds the
+/// other. Then the map is counted, numbered, inverted and applied in
+/// memory; otherwise every stage streams it from `old2new.bin`. The image
+/// is the same either way.
+pub fn id_map_fits(budget: MemoryBudget, num_vertices: u64) -> bool {
+    num_vertices.saturating_mul(4) <= budget.split(2).bytes()
 }
 
 /// Merge fan-in used in disk-degraded mode: high enough that every
@@ -547,6 +563,60 @@ fn degree_groups(hist: &[(Degree, u32)], num_vertices: u64, num_edges: u64) -> R
         });
     }
     Ok(groups)
+}
+
+/// The next new id of every degree: `first_id[d] + seen[d]`, handed out in
+/// ascending old id. That is exactly the numbering of a sort by `(degree
+/// desc, old id asc)`, the paper's order with its ties broken
+/// deterministically; an id with no out-edges takes the next zero-degree
+/// id.
+struct Numbering(BTreeMap<Degree, u32>);
+
+impl Numbering {
+    fn new(groups: &[DegreeGroup]) -> Self {
+        Numbering(groups.iter().map(|g| (g.degree, g.first_id)).collect())
+    }
+
+    /// The new id of the next old id, whose out-degree is `degree`.
+    fn assign(&mut self, degree: Degree) -> Result<u32> {
+        let slot = self.0.get_mut(&degree).ok_or_else(|| {
+            GraphError::Corrupt(format!("degree {degree} missing from the histogram"))
+        })?;
+        let id = *slot;
+        // Saturating is exact: the histogram bounds every group, so a slot
+        // never advances past the last id of its group.
+        *slot = slot.saturating_add(1);
+        Ok(id)
+    }
+}
+
+/// The new id of `old` in the in-memory id map.
+#[inline]
+fn relabel(map: &[u32], old: u32) -> Result<u32> {
+    map.get(cast::vertex_index(old))
+        .copied()
+        .ok_or_else(|| GraphError::Corrupt(format!("old id {old} beyond the id map")))
+}
+
+/// Invert the in-memory id map: `new2old[map[old]] = old`. A new id out of
+/// range or taken twice is no bijection, so the map is corrupt.
+fn invert(map: &[u32]) -> Result<Vec<u32>> {
+    // No old id is u32::MAX: the vertex count itself fits a u32.
+    const FREE: u32 = u32::MAX;
+    let mut new2old = vec![FREE; map.len()];
+    for (old, &new) in map.iter().enumerate() {
+        let slot = new2old.get_mut(cast::vertex_index(new)).ok_or_else(|| {
+            GraphError::Corrupt(format!("id map sends {old} to {new}, beyond {} ids", map.len()))
+        })?;
+        if *slot != FREE {
+            return Err(GraphError::Corrupt(format!(
+                "id map sends both {} and {old} to {new}",
+                *slot
+            )));
+        }
+        *slot = cast::usize_to_u32(old, "dos old id")?;
+    }
+    Ok(new2old)
 }
 
 /// Reads `old2new.bin` forward in step with a stream whose looked-up old
@@ -813,18 +883,20 @@ impl DosConverter {
         }
     }
 
-    /// Stage `old2new`, first half: merge the runs once, write each
-    /// source's `(old id, out-degree)` to `degrees_path` in old-id order (8
-    /// bytes per source with edges), and count the degrees into the
-    /// histogram.
-    fn count_degrees(&self, runs: &[PathBuf], degrees_path: &Path) -> Result<Histogram> {
+    /// Stage `old2new`, first half: merge the runs once, hand each source's
+    /// old id and out-degree to `per_source` in old-id order, and count the
+    /// degrees into the histogram.
+    fn count_degrees(
+        &self,
+        runs: &[PathBuf],
+        mut per_source: impl FnMut(u32, Degree) -> Result<()>,
+    ) -> Result<Histogram> {
         let sorter = self.by_src_sorter()?;
         let mut edges = sorter.merge_runs(runs)?;
-        let mut w = RecordWriter::<(u32, u32), _>::from_writer(self.writer(degrees_path)?);
         let mut counts: BTreeMap<Degree, u32> = BTreeMap::new();
         let mut end_source = |src: u32, degree: u64| -> Result<()> {
             let degree = cast::to_u32(degree, "dos out-degree")?;
-            w.push(&(src, degree))?;
+            per_source(src, degree)?;
             let count = counts.entry(degree).or_default();
             *count = count.checked_add(1).ok_or_else(|| {
                 GraphError::OffsetOverflow("dos degree histogram count".into())
@@ -845,16 +917,45 @@ impl DosConverter {
         if let Some((src, degree)) = cur {
             end_source(src, degree)?;
         }
-        seal(w)?;
         Ok(counts.into_iter().rev().collect())
     }
 
-    /// Stage `old2new`, second half: number the vertices from the groups
-    /// without a sort. Walking the degree file in old-id order, a source of
-    /// degree `d` gets `first_id[d] + seen[d]++`; an id with no out-edges
-    /// takes the next zero-degree id. That is exactly the numbering of a
-    /// sort by `(degree desc, old id asc)`, the paper's order with its ties
-    /// broken deterministically.
+    /// Stage `old2new` on the in-memory path: count every out-degree into
+    /// a vector indexed by old id, derive the groups from the histogram,
+    /// then overwrite the vector in place with the [`Numbering`] and write
+    /// it as `old2new.bin` once. Returns the map, the histogram, the groups
+    /// and the file's fingerprint.
+    fn number_in_memory(
+        &self,
+        runs: &[PathBuf],
+        num_vertices: u64,
+        num_edges: u64,
+        out: &Path,
+    ) -> Result<(Vec<u32>, Histogram, Vec<DegreeGroup>, Fingerprint)> {
+        // Old ids are u32s, so the id space must fit one (which also leaves
+        // u32::MAX free as `invert`'s empty slot).
+        cast::to_u32(num_vertices, "dos vertex count")?;
+        let mut map = vec![0u32; cast::to_usize(num_vertices, "dos vertex count")?];
+        let hist = self.count_degrees(runs, |src, degree| {
+            let slot = map.get_mut(cast::vertex_index(src)).ok_or_else(|| {
+                GraphError::Corrupt("DOS conversion saw a source id beyond num_vertices".into())
+            })?;
+            *slot = degree;
+            Ok(())
+        })?;
+        let groups = degree_groups(&hist, num_vertices, num_edges)?;
+        let mut numbering = Numbering::new(&groups);
+        let mut w = RecordWriter::<u32, _>::from_writer(self.writer(out)?);
+        for slot in &mut map {
+            *slot = numbering.assign(*slot)?;
+            w.push(slot)?;
+        }
+        Ok((map, hist, groups, seal(w)?))
+    }
+
+    /// Stage `old2new` on the sorted path, second half: walk the degree
+    /// scratch file (one `(old id, degree)` per source with edges, in old-id
+    /// order) and write `old2new.bin` with the [`Numbering`].
     fn write_old2new(
         &self,
         degrees_path: &Path,
@@ -862,8 +963,7 @@ impl DosConverter {
         num_vertices: u64,
         out: &Path,
     ) -> Result<Fingerprint> {
-        let mut next: BTreeMap<Degree, u32> =
-            groups.iter().map(|g| (g.degree, g.first_id)).collect();
+        let mut numbering = Numbering::new(groups);
         let mut degrees = RecordReader::<(u32, u32)>::open(degrees_path, Arc::clone(&self.stats))?;
         let mut w = RecordWriter::<u32, _>::from_writer(self.writer(out)?);
         let mut pending = degrees.next_record()?;
@@ -875,13 +975,7 @@ impl DosConverter {
                 }
                 _ => 0,
             };
-            let slot = next.get_mut(&degree).ok_or_else(|| {
-                GraphError::Corrupt(format!("degree {degree} missing from the histogram"))
-            })?;
-            w.push(slot)?;
-            // Saturating is exact: the histogram bounds every group, so a
-            // slot never advances past the last id of its group.
-            *slot = slot.saturating_add(1);
+            w.push(&numbering.assign(degree)?)?;
         }
         if pending.is_some() {
             return Err(GraphError::Corrupt(
@@ -889,6 +983,28 @@ impl DosConverter {
             ));
         }
         seal(w)
+    }
+
+    /// The in-memory id map: the one the `old2new` stage built, or — when
+    /// a resume skipped that stage — `old2new.bin`, loaded once (its stage
+    /// manifest has verified it).
+    fn id_map<'m>(
+        &self,
+        map: &'m mut Option<Vec<u32>>,
+        path: &Path,
+        num_vertices: u64,
+    ) -> Result<&'m [u32]> {
+        let loaded = match map.take() {
+            Some(m) => m,
+            None => RecordReader::<u32>::open(path, Arc::clone(&self.stats))?.read_all()?,
+        };
+        if cast::len_u64(loaded.len()) != num_vertices {
+            return Err(GraphError::Corrupt(format!(
+                "old2new.bin maps {} ids, the runs hold {num_vertices}",
+                loaded.len()
+            )));
+        }
+        Ok(map.insert(loaded))
     }
 
     /// The body of [`convert_from`](Self::convert_from) for one record
@@ -929,14 +1045,14 @@ impl DosConverter {
             if !live {
                 return Ok(None);
             }
-            let Some(m) = StageManifest::load(&manifest_path(stage))? else {
+            let Some(m) = StageManifest::load(&manifest_path(stage), &self.stats)? else {
                 return Ok(None);
             };
             if m.stage() != stage {
                 return Ok(None);
             }
             let base = base.to_path_buf();
-            if !m.verify_files(|name| base.join(name))? {
+            if !m.verify_files(&self.stats, |name| base.join(name))? {
                 return Ok(None);
             }
             Ok(Some(m))
@@ -972,11 +1088,18 @@ impl DosConverter {
             (paths, num_vertices, num_edges)
         };
 
-        // Stage `old2new` (passes 2–4): one merge of the runs counts every
-        // source's degree into a scratch file and the in-memory histogram;
-        // the groups follow from the histogram, and old2new.bin from the
-        // scratch file in old-id order. The histogram rides in the manifest,
-        // so a resumed run rebuilds the groups without re-reading anything.
+        // Decided once, from the committed vertex count and the budget: the
+        // id map either lives in memory through the adjacency stage or is
+        // streamed from old2new.bin by every stage that needs it.
+        let fits = id_map_fits(self.budget, num_vertices);
+        let mut map: Option<Vec<u32>> = None;
+
+        // Stage `old2new`: one merge of the runs counts every source's
+        // degree — into the map itself, or into a degree scratch file on
+        // the sorted path — and the in-memory histogram; the groups follow
+        // from the histogram, and old2new.bin from the degrees in old-id
+        // order. The histogram rides in the manifest, so a resumed run
+        // rebuilds the groups without re-reading anything.
         let old2new_path = dir.join("old2new.bin");
         let done = stage_done(live, "old2new", dir)?
             .and_then(|m| Some((parse_histogram(m.get("histogram")?)?, m)));
@@ -984,34 +1107,57 @@ impl DosConverter {
             (recorded(&m, "old2new.bin")?, degree_groups(&hist, num_vertices, num_edges)?)
         } else {
             live = false;
-            // 8 scratch bytes per source with edges, 4 per vertex in old2new.bin.
-            self.check_disk("old2new", num_vertices.saturating_mul(12))?;
-            let degrees_path = root.join("degrees.bin");
-            let hist = self.count_degrees(&runs, &degrees_path)?;
-            let groups = degree_groups(&hist, num_vertices, num_edges)?;
-            let fp = self.write_old2new(&degrees_path, &groups, num_vertices, &old2new_path)?;
+            let (hist, groups, fp) = if fits {
+                // 4 bytes per vertex in old2new.bin.
+                self.check_disk("old2new", num_vertices.saturating_mul(4))?;
+                let (numbered, hist, groups, fp) =
+                    self.number_in_memory(&runs, num_vertices, num_edges, &old2new_path)?;
+                map = Some(numbered);
+                (hist, groups, fp)
+            } else {
+                // 8 scratch bytes per source with edges, 4 per vertex in
+                // old2new.bin.
+                self.check_disk("old2new", num_vertices.saturating_mul(12))?;
+                let degrees_path = root.join("degrees.bin");
+                let mut w =
+                    RecordWriter::<(u32, u32), _>::from_writer(self.writer(&degrees_path)?);
+                let hist = self.count_degrees(&runs, |src, degree| w.push(&(src, degree)))?;
+                seal(w)?;
+                let groups = degree_groups(&hist, num_vertices, num_edges)?;
+                let fp = self.write_old2new(&degrees_path, &groups, num_vertices, &old2new_path)?;
+                (hist, groups, fp)
+            };
             let mut m = StageManifest::new("old2new");
             m.set("histogram", render_histogram(&hist));
             m.record_file("old2new.bin", fp);
             m.commit(&manifest_path("old2new"), &self.surface)?;
-            let _ = std::fs::remove_file(&degrees_path);
+            if !fits {
+                let _ = std::fs::remove_file(root.join("degrees.bin"));
+            }
             (fp, groups)
         };
 
-        // Stage `new2old` (pass 5): old2new inverted via one more external
-        // sort, its merge draining directly into the new2old writer.
+        // Stage `new2old`: old2new inverted — in memory when the map fits,
+        // else by an external sort of `(new, old)` pairs whose merge drains
+        // directly into the new2old writer.
         let new2old_path = dir.join("new2old.bin");
         let new2old_fp = if let Some(m) = stage_done(live, "new2old", dir)? {
             recorded(&m, "new2old.bin")?
         } else {
             live = false;
-            let fan_in = self.stage_fan_in("new2old", num_vertices.saturating_mul(16))?;
-            let fp = {
+            let fp = if fits {
+                self.check_disk("new2old", num_vertices.saturating_mul(4))?;
+                let inverse = invert(self.id_map(&mut map, &old2new_path, num_vertices)?)?;
+                let mut w = RecordWriter::<u32, _>::from_writer(self.writer(&new2old_path)?);
+                w.push_all(inverse.iter())?;
+                seal(w)?
+            } else {
+                let fan_in = self.stage_fan_in("new2old", num_vertices.saturating_mul(16))?;
                 let by_new_sorter = self.sorter(|p: &(u32, u32)| p.0, fan_in)?;
                 let by_new_runs = ScratchDir::new_in(&root, "pairs").ctx("scratch", &root)?;
                 let olds = RecordReader::<u32>::open(&old2new_path, Arc::clone(&self.stats))?;
                 let pairs = olds.enumerate().map(|(old, new)| -> Result<(u32, u32)> {
-                    // Pass 4 already proved num_vertices fits u32.
+                    // The old2new stage already proved num_vertices fits u32.
                     Ok((new?, cast::usize_to_u32(old, "dos old id")?))
                 });
                 let mut by_new = by_new_sorter.sort_stream(pairs, &by_new_runs)?;
@@ -1027,15 +1173,17 @@ impl DosConverter {
             fp
         };
 
-        // Stage `adjacency` (passes 6–7, pipelined): merge the runs a second
-        // time, relabel sources by co-scanning old2new.bin and take each
-        // edge's payload while both old ids are at hand; sort by old dst,
-        // relabel destinations by a second co-scan straight into the final
-        // sort's run formation, and write the adjacency file (destination
-        // ids only; offsets are computed by Eq. 1) plus, when requested, the
-        // parallel per-edge weight file from the records' payload. A
-        // manifest written for the other record shape (the other
-        // `--weighted` setting) does not count.
+        // Stage `adjacency`: merge the runs a second time, relabel each
+        // edge and take its payload while both old ids are at hand, sort by
+        // the new pair and write the adjacency file (destination ids only;
+        // offsets are computed by Eq. 1) plus, when requested, the parallel
+        // per-edge weight file from the records' payload. When the map fits
+        // both endpoints are relabeled from it and the edges go straight
+        // into the final sort; otherwise sources are relabeled by
+        // co-scanning old2new.bin, the edges sorted by old dst, and the
+        // destinations relabeled by a second co-scan into the final sort's
+        // run formation. A manifest written for the other record shape (the
+        // other `--weighted` setting) does not count.
         let record_bytes = cast::len_u64(StageEdge::<P>::SIZE);
         let edges_path = dir.join("edges.bin");
         let done = stage_done(live, "adjacency", dir)?
@@ -1048,35 +1196,52 @@ impl DosConverter {
             (recorded(&m, "edges.bin")?, weights_fp)
         } else {
             live = false;
-            // By-dst runs and final runs coexist.
+            // The final sort's runs; on the sorted path the by-dst runs
+            // coexist with them.
+            let sorts = if fits { 1 } else { 2 };
             let fan_in = self.stage_fan_in(
                 "adjacency",
-                run_bytes::<StageEdge<P>, StageEdge<P>>(num_edges),
+                run_bytes::<StageEdge<P>>(num_edges).saturating_mul(sorts),
             )?;
             let mut written: u64 = 0;
             let (edges_fp, weights_fp) = {
                 let by_src_sorter = self.by_src_sorter()?;
-                let by_dst_sorter = self.sorter(|r: &StageEdge<P>| key2(r.dst, r.src), fan_in)?;
                 let final_sorter = self.sorter(|r: &StageEdge<P>| key2(r.src, r.dst), fan_in)?;
-                let by_dst_runs = ScratchDir::new_in(&root, "by-dst").ctx("scratch", &root)?;
                 let final_runs = ScratchDir::new_in(&root, "final").ctx("scratch", &root)?;
-                let mut sources = Old2NewScan::open(&old2new_path, Arc::clone(&self.stats))?;
-                let src_relabeled = by_src_sorter.merge_runs(&runs)?.map(|e| {
-                    let e = e?;
-                    Ok(StageEdge {
-                        src: sources.new_id(e.src)?,
-                        dst: e.dst,
-                        payload: weigh(e.src, e.dst),
-                    })
-                });
-                let by_dst = by_dst_sorter.sort_stream(src_relabeled, &by_dst_runs)?;
-                let mut dests = Old2NewScan::open(&old2new_path, Arc::clone(&self.stats))?;
-                let relabeled = by_dst.map(|r| {
-                    let r = r?;
-                    Ok(StageEdge { dst: dests.new_id(r.dst)?, ..r })
-                });
-                let mut final_sorted = final_sorter.sort_stream(relabeled, &final_runs)?;
-                drop(by_dst_runs); // pass-6 runs fully drained into pass-7 runs
+                let mut final_sorted = if fits {
+                    let ids = self.id_map(&mut map, &old2new_path, num_vertices)?;
+                    let relabeled = by_src_sorter.merge_runs(&runs)?.map(|e| {
+                        let e = e?;
+                        Ok(StageEdge {
+                            src: relabel(ids, e.src)?,
+                            dst: relabel(ids, e.dst)?,
+                            payload: weigh(e.src, e.dst),
+                        })
+                    });
+                    final_sorter.sort_stream(relabeled, &final_runs)?
+                } else {
+                    let by_dst_sorter =
+                        self.sorter(|r: &StageEdge<P>| key2(r.dst, r.src), fan_in)?;
+                    let by_dst_runs = ScratchDir::new_in(&root, "by-dst").ctx("scratch", &root)?;
+                    let mut sources = Old2NewScan::open(&old2new_path, Arc::clone(&self.stats))?;
+                    let src_relabeled = by_src_sorter.merge_runs(&runs)?.map(|e| {
+                        let e = e?;
+                        Ok(StageEdge {
+                            src: sources.new_id(e.src)?,
+                            dst: e.dst,
+                            payload: weigh(e.src, e.dst),
+                        })
+                    });
+                    let by_dst = by_dst_sorter.sort_stream(src_relabeled, &by_dst_runs)?;
+                    let mut dests = Old2NewScan::open(&old2new_path, Arc::clone(&self.stats))?;
+                    let relabeled = by_dst.map(|r| {
+                        let r = r?;
+                        Ok(StageEdge { dst: dests.new_id(r.dst)?, ..r })
+                    });
+                    // The by-dst runs drain fully into the final sort's
+                    // runs here, and go with their scratch dir.
+                    final_sorter.sort_stream(relabeled, &final_runs)?
+                };
 
                 let mut w = RecordWriter::<u32, _>::from_writer(self.writer(&edges_path)?);
                 let mut weights_w = match self.weight_fn {
@@ -1382,14 +1547,14 @@ mod tests {
         conv.check_disk("old2new", 1000).unwrap();
         assert!(matches!(conv.check_disk("old2new", 1001), Err(GraphError::StorageFull(_))));
 
-        // The estimates follow the stage record types: the adjacency
-        // stage's two edge records — two ids, plus the weight in a weighted
-        // image.
+        // The estimates follow the stage record types: the sorted path's
+        // adjacency stage holds two sorts' runs of edge records — two ids,
+        // plus the weight in a weighted image.
         let adjacency = |weighted: bool, edges: u64| {
             let bytes = if weighted {
-                run_bytes::<StageEdge<f32>, StageEdge<f32>>(edges)
+                run_bytes::<StageEdge<f32>>(edges) * 2
             } else {
-                run_bytes::<StageEdge<()>, StageEdge<()>>(edges)
+                run_bytes::<StageEdge<()>>(edges) * 2
             };
             conv.stage_fan_in("adjacency", bytes)
         };
@@ -1402,6 +1567,38 @@ mod tests {
         let err = adjacency(true, 50).unwrap_err();
         assert!(matches!(err, GraphError::StorageFull(_)), "got {err:?}");
         assert!(err.to_string().contains("stage `adjacency` needs about 1200"), "{err}");
+    }
+
+    /// The map fits when its 4 bytes per vertex fit half the budget, and
+    /// not one vertex more.
+    #[test]
+    fn id_map_fits_up_to_half_the_budget() {
+        let budget = MemoryBudget::from_mib(8);
+        let boundary = budget.bytes() / 2 / 4;
+        assert!(id_map_fits(budget, boundary));
+        assert!(!id_map_fits(budget, boundary + 1));
+        assert!(id_map_fits(MemoryBudget(2048), 256));
+        assert!(!id_map_fits(MemoryBudget(2048), 257));
+        assert!(id_map_fits(MemoryBudget(64), 0));
+        assert!(!id_map_fits(MemoryBudget(64), u64::MAX));
+        // The benchmark's scale-19 id space: fits the 8 MiB default, not 1 MiB.
+        assert!(id_map_fits(budget, 1 << 19));
+        assert!(!id_map_fits(MemoryBudget::from_mib(1), 1 << 19));
+    }
+
+    /// Inverting the in-memory map needs a bijection: a new id out of
+    /// range or taken twice is corruption, typed.
+    #[test]
+    fn inverting_a_map_that_is_no_bijection_is_corrupt() {
+        assert_eq!(invert(&[2, 0, 1]).unwrap(), vec![1, 2, 0]);
+        assert!(invert(&[]).unwrap().is_empty());
+        let err = invert(&[0, 3, 1]).unwrap_err();
+        assert!(matches!(err, GraphError::Corrupt(_)), "{err:?}");
+        assert!(err.to_string().contains("sends 1 to 3"), "{err}");
+        let err = invert(&[1, 0, 1]).unwrap_err();
+        assert!(matches!(err, GraphError::Corrupt(_)), "{err:?}");
+        assert!(err.to_string().contains("both 0 and 2 to 1"), "{err}");
+        assert!(matches!(relabel(&[1, 0], 2), Err(GraphError::Corrupt(_))));
     }
 
     fn convert(edges: Vec<Edge>) -> (ScratchDir, DosGraph) {

@@ -377,7 +377,7 @@ mod tests {
             if path.extension().and_then(|e| e.to_str()) != Some("manifest") {
                 continue;
             }
-            let m = StageManifest::load(&path).unwrap().expect("manifest loads");
+            let m = StageManifest::load(&path, &IoStats::new()).unwrap().expect("manifest loads");
             let names: Vec<String> = m.files().map(str::to_string).collect();
             assert!(!names.is_empty(), "{} records no artifact", m.stage());
             for name in names {
@@ -431,7 +431,8 @@ mod tests {
         assert!(err.to_string().contains("commit-manifest:old2new"), "{err}");
         let root = scratch_root_for(&out);
         assert_eq!(assert_manifests_match_disk(&root, &out), vec!["runs"]);
-        let runs = StageManifest::load(&root.join("runs.manifest")).unwrap().unwrap();
+        let runs =
+            StageManifest::load(&root.join("runs.manifest"), &IoStats::new()).unwrap().unwrap();
         assert_eq!(runs.files().count(), 3, "every run, the last one too, is on disk");
         let edges = EdgeListFile::import_text(&txt, &dir.file("g.bin"), stats()).unwrap();
 
@@ -550,70 +551,184 @@ mod tests {
         out
     }
 
-    /// The bytes a text convert moves, to the byte, at a budget where only
-    /// the source runs reach disk: the text read once; the runs written
-    /// once and merged twice (by the degree count and by the adjacency
-    /// stage); the degree scratch written and read once; old2new.bin read
-    /// three times (by the new2old sort and the two relabeling co-scans);
-    /// and the image. meta.txt, checksums.txt and the stage manifests are
-    /// written through atomic files the stats sink does not count. No
-    /// imported.bin, assign.bin or half-relabeled.bin is ever created: the
-    /// run is stopped at the last commit, so the scratch root is still
-    /// there to show it.
+    /// Bytes the runs of a streamed sort spill for `n` records of `size`
+    /// bytes at a stage sort's half of `budget`: every full buffer, while
+    /// the last partial one stays in memory. None of the sorts below spills
+    /// more runs than the merge fan-in, so each spilled byte is read back
+    /// exactly once.
+    fn spilled(budget: MemoryBudget, n: u64, size: u64) -> u64 {
+        let chunk = (budget.split(2).bytes() / size).max(1);
+        n / chunk * chunk * size
+    }
+
+    /// The bytes a text convert moves, to the byte, on both relabel paths.
+    /// The text is read once; the source runs are written once and merged
+    /// twice (by the degree count and by the adjacency stage); then the
+    /// image. meta.txt, checksums.txt and the stage manifests are written
+    /// through atomic files the stats sink does not count.
+    ///
+    /// * At 64 MiB the id map fits and nothing but the source runs reaches
+    ///   disk: that is all.
+    /// * At 8 KiB the map still fits, but the final sort spills: its runs
+    ///   are written and read once more, and nothing else is — no by-dst
+    ///   runs, no degree scratch, no re-read of old2new.bin.
+    /// * At 4 KiB the map (2400 bytes) exceeds the 2048-byte half budget,
+    ///   so the sorted path runs: the degree scratch written and read once
+    ///   (8 bytes per source with edges), old2new.bin read three times (by
+    ///   the new2old pair sort and the two relabeling co-scans), and the
+    ///   spilled runs of the pair, by-dst and final sorts.
+    ///
+    /// No imported.bin, assign.bin, half-relabeled.bin or degrees.bin
+    /// outlives its stage: the run is stopped at the last commit, so the
+    /// scratch root is still there to show it.
     #[test]
     fn a_text_convert_moves_the_predicted_bytes() {
         use graphz_io::{FaultState, RetryPolicy};
         let dir = ScratchDir::new("ingest-ledger").unwrap();
         let txt = dir.file("g.txt");
         // Ids 0..600 for sources and destinations alike, and a last line
-        // that touches the top id as a source, so each co-scan reads
-        // old2new.bin to its end (one block: it is under 64 KiB).
+        // that touches the top id as a source, so each co-scan of the
+        // sorted path reads old2new.bin to its end (one block: it is under
+        // 64 KiB).
         text_fixture(&txt, 9, 5_000, 600);
         let mut text = std::fs::read_to_string(&txt).unwrap();
         text.push_str("599 0\n");
         std::fs::write(&txt, &text).unwrap();
-        for weighted in [false, true] {
-            let stats = stats();
-            let out = dir.path().join(format!("dos-{weighted}"));
-            let mut b = IngestPipeline::builder()
-                .budget(MemoryBudget::from_mib(64))
-                .stats(Arc::clone(&stats))
-                .faults(
-                    FaultSurface::none()
-                        .with_faults(FaultState::fail_at_label("commit-manifest:emit"))
-                        .with_retry(RetryPolicy::none()),
-                );
-            if weighted {
-                b = b.weights(graphz_types::derive_weight);
+        let text_bytes = cast::len_u64(text.len());
+        let budgets = [
+            (MemoryBudget::from_mib(64), true),
+            (MemoryBudget::from_kib(8), true),
+            (MemoryBudget::from_kib(4), false),
+        ];
+        for (budget, fits) in budgets {
+            for weighted in [false, true] {
+                let ctx = format!("{budget:?} weighted {weighted}");
+                let stats = stats();
+                let out = dir.path().join(format!("dos-{}-{weighted}", budget.bytes()));
+                let mut b = IngestPipeline::builder()
+                    .budget(budget)
+                    .stats(Arc::clone(&stats))
+                    .faults(
+                        FaultSurface::none()
+                            .with_faults(FaultState::fail_at_label("commit-manifest:emit"))
+                            .with_retry(RetryPolicy::none()),
+                    );
+                if weighted {
+                    b = b.weights(graphz_types::derive_weight);
+                }
+                let err = b.build().unwrap().run(&txt, &out).unwrap_err();
+                assert!(err.to_string().contains("commit-manifest:emit"), "{err}");
+                let dos = DosGraph::open(&out, IoStats::new()).unwrap();
+                let (e, v) = (dos.meta().num_edges, dos.meta().num_vertices);
+                assert_eq!((e, v), (5_001, 600));
+                assert_eq!(crate::id_map_fits(budget, v), fits, "{ctx}");
+                let len = |name: &str| std::fs::metadata(out.join(name)).unwrap().len();
+                let mut image = len("edges.bin") + len("index.tbl") + 2 * 4 * v;
+                if weighted {
+                    image += len("weights.bin");
+                }
+                let record = if weighted { 12 } else { 8 };
+                let final_runs = spilled(budget, e, record);
+                let (mut writes, mut reads) = (8 * e + image, text_bytes + 16 * e);
+                if fits {
+                    writes += final_runs;
+                    reads += final_runs;
+                } else {
+                    // Sources with edges: the ids before the zero-degree group.
+                    let groups = dos.index().groups();
+                    let sources =
+                        groups.iter().find(|g| g.degree == 0).map_or(v, |g| u64::from(g.first_id));
+                    let sorted_runs = spilled(budget, v, 8) + 2 * final_runs;
+                    writes += 8 * sources + sorted_runs;
+                    reads += 8 * sources + 3 * 4 * v + sorted_runs;
+                }
+                if budget == MemoryBudget::from_mib(64) {
+                    assert_eq!(final_runs, 0, "{ctx}: the final sort spilled at 64 MiB");
+                } else {
+                    assert!(final_runs > 0, "{ctx}: the final sort did not spill");
+                }
+                let io = stats.snapshot();
+                assert_eq!(io.bytes_written, writes, "{ctx}");
+                assert_eq!(io.bytes_read, reads, "{ctx}");
+                let mut files = all_files(&scratch_root_for(&out));
+                files.extend(all_files(&out));
+                for gone in ["imported.bin", "assign.bin", "half-relabeled.bin", "degrees.bin"] {
+                    assert!(!files.iter().any(|f| f == gone), "{ctx}: {gone} in {files:?}");
+                }
+                assert!(files.iter().any(|f| f == "run-000000.bin"), "{ctx}: {files:?}");
             }
-            let err = b.build().unwrap().run(&txt, &out).unwrap_err();
-            assert!(err.to_string().contains("commit-manifest:emit"), "{err}");
-            let dos = DosGraph::open(&out, IoStats::new()).unwrap();
-            let (e, v) = (dos.meta().num_edges, dos.meta().num_vertices);
-            assert_eq!((e, v), (5_001, 600));
-            // Sources with edges: the ids before the zero-degree group.
-            let groups = dos.index().groups();
-            let sources = groups.iter().find(|g| g.degree == 0).map_or(v, |g| u64::from(g.first_id));
-            let len = |name: &str| std::fs::metadata(out.join(name)).unwrap().len();
-            let mut image = len("edges.bin") + len("index.tbl") + 2 * 4 * v;
-            if weighted {
-                image += len("weights.bin");
-            }
-            let io = stats.snapshot();
-            assert_eq!(io.bytes_written, 8 * e + 8 * sources + image, "weighted {weighted}");
-            let text_bytes = cast::len_u64(text.len());
-            assert_eq!(
-                io.bytes_read,
-                text_bytes + 16 * e + 8 * sources + 3 * 4 * v,
-                "weighted {weighted}"
-            );
-            let mut files = all_files(&scratch_root_for(&out));
-            files.extend(all_files(&out));
-            for gone in ["imported.bin", "assign.bin", "half-relabeled.bin"] {
-                assert!(!files.iter().any(|f| f == gone), "{gone} in {files:?}");
-            }
-            assert!(files.iter().any(|f| f == "run-000000.bin"), "{files:?}");
         }
+    }
+
+    /// A resumed convert counts the bytes it re-reads to verify the stages
+    /// it skips. Killed at the `emit` commit, the resume re-CRCs every
+    /// artifact the four earlier manifests record — the source runs and
+    /// the image files — and loads those manifests: all of it shows in its
+    /// `IoStats`. Killed at the `new2old` commit, with the map fitting, the
+    /// resume verifies old2new.bin and then loads it once for the two
+    /// stages that need the map, and reads nothing else but the runs
+    /// (verified, then merged by the adjacency stage).
+    #[test]
+    fn a_resumed_convert_counts_what_it_verifies() {
+        use graphz_io::{FaultState, RetryPolicy};
+        let dir = ScratchDir::new("ingest-resume-ledger").unwrap();
+        let txt = dir.file("g.txt");
+        text_fixture(&txt, 13, 4_000, 500);
+        let run = |out: &Path, stats: Arc<IoStats>, kill: Option<&str>, resume: bool| {
+            let mut surface = FaultSurface::none();
+            if let Some(stage) = kill {
+                surface = surface
+                    .with_faults(FaultState::fail_at_label(&format!("commit-manifest:{stage}")))
+                    .with_retry(RetryPolicy::none());
+            }
+            IngestPipeline::builder()
+                .budget(MemoryBudget::from_mib(64))
+                .stats(stats)
+                .faults(surface)
+                .resume(resume)
+                .build()
+                .unwrap()
+                .run(&txt, out)
+        };
+        // Lengths of every artifact and manifest the committed stages
+        // recorded, read before the resume consumes the scratch root.
+        let recorded = |out: &Path| -> (u64, u64) {
+            let root = scratch_root_for(out);
+            let (mut artifacts, mut manifests) = (0, 0);
+            for entry in std::fs::read_dir(&root).unwrap() {
+                let path = entry.unwrap().path();
+                if path.extension().and_then(|e| e.to_str()) != Some("manifest") {
+                    continue;
+                }
+                manifests += std::fs::metadata(&path).unwrap().len();
+                let m = StageManifest::load(&path, &IoStats::new()).unwrap().unwrap();
+                for name in m.files() {
+                    artifacts += m.file(name).unwrap().len;
+                }
+            }
+            (artifacts, manifests)
+        };
+
+        let out = dir.path().join("killed-at-emit");
+        run(&out, stats(), Some("emit"), false).unwrap_err();
+        let (artifacts, manifests) = recorded(&out);
+        let resumed = stats();
+        run(&out, Arc::clone(&resumed), None, true).unwrap();
+        let read = resumed.snapshot().bytes_read;
+        assert!(read >= artifacts, "the resume read {read} bytes, the artifacts are {artifacts}");
+        assert_eq!(read, artifacts + manifests, "it reads nothing but what it verifies");
+
+        let out = dir.path().join("killed-at-new2old");
+        let dos = run(&dir.path().join("reference"), stats(), None, false).unwrap();
+        let (e, v) = (dos.meta().num_edges, dos.meta().num_vertices);
+        assert!(crate::id_map_fits(MemoryBudget::from_mib(64), v));
+        run(&out, stats(), Some("new2old"), false).unwrap_err();
+        let (artifacts, manifests) = recorded(&out);
+        // The runs and old2new.bin.
+        assert_eq!(artifacts, 8 * e + 4 * v);
+        let resumed = stats();
+        run(&out, Arc::clone(&resumed), None, true).unwrap();
+        assert_eq!(resumed.snapshot().bytes_read, manifests + artifacts + 4 * v + 8 * e);
     }
 
     /// Each stage commits under `commit-manifest:<stage>`, in pipeline

@@ -36,7 +36,9 @@ mod text;
 pub mod verify;
 
 pub use csr::{CsrFiles, CsrGraph};
-pub use dos::{scratch_root_for, AdjCursor, DosConverter, DosConverterBuilder, DosGraph, DosIndex};
+pub use dos::{
+    id_map_fits, scratch_root_for, AdjCursor, DosConverter, DosConverterBuilder, DosGraph, DosIndex,
+};
 pub use edgelist::{BadRecord, EdgeListFile};
 pub use ingest::{IngestPipeline, IngestPipelineBuilder, IngestTimings};
 pub use partition::{PartitionSet, Partitioner};

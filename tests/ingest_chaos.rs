@@ -24,7 +24,7 @@ use std::sync::Arc;
 use graphz_io::{
     DiskBudget, FaultPlan, FaultState, FaultSurface, IoStats, RetryPolicy, ScratchDir,
 };
-use graphz_storage::{scratch_root_for, IngestPipeline, IngestPipelineBuilder};
+use graphz_storage::{id_map_fits, scratch_root_for, IngestPipeline, IngestPipelineBuilder};
 use graphz_types::{GraphError, MemoryBudget};
 
 fn stats() -> Arc<IoStats> {
@@ -46,7 +46,7 @@ fn graph_text() -> String {
 }
 
 /// The pipeline every sweep runs: at 32 KiB each of the fixture's sorts is
-/// one in-memory run.
+/// one in-memory run, and the id map is relabeled in memory.
 fn builder() -> IngestPipelineBuilder {
     IngestPipeline::builder().budget(MemoryBudget::from_kib(32)).stats(stats())
 }
@@ -54,7 +54,9 @@ fn builder() -> IngestPipelineBuilder {
 /// The same pipeline at 64 bytes: each stage sort gets 32 (4 edges or id
 /// pairs per run), so every sort of the fixture spills runs, the edge sorts
 /// 75 or more, and each of those takes a pre-merge pass at the merge
-/// fan-in of 64 — the durable source runs' inside the `runs` stage too.
+/// fan-in of 64 — the durable source runs' inside the `runs` stage too. The
+/// id map (4 bytes for each of the fixture's 90 vertex ids) does not fit
+/// those 32 bytes, so this arm takes the sorted relabel path.
 fn spilling_builder() -> IngestPipelineBuilder {
     IngestPipeline::builder().budget(MemoryBudget(64)).stats(stats())
 }
@@ -115,6 +117,37 @@ fn fail_then_resume_with(
     assert_identical(dir, want, ctx);
     assert!(!scratch_root_for(dir).exists(), "{ctx}: resume must clean up scratch");
     err
+}
+
+/// The two arms sweep the two relabel paths: the fixture's id map fits
+/// half of 32 KiB but not half of 64 bytes. The sorted path leaves a degree
+/// scratch file in the scratch root until the `old2new` stage commits, the
+/// in-memory path none, so a kill at that commit shows which path ran.
+#[test]
+fn each_arm_takes_its_relabel_path() {
+    let scratch = ScratchDir::new("ingest-chaos-paths").unwrap();
+    let src = scratch.file("g.txt");
+    std::fs::write(&src, graph_text()).unwrap();
+    let clean = scratch.path().join("clean");
+    let num_vertices = builder().build().unwrap().run(&src, &clean).unwrap().meta().num_vertices;
+    assert_eq!(num_vertices, 90);
+    assert!(id_map_fits(MemoryBudget::from_kib(32), num_vertices));
+    assert!(!id_map_fits(MemoryBudget(64), num_vertices));
+    let want = dir_contents(&clean);
+
+    for (arm, sorted) in [("in-memory", false), ("sorted", true)] {
+        let pipeline: fn() -> IngestPipelineBuilder =
+            if sorted { spilling_builder } else { builder };
+        let dir = scratch.path().join(arm);
+        let surface = FaultSurface::none()
+            .with_faults(FaultState::fail_at_label("commit-manifest:old2new"))
+            .with_retry(RetryPolicy::none());
+        pipeline().faults(surface).build().unwrap().run(&src, &dir).unwrap_err();
+        let degrees = scratch_root_for(&dir).join("degrees.bin");
+        assert_eq!(degrees.exists(), sorted, "{arm}: degree scratch file");
+        pipeline().resume(true).build().unwrap().run(&src, &dir).unwrap();
+        assert_identical(&dir, &want, arm);
+    }
 }
 
 #[test]
@@ -277,8 +310,9 @@ fn faults_in_spilled_runs_and_pre_merge_passes_resume_byte_identical() {
 /// resumable — and an attached-but-ample budget both completes and is
 /// actually charged. A text source learns its edge count only by parsing,
 /// so the first pre-stage check that can refuse it is the next stage's, on
-/// the counts the `runs` stage committed: a budget that holds the runs but
-/// not the adjacency stage's two sorts fails there, before either starts.
+/// the counts the `runs` stage committed: a budget that holds the runs and
+/// the id maps but not the adjacency stage's final sort fails there, before
+/// it starts. (At 32 KiB the id map fits, so that stage has one sort.)
 #[test]
 fn enospc_fails_typed_and_resumes() {
     let scratch = ScratchDir::new("ingest-enospc").unwrap();
@@ -299,16 +333,17 @@ fn enospc_fails_typed_and_resumes() {
     assert!(matches!(err, GraphError::StorageFull(_)), "got {err:?}");
     assert!(scratch_root_for(&dir).exists(), "scratch must survive ENOSPC for resume");
 
-    // 301 edges: 2408 bytes of runs fit, 2 * 8 * 301 = 4816 bytes of
-    // adjacency runs do not fit what is left.
+    // 301 edges, 90 ids: 2408 bytes of runs and 2 * 4 * 90 = 720 bytes of
+    // old2new.bin and new2old.bin fit, 8 * 301 = 2408 bytes of final runs
+    // do not fit what is left.
     let err = builder()
-        .faults(FaultSurface::none().with_disk_budget(DiskBudget::new(6000)))
+        .faults(FaultSurface::none().with_disk_budget(DiskBudget::new(5000)))
         .build()
         .unwrap()
         .run(&src, &scratch.path().join("dos-checked"))
         .unwrap_err();
     assert!(matches!(err, GraphError::StorageFull(_)), "got {err:?}");
-    assert!(err.to_string().contains("stage `adjacency` needs about 4816"), "{err}");
+    assert!(err.to_string().contains("stage `adjacency` needs about 2408"), "{err}");
 
     // Resume with a budget that fits: the run completes, the budget is
     // charged, and the output is byte-identical to the clean run.

@@ -1,10 +1,16 @@
 //! Property test for the ingest determinism claim (DESIGN.md §6g): run
-//! boundaries cannot show in the bytes. For a memory budget so small that
-//! every edge sort spills 50 or more runs and most need pre-merge passes, the
-//! DOS directory produced by [`IngestPipeline`] is **byte-identical** to
-//! the one built under a budget where every sort is one in-memory run —
-//! every file, including the `checksums.txt` sidecar — and `verify_dos`
-//! reports the same clean result.
+//! boundaries and the relabel path cannot show in the bytes. The DOS
+//! directory produced by [`IngestPipeline`] is **byte-identical** — every
+//! file, including the `checksums.txt` sidecar, and `verify_dos`'s report —
+//! across three budget arms:
+//!
+//! * [`FITS`]: every sort is one in-memory run, and the id map is relabeled
+//!   in memory (the reference);
+//! * [`MAP_FITS_SPILLS`]: the id map still fits half the budget, but every
+//!   sort spills runs — the seam of the in-memory path;
+//! * [`SPILLS`]: so small that every edge sort spills 50 or more runs, most
+//!   need pre-merge passes, and the id map does not fit, so the sorted path
+//!   (degree scratch, pair sort, by-dst sort, two co-scans) runs.
 //!
 //! Covered shapes:
 //! * an unweighted power-law-ish graph from a seeded LCG;
@@ -19,16 +25,23 @@ use std::sync::Arc;
 
 use graphz_io::{FaultState, FaultSurface, IoStats, ScratchDir};
 use graphz_storage::{
-    scratch_root_for, verify_dos, EdgeListFile, IngestPipeline, IngestPipelineBuilder,
+    id_map_fits, scratch_root_for, verify_dos, DosGraph, EdgeListFile, IngestPipeline,
+    IngestPipelineBuilder,
 };
 use graphz_types::MemoryBudget;
 
 /// Every sort of these fixtures fits one in-memory run: the reference.
 const FITS: MemoryBudget = MemoryBudget::from_mib(64);
+/// Each stage sort gets half (1024 bytes): 128 edges (85 weighted) per
+/// run, so every edge sort of the 300- to 600-edge fixtures spills 3 to 8
+/// runs, while the id map of their at most 120 vertices (480 bytes) fits
+/// that half too.
+const MAP_FITS_SPILLS: MemoryBudget = MemoryBudget(2048);
 /// Each stage sort gets half (48 bytes): 6 edges (4 weighted) per run, so
 /// the 300- to 600-edge fixtures spill 50 to 150 runs per edge sort, and
 /// every sort of more than 64 runs (the merge fan-in) takes a pre-merge
-/// pass — the source runs' inside the `runs` stage among them.
+/// pass — the source runs' inside the `runs` stage among them. The id map
+/// of any fixture here (50 vertices or more, 200 bytes) exceeds that half.
 const SPILLS: MemoryBudget = MemoryBudget(96);
 
 fn stats() -> Arc<IoStats> {
@@ -74,6 +87,10 @@ fn spilling() -> IngestPipelineBuilder {
     IngestPipeline::builder().budget(SPILLS).stats(stats())
 }
 
+fn map_fits_spilling() -> IngestPipelineBuilder {
+    IngestPipeline::builder().budget(MAP_FITS_SPILLS).stats(stats())
+}
+
 /// Ingest `text` under `budget`; returns the directory and the bytes the
 /// ingest wrote.
 fn ingest(src: &Path, dir: &Path, budget: MemoryBudget, weighted: bool) -> u64 {
@@ -86,8 +103,9 @@ fn ingest(src: &Path, dir: &Path, budget: MemoryBudget, weighted: bool) -> u64 {
     stats.snapshot().bytes_written
 }
 
-/// Ingest `text` under the spilling budget and assert the produced
-/// directory is byte-identical to the one-run build.
+/// Ingest `text` under each spilling budget and assert the produced
+/// directory is byte-identical to the one-run build, and that the budgets
+/// put the fixture on the relabel path they are meant to.
 fn assert_equivalent(label: &str, text: &str, weighted: bool) {
     let scratch = ScratchDir::new(&format!("ingest-eq-{label}")).unwrap();
     let src = scratch.file("g.txt");
@@ -99,25 +117,30 @@ fn assert_equivalent(label: &str, text: &str, weighted: bool) {
     let want_report = verify_dos(&want_dir, stats()).unwrap();
     assert!(want_report.is_clean(), "{label}: one-run build fails verify");
     assert!(want_report.files_checksummed > 0, "{label}: sidecar missing");
+    let num_vertices = DosGraph::open(&want_dir, stats()).unwrap().meta().num_vertices;
+    assert!(id_map_fits(MAP_FITS_SPILLS, num_vertices), "{label}: map must fit at 2048 B");
+    assert!(!id_map_fits(SPILLS, num_vertices), "{label}: map must not fit at 96 B");
 
-    let dir = scratch.path().join("spills");
-    let spills_written = ingest(&src, &dir, SPILLS, weighted);
-    // Spilled runs and pre-merged runs are written on top of the image.
-    assert!(
-        spills_written > fits_written,
-        "{label}: the small budget wrote {spills_written} bytes, the large {fits_written}"
-    );
-    let got = dir_contents(&dir);
-    assert_eq!(
-        got.keys().collect::<Vec<_>>(),
-        want.keys().collect::<Vec<_>>(),
-        "{label}: file set differs between budgets"
-    );
-    for (name, bytes) in &got {
-        assert_eq!(bytes, &want[name], "{label}: {name} differs between budgets");
+    for (arm, budget) in [("map-fits-spills", MAP_FITS_SPILLS), ("spills", SPILLS)] {
+        let dir = scratch.path().join(arm);
+        let spills_written = ingest(&src, &dir, budget, weighted);
+        // Spilled runs (and pre-merged runs) are written on top of the image.
+        assert!(
+            spills_written > fits_written,
+            "{label}/{arm}: the small budget wrote {spills_written} bytes, the large {fits_written}"
+        );
+        let got = dir_contents(&dir);
+        assert_eq!(
+            got.keys().collect::<Vec<_>>(),
+            want.keys().collect::<Vec<_>>(),
+            "{label}/{arm}: file set differs between budgets"
+        );
+        for (name, bytes) in &got {
+            assert_eq!(bytes, &want[name], "{label}/{arm}: {name} differs between budgets");
+        }
+        let report = verify_dos(&dir, stats()).unwrap();
+        assert_eq!(report, want_report, "{label}/{arm}: verify report differs between budgets");
     }
-    let report = verify_dos(&dir, stats()).unwrap();
-    assert_eq!(report, want_report, "{label}: verify report differs between budgets");
 }
 
 #[test]
@@ -154,9 +177,12 @@ fn as_matrix_market(text: &str) -> String {
 /// then rerun with `resume(true)` — the finished directory must be
 /// byte-identical to an uninterrupted run, `checksums.txt` included, and the
 /// scratch root must be gone afterwards. For a text, a Matrix Market and a
-/// binary source of the same edges, under both the 32 KiB budget, where
-/// only the source runs reach disk, and [`SPILLS`], where the stages killed
-/// and resumed have spilled and pre-merged runs.
+/// binary source of the same edges, under all three arms: 32 KiB, where the
+/// id map fits and only the source runs reach disk; [`MAP_FITS_SPILLS`],
+/// where the map fits and every sort spills, so a resume that skipped the
+/// `old2new` stage loads the map from `old2new.bin`; and [`SPILLS`], where
+/// the sorted path's stages killed and resumed have spilled and pre-merged
+/// runs.
 #[test]
 fn resume_after_a_kill_at_every_stage_is_byte_identical() {
     let scratch = ScratchDir::new("ingest-kill-resume").unwrap();
@@ -175,9 +201,20 @@ fn resume_after_a_kill_at_every_stage_is_byte_identical() {
         .run(&txt, &clean_dir)
         .unwrap();
     let want = dir_contents(&clean_dir);
+    let num_vertices = DosGraph::open(&clean_dir, stats()).unwrap().meta().num_vertices;
+    let paths = [MemoryBudget::from_kib(32), MAP_FITS_SPILLS, SPILLS]
+        .map(|b| id_map_fits(b, num_vertices));
+    assert_eq!(paths, [true, true, false], "the arms' relabel paths");
 
     for (kind, src) in [("text", &txt), ("mtx", &mtx), ("binary", &bin)] {
         kill_at_every_stage(&scratch, src, builder, &format!("{kind}-one-run"), &want);
+        kill_at_every_stage(
+            &scratch,
+            src,
+            map_fits_spilling,
+            &format!("{kind}-map-fits-spilling"),
+            &want,
+        );
         kill_at_every_stage(&scratch, src, spilling, &format!("{kind}-spilling"), &want);
     }
 }
