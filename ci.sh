@@ -93,8 +93,13 @@ step "checkpoint chaos + retention (DESIGN.md §6c)"
 # resume to the uninterrupted run's exact values; label probes show the
 # manifest and retention ops are in the swept range. Then all six
 # algorithms resume from an intermediate generation, and a run keeps exactly
-# its newest two generations, the older a usable fallback.
+# its newest two generations, the older a usable fallback. The serve
+# snapshot tests are the other reader of a generation manifest: a pin reads
+# the manifest and each listed file once, and damage (a flipped frame, a
+# valid frame of other bytes, a malformed `file:` entry) falls back one
+# generation.
 cargo test -q --offline -p graphz-bench --test chaos_checkpoint --test checkpoint_algos
+cargo test -q --offline -p graphz-serve --lib snapshot
 step_done
 
 step "clippy (warnings are errors)"

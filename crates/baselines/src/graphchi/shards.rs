@@ -230,7 +230,7 @@ impl ChiShards {
     }
 
     pub fn open(dir: &Path, stats: Arc<IoStats>) -> Result<Self> {
-        let mf = MetaFile::load(&dir.join("meta.txt"))?;
+        let mf = MetaFile::load(&dir.join("meta.txt"), &stats)?;
         if mf.get("format") != Some("graphchi-shards") {
             return Err(GraphError::Corrupt(format!(
                 "{} is not a GraphChi shard directory",

@@ -135,7 +135,7 @@ impl GridPartitions {
     }
 
     pub fn open(dir: &Path) -> Result<Self> {
-        let mf = MetaFile::load(&dir.join("meta.txt"))?;
+        let mf = MetaFile::load(&dir.join("meta.txt"), &IoStats::new())?;
         if mf.get("format") != Some("gridgraph") {
             return Err(GraphError::Corrupt(format!(
                 "{} is not a GridGraph directory",

@@ -88,7 +88,7 @@ impl XsPartitions {
     }
 
     pub fn open(dir: &Path) -> Result<Self> {
-        let mf = MetaFile::load(&dir.join("meta.txt"))?;
+        let mf = MetaFile::load(&dir.join("meta.txt"), &IoStats::new())?;
         if mf.get("format") != Some("xstream-partitions") {
             return Err(GraphError::Corrupt(format!(
                 "{} is not an X-Stream partition directory",

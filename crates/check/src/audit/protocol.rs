@@ -67,23 +67,23 @@ fn is_consumer(method: &str) -> bool {
 /// start index, report line)`.
 fn creation_at(t: &[Token], i: usize) -> Option<(&'static str, usize, usize)> {
     // AtomicFile::create(…) / StagedDir::stage(…) (and their fault-injecting
-    // variants), plus StageManifest::new(…) — a manifest records a stage's
+    // variants), plus MetaFile::stage(…) — a manifest records a stage's
     // artifacts but only marks the stage durable on `commit()`.
     let ty = t[i].text.as_str();
-    if (ty == "AtomicFile" || ty == "StagedDir" || ty == "StageManifest")
+    if (ty == "AtomicFile" || ty == "StagedDir" || ty == "MetaFile")
         && t.get(i + 1).is_some_and(|x| x.text == "::")
         && t.get(i + 3).is_some_and(|x| x.text == "(")
     {
         let method = t[i + 2].text.as_str();
         let ok = match ty {
             "AtomicFile" => method == "create" || method == "create_with_faults",
-            "StageManifest" => method == "new",
+            "MetaFile" => method == "stage",
             _ => method == "stage" || method == "stage_with_faults",
         };
         if ok {
             let label = match ty {
                 "AtomicFile" => "AtomicFile",
-                "StageManifest" => "StageManifest",
+                "MetaFile" => "MetaFile::stage",
                 _ => "StagedDir",
             };
             // Skip over a leading module path (`io::AtomicFile::create`).
@@ -307,13 +307,13 @@ mod tests {
     #[test]
     fn uncommitted_stage_manifest_is_flagged() {
         let src = "fn record(dir: &Path) -> Result<()> {\n\
-                   let mut m = StageManifest::new(\"triads\");\n\
+                   let mut m = MetaFile::stage(\"triads\");\n\
                    m.set(\"assigned\", \"7\");\n Ok(())\n}";
         let v = audit(src);
         assert_eq!(v.len(), 1, "{v:?}");
-        assert!(v[0].message.contains("StageManifest"), "{}", v[0].message);
+        assert!(v[0].message.contains("MetaFile::stage"), "{}", v[0].message);
         let src = "fn record(dir: &Path, s: &FaultSurface) -> Result<()> {\n\
-                   let mut m = StageManifest::new(\"triads\");\n\
+                   let mut m = MetaFile::stage(\"triads\");\n\
                    m.set(\"assigned\", \"7\");\n m.commit(&dir.join(\"m\"), s)?;\n Ok(())\n}";
         assert!(audit(src).is_empty());
     }

@@ -23,7 +23,7 @@ use super::solver::{solve, Direction};
 const CREATORS: &[(&str, &[&str])] = &[
     ("AtomicFile", &["create", "create_with_faults"]),
     ("StagedDir", &["stage", "stage_with_faults"]),
-    ("StageManifest", &["new"]),
+    ("MetaFile", &["stage"]),
 ];
 
 /// Methods that settle the resource (mirrors the audit rule's set).

@@ -9,7 +9,7 @@
 //!   the ingest crates must be dominated by a `FaultSurface` gate
 //!   (`.op(…)`/`.wrap(…)`) so chaos sweeps cover every write path.
 //! * [`consume`] — `must-consume-paths`: staged resources (`AtomicFile`,
-//!   `StagedDir`, `StageManifest`) must reach a consumer or escape on
+//!   `StagedDir`, a `MetaFile::stage` manifest) must reach a consumer or escape on
 //!   *every* success path; dropping on a `?`-error path is the abort and
 //!   is allowed.
 //! * [`taint`] — `determinism-taint`: values derived from thread identity,
@@ -57,7 +57,7 @@ pub const FLOW_RULES: &[Rule] = &[
     },
     Rule {
         name: "must-consume-paths",
-        why: "an AtomicFile/StagedDir/StageManifest that can reach the end of \
+        why: "an AtomicFile/StagedDir/stage manifest that can reach the end of \
               its function un-consumed on a success path silently discards \
               staged work there; every success path must commit, abort, or \
               move the value on (error paths may drop — that is the abort)",

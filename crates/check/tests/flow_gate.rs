@@ -168,6 +168,28 @@ fn path_sensitivity_distinguishes_branches() {
     assert_eq!(findings[0].path, Path::new("crates/io/src/halfgate.rs"));
 }
 
+/// A stage manifest committed on only one success path is a finding; one
+/// committed on every path is clean.
+#[test]
+fn a_stage_manifest_committed_on_one_path_is_flagged() {
+    let root = scratch("flow_fixture_manifest");
+    write(
+        &root,
+        "crates/storage/src/stagemf.rs",
+        "pub fn record(path: &Path, s: &FaultSurface, flag: bool) -> Result<()> {\n\
+         let mut m = MetaFile::stage(\"runs\");\n\
+         m.set(\"num_edges\", 7);\n\
+         if flag {\n        m.commit(path, s)?;\n    }\n    Ok(())\n}\n\
+         pub fn always(path: &Path, s: &FaultSurface) -> Result<()> {\n\
+         let mut m = MetaFile::stage(\"emit\");\n\
+         m.set(\"written\", 7);\n    m.commit(path, s)?;\n    Ok(())\n}\n",
+    );
+    let findings = flow_tree(&root).expect("flow fixture");
+    assert_eq!(findings.len(), 1, "{findings:?}");
+    assert_eq!(findings[0].rule, "must-consume-paths");
+    assert_eq!(findings[0].line, 2, "{findings:?}");
+}
+
 #[test]
 fn findings_name_file_line_and_rule() {
     let root = scratch("flow_fixture_report");

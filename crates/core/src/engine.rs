@@ -105,8 +105,7 @@ impl PendingGeneration {
             .set("msg_spilled", counters.spilled)
             .set("msg_replayed", counters.replayed);
 
-        let (len, crc) = self.vertices.finish().ctx("write", self.staged.path())?;
-        mf.set("file:vertices.bin", format!("{len},{crc:08x}"));
+        mf.record_file("vertices.bin", self.vertices.finish().ctx("write", self.staged.path())?);
 
         let msg_dst = self.staged.path().join("msgs");
         std::fs::create_dir(&msg_dst).ctx("create-dir", &msg_dst)?;
@@ -129,8 +128,8 @@ impl PendingGeneration {
                 }
                 frame.write_all(&buf[..n]).ctx("write", &dst)?;
             }
-            let (len, crc) = frame.finish().ctx("write", &dst)?;
-            mf.set(&format!("file:msgs/{}", name.to_string_lossy()), format!("{len},{crc:08x}"));
+            let fingerprint = frame.finish().ctx("write", &dst)?;
+            mf.record_file(&format!("msgs/{}", name.to_string_lossy()), fingerprint);
         }
 
         // The manifest is one more staged file: written once, gated, and
@@ -1033,7 +1032,7 @@ impl<P: VertexProgram> Engine<P> {
         // generations module (the serving layer pins generations through
         // the same code); the partition-compatibility check and the apply
         // pass are engine-specific.
-        let manifest = generations::load_manifest(dir)?;
+        let manifest = generations::GenerationManifest::load(dir, &self.stats)?;
         let partitions = manifest.partitions()?;
         if partitions != self.partitions.num_partitions() {
             return Err(GraphError::InvalidConfig(format!(
@@ -1053,9 +1052,8 @@ impl<P: VertexProgram> Engine<P> {
             Err(e) => return Err(GraphError::from(e)).ctx("remove-dir", &staging),
         }
         std::fs::create_dir_all(&staging).ctx("create-dir", &staging)?;
-        let mut moves = Vec::with_capacity(manifest.files().len());
-        for (i, entry) in manifest.files().iter().enumerate() {
-            let rel = entry.0.as_str();
+        let mut moves = Vec::new();
+        for (i, (rel, _)) in manifest.meta().files().enumerate() {
             let dst = if rel == "vertices.bin" {
                 self.vertices_path.clone()
             } else if let Some(name) = rel.strip_prefix("msgs/") {
@@ -1066,7 +1064,7 @@ impl<P: VertexProgram> Engine<P> {
                 )));
             };
             let staged = staging.join(format!("{i:06}"));
-            manifest.unframe_to(entry, &staged, &self.stats)?;
+            manifest.unframe_to(rel, &staged, &self.stats)?;
             moves.push((staged, dst));
         }
 
@@ -1890,9 +1888,9 @@ mod tests {
         );
     }
 
-    /// A resume reads each file of the generation it restores exactly once:
-    /// unframed into a staged name and checked as it streams, then moved
-    /// into place.
+    /// A resume reads the manifest and each file of the generation it
+    /// restores exactly once: unframed into a staged name and checked as it
+    /// streams, then moved into place.
     #[test]
     fn resume_latest_reads_the_generation_once() {
         let budget = MemoryBudget(32);
@@ -1906,16 +1904,19 @@ mod tests {
         let newest = gens.path().join("gen-00000003");
         let manifest = crate::generations::load_manifest(&newest).unwrap();
         let files: u64 = manifest
+            .meta()
             .files()
-            .iter()
-            .map(|(rel, _, _)| std::fs::metadata(newest.join(rel)).unwrap().len())
+            .map(|(rel, _)| std::fs::metadata(newest.join(rel)).unwrap().len())
             .sum();
-        assert!(manifest.files().len() > 1, "the generation should hold message files too");
+        let listed = manifest.meta().files().count();
+        assert!(listed > 1, "the generation should hold message files too");
+        // The manifest itself is read through the engine's stats as well.
+        let manifest_len = std::fs::metadata(newest.join("manifest.txt")).unwrap().len();
 
         let (_d2, mut resumed) = dos_engine(test_graph(), budget, EngineOptions::full(), 6);
         let before = resumed.stats.snapshot().bytes_read;
         assert_eq!(resumed.resume_latest(gens.path()).unwrap(), Some(3));
-        assert_eq!(resumed.stats.snapshot().bytes_read - before, files);
+        assert_eq!(resumed.stats.snapshot().bytes_read - before, manifest_len + files);
         assert!(!resumed.scratch.file("restore").exists(), "staging left behind");
     }
 

@@ -7,11 +7,11 @@
 //! A checkpoint root holds `gen-NNNNNNNN/` directories (one per completed
 //! generation, named by the iteration the run would continue from), each
 //! written atomically via a staged rename and described by a `manifest.txt`
-//! recording the payload length and CRC32 of every framed file. Listing is
-//! one `read_dir`, and verification replays each file's frame against the
-//! manifest entry without touching the files' contents on disk — which is
-//! what makes a pinned generation safe to serve from while a writer lays
-//! down newer ones next to it (DESIGN.md §6l). The one writer here is
+//! (a [`MetaFile`]) recording the payload fingerprint of every framed file.
+//! Listing is one `read_dir`, and verification replays each file's frame
+//! against the manifest entry without touching the files' contents on disk —
+//! which is what makes a pinned generation safe to serve from while a writer
+//! lays down newer ones next to it (DESIGN.md §6l). The one writer here is
 //! [`retire_older`], which removes whole generations the writer no longer
 //! needs (DESIGN.md §6c); a reader that loses one mid-pin sees it vanish
 //! and moves on, like any other crash damage.
@@ -54,8 +54,8 @@ pub struct Generation {
 /// missing root is an empty listing (a run that never checkpointed), not an
 /// error; names that are not `gen-NNNNNNNN` (staging leftovers, displaced
 /// `.old` trees) are skipped. No manifest is opened — pair with
-/// [`load_manifest`] / [`GenerationManifest::verify_files`] to find the
-/// newest *usable* one.
+/// [`GenerationManifest::load`] / [`GenerationManifest::verify_files`] to
+/// find the newest *usable* one.
 pub fn list_generations(root: &Path) -> Result<Vec<Generation>> {
     let entries = match std::fs::read_dir(root) {
         Ok(e) => e,
@@ -74,67 +74,58 @@ pub fn list_generations(root: &Path) -> Result<Vec<Generation>> {
 }
 
 /// A parsed (and structurally validated) checkpoint manifest: the layout
-/// version and format markers checked, the file table decoded, and
-/// `vertices.bin` confirmed present. Contents are *not* yet checked against
-/// the recorded checksums — that is [`verify_files`].
+/// version and format markers checked, every `file:` entry parsed, and
+/// `vertices.bin` confirmed listed. Contents are *not* yet checked against
+/// the recorded fingerprints — that is [`verify_files`].
 ///
 /// [`verify_files`]: GenerationManifest::verify_files
 #[derive(Debug)]
 pub struct GenerationManifest {
     dir: PathBuf,
     meta: MetaFile,
-    /// `(relative path, payload length, payload crc32)` per manifest entry.
-    files: Vec<(String, u64, u32)>,
 }
 
-/// Parse a `file:<rel>` manifest value of the form `<len>,<crc-hex>`.
-fn parse_manifest_entry(rel: &str, value: &str) -> Result<(u64, u32)> {
-    value
-        .split_once(',')
-        .and_then(|(len, crc)| Some((len.parse().ok()?, u32::from_str_radix(crc, 16).ok()?)))
-        .ok_or_else(|| {
-            GraphError::Corrupt(format!("manifest entry for `{rel}` is malformed: `{value}`"))
-        })
-}
-
-/// Load and structurally validate the manifest of one generation directory.
-/// A missing manifest is [`GraphError::NotFound`] (torn rename / not a
-/// checkpoint); a wrong format marker, unsupported version, or missing
-/// `vertices.bin` entry is [`GraphError::Corrupt`].
+/// [`GenerationManifest::load`] for tooling that keeps no [`IoStats`].
 pub fn load_manifest(dir: &Path) -> Result<GenerationManifest> {
-    let manifest_path = dir.join("manifest.txt");
-    if !manifest_path.is_file() {
-        return Err(GraphError::NotFound(format!(
-            "no checkpoint manifest at {}",
-            manifest_path.display()
-        )));
-    }
-    let mf = MetaFile::load(&manifest_path)?;
-    if mf.get("format") != Some("graphz-checkpoint") {
-        return Err(GraphError::Corrupt(format!("{} is not a GraphZ checkpoint", dir.display())));
-    }
-    let version = mf.get_u64("version")?;
-    if version != CHECKPOINT_VERSION {
-        return Err(GraphError::Corrupt(format!(
-            "unsupported checkpoint version {version} (expected {CHECKPOINT_VERSION})"
-        )));
-    }
-    let mut files: Vec<(String, u64, u32)> = Vec::new();
-    for (key, value) in mf.entries() {
-        let Some(rel) = key.strip_prefix("file:") else { continue };
-        let (len, crc) = parse_manifest_entry(rel, value)?;
-        files.push((rel.to_string(), len, crc));
-    }
-    if !files.iter().any(|(rel, _, _)| rel == "vertices.bin") {
-        return Err(GraphError::Corrupt(format!(
-            "checkpoint manifest at {} lists no vertices.bin",
-            dir.display()
-        )));
-    }
-    Ok(GenerationManifest { dir: dir.to_path_buf(), meta: mf, files })
+    GenerationManifest::load(dir, &IoStats::new())
 }
 
 impl GenerationManifest {
+    /// Load and structurally validate the manifest of one generation
+    /// directory, reading it through `stats`. A missing manifest is
+    /// [`GraphError::NotFound`] (torn rename / not a checkpoint); a wrong
+    /// format marker, unsupported version, malformed entry or missing
+    /// `vertices.bin` entry is [`GraphError::Corrupt`].
+    pub fn load(dir: &Path, stats: &Arc<IoStats>) -> Result<Self> {
+        let manifest_path = dir.join("manifest.txt");
+        if !manifest_path.is_file() {
+            return Err(GraphError::NotFound(format!(
+                "no checkpoint manifest at {}",
+                manifest_path.display()
+            )));
+        }
+        let meta = MetaFile::load(&manifest_path, stats)?;
+        if meta.get("format") != Some("graphz-checkpoint") {
+            return Err(GraphError::Corrupt(format!(
+                "{} is not a GraphZ checkpoint",
+                dir.display()
+            )));
+        }
+        let version = meta.get_u64("version")?;
+        if version != CHECKPOINT_VERSION {
+            return Err(GraphError::Corrupt(format!(
+                "unsupported checkpoint version {version} (expected {CHECKPOINT_VERSION})"
+            )));
+        }
+        if meta.file("vertices.bin").is_err() {
+            return Err(GraphError::Corrupt(format!(
+                "checkpoint manifest at {} lists no vertices.bin",
+                dir.display()
+            )));
+        }
+        Ok(GenerationManifest { dir: dir.to_path_buf(), meta })
+    }
+
     /// The generation directory this manifest describes.
     pub fn dir(&self) -> &Path {
         &self.dir
@@ -150,83 +141,60 @@ impl GenerationManifest {
         Ok(self.meta.get_u64("partitions")? as u32)
     }
 
-    /// Raw access to the manifest key/value table (engine-specific fields
-    /// such as message counters).
+    /// The manifest itself: engine-specific fields such as message
+    /// counters, and the listed files ([`MetaFile::files`]).
     pub fn meta(&self) -> &MetaFile {
         &self.meta
     }
 
-    /// `(relative path, payload length, payload crc32)` per manifest entry.
-    pub fn files(&self) -> &[(String, u64, u32)] {
-        &self.files
-    }
-
-    /// Verify every manifest-listed file against its recorded length and
-    /// CRC32 by replaying the frames. Nothing is modified; damage surfaces
-    /// as typed [`GraphError::Corrupt`] so a caller scanning newest-first
-    /// can skip to the next older generation.
+    /// Verify every listed file against its recorded fingerprint by
+    /// replaying the frames. Nothing is modified; damage surfaces as typed
+    /// [`GraphError::Corrupt`] so a caller scanning newest-first can skip to
+    /// the next older generation.
     pub fn verify_files(&self, stats: &Arc<IoStats>) -> Result<()> {
-        self.files.iter().try_for_each(|entry| self.verify_entry(entry, stats))
+        self.meta.files().try_for_each(|(rel, _)| self.unframe(rel, &mut std::io::sink(), stats))
     }
 
-    /// Replay one manifest-listed file's frame against its entry.
-    fn verify_entry(
-        &self,
-        (rel, len, crc): &(String, u64, u32),
-        stats: &Arc<IoStats>,
-    ) -> Result<()> {
-        let path = self.dir.join(rel);
-        let digest = graphz_io::framed::verify_stream(open_listed(&path, stats)?)
-            .map_err(GraphError::from)
-            .ctx("verify", &path)?;
-        check_entry(&path, digest, (*len, *crc))
-    }
-
-    /// Unframe the manifest-listed file of `entry` into `dst` in one read,
-    /// checking it against the entry as it streams. Damage is the same
-    /// typed [`GraphError::Corrupt`] as [`verify_files`](Self::verify_files);
+    /// Unframe listed file `rel` into `dst` in one read, checking it
+    /// against its entry as it streams. Damage is the same typed
+    /// [`GraphError::Corrupt`] as [`verify_files`](Self::verify_files);
     /// `dst` then holds a partial payload the caller must discard.
-    pub fn unframe_to(
-        &self,
-        entry: &(String, u64, u32),
-        dst: &Path,
-        stats: &Arc<IoStats>,
-    ) -> Result<()> {
+    pub fn unframe_to(&self, rel: &str, dst: &Path, stats: &Arc<IoStats>) -> Result<()> {
         let mut out = graphz_io::TrackedFile::create(dst, Arc::clone(stats)).ctx("create", dst)?;
-        self.unframe(entry, &mut out, stats)
+        self.unframe(rel, &mut out, stats)
     }
 
-    /// Unframe manifest-listed file `rel` fully into memory while checking it
-    /// against its manifest entry, and verify every other listed file by
-    /// stream — each file is read exactly once (the serving layer's way to
-    /// pin `vertices.bin` without an engine scratch directory). Damage
-    /// anywhere is the same typed [`GraphError::Corrupt`] as
+    /// Unframe listed file `rel` fully into memory while checking it
+    /// against its entry, and verify every other listed file by stream —
+    /// each file is read exactly once (the serving layer's way to pin
+    /// `vertices.bin` without an engine scratch directory). Damage anywhere
+    /// is the same typed [`GraphError::Corrupt`] as
     /// [`verify_files`](Self::verify_files); a `rel` the manifest does not
     /// list is [`GraphError::NotFound`].
     pub fn load_verified(&self, rel: &str, stats: &Arc<IoStats>) -> Result<Vec<u8>> {
-        let Some(entry) = self.files.iter().find(|(r, _, _)| r == rel) else {
+        let Ok(want) = self.meta.file(rel) else {
             return Err(GraphError::NotFound(format!(
                 "checkpoint manifest at {} lists no `{rel}`",
                 self.dir.display()
             )));
         };
-        for entry in self.files.iter().filter(|(other, _, _)| other != rel) {
-            self.verify_entry(entry, stats)?;
+        for (other, _) in self.meta.files().filter(|(other, _)| *other != rel) {
+            self.unframe(other, &mut std::io::sink(), stats)?;
         }
         let path = self.dir.join(rel);
         // Sized once from the manifest, but never past the file itself: a
         // damaged entry must not size an allocation.
         let on_disk = std::fs::metadata(&path).map_or(0, |m| m.len());
-        let mut out = Vec::with_capacity(usize::try_from(entry.1.min(on_disk)).unwrap_or(0));
-        self.unframe(entry, &mut out, stats)?;
+        let mut out = Vec::with_capacity(usize::try_from(want.len.min(on_disk)).unwrap_or(0));
+        self.unframe(rel, &mut out, stats)?;
         Ok(out)
     }
 
-    /// Stream the payload of `entry`'s file into `sink`, then check the
-    /// frame's length and CRC against the entry.
+    /// Stream the payload of listed file `rel` into `sink`, then check the
+    /// frame's fingerprint against the entry.
     fn unframe(
         &self,
-        (rel, len, crc): &(String, u64, u32),
+        rel: &str,
         sink: &mut impl std::io::Write,
         stats: &Arc<IoStats>,
     ) -> Result<()> {
@@ -235,10 +203,10 @@ impl GenerationManifest {
             .map_err(GraphError::from)
             .ctx("read", &path)?;
         std::io::copy(&mut framed, sink).map_err(GraphError::from).ctx("read", &path)?;
-        let digest = framed.verified().ok_or_else(|| {
+        let found = framed.verified().ok_or_else(|| {
             GraphError::Corrupt(format!("checkpoint file {} ended unverified", path.display()))
         })?;
-        check_entry(&path, digest, (*len, *crc))
+        self.meta.check(rel, found)
     }
 }
 
@@ -252,22 +220,6 @@ fn open_listed(path: &Path, stats: &Arc<IoStats>) -> Result<graphz_io::TrackedRe
         )),
         _ => GraphError::Io(e),
     })
-}
-
-/// A verified frame's `(len, crc)` must equal the manifest entry's.
-fn check_entry(
-    path: &Path,
-    (len, crc): (u64, u32),
-    (want_len, want_crc): (u64, u32),
-) -> Result<()> {
-    if len != want_len || crc != want_crc {
-        return Err(GraphError::Corrupt(format!(
-            "checkpoint file {} does not match its manifest entry: \
-             len {len} vs {want_len}, crc {crc:08x} vs {want_crc:08x}",
-            path.display()
-        )));
-    }
-    Ok(())
 }
 
 /// Generations a checkpoint root keeps after each commit: the one just

@@ -677,10 +677,7 @@ mod tests {
         let values: Vec<u64> = (0..1_000).map(|_| rng.random_range(0..500)).collect();
         let mut expected = values.clone();
         expected.sort_unstable();
-        let on_disk = |p: &Path| {
-            let (len, crc) = graphz_io::crc32_stream(std::fs::File::open(p).unwrap()).unwrap();
-            Fingerprint { len, crc }
-        };
+        let on_disk = |p: &Path| graphz_io::crc32_stream(std::fs::File::open(p).unwrap()).unwrap();
         // 8 records per run: 126 runs, the last one partial and spilled
         // too; fan-in 4 takes three pre-merge passes, fan-in 200 none.
         for (fan_in, want_runs) in [(4usize, 2usize), (200, 126)] {

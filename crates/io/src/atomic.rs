@@ -88,7 +88,6 @@ impl AtomicFile {
         if tmp.exists() {
             fs::remove_file(&tmp)?;
         }
-        // ipa:allow(fault-surface-reach) — a failed staging create leaves dest untouched; plan ops deliberately start at the durability boundary (op 0 = fsync)
         let file = File::create(&tmp)?;
         Ok(AtomicFile { tmp, dest: dest.to_path_buf(), file: Some(file), faults, retry })
     }

@@ -99,7 +99,7 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 }
 
 /// Length and CRC32 of a file's bytes, rendered `len,crc` with the CRC as
-/// eight hex digits — the form stage manifests and `checksums.txt` record.
+/// eight hex digits — the form every `file:` entry of a manifest records.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Fingerprint {
     pub len: u64,
@@ -161,7 +161,7 @@ impl<W: Write> Write for CrcWriter<W> {
 
 /// Length and CRC32 of everything remaining in `r`, streamed in 64 KiB
 /// chunks — for checksumming whole files without loading them.
-pub fn crc32_stream<R: std::io::Read>(mut r: R) -> std::io::Result<(u64, u32)> {
+pub fn crc32_stream<R: std::io::Read>(mut r: R) -> std::io::Result<Fingerprint> {
     let mut crc = Crc32::new();
     let mut len = 0u64;
     let mut buf = vec![0u8; 64 * 1024];
@@ -173,7 +173,7 @@ pub fn crc32_stream<R: std::io::Read>(mut r: R) -> std::io::Result<(u64, u32)> {
         crc.update(&buf[..n]);
         len += n as u64;
     }
-    Ok((len, crc.finish()))
+    Ok(Fingerprint { len, crc: crc.finish() })
 }
 
 #[cfg(test)]

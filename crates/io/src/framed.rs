@@ -30,7 +30,7 @@ use std::io::{self, Read, Write};
 
 use graphz_types::codec::{read_u32_le, read_u64_le};
 
-use crate::checksum::Crc32;
+use crate::checksum::{Crc32, Fingerprint};
 
 pub const FRAME_MAGIC: [u8; 4] = *b"GZFR";
 pub const FRAME_END_MAGIC: [u8; 4] = *b"GZFE";
@@ -75,10 +75,10 @@ impl<W: Write> FramedWriter<W> {
     /// and CRC32 the footer records — the digest a manifest lists for this
     /// file, taken while the bytes streamed through, so nobody reads the file
     /// back to checksum it.
-    pub fn finish(&mut self) -> io::Result<(u64, u32)> {
+    pub fn finish(&mut self) -> io::Result<Fingerprint> {
         let crc = self.crc.finish();
         if self.finished {
-            return Ok((self.len, crc));
+            return Ok(Fingerprint { len: self.len, crc });
         }
         let mut footer = [0u8; FOOTER_LEN];
         let fields =
@@ -89,7 +89,7 @@ impl<W: Write> FramedWriter<W> {
         self.inner.write_all(&footer)?;
         self.inner.flush()?;
         self.finished = true;
-        Ok((self.len, crc))
+        Ok(Fingerprint { len: self.len, crc })
     }
 
     /// Finish (if not already finished) and return the underlying writer.
@@ -210,8 +210,8 @@ impl<R: Read> FramedReader<R> {
     /// The payload length and CRC32 of a stream read to its verified end;
     /// `None` before that. Callers comparing a file against a manifest entry
     /// take the digest from here instead of checksumming the payload again.
-    pub fn verified(&self) -> Option<(u64, u32)> {
-        self.verified.then(|| (self.len, self.crc.finish()))
+    pub fn verified(&self) -> Option<Fingerprint> {
+        self.verified.then(|| Fingerprint { len: self.len, crc: self.crc.finish() })
     }
 
     fn fill_inner(&mut self, buf: &mut [u8]) -> io::Result<usize> {
@@ -289,8 +289,8 @@ impl<R: Read> FramedReader<R> {
 }
 
 /// Read `r` to its end, verifying the frame, without retaining the payload.
-/// Returns `(payload_len, crc32)` on success.
-pub fn verify_stream<R: Read>(r: R) -> io::Result<(u64, u32)> {
+/// Returns the payload's fingerprint on success.
+pub fn verify_stream<R: Read>(r: R) -> io::Result<Fingerprint> {
     let mut fr = FramedReader::new(r)?;
     let mut buf = [0u8; 8192];
     while fr.read(&mut buf)? > 0 {}
@@ -337,7 +337,7 @@ mod tests {
                     out.extend_from_slice(&buf[..n]);
                 }
                 assert_eq!(out, payload, "size {size}, chunk {chunk}");
-                assert_eq!(r.verified(), Some((size as u64, crate::checksum::crc32(&payload))));
+                assert_eq!(r.verified(), Some(Fingerprint::of(&payload)));
             }
             let mut r = FramedReader::new(&framed[..]).unwrap();
             let mut out = Vec::new();
@@ -396,14 +396,14 @@ mod tests {
     fn verify_stream_reports_payload_digest() {
         let payload = b"some payload bytes".to_vec();
         let framed = frame(&payload);
-        let (len, crc) = verify_stream(&framed[..]).unwrap();
-        assert_eq!(len, payload.len() as u64);
-        assert_eq!(crc, crate::checksum::crc32(&payload));
+        let digest = verify_stream(&framed[..]).unwrap();
+        assert_eq!(digest.len, payload.len() as u64);
+        assert_eq!(digest.crc, crate::checksum::crc32(&payload));
         // The writer hands out the same digest it wrote into the footer.
         let mut w = FramedWriter::new(Vec::new()).unwrap();
         w.write_all(&payload).unwrap();
-        assert_eq!(w.finish().unwrap(), (len, crc));
-        assert_eq!(w.finish().unwrap(), (len, crc), "finish is idempotent");
+        assert_eq!(w.finish().unwrap(), digest);
+        assert_eq!(w.finish().unwrap(), digest, "finish is idempotent");
     }
 
     #[test]

@@ -10,6 +10,12 @@
 //!    physical disks (our scaled-down files sit in the OS page cache, so
 //!    wall-clock time alone cannot reproduce HDD/SSD effects; see DESIGN.md
 //!    §3).
+//!
+//! It also holds the integrity primitives: a file's [`Fingerprint`] (length
+//! and CRC32, taken by [`CrcWriter`] while writing), the [`framed`] format
+//! and the atomic writers. The one manifest type that records fingerprints
+//! (`meta.txt`, `checksums.txt`, checkpoint and convert stage manifests) is
+//! `graphz_storage::meta::MetaFile`.
 
 #![forbid(unsafe_code)]
 
@@ -18,7 +24,6 @@ pub mod checksum;
 pub mod device;
 pub mod fault;
 pub mod framed;
-pub mod manifest;
 pub mod record;
 pub mod scratch;
 pub mod stats;
@@ -32,7 +37,6 @@ pub use fault::{
     FaultSurface, GatedWriter, RetryPolicy, SurfaceWriter,
 };
 pub use framed::{FramedReader, FramedWriter};
-pub use manifest::StageManifest;
 pub use record::{RecordReader, RecordWriter};
 pub use scratch::ScratchDir;
 pub use stats::{IoSnapshot, IoStats, PrefetchSnapshot};

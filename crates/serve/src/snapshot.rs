@@ -58,7 +58,7 @@ impl Snapshot {
                 generations::RETAINED_GENERATIONS
             )));
         }
-        let manifest = generations::load_manifest(&dir)?;
+        let manifest = GenerationManifest::load(&dir, stats)?;
         Self::from_manifest(&manifest, number, num_vertices, stats)
     }
 
@@ -77,9 +77,10 @@ impl Snapshot {
         for _ in 0..RESCANS {
             let mut vanished = false;
             for generation in generations::list_generations(root)? {
-                let pinned = generations::load_manifest(&generation.path).and_then(|manifest| {
-                    Self::from_manifest(&manifest, generation.number, num_vertices, stats)
-                });
+                let pinned =
+                    GenerationManifest::load(&generation.path, stats).and_then(|manifest| {
+                        Self::from_manifest(&manifest, generation.number, num_vertices, stats)
+                    });
                 match pinned {
                     Ok(snap) => return Ok(snap),
                     Err(GraphError::Corrupt(_) | GraphError::NotFound(_) | GraphError::Io(_)) => {
@@ -185,15 +186,16 @@ mod tests {
     }
 
     /// Bytes of the files a generation's manifest lists (the frames a pin
-    /// must read; the manifest itself is parsed, not counted).
+    /// must read) and their count.
     fn listed_bytes(root: &Path, number: u32) -> (u64, usize) {
         let dir = generations::generation_path(root, number);
         let manifest = generations::load_manifest(&dir).unwrap();
-        let sizes = manifest
+        let sizes: Vec<u64> = manifest
+            .meta()
             .files()
-            .iter()
-            .map(|(rel, _, _)| std::fs::metadata(manifest.dir().join(rel)).unwrap().len());
-        (sizes.clone().sum(), sizes.count())
+            .map(|(rel, _)| std::fs::metadata(manifest.dir().join(rel)).unwrap().len())
+            .collect();
+        (sizes.iter().sum(), sizes.len())
     }
 
     #[test]
@@ -202,10 +204,16 @@ mod tests {
         let (root, n, newest) = generations(&dir);
         let (bytes, files) = listed_bytes(&root, newest);
         assert!(files > 1, "the fixture must carry spill segments: {files} file(s)");
+        let manifest = generations::generation_path(&root, newest).join("manifest.txt");
+        let manifest_len = std::fs::metadata(manifest).unwrap().len();
         let stats = IoStats::new();
         let snap = Snapshot::pin_latest(&root, n, &stats).unwrap();
         assert_eq!(snap.generation(), newest);
-        assert_eq!(stats.snapshot().bytes_read, bytes, "every listed file read exactly once");
+        assert_eq!(
+            stats.snapshot().bytes_read,
+            manifest_len + bytes,
+            "the manifest and every listed file read exactly once"
+        );
     }
 
     #[test]
@@ -230,6 +238,54 @@ mod tests {
             }
             std::fs::write(&victim, &good).unwrap();
         }
+        assert_eq!(Snapshot::pin_latest(&root, n, &stats).unwrap().generation(), newest);
+    }
+
+    /// A `vertices.bin` that is a valid frame of other bytes (the older
+    /// generation's) passes every frame check; only its manifest entry
+    /// tells it apart.
+    #[test]
+    fn a_valid_frame_of_other_bytes_is_corrupt() {
+        let dir = ScratchDir::new("snapshot-swapped").unwrap();
+        let (root, n, newest) = generations(&dir);
+        let file = |g: u32| generations::generation_path(&root, g).join("vertices.bin");
+        let older = std::fs::read(file(newest - 1)).unwrap();
+        assert_ne!(older, std::fs::read(file(newest)).unwrap(), "the fixture must move values");
+        std::fs::write(file(newest), older).unwrap();
+        let stats = IoStats::new();
+        let err = Snapshot::pin(&root, newest, n, &stats).err();
+        assert!(
+            matches!(&err, Some(GraphError::Corrupt(m)) if m.contains("vertices.bin")),
+            "{err:?}"
+        );
+        assert_eq!(Snapshot::pin_latest(&root, n, &stats).unwrap().generation(), newest - 1);
+    }
+
+    /// A manifest whose `vertices.bin` entry is no `<len>,<crc>` fails to
+    /// load, and the pin falls back one generation.
+    #[test]
+    fn a_malformed_file_entry_is_corrupt_and_pin_latest_falls_back() {
+        let dir = ScratchDir::new("snapshot-malformed").unwrap();
+        let (root, n, newest) = generations(&dir);
+        let manifest = generations::generation_path(&root, newest).join("manifest.txt");
+        let good = std::fs::read_to_string(&manifest).unwrap();
+        let stats = IoStats::new();
+        for bad in ["12", "12,zz", ",00000000"] {
+            let text: String = good
+                .lines()
+                .map(|l| match l.strip_prefix("file:vertices.bin=") {
+                    Some(_) => format!("file:vertices.bin={bad}\n"),
+                    None => format!("{l}\n"),
+                })
+                .collect();
+            assert_ne!(text, good);
+            std::fs::write(&manifest, text).unwrap();
+            let err = Snapshot::pin(&root, newest, n, &stats).err();
+            assert!(matches!(err, Some(GraphError::Corrupt(_))), "{bad}: {err:?}");
+            let fallback = Snapshot::pin_latest(&root, n, &stats).unwrap();
+            assert_eq!(fallback.generation(), newest - 1, "{bad}");
+        }
+        std::fs::write(&manifest, good).unwrap();
         assert_eq!(Snapshot::pin_latest(&root, n, &stats).unwrap().generation(), newest);
     }
 

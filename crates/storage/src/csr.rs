@@ -198,7 +198,7 @@ impl CsrFiles {
     }
 
     pub fn open(dir: &Path) -> Result<Self> {
-        let mf = MetaFile::load(&dir.join("meta.txt"))?;
+        let mf = MetaFile::load(&dir.join("meta.txt"), &IoStats::new())?;
         if mf.get("format") != Some("csr") {
             return Err(GraphError::Corrupt(format!(
                 "{} is not a CSR directory (format={:?})",

@@ -49,7 +49,7 @@ use std::sync::Arc;
 use graphz_extsort::{ExternalSorter, Run, SortTimings};
 use graphz_io::{
     ChecksummedWriter, FaultSurface, Fingerprint, IoStats, RecordReader, RecordWriter, ScratchDir,
-    StageManifest, SurfaceWriter, TrackedFile,
+    SurfaceWriter, TrackedFile,
 };
 use graphz_types::prelude::*;
 
@@ -676,19 +676,11 @@ fn seal<T: FixedCodec>(w: RecordWriter<T, StageWriter>) -> Result<Fingerprint> {
     Ok(w.into_inner()?.into_inner().get_ref().fingerprint())
 }
 
-/// The fingerprint a verified stage manifest recorded for artifact `name`.
-fn recorded(m: &StageManifest, name: &str) -> Result<Fingerprint> {
-    m.file(name).ok_or_else(|| {
-        GraphError::Corrupt(format!("{} manifest lacks a fingerprint for `{name}`", m.stage()))
-    })
-}
+/// The convert's stages in order, each committing `<stage>.manifest`.
+const STAGES: [&str; 5] = ["runs", "old2new", "new2old", "adjacency", "emit"];
+/// How many stages precede `adjacency`, the last one that merges the runs.
+const BEFORE_ADJACENCY: usize = 3;
 
-/// A stage manifest value that must be there.
-fn required(m: &StageManifest, key: &str) -> Result<u64> {
-    m.get_u64(key).ok_or_else(|| {
-        GraphError::Corrupt(format!("{} manifest lacks a `{key}` count", m.stage()))
-    })
-}
 
 impl DosConverter {
     /// Start building a converter.
@@ -794,17 +786,50 @@ impl DosConverter {
         ))
     }
 
+    /// The stages a resume skips: the longest prefix of committed stage
+    /// manifests, all loaded first (they are small), whose artifacts still
+    /// verify. Only artifacts something reads again are re-read: every
+    /// image file (`checksums.txt` lists its fingerprint) and the source
+    /// runs when a stage that merges them will run. A damaged or unreadable
+    /// artifact, an `old2new` manifest without its histogram, or an
+    /// `adjacency` one of the other record shape (the other `--weighted`
+    /// setting) ends the prefix, and every stage from there is redone.
+    fn completed_stages<P: Payload>(&self, root: &Path, dir: &Path) -> Result<Vec<MetaFile>> {
+        let record_bytes = cast::len_u64(StageEdge::<P>::SIZE);
+        let mut done = Vec::new();
+        let stages = if self.resume { &STAGES[..] } else { &[] };
+        for &stage in stages {
+            let path = root.join(format!("{stage}.manifest"));
+            let Some(m) = MetaFile::load_stage(&path, stage, &self.stats)? else { break };
+            match stage {
+                "old2new" if m.get("histogram").and_then(parse_histogram).is_none() => break,
+                "adjacency" if m.get_u64("record_bytes").ok() != Some(record_bytes) => break,
+                _ => done.push(m),
+            }
+        }
+        let damaged = |m: &MetaFile, base: &Path| {
+            !m.files().all(|(name, _)| m.verify_file(name, &base.join(name), &self.stats).is_ok())
+        };
+        // Stage 0 left the runs in the scratch root; the others, image files.
+        let mut kept = (1..done.len()).find(|&i| damaged(&done[i], dir)).unwrap_or(done.len());
+        if (1..=BEFORE_ADJACENCY).contains(&kept) && damaged(&done[0], root) {
+            kept = 0;
+        }
+        done.truncate(kept);
+        Ok(done)
+    }
+
     /// Run the full conversion of a binary edge list, producing
     /// `edges.bin`, `index.tbl`, `new2old.bin`, `old2new.bin`, and
     /// `meta.txt` under `dir`.
     ///
     /// The passes of §III-C run as five durable *stages* — `runs`,
     /// `old2new`, `new2old`, `adjacency`, `emit` — each of which commits a
-    /// checksummed [`StageManifest`] into the stable scratch root when it
-    /// completes (DESIGN.md §6h). A converter built with
-    /// [`resume(true)`](DosConverterBuilder::resume) skips stages whose
-    /// manifests (and recorded artifacts) verify and redoes everything from
-    /// the first incomplete stage; because every stage is a deterministic
+    /// checksummed stage manifest ([`MetaFile::stage`]) into the stable
+    /// scratch root when it completes (DESIGN.md §6h). A converter built
+    /// with [`resume(true)`](DosConverterBuilder::resume) skips the stages
+    /// [`completed_stages`](Self::completed_stages) finds intact and redoes
+    /// everything after them; because every stage is a deterministic
     /// function of the previous stages' files, the resumed directory is
     /// byte-identical to a clean run's.
     pub fn convert(&self, input: &EdgeListFile, dir: &Path) -> Result<DosGraph> {
@@ -1036,44 +1061,24 @@ impl DosConverter {
         }
         std::fs::create_dir_all(&root).ctx("create-dir", &root)?;
 
-        // A stage is "done" when its manifest loads, names that stage, and
-        // every artifact it recorded still verifies (length + CRC). Anything
-        // else — missing, torn, CRC-failing, damaged artifacts — reads as
-        // incomplete, and the stage plus everything after it is redone.
+        // A resume skips the stages `completed_stages` keeps; the first
+        // other stage and every one after it (stale manifests of an older
+        // attempt included) are redone and re-committed.
         let manifest_path = |stage: &str| root.join(format!("{stage}.manifest"));
-        let stage_done = |live: bool, stage: &str, base: &Path| -> Result<Option<StageManifest>> {
-            if !live {
-                return Ok(None);
-            }
-            let Some(m) = StageManifest::load(&manifest_path(stage), &self.stats)? else {
-                return Ok(None);
-            };
-            if m.stage() != stage {
-                return Ok(None);
-            }
-            let base = base.to_path_buf();
-            if !m.verify_files(&self.stats, |name| base.join(name))? {
-                return Ok(None);
-            }
-            Ok(Some(m))
-        };
-        // `live` stays true while completed stages are being skipped; the
-        // first incomplete stage flips it, so later manifests (stale from an
-        // older attempt) are redone and re-committed rather than trusted.
-        let mut live = self.resume;
+        let done = self.completed_stages::<P>(&root, dir)?;
+        let skipped = |stage: &str| done.iter().find(|m| m.get("stage") == Some(stage));
 
         // Stage `runs` (pass 1): the source parsed straight into durable
         // by-(src, dst) runs — every run a file, named relative to the
         // scratch root in the manifest — which the next stages merge, each
         // as often as it needs.
-        let (runs, num_vertices, num_edges) = if let Some(m) = stage_done(live, "runs", &root)? {
-            let runs: Vec<PathBuf> = m.files().map(|name| root.join(name)).collect();
-            (runs, required(&m, "num_vertices")?, required(&m, "num_edges")?)
+        let (runs, num_vertices, num_edges) = if let Some(m) = skipped("runs") {
+            let runs: Vec<PathBuf> = m.files().map(|(name, _)| root.join(name)).collect();
+            (runs, m.get_u64("num_vertices")?, m.get_u64("num_edges")?)
         } else {
-            live = false;
             let (runs, num_vertices, num_edges) =
                 self.runs_stage(source, &root.join("runs"), dir)?;
-            let mut m = StageManifest::new("runs");
+            let mut m = MetaFile::stage("runs");
             m.set("num_vertices", num_vertices);
             m.set("num_edges", num_edges);
             let mut paths = Vec::with_capacity(runs.len());
@@ -1101,12 +1106,12 @@ impl DosConverter {
         // order. The histogram rides in the manifest, so a resumed run
         // rebuilds the groups without re-reading anything.
         let old2new_path = dir.join("old2new.bin");
-        let done = stage_done(live, "old2new", dir)?
-            .and_then(|m| Some((parse_histogram(m.get("histogram")?)?, m)));
-        let (old2new_fp, groups) = if let Some((hist, m)) = done {
-            (recorded(&m, "old2new.bin")?, degree_groups(&hist, num_vertices, num_edges)?)
+        let (old2new_fp, groups) = if let Some(m) = skipped("old2new") {
+            let hist = m.get("histogram").and_then(parse_histogram).ok_or_else(|| {
+                GraphError::Corrupt("old2new manifest lacks its histogram".into())
+            })?;
+            (m.file("old2new.bin")?, degree_groups(&hist, num_vertices, num_edges)?)
         } else {
-            live = false;
             let (hist, groups, fp) = if fits {
                 // 4 bytes per vertex in old2new.bin.
                 self.check_disk("old2new", num_vertices.saturating_mul(4))?;
@@ -1127,7 +1132,7 @@ impl DosConverter {
                 let fp = self.write_old2new(&degrees_path, &groups, num_vertices, &old2new_path)?;
                 (hist, groups, fp)
             };
-            let mut m = StageManifest::new("old2new");
+            let mut m = MetaFile::stage("old2new");
             m.set("histogram", render_histogram(&hist));
             m.record_file("old2new.bin", fp);
             m.commit(&manifest_path("old2new"), &self.surface)?;
@@ -1141,10 +1146,9 @@ impl DosConverter {
         // else by an external sort of `(new, old)` pairs whose merge drains
         // directly into the new2old writer.
         let new2old_path = dir.join("new2old.bin");
-        let new2old_fp = if let Some(m) = stage_done(live, "new2old", dir)? {
-            recorded(&m, "new2old.bin")?
+        let new2old_fp = if let Some(m) = skipped("new2old") {
+            m.file("new2old.bin")?
         } else {
-            live = false;
             let fp = if fits {
                 self.check_disk("new2old", num_vertices.saturating_mul(4))?;
                 let inverse = invert(self.id_map(&mut map, &old2new_path, num_vertices)?)?;
@@ -1167,7 +1171,7 @@ impl DosConverter {
                 }
                 seal(w)?
             };
-            let mut m = StageManifest::new("new2old");
+            let mut m = MetaFile::stage("new2old");
             m.record_file("new2old.bin", fp);
             m.commit(&manifest_path("new2old"), &self.surface)?;
             fp
@@ -1182,20 +1186,13 @@ impl DosConverter {
         // into the final sort; otherwise sources are relabeled by
         // co-scanning old2new.bin, the edges sorted by old dst, and the
         // destinations relabeled by a second co-scan into the final sort's
-        // run formation. A manifest written for the other record shape (the
-        // other `--weighted` setting) does not count.
+        // run formation.
         let record_bytes = cast::len_u64(StageEdge::<P>::SIZE);
         let edges_path = dir.join("edges.bin");
-        let done = stage_done(live, "adjacency", dir)?
-            .filter(|m| m.get_u64("record_bytes") == Some(record_bytes));
-        let (edges_fp, weights_fp) = if let Some(m) = done {
-            let weights_fp = match self.weight_fn {
-                Some(_) => Some(recorded(&m, "weights.bin")?),
-                None => None,
-            };
-            (recorded(&m, "edges.bin")?, weights_fp)
+        let (edges_fp, weights_fp) = if let Some(m) = skipped("adjacency") {
+            let weights_fp = self.weight_fn.map(|_| m.file("weights.bin")).transpose()?;
+            (m.file("edges.bin")?, weights_fp)
         } else {
-            live = false;
             // The final sort's runs; on the sorted path the by-dst runs
             // coexist with them.
             let sorts = if fits { 1 } else { 2 };
@@ -1269,7 +1266,7 @@ impl DosConverter {
                     "DOS conversion wrote {written} edges, expected {num_edges}"
                 )));
             }
-            let mut m = StageManifest::new("adjacency");
+            let mut m = MetaFile::stage("adjacency");
             m.set("written", written);
             m.set("record_bytes", record_bytes);
             m.record_file("edges.bin", edges_fp);
@@ -1294,7 +1291,7 @@ impl DosConverter {
             unique_degrees: index.unique_degrees(),
             max_degree: index.groups().first().map_or(0, |g| cast::widen_u32(g.degree)),
         };
-        if stage_done(live, "emit", dir)?.is_none() {
+        if skipped("emit").is_none() {
             let mut w =
                 RecordWriter::<DegreeGroup, _>::from_writer(self.writer(&dir.join("index.tbl"))?);
             w.push_all(index.groups().iter())?;
@@ -1303,7 +1300,8 @@ impl DosConverter {
             mf.set("format", "dos")
                 .set("weighted", if self.weight_fn.is_some() { 1 } else { 0 })
                 .set_graph_meta(&dos_meta);
-            let meta_fp = mf.save_with(&dir.join("meta.txt"), &self.surface)?;
+            let meta_fp =
+                mf.save_with(&dir.join("meta.txt"), &self.surface, "save-meta:meta.txt")?;
 
             let mut sums = MetaFile::new();
             sums.set("format", "dos-checksums");
@@ -1317,11 +1315,12 @@ impl DosConverter {
                 data_files.push(("weights.bin", fp));
             }
             for (name, fp) in data_files {
-                sums.set(&format!("file:{name}"), fp);
+                sums.record_file(name, fp);
             }
-            let sums_fp = sums.save_with(&dir.join("checksums.txt"), &self.surface)?;
+            let sums_path = dir.join("checksums.txt");
+            let sums_fp = sums.save_with(&sums_path, &self.surface, "save-meta:checksums.txt")?;
 
-            let mut m = StageManifest::new("emit");
+            let mut m = MetaFile::stage("emit");
             m.record_file("index.tbl", index_fp);
             m.record_file("meta.txt", meta_fp);
             m.record_file("checksums.txt", sums_fp);
@@ -1354,7 +1353,7 @@ pub struct DosGraph {
 
 impl DosGraph {
     pub fn open(dir: &Path, stats: Arc<IoStats>) -> Result<Self> {
-        let mf = MetaFile::load(&dir.join("meta.txt"))?;
+        let mf = MetaFile::load(&dir.join("meta.txt"), &stats)?;
         if mf.get("format") != Some("dos") {
             return Err(GraphError::Corrupt(format!(
                 "{} is not a DOS directory (format={:?})",

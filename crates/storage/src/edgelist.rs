@@ -351,7 +351,7 @@ impl EdgeListFile {
 
     /// Open an existing edge-list file.
     pub fn open(path: &Path) -> Result<Self> {
-        let mf = MetaFile::load(&Self::meta_path(path))?;
+        let mf = MetaFile::load(&Self::meta_path(path), &IoStats::new())?;
         if mf.get("format") != Some("edgelist") {
             return Err(GraphError::Corrupt(format!(
                 "{} is not an edge list (format={:?})",

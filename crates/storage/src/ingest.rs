@@ -208,8 +208,8 @@ impl IngestPipeline {
     /// Text and Matrix Market sources are parsed straight into the
     /// conversion's durable source runs; a binary edge list is read in
     /// place. The whole pipeline is staged and resumable (DESIGN.md §6h):
-    /// each conversion stage commits a
-    /// [`StageManifest`](graphz_io::StageManifest) into the stable
+    /// each conversion stage commits a stage manifest
+    /// ([`MetaFile::stage`](crate::meta::MetaFile::stage)) into the stable
     /// scratch root `<dir>.scratch`, and a pipeline built with
     /// [`resume(true)`](IngestPipelineBuilder::resume) skips verified
     /// stages. With [`max_bad_records`](IngestPipelineBuilder::max_bad_records)
@@ -264,7 +264,8 @@ impl IngestPipeline {
 mod tests {
     use super::*;
     use crate::dos::DosGraph;
-    use graphz_io::{ScratchDir, StageManifest};
+    use crate::meta::MetaFile;
+    use graphz_io::ScratchDir;
     use std::path::Path;
 
     fn stats() -> Arc<IoStats> {
@@ -377,24 +378,21 @@ mod tests {
             if path.extension().and_then(|e| e.to_str()) != Some("manifest") {
                 continue;
             }
-            let m = StageManifest::load(&path, &IoStats::new()).unwrap().expect("manifest loads");
-            let names: Vec<String> = m.files().map(str::to_string).collect();
-            assert!(!names.is_empty(), "{} records no artifact", m.stage());
+            let stage = path.file_stem().unwrap().to_string_lossy().into_owned();
+            let m = MetaFile::load_stage(&path, &stage, &IoStats::new())
+                .unwrap()
+                .expect("manifest loads");
+            let names: Vec<String> = m.files().map(|(name, _)| name.to_string()).collect();
+            assert!(!names.is_empty(), "{stage} records no artifact");
             for name in names {
                 let file = [root.join(&name), dir.join(&name)]
                     .into_iter()
                     .find(|p| p.exists())
-                    .unwrap_or_else(|| panic!("{}: `{name}` missing", m.stage()));
-                let (len, crc) =
-                    graphz_io::crc32_stream(std::fs::File::open(&file).unwrap()).unwrap();
-                assert_eq!(
-                    m.file(&name),
-                    Some(graphz_io::Fingerprint { len, crc }),
-                    "{}: `{name}`",
-                    m.stage()
-                );
+                    .unwrap_or_else(|| panic!("{stage}: `{name}` missing"));
+                let found = graphz_io::crc32_stream(std::fs::File::open(&file).unwrap()).unwrap();
+                assert_eq!(m.file(&name).ok(), Some(found), "{stage}: `{name}`");
             }
-            stages.push(m.stage().to_string());
+            stages.push(stage);
         }
         stages.sort();
         stages
@@ -431,8 +429,9 @@ mod tests {
         assert!(err.to_string().contains("commit-manifest:old2new"), "{err}");
         let root = scratch_root_for(&out);
         assert_eq!(assert_manifests_match_disk(&root, &out), vec!["runs"]);
-        let runs =
-            StageManifest::load(&root.join("runs.manifest"), &IoStats::new()).unwrap().unwrap();
+        let runs = MetaFile::load_stage(&root.join("runs.manifest"), "runs", &IoStats::new())
+            .unwrap()
+            .unwrap();
         assert_eq!(runs.files().count(), 3, "every run, the last one too, is on disk");
         let edges = EdgeListFile::import_text(&txt, &dir.file("g.bin"), stats()).unwrap();
 
@@ -661,13 +660,15 @@ mod tests {
     }
 
     /// A resumed convert counts the bytes it re-reads to verify the stages
-    /// it skips. Killed at the `emit` commit, the resume re-CRCs every
-    /// artifact the four earlier manifests record — the source runs and
-    /// the image files — and loads those manifests: all of it shows in its
-    /// `IoStats`. Killed at the `new2old` commit, with the map fitting, the
-    /// resume verifies old2new.bin and then loads it once for the two
-    /// stages that need the map, and reads nothing else but the runs
-    /// (verified, then merged by the adjacency stage).
+    /// it skips, and re-reads only what something reads again. Killed at
+    /// the `emit` commit, the resume loads the four committed manifests and
+    /// re-CRCs the image files they record (old2new.bin, new2old.bin,
+    /// edges.bin), whose fingerprints go into checksums.txt; no stage left
+    /// merges the source runs, so they are not read. Killed at the
+    /// `new2old` commit, with the map fitting, the resume verifies
+    /// old2new.bin and then loads it once for the two stages that need the
+    /// map, and reads nothing else but the runs (verified, then merged by
+    /// the adjacency stage).
     #[test]
     fn a_resumed_convert_counts_what_it_verifies() {
         use graphz_io::{FaultState, RetryPolicy};
@@ -701,27 +702,31 @@ mod tests {
                     continue;
                 }
                 manifests += std::fs::metadata(&path).unwrap().len();
-                let m = StageManifest::load(&path, &IoStats::new()).unwrap().unwrap();
-                for name in m.files() {
-                    artifacts += m.file(name).unwrap().len;
-                }
+                let stage = path.file_stem().unwrap().to_string_lossy().into_owned();
+                let m = MetaFile::load_stage(&path, &stage, &IoStats::new()).unwrap().unwrap();
+                artifacts += m.files().map(|(_, fp)| fp.len).sum::<u64>();
             }
             (artifacts, manifests)
         };
 
-        let out = dir.path().join("killed-at-emit");
-        run(&out, stats(), Some("emit"), false).unwrap_err();
-        let (artifacts, manifests) = recorded(&out);
-        let resumed = stats();
-        run(&out, Arc::clone(&resumed), None, true).unwrap();
-        let read = resumed.snapshot().bytes_read;
-        assert!(read >= artifacts, "the resume read {read} bytes, the artifacts are {artifacts}");
-        assert_eq!(read, artifacts + manifests, "it reads nothing but what it verifies");
-
-        let out = dir.path().join("killed-at-new2old");
         let dos = run(&dir.path().join("reference"), stats(), None, false).unwrap();
         let (e, v) = (dos.meta().num_edges, dos.meta().num_vertices);
         assert!(crate::id_map_fits(MemoryBudget::from_mib(64), v));
+
+        let out = dir.path().join("killed-at-emit");
+        run(&out, stats(), Some("emit"), false).unwrap_err();
+        let (artifacts, manifests) = recorded(&out);
+        // The runs, old2new.bin, new2old.bin and edges.bin.
+        assert_eq!(artifacts, 8 * e + 4 * v + 4 * v + 4 * e);
+        let resumed = stats();
+        run(&out, Arc::clone(&resumed), None, true).unwrap();
+        assert_eq!(
+            resumed.snapshot().bytes_read,
+            manifests + 4 * v + 4 * v + 4 * e,
+            "the manifests and the image files, not the runs"
+        );
+
+        let out = dir.path().join("killed-at-new2old");
         run(&out, stats(), Some("new2old"), false).unwrap_err();
         let (artifacts, manifests) = recorded(&out);
         // The runs and old2new.bin.
@@ -729,6 +734,59 @@ mod tests {
         let resumed = stats();
         run(&out, Arc::clone(&resumed), None, true).unwrap();
         assert_eq!(resumed.snapshot().bytes_read, manifests + artifacts + 4 * v + 8 * e);
+    }
+
+    /// A damaged artifact that something still reads makes its stage run
+    /// again: old2new.bin, which the adjacency stage relabels with after a
+    /// kill at the `adjacency` commit, and edges.bin, whose fingerprint the
+    /// `emit` stage puts into checksums.txt after a kill at that commit.
+    /// Either way the resumed image is the clean one, byte for byte.
+    #[test]
+    fn a_resume_redoes_the_stage_of_a_damaged_artifact_it_reads() {
+        use graphz_io::{FaultState, RetryPolicy};
+        let dir = ScratchDir::new("ingest-resume-damage").unwrap();
+        let txt = dir.file("g.txt");
+        text_fixture(&txt, 17, 2_000, 300);
+        let run = |out: &Path, kill: Option<&str>, resume: bool| {
+            let mut surface = FaultSurface::none();
+            if let Some(stage) = kill {
+                surface = surface
+                    .with_faults(FaultState::fail_at_label(&format!("commit-manifest:{stage}")))
+                    .with_retry(RetryPolicy::none());
+            }
+            IngestPipeline::builder()
+                .budget(MemoryBudget::from_kib(64))
+                .stats(stats())
+                .faults(surface)
+                .resume(resume)
+                .build()
+                .unwrap()
+                .run(&txt, out)
+        };
+        let contents = |d: &Path| {
+            let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(d)
+                .unwrap()
+                .map(|e| {
+                    let path = e.unwrap().path();
+                    let name = path.file_name().unwrap().to_string_lossy().into_owned();
+                    (name, std::fs::read(path).unwrap())
+                })
+                .collect();
+            files.sort();
+            files
+        };
+        let clean = dir.path().join("clean");
+        run(&clean, None, false).unwrap();
+        for (stage, victim) in [("adjacency", "old2new.bin"), ("emit", "edges.bin")] {
+            let out = dir.path().join(format!("killed-at-{stage}"));
+            run(&out, Some(stage), false).unwrap_err();
+            let path = out.join(victim);
+            let mut bytes = std::fs::read(&path).unwrap();
+            bytes[0] ^= 0x01;
+            std::fs::write(&path, bytes).unwrap();
+            run(&out, None, true).unwrap();
+            assert!(contents(&out) == contents(&clean), "{victim} damaged before `{stage}`");
+        }
     }
 
     /// Each stage commits under `commit-manifest:<stage>`, in pipeline

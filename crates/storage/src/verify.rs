@@ -96,7 +96,7 @@ pub fn verify_dos(dir: &Path, stats: Arc<IoStats>) -> Result<VerifyReport> {
         Err(e) => {
             // Distinguish "meta broken" from "index broken" for the report.
             let detail = e.to_string();
-            let kind = if MetaFile::load(&dir.join("meta.txt"))
+            let kind = if MetaFile::load(&dir.join("meta.txt"), &stats)
                 .and_then(|m| m.graph_meta())
                 .is_err()
             {
@@ -251,44 +251,28 @@ fn verify_checksums(dir: &Path, report: &mut VerifyReport, stats: &Arc<IoStats>)
     if !sums_path.is_file() {
         return;
     }
-    let sums = match MetaFile::load(&sums_path) {
+    let sums = match MetaFile::load(&sums_path, stats) {
         Ok(s) => s,
         Err(e) => {
             report.violations.push(Violation::BadChecksum(format!("checksums.txt: {e}")));
             return;
         }
     };
-    for (key, value) in sums.entries() {
-        let Some(name) = key.strip_prefix("file:") else { continue };
-        let Some((want_len, want_crc)) = value
-            .split_once(',')
-            .and_then(|(l, c)| Some((l.parse::<u64>().ok()?, u32::from_str_radix(c, 16).ok()?)))
-        else {
-            report
-                .violations
-                .push(Violation::BadChecksum(format!("{name}: malformed entry `{value}`")));
-            continue;
-        };
-        let checked = graphz_io::tracked::reader(&dir.join(name), Arc::clone(stats))
-            .and_then(graphz_io::crc32_stream);
-        match checked {
-            Err(e) => report.violations.push(Violation::BadChecksum(format!("{name}: {e}"))),
-            Ok((len, crc)) => {
+    for (name, _) in sums.files() {
+        match sums.verify_file(name, &dir.join(name), stats) {
+            Ok(()) => report.files_checksummed += 1,
+            Err(GraphError::Corrupt(mismatch)) => {
                 report.files_checksummed += 1;
-                if len != want_len || crc != want_crc {
-                    report.violations.push(Violation::BadChecksum(format!(
-                        "{name}: length {len} vs recorded {want_len}, \
-                         crc {crc:08x} vs recorded {want_crc:08x}"
-                    )));
-                }
+                report.violations.push(Violation::BadChecksum(mismatch));
             }
+            Err(e) => report.violations.push(Violation::BadChecksum(format!("{name}: {e}"))),
         }
     }
 
     // The sidecar, when present, must cover every data file that actually
     // exists — a file without an entry can rot undetected.
     for name in ["edges.bin", "index.tbl", "old2new.bin", "new2old.bin", "weights.bin"] {
-        if dir.join(name).is_file() && sums.get(&format!("file:{name}")).is_none() {
+        if dir.join(name).is_file() && sums.file(name).is_err() {
             report.violations.push(Violation::MissingChecksum { file: name.to_string() });
         }
     }
@@ -442,6 +426,48 @@ mod tests {
             report.violations
         );
         assert!(report.violations[0].to_string().contains("edges.bin"));
+    }
+
+    #[test]
+    fn a_malformed_checksum_entry_is_bad_checksum() {
+        let (_dir, dos_dir) = build();
+        let sums_path = dos_dir.join("checksums.txt");
+        let good = std::fs::read_to_string(&sums_path).unwrap();
+        for bad in ["12", "12,zz", ",00000000"] {
+            let text: String = good
+                .lines()
+                .map(|l| match l.strip_prefix("file:edges.bin=") {
+                    Some(_) => format!("file:edges.bin={bad}\n"),
+                    None => format!("{l}\n"),
+                })
+                .collect();
+            assert_ne!(text, good);
+            std::fs::write(&sums_path, text).unwrap();
+            let report = verify_dos(&dos_dir, stats()).unwrap();
+            assert!(!report.is_clean(), "{bad}");
+            assert!(
+                report.violations.iter().all(|v| matches!(v, Violation::BadChecksum(_))),
+                "{bad}: {:?}",
+                report.violations
+            );
+            assert!(report.violations[0].to_string().contains("edges.bin"), "{bad}");
+        }
+    }
+
+    /// Every byte verify reads is counted, the sidecar's own included:
+    /// meta.txt, the index, the edge walk, both maps, checksums.txt and
+    /// the four files it lists.
+    #[test]
+    fn verify_counts_every_byte_it_reads() {
+        let (_dir, dos_dir) = build();
+        let len = |name: &str| std::fs::metadata(dos_dir.join(name)).unwrap().len();
+        let data = len("index.tbl") + len("edges.bin") + len("old2new.bin") + len("new2old.bin");
+        let stats = stats();
+        assert!(verify_dos(&dos_dir, Arc::clone(&stats)).unwrap().is_clean());
+        assert_eq!(
+            stats.snapshot().bytes_read,
+            len("meta.txt") + data + len("checksums.txt") + data
+        );
     }
 
     #[test]
