@@ -4,7 +4,7 @@
 # The workspace builds fully offline (path-shimmed deps under shims/), so
 # --offline both documents and enforces that no network fetch is needed.
 # Each step prints its wall time; an analyzer-gate failure tails the
-# offending findings JSON so the log alone names every violation.
+# findings JSON so the log alone names every violation.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -19,12 +19,12 @@ step_done() {
     echo "   (step took $((SECONDS - STEP_T0))s)"
 }
 
-# Run an analyzer binary with --json OUT; on failure, tail the findings
-# artifact before propagating the exit code.
+# Run graphz-check with --json OUT; on failure, tail the findings
+# document before propagating the exit code.
 analyzer() {
-    local bin=$1 out=$2
-    if ! cargo run --offline -q -p graphz-check --bin "$bin" -- --json "$out"; then
-        echo "-- $bin failed; tail of $out:" >&2
+    local out=$1
+    if ! cargo run --offline -q -p graphz-check --bin graphz-check -- --json "$out"; then
+        echo "-- graphz-check failed; tail of $out:" >&2
         tail -n 40 "$out" >&2 || true
         return 1
     fi
@@ -106,38 +106,14 @@ step "clippy (warnings are errors)"
 cargo clippy --offline --all-targets -- -D warnings
 step_done
 
-step "lint (repo invariants, DESIGN.md §6e)"
-analyzer graphz-lint lint_findings.json
-step_done
-
-step "audit (dataflow/protocol analyses, DESIGN.md §6f)"
-# Covers crates/check itself (the tools are self-gated) and emits the
-# machine-readable findings artifact either way.
-analyzer graphz-audit audit_findings.json
-step_done
-
-step "flow (CFG path-sensitive dataflow, DESIGN.md §6j)"
-# Fault-surface coverage of every write path, path-complete must-consume,
-# determinism taint, and error-context — over per-function CFGs. Also
-# self-applied to crates/check.
-analyzer graphz-flow flow_findings.json
-step_done
-
-step "ipa (interprocedural call-graph analyses, DESIGN.md §6k)"
-# The Worker hot path stays allocation-, lock-, and IO-free; the compute
-# phase stays panic-free; every file-creating sink is fault-gated on all
-# call paths; fs errors crossing crates carry .ctx context.
-analyzer graphz-ipa ipa_findings.json
-step_done
-
-step "combined analysis artifact"
-# One document answering "is the tree clean" across lint + audit + flow + ipa.
-cargo run --offline -q -p graphz-check --bin graphz-report -- \
-  --out analysis_findings.json \
-  graphz-lint=lint_findings.json \
-  graphz-audit=audit_findings.json \
-  graphz-flow=flow_findings.json \
-  graphz-ipa=ipa_findings.json
+step "static analysis (lint, audit, flow, ipa, stale-suppression; DESIGN.md §6e/§6f/§6j/§6k)"
+# One pass over the tree, crates/check included: the repo invariants, token
+# dataflow, per-function CFG paths (path-complete must-consume, determinism
+# taint) and call chains (the Worker hot path stays allocation-, lock- and
+# IO-free, the compute phase panic-free, every file-creating sink
+# fault-gated on all call paths, fs errors carry .ctx where they leave a
+# crate or a storage root). One findings document, clean or not.
+analyzer analysis_findings.json
 step_done
 
 step "serve (golden transcript + concurrent readers, DESIGN.md §6l)"

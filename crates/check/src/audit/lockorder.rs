@@ -23,7 +23,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use crate::lint::Violation;
 use crate::parser::{Function, SourceFile, Token};
 
-use super::{binding_before, finding, in_scope, path_start, Binding};
+use super::{binding_before, path_start, Binding, AUDIT};
 
 const RULE: &str = "lock-order";
 
@@ -93,7 +93,7 @@ pub(super) fn analyze(files: &[SourceFile], out: &mut Vec<Violation>) {
     // (held, acquired) → first witness (file index, line).
     let mut edges: Edges = BTreeMap::new();
     for (fi, f) in files.iter().enumerate() {
-        if !in_scope(RULE, &f.rel) {
+        if !AUDIT.in_scope(RULE, &f.rel) {
             continue;
         }
         for func in &f.functions {
@@ -150,7 +150,7 @@ fn scan_function(
                 let line = t[i + 1].line;
                 for h in &held {
                     if h.lock == lock {
-                        finding(
+                        AUDIT.finding(
                             file,
                             RULE,
                             line,
@@ -225,7 +225,7 @@ fn dfs<'a>(
                         .get(&(node.to_string(), next.to_string()))
                         .unwrap_or(&(0, 1));
                     let chain = canon.join(" -> ");
-                    finding(
+                    AUDIT.finding(
                         &files[fi],
                         RULE,
                         line,

@@ -1,4 +1,4 @@
-//! graphz-audit: per-function dataflow and protocol analysis.
+//! The audit pass: per-function dataflow and protocol analysis.
 //!
 //! Three analyses over the token streams produced by [`crate::parser`],
 //! documented in DESIGN.md §6f:
@@ -10,10 +10,8 @@
 //!   offset-like identifiers, and every bare `as <int>` cast in the storage
 //!   and extsort crates; both must flow through `graphz_types::cast` so
 //!   overflow surfaces as `GraphError::OffsetOverflow`.
-//! * [`protocol`] — must-consume state machines for atomic-write staging
-//!   (`AtomicFile`/`StagedDir` must commit, abort, or escape) and
-//!   `MsgManager` claims (consume, release, or escape), plus detection of
-//!   call statements that silently drop a `Result`.
+//! * [`protocol`] — detection of call statements that silently drop a
+//!   `Result`.
 //!
 //! Findings reuse the lint pass's [`Violation`] shape and suppression
 //! convention: `// audit:allow(<rule>)` on the offending line or the line
@@ -23,9 +21,9 @@ pub mod lockorder;
 pub mod offsets;
 pub mod protocol;
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
-use crate::lint::{Rule, Violation};
+use crate::lint::{Rule, Tool, Violation};
 use crate::parser::{parse_tree, SourceFile, Token};
 
 /// Every audit rule, in reporting order. The `scope` path substrings bound
@@ -68,14 +66,6 @@ pub const AUDIT_RULES: &[Rule] = &[
         allow: &[],
     },
     Rule {
-        name: "must-consume",
-        why: "an AtomicFile/StagedDir that is dropped without commit silently \
-              discards staged work, and an unretired MsgManager claim replays \
-              segments; every claim must be consumed, released, or moved on",
-        scope: &[],
-        allow: &[],
-    },
-    Rule {
         name: "dropped-result",
         why: "a bare call statement that ignores a Result hides the error \
               path; handle it, `?` it, or bind `let _ =` deliberately",
@@ -84,40 +74,8 @@ pub const AUDIT_RULES: &[Rule] = &[
     },
 ];
 
-pub(crate) fn audit_rule(name: &str) -> &'static Rule {
-    AUDIT_RULES
-        .iter()
-        .find(|r| r.name == name)
-        .unwrap_or(&AUDIT_RULES[0]) // names are compile-time constants; unreachable
-}
-
-pub(crate) fn in_scope(name: &str, rel: &str) -> bool {
-    let r = audit_rule(name);
-    (r.scope.is_empty() || r.scope.iter().any(|s| rel.contains(s)))
-        && !r.allow.iter().any(|a| rel.contains(a))
-}
-
-/// Record a finding unless the rule is out of scope for this file or an
-/// `audit:allow(<rule>)` marker on the line (or the line above) suppresses
-/// it. All three analyses report through here.
-pub(crate) fn finding(
-    file: &SourceFile,
-    rule: &'static str,
-    line: usize,
-    message: String,
-    out: &mut Vec<Violation>,
-) {
-    if !in_scope(rule, &file.rel) {
-        return;
-    }
-    let raw = file.raw.get(line.wrapping_sub(1)).map(String::as_str).unwrap_or("");
-    let prev = line.checked_sub(2).and_then(|p| file.raw.get(p)).map(String::as_str);
-    let marker = format!("audit:allow({rule})");
-    if raw.contains(&marker) || prev.is_some_and(|p| p.contains(&marker)) {
-        return;
-    }
-    out.push(Violation { rule, path: PathBuf::from(&file.rel), line, snippet: raw.to_string(), message });
-}
+/// The audit pass as a [`Tool`]; all three analyses report through it.
+pub const AUDIT: Tool = Tool { prefix: "audit", rules: AUDIT_RULES };
 
 /// How the value of an expression starting at token index `start` is bound.
 pub(crate) enum Binding {

@@ -22,7 +22,7 @@
 use crate::lint::Violation;
 use crate::parser::{SourceFile, Token};
 
-use super::finding;
+use super::AUDIT;
 
 /// Name fragments that mark an identifier as offset-like.
 const TAINT: &[&str] = &["offset", "cursor", "cumul", "byte_len", "file_len"];
@@ -68,7 +68,7 @@ pub(super) fn analyze(files: &[SourceFile], out: &mut Vec<Violation>) {
                     || next == "as"
                     || (ADJ_OPS.contains(&prev) && prev_is_binary);
                 if hit {
-                    finding(
+                    AUDIT.finding(
                         f,
                         "unchecked-offset-arith",
                         tok.line,
@@ -84,7 +84,7 @@ pub(super) fn analyze(files: &[SourceFile], out: &mut Vec<Violation>) {
             }
             if tok.text == "as" && t.get(i + 1).is_some_and(|x| INT_TYPES.contains(&x.text.as_str()))
             {
-                finding(
+                AUDIT.finding(
                     f,
                     "unchecked-cast",
                     t[i + 1].line,

@@ -236,7 +236,7 @@ fn scan(
 
 pub(super) fn analyze(files: &[SourceFile], out: &mut Vec<Violation>) {
     for file in files {
-        if !super::in_scope("determinism-taint", &file.rel) {
+        if !super::FLOW.in_scope("determinism-taint", &file.rel) {
             continue;
         }
         let t = &file.tokens;
@@ -260,7 +260,7 @@ pub(super) fn analyze(files: &[SourceFile], out: &mut Vec<Violation>) {
                 scan(t, &block.tokens, &mut s, Some(&mut hits));
             }
             for (g, sink, var) in hits {
-                super::finding(
+                super::FLOW.finding(
                     file,
                     "determinism-taint",
                     t[g].line,

@@ -1,9 +1,9 @@
-//! graphz-ipa: interprocedural analysis over the workspace call graph.
+//! The ipa pass: interprocedural analysis over the workspace call graph.
 //!
 //! lint (§6e) sees lines, audit (§6f) sees token adjacency, flow (§6j)
 //! sees paths *within* one function. This pass sees **call chains**: a
 //! workspace call graph ([`callgraph`]) plus bottom-up effect summaries
-//! ([`summary`]) let four rules reason about what a function does
+//! ([`summary`]) let five rules reason about what a function does
 //! *transitively* (DESIGN.md §6k):
 //!
 //! * `hot-path-alloc` — nothing reachable from the Worker per-message
@@ -19,12 +19,15 @@
 //!   compute phase entry points `Engine::run` drives (`ShardState::*`,
 //!   `Executor::*`, the shard-plan free functions).
 //! * `fault-surface-reach` — every file-creating sink in io/extsort/storage
-//!   is FaultSurface-gated on **all call paths**. Closes the two holes in
-//!   flow's intraprocedural `fault-surface-bypass`: mechanism files were
-//!   exempt wholesale, and a helper whose caller gates was invisible.
-//! * `error-context-prop` — an fs error that `?`-crosses a crate boundary
-//!   must have met a `.ctx(…)` (or deliberate reshaping) somewhere on the
-//!   chain at or below the crossing.
+//!   is FaultSurface-gated on **all call paths**: a gate that dominates the
+//!   sink in its own function, or one on every call path into it. No file
+//!   is exempt wholesale; the surface's own primitives carry waivers.
+//! * `error-context-prop` — an fs error that `?`-crosses a crate boundary,
+//!   or leaves a storage-crate root (a function with no resolved caller:
+//!   public API the CLI calls), must have met a `.ctx(…)` (or deliberate
+//!   reshaping) somewhere on the chain at or below that point.
+//! * `serve-read-alloc` — nothing reachable from the `GraphView` point
+//!   queries allocates, locks, creates a file, or spawns.
 //!
 //! Findings reuse the lint [`Violation`] shape; `// ipa:allow(<rule>)` on
 //! the offending line or the line above suppresses one rule at one site.
@@ -33,12 +36,11 @@ pub mod callgraph;
 pub mod summary;
 
 use std::collections::BTreeSet;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use crate::flow::cfg::build as build_cfg;
 use crate::flow::solver::{solve, Direction};
-use crate::flow::surface::gate_at;
-use crate::lint::{Rule, Violation};
+use crate::lint::{Rule, Tool, Violation};
 use crate::parser::{parse_tree, Function, SourceFile, Token};
 
 use callgraph::{build, CallGraph};
@@ -70,16 +72,15 @@ pub const IPA_RULES: &[Rule] = &[
         why: "a file-creating sink reachable over any ungated call path \
               never sees injected faults, so the chaos sweeps certify a \
               write path production does not take — including paths through \
-              the surface's own plumbing files that the intraprocedural \
-              flow pass exempts wholesale",
+              the surface's own plumbing files",
         scope: &["crates/io/src/", "crates/extsort/src/", "crates/storage/src/"],
         allow: &[],
     },
     Rule {
         name: "error-context-prop",
-        why: "an fs error that ?-crosses a crate boundary with no .ctx on \
-              the chain below surfaces to the caller crate as a bare os \
-              error with no file or stage named",
+        why: "an fs error that ?-crosses a crate boundary, or leaves a \
+              storage-crate root, with no .ctx on the chain below surfaces \
+              to the caller as a bare os error with no file or stage named",
         scope: &[],
         allow: &[],
     },
@@ -151,46 +152,32 @@ const SERVE_ENTRIES: &[(&str, &str)] = &[
     ("GraphView", "value_bytes"),
 ];
 
-pub(crate) fn ipa_rule(name: &str) -> &'static Rule {
-    IPA_RULES
-        .iter()
-        .find(|r| r.name == name)
-        .unwrap_or(&IPA_RULES[0]) // names are compile-time constants; unreachable
-}
+/// The ipa pass as a [`Tool`]; every rule reports through it.
+pub const IPA: Tool = Tool { prefix: "ipa", rules: IPA_RULES };
 
-pub(crate) fn in_scope(name: &str, rel: &str) -> bool {
-    let r = ipa_rule(name);
-    (r.scope.is_empty() || r.scope.iter().any(|s| rel.contains(s)))
-        && !r.allow.iter().any(|a| rel.contains(a))
-}
-
-/// Record a finding unless the rule is out of scope for the site's file or
-/// an `ipa:allow(<rule>)` marker on the line (or the line above)
-/// suppresses it.
-pub(crate) fn finding(
-    file: &SourceFile,
-    rule: &'static str,
-    line: usize,
-    message: String,
-    out: &mut Vec<Violation>,
-) {
-    if !in_scope(rule, &file.rel) {
-        return;
-    }
-    let raw = file.raw.get(line.wrapping_sub(1)).map(String::as_str).unwrap_or("");
-    let prev = line.checked_sub(2).and_then(|p| file.raw.get(p)).map(String::as_str);
-    let marker = format!("ipa:allow({rule})");
-    if raw.contains(&marker) || prev.is_some_and(|p| p.contains(&marker)) {
-        return;
-    }
-    out.push(Violation { rule, path: PathBuf::from(&file.rel), line, snippet: raw.to_string(), message });
+/// True when token `g` applies a surface gate: a `.op(`/`.wrap(`/`.op_gate(`
+/// method, or a call to the `gated(faults, retry, what, op)` helper that
+/// runs its closure through the gate (the `AtomicFile` plumbing's local
+/// spelling of the same thing).
+pub(crate) fn gate_at(t: &[Token], g: usize) -> bool {
+    let opens_call = t.get(g + 1).is_some_and(|n| n.text == "(");
+    let method = (t[g].text == "op" || t[g].text == "wrap" || t[g].text == "op_gate")
+        && g > 0
+        && t[g - 1].text == "."
+        && opens_call;
+    let helper = t[g].text == "gated"
+        && opens_call
+        && g > 0
+        && t[g - 1].text != "fn"
+        && t[g - 1].text != ".";
+    method || helper
 }
 
 /// Token indices dominated by a FaultSurface gate on every path from the
 /// function entry (the gate token itself counts as gated — a `.op(` call
-/// site carries its own gate). Same forward-must analysis as flow's
-/// `fault-surface-bypass`, but returning the full dominated set so the
-/// interprocedural rules can ask about arbitrary call/sink sites.
+/// site carries its own gate): a forward must-analysis over the
+/// function's CFG, optimistic init and intersection join, returning the
+/// full dominated set so the rules can ask about any call or sink site.
 pub(crate) fn gate_dominated(t: &[Token], func: &Function) -> BTreeSet<usize> {
     let mut out = BTreeSet::new();
     if !func.body.clone().any(|g| gate_at(t, g)) {
@@ -327,7 +314,7 @@ fn reachability_rule(
                 Effect::Panic => "can panic",
                 Effect::Spawn => "spawns a thread",
             };
-            finding(
+            IPA.finding(
                 a.files[node.file],
                 rule,
                 site.line,
@@ -372,7 +359,7 @@ fn fault_surface_reach(a: &Analysis<'_>, out: &mut Vec<Violation>) {
             if site.effect != Effect::SinkIo || dominated.contains(&site.token) {
                 continue;
             }
-            finding(
+            IPA.finding(
                 file,
                 "fault-surface-reach",
                 site.line,
@@ -390,14 +377,13 @@ fn fault_surface_reach(a: &Analysis<'_>, out: &mut Vec<Violation>) {
 
 /// `error-context-prop`: bottom-up "can surface a bare fs error" bit, then
 /// report `?`-without-ctx call sites that cross a crate boundary into a
-/// bare-raising callee.
+/// bare-raising callee, and every bare `?` site of a bare-raising storage
+/// root (no resolved caller: its error leaves the call graph, towards the
+/// CLI, with nothing left to add context).
 fn error_context_prop(a: &Analysis<'_>, out: &mut Vec<Violation>) {
     let n = a.graph.nodes.len();
-    let mut bare: Vec<bool> = (0..n)
-        .map(|id| a.sites[id].iter().any(|s| {
-            matches!(s.effect, Effect::FileIo | Effect::SinkIo) && s.bare_question
-        }))
-        .collect();
+    let bare_site = |s: &Site| matches!(s.effect, Effect::FileIo | Effect::SinkIo) && s.bare_question;
+    let mut bare: Vec<bool> = (0..n).map(|id| a.sites[id].iter().any(bare_site)).collect();
     // Propagate up through `?`-without-ctx call sites to a fixpoint.
     let mut changed = true;
     while changed {
@@ -406,32 +392,32 @@ fn error_context_prop(a: &Analysis<'_>, out: &mut Vec<Violation>) {
             if bare[id] {
                 continue;
             }
-            let raises = a.graph.nodes[id].calls.iter().any(|c| {
-                c.question && !c.ctx_on_chain && c.targets.iter().any(|&t| bare[t])
-            });
-            if raises {
+            if a.graph.nodes[id].calls.iter().any(|c| raises(c, &bare)) {
                 bare[id] = true;
                 changed = true;
             }
         }
     }
-    for node in &a.graph.nodes {
-        for c in &node.calls {
-            if !c.question || c.ctx_on_chain {
-                continue;
+    for (id, node) in a.graph.nodes.iter().enumerate() {
+        let file = a.files[node.file];
+        let root = bare[id] && a.graph.callers[id].is_empty() && file.rel.contains("crates/storage/src/");
+        let leaves = |what: &str| {
+            format!(
+                "`{what}` surfaces a bare fs error out of `{}`, which no workspace \
+                 function calls; add .ctx(op, path) on this chain or below",
+                node.qname()
+            )
+        };
+        if root {
+            for site in a.sites[id].iter().filter(|s| bare_site(s)) {
+                IPA.finding(file, "error-context-prop", site.line, leaves(&site.what), out);
             }
-            let Some(&culprit) = c
-                .targets
-                .iter()
-                .find(|&&t| bare[t] && a.graph.nodes[t].krate != node.krate)
-            else {
-                continue;
-            };
-            finding(
-                a.files[node.file],
-                "error-context-prop",
-                c.line,
-                format!(
+        }
+        for c in node.calls.iter().filter(|c| raises(c, &bare)) {
+            let crossing =
+                c.targets.iter().find(|&&t| bare[t] && a.graph.nodes[t].krate != node.krate);
+            let message = match crossing {
+                Some(&culprit) => format!(
                     "`{}` can surface a bare fs error from `{}` across the {}→{} crate \
                      boundary; add .ctx(op, path) on this chain or below",
                     c.label,
@@ -439,10 +425,18 @@ fn error_context_prop(a: &Analysis<'_>, out: &mut Vec<Violation>) {
                     a.graph.nodes[culprit].krate,
                     node.krate
                 ),
-                out,
-            );
+                None if root => leaves(&c.label),
+                None => continue,
+            };
+            IPA.finding(file, "error-context-prop", c.line, message, out);
         }
     }
+}
+
+/// A `?`-without-ctx call site into a callee that can raise a bare fs
+/// error.
+fn raises(c: &callgraph::CallSite, bare: &[bool]) -> bool {
+    c.question && !c.ctx_on_chain && c.targets.iter().any(|&t| bare[t])
 }
 
 /// Run every ipa rule over already-parsed files; findings are sorted by

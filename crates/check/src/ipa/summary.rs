@@ -33,8 +33,8 @@ pub enum Effect {
     Lock,
     /// Non-creating filesystem call (`fs::read`, `File::open`, …).
     FileIo,
-    /// File-creating/renaming sink (the flow pass's SINK_PATHS plus
-    /// `write_atomic`) — what fault-surface-reach must see gated.
+    /// File-creating/renaming sink (see `sink_at`) — what
+    /// fault-surface-reach must see gated.
     SinkIo,
     /// unwrap/expect, release-enabled assert, panicking macro, non-literal
     /// index/slice, division/remainder by a non-literal divisor.
@@ -88,6 +88,76 @@ impl Summary {
             Effect::Spawn => self.spawns = true,
         }
     }
+}
+
+/// Two-segment call paths that create, open-for-write, or rename files.
+const SINK_PATHS: &[(&str, &str)] = &[
+    ("File", "create"),
+    ("File", "options"),
+    ("OpenOptions", "new"),
+    ("fs", "write"),
+    ("fs", "rename"),
+    ("TrackedFile", "create"),
+    ("TrackedFile", "open_rw"),
+    ("tracked", "writer"),
+    ("tracked", "checksummed_writer"),
+    ("RecordWriter", "create"),
+];
+
+/// Fallible filesystem entry points (`seg::method(`) that do not create a
+/// file.
+const FS_CALLS: &[(&str, &str)] = &[
+    ("fs", "read"),
+    ("fs", "read_to_string"),
+    ("fs", "copy"),
+    ("fs", "remove_file"),
+    ("fs", "remove_dir"),
+    ("fs", "remove_dir_all"),
+    ("fs", "create_dir"),
+    ("fs", "create_dir_all"),
+    ("fs", "metadata"),
+    ("fs", "read_dir"),
+    ("fs", "canonicalize"),
+    ("fs", "hard_link"),
+    ("File", "open"),
+];
+
+/// The call at token `g`, if it is a sink. A turbofish segment between the
+/// type and the method (`RecordWriter::<u64>::create`) is skipped, and a
+/// bare `write_atomic(path, bytes)` writes and renames in one call.
+pub(crate) fn sink_at(t: &[Token], g: usize) -> Option<String> {
+    for &(a, b) in SINK_PATHS {
+        if t[g].text != a || tx(t, g + 1) != "::" {
+            continue;
+        }
+        let mut m = g + 2;
+        if tx(t, m) == "<" {
+            let mut depth = 0i64;
+            while m < t.len() {
+                match t[m].text.as_str() {
+                    "<" => depth += 1,
+                    ">" => depth -= 1,
+                    ">>" => depth -= 2,
+                    _ => {}
+                }
+                m += 1;
+                if depth <= 0 {
+                    break;
+                }
+            }
+            if tx(t, m) != "::" {
+                continue;
+            }
+            m += 1;
+        }
+        if tx(t, m) == b && tx(t, m + 1) == "(" {
+            return Some(format!("{a}::{b}"));
+        }
+    }
+    if t[g].text == "write_atomic" && tx(t, g + 1) == "(" && tx(t, g.wrapping_sub(1)) != "fn" {
+        return Some("write_atomic".into());
+    }
+    None
 }
 
 /// Panicking macros (release builds included). `debug_assert*` compiles out
@@ -234,9 +304,9 @@ pub fn local_sites(file: &SourceFile, func: &Function) -> Vec<Site> {
             }
         }
         // File IO — creating sinks first (turbofish-aware), then the
-        // non-creating fs entry points shared with the flow error-context
-        // rule. Both record whether the error `?`-propagates bare.
-        if let Some(call) = crate::flow::surface::sink_at(t, g) {
+        // non-creating fs entry points. Both record whether the error
+        // `?`-propagates bare.
+        if let Some(call) = sink_at(t, g) {
             // Find the argument-list `(`: after `Seg::m` or right after a
             // bare `write_atomic`.
             let mut open = g + 1;
@@ -247,7 +317,7 @@ pub fn local_sites(file: &SourceFile, func: &Function) -> Vec<Site> {
             site(g, Effect::SinkIo, call, q && !ctx);
             continue;
         }
-        if let Some(call) = crate::flow::errctx::FS_CALLS.iter().find_map(|&(a, b)| {
+        if let Some(call) = FS_CALLS.iter().find_map(|&(a, b)| {
             (s == a && tx(t, g + 1) == "::" && tx(t, g + 2) == b && tx(t, g + 3) == "(")
                 .then(|| format!("{a}::{b}"))
         }) {

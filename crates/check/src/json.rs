@@ -1,14 +1,14 @@
-//! Hand-rolled JSON emission for lint/audit/flow findings.
+//! Hand-rolled JSON emission for the analyzers' findings.
 //!
 //! The workspace is offline (no serde); the schema is small and stable, so
-//! a ~60-line serializer keeps the machine-readable artifact contract
-//! (`lint_findings.json` / `audit_findings.json` / `flow_findings.json`
-//! in CI, merged into `analysis_findings.json` by `graphz-report`) without
-//! a dependency. Schema:
+//! a ~40-line serializer keeps the machine-readable artifact contract
+//! (`graphz-check --json analysis_findings.json` in CI) without a
+//! dependency. Schema:
 //!
 //! ```json
 //! {
-//!   "tool": "graphz-audit",
+//!   "schema_version": 1,
+//!   "tool": "graphz-check",
 //!   "rules": ["lock-order", "…"],
 //!   "count": 1,
 //!   "findings": [
@@ -16,8 +16,6 @@
 //!   ]
 //! }
 //! ```
-
-use std::path::Path;
 
 use crate::lint::{Rule, Violation};
 
@@ -27,11 +25,15 @@ use crate::lint::{Rule, Violation};
 pub const SCHEMA_VERSION: u32 = 1;
 
 /// Render a findings report as a JSON document.
-pub fn render(tool: &str, rules: &[Rule], findings: &[Violation]) -> String {
+pub fn render<'r>(
+    tool: &str,
+    rules: impl IntoIterator<Item = &'r Rule>,
+    findings: &[Violation],
+) -> String {
     let mut s = String::from("{\n");
     s.push_str(&format!("  \"schema_version\": {SCHEMA_VERSION},\n"));
     s.push_str(&format!("  \"tool\": {},\n", quote(tool)));
-    let names: Vec<String> = rules.iter().map(|r| quote(r.name)).collect();
+    let names: Vec<String> = rules.into_iter().map(|r| quote(r.name)).collect();
     s.push_str(&format!("  \"rules\": [{}],\n", names.join(", ")));
     s.push_str(&format!("  \"count\": {},\n", findings.len()));
     s.push_str("  \"findings\": [\n");
@@ -48,57 +50,6 @@ pub fn render(tool: &str, rules: &[Rule], findings: &[Violation]) -> String {
     }
     s.push_str("  ]\n}\n");
     s
-}
-
-/// Render and write a findings report to `path`.
-pub fn write_report(
-    path: &Path,
-    tool: &str,
-    rules: &[Rule],
-    findings: &[Violation],
-) -> std::io::Result<()> {
-    std::fs::write(path, render(tool, rules, findings))
-}
-
-/// Merge per-tool reports (each a complete [`render`]-shaped document)
-/// into one combined artifact. Each input document is embedded verbatim
-/// under its tool name; the top-level `count` is the sum of the embedded
-/// `"count":` fields, recovered by a string scan so the merge needs no
-/// JSON parser. Input documents end in a newline ([`render`] guarantees
-/// it), which is trimmed before embedding.
-pub fn render_combined(reports: &[(&str, &str)]) -> String {
-    let mut total = 0u64;
-    for (_, doc) in reports {
-        total += embedded_count(doc).unwrap_or(0);
-    }
-    let mut s = String::from("{\n");
-    s.push_str(&format!("  \"schema_version\": {SCHEMA_VERSION},\n"));
-    s.push_str(&format!("  \"count\": {total},\n"));
-    let tools: Vec<String> = reports.iter().map(|(t, _)| quote(t)).collect();
-    s.push_str(&format!("  \"tools\": [{}],\n", tools.join(", ")));
-    s.push_str("  \"reports\": {\n");
-    for (i, (tool, doc)) in reports.iter().enumerate() {
-        // Re-indent the embedded document so the artifact stays readable.
-        let body: Vec<String> =
-            doc.trim_end().lines().map(|l| format!("    {l}")).collect();
-        s.push_str(&format!("    {}: {}{}\n", quote(tool), body.join("\n").trim_start(), {
-            if i + 1 == reports.len() {
-                ""
-            } else {
-                ","
-            }
-        }));
-    }
-    s.push_str("  }\n}\n");
-    s
-}
-
-/// The `"count": N` field of a [`render`]-shaped document.
-fn embedded_count(doc: &str) -> Option<u64> {
-    let at = doc.find("\"count\":")?;
-    let rest = doc[at + "\"count\":".len()..].trim_start();
-    let digits: String = rest.chars().take_while(|c| c.is_ascii_digit()).collect();
-    digits.parse().ok()
 }
 
 fn quote(s: &str) -> String {
@@ -122,7 +73,6 @@ fn quote(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::audit::AUDIT_RULES;
     use std::path::PathBuf;
 
     #[test]
@@ -134,40 +84,50 @@ mod tests {
             snippet: "let g = m.lock(); // \"quoted\"".to_string(),
             message: "cycle a -> b".to_string(),
         };
-        let json = render("graphz-audit", AUDIT_RULES, &[v]);
+        let json = render("graphz-check", crate::suite::rules(), &[v]);
         assert!(json.starts_with("{\n  \"schema_version\": 1,\n"), "{json}");
-        assert!(json.contains("\"tool\": \"graphz-audit\""));
+        assert!(json.contains("\"tool\": \"graphz-check\""));
         assert!(json.contains("\"count\": 1"));
         assert!(json.contains("\"line\": 7"));
         assert!(json.contains("\\\"quoted\\\""));
-        assert!(json.contains("\"rules\": [\"lock-order\""));
+        assert!(json.contains("\"rules\": [\"no-unwrap\""), "{json}");
+        assert!(json.contains("\"lock-order\", "), "{json}");
     }
 
     #[test]
     fn empty_report_is_valid() {
-        let json = render("graphz-lint", &[], &[]);
+        let json = render("graphz-check", &[], &[]);
         assert!(json.contains("\"count\": 0"));
         assert!(json.contains("\"findings\": [\n  ]"));
     }
 
+    /// One document carries every tool's findings: the count is their sum,
+    /// each finding is embedded with its rule, path and line, and `rules`
+    /// names every tool's rules.
     #[test]
     fn combined_report_sums_counts_and_embeds_documents() {
-        let v = Violation {
-            rule: "fault-surface-bypass",
+        let at = |rule: &'static str, line: usize| Violation {
+            rule,
             path: PathBuf::from("crates/io/src/x.rs"),
-            line: 3,
+            line,
             snippet: "File::create(p)?".to_string(),
-            message: "bypass".to_string(),
+            message: "finding".to_string(),
         };
-        let a = render("graphz-lint", &[], &[]);
-        let b = render("graphz-flow", crate::flow::FLOW_RULES, &[v.clone(), v]);
-        let combined = render_combined(&[("graphz-lint", &a), ("graphz-flow", &b)]);
-        assert!(
-            combined.starts_with("{\n  \"schema_version\": 1,\n  \"count\": 2,\n"),
-            "{combined}"
-        );
-        assert!(combined.contains("\"tools\": [\"graphz-lint\", \"graphz-flow\"]"));
-        assert!(combined.contains("\"graphz-flow\": {"));
-        assert!(combined.contains("\"rule\": \"fault-surface-bypass\""));
+        let findings =
+            [at("no-unwrap", 1), at("must-consume-paths", 2), at("fault-surface-reach", 3)];
+        let json = render("graphz-check", crate::suite::rules(), &findings);
+        let head = "{\n  \"schema_version\": 1,\n  \"tool\": \"graphz-check\",\n";
+        assert!(json.starts_with(head), "{json}");
+        assert!(json.contains("\"count\": 3"), "{json}");
+        for v in &findings {
+            let entry = format!(
+                "{{\"rule\": \"{}\", \"path\": \"crates/io/src/x.rs\", \"line\": {}",
+                v.rule, v.line
+            );
+            assert!(json.contains(&entry), "{entry} missing: {json}");
+        }
+        for rule in crate::suite::rules() {
+            assert!(json.contains(&format!("\"{}\"", rule.name)), "{} missing: {json}", rule.name);
+        }
     }
 }

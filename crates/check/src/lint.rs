@@ -20,6 +20,8 @@
 use std::fmt;
 use std::path::{Path, PathBuf};
 
+use crate::parser::SourceFile;
+
 /// One rule violation, pointing at the offending line.
 #[derive(Debug, Clone)]
 pub struct Violation {
@@ -131,16 +133,54 @@ pub const RULES: &[Rule] = &[
     },
 ];
 
-fn rule(name: &'static str) -> &'static Rule {
-    RULES
-        .iter()
-        .find(|r| r.name == name)
-        .unwrap_or(&RULES[0]) // names are compile-time constants; unreachable
+/// The lint pass as a [`Tool`].
+pub const LINT: Tool = Tool { prefix: "lint", rules: RULES };
+
+/// One analyzer: its rule table and the prefix of its suppression marker
+/// (`// <prefix>:allow(<rule>)`). Every analyzer reports through one.
+pub struct Tool {
+    pub prefix: &'static str,
+    pub rules: &'static [Rule],
 }
 
-fn in_scope(r: &Rule, rel: &str) -> bool {
-    (r.scope.is_empty() || r.scope.iter().any(|s| rel.contains(s)))
-        && !r.allow.iter().any(|a| rel.contains(a))
+impl Tool {
+    /// Whether rule `name` of this tool reports in the file at `rel`.
+    pub(crate) fn in_scope(&self, name: &str, rel: &str) -> bool {
+        self.rules.iter().any(|r| {
+            r.name == name
+                && (r.scope.is_empty() || r.scope.iter().any(|s| rel.contains(s)))
+                && !r.allow.iter().any(|a| rel.contains(a))
+        })
+    }
+
+    /// Whether a marker for `rule` sits on line `raw` or the line above.
+    pub(crate) fn suppressed(&self, rule: &str, raw: &str, prev: Option<&str>) -> bool {
+        let marker = format!("{}:allow({rule})", self.prefix);
+        raw.contains(&marker) || prev.is_some_and(|p| p.contains(&marker))
+    }
+
+    /// Record a finding at `line` of `file` unless the rule is out of scope
+    /// there or a marker suppresses it.
+    pub(crate) fn finding(
+        &self,
+        file: &SourceFile,
+        rule: &'static str,
+        line: usize,
+        message: String,
+        out: &mut Vec<Violation>,
+    ) {
+        let raw = file.raw.get(line.wrapping_sub(1)).map(String::as_str).unwrap_or("");
+        let prev = line.checked_sub(2).and_then(|p| file.raw.get(p)).map(String::as_str);
+        if self.in_scope(rule, &file.rel) && !self.suppressed(rule, raw, prev) {
+            out.push(Violation { rule, path: PathBuf::from(&file.rel), line, snippet: raw.to_string(), message });
+        }
+    }
+}
+
+/// Test code: files under these directories are out of scope for every
+/// analyzer.
+pub(crate) fn in_test_dir(rel: &str) -> bool {
+    ["/tests/", "/benches/", "/examples/"].iter().any(|d| rel.contains(d))
 }
 
 /// Strip comments and string/char literals from a source file, preserving
@@ -321,12 +361,6 @@ fn token_at(line: &str, needle: &str) -> Option<usize> {
     None
 }
 
-/// Check one line (raw + its predecessor) for a `lint:allow(rule)` marker.
-fn suppressed(raw: &str, prev_raw: Option<&str>, rule_name: &str) -> bool {
-    let marker = format!("lint:allow({rule_name})");
-    raw.contains(&marker) || prev_raw.is_some_and(|p| p.contains(&marker))
-}
-
 /// Identifiers in `lines` bound to a `HashMap`/`HashSet` type — fields,
 /// `let` bindings, and `= HashMap::new()` initialisations.
 fn unordered_bindings(lines: &[String]) -> Vec<String> {
@@ -401,11 +435,8 @@ fn iterates_unordered(line: &str, name: &str) -> bool {
 
 /// Lint one Rust source file (already read) at repo-relative path `rel`.
 pub fn lint_rust_source(rel: &str, source: &str, out: &mut Vec<Violation>) {
-    // Test code is out of scope for every rule.
-    for dir in ["/tests/", "/benches/", "/examples/"] {
-        if rel.contains(dir) {
-            return;
-        }
+    if in_test_dir(rel) {
+        return;
     }
     let raw: Vec<&str> = source.lines().collect();
     let clean = sanitize(source);
@@ -426,7 +457,7 @@ pub fn lint_rust_source(rel: &str, source: &str, out: &mut Vec<Violation>) {
     let spawns: &[&str] = &["std::thread::spawn", "thread::Builder::new"];
     let clocks: &[&str] = &["Instant::now", "SystemTime::now"];
 
-    let bindings = if in_scope(rule("no-unordered-iter"), rel) {
+    let bindings = if LINT.in_scope("no-unordered-iter", rel) {
         unordered_bindings(&clean[..code_end])
     } else {
         Vec::new()
@@ -437,7 +468,7 @@ pub fn lint_rust_source(rel: &str, source: &str, out: &mut Vec<Violation>) {
         let raw_line = raw.get(idx).copied().unwrap_or("");
         let prev_raw = idx.checked_sub(1).and_then(|p| raw.get(p)).copied();
         let mut flag = |name: &'static str, message: String| {
-            if in_scope(rule(name), rel) && !suppressed(raw_line, prev_raw, name) {
+            if LINT.in_scope(name, rel) && !LINT.suppressed(name, raw_line, prev_raw) {
                 out.push(Violation {
                     rule: name,
                     path: PathBuf::from(rel),
@@ -480,7 +511,7 @@ pub fn lint_rust_source(rel: &str, source: &str, out: &mut Vec<Violation>) {
 /// Lint one `Cargo.toml` (rule `no-new-deps`): inside dependency sections,
 /// every entry must resolve by `path` or `workspace = true`.
 pub fn lint_manifest(rel: &str, source: &str, out: &mut Vec<Violation>) {
-    if !in_scope(rule("no-new-deps"), rel) {
+    if !LINT.in_scope("no-new-deps", rel) {
         return;
     }
     let mut in_deps = false;
@@ -505,7 +536,7 @@ pub fn lint_manifest(rel: &str, source: &str, out: &mut Vec<Violation>) {
             });
         if !ok || versioned {
             let prev_raw = idx.checked_sub(1).and_then(|p| lines.get(p)).copied();
-            if !suppressed(raw_line, prev_raw, "no-new-deps") {
+            if !LINT.suppressed("no-new-deps", raw_line, prev_raw) {
                 out.push(Violation {
                     rule: "no-new-deps",
                     path: PathBuf::from(rel),
@@ -518,44 +549,51 @@ pub fn lint_manifest(rel: &str, source: &str, out: &mut Vec<Violation>) {
     }
 }
 
-/// Walk `root` and lint every `.rs` and `Cargo.toml` under `crates/` and
-/// `shims/` (skipping `target/`, `.git/`, and anything outside those two
-/// trees when they exist). Returns all violations, sorted by path and line.
-pub fn lint_tree(root: &Path) -> std::io::Result<Vec<Violation>> {
+/// Read every `.rs` and `Cargo.toml` under `root/crates/` and
+/// `root/shims/` (or under `root` itself for fixture trees with neither),
+/// skipping `target/` and `.git/`. Returns `(repo-relative path, text)`
+/// pairs sorted by path; every analyzer runs over this one read.
+pub fn read_tree(root: &Path) -> std::io::Result<Vec<(String, String)>> {
     let mut files = Vec::new();
-    let crates = root.join("crates");
-    let shims = root.join("shims");
-    if crates.is_dir() || shims.is_dir() {
-        for base in [crates, shims] {
-            if base.is_dir() {
-                collect_files(&base, &mut files)?;
-            }
-        }
-    } else {
-        // Fixture trees (tests) lint whatever is under the root.
+    let bases: Vec<PathBuf> =
+        ["crates", "shims"].iter().map(|b| root.join(b)).filter(|b| b.is_dir()).collect();
+    if bases.is_empty() {
         collect_files(root, &mut files)?;
     }
+    for base in &bases {
+        collect_files(base, &mut files)?;
+    }
     files.sort();
+    files
+        .into_iter()
+        .map(|path| {
+            let rel = path.strip_prefix(root).unwrap_or(&path).to_string_lossy().replace('\\', "/");
+            Ok((rel, std::fs::read_to_string(&path)?))
+        })
+        .collect()
+}
 
+/// Lint already-read sources (see [`read_tree`]); violations sorted by
+/// path and line.
+pub(crate) fn lint_sources(sources: &[(String, String)]) -> Vec<Violation> {
     let mut out = Vec::new();
-    for path in files {
-        let rel = path
-            .strip_prefix(root)
-            .unwrap_or(&path)
-            .to_string_lossy()
-            .replace('\\', "/");
-        let source = std::fs::read_to_string(&path)?;
+    for (rel, source) in sources {
         if rel.ends_with("Cargo.toml") {
-            lint_manifest(&rel, &source, &mut out);
+            lint_manifest(rel, source, &mut out);
         } else {
-            lint_rust_source(&rel, &source, &mut out);
+            lint_rust_source(rel, source, &mut out);
         }
     }
     out.sort_by(|a, b| (&a.path, a.line).cmp(&(&b.path, b.line)));
-    Ok(out)
+    out
 }
 
-pub(crate) fn collect_files(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
+/// Read and lint the tree rooted at `root`.
+pub fn lint_tree(root: &Path) -> std::io::Result<Vec<Violation>> {
+    Ok(lint_sources(&read_tree(root)?))
+}
+
+fn collect_files(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
     for entry in std::fs::read_dir(dir)? {
         let entry = entry?;
         let path = entry.path();

@@ -17,7 +17,7 @@ use std::collections::BTreeSet;
 use std::ops::Range;
 use std::path::Path;
 
-use crate::lint::sanitize;
+use crate::lint::{in_test_dir, read_tree, sanitize};
 
 /// One lexical token and the 1-based source line it starts on.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -288,6 +288,7 @@ pub fn fn_return_kinds(
 /// One parsed source file: raw lines (for report snippets and the
 /// `audit:allow` suppression markers), the token stream over the sanitized
 /// non-test code, and the extracted functions.
+#[derive(Clone)]
 pub struct SourceFile {
     /// Repo-relative path with `/` separators.
     pub rel: String,
@@ -316,36 +317,21 @@ pub fn parse_source(rel: &str, source: &str) -> SourceFile {
     }
 }
 
-/// Parse every non-test `.rs` file under `root/crates/` (or under `root`
-/// itself for fixture trees without a `crates/` directory). `tests/`,
-/// `benches/`, and `examples/` directories are out of scope, as are the
-/// vendored `shims/` (offline dependency stand-ins, not product code).
-pub fn parse_tree(root: &Path) -> std::io::Result<Vec<SourceFile>> {
-    let mut files = Vec::new();
-    let crates = root.join("crates");
-    if crates.is_dir() {
-        crate::lint::collect_files(&crates, &mut files)?;
-    } else {
-        crate::lint::collect_files(root, &mut files)?;
-    }
-    files.sort();
+/// Parse the non-test `.rs` files among already-read sources (see
+/// [`read_tree`]): `tests/`, `benches/`, and `examples/` directories are
+/// out of scope, as are the vendored `shims/` (offline dependency
+/// stand-ins, not product code).
+pub fn parse_sources(sources: &[(String, String)]) -> Vec<SourceFile> {
+    sources
+        .iter()
+        .filter(|(rel, _)| rel.ends_with(".rs") && !rel.starts_with("shims/") && !in_test_dir(rel))
+        .map(|(rel, source)| parse_source(rel, source))
+        .collect()
+}
 
-    let mut out = Vec::new();
-    for path in files {
-        let rel = path
-            .strip_prefix(root)
-            .unwrap_or(&path)
-            .to_string_lossy()
-            .replace('\\', "/");
-        if !rel.ends_with(".rs")
-            || ["/tests/", "/benches/", "/examples/"].iter().any(|d| rel.contains(d))
-        {
-            continue;
-        }
-        let source = std::fs::read_to_string(&path)?;
-        out.push(parse_source(&rel, &source));
-    }
-    Ok(out)
+/// Read and parse the tree rooted at `root`.
+pub fn parse_tree(root: &Path) -> std::io::Result<Vec<SourceFile>> {
+    Ok(parse_sources(&read_tree(root)?))
 }
 
 #[cfg(test)]

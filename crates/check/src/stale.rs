@@ -23,20 +23,11 @@
 //! way, not re-judged here).
 
 use std::collections::BTreeSet;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
-use crate::lint::{lint_manifest, lint_rust_source, sanitize, Violation};
-use crate::parser::parse_source;
-
-/// The four analyzer prefixes and their rule tables.
-fn tools() -> [(&'static str, Vec<&'static str>); 4] {
-    [
-        ("lint", crate::lint::RULES.iter().map(|r| r.name).collect()),
-        ("audit", crate::audit::AUDIT_RULES.iter().map(|r| r.name).collect()),
-        ("flow", crate::flow::FLOW_RULES.iter().map(|r| r.name).collect()),
-        ("ipa", crate::ipa::IPA_RULES.iter().map(|r| r.name).collect()),
-    ]
-}
+use crate::lint::{in_test_dir, lint_manifest, lint_rust_source, sanitize, Violation, LINT};
+use crate::parser::SourceFile;
+use crate::suite::TOOLS;
 
 /// Disable every suppression marker without moving a single byte.
 fn neutralize(source: &str) -> String {
@@ -55,7 +46,8 @@ struct Marker {
 
 /// Scan one file's comment text for markers. `comment` is the comment
 /// opener for this file kind (`//` or `#`); `code_end` bounds the non-test
-/// region (1-based line count).
+/// region (1-based line count). A marker under a
+/// `lint:allow(stale-suppression)` is not collected.
 fn collect_markers(rel: &str, raw: &[&str], comment: &str, code_end: usize, out: &mut Vec<Marker>) {
     for (idx, line) in raw.iter().enumerate().take(code_end) {
         let Some(at) = line.find(comment) else { continue };
@@ -64,8 +56,12 @@ fn collect_markers(rel: &str, raw: &[&str], comment: &str, code_end: usize, out:
         if comment == "//" && (text.starts_with("///") || text.starts_with("//!")) {
             continue;
         }
-        for (tool, rules) in tools() {
-            let needle = format!("{tool}:allow(");
+        let prev = idx.checked_sub(1).map(|p| raw[p]);
+        if LINT.suppressed("stale-suppression", line, prev) {
+            continue;
+        }
+        for tool in TOOLS {
+            let needle = format!("{}:allow(", tool.prefix);
             let mut from = 0;
             while let Some(pos) = text[from..].find(&needle) {
                 let start = from + pos + needle.len();
@@ -84,9 +80,9 @@ fn collect_markers(rel: &str, raw: &[&str], comment: &str, code_end: usize, out:
                 out.push(Marker {
                     rel: rel.to_string(),
                     line: idx + 1,
-                    tool,
+                    tool: tool.prefix,
                     rule: rule.to_string(),
-                    known_rule: rules.contains(&rule),
+                    known_rule: tool.rules.iter().any(|r| r.name == rule),
                     snippet: line.to_string(),
                 });
             }
@@ -94,81 +90,49 @@ fn collect_markers(rel: &str, raw: &[&str], comment: &str, code_end: usize, out:
     }
 }
 
-/// Run the stale-suppression analysis over the tree at `root`. Findings
-/// carry the `stale-suppression` rule and point at the marker line; a
-/// `lint:allow(stale-suppression)` marker there (or the line above)
-/// suppresses them like any other lint.
-pub fn stale_tree(root: &Path) -> std::io::Result<Vec<Violation>> {
-    // File walk mirrors the union of the analyzers' scopes: lint sees
-    // crates/ + shims/ (.rs and Cargo.toml); audit/flow/ipa see non-test
-    // .rs under crates/. Fixture trees without crates/ scan the root.
-    let mut files = Vec::new();
-    let crates = root.join("crates");
-    let shims = root.join("shims");
-    if crates.is_dir() || shims.is_dir() {
-        for base in [crates, shims] {
-            if base.is_dir() {
-                crate::lint::collect_files(&base, &mut files)?;
-            }
-        }
-    } else {
-        crate::lint::collect_files(root, &mut files)?;
-    }
-    files.sort();
-
+/// Run the stale-suppression analysis over already-read sources and their
+/// parse (see [`crate::suite::check`]). Findings carry the
+/// `stale-suppression` rule and point at the marker line.
+pub(crate) fn stale(sources: &[(String, String)], parsed: &[SourceFile]) -> Vec<Violation> {
     let mut markers: Vec<Marker> = Vec::new();
-    let mut lint_unsup: Vec<Violation> = Vec::new();
-    let mut parsed = Vec::new();
-    for path in &files {
-        let rel = path.strip_prefix(root).unwrap_or(path).to_string_lossy().replace('\\', "/");
-        let source = std::fs::read_to_string(path)?;
-        let neutral = neutralize(&source);
+    let mut unsuppressed: Vec<Violation> = Vec::new();
+    for (rel, source) in sources {
+        let neutral = neutralize(source);
         let raw: Vec<&str> = source.lines().collect();
         if rel.ends_with("Cargo.toml") {
-            collect_markers(&rel, &raw, "#", raw.len(), &mut markers);
-            lint_manifest(&rel, &neutral, &mut lint_unsup);
-            continue;
+            collect_markers(rel, &raw, "#", raw.len(), &mut markers);
+            lint_manifest(rel, &neutral, &mut unsuppressed);
+        } else if !in_test_dir(rel) {
+            let code_end = sanitize(source)
+                .iter()
+                .position(|l| l.trim_start().starts_with("#[cfg(test)]"))
+                .unwrap_or(raw.len());
+            collect_markers(rel, &raw, "//", code_end, &mut markers);
+            lint_rust_source(rel, &neutral, &mut unsuppressed);
         }
-        let in_test_dir = ["/tests/", "/benches/", "/examples/"].iter().any(|d| rel.contains(d));
-        if in_test_dir {
-            continue; // analyzers never report here; markers are fixture text
-        }
-        let code_end = sanitize(&source)
-            .iter()
-            .position(|l| l.trim_start().starts_with("#[cfg(test)]"))
-            .unwrap_or(raw.len());
-        collect_markers(&rel, &raw, "//", code_end, &mut markers);
-        lint_rust_source(&rel, &neutral, &mut lint_unsup);
-        // audit/flow/ipa scope: non-test .rs under crates/ (or the whole
-        // fixture root), same filter as parser::parse_tree.
-        if rel.contains("shims/") {
-            continue;
-        }
-        parsed.push(parse_source(&rel, &neutral));
     }
-
-    let audit_unsup = crate::audit::audit_files(&parsed);
-    let flow_unsup = crate::flow::flow_files(&parsed);
-    let ipa_unsup = crate::ipa::ipa_files(&parsed);
+    // Markers sit in comments, which the token stream never sees: only the
+    // raw lines the suppression check reads change.
+    let neutral: Vec<SourceFile> = parsed
+        .iter()
+        .map(|f| SourceFile { raw: f.raw.iter().map(|l| neutralize(l)).collect(), ..f.clone() })
+        .collect();
+    unsuppressed.extend(crate::audit::audit_files(&neutral));
+    unsuppressed.extend(crate::flow::flow_files(&neutral));
+    unsuppressed.extend(crate::ipa::ipa_files(&neutral));
 
     // Index unsuppressed findings by (tool, rule, rel, line).
-    let mut live: BTreeSet<(&str, String, String, usize)> = BTreeSet::new();
-    for (tool, found) in [
-        ("lint", &lint_unsup),
-        ("audit", &audit_unsup),
-        ("flow", &flow_unsup),
-        ("ipa", &ipa_unsup),
-    ] {
-        for v in found {
-            live.insert((tool, v.rule.to_string(), v.path.to_string_lossy().replace('\\', "/"), v.line));
-        }
-    }
+    let live: BTreeSet<(&str, &str, String, usize)> = unsuppressed
+        .iter()
+        .map(|v| (crate::suite::tool_of(v.rule).prefix, v.rule, v.path.to_string_lossy().replace('\\', "/"), v.line))
+        .collect();
 
     let mut out = Vec::new();
     for m in markers {
         let used = m.known_rule
-            && (live.contains(&(m.tool, m.rule.clone(), m.rel.clone(), m.line))
-                || live.contains(&(m.tool, m.rule.clone(), m.rel.clone(), m.line + 1)));
+            && [m.line, m.line + 1]
+                .iter()
+                .any(|&l| live.contains(&(m.tool, m.rule.as_str(), m.rel.clone(), l)));
         if used {
             continue;
         }
@@ -177,18 +141,6 @@ pub fn stale_tree(root: &Path) -> std::io::Result<Vec<Violation>> {
         } else {
             "the tool defines no such rule"
         };
-        // Standard lint suppression applies to the stale finding itself.
-        let raw_line = m.snippet.as_str();
-        let source_above = std::fs::read_to_string(root.join(&m.rel)).unwrap_or_default();
-        let prev = m
-            .line
-            .checked_sub(2)
-            .and_then(|p| source_above.lines().nth(p))
-            .unwrap_or("");
-        let sup = "lint:allow(stale-suppression)";
-        if raw_line.contains(sup) || prev.contains(sup) {
-            continue;
-        }
         out.push(Violation {
             rule: "stale-suppression",
             path: PathBuf::from(&m.rel),
@@ -197,6 +149,5 @@ pub fn stale_tree(root: &Path) -> std::io::Result<Vec<Violation>> {
             message: format!("`{}:allow({})` suppresses nothing ({why}); remove it", m.tool, m.rule),
         });
     }
-    out.sort_by(|a, b| (&a.path, a.line).cmp(&(&b.path, b.line)));
-    Ok(out)
+    out
 }

@@ -1,40 +1,21 @@
-//! End-to-end gate for `graphz-audit` (ISSUE 4 acceptance): the real
-//! repository must audit clean, and seeded fixture trees must trip every
-//! rule — a lock-order cycle, an unchecked Eq. 1 multiply, a dropped
-//! atomic-write tempfile, an unconsumed MsgManager claim, and a silently
-//! dropped Result — with the binary exiting non-zero and naming the rule
-//! on stdout. Fixture trees are *scanned*, not compiled, so they only need
-//! to be token-plausible Rust.
+//! End-to-end gate for the audit rules: the real repository must audit
+//! clean, and seeded fixture trees must trip every rule — a lock-order
+//! cycle, an unchecked Eq. 1 multiply, a bare truncating cast, and a
+//! silently dropped Result.
+
+mod common;
 
 use std::collections::BTreeSet;
 use std::fs;
-use std::path::{Path, PathBuf};
-use std::process::Command;
+use std::path::Path;
+use std::process::{Command, Output};
 
+use common::{repo_root, scratch, write};
 use graphz_check::audit::{audit_tree, AUDIT_RULES};
 
-/// A scratch directory under the target dir, wiped per test.
-fn scratch(name: &str) -> PathBuf {
-    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join(name);
-    if dir.exists() {
-        fs::remove_dir_all(&dir).expect("clear scratch dir");
-    }
-    fs::create_dir_all(&dir).expect("create scratch dir");
-    dir
-}
-
-fn write(root: &Path, rel: &str, contents: &str) {
-    let path = root.join(rel);
-    fs::create_dir_all(path.parent().expect("parent")).expect("mkdir");
-    fs::write(path, contents).expect("write fixture file");
-}
-
-fn repo_root() -> &'static Path {
-    // crates/check/ → workspace root.
-    Path::new(env!("CARGO_MANIFEST_DIR"))
-        .parent()
-        .and_then(Path::parent)
-        .expect("workspace root")
+/// Run the `graphz-check` binary with `args`.
+fn check_bin(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_graphz-check")).args(args).output().expect("run graphz-check")
 }
 
 /// One file per rule; `suppress: true` adds an `audit:allow` marker above
@@ -88,28 +69,6 @@ fn seed_fixture(root: &Path, suppress: bool) {
         ),
     );
 
-    // must-consume: a tempfile written but never committed, and a claim
-    // that is read but never retired.
-    write(
-        root,
-        "crates/io/src/leak.rs",
-        &format!(
-            "pub fn write(dest: &Path, bytes: &[u8]) -> Result<()> {{\n\
-             {}    let mut f = AtomicFile::create(dest)?;\n\
-             f.write_all(bytes)?;\n    Ok(())\n}}\n",
-            allow("must-consume"),
-        ),
-    );
-    write(
-        root,
-        "crates/core/src/claimleak.rs",
-        &format!(
-            "pub fn peek(mgr: &mut MsgManager) -> Result<u64> {{\n\
-             {}    let c = mgr.claim(0)?;\n    Ok(c.total)\n}}\n",
-            allow("must-consume"),
-        ),
-    );
-
     // dropped-result: a Result-returning helper called as a bare statement.
     write(
         root,
@@ -145,11 +104,6 @@ fn seeded_fixtures_trip_every_rule() {
     let arith: Vec<_> =
         findings.iter().filter(|v| v.rule == "unchecked-offset-arith").collect();
     assert!(arith.len() >= 2, "{arith:?}");
-    // Both resource leaks (tempfile and claim) are reported.
-    let consume: Vec<_> = findings.iter().filter(|v| v.rule == "must-consume").collect();
-    assert_eq!(consume.len(), 2, "{consume:?}");
-    assert!(consume.iter().any(|v| v.message.contains("AtomicFile")));
-    assert!(consume.iter().any(|v| v.message.contains("message claim")));
 }
 
 #[test]
@@ -174,71 +128,62 @@ fn findings_name_file_line_and_rule() {
     assert!(shown.contains("[unchecked-cast]"), "{shown}");
 }
 
-/// Exit-code contract for the CI gate: clean tree ⇒ 0, each seeded fixture
-/// ⇒ non-zero with the rule named on stdout, usage errors ⇒ 2. Also covers
-/// the `--json` artifact both clean and dirty.
+/// Exit-code contract of `graphz-check`, the CI gate: clean repository ⇒
+/// 0 with a clean `--json` document, the seeded audit fixture ⇒ 1 with
+/// every audit rule printed with its suppression marker, usage errors ⇒
+/// 2; `--list-rules` names every audit rule under its tool.
 #[test]
 fn audit_binary_exit_codes_and_json() {
-    let bin = env!("CARGO_BIN_EXE_graphz-audit");
-
-    // Clean repository ⇒ exit 0 and a clean JSON artifact.
-    let json_clean = scratch("audit_json_clean").join("audit_findings.json");
-    let out = Command::new(bin)
-        .args(["--root", &repo_root().to_string_lossy()])
-        .args(["--json", &json_clean.to_string_lossy()])
-        .output()
-        .expect("run graphz-audit");
+    let json_clean = scratch("audit_json_clean").join("analysis_findings.json");
+    let repo = repo_root().to_string_lossy();
+    let out = check_bin(&["--root", &repo, "--json", &json_clean.to_string_lossy()]);
     assert!(out.status.success(), "clean tree must exit 0: {out:?}");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("clean"), "{stdout}");
-    let json = fs::read_to_string(&json_clean).expect("json artifact");
-    assert!(json.contains("\"schema_version\": 1"), "{json}");
+    assert!(String::from_utf8_lossy(&out.stdout).contains("clean"), "{out:?}");
+    let json = fs::read_to_string(&json_clean).expect("json document");
+    assert!(json.starts_with("{\n  \"schema_version\": 1,\n"), "{json}");
+    assert!(json.contains("\"tool\": \"graphz-check\""), "{json}");
     assert!(json.contains("\"count\": 0"), "{json}");
-    assert!(json.contains("\"tool\": \"graphz-audit\""));
 
-    // Seeded fixture ⇒ exit 1, every rule named on stdout, findings in JSON.
     let root = scratch("audit_fixture_exit");
     seed_fixture(&root, false);
-    let json_bad = root.join("audit_findings.json");
-    let out = Command::new(bin)
-        .args(["--root", &root.to_string_lossy()])
-        .args(["--json", &json_bad.to_string_lossy()])
-        .output()
-        .expect("run graphz-audit");
+    let json_bad = root.join("analysis_findings.json");
+    let out = check_bin(&["--root", &root.to_string_lossy(), "--json", &json_bad.to_string_lossy()]);
     assert_eq!(out.status.code(), Some(1), "{out:?}");
     let stdout = String::from_utf8_lossy(&out.stdout);
     for rule in AUDIT_RULES {
-        assert!(stdout.contains(rule.name), "stdout must name {}: {stdout}", rule.name);
+        let marker = format!("audit:allow({})", rule.name);
+        assert!(stdout.contains(&marker), "stdout must print `{marker}`: {stdout}");
     }
-    let json = fs::read_to_string(&json_bad).expect("json artifact");
+    let json = fs::read_to_string(&json_bad).expect("json document");
     assert!(json.contains("\"rule\": \"lock-order\""), "{json}");
 
-    // Usage error ⇒ exit 2.
-    let out = Command::new(bin).arg("--no-such-flag").output().expect("run graphz-audit");
-    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    for args in [&["--no-such-flag"][..], &["--fix-allowlist"], &["--root"]] {
+        assert_eq!(check_bin(args).status.code(), Some(2), "{args:?} is a usage error");
+    }
 
-    // --list-rules names every rule and exits 0.
-    let out = Command::new(bin).arg("--list-rules").output().expect("run graphz-audit");
-    assert!(out.status.success());
+    let out = check_bin(&["--list-rules"]);
+    assert!(out.status.success(), "{out:?}");
     let stdout = String::from_utf8_lossy(&out.stdout);
     for rule in AUDIT_RULES {
-        assert!(stdout.contains(rule.name), "{stdout}");
+        let listed = stdout.lines().any(|l| l.split_whitespace().take(2).eq(["audit", rule.name]));
+        assert!(listed, "{} missing from:\n{stdout}", rule.name);
     }
 }
 
-/// The lint binary shares the JSON artifact contract.
+/// Lint findings reach the same `--json` document and print their
+/// `lint:allow` marker.
 #[test]
 fn lint_binary_emits_json() {
-    let bin = env!("CARGO_BIN_EXE_graphz-lint");
-    let json_path = scratch("lint_json_clean").join("lint_findings.json");
-    let out = Command::new(bin)
-        .args(["--root", &repo_root().to_string_lossy()])
-        .args(["--json", &json_path.to_string_lossy()])
-        .output()
-        .expect("run graphz-lint");
-    assert!(out.status.success(), "{out:?}");
-    let json = fs::read_to_string(&json_path).expect("json artifact");
-    assert!(json.contains("\"tool\": \"graphz-lint\""), "{json}");
+    let root = scratch("lint_json_fixture");
+    write(&root, "crates/core/src/engine.rs", "pub fn f(v: Option<u32>) -> u32 { v.unwrap() }\n");
+    let json_path = root.join("analysis_findings.json");
+    let out = check_bin(&["--root", &root.to_string_lossy(), "--json", &json_path.to_string_lossy()]);
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    assert!(String::from_utf8_lossy(&out.stdout).contains("lint:allow(no-unwrap)"), "{out:?}");
+    let json = fs::read_to_string(&json_path).expect("json document");
     assert!(json.contains("\"schema_version\": 1"), "{json}");
-    assert!(json.contains("\"count\": 0"), "{json}");
+    assert!(json.contains("\"tool\": \"graphz-check\""), "{json}");
+    assert!(json.contains("\"count\": 1"), "{json}");
+    let entry = "\"rule\": \"no-unwrap\", \"path\": \"crates/core/src/engine.rs\", \"line\": 1";
+    assert!(json.contains(entry), "{json}");
 }

@@ -1,40 +1,23 @@
-//! End-to-end gate for `graphz-flow` (ISSUE 8 acceptance): the real
-//! repository — including this crate analyzing itself — must flow clean,
-//! and seeded fixture trees must trip every rule: a raw `File::create`
-//! bypassing the fault surface, an `AtomicFile` committed on only one
-//! path, a HashMap-iteration value reaching a `push` sink, and a raw
-//! `std::fs` call `?`-propagating without `.ctx`. Fixture trees are
-//! *scanned*, not compiled, so they only need to be token-plausible Rust.
+//! End-to-end gate for the flow rules: the real repository — including
+//! this crate analyzing itself — must flow clean, and seeded fixture trees
+//! must trip every rule: an `AtomicFile` committed on only one path, one
+//! never committed, a message claim never retired, and a HashMap-iteration
+//! value reaching a `push` sink.
+
+mod common;
 
 use std::collections::BTreeSet;
 use std::fs;
-use std::path::{Path, PathBuf};
-use std::process::Command;
+use std::path::Path;
+use std::process::{Command, Output};
 
+use common::{repo_root, scratch, write};
 use graphz_check::flow::{flow_tree, FLOW_RULES};
+use graphz_check::suite::rules;
 
-/// A scratch directory under the target dir, wiped per test.
-fn scratch(name: &str) -> PathBuf {
-    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join(name);
-    if dir.exists() {
-        fs::remove_dir_all(&dir).expect("clear scratch dir");
-    }
-    fs::create_dir_all(&dir).expect("create scratch dir");
-    dir
-}
-
-fn write(root: &Path, rel: &str, contents: &str) {
-    let path = root.join(rel);
-    fs::create_dir_all(path.parent().expect("parent")).expect("mkdir");
-    fs::write(path, contents).expect("write fixture file");
-}
-
-fn repo_root() -> &'static Path {
-    // crates/check/ → workspace root.
-    Path::new(env!("CARGO_MANIFEST_DIR"))
-        .parent()
-        .and_then(Path::parent)
-        .expect("workspace root")
+/// Run the `graphz-check` binary with `args`.
+fn check_bin(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_graphz-check")).args(args).output().expect("run graphz-check")
 }
 
 /// One file per rule; `suppress: true` adds a `flow:allow` marker directly
@@ -48,19 +31,6 @@ fn seed_fixture(root: &Path, suppress: bool) {
             String::new()
         }
     };
-
-    // fault-surface-bypass: a raw File::create in an ingest crate with no
-    // surface gate on any path to it.
-    write(
-        root,
-        "crates/io/src/rawdump.rs",
-        &format!(
-            "pub fn dump(path: &Path, bytes: &[u8]) -> Result<()> {{\n\
-             {}    let mut f = File::create(path)?;\n\
-             f.write_all(bytes)?;\n    Ok(())\n}}\n",
-            allow("fault-surface-bypass"),
-        ),
-    );
 
     // must-consume-paths: an AtomicFile committed only under a flag — the
     // fall-through success path silently drops the staged bytes.
@@ -76,6 +46,28 @@ fn seed_fixture(root: &Path, suppress: bool) {
         ),
     );
 
+    // must-consume-paths: a tempfile written but never committed, and a
+    // claim that is read but never retired.
+    write(
+        root,
+        "crates/io/src/leak.rs",
+        &format!(
+            "pub fn write(dest: &Path, bytes: &[u8]) -> Result<()> {{\n\
+             {}    let mut f = AtomicFile::create(dest)?;\n\
+             f.write_all(bytes)?;\n    Ok(())\n}}\n",
+            allow("must-consume-paths"),
+        ),
+    );
+    write(
+        root,
+        "crates/core/src/claimleak.rs",
+        &format!(
+            "pub fn peek(mgr: &mut MsgManager) -> Result<u64> {{\n\
+             {}    let c = mgr.claim(0)?;\n    Ok(c.total)\n}}\n",
+            allow("must-consume-paths"),
+        ),
+    );
+
     // determinism-taint: a HashMap-iteration value reaching a push sink.
     write(
         root,
@@ -86,18 +78,6 @@ fn seed_fixture(root: &Path, suppress: bool) {
              for v in m.iter() {{\n\
              {}        out.push(v);\n    }}\n}}\n",
             allow("determinism-taint"),
-        ),
-    );
-
-    // error-context: a raw fs call whose error `?`-propagates bare.
-    write(
-        root,
-        "crates/storage/src/readraw.rs",
-        &format!(
-            "pub fn read(p: &Path) -> Result<String> {{\n\
-             {}    let text = fs::read_to_string(p)?;\n\
-             Ok(text)\n}}\n",
-            allow("error-context"),
         ),
     );
 }
@@ -120,6 +100,9 @@ fn seeded_fixtures_trip_every_rule() {
     let tripped: BTreeSet<&str> = findings.iter().map(|v| v.rule).collect();
     let all: BTreeSet<&str> = FLOW_RULES.iter().map(|r| r.name).collect();
     assert_eq!(tripped, all, "every flow rule must trip, got:\n{findings:?}");
+    // All three resource leaks (branch, tempfile, claim) are reported.
+    let consume: Vec<_> = findings.iter().filter(|v| v.rule == "must-consume-paths").collect();
+    assert_eq!(consume.len(), 3, "{consume:?}");
 }
 
 #[test]
@@ -130,30 +113,19 @@ fn suppressions_silence_seeded_violations() {
     assert!(findings.is_empty(), "flow:allow must silence every finding:\n{findings:?}");
 }
 
-/// The analyses are path-sensitive, not presence-based: a surface gate on
-/// one branch does not cover the other, while a gate that dominates the
-/// sink is clean; a commit on every success path consumes the stage.
+/// The analysis is path-sensitive, not presence-based: a commit on one
+/// branch does not cover the other, while a commit on every success path
+/// is clean and the `?`-error paths (the implicit abort) are not reported.
 #[test]
 fn path_sensitivity_distinguishes_branches() {
     let root = scratch("flow_fixture_paths");
-    // Gate under `if` only — the else path reaches the sink ungated.
     write(
         &root,
-        "crates/io/src/halfgate.rs",
-        "pub fn half(surface: &FaultSurface, path: &Path) -> Result<()> {\n\
-         if cheap() {\n        surface.op(\"gate\")?;\n    }\n\
-         let f = File::create(path)?;\n    Ok(())\n}\n",
+        "crates/io/src/halfcommit.rs",
+        "pub fn half(dest: &Path, flag: bool) -> Result<()> {\n\
+         let mut f = AtomicFile::create(dest)?;\n\
+         if flag {\n        f.commit()?;\n    }\n    Ok(())\n}\n",
     );
-    // Gate before the sink on the single path — clean.
-    write(
-        &root,
-        "crates/io/src/fullgate.rs",
-        "pub fn full(surface: &FaultSurface, path: &Path) -> Result<()> {\n\
-         surface.op(\"gate\")?;\n\
-         let f = File::create(path)?;\n    Ok(())\n}\n",
-    );
-    // Commit on both success paths — clean; the `?`-error paths are the
-    // implicit abort and must not be reported.
     write(
         &root,
         "crates/io/src/bothcommit.rs",
@@ -163,9 +135,9 @@ fn path_sensitivity_distinguishes_branches() {
          else {\n        f.commit()?;\n    }\n    Ok(())\n}\n",
     );
     let findings = flow_tree(&root).expect("flow fixture");
-    assert_eq!(findings.len(), 1, "only the half-gated sink may fire:\n{findings:?}");
-    assert_eq!(findings[0].rule, "fault-surface-bypass");
-    assert_eq!(findings[0].path, Path::new("crates/io/src/halfgate.rs"));
+    assert_eq!(findings.len(), 1, "only the half-committed file may fire:\n{findings:?}");
+    assert_eq!(findings[0].rule, "must-consume-paths");
+    assert_eq!(findings[0].path, Path::new("crates/io/src/halfcommit.rs"));
 }
 
 /// A stage manifest committed on only one success path is a finding; one
@@ -195,94 +167,100 @@ fn findings_name_file_line_and_rule() {
     let root = scratch("flow_fixture_report");
     seed_fixture(&root, false);
     let findings = flow_tree(&root).expect("flow fixture");
-    let ec = findings.iter().find(|v| v.rule == "error-context").expect("errctx finding");
-    assert_eq!(ec.path, Path::new("crates/storage/src/readraw.rs"));
-    assert_eq!(ec.line, 2);
-    assert!(ec.snippet.contains("read_to_string"), "{ec:?}");
-    let shown = ec.to_string();
-    assert!(shown.contains("crates/storage/src/readraw.rs:2"), "{shown}");
-    assert!(shown.contains("[error-context]"), "{shown}");
+    let claim = findings
+        .iter()
+        .find(|v| v.path == Path::new("crates/core/src/claimleak.rs"))
+        .expect("claim finding");
+    assert_eq!(claim.rule, "must-consume-paths");
+    assert_eq!(claim.line, 2);
+    assert!(claim.snippet.contains("mgr.claim(0)"), "{claim:?}");
+    assert!(claim.message.contains("message claim"), "{claim:?}");
+    let shown = claim.to_string();
+    assert!(shown.contains("crates/core/src/claimleak.rs:2"), "{shown}");
+    assert!(shown.contains("[must-consume-paths]"), "{shown}");
 }
 
-/// Exit-code contract for the CI gate: clean tree ⇒ 0, the seeded fixture
-/// (a deliberate fault-surface bypass among others) ⇒ 1 with every rule
-/// named on stdout, usage errors ⇒ 2. Also covers the `--json` artifact
-/// both clean and dirty.
+/// `graphz-check` on the seeded flow fixture: exit 1, every flow rule
+/// printed with its suppression marker, the findings in the `--json`
+/// document; `--list-rules` names exactly the surviving rules of every
+/// tool, none of the three subsumed ones.
 #[test]
 fn flow_binary_exit_codes_and_json() {
-    let bin = env!("CARGO_BIN_EXE_graphz-flow");
-
-    // Clean repository ⇒ exit 0 and a clean JSON artifact.
-    let json_clean = scratch("flow_json_clean").join("flow_findings.json");
-    let out = Command::new(bin)
-        .args(["--root", &repo_root().to_string_lossy()])
-        .args(["--json", &json_clean.to_string_lossy()])
-        .output()
-        .expect("run graphz-flow");
-    assert!(out.status.success(), "clean tree must exit 0: {out:?}");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("clean"), "{stdout}");
-    let json = fs::read_to_string(&json_clean).expect("json artifact");
-    assert!(json.contains("\"schema_version\": 1"), "{json}");
-    assert!(json.contains("\"count\": 0"), "{json}");
-    assert!(json.contains("\"tool\": \"graphz-flow\""));
-
-    // Seeded fixture ⇒ exit 1, every rule named on stdout, findings in JSON.
     let root = scratch("flow_fixture_exit");
     seed_fixture(&root, false);
-    let json_bad = root.join("flow_findings.json");
-    let out = Command::new(bin)
-        .args(["--root", &root.to_string_lossy()])
-        .args(["--json", &json_bad.to_string_lossy()])
-        .output()
-        .expect("run graphz-flow");
+    let json_bad = root.join("analysis_findings.json");
+    let out = check_bin(&["--root", &root.to_string_lossy(), "--json", &json_bad.to_string_lossy()]);
     assert_eq!(out.status.code(), Some(1), "{out:?}");
     let stdout = String::from_utf8_lossy(&out.stdout);
     for rule in FLOW_RULES {
-        assert!(stdout.contains(rule.name), "stdout must name {}: {stdout}", rule.name);
+        let marker = format!("flow:allow({})", rule.name);
+        assert!(stdout.contains(&marker), "stdout must print `{marker}`: {stdout}");
     }
-    assert!(stdout.contains("flow:allow("), "must print the suppression hint: {stdout}");
-    let json = fs::read_to_string(&json_bad).expect("json artifact");
-    assert!(json.contains("\"rule\": \"fault-surface-bypass\""), "{json}");
+    let json = fs::read_to_string(&json_bad).expect("json document");
+    assert!(json.contains("\"schema_version\": 1"), "{json}");
+    assert!(json.contains("\"rule\": \"must-consume-paths\""), "{json}");
 
-    // Usage error ⇒ exit 2.
-    let out = Command::new(bin).arg("--no-such-flag").output().expect("run graphz-flow");
-    assert_eq!(out.status.code(), Some(2), "{out:?}");
-
-    // --list-rules names every rule and exits 0.
-    let out = Command::new(bin).arg("--list-rules").output().expect("run graphz-flow");
-    assert!(out.status.success());
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    for rule in FLOW_RULES {
-        assert!(stdout.contains(rule.name), "{stdout}");
+    let out = check_bin(&["--list-rules"]);
+    assert!(out.status.success(), "{out:?}");
+    let listed: BTreeSet<String> = String::from_utf8_lossy(&out.stdout)
+        .lines()
+        .filter_map(|l| l.split_whitespace().nth(1).map(str::to_string))
+        .collect();
+    let all: BTreeSet<String> = rules().map(|r| r.name.to_string()).collect();
+    assert_eq!(listed, all);
+    for gone in ["must-consume", "fault-surface-bypass", "error-context"] {
+        assert!(!listed.contains(gone), "{gone} is subsumed and must not be listed");
     }
 }
 
-/// `graphz-report` merges per-tool artifacts: the combined document embeds
-/// each input and its top-level count is the sum of theirs.
+/// One `--json` document merges every analyzer's findings: a fixture with
+/// one finding per tool (a hot-path allocation one call away, an unwrap
+/// in core, a claim never retired, a dropped Result) yields their summed
+/// count, and each finding prints its own tool's marker.
 #[test]
 fn report_binary_merges_artifacts() {
-    let bin = env!("CARGO_BIN_EXE_graphz-report");
-    let dir = scratch("flow_report_merge");
-    let a = dir.join("a.json");
-    let b = dir.join("b.json");
-    fs::write(&a, "{\n    \"tool\": \"graphz-lint\",\n    \"count\": 2\n}\n").unwrap();
-    fs::write(&b, "{\n    \"tool\": \"graphz-flow\",\n    \"count\": 3\n}\n").unwrap();
-    let out_path = dir.join("analysis_findings.json");
-    let out = Command::new(bin)
-        .args(["--out", &out_path.to_string_lossy()])
-        .arg(format!("graphz-lint={}", a.display()))
-        .arg(format!("graphz-flow={}", b.display()))
-        .output()
-        .expect("run graphz-report");
-    assert!(out.status.success(), "{out:?}");
-    let json = fs::read_to_string(&out_path).expect("combined artifact");
+    let root = scratch("flow_report_merge");
+    write(
+        &root,
+        "crates/core/src/worker.rs",
+        "pub struct ShardState { sent: u64 }\n\
+         impl ShardState {\n\
+         \x20   pub fn process(&mut self, n: usize) -> u64 {\n\
+         \x20       let buf = staging(n);\n\
+         \x20       buf.len() as u64\n\
+         \x20   }\n\
+         }\n\
+         fn staging(n: usize) -> Vec<u8> {\n\
+         \x20   vec![0u8; n]\n\
+         }\n",
+    );
+    write(&root, "crates/core/src/engine.rs", "pub fn f(v: Option<u32>) -> u32 { v.unwrap() }\n");
+    write(
+        &root,
+        "crates/core/src/claimleak.rs",
+        "pub fn peek(mgr: &mut MsgManager) -> Result<u64> {\n\
+         \x20   let c = mgr.claim(0)?;\n    Ok(c.total)\n}\n",
+    );
+    write(
+        &root,
+        "crates/core/src/dropres.rs",
+        "fn flush_segment(p: u32) -> Result<()> { Ok(()) }\n\
+         pub fn caller(p: u32) {\n    flush_segment(p);\n}\n",
+    );
+    let out_path = root.join("analysis_findings.json");
+    let out = check_bin(&["--root", &root.to_string_lossy(), "--json", &out_path.to_string_lossy()]);
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let json = fs::read_to_string(&out_path).expect("findings document");
     assert!(json.contains("\"schema_version\": 1"), "{json}");
-    assert!(json.contains("\"count\": 5"), "{json}");
-    assert!(json.contains("\"graphz-lint\""), "{json}");
-    assert!(json.contains("\"graphz-flow\""), "{json}");
-
-    // Missing --out or unreadable inputs ⇒ exit 2.
-    let out = Command::new(bin).arg("tool=/no/such/file.json").output().expect("run");
-    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    assert!(json.contains("\"count\": 4"), "{json}");
+    for (tool, rule) in [
+        ("ipa", "hot-path-alloc"),
+        ("lint", "no-unwrap"),
+        ("flow", "must-consume-paths"),
+        ("audit", "dropped-result"),
+    ] {
+        assert!(stdout.contains(&format!("{tool}:allow({rule})")), "{tool} marker: {stdout}");
+        assert!(json.contains(&format!("\"rule\": \"{rule}\"")), "{rule} missing: {json}");
+    }
 }

@@ -1,46 +1,30 @@
-//! End-to-end gate for `graphz-ipa` (ISSUE 9 acceptance): the real
-//! repository — including the engine hot path this crate certifies — must
-//! analyze clean, and seeded fixture trees must trip every rule through a
-//! *call chain*: an allocation in a helper the Worker loop calls, an
-//! unchecked index behind the Executor feed path, an ungated file-creating
-//! sink reached through a mechanism file the flow pass exempts wholesale,
-//! a bare fs error `?`-crossing a crate boundary, and an allocation behind
-//! a GraphView point query on the serve read path. Fixture trees are
-//! *scanned*, not compiled, so they only need to be token-plausible Rust.
+//! End-to-end gate for the ipa rules: the real repository — including the
+//! engine hot path this crate certifies — must analyze clean, and seeded
+//! fixture trees must trip every rule, most through a *call chain*: an
+//! allocation in a helper the Worker loop calls, an unchecked index behind
+//! the Executor feed path, an ungated file-creating sink reached through
+//! one of the surface's own plumbing files (and one in a plain public
+//! function), a bare fs error `?`-crossing a crate boundary (and one
+//! leaving a storage root), and an allocation behind a GraphView point
+//! query on the serve read path.
+
+mod common;
 
 use std::collections::BTreeSet;
 use std::fs;
-use std::path::{Path, PathBuf};
-use std::process::Command;
+use std::path::Path;
+use std::process::{Command, Output};
 
-use graphz_check::flow::flow_tree;
+use common::{repo_root, scratch, write};
 use graphz_check::ipa::{ipa_tree, IPA_RULES};
+use graphz_check::suite::check_tree;
 
-/// A scratch directory under the target dir, wiped per test.
-fn scratch(name: &str) -> PathBuf {
-    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join(name);
-    if dir.exists() {
-        fs::remove_dir_all(&dir).expect("clear scratch dir");
-    }
-    fs::create_dir_all(&dir).expect("create scratch dir");
-    dir
+/// Run the `graphz-check` binary with `args`.
+fn check_bin(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_graphz-check")).args(args).output().expect("run graphz-check")
 }
 
-fn write(root: &Path, rel: &str, contents: &str) {
-    let path = root.join(rel);
-    fs::create_dir_all(path.parent().expect("parent")).expect("mkdir");
-    fs::write(path, contents).expect("write fixture file");
-}
-
-fn repo_root() -> &'static Path {
-    // crates/check/ → workspace root.
-    Path::new(env!("CARGO_MANIFEST_DIR"))
-        .parent()
-        .and_then(Path::parent)
-        .expect("workspace root")
-}
-
-/// One seeded violation per rule, each reached through at least one call
+/// At least one seeded violation per rule, most reached through a call
 /// edge; `suppress: true` adds an `ipa:allow` marker directly above every
 /// offending site so the suppression path is tested on the same sources.
 fn seed_fixture(root: &Path, suppress: bool) {
@@ -89,9 +73,20 @@ fn seed_fixture(root: &Path, suppress: bool) {
         ),
     );
 
-    // fault-surface-reach: an ungated file-creating sink inside a
-    // mechanism file (exempt from flow's intraprocedural rule), reached
-    // from an ungated storage-crate root.
+    // fault-surface-reach: a raw File::create in a public io function with
+    // no surface gate on any path to it, and an ungated sink inside one of
+    // the surface's own plumbing files, reached from an ungated
+    // storage-crate root.
+    write(
+        root,
+        "crates/io/src/rawdump.rs",
+        &format!(
+            "pub fn dump(path: &Path, bytes: &[u8]) -> Result<()> {{\n\
+             {}    let mut f = File::create(path)?;\n\
+             f.write_all(bytes)?;\n    Ok(())\n}}\n",
+            allow("fault-surface-reach"),
+        ),
+    );
     write(
         root,
         "crates/io/src/record.rs",
@@ -125,6 +120,19 @@ fn seed_fixture(root: &Path, suppress: bool) {
              \x20   s.len() as u64\n\
              }}\n",
             allow("serve-read-alloc"),
+        ),
+    );
+
+    // error-context-prop: a bare fs error leaving a storage root, which no
+    // workspace function calls (the CLI is outside the call graph).
+    write(
+        root,
+        "crates/storage/src/readraw.rs",
+        &format!(
+            "pub fn read(p: &Path) -> Result<String> {{\n\
+             {}    let text = fs::read_to_string(p)?;\n\
+             Ok(text)\n}}\n",
+            allow("error-context-prop"),
         ),
     );
 
@@ -175,13 +183,12 @@ fn suppressions_silence_seeded_violations() {
     assert!(findings.is_empty(), "ipa:allow must silence every finding:\n{findings:?}");
 }
 
-/// The two holes interprocedural analysis closes, demonstrated on cases
-/// the flow pass *provably* misses on the same sources: an allocation one
-/// call away from the per-message loop (flow has no reachability notion),
-/// and an ungated sink inside a mechanism file flow exempts wholesale,
-/// reached from an ungated caller in another crate.
+/// Findings one call away name the whole chain: an allocation in a helper
+/// of the per-message loop, and an ungated sink inside one of the
+/// surface's own plumbing files, reached from an ungated caller in another
+/// crate.
 #[test]
-fn helper_chain_cases_flow_misses() {
+fn helper_chain_findings_name_the_call_chain() {
     let root = scratch("ipa_fixture_flow_miss");
     // Allocation behind a helper on the hot path.
     write(
@@ -198,8 +205,8 @@ fn helper_chain_cases_flow_misses() {
          \x20   vec![0u8; n]\n\
          }\n",
     );
-    // Ungated sink inside a flow-exempt mechanism file, reached from an
-    // ungated storage-crate root.
+    // Ungated sink inside a plumbing file, reached from an ungated
+    // storage-crate root.
     write(
         &root,
         "crates/io/src/record.rs",
@@ -210,9 +217,6 @@ fn helper_chain_cases_flow_misses() {
         "crates/storage/src/pipe.rs",
         "pub fn emit(path: &Path) {\n    let _w = raw_writer(path);\n}\n",
     );
-
-    let flow = flow_tree(&root).expect("flow fixture");
-    assert!(flow.is_empty(), "flow must miss both helper-chain cases:\n{flow:?}");
 
     let ipa = ipa_tree(&root).expect("analyze fixture");
     let alloc = ipa
@@ -227,12 +231,39 @@ fn helper_chain_cases_flow_misses() {
     let sink = ipa
         .iter()
         .find(|v| v.rule == "fault-surface-reach")
-        .expect("fault-surface-reach through the mechanism file");
+        .expect("fault-surface-reach through the plumbing file");
     assert!(
         sink.message.contains("storage::emit → io::raw_writer"),
         "finding must show the call chain: {}",
         sink.message
     );
+}
+
+/// Gating is path-sensitive, not presence-based: a surface gate on one
+/// branch does not cover the other, while a gate that dominates the sink
+/// is clean.
+#[test]
+fn a_gate_on_one_branch_does_not_cover_the_sink() {
+    let root = scratch("ipa_fixture_gate_paths");
+    write(
+        &root,
+        "crates/io/src/halfgate.rs",
+        "pub fn half(surface: &FaultSurface, path: &Path) -> Result<()> {\n\
+         if cheap() {\n        surface.op(\"gate\")?;\n    }\n\
+         let f = File::create(path)?;\n    Ok(())\n}\n",
+    );
+    write(
+        &root,
+        "crates/io/src/fullgate.rs",
+        "pub fn full(surface: &FaultSurface, path: &Path) -> Result<()> {\n\
+         surface.op(\"gate\")?;\n\
+         let f = File::create(path)?;\n    Ok(())\n}\n",
+    );
+    let findings = ipa_tree(&root).expect("analyze fixture");
+    assert_eq!(findings.len(), 1, "only the half-gated sink may fire:\n{findings:?}");
+    assert_eq!(findings[0].rule, "fault-surface-reach");
+    assert_eq!(findings[0].path, Path::new("crates/io/src/halfgate.rs"));
+    assert_eq!(findings[0].line, 5);
 }
 
 /// Message routing written as a closure inside `ShardState::process` — the
@@ -344,87 +375,99 @@ fn findings_name_file_line_and_rule() {
     let root = scratch("ipa_fixture_report");
     seed_fixture(&root, false);
     let findings = ipa_tree(&root).expect("analyze fixture");
-    let sink = findings
-        .iter()
-        .find(|v| v.rule == "fault-surface-reach")
-        .expect("fault-surface-reach finding");
-    assert_eq!(sink.path, Path::new("crates/io/src/record.rs"));
+    let at = |rule: &str, rel: &str| {
+        findings
+            .iter()
+            .find(|v| v.rule == rule && v.path == Path::new(rel))
+            .unwrap_or_else(|| panic!("{rule} finding in {rel}: {findings:?}"))
+    };
+    let sink = at("fault-surface-reach", "crates/io/src/record.rs");
     assert_eq!(sink.line, 2);
     assert!(sink.snippet.contains("File::create"), "{sink:?}");
     let shown = sink.to_string();
     assert!(shown.contains("crates/io/src/record.rs:2"), "{shown}");
     assert!(shown.contains("[fault-surface-reach]"), "{shown}");
 
-    let errctx = findings
-        .iter()
-        .find(|v| v.rule == "error-context-prop")
-        .expect("error-context-prop finding");
-    assert_eq!(errctx.path, Path::new("crates/core/src/loader.rs"));
+    let errctx = at("error-context-prop", "crates/core/src/loader.rs");
     assert!(errctx.message.contains("io→core"), "{}", errctx.message);
+    let root_exit = at("error-context-prop", "crates/storage/src/readraw.rs");
+    assert_eq!(root_exit.line, 2);
+    assert!(root_exit.message.contains("storage::read"), "{}", root_exit.message);
 }
 
-/// Exit-code contract for the CI gate: clean tree ⇒ 0, seeded fixture ⇒ 1
-/// with every rule named on stdout, usage errors ⇒ 2. Covers the `--json`
-/// artifact (schema_version pinned) and the `--dump-callgraph` debug view.
+/// `graphz-check` on the seeded ipa fixture: exit 1, every ipa rule
+/// printed with its suppression marker, the findings in the `--json`
+/// document; `--dump-callgraph` shows nodes, summaries and edges.
 #[test]
 fn ipa_binary_exit_codes_and_json() {
-    let bin = env!("CARGO_BIN_EXE_graphz-ipa");
-
-    // Clean repository ⇒ exit 0 and a clean JSON artifact.
-    let json_clean = scratch("ipa_json_clean").join("ipa_findings.json");
-    let out = Command::new(bin)
-        .args(["--root", &repo_root().to_string_lossy()])
-        .args(["--json", &json_clean.to_string_lossy()])
-        .output()
-        .expect("run graphz-ipa");
-    assert!(out.status.success(), "clean tree must exit 0: {out:?}");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("clean"), "{stdout}");
-    let json = fs::read_to_string(&json_clean).expect("json artifact");
-    assert!(json.contains("\"schema_version\": 1"), "{json}");
-    assert!(json.contains("\"count\": 0"), "{json}");
-    assert!(json.contains("\"tool\": \"graphz-ipa\""));
-
-    // Seeded fixture ⇒ exit 1, every rule named on stdout, findings in JSON.
     let root = scratch("ipa_fixture_exit");
     seed_fixture(&root, false);
-    let json_bad = root.join("ipa_findings.json");
-    let out = Command::new(bin)
-        .args(["--root", &root.to_string_lossy()])
-        .args(["--json", &json_bad.to_string_lossy()])
-        .output()
-        .expect("run graphz-ipa");
+    let json_bad = root.join("analysis_findings.json");
+    let out = check_bin(&["--root", &root.to_string_lossy(), "--json", &json_bad.to_string_lossy()]);
     assert_eq!(out.status.code(), Some(1), "{out:?}");
     let stdout = String::from_utf8_lossy(&out.stdout);
     for rule in IPA_RULES {
-        assert!(stdout.contains(rule.name), "stdout must name {}: {stdout}", rule.name);
+        let marker = format!("ipa:allow({})", rule.name);
+        assert!(stdout.contains(&marker), "stdout must print `{marker}`: {stdout}");
     }
-    assert!(stdout.contains("ipa:allow("), "must print the suppression hint: {stdout}");
-    let json = fs::read_to_string(&json_bad).expect("json artifact");
+    let json = fs::read_to_string(&json_bad).expect("json document");
     assert!(json.contains("\"schema_version\": 1"), "{json}");
     assert!(json.contains("\"rule\": \"hot-path-alloc\""), "{json}");
 
-    // Usage error ⇒ exit 2.
-    let out = Command::new(bin).arg("--no-such-flag").output().expect("run graphz-ipa");
-    assert_eq!(out.status.code(), Some(2), "{out:?}");
-
-    // --list-rules names every rule and exits 0.
-    let out = Command::new(bin).arg("--list-rules").output().expect("run graphz-ipa");
-    assert!(out.status.success());
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    for rule in IPA_RULES {
-        assert!(stdout.contains(rule.name), "{stdout}");
-    }
-
-    // --dump-callgraph shows nodes with summaries and resolved edges.
-    let out = Command::new(bin)
-        .args(["--root", &root.to_string_lossy()])
-        .arg("--dump-callgraph")
-        .output()
-        .expect("run graphz-ipa");
+    let out = check_bin(&["--root", &root.to_string_lossy(), "--dump-callgraph"]);
     assert!(out.status.success(), "{out:?}");
     let dump = String::from_utf8_lossy(&out.stdout);
     assert!(dump.contains("core::ShardState::process"), "{dump}");
-    assert!(dump.contains("core::staging"), "{dump}");
-    assert!(dump.contains("[alloc]"), "summary bits: {dump}");
+    assert!(dump.contains("core::staging [alloc]"), "summary bits: {dump}");
+}
+
+/// The seeded fixtures of the three deleted rules, verbatim, and the
+/// successor that reports each at the same site: flow's
+/// `fault-surface-bypass` → ipa `fault-surface-reach`, flow's
+/// `error-context` → ipa `error-context-prop` (its storage-root clause),
+/// audit's `must-consume` → flow `must-consume-paths` (both the dropped
+/// tempfile and the unretired claim).
+#[test]
+fn subsumed_rules_report_their_old_fixtures_at_the_same_site() {
+    let root = scratch("check_fixture_parity");
+    write(
+        &root,
+        "crates/io/src/rawdump.rs",
+        "pub fn dump(path: &Path, bytes: &[u8]) -> Result<()> {\n\
+         \x20   let mut f = File::create(path)?;\n\
+         f.write_all(bytes)?;\n    Ok(())\n}\n",
+    );
+    write(
+        &root,
+        "crates/storage/src/readraw.rs",
+        "pub fn read(p: &Path) -> Result<String> {\n\
+         \x20   let text = fs::read_to_string(p)?;\n\
+         Ok(text)\n}\n",
+    );
+    write(
+        &root,
+        "crates/io/src/leak.rs",
+        "pub fn write(dest: &Path, bytes: &[u8]) -> Result<()> {\n\
+         \x20   let mut f = AtomicFile::create(dest)?;\n\
+         f.write_all(bytes)?;\n    Ok(())\n}\n",
+    );
+    write(
+        &root,
+        "crates/core/src/claimleak.rs",
+        "pub fn peek(mgr: &mut MsgManager) -> Result<u64> {\n\
+         \x20   let c = mgr.claim(0)?;\n    Ok(c.total)\n}\n",
+    );
+    let findings = check_tree(&root).expect("check fixture");
+    let sites: BTreeSet<(&str, String, usize)> = findings
+        .iter()
+        .map(|v| (v.rule, v.path.to_string_lossy().into_owned(), v.line))
+        .collect();
+    for (rule, rel) in [
+        ("fault-surface-reach", "crates/io/src/rawdump.rs"),
+        ("error-context-prop", "crates/storage/src/readraw.rs"),
+        ("must-consume-paths", "crates/io/src/leak.rs"),
+        ("must-consume-paths", "crates/core/src/claimleak.rs"),
+    ] {
+        assert!(sites.contains(&(rule, rel.to_string(), 2)), "{rule} at {rel}:2 missing:\n{findings:?}");
+    }
 }

@@ -1,40 +1,25 @@
-//! End-to-end gate for `graphz-lint`: the real repository must lint clean,
-//! and a fixture tree seeded with one violation per rule must trip every
-//! rule (ISSUE 3 acceptance: "exits non-zero when a seeded violation is
-//! introduced in a fixture test").
+//! End-to-end gate for the lint rules: the real repository must lint
+//! clean, and a fixture tree seeded with one violation per rule must trip
+//! every rule.
+
+mod common;
 
 use std::collections::BTreeSet;
-use std::fs;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
-use graphz_check::lint::{lint_tree, RULES};
-use graphz_check::stale::stale_tree;
+use common::{repo_root, scratch, write};
+use graphz_check::lint::{lint_tree, Violation, RULES};
+use graphz_check::suite::{check_tree, tool_of};
 
-/// A scratch directory under the target dir, wiped per test.
-fn scratch(name: &str) -> PathBuf {
-    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join(name);
-    if dir.exists() {
-        fs::remove_dir_all(&dir).expect("clear scratch dir");
-    }
-    fs::create_dir_all(&dir).expect("create scratch dir");
-    dir
-}
-
-fn write(root: &Path, rel: &str, contents: &str) {
-    let path = root.join(rel);
-    fs::create_dir_all(path.parent().expect("parent")).expect("mkdir");
-    fs::write(path, contents).expect("write fixture file");
+/// The suite's findings of lint rules (stale-suppression included).
+fn lint_findings(root: &Path) -> Vec<Violation> {
+    let all = check_tree(root).expect("check tree");
+    all.into_iter().filter(|v| tool_of(v.rule).prefix == "lint").collect()
 }
 
 #[test]
 fn repository_lints_clean() {
-    // crates/check/ → workspace root.
-    let repo = Path::new(env!("CARGO_MANIFEST_DIR"))
-        .parent()
-        .and_then(Path::parent)
-        .expect("workspace root");
-    let mut violations = lint_tree(repo).expect("lint repo");
-    violations.extend(stale_tree(repo).expect("stale-suppression scan"));
+    let violations = lint_findings(repo_root());
     assert!(
         violations.is_empty(),
         "repository must lint clean, got:\n{}",
@@ -95,8 +80,7 @@ fn seeded_fixture_trips_every_rule() {
         "// lint:allow(no-unwrap)\npub fn q() -> u8 { 0 }\n",
     );
 
-    let mut violations = lint_tree(&root).expect("lint fixture");
-    violations.extend(stale_tree(&root).expect("stale-suppression scan"));
+    let violations = lint_findings(&root);
     let tripped: BTreeSet<&str> = violations.iter().map(|v| v.rule).collect();
     let all: BTreeSet<&str> = RULES.iter().map(|r| r.name).collect();
     assert_eq!(

@@ -1902,7 +1902,7 @@ mod tests {
         first.run(3).unwrap();
         drop(first);
         let newest = gens.path().join("gen-00000003");
-        let manifest = crate::generations::load_manifest(&newest).unwrap();
+        let manifest = crate::generations::GenerationManifest::load(&newest, &IoStats::new()).unwrap();
         let files: u64 = manifest
             .meta()
             .files()

@@ -85,11 +85,6 @@ pub struct GenerationManifest {
     meta: MetaFile,
 }
 
-/// [`GenerationManifest::load`] for tooling that keeps no [`IoStats`].
-pub fn load_manifest(dir: &Path) -> Result<GenerationManifest> {
-    GenerationManifest::load(dir, &IoStats::new())
-}
-
 impl GenerationManifest {
     /// Load and structurally validate the manifest of one generation
     /// directory, reading it through `stats`. A missing manifest is
@@ -320,11 +315,11 @@ mod tests {
     fn manifest_of_a_non_checkpoint_is_typed() {
         let dir = ScratchDir::new("generations-nonckpt").unwrap();
         // No manifest at all: NotFound (torn rename / empty dir).
-        assert!(matches!(load_manifest(dir.path()), Err(GraphError::NotFound(_))));
+        assert!(matches!(GenerationManifest::load(dir.path(), &IoStats::new()), Err(GraphError::NotFound(_))));
         // A manifest with the wrong format marker: Corrupt.
         let mut mf = MetaFile::new();
         mf.set("format", "something-else");
         mf.save(&dir.path().join("manifest.txt")).unwrap();
-        assert!(matches!(load_manifest(dir.path()), Err(GraphError::Corrupt(_))));
+        assert!(matches!(GenerationManifest::load(dir.path(), &IoStats::new()), Err(GraphError::Corrupt(_))));
     }
 }

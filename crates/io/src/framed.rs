@@ -288,15 +288,6 @@ impl<R: Read> FramedReader<R> {
     }
 }
 
-/// Read `r` to its end, verifying the frame, without retaining the payload.
-/// Returns the payload's fingerprint on success.
-pub fn verify_stream<R: Read>(r: R) -> io::Result<Fingerprint> {
-    let mut fr = FramedReader::new(r)?;
-    let mut buf = [0u8; 8192];
-    while fr.read(&mut buf)? > 0 {}
-    fr.verified().ok_or_else(|| corrupt("framed stream ended without a verified footer".into()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -393,10 +384,12 @@ mod tests {
     }
 
     #[test]
-    fn verify_stream_reports_payload_digest() {
+    fn verified_reader_reports_payload_digest() {
         let payload = b"some payload bytes".to_vec();
         let framed = frame(&payload);
-        let digest = verify_stream(&framed[..]).unwrap();
+        let mut r = FramedReader::new(&framed[..]).unwrap();
+        io::copy(&mut r, &mut io::sink()).unwrap();
+        let digest = r.verified().unwrap();
         assert_eq!(digest.len, payload.len() as u64);
         assert_eq!(digest.crc, crate::checksum::crc32(&payload));
         // The writer hands out the same digest it wrote into the footer.

@@ -189,7 +189,7 @@ mod tests {
     /// must read) and their count.
     fn listed_bytes(root: &Path, number: u32) -> (u64, usize) {
         let dir = generations::generation_path(root, number);
-        let manifest = generations::load_manifest(&dir).unwrap();
+        let manifest = GenerationManifest::load(&dir, &IoStats::new()).unwrap();
         let sizes: Vec<u64> = manifest
             .meta()
             .files()

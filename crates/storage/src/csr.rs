@@ -167,10 +167,10 @@ impl CsrFiles {
         // boundary, so its writers are deliberately raw (DESIGN.md §6j).
         let offsets_path = dir.join("offsets.bin");
         let mut offsets =
-            // flow:allow(fault-surface-bypass) ipa:allow(fault-surface-reach)
+            // ipa:allow(fault-surface-reach)
             RecordWriter::<u64>::create(&offsets_path, Arc::clone(&stats)).ctx("create", &offsets_path)?;
         let edges_path = dir.join("edges.bin");
-        // flow:allow(fault-surface-bypass) ipa:allow(fault-surface-reach)
+        // ipa:allow(fault-surface-reach)
         let mut edges = RecordWriter::<VertexId>::create(&edges_path, Arc::clone(&stats))
             .ctx("create", &edges_path)?;
         let mut next_vertex: u64 = 0;

@@ -252,7 +252,7 @@ impl DosIndex {
         // Test/tooling helper: the DOS pipeline writes index.tbl through
         // DosConverter::writer (surface-routed) in the emit stage, so this
         // raw writer is never on a chaos-covered path.
-        // flow:allow(fault-surface-bypass) ipa:allow(fault-surface-reach)
+        // ipa:allow(fault-surface-reach)
         let mut w = RecordWriter::<DegreeGroup>::create(path, stats).ctx("create", path)?;
         w.push_all(self.groups.iter())?;
         w.finish()?;

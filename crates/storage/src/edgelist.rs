@@ -50,7 +50,7 @@ impl EdgeListWriter {
     pub(crate) fn create(path: &Path, stats: Arc<IoStats>) -> Result<Self> {
         // Input-fixture constructor (tests/benches/baselines build edge
         // lists with it); the ingest fault boundary starts at import.
-        // flow:allow(fault-surface-bypass) ipa:allow(fault-surface-reach)
+        // ipa:allow(fault-surface-reach)
         let w = RecordWriter::create(path, stats).ctx("create", path)?;
         Ok(EdgeListWriter {
             path: path.to_path_buf(),
@@ -427,7 +427,7 @@ impl EdgeListFile {
     pub fn export_text(&self, text_path: &Path, stats: Arc<IoStats>) -> Result<()> {
         // Debug/interchange export, not an ingest artifact — no surface in
         // reach and nothing downstream verifies it, so a raw create is fine.
-        // flow:allow(fault-surface-bypass) ipa:allow(fault-surface-reach)
+        // ipa:allow(fault-surface-reach)
         let mut out = std::io::BufWriter::new(std::fs::File::create(text_path).ctx("create", text_path)?);
         writeln!(out, "# GraphZ edge list: {} vertices, {} edges", self.meta.num_vertices, self.meta.num_edges)?;
         for e in self.reader(stats)? {
@@ -451,7 +451,7 @@ impl EdgeListFile {
             // Scratch intermediate of an input-preparation utility, outside
             // the ingest fault boundary (see `create` above).
             let mut w =
-                // flow:allow(fault-surface-bypass) ipa:allow(fault-surface-reach)
+                // ipa:allow(fault-surface-reach)
                 RecordWriter::<Edge>::create(&doubled, Arc::clone(&stats)).ctx("create", &doubled)?;
             for e in self.reader(Arc::clone(&stats))? {
                 let e = e?;

@@ -10,7 +10,8 @@
 //! [`GraphError::OffsetOverflow`] instead of wrapping or truncating.
 //!
 //! The `types` crate itself is deliberately *outside* the scope of the
-//! `graphz-audit` unchecked-cast rule (see `crates/check/src/audit/`):
+//! `unchecked-cast` audit rule that `graphz-check` runs (see
+//! `crates/check/src/audit/`):
 //! the casts inside these helpers are the audited escape hatch, guarded by
 //! explicit bound checks and tests, so every other scoped crate can be held
 //! to "no bare `as`" without suppressions.

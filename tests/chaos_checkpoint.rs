@@ -10,7 +10,7 @@
 use std::sync::Arc;
 
 use graphz_core::{
-    generation_path, list_generations, load_manifest, DosStore, Engine, EngineConfig,
+    generation_path, list_generations, DosStore, Engine, EngineConfig, GenerationManifest,
     UpdateContext, VertexProgram,
 };
 use graphz_io::{FaultPlan, FaultState, IoStats, RetryPolicy, ScratchDir};
@@ -256,7 +256,7 @@ fn damaged_newer_generations_never_retire_the_one_just_committed() {
     tail.run(MAX_ITER).unwrap();
     assert_eq!(tail.values_by_original_id().unwrap(), expected);
     let newest = &list_generations(root).unwrap()[0];
-    load_manifest(&newest.path).unwrap().verify_files(&IoStats::new()).unwrap();
+    GenerationManifest::load(&newest.path, &IoStats::new()).unwrap().verify_files(&IoStats::new()).unwrap();
     let (_dir4, mut again) = make_engine(plain_config());
     assert_eq!(again.resume_latest(root).unwrap(), Some(newest.number));
 }
