@@ -106,6 +106,11 @@ step "clippy (warnings are errors)"
 cargo clippy --offline --all-targets -- -D warnings
 step_done
 
+step "rustdoc (warnings are errors)"
+# Broken and private intra-doc links, and redundant link targets, fail here.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+step_done
+
 step "static analysis (lint, audit, flow, ipa, stale-suppression; DESIGN.md §6e/§6f/§6j/§6k)"
 # One pass over the tree, crates/check included: the repo invariants, token
 # dataflow, per-function CFG paths (path-complete must-consume, determinism

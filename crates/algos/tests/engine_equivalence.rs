@@ -5,81 +5,61 @@
 //! performance comparisons are only meaningful if all three systems compute
 //! the same answers.
 
+mod common;
+
 use std::sync::Arc;
 
-use graphz_algos::common::{AlgoParams, Algorithm, AlgoValues};
+use common::{rmat, symmetrized, Fixture};
+use graphz_algos::common::{AlgoParams, AlgoValues, Algorithm};
 use graphz_algos::runner::{self, EngineKind};
-use graphz_gen::rmat_edges;
-use graphz_io::{IoStats, ScratchDir};
-use graphz_storage::EdgeListFile;
-use graphz_types::{Edge, MemoryBudget};
+use graphz_baselines::{graphchi::ChiShards, gridgraph::GridPartitions, xstream::XsPartitions};
+use graphz_storage::CsrGraph;
+use graphz_types::{derive_weight, Edge, GraphError, MemoryBudget};
 
-/// Everything prepared once per (graph, budget) pair.
-struct Fixture {
-    _dir: ScratchDir,
-    stats: Arc<IoStats>,
+/// The DOS and CSR fixture plus every baseline's preprocessing at one
+/// budget.
+struct Engines {
+    fx: Fixture,
     budget: MemoryBudget,
-    dos: graphz_storage::DosGraph,
-    csr: graphz_storage::CsrFiles,
-    chi: graphz_baselines::graphchi::ChiShards,
-    xs: graphz_baselines::xstream::XsPartitions,
-    grid: graphz_baselines::gridgraph::GridPartitions,
-    reference: graphz_storage::CsrGraph,
+    chi: ChiShards,
+    xs: XsPartitions,
+    grid: GridPartitions,
+    reference: CsrGraph,
 }
 
-impl Fixture {
-    fn new(edges: Vec<Edge>, budget: MemoryBudget) -> Fixture {
-        let dir = ScratchDir::new("equiv").unwrap();
-        let stats = IoStats::new();
-        let prep_budget = MemoryBudget::from_mib(4);
-        let el = EdgeListFile::create(&dir.file("g.bin"), Arc::clone(&stats), edges).unwrap();
-        let dos =
-            runner::prepare_dos(&el, &dir.path().join("dos"), prep_budget, Arc::clone(&stats))
-                .unwrap();
-        let csr =
-            runner::prepare_csr(&el, &dir.path().join("csr"), prep_budget, Arc::clone(&stats))
-                .unwrap();
-        let chi = runner::prepare_chi(&el, &dir.path().join("chi"), budget, Arc::clone(&stats))
-            .unwrap();
-        let xs = runner::prepare_xs(&el, &dir.path().join("xs"), budget, Arc::clone(&stats))
-            .unwrap();
-        let grid =
-            runner::prepare_grid(&el, &dir.path().join("grid"), budget, Arc::clone(&stats))
-                .unwrap();
-        let reference = csr.load(Arc::clone(&stats)).unwrap();
-        Fixture { _dir: dir, stats, budget, dos, csr, chi, xs, grid, reference }
+impl Engines {
+    fn new(edges: Vec<Edge>, budget: MemoryBudget) -> Engines {
+        let fx = Fixture::new(edges, None);
+        let (el, dir, stats) = (&fx.el, fx.dir.path(), || Arc::clone(&fx.stats));
+        let chi = runner::prepare_chi(el, &dir.join("chi"), budget, stats()).unwrap();
+        let xs = runner::prepare_xs(el, &dir.join("xs"), budget, stats()).unwrap();
+        let grid = runner::prepare_grid(el, &dir.join("grid"), budget, stats()).unwrap();
+        let reference = fx.csr().load(stats()).unwrap();
+        Engines { fx, budget, chi, xs, grid, reference }
     }
 
     /// Run `params` on every engine; GraphChi is skipped automatically when
     /// its index cannot fit the budget (asserted by dedicated tests).
     fn run_all(&self, params: &AlgoParams) -> Vec<(EngineKind, AlgoValues)> {
         let mut out = Vec::new();
-        let gz = runner::run_graphz(&self.dos, params, self.budget, Arc::clone(&self.stats))
-            .expect("graphz run");
+        let stats = || Arc::clone(&self.fx.stats);
+        let gz =
+            runner::run_graphz(&self.fx.dos, params, self.budget, stats()).expect("graphz run");
         out.push((EngineKind::GraphZ, gz.values));
         for dm in [true, false] {
-            match runner::run_graphz_dense(
-                &self.csr,
-                params,
-                self.budget,
-                dm,
-                Arc::clone(&self.stats),
-            ) {
-                Ok(o) => out.push((o.engine, o.values)),
-                Err(e) => panic!("dense ablation failed: {e}"),
-            }
+            let o = runner::run_graphz_dense(self.fx.csr(), params, self.budget, dm, stats())
+                .expect("dense ablation run");
+            out.push((o.engine, o.values));
         }
-        match runner::run_graphchi(&self.chi, params, self.budget, Arc::clone(&self.stats)) {
+        match runner::run_graphchi(&self.chi, params, self.budget, stats()) {
             Ok(o) => out.push((EngineKind::GraphChi, o.values)),
-            Err(graphz_types::GraphError::IndexExceedsMemory { .. }) => {}
+            Err(GraphError::IndexExceedsMemory { .. }) => {}
             Err(e) => panic!("graphchi run failed: {e}"),
         }
-        let xs = runner::run_xstream(&self.xs, params, self.budget, Arc::clone(&self.stats))
-            .expect("xstream run");
+        let xs = runner::run_xstream(&self.xs, params, self.budget, stats()).expect("xstream run");
         out.push((EngineKind::XStream, xs.values));
         let grid =
-            runner::run_gridgraph(&self.grid, params, self.budget, Arc::clone(&self.stats))
-                .expect("gridgraph run");
+            runner::run_gridgraph(&self.grid, params, self.budget, stats()).expect("gridgraph run");
         out.push((EngineKind::GridGraph, grid.values));
         out
     }
@@ -89,89 +69,60 @@ impl Fixture {
         for (engine, values) in self.run_all(params) {
             assert_eq!(values.len(), reference.values.len(), "{engine}: wrong length");
             let err = reference.values.max_relative_error(&values);
+            let algo = params.algorithm;
             assert!(
                 err <= tolerance,
-                "{engine} disagrees with reference on {:?}: max rel err {err}",
-                params.algorithm
+                "{engine} disagrees with reference on {algo:?}: max rel err {err}"
             );
         }
     }
 }
 
-fn power_law_graph(seed: u64, edges: u64) -> Vec<Edge> {
-    rmat_edges(8, edges, Default::default(), seed).collect()
-}
-
-fn symmetrized(edges: Vec<Edge>) -> Vec<Edge> {
-    let mut out: Vec<Edge> = edges
-        .iter()
-        .filter(|e| e.src != e.dst)
-        .flat_map(|e| [*e, Edge::new(e.dst, e.src)])
-        .collect();
-    out.sort();
-    out.dedup();
-    out
-}
-
-/// Budgets from roomy (single partition) to starved (many partitions).
-fn budgets() -> [MemoryBudget; 3] {
-    [MemoryBudget::from_mib(4), MemoryBudget::from_kib(8), MemoryBudget::from_kib(1)]
+/// `params` on every engine agrees with the in-memory reference within
+/// `tolerance`, at budgets from roomy (single partition) to starved (many
+/// partitions).
+fn agrees_everywhere(edges: impl Fn() -> Vec<Edge>, params: AlgoParams, tolerance: f64) {
+    for budget in [MemoryBudget::from_mib(4), MemoryBudget::from_kib(8), MemoryBudget::from_kib(1)]
+    {
+        Engines::new(edges(), budget).check_against_reference(&params, tolerance);
+    }
 }
 
 #[test]
 fn pagerank_agrees_everywhere() {
-    for budget in budgets() {
-        let fx = Fixture::new(power_law_graph(11, 1500), budget);
-        let params = AlgoParams::new(Algorithm::PageRank).with_max_iterations(200);
-        fx.check_against_reference(&params, 2e-2);
-    }
+    let params = AlgoParams::new(Algorithm::PageRank).with_max_iterations(200);
+    agrees_everywhere(|| rmat(8, 1500, 11), params, 2e-2);
 }
 
 #[test]
 fn bfs_agrees_everywhere() {
-    for budget in budgets() {
-        let fx = Fixture::new(power_law_graph(22, 1500), budget);
-        // Source 0 is always present and, in an R-MAT graph, well connected.
-        let params = AlgoParams::new(Algorithm::Bfs).with_source(0).with_max_iterations(300);
-        fx.check_against_reference(&params, 0.0);
-    }
+    // Source 0 is always present and, in an R-MAT graph, well connected.
+    let params = AlgoParams::new(Algorithm::Bfs).with_source(0).with_max_iterations(300);
+    agrees_everywhere(|| rmat(8, 1500, 22), params, 0.0);
 }
 
 #[test]
 fn cc_agrees_everywhere() {
-    for budget in budgets() {
-        let fx = Fixture::new(symmetrized(power_law_graph(33, 1200)), budget);
-        let params = AlgoParams::new(Algorithm::Cc).with_max_iterations(300);
-        fx.check_against_reference(&params, 0.0);
-    }
+    let params = AlgoParams::new(Algorithm::Cc).with_max_iterations(300);
+    agrees_everywhere(|| symmetrized(rmat(8, 1200, 33)), params, 0.0);
 }
 
 #[test]
 fn sssp_agrees_everywhere() {
-    for budget in budgets() {
-        let fx = Fixture::new(power_law_graph(44, 1500), budget);
-        let params = AlgoParams::new(Algorithm::Sssp).with_source(0).with_max_iterations(300);
-        fx.check_against_reference(&params, 1e-5);
-    }
+    let params = AlgoParams::new(Algorithm::Sssp).with_source(0).with_max_iterations(300);
+    agrees_everywhere(|| rmat(8, 1500, 44), params, 1e-5);
 }
 
 #[test]
 fn bp_agrees_everywhere() {
-    for budget in budgets() {
-        let fx = Fixture::new(power_law_graph(55, 1000), budget);
-        let params = AlgoParams::new(Algorithm::Bp).with_rounds(6).with_max_iterations(50);
-        fx.check_against_reference(&params, 1e-3);
-    }
+    let params = AlgoParams::new(Algorithm::Bp).with_rounds(6).with_max_iterations(50);
+    agrees_everywhere(|| rmat(8, 1000, 55), params, 1e-3);
 }
 
 #[test]
 fn random_walk_agrees_everywhere() {
-    for budget in budgets() {
-        let fx = Fixture::new(power_law_graph(66, 1500), budget);
-        let params =
-            AlgoParams::new(Algorithm::RandomWalk).with_rounds(8).with_max_iterations(50);
-        fx.check_against_reference(&params, 1e-3);
-    }
+    let params = AlgoParams::new(Algorithm::RandomWalk).with_rounds(8).with_max_iterations(50);
+    agrees_everywhere(|| rmat(8, 1500, 66), params, 1e-3);
 }
 
 #[test]
@@ -179,26 +130,24 @@ fn async_engines_need_fewer_iterations_than_bsp() {
     // Table XIV's claim: GraphZ/GraphChi (asynchronous) converge in fewer
     // iterations than X-Stream (bulk-synchronous) on traversal algorithms.
     let budget = MemoryBudget::from_mib(4);
-    let fx = Fixture::new(symmetrized(power_law_graph(77, 1500)), budget);
+    let fx = Engines::new(symmetrized(rmat(8, 1500, 77)), budget);
     let params = AlgoParams::new(Algorithm::Cc).with_max_iterations(500);
-    let gz = runner::run_graphz(&fx.dos, &params, budget, Arc::clone(&fx.stats)).unwrap();
-    let xs = runner::run_xstream(&fx.xs, &params, budget, Arc::clone(&fx.stats)).unwrap();
+    let stats = || Arc::clone(&fx.fx.stats);
+    let gz = runner::run_graphz(&fx.fx.dos, &params, budget, stats()).unwrap();
+    let xs = runner::run_xstream(&fx.xs, &params, budget, stats()).unwrap();
     assert!(gz.converged && xs.converged);
-    assert!(
-        gz.iterations <= xs.iterations,
-        "async {} should not exceed BSP {}",
-        gz.iterations,
-        xs.iterations
-    );
+    let (sync, bsp) = (gz.iterations, xs.iterations);
+    assert!(sync <= bsp, "async {sync} should not exceed BSP {bsp}");
 }
 
 #[test]
 fn graphz_is_deterministic_across_runs_and_threads() {
     let budget = MemoryBudget::from_kib(2);
-    let fx = Fixture::new(power_law_graph(88, 1200), budget);
+    let fx = Engines::new(rmat(8, 1200, 88), budget);
     let params = AlgoParams::new(Algorithm::PageRank).with_max_iterations(60);
-    let a = runner::run_graphz(&fx.dos, &params, budget, Arc::clone(&fx.stats)).unwrap();
-    let b = runner::run_graphz(&fx.dos, &params, budget, Arc::clone(&fx.stats)).unwrap();
+    let stats = || Arc::clone(&fx.fx.stats);
+    let a = runner::run_graphz(&fx.fx.dos, &params, budget, stats()).unwrap();
+    let b = runner::run_graphz(&fx.fx.dos, &params, budget, stats()).unwrap();
     assert_eq!(a.values, b.values, "same configuration must be bit-identical");
     assert_eq!(a.iterations, b.iterations);
 }
@@ -208,14 +157,11 @@ fn unreachable_vertices_are_reported_as_such() {
     // Two islands: 0->1 and 5->6; BFS from 0 must leave the second island
     // and the id-space holes unreached on every engine.
     let edges = vec![Edge::new(0, 1), Edge::new(5, 6)];
-    let fx = Fixture::new(edges, MemoryBudget::from_mib(1));
+    let fx = Engines::new(edges, MemoryBudget::from_mib(1));
     let params = AlgoParams::new(Algorithm::Bfs).with_source(0).with_max_iterations(20);
     let reference = runner::run_reference(&fx.reference, &params).unwrap();
-    if let AlgoValues::Hops(h) = &reference.values {
-        assert_eq!(h, &[0, 1, u32::MAX, u32::MAX, u32::MAX, u32::MAX, u32::MAX]);
-    } else {
-        panic!("wrong kind");
-    }
+    let AlgoValues::Hops(h) = &reference.values else { panic!("wrong kind") };
+    assert_eq!(h, &[0, 1, u32::MAX, u32::MAX, u32::MAX, u32::MAX, u32::MAX]);
     fx.check_against_reference(&params, 0.0);
 }
 
@@ -224,27 +170,17 @@ fn weighted_dos_sssp_matches_unweighted_and_reference() {
     // Convert the same graph twice — with and without stored weights — and
     // confirm SSSP is identical (the stored weights are exactly the derived
     // ones) and matches the in-memory reference.
-    let dir = ScratchDir::new("weighted-sssp").unwrap();
-    let stats = IoStats::new();
-    let edges = power_law_graph(99, 1500);
-    let el = EdgeListFile::create(&dir.file("g.bin"), Arc::clone(&stats), edges).unwrap();
-    let prep = MemoryBudget::from_mib(4);
-    let plain = runner::prepare_dos(&el, &dir.path().join("dos"), prep, Arc::clone(&stats)).unwrap();
-    let weighted = graphz_storage::DosConverter::new(prep, Arc::clone(&stats))
-        .with_weights(graphz_types::derive_weight)
-        .convert(&el, &dir.path().join("dos-w"))
-        .unwrap();
-    assert!(weighted.has_weights());
-    let csr =
-        runner::prepare_csr(&el, &dir.path().join("csr"), prep, Arc::clone(&stats)).unwrap();
+    let plain = Fixture::new(rmat(8, 1500, 99), None);
+    let weighted = Fixture::new(rmat(8, 1500, 99), Some(derive_weight));
+    assert!(weighted.dos.has_weights());
+    let stats = || Arc::clone(&plain.stats);
 
     let params = AlgoParams::new(Algorithm::Sssp).with_source(0).with_max_iterations(300);
     let budget = MemoryBudget::from_kib(4);
-    let a = runner::run_graphz(&plain, &params, budget, Arc::clone(&stats)).unwrap();
-    let b = runner::run_graphz(&weighted, &params, budget, Arc::clone(&stats)).unwrap();
+    let a = runner::run_graphz(&plain.dos, &params, budget, stats()).unwrap();
+    let b = runner::run_graphz(&weighted.dos, &params, budget, stats()).unwrap();
     assert_eq!(a.values, b.values, "stored weights must equal derived weights");
-    let reference =
-        runner::run_reference(&csr.load(Arc::clone(&stats)).unwrap(), &params).unwrap();
+    let reference = runner::run_reference(&plain.csr().load(stats()).unwrap(), &params).unwrap();
     assert!(reference.values.max_relative_error(&b.values) < 1e-5);
     // The weighted run streams the weight file too: more bytes read.
     assert!(b.io.bytes_read > a.io.bytes_read);

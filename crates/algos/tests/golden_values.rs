@@ -13,35 +13,21 @@
 //! UPDATE_GOLDEN=1 cargo test -p graphz-algos --test golden_values
 //! ```
 
+mod common;
+
 use std::path::Path;
 use std::sync::Arc;
 
+use common::{graph_for, rmat, tree, Fixture};
 use graphz_algos::common::{AlgoParams, AlgoValues, Algorithm};
 use graphz_algos::runner::{self, CheckpointSpec};
-use graphz_gen::rmat_edges;
-use graphz_io::{crc32, Crc32, IoStats, ScratchDir};
-use graphz_storage::EdgeListFile;
-use graphz_types::{codec, Edge, EngineOptions, MemoryBudget};
+use graphz_io::{crc32, Crc32};
+use graphz_types::{codec, EngineOptions, MemoryBudget};
 
 const GOLDEN: &str = "tests/golden_values.txt";
 
 /// A budget small enough to force several partitions and message spills.
 const STARVED: MemoryBudget = MemoryBudget(512);
-
-fn graph_for(algo: Algorithm) -> Vec<Edge> {
-    let edges: Vec<Edge> = rmat_edges(11, 5000, Default::default(), 2018).collect();
-    if !algo.wants_symmetrized() {
-        return edges;
-    }
-    let mut out: Vec<Edge> = edges
-        .iter()
-        .filter(|e| e.src != e.dst)
-        .flat_map(|e| [*e, Edge::new(e.dst, e.src)])
-        .collect();
-    out.sort();
-    out.dedup();
-    out
-}
 
 fn params_for(algo: Algorithm) -> AlgoParams {
     let p = AlgoParams::new(algo).with_source(0);
@@ -70,53 +56,24 @@ fn value_bytes(values: &AlgoValues) -> Vec<u8> {
 /// the spill format).
 fn msgs_crc(root: &Path) -> (u32, usize) {
     let mut crc = Crc32::new();
-    let mut files = 0;
-    for generation in sorted_names(root).iter().filter(|n| n.starts_with("gen-")) {
-        let msgs = root.join(generation).join("msgs");
-        for name in sorted_names(&msgs) {
-            crc.update(format!("{generation}/msgs/{name}").as_bytes());
-            crc.update(&std::fs::read(msgs.join(&name)).unwrap());
-            files += 1;
-        }
+    let msgs: Vec<_> = tree(root).into_iter().filter(|(path, _)| path.contains("/msgs/")).collect();
+    for (path, bytes) in &msgs {
+        crc.update(path.as_bytes());
+        crc.update(bytes);
     }
-    (crc.finish(), files)
-}
-
-/// Entry names of `dir` in sorted order; none if it does not exist.
-fn sorted_names(dir: &Path) -> Vec<String> {
-    let mut names: Vec<String> = match std::fs::read_dir(dir) {
-        Ok(rd) => rd.map(|e| e.unwrap().file_name().into_string().unwrap()).collect(),
-        Err(_) => Vec::new(),
-    };
-    names.sort();
-    names
+    (crc.finish(), msgs.len())
 }
 
 /// One line of the golden file for `algo`.
 fn observe(algo: Algorithm) -> String {
-    let dir = ScratchDir::new("golden-values").unwrap();
-    let stats = IoStats::new();
-    let el = EdgeListFile::create(&dir.file("g.bin"), Arc::clone(&stats), graph_for(algo)).unwrap();
-    let dos = runner::prepare_dos(
-        &el,
-        &dir.path().join("dos"),
-        MemoryBudget::from_mib(4),
-        Arc::clone(&stats),
-    )
-    .unwrap();
-    let gens = dir.path().join("gens");
+    let fx = Fixture::new(graph_for(algo, rmat(11, 5000, 2018)), None);
+    let gens = fx.dir.path().join("gens");
     let ckpt = CheckpointSpec { dir: Some(gens.clone()), every: 1, resume: false };
     // Every generation stays on disk so `msgs_crc` sees the whole history,
     // not just the newest two a run keeps.
-    let out = runner::run_graphz_keeping_generations(
-        &dos,
-        &params_for(algo),
-        STARVED,
-        EngineOptions::full(),
-        &ckpt,
-        stats,
-    )
-    .unwrap();
+    let (run, stats) = (runner::run_graphz_keeping_generations, Arc::clone(&fx.stats));
+    let out =
+        run(&fx.dos, &params_for(algo), STARVED, EngineOptions::full(), &ckpt, stats).unwrap();
     assert!(out.partitions >= 3, "{algo:?}: the budget must force several partitions");
     assert!(out.spilled > 0, "{algo:?}: the budget must force message spills");
     let (msgs_crc, msgs_files) = msgs_crc(&gens);

@@ -23,8 +23,8 @@ pub mod protocol;
 
 use std::path::Path;
 
-use crate::lint::{Rule, Tool, Violation};
-use crate::parser::{parse_tree, SourceFile, Token};
+use crate::lint::{read_tree, split_suppressed, Rule, Tool, Violation};
+use crate::parser::{parse_sources, SourceFile, Token};
 
 /// Every audit rule, in reporting order. The `scope` path substrings bound
 /// where each analysis *reports*; the token scans themselves are global so
@@ -111,8 +111,8 @@ pub(crate) fn binding_before(t: &[Token], start: usize) -> Binding {
     }
 }
 
-/// Run every analysis over already-parsed files; findings are sorted by
-/// path and line and deduplicated.
+/// Run every analysis over already-parsed files, markers not applied;
+/// findings are sorted by path and line and deduplicated.
 pub fn audit_files(files: &[SourceFile]) -> Vec<Violation> {
     let mut out = Vec::new();
     lockorder::analyze(files, &mut out);
@@ -123,8 +123,9 @@ pub fn audit_files(files: &[SourceFile]) -> Vec<Violation> {
     out
 }
 
-/// Parse and audit the tree rooted at `root` (see [`parse_tree`] for the
-/// file scope).
+/// Parse and audit the tree rooted at `root` (see [`parse_sources`] for the
+/// file scope); suppressed findings dropped.
 pub fn audit_tree(root: &Path) -> std::io::Result<Vec<Violation>> {
-    Ok(audit_files(&parse_tree(root)?))
+    let sources = read_tree(root)?;
+    Ok(split_suppressed(&sources, audit_files(&parse_sources(&sources))).0)
 }

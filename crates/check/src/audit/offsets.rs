@@ -103,13 +103,13 @@ pub(super) fn analyze(files: &[SourceFile], out: &mut Vec<Violation>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lint::split_suppressed;
     use crate::parser::parse_source;
 
     fn audit(rel: &str, src: &str) -> Vec<Violation> {
-        let files = vec![parse_source(rel, src)];
         let mut out = Vec::new();
-        analyze(&files, &mut out);
-        out
+        analyze(&[parse_source(rel, src)], &mut out);
+        split_suppressed(&[(rel.to_string(), src.to_string())], out).0
     }
 
     #[test]

@@ -131,13 +131,14 @@ fn check_statement(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lint::split_suppressed;
     use crate::parser::parse_source;
 
     fn audit(src: &str) -> Vec<Violation> {
-        let files = vec![parse_source("crates/core/src/a.rs", src)];
+        let rel = "crates/core/src/a.rs";
         let mut out = Vec::new();
-        analyze(&files, &mut out);
-        out
+        analyze(&[parse_source(rel, src)], &mut out);
+        split_suppressed(&[(rel.to_string(), src.to_string())], out).0
     }
 
     #[test]

@@ -2,14 +2,14 @@
 //!
 //! Where the audit pass (DESIGN.md §6f) reasons about token adjacency, the
 //! flow pass reasons about *paths*: every function is lifted into a
-//! control-flow graph ([`cfg`]) and rules run a worklist dataflow solver
-//! ([`solver`]) over it. Two rule families, documented in DESIGN.md §6j:
+//! control-flow graph ([`cfg`](mod@cfg)) and rules run a worklist dataflow
+//! solver ([`solver`]) over it. Two rule families, documented in DESIGN.md §6j:
 //!
-//! * [`consume`] — `must-consume-paths`: staged resources (`AtomicFile`,
+//! * `consume` — `must-consume-paths`: staged resources (`AtomicFile`,
 //!   `StagedDir`, a `MetaFile::stage` manifest) and `MsgManager` claims
 //!   must reach a consumer or escape on *every* success path; dropping on
 //!   a `?`-error path is the abort and is allowed.
-//! * [`taint`] — `determinism-taint`: values derived from thread identity,
+//! * `taint` — `determinism-taint`: values derived from thread identity,
 //!   polling order, or unordered-container iteration must not reach
 //!   output-writing or key-ordering sinks.
 //!
@@ -26,8 +26,8 @@ mod taint;
 
 use std::path::Path;
 
-use crate::lint::{Rule, Tool, Violation};
-use crate::parser::{parse_tree, SourceFile};
+use crate::lint::{read_tree, split_suppressed, Rule, Tool, Violation};
+use crate::parser::{parse_sources, SourceFile};
 
 /// Every flow rule, in reporting order. `scope` bounds where a rule
 /// *reports*.
@@ -56,8 +56,8 @@ pub const FLOW_RULES: &[Rule] = &[
 /// The flow pass as a [`Tool`]; both rule families report through it.
 pub const FLOW: Tool = Tool { prefix: "flow", rules: FLOW_RULES };
 
-/// Run every flow rule over already-parsed files; findings are sorted by
-/// path and line and deduplicated.
+/// Run every flow rule over already-parsed files, markers not applied;
+/// findings are sorted by path and line and deduplicated.
 pub fn flow_files(files: &[SourceFile]) -> Vec<Violation> {
     let mut out = Vec::new();
     consume::analyze(files, &mut out);
@@ -67,8 +67,9 @@ pub fn flow_files(files: &[SourceFile]) -> Vec<Violation> {
     out
 }
 
-/// Parse and analyze the tree rooted at `root` (see [`parse_tree`] for the
-/// file scope).
+/// Parse and analyze the tree rooted at `root` (see [`parse_sources`] for the
+/// file scope); suppressed findings dropped.
 pub fn flow_tree(root: &Path) -> std::io::Result<Vec<Violation>> {
-    Ok(flow_files(&parse_tree(root)?))
+    let sources = read_tree(root)?;
+    Ok(split_suppressed(&sources, flow_files(&parse_sources(&sources))).0)
 }

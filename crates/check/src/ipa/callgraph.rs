@@ -16,7 +16,7 @@
 //!   the call goes to std (`Vec::push`) or through a trait object;
 //! * an *untyped* receiver (chained calls, pattern bindings) falls back to
 //!   every workspace method named `m`, unless `m` is a well-known std
-//!   method name ([`STD_METHODS`]) — those are always external;
+//!   method name (`STD_METHODS`) — those are always external;
 //! * `Type::m(…)` / `Self::m(…)` — the methods of that type (turbofish
 //!   segments are skipped); `module::f(…)` with a lowercase head resolves
 //!   to the free functions named `f`;
@@ -27,7 +27,7 @@
 //! effects are covered by the *intrinsic* token scans in
 //! [`crate::ipa::summary`]. The deliberate blind spots — deref-forwarded
 //! methods, trait-default bodies, and workspace methods that share a
-//! [`STD_METHODS`] name and are only ever called through untyped
+//! `STD_METHODS` name and are only ever called through untyped
 //! receivers — are documented in DESIGN.md §6k next to the rules that
 //! inherit them.
 

@@ -40,8 +40,8 @@ use std::path::Path;
 
 use crate::flow::cfg::build as build_cfg;
 use crate::flow::solver::{solve, Direction};
-use crate::lint::{Rule, Tool, Violation};
-use crate::parser::{parse_tree, Function, SourceFile, Token};
+use crate::lint::{read_tree, split_suppressed, Rule, Tool, Violation};
+use crate::parser::{parse_sources, Function, SourceFile, Token};
 
 use callgraph::{build, CallGraph};
 use summary::{local_sites, Effect, Site};
@@ -439,8 +439,8 @@ fn raises(c: &callgraph::CallSite, bare: &[bool]) -> bool {
     c.question && !c.ctx_on_chain && c.targets.iter().any(|&t| bare[t])
 }
 
-/// Run every ipa rule over already-parsed files; findings are sorted by
-/// path and line and deduplicated.
+/// Run every ipa rule over already-parsed files, markers not applied;
+/// findings are sorted by path and line and deduplicated.
 pub fn ipa_files(files: &[SourceFile]) -> Vec<Violation> {
     let a = analyze(files);
     let mut out = Vec::new();
@@ -478,10 +478,11 @@ pub fn ipa_files(files: &[SourceFile]) -> Vec<Violation> {
     out
 }
 
-/// Parse and analyze the tree rooted at `root` (see [`parse_tree`] for the
-/// file scope).
+/// Parse and analyze the tree rooted at `root` (see [`parse_sources`] for the
+/// file scope); suppressed findings dropped.
 pub fn ipa_tree(root: &Path) -> std::io::Result<Vec<Violation>> {
-    Ok(ipa_files(&parse_tree(root)?))
+    let sources = read_tree(root)?;
+    Ok(split_suppressed(&sources, ipa_files(&parse_sources(&sources))).0)
 }
 
 /// Human-readable call-graph dump for `--dump-callgraph`: one line per

@@ -19,9 +19,9 @@
 //!   ([`ipa::summary`]) proving the Worker hot path allocation-, lock-,
 //!   and panic-free, every file-creating sink fault-gated on all call
 //!   paths, and fs errors carrying context where they leave a crate.
-//! * [`stale`] — the `stale-suppression` lint: re-runs every analyzer with
-//!   suppression markers neutralized and flags markers that no longer
-//!   suppress any finding.
+//! * [`stale`] — the `stale-suppression` lint: flags markers that
+//!   suppressed no finding when the suite applied them to every analyzer's
+//!   findings.
 //!
 //! Findings render to one JSON document through [`json`].
 

@@ -121,7 +121,7 @@ pub const RULES: &[Rule] = &[
         allow: &[],
     },
     Rule {
-        // Detection lives in crate::stale (it must re-run every analyzer);
+        // Detection lives in crate::stale (it judges every analyzer's markers);
         // the rule is registered here so --list-rules, the JSON rules
         // array, and suppression-name validation see one namespace.
         name: "stale-suppression",
@@ -160,7 +160,7 @@ impl Tool {
     }
 
     /// Record a finding at `line` of `file` unless the rule is out of scope
-    /// there or a marker suppresses it.
+    /// there; markers are applied afterwards, by [`split_suppressed`].
     pub(crate) fn finding(
         &self,
         file: &SourceFile,
@@ -170,11 +170,27 @@ impl Tool {
         out: &mut Vec<Violation>,
     ) {
         let raw = file.raw.get(line.wrapping_sub(1)).map(String::as_str).unwrap_or("");
-        let prev = line.checked_sub(2).and_then(|p| file.raw.get(p)).map(String::as_str);
-        if self.in_scope(rule, &file.rel) && !self.suppressed(rule, raw, prev) {
+        if self.in_scope(rule, &file.rel) {
             out.push(Violation { rule, path: PathBuf::from(&file.rel), line, snippet: raw.to_string(), message });
         }
     }
+}
+
+/// Split every analyzer's `findings` over `sources` into those reported and
+/// those a marker suppresses: the finding's tool's `<tool>:allow(<rule>)`
+/// on the finding's line or the line above. Order is kept on both sides.
+pub(crate) fn split_suppressed(
+    sources: &[(String, String)],
+    findings: Vec<Violation>,
+) -> (Vec<Violation>, Vec<Violation>) {
+    findings.into_iter().partition(|v| {
+        let rel = v.path.to_string_lossy();
+        let Some((_, text)) = sources.iter().find(|(r, _)| *r == rel) else { return true };
+        let lines: Vec<&str> = text.lines().collect();
+        let raw = lines.get(v.line.wrapping_sub(1)).copied().unwrap_or("");
+        let prev = v.line.checked_sub(2).and_then(|p| lines.get(p)).copied();
+        !crate::suite::tool_of(v.rule).suppressed(v.rule, raw, prev)
+    })
 }
 
 /// Test code: files under these directories are out of scope for every
@@ -466,9 +482,8 @@ pub fn lint_rust_source(rel: &str, source: &str, out: &mut Vec<Violation>) {
     for (idx, line) in clean[..code_end].iter().enumerate() {
         let lineno = idx + 1;
         let raw_line = raw.get(idx).copied().unwrap_or("");
-        let prev_raw = idx.checked_sub(1).and_then(|p| raw.get(p)).copied();
         let mut flag = |name: &'static str, message: String| {
-            if LINT.in_scope(name, rel) && !LINT.suppressed(name, raw_line, prev_raw) {
+            if LINT.in_scope(name, rel) {
                 out.push(Violation {
                     rule: name,
                     path: PathBuf::from(rel),
@@ -515,8 +530,7 @@ pub fn lint_manifest(rel: &str, source: &str, out: &mut Vec<Violation>) {
         return;
     }
     let mut in_deps = false;
-    let lines: Vec<&str> = source.lines().collect();
-    for (idx, raw_line) in lines.iter().enumerate() {
+    for (idx, raw_line) in source.lines().enumerate() {
         let line = raw_line.split('#').next().unwrap_or("").trim();
         if line.starts_with('[') {
             in_deps = line.ends_with("dependencies]");
@@ -535,16 +549,13 @@ pub fn lint_manifest(rel: &str, source: &str, out: &mut Vec<Violation>) {
                 v.starts_with('"') && v[1..].starts_with(|c: char| c.is_ascii_digit() || c == '^' || c == '~')
             });
         if !ok || versioned {
-            let prev_raw = idx.checked_sub(1).and_then(|p| lines.get(p)).copied();
-            if !LINT.suppressed("no-new-deps", raw_line, prev_raw) {
-                out.push(Violation {
-                    rule: "no-new-deps",
-                    path: PathBuf::from(rel),
-                    line: idx + 1,
-                    snippet: raw_line.to_string(),
-                    message: "dependency does not resolve to a workspace path crate".to_string(),
-                });
-            }
+            out.push(Violation {
+                rule: "no-new-deps",
+                path: PathBuf::from(rel),
+                line: idx + 1,
+                snippet: raw_line.to_string(),
+                message: "dependency does not resolve to a workspace path crate".to_string(),
+            });
         }
     }
 }
@@ -573,8 +584,8 @@ pub fn read_tree(root: &Path) -> std::io::Result<Vec<(String, String)>> {
         .collect()
 }
 
-/// Lint already-read sources (see [`read_tree`]); violations sorted by
-/// path and line.
+/// Lint already-read sources (see [`read_tree`]), markers not applied;
+/// violations sorted by path and line.
 pub(crate) fn lint_sources(sources: &[(String, String)]) -> Vec<Violation> {
     let mut out = Vec::new();
     for (rel, source) in sources {
@@ -588,9 +599,10 @@ pub(crate) fn lint_sources(sources: &[(String, String)]) -> Vec<Violation> {
     out
 }
 
-/// Read and lint the tree rooted at `root`.
+/// Read and lint the tree rooted at `root`; suppressed findings dropped.
 pub fn lint_tree(root: &Path) -> std::io::Result<Vec<Violation>> {
-    Ok(lint_sources(&read_tree(root)?))
+    let sources = read_tree(root)?;
+    Ok(split_suppressed(&sources, lint_sources(&sources)).0)
 }
 
 fn collect_files(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
@@ -618,7 +630,7 @@ mod tests {
     fn lint_str(rel: &str, src: &str) -> Vec<Violation> {
         let mut out = Vec::new();
         lint_rust_source(rel, src, &mut out);
-        out
+        split_suppressed(&[(rel.to_string(), src.to_string())], out).0
     }
 
     #[test]

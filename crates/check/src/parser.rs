@@ -15,9 +15,8 @@
 
 use std::collections::BTreeSet;
 use std::ops::Range;
-use std::path::Path;
 
-use crate::lint::{in_test_dir, read_tree, sanitize};
+use crate::lint::{in_test_dir, sanitize};
 
 /// One lexical token and the 1-based source line it starts on.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -53,7 +52,7 @@ const OPS2: &[&str] = &[
 
 /// Tokenize sanitized source lines into a flat stream. Whitespace is
 /// dropped; words (identifiers/keywords/number literals) and the operators
-/// in [`OPS2`] stay intact; every other character is its own token.
+/// in `OPS2` stay intact; every other character is its own token.
 pub fn tokenize(clean: &[String]) -> Vec<Token> {
     let mut out = Vec::new();
     for (idx, line) in clean.iter().enumerate() {
@@ -318,20 +317,15 @@ pub fn parse_source(rel: &str, source: &str) -> SourceFile {
 }
 
 /// Parse the non-test `.rs` files among already-read sources (see
-/// [`read_tree`]): `tests/`, `benches/`, and `examples/` directories are
-/// out of scope, as are the vendored `shims/` (offline dependency
-/// stand-ins, not product code).
+/// [`read_tree`](crate::lint::read_tree)): `tests/`, `benches/`, and
+/// `examples/` directories are out of scope, as are the vendored `shims/`
+/// (offline dependency stand-ins, not product code).
 pub fn parse_sources(sources: &[(String, String)]) -> Vec<SourceFile> {
     sources
         .iter()
         .filter(|(rel, _)| rel.ends_with(".rs") && !rel.starts_with("shims/") && !in_test_dir(rel))
         .map(|(rel, source)| parse_source(rel, source))
         .collect()
-}
-
-/// Read and parse the tree rooted at `root`.
-pub fn parse_tree(root: &Path) -> std::io::Result<Vec<SourceFile>> {
-    Ok(parse_sources(&read_tree(root)?))
 }
 
 #[cfg(test)]

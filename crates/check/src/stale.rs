@@ -3,13 +3,13 @@
 //!
 //! Suppression markers are point-in-time waivers; when the code under one
 //! is fixed or moves, the marker stays behind and silently waives the
-//! *next* violation introduced on that line. This pass re-runs every
-//! analyzer (lint, audit, flow, ipa) over sources with the markers
-//! neutralized (`:allow(` → `:a11ow(`, same length, so line/column
-//! structure is untouched), then checks each real marker against the
-//! unsuppressed findings: a `tool:allow(rule)` on line L is *live* iff the
-//! tool reports that rule at line L or L+1 of the same file — exactly the
-//! span the marker suppresses. Everything else is stale.
+//! *next* violation introduced on that line. The suite runs every analyzer
+//! (lint, audit, flow, ipa) once, with no marker applied, and splits the
+//! findings into reported and suppressed (`lint::split_suppressed`);
+//! this pass checks each real marker against the suppressed ones: a
+//! `tool:allow(rule)` on line L is *live* iff it suppressed a finding of
+//! that rule at line L or L+1 of the same file — exactly the span the
+//! marker suppresses. Everything else is stale.
 //!
 //! Marker recognition is deliberately strict: only inside a comment (after
 //! `//` in Rust — doc comments `///`/`//!` document syntax, never carry
@@ -25,14 +25,8 @@
 use std::collections::BTreeSet;
 use std::path::PathBuf;
 
-use crate::lint::{in_test_dir, lint_manifest, lint_rust_source, sanitize, Violation, LINT};
-use crate::parser::SourceFile;
+use crate::lint::{in_test_dir, sanitize, Violation, LINT};
 use crate::suite::TOOLS;
-
-/// Disable every suppression marker without moving a single byte.
-fn neutralize(source: &str) -> String {
-    source.replace(":allow(", ":a11ow(")
-}
 
 /// One recognized marker occurrence.
 struct Marker {
@@ -90,39 +84,26 @@ fn collect_markers(rel: &str, raw: &[&str], comment: &str, code_end: usize, out:
     }
 }
 
-/// Run the stale-suppression analysis over already-read sources and their
-/// parse (see [`crate::suite::check`]). Findings carry the
+/// Judge every marker in `sources` against the findings the suite's markers
+/// `suppressed` (see [`crate::suite::check`]). Findings carry the
 /// `stale-suppression` rule and point at the marker line.
-pub(crate) fn stale(sources: &[(String, String)], parsed: &[SourceFile]) -> Vec<Violation> {
+pub(crate) fn stale(sources: &[(String, String)], suppressed: &[Violation]) -> Vec<Violation> {
     let mut markers: Vec<Marker> = Vec::new();
-    let mut unsuppressed: Vec<Violation> = Vec::new();
     for (rel, source) in sources {
-        let neutral = neutralize(source);
         let raw: Vec<&str> = source.lines().collect();
         if rel.ends_with("Cargo.toml") {
             collect_markers(rel, &raw, "#", raw.len(), &mut markers);
-            lint_manifest(rel, &neutral, &mut unsuppressed);
         } else if !in_test_dir(rel) {
             let code_end = sanitize(source)
                 .iter()
                 .position(|l| l.trim_start().starts_with("#[cfg(test)]"))
                 .unwrap_or(raw.len());
             collect_markers(rel, &raw, "//", code_end, &mut markers);
-            lint_rust_source(rel, &neutral, &mut unsuppressed);
         }
     }
-    // Markers sit in comments, which the token stream never sees: only the
-    // raw lines the suppression check reads change.
-    let neutral: Vec<SourceFile> = parsed
-        .iter()
-        .map(|f| SourceFile { raw: f.raw.iter().map(|l| neutralize(l)).collect(), ..f.clone() })
-        .collect();
-    unsuppressed.extend(crate::audit::audit_files(&neutral));
-    unsuppressed.extend(crate::flow::flow_files(&neutral));
-    unsuppressed.extend(crate::ipa::ipa_files(&neutral));
 
-    // Index unsuppressed findings by (tool, rule, rel, line).
-    let live: BTreeSet<(&str, &str, String, usize)> = unsuppressed
+    // Index suppressed findings by (tool, rule, rel, line).
+    let live: BTreeSet<(&str, &str, String, usize)> = suppressed
         .iter()
         .map(|v| (crate::suite::tool_of(v.rule).prefix, v.rule, v.path.to_string_lossy().replace('\\', "/"), v.line))
         .collect();

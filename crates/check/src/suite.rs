@@ -2,15 +2,17 @@
 //!
 //! The tree is read once ([`read_tree`]) and parsed once
 //! ([`parse_sources`]); lint runs over the text, audit, flow and ipa over
-//! the parse, and stale-suppression re-judges every marker against all
-//! four. One findings list comes out, sorted by path, line and rule.
+//! the parse, each once and with no marker applied. One pass over those
+//! findings applies the `<tool>:allow(<rule>)` markers, and
+//! stale-suppression judges every marker by what it suppressed. One
+//! findings list comes out, sorted by path, line and rule.
 
 use std::path::Path;
 
 use crate::audit::{audit_files, AUDIT};
 use crate::flow::{flow_files, FLOW};
 use crate::ipa::{ipa_files, IPA};
-use crate::lint::{lint_sources, read_tree, Rule, Tool, Violation, LINT};
+use crate::lint::{lint_sources, read_tree, split_suppressed, Rule, Tool, Violation, LINT};
 use crate::parser::{parse_sources, SourceFile};
 use crate::stale::stale;
 
@@ -30,11 +32,12 @@ pub fn tool_of(rule: &str) -> &'static Tool {
 /// Every finding of every analyzer over already-read sources and their
 /// parse.
 pub fn check(sources: &[(String, String)], parsed: &[SourceFile]) -> Vec<Violation> {
-    let mut out = lint_sources(sources);
-    out.extend(audit_files(parsed));
-    out.extend(flow_files(parsed));
-    out.extend(ipa_files(parsed));
-    out.extend(stale(sources, parsed));
+    let mut all = lint_sources(sources);
+    all.extend(audit_files(parsed));
+    all.extend(flow_files(parsed));
+    all.extend(ipa_files(parsed));
+    let (mut out, suppressed) = split_suppressed(sources, all);
+    out.extend(stale(sources, &suppressed));
     out.sort_by(|a, b| (&a.path, a.line, a.rule).cmp(&(&b.path, b.line, b.rule)));
     out
 }

@@ -257,7 +257,8 @@ pub struct EngineConfig {
     pub checkpoint_retry: graphz_io::RetryPolicy,
     /// Test hook: keep every checkpoint generation instead of the newest
     /// [`RETAINED_GENERATIONS`](crate::generations::RETAINED_GENERATIONS),
-    /// for suites that inspect the whole history (`golden_values.rs`).
+    /// for suites that inspect the whole history (`golden_values.rs`, and
+    /// every split run of the plan matrix in `crates/algos/tests/common/`).
     /// Production code, the CLI included, leaves it `false`.
     pub keep_all_generations: bool,
 }
@@ -534,10 +535,10 @@ impl<P: VertexProgram> Engine<P> {
 
     /// Run up to `max_iterations` *further* iterations, stopping early after
     /// any iteration in which no vertex
-    /// [`UpdateContext::mark_changed`]-ed. Consecutive `run` calls continue
-    /// the global iteration count, so `run(3)` followed by `run(7)` is
-    /// equivalent to one `run(10)` (checkpointable long computations rely on
-    /// this).
+    /// [`UpdateContext::mark_changed`](crate::UpdateContext::mark_changed)-ed.
+    /// Consecutive `run` calls continue the global iteration count, so
+    /// `run(3)` followed by `run(7)` is equivalent to one `run(10)`
+    /// (checkpointable long computations rely on this).
     pub fn run(&mut self, max_iterations: u32) -> Result<RunSummary> {
         let start = Instant::now();
         let io_before = self.stats.snapshot();

@@ -14,7 +14,7 @@
 //!
 //! 1. **Run formation** — read records until the memory budget is full, sort
 //!    them in memory, and spill each sorted run to a scratch file (see
-//!    [`runs`](crate::runs) internals).
+//!    the private `runs` module).
 //! 2. **K-way merge** — stream every run through a loser tree, emitting
 //!    records in globally sorted order. If the number of runs exceeds the
 //!    configured fan-in, runs are merged in multiple passes.

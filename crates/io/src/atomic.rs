@@ -8,9 +8,9 @@
 //!
 //! Both [`AtomicFile`] (single file) and [`StagedDir`] (multi-file artifact,
 //! e.g. a checkpoint generation) optionally route their fsync/rename
-//! metadata operations through a [`FaultState`](crate::fault::FaultState)
-//! gate so chaos tests can kill a commit at every step and assert the
-//! invariant above actually holds.
+//! metadata operations through a [`FaultState`] gate so chaos tests can
+//! kill a commit at every step and assert the invariant above actually
+//! holds.
 
 use std::fs::{self, File};
 use std::io::{self, Write};

@@ -828,7 +828,7 @@ impl DosConverter {
     /// checksummed stage manifest ([`MetaFile::stage`]) into the stable
     /// scratch root when it completes (DESIGN.md §6h). A converter built
     /// with [`resume(true)`](DosConverterBuilder::resume) skips the stages
-    /// [`completed_stages`](Self::completed_stages) finds intact and redoes
+    /// `completed_stages` finds intact and redoes
     /// everything after them; because every stage is a deterministic
     /// function of the previous stages' files, the resumed directory is
     /// byte-identical to a clean run's.

@@ -213,8 +213,9 @@ impl EngineOptions {
 
     /// Builder-style construction following the workspace API convention
     /// (`XBuilder` + chainable setters + fallible `build()`): invalid
-    /// combinations surface as [`GraphError::InvalidConfig`] instead of being
-    /// silently clamped.
+    /// combinations surface as
+    /// [`GraphError::InvalidConfig`](crate::GraphError::InvalidConfig)
+    /// instead of being silently clamped.
     pub fn builder() -> EngineOptionsBuilder {
         EngineOptionsBuilder { opts: Self::default() }
     }
