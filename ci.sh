@@ -38,6 +38,16 @@ step "test"
 cargo test -q --offline
 step_done
 
+step "run memory bound (ROADMAP item 1)"
+# Also part of the test step above; run alone so the log names it.
+# crates/cli/tests/run_memory.rs runs `graphz run pr` and `run cc` at
+# --budget-mib 1 on a scale-20 graph of 100k edges and holds the process's
+# VmHWM to the fixed overhead + the budget + the run phase's own buffers
+# (+ CC's 8-byte-per-vertex component table): the `--top` listing streams,
+# so no per-vertex copy of the result counts against it.
+cargo test -q --offline -p graphz-cli --test run_memory
+step_done
+
 step "ingest equivalence (any budget, any relabel path, any resume point: same bytes)"
 # Part of the tier-1 gate. tests/ingest_equivalence.rs converts each
 # fixture under three budget arms: one where every sort is one in-memory run

@@ -166,6 +166,77 @@ impl AlgoValues {
     }
 }
 
+/// One run's final values as a single pass: `(original id, value)` for
+/// every vertex, in the engine's storage order. A consumer holds only what
+/// it keeps — the CLI's `--top K` listing keeps K rows — and
+/// [`collect`](Self::collect) is the consumer that keeps all V.
+pub struct ValueStream<'a, T> {
+    num_vertices: u64,
+    drive: StreamDriver<'a, T>,
+}
+
+/// Passes each `(original id, value)` to the callback it is handed and
+/// returns how many it passed.
+type StreamDriver<'a, T> = Box<dyn FnOnce(&mut dyn FnMut(VertexId, T)) -> Result<u64> + 'a>;
+
+impl<'a, T> ValueStream<'a, T> {
+    /// A stream of `num_vertices` values that `drive` produces. Every id it
+    /// passes must be below `num_vertices`.
+    pub fn new(
+        num_vertices: u64,
+        drive: impl FnOnce(&mut dyn FnMut(VertexId, T)) -> Result<u64> + 'a,
+    ) -> Self {
+        ValueStream { num_vertices, drive: Box::new(drive) }
+    }
+
+    pub fn num_vertices(&self) -> u64 {
+        self.num_vertices
+    }
+
+    /// Pass every `(original id, value)` to `f`; returns the count.
+    pub fn for_each(self, mut f: impl FnMut(VertexId, T)) -> Result<u64> {
+        (self.drive)(&mut f)
+    }
+
+    /// Collect into a vector indexed by original id.
+    pub fn collect(self) -> Result<Vec<T>>
+    where
+        T: Clone + Default,
+    {
+        let mut out = vec![T::default(); cast::to_usize(self.num_vertices, "vertex count")?];
+        self.for_each(|id, value| out[cast::vertex_index(id)] = value)?;
+        Ok(out)
+    }
+}
+
+/// A finished run's values, streamed: the one-pass form of [`AlgoValues`].
+pub enum ResultStream<'a> {
+    Hops(ValueStream<'a, u32>),
+    /// Raw min-fold labels: the vertices of one component share a label
+    /// that is a vertex id in the engine's own id space (for GraphZ a
+    /// storage id, below V). [`collect`](Self::collect) canonicalizes them.
+    Labels(ValueStream<'a, u32>),
+    Ranks(ValueStream<'a, f32>),
+    Costs(ValueStream<'a, f32>),
+    Beliefs(ValueStream<'a, [f32; 2]>),
+    Visits(ValueStream<'a, f32>),
+}
+
+impl ResultStream<'_> {
+    /// Collect into [`AlgoValues`] indexed by original id, with labels
+    /// canonicalized: 4-8 bytes per vertex.
+    pub fn collect(self) -> Result<AlgoValues> {
+        Ok(match self {
+            ResultStream::Hops(s) => AlgoValues::Hops(s.collect()?),
+            ResultStream::Labels(s) => AlgoValues::Labels(canonicalize_labels(&s.collect()?)),
+            ResultStream::Ranks(s) => AlgoValues::Ranks(s.collect()?),
+            ResultStream::Costs(s) => AlgoValues::Costs(s.collect()?),
+            ResultStream::Beliefs(s) => AlgoValues::Beliefs(s.collect()?),
+            ResultStream::Visits(s) => AlgoValues::Visits(s.collect()?),
+        })
+    }
+}
+
 /// Canonicalize raw min-fold component labels: every vertex gets the
 /// *minimum original id* of its component, making labels comparable across
 /// engines that propagate labels in different id spaces (GraphZ propagates

@@ -37,5 +37,5 @@ pub mod reference;
 pub mod runner;
 pub mod xstream;
 
-pub use common::{Algorithm, AlgoParams, AlgoValues};
+pub use common::{Algorithm, AlgoParams, AlgoValues, ResultStream, ValueStream};
 pub use runner::{AlgoOutcome, EngineKind};

@@ -12,15 +12,17 @@
 
 #![forbid(unsafe_code)]
 
+use std::cmp::{Ordering, Reverse};
+use std::collections::BinaryHeap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use graphz_algos::runner;
-use graphz_algos::{AlgoParams, Algorithm, AlgoValues};
+use graphz_algos::{AlgoParams, Algorithm, ResultStream, ValueStream};
 use graphz_io::IoStats;
 use graphz_serve::GraphView;
 use graphz_storage::{DosGraph, EdgeListFile, IngestPipeline};
-use graphz_types::{EngineOptions, GraphError, IoCtx, MemoryBudget, Result};
+use graphz_types::{cast, EngineOptions, GraphError, IoCtx, MemoryBudget, Result, VertexId};
 
 /// A parsed command line.
 #[derive(Debug, Clone, PartialEq)]
@@ -267,7 +269,11 @@ pub const COMMANDS: &[CommandSpec] = &[
                   adjacency, when both fit the budget. --no-prefetch disables the\n\
                   background partition loader (results are identical either way).\n\
                   --verbose prints the resolved plan, per-stage wall times, prefetch\n\
-                  hit/stall counters and messages buffered / spilled / replayed.",
+                  hit/stall counters and messages buffered / spilled / replayed.\n\
+                  \n\
+                  Memory: the listing is made in one pass over the final values, each\n\
+                  with its original id; --top K holds K rows, not one per vertex. cc\n\
+                  also counts component sizes in a table of 8 bytes per vertex.",
     },
 ];
 
@@ -745,13 +751,14 @@ pub fn execute(cmd: Command) -> Result<String> {
                 resume,
             };
             let options = EngineOptions { prefetch, ..EngineOptions::full() };
-            let outcome = runner::run_graphz_configured(
+            let outcome = runner::run_graphz_reported(
                 &dos,
                 &params,
                 budget,
                 options,
                 &ckpt,
                 Arc::clone(&stats),
+                |values| render_top(values, top),
             )?;
             let mut out = format!(
                 "{algo} on {}: {} iterations ({}), {} partitions, {} messages\n\
@@ -802,7 +809,7 @@ pub fn execute(cmd: Command) -> Result<String> {
                     ));
                 }
             }
-            out.push_str(&render_top(&outcome.values, top));
+            out.push_str(&outcome.values);
             Ok(out)
         }
     }
@@ -904,103 +911,173 @@ zero-out-degree vertices: {}
 }
 
 /// The `--top K` listing: the K most interesting vertices for the value
-/// kind (highest rank/visits, lowest distances, largest components...).
-fn render_top(values: &AlgoValues, k: usize) -> String {
+/// kind (highest rank/visits, lowest distances, largest components...),
+/// made in one pass over the run's values.
+fn render_top(values: ResultStream<'_>, k: usize) -> Result<String> {
     let mut out = String::new();
     match values {
-        AlgoValues::Ranks(v) => {
+        ResultStream::Ranks(v) => {
             out.push_str("top vertices by rank:\n");
-            for (id, val) in top_by(v, k, |a, b| b.total_cmp(a)) {
+            let (top, _) = top_of(v, k, |r| Reverse(Total(r.into())), |_| {})?;
+            for (Reverse(Total(val)), id) in top {
                 out.push_str(&format!("  {id:>8}  {val:.4}\n"));
             }
         }
-        AlgoValues::Visits(v) => {
+        ResultStream::Visits(v) => {
             out.push_str("top vertices by visit mass:\n");
-            for (id, val) in top_by(v, k, |a, b| b.total_cmp(a)) {
+            let (top, _) = top_of(v, k, |m| Reverse(Total(m.into())), |_| {})?;
+            for (Reverse(Total(val)), id) in top {
                 out.push_str(&format!("  {id:>8}  {val:.4}\n"));
             }
         }
-        AlgoValues::Hops(v) => {
-            let reached = v.iter().filter(|&&d| d != u32::MAX).count();
-            out.push_str(&format!("reached {reached} of {} vertices; nearest:\n", v.len()));
-            for (id, val) in top_by(v, k, |a, b| a.total_cmp(b)) {
+        ResultStream::Hops(v) => {
+            let mut reached = 0u64;
+            let (top, n) =
+                top_of(v, k, |d| Total(d.into()), |d| reached += u64::from(d != u32::MAX))?;
+            out.push_str(&format!("reached {reached} of {n} vertices; nearest:\n"));
+            for (Total(val), id) in top {
                 if val == f64::from(u32::MAX) {
                     break;
                 }
                 out.push_str(&format!("  {id:>8}  {val:.0} hops\n"));
             }
         }
-        AlgoValues::Costs(v) => {
-            let reached = v.iter().filter(|d| d.is_finite()).count();
-            out.push_str(&format!("reached {reached} of {} vertices; nearest:\n", v.len()));
-            for (id, val) in top_by(v, k, |a, b| a.total_cmp(b)) {
+        ResultStream::Costs(v) => {
+            let mut reached = 0u64;
+            let (top, n) =
+                top_of(v, k, |c| Total(c.into()), |c| reached += u64::from(c.is_finite()))?;
+            out.push_str(&format!("reached {reached} of {n} vertices; nearest:\n"));
+            for (Total(val), id) in top {
                 if !val.is_finite() {
                     break;
                 }
                 out.push_str(&format!("  {id:>8}  {val:.3}\n"));
             }
         }
-        AlgoValues::Labels(v) => {
-            // Component sizes in a dense table indexed by label (canonical
-            // labels are vertex ids, below `v.len()`); a larger label falls
-            // back to a map.
-            let mut dense: Vec<u64> = vec![0; v.len()];
-            let mut sparse: std::collections::HashMap<u32, u64> = Default::default();
-            for &l in v {
-                match dense.get_mut(l as usize) {
-                    Some(n) => *n += 1,
-                    None => *sparse.entry(l).or_default() += 1,
-                }
-            }
-            let mut by_size: Vec<(u32, u64)> = dense
-                .iter()
-                .enumerate()
-                .filter(|&(_, &n)| n > 0)
-                .map(|(l, &n)| (l as u32, n))
-                .chain(sparse)
-                .collect();
-            let components = by_size.len();
-            // Equal sizes list by label: a total order, so selecting the k
-            // largest and sorting only them prints what a full sort would.
-            let key = |&(label, n): &(u32, u64)| (std::cmp::Reverse(n), label);
-            if k < by_size.len() {
-                by_size.select_nth_unstable_by_key(k, key);
-                by_size.truncate(k);
-            }
-            by_size.sort_unstable_by_key(key);
+        ResultStream::Labels(v) => {
+            let (components, top) = largest_components(v, k)?;
             out.push_str(&format!("{components} components; largest:\n"));
-            for (label, n) in by_size {
+            for (Reverse(n), label) in top {
                 out.push_str(&format!("  component {label:>8}: {n} vertices\n"));
             }
         }
-        AlgoValues::Beliefs(v) => {
+        ResultStream::Beliefs(v) => {
             out.push_str("most state-0-confident vertices:\n");
-            let confidences: Vec<f32> = v.iter().map(|b| b[0]).collect();
-            for (id, val) in top_by(&confidences, k, |a, b| b.total_cmp(a)) {
+            let (top, _) = top_of(v, k, |b| Reverse(Total(b[0].into())), |_| {})?;
+            for (Reverse(Total(val)), id) in top {
                 out.push_str(&format!("  {id:>8}  P(state 0) = {val:.4}\n"));
             }
         }
     }
-    out
+    Ok(out)
 }
 
-/// The first `k` `(id, value)` pairs under `cmp`, ties broken by ascending
-/// id. That order is total, so selecting the `k` survivors in linear time and
-/// sorting only them gives exactly the prefix a full sort would.
-fn top_by<T: Copy + Into<f64>>(
-    values: &[T],
-    k: usize,
-    cmp: impl Fn(&f64, &f64) -> std::cmp::Ordering,
-) -> Vec<(usize, f64)> {
-    let order = |a: &(usize, f64), b: &(usize, f64)| cmp(&a.1, &b.1).then(a.0.cmp(&b.0));
-    let mut pairs: Vec<(usize, f64)> =
-        values.iter().enumerate().map(|(i, &v)| (i, v.into())).collect();
-    if k < pairs.len() {
-        pairs.select_nth_unstable_by(k, order);
-        pairs.truncate(k);
+/// An `f64` ordered by [`f64::total_cmp`], so a listing key is `Ord`.
+#[derive(Debug, Clone, Copy)]
+struct Total(f64);
+
+impl PartialEq for Total {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
     }
-    pairs.sort_unstable_by(order);
-    pairs
+}
+
+impl Eq for Total {}
+
+impl PartialOrd for Total {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Total {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.0.total_cmp(&other.0)
+    }
+}
+
+/// The first `k` rows of a listing — ascending key, ties by ascending
+/// original id — kept in a k-entry max-heap while the values stream past:
+/// a row that sorts before the heap's last row replaces it. The order is
+/// total, so the rows kept are exactly the prefix a full sort would print.
+/// Ties must break on the original id as each row arrives, which is why
+/// the id map is zipped into the stream rather than applied afterwards.
+struct TopK<K: Ord> {
+    k: usize,
+    /// Max-heap: the root is the kept row listed last.
+    heap: BinaryHeap<(K, VertexId)>,
+}
+
+impl<K: Ord> TopK<K> {
+    fn new(k: usize) -> Self {
+        TopK { k, heap: BinaryHeap::new() }
+    }
+
+    fn push(&mut self, key: K, id: VertexId) {
+        let row = (key, id);
+        if self.heap.len() < self.k {
+            self.heap.push(row);
+        } else if let Some(mut last) = self.heap.peek_mut() {
+            if row < *last {
+                *last = row;
+            }
+        }
+    }
+
+    /// The rows kept, in listing order.
+    fn into_sorted(self) -> Rows<K> {
+        self.heap.into_sorted_vec()
+    }
+}
+
+/// Listing rows: a key and the original id it belongs to.
+type Rows<K> = Vec<(K, VertexId)>;
+
+/// Stream `values` through a [`TopK`] of `k` rows under `key`, showing
+/// every value to `seen` too. Returns the rows in listing order and the
+/// vertex count.
+fn top_of<T: Copy, K: Ord>(
+    values: ValueStream<'_, T>,
+    k: usize,
+    key: impl Fn(T) -> K,
+    mut seen: impl FnMut(T),
+) -> Result<(Rows<K>, u64)> {
+    let mut top = TopK::new(k);
+    let n = values.for_each(|id, value| {
+        seen(value);
+        top.push(key(value), id);
+    })?;
+    Ok((top.into_sorted(), n))
+}
+
+/// CC's listing from one pass over the raw labels: a table indexed by raw
+/// label holds each component's size and smallest original id (its
+/// canonical label). GraphZ's raw labels are storage ids below V, so that
+/// is 8 bytes per vertex — the one V-sized table left in reporting; a
+/// larger label falls back to a map. Returns the component count and the
+/// `k` largest components, equal sizes by canonical label.
+fn largest_components(
+    labels: ValueStream<'_, u32>,
+    k: usize,
+) -> Result<(usize, Rows<Reverse<u32>>)> {
+    let unseen = (0u32, VertexId::MAX);
+    let mut dense = vec![unseen; cast::to_usize(labels.num_vertices(), "vertex count")?];
+    let mut sparse: std::collections::HashMap<u32, (u32, VertexId)> = Default::default();
+    labels.for_each(|id, label| {
+        let (size, first) = match dense.get_mut(cast::vertex_index(label)) {
+            Some(slot) => slot,
+            None => sparse.entry(label).or_insert(unseen),
+        };
+        *size += 1;
+        *first = (*first).min(id);
+    })?;
+    let mut top = TopK::new(k);
+    let mut components = 0;
+    for &(size, first) in dense.iter().filter(|&&(size, _)| size > 0).chain(sparse.values()) {
+        components += 1;
+        top.push(Reverse(size), first);
+    }
+    Ok((components, top.into_sorted()))
 }
 
 #[cfg(test)]
@@ -1560,18 +1637,40 @@ mod tests {
         assert!(out.contains("top vertices by rank"), "{out}");
     }
 
+    /// `values` (index = original id) as the stream a run hands its report.
+    fn stream_of<T: Copy>(values: &[T]) -> ValueStream<'_, T> {
+        ValueStream::new(values.len() as u64, move |f| {
+            for (id, &v) in values.iter().enumerate() {
+                f(id as VertexId, v);
+            }
+            Ok(values.len() as u64)
+        })
+    }
+
+    /// The heap's listing of `values`, largest first, as `(id, value)`.
+    fn largest<T: Copy + Into<f64>>(values: &[T], k: usize) -> Vec<(usize, f64)> {
+        let (top, _) = top_of(stream_of(values), k, |v| Reverse(Total(v.into())), |_| {}).unwrap();
+        top.into_iter().map(|(Reverse(Total(v)), id)| (id as usize, v)).collect()
+    }
+
+    /// The heap's listing of `values`, smallest first, as `(id, value)`.
+    fn smallest<T: Copy + Into<f64>>(values: &[T], k: usize) -> Vec<(usize, f64)> {
+        let (top, _) = top_of(stream_of(values), k, |v| Total(v.into()), |_| {}).unwrap();
+        top.into_iter().map(|(Total(v), id)| (id as usize, v)).collect()
+    }
+
     #[test]
     fn top_by_orders_and_truncates() {
         let v = [3.0f32, 1.0, 2.0];
-        let top = top_by(&v, 2, |a, b| b.total_cmp(a));
+        let top = largest(&v, 2);
         assert_eq!(top, vec![(0, 3.0), (2, 2.0)]);
 
         // k = 0 and k >= len.
-        assert!(top_by(&v, 0, |a, b| b.total_cmp(a)).is_empty());
+        assert!(largest(&v, 0).is_empty());
         let all = vec![(0, 3.0), (2, 2.0), (1, 1.0)];
-        assert_eq!(top_by(&v, 3, |a, b| b.total_cmp(a)), all);
-        assert_eq!(top_by(&v, 10, |a, b| b.total_cmp(a)), all);
-        assert!(top_by::<f32>(&[], 5, |a, b| a.total_cmp(b)).is_empty());
+        assert_eq!(largest(&v, 3), all);
+        assert_eq!(largest(&v, 10), all);
+        assert!(smallest::<f32>(&[], 5).is_empty());
 
         // Ties break by ascending id on both sides of the cut, and every k
         // is exactly the prefix of the full sort it replaces.
@@ -1580,21 +1679,30 @@ mod tests {
             hops.iter().enumerate().map(|(i, &d)| (i, f64::from(d))).collect();
         full.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
         for k in 0..=hops.len() + 1 {
-            let top = top_by(&hops, k, |a, b| a.total_cmp(b));
+            let top = smallest(&hops, k);
             assert_eq!(top, full[..k.min(full.len())], "k={k}");
         }
-        assert_eq!(top_by(&hops, 3, |a, b| a.total_cmp(b)), vec![(7, 0.0), (1, 1.0), (3, 1.0)]);
+        assert_eq!(smallest(&hops, 3), vec![(7, 0.0), (1, 1.0), (3, 1.0)]);
         let ranks = [0.5f64, 0.5, 0.25, 0.5];
-        assert_eq!(top_by(&ranks, 2, |a, b| b.total_cmp(a)), vec![(0, 0.5), (1, 0.5)]);
+        assert_eq!(largest(&ranks, 2), vec![(0, 0.5), (1, 0.5)]);
     }
 
     #[test]
     fn component_listing_counts_labels_in_and_past_the_table() {
-        // 6 vertices: labels 9 and u32::MAX lie past the dense table (and 6
-        // exactly at its end); sizes 3, 2, 2, 1 with ties listed by label.
-        let labels = AlgoValues::Labels(vec![9, 1, 9, 6, 1, 1, u32::MAX, 6, u32::MAX]);
+        // A table of 6 raw labels: 9 and u32::MAX lie past it (and 6
+        // exactly at its end). Each vertex's original id is its raw label,
+        // so each component is listed under that label; sizes 3, 2, 2, 2
+        // with ties listed by label.
+        let raw = [9, 1, 9, 6, 1, 1, u32::MAX, 6, u32::MAX];
+        let labels = || {
+            ValueStream::new(6, move |f| {
+                raw.iter().for_each(|&l| f(l, l));
+                Ok(raw.len() as u64)
+            })
+        };
+        let listing = |k| render_top(ResultStream::Labels(labels()), k).unwrap();
         assert_eq!(
-            render_top(&labels, 10),
+            listing(10),
             "4 components; largest:\n\
              \x20 component        1: 3 vertices\n\
              \x20 component        6: 2 vertices\n\
@@ -1602,11 +1710,34 @@ mod tests {
              \x20 component 4294967295: 2 vertices\n"
         );
         assert_eq!(
-            render_top(&labels, 2),
+            listing(2),
             "4 components; largest:\n\
              \x20 component        1: 3 vertices\n\
              \x20 component        6: 2 vertices\n"
         );
-        assert_eq!(render_top(&AlgoValues::Labels(vec![]), 3), "0 components; largest:\n");
+        let empty = ValueStream::new(0, |_| Ok(0));
+        assert_eq!(
+            render_top(ResultStream::Labels(empty), 3).unwrap(),
+            "0 components; largest:\n"
+        );
+    }
+
+    #[test]
+    fn a_component_is_listed_under_its_smallest_original_id() {
+        // Storage order with (original id, raw label): raw labels 0, 1 and
+        // 4 hold original ids {5, 2}, {4, 0} and {3, 1}. Equal sizes list
+        // by the smallest original id, not by raw label.
+        let rows = [(5, 0), (2, 0), (4, 1), (0, 1), (3, 4), (1, 4)];
+        let labels = ValueStream::new(6, move |f| {
+            rows.iter().for_each(|&(id, l)| f(id, l));
+            Ok(rows.len() as u64)
+        });
+        assert_eq!(
+            render_top(ResultStream::Labels(labels), 10).unwrap(),
+            "3 components; largest:\n\
+             \x20 component        0: 2 vertices\n\
+             \x20 component        1: 2 vertices\n\
+             \x20 component        2: 2 vertices\n"
+        );
     }
 }

@@ -1,0 +1,106 @@
+//! Pins what `graphz run` holds beyond its budget on a graph of many
+//! vertices and few edges, where a per-vertex copy of the result would
+//! dominate (ROADMAP item 1). The graph is generated and converted by the
+//! `graphz` binary in child processes, so only the runs count against this
+//! process's `VmHWM`.
+//!
+//! One `#[test]` only: the high-water mark is per process, and another test
+//! running on a sibling thread would move it.
+
+use std::path::Path;
+use std::process::Command;
+
+use graphz_cli::{execute, parse};
+use graphz_io::ScratchDir;
+
+/// `--budget-mib 1`.
+const BUDGET_KIB: u64 = 1024;
+
+/// The run phase's own buffers outside the budget at `--budget-mib 1` on
+/// the scale-20 graph: message groups deferred by a compute pass, the
+/// replay vector, the Sio batch pool, the prefetched next partition and the
+/// allocator arenas of the threads that hold them. Measured at about 6.5
+/// MiB in a release build; ROADMAP item 6's budget ledger is to bring them
+/// under the budget.
+const RUN_PHASE_KIB: u64 = 10 * 1024;
+
+/// CC's component-size table: 8 bytes per vertex.
+const CC_TABLE_BYTES_PER_VERTEX: u64 = 8;
+
+const SCALE: u32 = 20;
+
+/// This process's peak resident set, or `None` where `/proc/self/status`
+/// has no `VmHWM` line.
+fn vm_hwm_kib() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+    line.trim().trim_end_matches("kB").trim().parse().ok()
+}
+
+/// `graphz generate` + `graphz convert` in child processes.
+fn build_graph(dir: &Path, name: &str, scale: u32, edges: u64) -> String {
+    let graphz = env!("CARGO_BIN_EXE_graphz");
+    let bin = dir.join(format!("{name}.bin"));
+    let dos = dir.join(name);
+    for args in [
+        vec![
+            "generate".to_string(),
+            bin.display().to_string(),
+            "--scale".to_string(),
+            scale.to_string(),
+            "--edges".to_string(),
+            edges.to_string(),
+        ],
+        vec!["convert".to_string(), bin.display().to_string(), dos.display().to_string()],
+    ] {
+        let status = Command::new(graphz).args(&args).output().unwrap();
+        assert!(status.status.success(), "graphz {args:?}: {status:?}");
+    }
+    dos.display().to_string()
+}
+
+fn run(algo: &str, dos: &str) {
+    let line = format!("run {algo} {dos} --budget-mib 1 --iterations 2 --top 10");
+    let args: Vec<String> = line.split_whitespace().map(str::to_string).collect();
+    let out = execute(parse(&args).unwrap()).unwrap();
+    assert!(out.lines().count() > 2, "{out}");
+}
+
+#[test]
+fn run_holds_its_budget_and_run_phase_not_a_copy_per_vertex() {
+    if vm_hwm_kib().is_none() {
+        eprintln!("note: /proc/self/status has no VmHWM line; the memory bound is not checked");
+        return;
+    }
+    let dir = ScratchDir::new("cli-run-memory").unwrap();
+    let tiny = build_graph(dir.path(), "tiny", 8, 1000);
+    let big = build_graph(dir.path(), "big", SCALE, 100_000);
+
+    // The fixed overhead: code, test harness, thread stacks and allocator
+    // arenas, after the same two commands on a 256-vertex graph.
+    run("pr", &tiny);
+    run("cc", &tiny);
+    let overhead = vm_hwm_kib().unwrap();
+
+    run("pr", &big);
+    let pr_peak = vm_hwm_kib().unwrap();
+    let pr_ceiling = overhead + BUDGET_KIB + RUN_PHASE_KIB;
+    eprintln!("overhead {overhead} KiB; run pr peak {pr_peak} KiB, ceiling {pr_ceiling} KiB");
+    assert!(
+        pr_peak <= pr_ceiling,
+        "run pr peaked at {pr_peak} KiB: more than the {overhead} KiB overhead + \
+         {BUDGET_KIB} KiB budget + {RUN_PHASE_KIB} KiB run phase"
+    );
+
+    run("cc", &big);
+    let cc_peak = vm_hwm_kib().unwrap();
+    let cc_table_kib = CC_TABLE_BYTES_PER_VERTEX * (1u64 << SCALE) / 1024;
+    let cc_ceiling = pr_ceiling + cc_table_kib;
+    eprintln!("run cc peak {cc_peak} KiB, ceiling {cc_ceiling} KiB");
+    assert!(
+        cc_peak <= cc_ceiling,
+        "run cc peaked at {cc_peak} KiB: more than the {overhead} KiB overhead + \
+         {BUDGET_KIB} KiB budget + {RUN_PHASE_KIB} KiB run phase + {cc_table_kib} KiB \
+         component table"
+    );
+}

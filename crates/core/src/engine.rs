@@ -8,11 +8,11 @@ use std::time::{Duration, Instant};
 
 use graphz_io::{
     FaultState, FramedWriter, GatedWriter, IoSnapshot, IoStats, PrefetchSnapshot,
-    RecordWriter, RetryPolicy, ScratchDir, StagedDir, TrackedFile,
+    RecordReader, RecordWriter, RetryPolicy, ScratchDir, StagedDir, TrackedFile,
 };
 use graphz_storage::{PartitionSet, Partitioner};
 use graphz_types::{
-    EngineOptions, FixedCodec, GraphError, IoCtx, MemoryBudget, Result, VertexId,
+    cast, EngineOptions, FixedCodec, GraphError, IoCtx, MemoryBudget, Result, VertexId,
 };
 
 /// On-disk checkpoint layout version (`manifest.txt` + framed files) —
@@ -1113,26 +1113,61 @@ impl<P: VertexProgram> Engine<P> {
         Ok(None)
     }
 
+    fn ensure_ran(&self) -> Result<()> {
+        if self.initialized {
+            Ok(())
+        } else {
+            Err(GraphError::InvalidConfig("engine has not run yet".into()))
+        }
+    }
+
     /// Final vertex values in storage order.
     pub fn values(&self) -> Result<Vec<P::VertexData>> {
-        if !self.initialized {
-            return Err(graphz_types::GraphError::InvalidConfig(
-                "engine has not run yet".into(),
-            ));
-        }
+        self.ensure_ran()?;
         graphz_io::record::read_records(&self.vertices_path, Arc::clone(&self.stats))
     }
 
-    /// Final vertex values re-ordered by *original* vertex id, for
-    /// comparison with other engines.
-    pub fn values_by_original_id(&self) -> Result<Vec<P::VertexData>> {
-        let storage_values = self.values()?;
-        let originals = self.store.original_ids(&self.stats)?;
-        let mut out: Vec<P::VertexData> =
-            vec![P::VertexData::default(); storage_values.len()];
-        for (storage, value) in storage_values.into_iter().enumerate() {
-            out[originals[storage] as usize] = value;
+    /// Stream the final values in storage order, each with its *original*
+    /// id: one pass over `vertices.bin` zipped with the store's id map
+    /// ([`GraphStore::original_id_stream`]), holding one read buffer of
+    /// each. Returns the vertex count. A damaged id map stops the pass with
+    /// the [`GraphError::Corrupt`] that names it; the values before the
+    /// damage have already been passed to `f`.
+    pub fn for_each_value<F: FnMut(VertexId, P::VertexData)>(&self, mut f: F) -> Result<u64> {
+        self.ensure_ran()?;
+        let mut originals = self.store.original_id_stream(&self.stats)?;
+        let path = &self.vertices_path;
+        let count = RecordReader::<P::VertexData>::open(path, Arc::clone(&self.stats))
+            .ctx("open", path)?
+            .try_for_each_record(|value| {
+                let id = originals.next().ok_or_else(|| {
+                    GraphError::Corrupt(format!(
+                        "{}: more records than the {} vertices",
+                        path.display(),
+                        self.store.num_vertices()
+                    ))
+                })??;
+                f(id, value);
+                Ok(())
+            })?;
+        if count != self.store.num_vertices() {
+            return Err(GraphError::Corrupt(format!(
+                "{}: {count} records for {} vertices",
+                path.display(),
+                self.store.num_vertices()
+            )));
         }
+        Ok(count)
+    }
+
+    /// Final vertex values re-ordered by *original* vertex id, for
+    /// comparison with other engines: [`for_each_value`](Self::for_each_value)
+    /// collected into a vector indexed by original id.
+    pub fn values_by_original_id(&self) -> Result<Vec<P::VertexData>> {
+        let n = cast::to_usize(self.store.num_vertices(), "vertex count")?;
+        let mut out: Vec<P::VertexData> = vec![P::VertexData::default(); n];
+        // The stream checks every id against V, so the index is in bounds.
+        self.for_each_value(|id, value| out[cast::vertex_index(id)] = value)?;
         Ok(out)
     }
 }

@@ -51,4 +51,4 @@ pub use generations::{
     GenerationManifest,
 };
 pub use program::{UpdateContext, VertexProgram};
-pub use store::{DenseStore, DosStore, GraphStore};
+pub use store::{DenseStore, DosStore, GraphStore, OriginalIds};

@@ -11,7 +11,7 @@ use std::io::{Read, Seek, SeekFrom};
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use graphz_io::{IoStats, TrackedFile};
+use graphz_io::{IoStats, RecordReader, TrackedFile};
 use graphz_storage::{CsrFiles, DosGraph};
 use graphz_types::{GraphError, IoCtx, MemoryBudget, Result, VertexId};
 
@@ -38,8 +38,78 @@ pub trait GraphStore: Send + Sync {
     /// Translate an original id to this store's storage id.
     fn to_storage_id(&self, original: VertexId, stats: &Arc<IoStats>) -> Result<VertexId>;
 
-    /// The original id of every storage id (index = storage id).
-    fn original_ids(&self, stats: &Arc<IoStats>) -> Result<Vec<VertexId>>;
+    /// The original id of every storage id, streamed in storage order with
+    /// one read buffer: `new2old.bin` for DOS, the identity for a dense
+    /// store. A damaged map is a [`GraphError::Corrupt`] naming its file.
+    fn original_id_stream(&self, stats: &Arc<IoStats>) -> Result<OriginalIds>;
+
+    /// The original id of every storage id (index = storage id), collected
+    /// from [`original_id_stream`](Self::original_id_stream): 4 bytes per
+    /// vertex.
+    fn original_ids(&self, stats: &Arc<IoStats>) -> Result<Vec<VertexId>> {
+        self.original_id_stream(stats)?.collect()
+    }
+}
+
+/// A store's storage→original id map as a stream of `Result<VertexId>`, one
+/// per storage id in order (see [`GraphStore::original_id_stream`]).
+pub struct OriginalIds {
+    /// `None` is the identity map.
+    file: Option<(PathBuf, RecordReader<u32>)>,
+    next: u64,
+    num_vertices: u64,
+}
+
+impl OriginalIds {
+    /// Storage id `s` is original id `s`.
+    pub fn identity(num_vertices: u64) -> Self {
+        OriginalIds { file: None, next: 0, num_vertices }
+    }
+
+    /// Stream the `u32` map at `path`. It must hold exactly one id per
+    /// vertex, each below `num_vertices`; a wrong length fails here and an
+    /// id out of range fails where the stream reaches it, both as
+    /// [`GraphError::Corrupt`] naming `path`.
+    pub fn from_file(path: PathBuf, num_vertices: u64, stats: &Arc<IoStats>) -> Result<Self> {
+        let len = std::fs::metadata(&path).ctx("stat", &path)?.len();
+        if Some(len) != num_vertices.checked_mul(4) {
+            return Err(GraphError::Corrupt(format!(
+                "{}: {len} bytes, expected 4 per vertex for {num_vertices} vertices",
+                path.display()
+            )));
+        }
+        let reader = RecordReader::open(&path, Arc::clone(stats)).ctx("open", &path)?;
+        Ok(OriginalIds { file: Some((path, reader)), next: 0, num_vertices })
+    }
+}
+
+impl Iterator for OriginalIds {
+    type Item = Result<VertexId>;
+
+    fn next(&mut self) -> Option<Result<VertexId>> {
+        if self.next >= self.num_vertices {
+            return None;
+        }
+        let storage = self.next;
+        self.next += 1;
+        let Some((path, reader)) = &mut self.file else {
+            return Some(Ok(storage as VertexId));
+        };
+        Some(match reader.next_record() {
+            Ok(Some(id)) if u64::from(id) < self.num_vertices => Ok(id),
+            Ok(Some(id)) => Err(GraphError::Corrupt(format!(
+                "{}: storage id {storage} maps to original id {id}, past {} vertices",
+                path.display(),
+                self.num_vertices
+            ))),
+            Ok(None) => Err(GraphError::Corrupt(format!(
+                "{}: ends at storage id {storage} of {}",
+                path.display(),
+                self.num_vertices
+            ))),
+            Err(e) => Err(e),
+        })
+    }
 }
 
 /// Degree-ordered storage (the GraphZ configuration).
@@ -105,8 +175,8 @@ impl GraphStore for DosStore {
         Ok(u32::from_le_bytes(buf))
     }
 
-    fn original_ids(&self, stats: &Arc<IoStats>) -> Result<Vec<VertexId>> {
-        self.graph.load_new2old(Arc::clone(stats))
+    fn original_id_stream(&self, stats: &Arc<IoStats>) -> Result<OriginalIds> {
+        OriginalIds::from_file(self.graph.new2old_path(), self.num_vertices(), stats)
     }
 }
 
@@ -201,8 +271,8 @@ impl GraphStore for DenseStore {
         Ok(original)
     }
 
-    fn original_ids(&self, _stats: &Arc<IoStats>) -> Result<Vec<VertexId>> {
-        Ok((0..self.num_vertices() as VertexId).collect())
+    fn original_id_stream(&self, _stats: &Arc<IoStats>) -> Result<OriginalIds> {
+        Ok(OriginalIds::identity(self.num_vertices()))
     }
 }
 
@@ -262,6 +332,33 @@ mod tests {
             assert_eq!(dos.to_storage_id(orig, &stats()).unwrap() as usize, storage);
         }
         assert!(dos.to_storage_id(100, &stats()).is_err());
+    }
+
+    #[test]
+    fn a_damaged_id_map_is_corrupt_naming_new2old() {
+        let dir = ScratchDir::new("store-ids-damaged").unwrap();
+        let (dos, dense) = make_stores(&dir, MemoryBudget::from_mib(1));
+        let path = dos.graph().new2old_path();
+        let good = std::fs::read(&path).unwrap();
+        let corrupt = |err: GraphError| {
+            assert!(matches!(err, GraphError::Corrupt(_)), "{err:?}");
+            assert!(err.to_string().contains("new2old.bin"), "{err}");
+        };
+        // One id short: the length check fails before any id is read.
+        std::fs::write(&path, &good[..good.len() - 4]).unwrap();
+        corrupt(dos.original_id_stream(&stats()).err().unwrap());
+        corrupt(dos.original_ids(&stats()).unwrap_err());
+        // An id past V: the stream yields the ids before it, then fails.
+        let mut bad = good.clone();
+        bad[8..12].copy_from_slice(&0x7fff_ffffu32.to_le_bytes());
+        std::fs::write(&path, &bad).unwrap();
+        let mut ids = dos.original_id_stream(&stats()).unwrap();
+        assert!(ids.next().unwrap().is_ok() && ids.next().unwrap().is_ok());
+        corrupt(ids.next().unwrap().unwrap_err());
+        corrupt(dos.original_ids(&stats()).unwrap_err());
+        // The identity map of a dense store has no file to damage.
+        let ids: Vec<VertexId> = dense.original_id_stream(&stats()).unwrap().map(|r| r.unwrap()).collect();
+        assert_eq!(ids, vec![0, 1, 2, 3]);
     }
 
     #[test]

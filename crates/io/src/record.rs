@@ -85,7 +85,10 @@ impl<T: FixedCodec, R: Read> RecordReader<T, R> {
     /// framed reader's checksum failure surfaces as it does there.
     pub fn read_all(self) -> Result<Vec<T>> {
         let mut out = Vec::new();
-        self.read_chunks(|chunk| out.extend(chunk.chunks_exact(T::SIZE).map(T::read_from)))?;
+        self.read_chunks(|chunk| {
+            out.extend(chunk.chunks_exact(T::SIZE).map(T::read_from));
+            Ok(())
+        })?;
         Ok(out)
     }
 
@@ -95,19 +98,30 @@ impl<T: FixedCodec, R: Read> RecordReader<T, R> {
     /// (or a framed checksum failure) have already been passed to `f` when
     /// the error is returned. Returns the record count.
     pub fn for_each_record<F: FnMut(T)>(self, mut f: F) -> Result<u64> {
+        self.try_for_each_record(|rec| {
+            f(rec);
+            Ok(())
+        })
+    }
+
+    /// [`for_each_record`](Self::for_each_record) with a fallible `f`: the
+    /// first error `f` returns stops the read and is returned.
+    pub fn try_for_each_record<F: FnMut(T) -> Result<()>>(self, mut f: F) -> Result<u64> {
         let mut count = 0u64;
         self.read_chunks(|chunk| {
             for rec in chunk.chunks_exact(T::SIZE) {
-                f(T::read_from(rec));
+                f(T::read_from(rec))?;
             }
             count += (chunk.len() / T::SIZE) as u64;
+            Ok(())
         })?;
         Ok(count)
     }
 
     /// Read the rest of the stream about 64 KiB per call, handing `sink`
-    /// each read's whole records as one byte slice.
-    fn read_chunks<F: FnMut(&[u8])>(mut self, mut sink: F) -> Result<()> {
+    /// each read's whole records as one byte slice; an error from `sink`
+    /// stops the read.
+    fn read_chunks<F: FnMut(&[u8]) -> Result<()>>(mut self, mut sink: F) -> Result<()> {
         let mut buf = vec![0u8; (64 * 1024 / T::SIZE).max(1) * T::SIZE];
         // Bytes at the front of `buf` not yet decoded: a record split
         // across two reads.
@@ -121,7 +135,7 @@ impl<T: FixedCodec, R: Read> RecordReader<T, R> {
             };
             let filled = held + n;
             let whole = filled - filled % T::SIZE;
-            sink(&buf[..whole]);
+            sink(&buf[..whole])?;
             buf.copy_within(whole..filled, 0);
             held = filled - whole;
         }
@@ -382,6 +396,30 @@ mod tests {
         assert_eq!(r.read_batch(&mut batch, 4).unwrap(), 2);
         assert_eq!(batch, vec![8, 9]);
         assert_eq!(r.read_batch(&mut batch, 4).unwrap(), 0);
+    }
+
+    #[test]
+    fn try_for_each_record_stops_at_the_first_error() {
+        let dir = ScratchDir::new("rec-try").unwrap();
+        let stats = IoStats::new();
+        let path = dir.file("t.bin");
+        let vals: Vec<u32> = (0..100_000).collect();
+        write_records(&path, Arc::clone(&stats), &vals).unwrap();
+        let mut seen = Vec::new();
+        let err = RecordReader::<u32>::open(&path, Arc::clone(&stats))
+            .unwrap()
+            .try_for_each_record(|v| {
+                if v == 7 {
+                    return Err(GraphError::Corrupt(format!("stop at {v}")));
+                }
+                seen.push(v);
+                Ok(())
+            })
+            .unwrap_err();
+        assert!(err.to_string().contains("stop at 7"), "{err}");
+        assert_eq!(seen, (0..7).collect::<Vec<u32>>());
+        let n = RecordReader::<u32>::open(&path, stats).unwrap().try_for_each_record(|_| Ok(()));
+        assert_eq!(n.unwrap(), 100_000);
     }
 
     #[test]
