@@ -44,8 +44,11 @@ step "run memory bound (ROADMAP item 1)"
 # --budget-mib 1 on a scale-20 graph of 100k edges and holds the process's
 # VmHWM to the fixed overhead + the budget + the run phase's own buffers
 # (+ CC's 8-byte-per-vertex component table): the `--top` listing streams,
-# so no per-vertex copy of the result counts against it.
+# so no per-vertex copy of the result counts against it. The engine test
+# pins the MsgManager's share: a pass that defers far more messages than
+# the cap never holds more than cap + 1 of them in memory (DESIGN.md §6d).
 cargo test -q --offline -p graphz-cli --test run_memory
+cargo test -q --offline -p graphz-core --lib in_memory_messages_never_exceed_the_cap_plus_one
 step_done
 
 step "ingest equivalence (any budget, any relabel path, any resume point: same bytes)"

@@ -89,6 +89,9 @@ pub struct AlgoOutcome<V = AlgoValues> {
     /// Buffered messages replayed at partition loads (GraphZ engines;
     /// baselines report 0).
     pub replayed: u64,
+    /// The most messages held in memory at once (GraphZ engines; baselines
+    /// report 0).
+    pub msg_high_water: u64,
     pub io: IoSnapshot,
     pub wall: Duration,
     /// Engine-thread wall time per pipeline stage (GraphZ engines only).
@@ -323,6 +326,7 @@ fn run_graphz_with<T>(
         buffered: run.buffered,
         spilled: run.spilled,
         replayed: run.replayed,
+        msg_high_water: run.msg_high_water,
         io: run.io,
         wall: run.wall,
         stages: Some(run.stages),
@@ -670,6 +674,7 @@ pub fn run_reference(g: &CsrGraph, params: &AlgoParams) -> Result<AlgoOutcome> {
         buffered: 0,
         spilled: 0,
         replayed: 0,
+        msg_high_water: 0,
         io: IoSnapshot::default(),
         wall: start.elapsed(),
         stages: None,
@@ -698,6 +703,7 @@ fn baseline_outcome(
         buffered: 0,
         spilled: 0,
         replayed: 0,
+        msg_high_water: 0,
         io: run.io,
         wall: run.wall,
         stages: None,

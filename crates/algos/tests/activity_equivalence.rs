@@ -18,7 +18,9 @@ mod common;
 
 use std::sync::Arc;
 
-use common::{assert_same, differences, rmat, run, Fixture, Plan};
+use common::{
+    assert_same, assert_spills_mid_pass, differences, mid_pass_spill, rmat, run, Fixture, Plan,
+};
 use graphz_algos::graphz::{Bfs, Cc, Sssp};
 use graphz_core::{ActivityCounters, GraphStore, UpdateContext, VertexProgram};
 use graphz_io::IoStats;
@@ -144,6 +146,25 @@ fn bfs_sssp_and_cc_are_unchanged_by_activity_skipping() {
     for act in [bfs_activity, sssp_w] {
         assert!(act.passes_skipped > 0 && act.adjacency_bytes_skipped > 0, "{act:?}");
     }
+}
+
+/// On the mid-pass fixture the MsgManager's cap is crossed inside a block,
+/// so which messages spill is decided between two messages of one batch.
+/// Skipping quiet blocks changes the batches, never the messages sent, so
+/// every spill must fall at the same message as in the eager schedule.
+#[test]
+fn mid_pass_spills_are_unchanged_by_activity_skipping() {
+    let edges = rmat(10, 16_000, 9);
+    let source = edges[0].src;
+    let fx = mid_pass_spill(edges);
+    let vertices = fx.dos.meta().num_vertices;
+    // CC keeps an 8-byte vertex and sends 4-byte messages.
+    let cap = Plan::Partitions(8).message_cap(vertices, 8, 8);
+    let cc = run(&fx, Plan::Partitions(8), |_| Cc, 200, None);
+    assert_spills_mid_pass("cc", &cc.run, cap);
+    assert_equivalent(&fx, "bfs mid-pass", &plans(), &bfs(source));
+    let act = assert_equivalent(&fx, "cc mid-pass", &plans(), &|_: &dyn GraphStore| Cc);
+    assert!(act.passes_skipped > 0 || act.adjacency_bytes_skipped > 0, "{act:?}");
 }
 
 /// A directed ring with a back edge per vertex: BFS from vertex 0 walks it,

@@ -11,6 +11,7 @@
 #![allow(dead_code)]
 
 use std::collections::BTreeMap;
+use std::io::Read;
 use std::path::Path;
 use std::sync::{Arc, OnceLock};
 
@@ -20,7 +21,7 @@ use graphz_core::{
     DenseStore, DosStore, Engine, EngineConfig, GraphStore, RunSummary, VertexProgram,
 };
 use graphz_gen::rmat_edges;
-use graphz_io::{IoStats, ScratchDir};
+use graphz_io::{FramedReader, IoStats, ScratchDir};
 use graphz_storage::{CsrFiles, DosConverter, DosGraph, EdgeListFile};
 use graphz_types::{Edge, EngineOptions, FixedCodec, MemoryBudget, VertexId};
 
@@ -119,6 +120,31 @@ impl Fixture {
     }
 }
 
+/// The most edges one adjacency block carries on [`mid_pass_spill`].
+pub const MID_PASS_BATCH_EDGES: usize = 512;
+
+/// `edges` streamed in blocks of [`MID_PASS_BATCH_EDGES`] edges, for plans
+/// whose message cap ([`Plan::message_cap`]) is a small fraction of a
+/// block: a pass that sends along its edges crosses the cap inside a
+/// block, between two messages of one batch, so where spills fall is
+/// decided mid-pass rather than at a barrier.
+pub fn mid_pass_spill(edges: Vec<Edge>) -> Fixture {
+    Fixture::new(edges, None).with_batch_edges(MID_PASS_BATCH_EDGES)
+}
+
+/// `run` spilled, never held more than `cap + 1` messages in memory, and
+/// deferred more than `cap + 1` messages in some pass of its first
+/// iteration: its spills fell inside passes.
+pub fn assert_spills_mid_pass(label: &str, run: &RunSummary, cap: u64) {
+    let first = &run.per_iteration[0];
+    let deferred = first.messages_sent - first.dynamic_applied;
+    let passes = u64::from(run.partitions);
+    assert!(cap < MID_PASS_BATCH_EDGES as u64 / 4, "{label}: cap {cap} is not below a block");
+    assert!(run.spilled > 0, "{label}: nothing spilled");
+    assert!(run.msg_high_water <= cap + 1, "{label}: held {} > cap {cap} + 1", run.msg_high_water);
+    assert!(deferred > passes * (cap + 1), "{label}: {deferred} deferred in {passes} passes");
+}
+
 /// One row of the matrix: the options, budget rule and store an execution
 /// takes, and what the engine must make of them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -166,7 +192,7 @@ impl Plan {
 
     /// The budget for `vertices` slab records of `size` bytes each, and the
     /// partition count it must yield where the plan fixes one.
-    fn budget(self, vertices: u64, size: u64) -> (MemoryBudget, Option<u32>) {
+    pub fn budget(self, vertices: u64, size: u64) -> (MemoryBudget, Option<u32>) {
         match self {
             Plan::Resident | Plan::Streamed => (MemoryBudget::from_mib(4), Some(1)),
             Plan::SlabOnly => (MemoryBudget(2 * vertices * size), Some(1)),
@@ -176,6 +202,12 @@ impl Plan {
             }
             Plan::Schedule { budget, .. } => (MemoryBudget(budget), None),
         }
+    }
+
+    /// The MsgManager's cap under this plan: a quarter of the budget, in
+    /// messages of `envelope` bytes (destination id and payload).
+    pub fn message_cap(self, vertices: u64, size: u64, envelope: u64) -> u64 {
+        self.budget(vertices, size).0.bytes() / 4 / envelope
     }
 
     /// What the run must keep in memory (`ExecutionPlan::residency`).
@@ -261,9 +293,12 @@ pub fn tree(root: &Path) -> BTreeMap<String, Vec<u8>> {
     out
 }
 
-/// A checkpoint tree with each partition's spill segments concatenated in
-/// sequence order under one key, and the manifests without their
-/// per-segment lines: the tree minus segment numbering.
+/// A checkpoint tree with each partition's spill segments unframed and
+/// their payloads concatenated in sequence order under one key, and the
+/// manifests without their per-segment lines: the tree minus segment
+/// numbering. Each segment is framed on its own (and its frame checked
+/// here), so a run that splits a partition's messages over more segments
+/// carries more frame bytes but the same payload.
 pub fn normalized(tree: &BTreeMap<String, Vec<u8>>) -> BTreeMap<String, Vec<u8>> {
     let mut out: BTreeMap<String, Vec<u8>> = BTreeMap::new();
     for (path, bytes) in tree {
@@ -277,7 +312,9 @@ pub fn normalized(tree: &BTreeMap<String, Vec<u8>>) -> BTreeMap<String, Vec<u8>>
         } else if let Some((dir, name)) = path.split_once("/msgs/msgs-") {
             // `msgs-<partition>-<sequence>.bin`, both zero-padded.
             let partition = name.split('-').next().unwrap();
-            out.entry(format!("{dir}/msgs/{partition}")).or_default().extend(bytes);
+            let mut payload = Vec::new();
+            FramedReader::new(bytes.as_slice()).unwrap().read_to_end(&mut payload).unwrap();
+            out.entry(format!("{dir}/msgs/{partition}")).or_default().extend(payload);
         } else {
             out.insert(path.clone(), bytes.clone());
         }

@@ -8,7 +8,10 @@
 
 mod common;
 
-use common::{assert_same, graph_for, rmat, run_algo, symmetrized, Fixture, Plan};
+use common::{
+    assert_same, assert_spills_mid_pass, graph_for, mid_pass_spill, rmat, run_algo, symmetrized,
+    Fixture, Plan, MID_PASS_BATCH_EDGES,
+};
 use graphz_algos::common::{AlgoParams, Algorithm};
 
 /// A budget small enough to force many partitions *and* message spills.
@@ -86,5 +89,38 @@ fn checkpoint_resume_mid_run_matches_uninterrupted() {
         assert_eq!(out.run.iterations, reference.run.iterations - cut, "{label}: tail iterations");
         assert!(reference.values == out.values, "{label}: resumed values diverged");
         assert_same(&label, &first, out);
+    }
+}
+
+/// Spills inside a batch: on the mid-pass fixture one block sends more
+/// messages than the MsgManager's cap, so the cap is crossed between two
+/// messages of one batch. Every schedule — read-ahead or not, prefetched or
+/// not — and blocks an eighth the size must spill at the same messages,
+/// which `assert_same` checks through `spilled` and the generations.
+#[test]
+fn mid_pass_spills_land_on_the_same_message_in_every_schedule() {
+    for algo in [Algorithm::PageRank, Algorithm::Cc] {
+        let edges = graph_for(algo, rmat(10, 16_000, 7));
+        let fx = mid_pass_spill(edges.clone());
+        let small_blocks = mid_pass_spill(edges).with_batch_edges(MID_PASS_BATCH_EDGES / 8);
+        let vertices = fx.dos.meta().num_vertices;
+        // Both keep 8-byte vertices and send 4-byte messages.
+        let plan = Plan::Partitions(8);
+        let (budget, _) = plan.budget(vertices, 8);
+        let cap = plan.message_cap(vertices, 8, 8);
+        let params = params_for(algo);
+        for split_at in [None, Some(2)] {
+            let [baseline, rest @ ..] =
+                Plan::schedules(budget.bytes()).map(|p| run_algo(&fx, p, &params, split_at));
+            let label = format!("{algo:?} split_at={split_at:?}");
+            if split_at.is_none() {
+                assert_spills_mid_pass(&label, &baseline.run, cap);
+            }
+            for out in &rest {
+                assert_same(&label, &baseline, out);
+            }
+            let cut_elsewhere = run_algo(&small_blocks, baseline.plan, &params, split_at);
+            assert_same(&format!("{label}, small blocks"), &baseline, &cut_elsewhere);
+        }
     }
 }

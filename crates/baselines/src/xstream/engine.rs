@@ -148,9 +148,13 @@ impl<P: XsProgram> XsEngine<P> {
                 let program = &self.program;
                 let mut local_changed = 0u64;
                 self.updates.drain(p, |dst, upd| {
-                    if program.gather(dst, &mut slab[(dst - lo) as usize], &upd) {
+                    let Some(slot) = slab.get_mut(dst.wrapping_sub(lo) as usize) else {
+                        return false;
+                    };
+                    if program.gather(dst, slot, &upd) {
                         local_changed += 1;
                     }
+                    true
                 })?;
                 for (i, v) in slab.iter_mut().enumerate() {
                     if program.post_gather(lo + i as VertexId, v, iter) {

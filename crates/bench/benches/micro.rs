@@ -109,7 +109,11 @@ fn bench_msgmanager() {
         }
         let mut acc = 0f32;
         for p in 0..4 {
-            m.drain(p, |_, v| acc += v).unwrap();
+            m.drain(p, |_, v| {
+                acc += v;
+                true
+            })
+            .unwrap();
         }
         acc as u64
     });

@@ -269,11 +269,18 @@ pub const COMMANDS: &[CommandSpec] = &[
                   adjacency, when both fit the budget. --no-prefetch disables the\n\
                   background partition loader (results are identical either way).\n\
                   --verbose prints the resolved plan, per-stage wall times, prefetch\n\
-                  hit/stall counters and messages buffered / spilled / replayed.\n\
+                  hit/stall counters and messages buffered / spilled / replayed / held\n\
+                  in memory at most.\n\
                   \n\
-                  Memory: the listing is made in one pass over the final values, each\n\
-                  with its original id; --top K holds K rows, not one per vertex. cc\n\
-                  also counts component sizes in a table of 8 bytes per vertex.",
+                  Memory: half of --budget-mib holds a partition's vertex array and a\n\
+                  quarter holds messages bound for other partitions; the message that\n\
+                  takes them past that quarter spills them all to disk, and a partition's\n\
+                  messages are applied to its vertices as they are read back, never\n\
+                  collected. Outside the budget: the adjacency read-ahead blocks and the\n\
+                  prefetched next partition. The listing is made in one pass over the\n\
+                  final values, each with its original id; --top K holds K rows, not one\n\
+                  per vertex. cc also counts component sizes in a table of 8 bytes per\n\
+                  vertex.",
     },
 ];
 
@@ -795,8 +802,8 @@ pub fn execute(cmd: Command) -> Result<String> {
                     ));
                 }
                 out.push_str(&format!(
-                    "msgs: {} buffered / {} spilled / {} replayed\n",
-                    outcome.buffered, outcome.spilled, outcome.replayed,
+                    "msgs: {} buffered / {} spilled / {} replayed / {} held at most\n",
+                    outcome.buffered, outcome.spilled, outcome.replayed, outcome.msg_high_water,
                 ));
                 if let Some(act) = outcome.activity {
                     out.push_str(&format!(
@@ -1482,7 +1489,8 @@ mod tests {
         assert!(out.contains("prefetch:"), "{out}");
         assert!(out.contains("plan: threads "), "{out}");
         // One resident partition: no message is ever buffered or spilled.
-        assert!(out.contains("msgs: 0 buffered / 0 spilled / 0 replayed\n"), "{out}");
+        let msgs = "msgs: 0 buffered / 0 spilled / 0 replayed / 0 held at most\n";
+        assert!(out.contains(msgs), "{out}");
         // PageRank keeps every vertex active: nothing is skipped.
         let none_skipped =
             "activity: 0 partition passes skipped / 0 adjacency bytes skipped / 0 gaps re-read / ";

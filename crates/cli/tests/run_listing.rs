@@ -1,7 +1,8 @@
 //! `graphz run`'s `--top K` listing is made in one pass over the final
 //! values with a K-row heap. These tests hold it to the listing a full sort
 //! of the collected values prints, on a graph built to be full of ties, and
-//! hold a damaged `new2old.bin` to a typed error instead of a panic.
+//! hold a damaged `new2old.bin` — short, out of range, or no permutation —
+//! to a typed error instead of a panic or a wrong listing.
 
 use std::path::Path;
 use std::sync::Arc;
@@ -164,13 +165,25 @@ fn a_damaged_new2old_is_a_typed_corrupt_naming_it() {
     let good = std::fs::read(&path).unwrap();
     let mut out_of_range = good.clone();
     out_of_range[40..44].copy_from_slice(&0x7fff_ffffu32.to_le_bytes());
-    let damages = [("truncated by one id", good[..good.len() - 4].to_vec()), ("id past V", out_of_range)];
-    for (damage, bytes) in damages {
+    // Storage id 10 maps to storage id 3's original id: in range and of the
+    // right length, but no permutation.
+    let mut twice = good.clone();
+    twice.copy_within(12..16, 40);
+    let repeated = u32::from_le_bytes(twice[12..16].try_into().unwrap());
+    let damages = [
+        ("truncated by one id", good[..good.len() - 4].to_vec(), None),
+        ("id past V", out_of_range, None),
+        ("one id written twice", twice, Some(format!("original id {repeated},"))),
+    ];
+    for (damage, bytes, names) in damages {
         std::fs::write(&path, bytes).unwrap();
         for (name, _) in ALGOS {
             let err = run(&format!("run {name} {} --top 3", dos.display())).unwrap_err();
             assert!(matches!(err, GraphError::Corrupt(_)), "{name}, {damage}: {err:?}");
             assert!(err.to_string().contains("new2old.bin"), "{name}, {damage}: {err}");
+            if let Some(id) = &names {
+                assert!(err.to_string().contains(id.as_str()), "{name}, {damage}: {err}");
+            }
         }
     }
 }

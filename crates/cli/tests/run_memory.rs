@@ -17,12 +17,15 @@ use graphz_io::ScratchDir;
 const BUDGET_KIB: u64 = 1024;
 
 /// The run phase's own buffers outside the budget at `--budget-mib 1` on
-/// the scale-20 graph: message groups deferred by a compute pass, the
-/// replay vector, the Sio batch pool, the prefetched next partition and the
-/// allocator arenas of the threads that hold them. Measured at about 6.5
-/// MiB in a release build; ROADMAP item 6's budget ledger is to bring them
-/// under the budget.
-const RUN_PHASE_KIB: u64 = 10 * 1024;
+/// the scale-20 graph: the Sio batch pool, the prefetched next partition
+/// (its slab, the slab's bytes and its degrees), the current slab's byte
+/// copy and the allocator arenas of the threads that hold them. In-flight
+/// messages are not among them: the MsgManager holds them inside its
+/// quarter of the budget. Measured at 4.5 to 4.9 MiB in a release build
+/// (four runs); this keeps the 3.5 MiB margin the bound had over its
+/// earlier 6.5 MiB, rounded up to the half MiB. ROADMAP item 6's budget
+/// ledger is to bring the rest under the budget.
+const RUN_PHASE_KIB: u64 = 8 * 1024 + 512;
 
 /// CC's component-size table: 8 bytes per vertex.
 const CC_TABLE_BYTES_PER_VERTEX: u64 = 8;

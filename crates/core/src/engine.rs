@@ -230,7 +230,7 @@ use crate::prefetch::{Prefetched, Prefetcher};
 use crate::program::VertexProgram;
 use crate::sio;
 use crate::store::GraphStore;
-use crate::worker::{Executor, ShardStart};
+use crate::worker::{replay, Executor, ShardStart};
 
 /// Engine construction parameters.
 #[derive(Debug, Clone)]
@@ -327,8 +327,9 @@ pub struct StageTimes {
     pub load: Duration,
     /// Draining pending messages and applying them to the slab.
     pub replay: Duration,
-    /// Streaming adjacency batches through the Worker stage and handing the
-    /// barrier's deferred messages to the MsgManager.
+    /// Streaming adjacency batches through the Worker stage, which hands
+    /// each deferred message to the MsgManager (and its spills) as it is
+    /// sent.
     pub compute: Duration,
     /// Writing the partition's vertex slab back to disk.
     pub flush: Duration,
@@ -411,6 +412,9 @@ pub struct RunSummary {
     pub spilled: u64,
     /// Buffered messages replayed at partition loads.
     pub replayed: u64,
+    /// The most messages the MsgManager held in memory at once: at most
+    /// its cap (a quarter of the budget, in envelopes) plus one.
+    pub msg_high_water: u64,
     /// IO charged to this run (engine traffic only).
     pub io: IoSnapshot,
     /// Prefetch effectiveness (kept separate from `io` because the
@@ -601,6 +605,7 @@ impl<P: VertexProgram> Engine<P> {
             let mut prefetcher: Option<Prefetcher<P>> = if plan_cfg.prefetch {
                 Some(Prefetcher::spawn(
                     Arc::clone(&self.store),
+                    Arc::clone(&self.program),
                     &self.vertices_path,
                     Arc::clone(&self.stats),
                 )?)
@@ -668,14 +673,15 @@ impl<P: VertexProgram> Engine<P> {
 
                     // MsgManager phase A: load the partition's vertices and
                     // index — from the prefetcher's double buffer when it
-                    // has this partition in flight, synchronously otherwise
-                    // (first load of a run, or prefetch disabled).
+                    // has this partition in flight (its claimed spill run
+                    // already replayed into the slab), synchronously
+                    // otherwise (first load of a run, or prefetch disabled).
                     let prefetched: Option<Prefetched<P>> =
                         prefetcher.as_mut().and_then(|pf| pf.take(part));
-                    let (start_edge, mut degrees, slab, pre_msgs, claim) = match prefetched {
+                    let (start_edge, mut degrees, mut slab, claim) = match prefetched {
                         Some(p) => {
                             slab_bytes = p.slab_bytes;
-                            (p.start_edge, p.degrees, p.slab, p.msgs, Some(p.claim))
+                            (p.start_edge, p.degrees, p.slab, Some((p.claim, p.replayed)))
                         }
                         None => {
                             let (start_edge, degrees) = match adjacency {
@@ -693,7 +699,7 @@ impl<P: VertexProgram> Engine<P> {
                                     graphz_types::codec::decode_slice(&slab_bytes)
                                 }
                             };
-                            (start_edge, degrees, slab, Vec::new(), None)
+                            (start_edge, degrees, slab, None)
                         }
                     };
 
@@ -718,17 +724,12 @@ impl<P: VertexProgram> Engine<P> {
                     iter_stages.load += t_load.elapsed();
                     let t_replay = Instant::now();
 
-                    // Replay pending messages in send order: the claimed
-                    // (prefetched) run is oldest, then whatever the
-                    // MsgManager still holds.
-                    let mut replay = pre_msgs;
-                    let pre_count = replay.len() as u64;
-                    if let Some(c) = &claim {
-                        // Commits the prefetched messages: retire their
-                        // segments *before* draining the remainder.
-                        self.msgs.consume_claimed(c, pre_count)?;
+                    // The claimed (prefetched) run is the oldest of the
+                    // partition's pending messages and is already applied:
+                    // retire its segments *before* draining the remainder.
+                    if let Some((c, replayed)) = &claim {
+                        self.msgs.consume_claimed(c, *replayed)?;
                     }
-                    self.msgs.drain(part, |dst, msg| replay.push((dst, msg)))?;
 
                     // A partition holding a quiet vertex may have blocks to
                     // skip, and which ones is known only after replay, so
@@ -754,10 +755,13 @@ impl<P: VertexProgram> Engine<P> {
                         None if !track => Some(open(std::mem::take(&mut degrees), None)?),
                         _ => None,
                     };
+                    // Replay what the MsgManager still holds for the
+                    // partition, in send order, straight into the slab.
+                    let program = &*self.program;
+                    self.msgs.drain(part, |dst, msg| replay(program, a, &mut slab, dst, &msg))?;
                     executor.start(ShardStart {
                         first: a,
                         data: slab,
-                        replay,
                         iteration: iter,
                         num_vertices,
                         dynamic,
@@ -767,7 +771,7 @@ impl<P: VertexProgram> Engine<P> {
                     let t_compute = Instant::now();
 
                     if let Some(whole) = &adjacency {
-                        executor.feed_resident(whole)?;
+                        executor.feed_resident(whole, &mut self.msgs)?;
                     } else {
                         if track {
                             // The vertices that want an update after replay
@@ -787,7 +791,9 @@ impl<P: VertexProgram> Engine<P> {
                         if let Some(mut stream) = stream {
                             while let Some(block) = stream.next_block() {
                                 match block? {
-                                    sio::Block::Batch(batch) => executor.feed(batch)?,
+                                    sio::Block::Batch(batch) => {
+                                        executor.feed(batch, &mut self.msgs)?
+                                    }
                                     // The stream skipped this block when the
                                     // pass began; an in-pass dynamic message
                                     // may have woken a vertex in it since.
@@ -804,7 +810,7 @@ impl<P: VertexProgram> Engine<P> {
                                                     Arc::clone(&self.stats),
                                                 )?),
                                             };
-                                            executor.feed(reader.read(gap)?)?;
+                                            executor.feed(reader.read(gap)?, &mut self.msgs)?;
                                             activity.gaps_reread += 1;
                                         } else {
                                             activity.adjacency_bytes_skipped +=
@@ -817,9 +823,9 @@ impl<P: VertexProgram> Engine<P> {
                         }
                     }
 
-                    // Partition barrier: messages for other partitions (and,
-                    // without dynamic messages, for this one) append to the
-                    // MsgManager in bulk, one hop per destination partition.
+                    // Partition barrier: every message for another partition
+                    // (and, without dynamic messages, for this one) is
+                    // already with the MsgManager.
                     let result = executor.finish()?;
                     let slab = result.data;
                     changed += result.changed;
@@ -831,9 +837,6 @@ impl<P: VertexProgram> Engine<P> {
                              vertex id >= num_vertices ({num_vertices})",
                             result.rejected
                         )));
-                    }
-                    for (p, group) in result.deferred {
-                        self.msgs.enqueue_bulk(p, group)?;
                     }
                     debug_assert_eq!(slab.len(), count);
                     iter_stages.compute += t_compute.elapsed();
@@ -905,6 +908,7 @@ impl<P: VertexProgram> Engine<P> {
             buffered: mc.buffered,
             spilled: mc.spilled,
             replayed: mc.replayed,
+            msg_high_water: mc.high_water,
             io: self.stats.snapshot() - io_before,
             prefetch: self.stats.prefetch_snapshot() - prefetch_before,
             wall: start.elapsed(),
@@ -1069,6 +1073,14 @@ impl<P: VertexProgram> Engine<P> {
             moves.push((staged, dst));
         }
 
+        let mf = manifest.meta();
+        let counters = crate::msgmanager::MsgCounters {
+            buffered: mf.get_u64("msg_buffered")?,
+            spilled: mf.get_u64("msg_spilled")?,
+            replayed: mf.get_u64("msg_replayed")?,
+            high_water: 0,
+        };
+
         // Apply pass: every file verified; move them into place.
         for entry in std::fs::read_dir(self.msgs.dir()).ctx("read-dir", self.msgs.dir())? {
             let _ = std::fs::remove_file(entry.ctx("read-dir", self.msgs.dir())?.path());
@@ -1077,13 +1089,8 @@ impl<P: VertexProgram> Engine<P> {
             std::fs::rename(staged, dst).ctx("rename", dst)?;
         }
         let _ = std::fs::remove_dir(&staging);
-
-        let mf = manifest.meta();
-        self.msgs.restore(crate::msgmanager::MsgCounters {
-            buffered: mf.get_u64("msg_buffered")?,
-            spilled: mf.get_u64("msg_spilled")?,
-            replayed: mf.get_u64("msg_replayed")?,
-        });
+        // Also closes the segment files the removed spills were open in.
+        self.msgs.restore(counters);
         self.next_iteration = manifest.next_iteration()?;
         self.initialized = true;
         Ok(())
@@ -1570,6 +1577,74 @@ mod tests {
             std::fs::OpenOptions::new().write(true).open(seg).unwrap().set_len(len - 3).unwrap();
             match engine.run(10) {
                 Err(GraphError::Corrupt(msg)) => assert!(msg.contains("truncated record"), "{msg}"),
+                other => panic!("prefetch {prefetch}: expected Corrupt, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn in_memory_messages_never_exceed_the_cap_plus_one() {
+        // 256 vertices of 8 out-edges each in 8 partitions of 32: a pass
+        // defers about 220 messages, and the cap (a quarter of the 512-byte
+        // budget in 12-byte envelopes) is 10.
+        let edges: Vec<Edge> = (0..256u32)
+            .flat_map(|i| (0..8u32).map(move |j| Edge::new(i, (i * 37 + j * 101 + 1) % 256)))
+            .collect();
+        let budget = MemoryBudget(512);
+        let cap = budget.bytes() / 4 / (4 + <u64 as FixedCodec>::SIZE as u64);
+        assert_eq!(cap, 10);
+        for prefetch in [false, true] {
+            let options = EngineOptions { prefetch, ..EngineOptions::full() };
+            let (_d, mut engine) = dos_engine(edges.clone(), budget, options, 3);
+            let s = engine.run(5).unwrap();
+            assert_eq!(s.partitions, 8);
+            let first = &s.per_iteration[0];
+            let deferred = first.messages_sent - first.dynamic_applied;
+            // Some pass deferred far more than the cap before its barrier.
+            assert!(deferred > 8 * (cap + 1) * 10, "prefetch {prefetch}: {deferred} deferred");
+            assert!(s.spilled > 0, "prefetch {prefetch}: {s:?}");
+            assert!(
+                (1..=cap + 1).contains(&s.msg_high_water),
+                "prefetch {prefetch}: held {} messages, cap {cap}",
+                s.msg_high_water
+            );
+        }
+    }
+
+    #[test]
+    fn a_spilled_message_outside_its_partition_fails_the_run_with_corrupt() {
+        // As above, but the first pending segment's first envelope is
+        // readdressed to a vertex of another partition.
+        let edges: Vec<Edge> = (0..48u32)
+            .flat_map(|i| (0..5u32).map(move |j| Edge::new(i, (i * 11 + j * 17) % 48)))
+            .collect();
+        for prefetch in [false, true] {
+            let (dir, mut engine) = dos_engine(
+                edges.clone(),
+                MemoryBudget(64),
+                EngineOptions { prefetch, ..EngineOptions::full() },
+                5,
+            );
+            let s = engine.run(2).unwrap();
+            assert!(s.partitions >= 3 && s.spilled > 0, "budget must force spills: {s:?}");
+            engine.checkpoint(&dir.path().join("ckpt")).unwrap();
+            let msgs = engine.scratch_dir().file("msgs");
+            let mut segs: Vec<PathBuf> =
+                std::fs::read_dir(&msgs).unwrap().map(|e| e.unwrap().path()).collect();
+            segs.sort();
+            let seg = segs.first().expect("a pending spill segment");
+            let name = seg.file_name().unwrap().to_string_lossy().into_owned();
+            let part: u32 = name["msgs-".len().."msgs-".len() + 5].parse().unwrap();
+            let other = (part + 1) % engine.num_partitions();
+            let stray = engine.partitions.range(other).0;
+            let mut bytes = std::fs::read(seg).unwrap();
+            bytes[..4].copy_from_slice(&stray.to_le_bytes());
+            std::fs::write(seg, bytes).unwrap();
+            match engine.run(10) {
+                Err(GraphError::Corrupt(msg)) => {
+                    assert!(msg.contains(&name), "{msg}");
+                    assert!(msg.contains(&format!("vertex {stray}, which is not in")), "{msg}");
+                }
                 other => panic!("prefetch {prefetch}: expected Corrupt, got {other:?}"),
             }
         }

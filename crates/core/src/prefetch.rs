@@ -6,15 +6,17 @@
 //! (pending messages or a vertex that wants an update), so no load is
 //! wasted on a partition the engine will skip: its partition index, its
 //! vertex slab (read through a separate file handle — the regions are
-//! disjoint from whatever the engine is writing), and its *claimed*
-//! spilled-message run (see
-//! [`MsgManager::claim`]). At most one request is in flight, so exactly two
-//! partition buffers ever exist: the one computing and the one loading.
+//! disjoint from whatever the engine is writing), with its *claimed*
+//! spilled-message run (see [`MsgManager::claim`]) replayed into that slab
+//! on the prefetch thread as the segments are read. At most one request is
+//! in flight, so exactly two partition buffers ever exist: the one
+//! computing and the one loading.
 //!
 //! Prefetching is pure scheduling. The claim protocol guarantees no message
-//! is ever lost if a prefetch is discarded, and the engine applies
-//! prefetched state through the same code path as a synchronous load, so
-//! results are bit-identical with the prefetcher on or off.
+//! is ever lost if a prefetch is discarded, and the claimed run is applied
+//! with the same [`replay`] the engine's own drain
+//! uses, oldest message first, before anything newer is drained, so results
+//! are bit-identical with the prefetcher on or off.
 //!
 //! [`MsgManager::claim`]: crate::msgmanager::MsgManager::claim
 
@@ -29,6 +31,7 @@ use graphz_types::{FixedCodec, IoCtx, Result, VertexId};
 use crate::msgmanager::ClaimedSegments;
 use crate::program::VertexProgram;
 use crate::store::GraphStore;
+use crate::worker::replay;
 
 struct Request {
     partition: u32,
@@ -42,14 +45,15 @@ pub struct Prefetched<P: VertexProgram> {
     pub partition: u32,
     pub start_edge: u64,
     pub degrees: Vec<u32>,
+    /// The partition's vertex state, with the claimed spill run applied.
     pub slab: Vec<P::VertexData>,
     /// The slab's bytes as read, which the engine's flush compares against
     /// to write back only the blocks that changed.
     pub slab_bytes: Vec<u8>,
-    /// Decoded messages of the claimed spill run, in send order.
-    pub msgs: Vec<(VertexId, P::Message)>,
-    /// The claim to retire via [`MsgManager::consume_claimed`] after `msgs`
-    /// has been applied.
+    /// Messages of the claimed spill run applied to `slab`.
+    pub replayed: u64,
+    /// The claim to retire via [`MsgManager::consume_claimed`], with
+    /// `replayed`.
     ///
     /// [`MsgManager::consume_claimed`]: crate::msgmanager::MsgManager::consume_claimed
     pub claim: ClaimedSegments,
@@ -75,6 +79,7 @@ pub struct Prefetcher<P: VertexProgram> {
 impl<P: VertexProgram> Prefetcher<P> {
     pub fn spawn(
         store: Arc<dyn GraphStore>,
+        program: Arc<P>,
         vertices_path: &Path,
         stats: Arc<IoStats>,
     ) -> Result<Self> {
@@ -89,7 +94,8 @@ impl<P: VertexProgram> Prefetcher<P> {
             .name("graphz-prefetch".into())
             .spawn(move || {
                 for req in req_rx {
-                    let response = match load::<P>(&store, &mut vfile, &thread_stats, req) {
+                    let loaded = load::<P>(&store, &program, &mut vfile, &thread_stats, req);
+                    let response = match loaded {
                         Ok(p) => Response::Ready(Box::new(p)),
                         Err(_) => Response::Failed,
                     };
@@ -163,6 +169,7 @@ impl<P: VertexProgram> Drop for Prefetcher<P> {
 
 fn load<P: VertexProgram>(
     store: &Arc<dyn GraphStore>,
+    program: &P,
     vfile: &mut TrackedFile,
     stats: &Arc<IoStats>,
     req: Request,
@@ -172,15 +179,16 @@ fn load<P: VertexProgram>(
     let mut bytes = vec![0u8; count * P::VertexData::SIZE];
     vfile.seek(SeekFrom::Start(req.a as u64 * P::VertexData::SIZE as u64))?;
     vfile.read_exact(&mut bytes)?;
-    let slab = graphz_types::codec::decode_slice(&bytes);
-    let msgs = req.claim.read_all::<P::Message>(stats)?;
+    let mut slab = graphz_types::codec::decode_slice(&bytes);
+    let replayed =
+        req.claim.replay(stats, |dst, msg| replay(program, req.a, &mut slab, dst, &msg))?;
     Ok(Prefetched {
         partition: req.partition,
         start_edge,
         degrees,
         slab,
         slab_bytes: bytes,
-        msgs,
+        replayed,
         claim: req.claim,
     })
 }

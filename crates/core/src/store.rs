@@ -54,8 +54,11 @@ pub trait GraphStore: Send + Sync {
 /// A store's storage→original id map as a stream of `Result<VertexId>`, one
 /// per storage id in order (see [`GraphStore::original_id_stream`]).
 pub struct OriginalIds {
-    /// `None` is the identity map.
+    /// The map's file and its reader; `None` is the identity map.
     file: Option<(PathBuf, RecordReader<u32>)>,
+    /// One bit per original id the file has mapped so far (V bits, empty
+    /// for the identity map).
+    seen: Vec<u64>,
     next: u64,
     num_vertices: u64,
 }
@@ -63,12 +66,12 @@ pub struct OriginalIds {
 impl OriginalIds {
     /// Storage id `s` is original id `s`.
     pub fn identity(num_vertices: u64) -> Self {
-        OriginalIds { file: None, next: 0, num_vertices }
+        OriginalIds { file: None, seen: Vec::new(), next: 0, num_vertices }
     }
 
-    /// Stream the `u32` map at `path`. It must hold exactly one id per
-    /// vertex, each below `num_vertices`; a wrong length fails here and an
-    /// id out of range fails where the stream reaches it, both as
+    /// Stream the `u32` map at `path`. It must be a permutation of
+    /// `0..num_vertices`: a wrong length fails here, and an id out of range
+    /// or mapped a second time fails where the stream reaches it, each as
     /// [`GraphError::Corrupt`] naming `path`.
     pub fn from_file(path: PathBuf, num_vertices: u64, stats: &Arc<IoStats>) -> Result<Self> {
         let len = std::fs::metadata(&path).ctx("stat", &path)?.len();
@@ -79,7 +82,21 @@ impl OriginalIds {
             )));
         }
         let reader = RecordReader::open(&path, Arc::clone(stats)).ctx("open", &path)?;
-        Ok(OriginalIds { file: Some((path, reader)), next: 0, num_vertices })
+        let seen = vec![0u64; num_vertices.div_ceil(64) as usize];
+        Ok(OriginalIds { file: Some((path, reader)), seen, next: 0, num_vertices })
+    }
+
+    /// Record that original id `id` was mapped; `false` if it already was
+    /// (or lies past the bit set).
+    fn first_sight(&mut self, id: u32) -> bool {
+        let (word, bit) = ((id / 64) as usize, 1u64 << (id % 64));
+        match self.seen.get_mut(word) {
+            Some(w) if *w & bit == 0 => {
+                *w |= bit;
+                true
+            }
+            _ => false,
+        }
     }
 }
 
@@ -92,23 +109,24 @@ impl Iterator for OriginalIds {
         }
         let storage = self.next;
         self.next += 1;
-        let Some((path, reader)) = &mut self.file else {
-            return Some(Ok(storage as VertexId));
+        let record = match &mut self.file {
+            None => return Some(Ok(storage as VertexId)),
+            Some((_, reader)) => reader.next_record(),
         };
-        Some(match reader.next_record() {
-            Ok(Some(id)) if u64::from(id) < self.num_vertices => Ok(id),
-            Ok(Some(id)) => Err(GraphError::Corrupt(format!(
-                "{}: storage id {storage} maps to original id {id}, past {} vertices",
-                path.display(),
-                self.num_vertices
-            ))),
-            Ok(None) => Err(GraphError::Corrupt(format!(
-                "{}: ends at storage id {storage} of {}",
-                path.display(),
-                self.num_vertices
-            ))),
-            Err(e) => Err(e),
-        })
+        let n = self.num_vertices;
+        let problem = match record {
+            Ok(Some(id)) if u64::from(id) >= n => {
+                format!("storage id {storage} maps to original id {id}, past {n} vertices")
+            }
+            Ok(Some(id)) if self.first_sight(id) => return Some(Ok(id)),
+            Ok(Some(id)) => {
+                format!("storage id {storage} maps to original id {id}, as an earlier one does")
+            }
+            Ok(None) => format!("ends at storage id {storage} of {n}"),
+            Err(e) => return Some(Err(e)),
+        };
+        let path = self.file.as_ref().map(|(path, _)| path.display().to_string());
+        Some(Err(GraphError::Corrupt(format!("{}: {problem}", path.unwrap_or_default()))))
     }
 }
 
@@ -355,6 +373,17 @@ mod tests {
         let mut ids = dos.original_id_stream(&stats()).unwrap();
         assert!(ids.next().unwrap().is_ok() && ids.next().unwrap().is_ok());
         corrupt(ids.next().unwrap().unwrap_err());
+        corrupt(dos.original_ids(&stats()).unwrap_err());
+        // Storage id 2 mapped to storage id 0's original id: every id is in
+        // range and the length is right, but the map is no permutation.
+        let mut twice = good.clone();
+        twice.copy_within(0..4, 8);
+        std::fs::write(&path, &twice).unwrap();
+        let mut ids = dos.original_id_stream(&stats()).unwrap();
+        assert!(ids.next().unwrap().is_ok() && ids.next().unwrap().is_ok());
+        let err = ids.next().unwrap().unwrap_err();
+        assert!(err.to_string().contains(&format!("original id {}", twice[0])), "{err}");
+        corrupt(err);
         corrupt(dos.original_ids(&stats()).unwrap_err());
         // The identity map of a dense store has no file to damage.
         let ids: Vec<VertexId> = dense.original_id_stream(&stats()).unwrap().map(|r| r.unwrap()).collect();

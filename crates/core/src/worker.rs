@@ -4,36 +4,46 @@
 //! ascending vertex order, on the engine thread. Each partition runs as one
 //! [`ShardState`] — its whole vertex range — so every in-partition dynamic
 //! message applies mid-sweep, the paper's sequential-equivalent schedule.
-//! Messages it cannot apply in place are coalesced into per-partition
-//! buffers in send order and handed to the MsgManager at the partition
-//! barrier. The only overlap is around the Worker, never inside it: the Sio
-//! read-ahead thread streams adjacency ahead of it and the prefetcher loads
-//! the next partition.
+//! A partition's pending messages are replayed into its slab before the
+//! Worker starts ([`replay`]). Messages it cannot apply in place go to the
+//! MsgManager as they are sent, one `defer` per message, so which of them
+//! spill depends only on the send sequence and the MsgManager's cap. The
+//! only overlap is around the Worker, never inside it: the Sio read-ahead
+//! thread streams adjacency ahead of it and the prefetcher loads the next
+//! partition.
 
 use std::sync::Arc;
 
 use graphz_types::{cast, GraphError, Result, VertexId};
 
+use crate::msgmanager::MsgManager;
 use crate::program::{Outgoing, UpdateContext, VertexProgram};
 use crate::sio::{ActiveSet, AdjBatch, BatchPool};
 
-/// Messages grouped by destination partition (ascending partition id; each
-/// group in send order).
-pub type DeferredGroups<M> = Vec<(u32, Vec<(VertexId, M)>)>;
+/// Apply one replayed message to the slab of the partition whose first
+/// vertex is `first`. `false` when `dst` is not one of the slab's vertices:
+/// the caller reports where the message came from.
+pub fn replay<P: VertexProgram>(
+    program: &P,
+    first: VertexId,
+    slab: &mut [P::VertexData],
+    dst: VertexId,
+    msg: &P::Message,
+) -> bool {
+    match slab.get_mut(dst.wrapping_sub(first) as usize) {
+        Some(slot) => {
+            program.apply_message(dst, slot, msg);
+            true
+        }
+        None => false,
+    }
+}
 
-/// One partition's vertex slab, plus everything its updates produced.
+/// One partition's vertex slab, plus the counters its updates produced.
 pub struct ShardState<P: VertexProgram> {
     first: VertexId,
     /// State of the partition's vertices, `first..first + data.len()`.
     data: Vec<P::VertexData>,
-    /// Messages not applied in place — bound for other partitions, or for
-    /// any partition without dynamic messages — coalesced into
-    /// per-destination-partition buffers indexed by partition id (each
-    /// bucket in send order). Sized once in [`ShardState::start`], so deferring a message
-    /// in [`ShardState::process`] is an O(1) push with no allocation and no
-    /// group scan. [`ShardState::finish`] converts the non-empty buckets to
-    /// [`DeferredGroups`].
-    deferred: Vec<Vec<(VertexId, P::Message)>>,
     changed: u64,
     sent: u64,
     dynamic_applied: u64,
@@ -44,21 +54,16 @@ pub struct ShardState<P: VertexProgram> {
     num_vertices: u64,
     dynamic: bool,
     /// Uniform partition width, for routing deferred messages to their
-    /// destination partition without a barrier-side pass.
+    /// destination partition.
     per_partition: u64,
     outbox: Vec<Outgoing<P::Message>>,
 }
 
 impl<P: VertexProgram> ShardState<P> {
-    fn start(job: ShardStart<P>, program: &P) -> Self {
-        let per_partition = job.per_partition.max(1);
-        // One bucket per destination partition, allocated here (outside the
-        // per-message path) so routing never allocates or scans.
-        let partitions = job.num_vertices.div_ceil(per_partition) as usize;
-        let mut state = ShardState {
+    fn start(job: ShardStart<P>) -> Self {
+        ShardState {
             first: job.first,
             data: job.data,
-            deferred: (0..partitions).map(|_| Vec::new()).collect(),
             changed: 0,
             sent: 0,
             dynamic_applied: 0,
@@ -66,36 +71,33 @@ impl<P: VertexProgram> ShardState<P> {
             iteration: job.iteration,
             num_vertices: job.num_vertices,
             dynamic: job.dynamic,
-            per_partition,
+            per_partition: job.per_partition.max(1),
             outbox: Vec::new(),
-        };
-        // Replay the partition's pending messages, in send order, before
-        // any update runs.
-        for (dst, msg) in job.replay {
-            // ipa:allow(panic-freedom) — the MsgManager replays only this partition's vertices
-            program.apply_message(dst, &mut state.data[(dst - state.first) as usize], &msg);
         }
-        state
     }
 
     /// Update every vertex of `batch` and route what each update sent
     /// (paper Alg. 7): a destination inside this partition is applied at
     /// once when dynamic messages are on; any other in-range destination is
-    /// deferred to its partition's bucket — an O(1) push, since bucket
-    /// membership is a pure function of `dst` and the partition width. An
-    /// [`Outgoing::Neighbors`] broadcast is expanded here, neighbor by
-    /// neighbor, into that same apply-or-defer, so it never touches the
-    /// outbox per edge.
+    /// deferred to the MsgManager for its partition, a pure function of
+    /// `dst` and the partition width. An [`Outgoing::Neighbors`] broadcast
+    /// is expanded here, neighbor by neighbor, into that same
+    /// apply-or-defer, so it never touches the outbox per edge.
     ///
-    /// The partition's bounds, slab, buckets and counters live in locals for
-    /// the whole batch, so a bucket push (which may reallocate) never forces
-    /// them to be reloaded from `self`.
-    fn process(&mut self, program: &P, batch: &AdjBatch) {
+    /// The partition's bounds, slab and counters live in locals for the
+    /// whole batch, so a `defer` never forces them to be reloaded from
+    /// `self`. A spill that fails is held by the MsgManager and returned
+    /// once the batch is done.
+    fn process(
+        &mut self,
+        program: &P,
+        batch: &AdjBatch,
+        msgs: &mut MsgManager<P::Message>,
+    ) -> Result<()> {
         let (first, dynamic) = (self.first, self.dynamic);
         let (iteration, num_vertices, per_partition) =
             (self.iteration, self.num_vertices, self.per_partition);
         let data = self.data.as_mut_slice();
-        let deferred = self.deferred.as_mut_slice();
         let outbox = &mut self.outbox;
         let (mut changed, mut sent, mut dynamic_applied, mut rejected) = (0u64, 0u64, 0u64, 0u64);
         let mut route = |data: &mut [P::VertexData], dst: VertexId, msg: &P::Message| {
@@ -108,16 +110,16 @@ impl<P: VertexProgram> ShardState<P> {
                 dynamic_applied += 1;
                 return;
             }
-            // ipa:allow(panic-freedom) — per_partition is clamped to >= 1 in start
-            let p = (cast::widen_u32(dst) / per_partition) as usize;
-            // dst < num_vertices puts p inside the buckets sized in start;
-            // anything else is the program's bug, reported at the barrier.
-            match deferred.get_mut(p) {
-                Some(bucket) if cast::widen_u32(dst) < num_vertices => {
-                    bucket.push((dst, msg.clone()))
-                }
-                _ => rejected += 1,
+            // Anything past the last vertex is the program's bug, reported
+            // at the barrier.
+            let dst_wide = cast::widen_u32(dst);
+            if dst_wide >= num_vertices {
+                rejected += 1;
+                return;
             }
+            // ipa:allow(panic-freedom) — per_partition is clamped to >= 1 in start
+            let p = (dst_wide / per_partition) as u32;
+            msgs.defer(p, dst, msg.clone());
         };
         for (v, neighbors, weights) in batch.vertices_weighted() {
             let mut ctx = UpdateContext {
@@ -151,6 +153,7 @@ impl<P: VertexProgram> ShardState<P> {
         self.sent += sent;
         self.dynamic_applied += dynamic_applied;
         self.rejected += rejected;
+        msgs.take_failure()
     }
 
     /// Mark in `active` (bit `i` = the partition's `i`-th vertex) every
@@ -178,13 +181,6 @@ impl<P: VertexProgram> ShardState<P> {
     fn finish(self) -> ShardResult<P> {
         ShardResult {
             data: self.data,
-            deferred: self
-                .deferred
-                .into_iter()
-                .enumerate()
-                .filter(|(_, bucket)| !bucket.is_empty())
-                .map(|(p, bucket)| (p as u32, bucket))
-                .collect(),
             changed: self.changed,
             sent: self.sent,
             dynamic_applied: self.dynamic_applied,
@@ -197,9 +193,8 @@ impl<P: VertexProgram> ShardState<P> {
 pub struct ShardStart<P: VertexProgram> {
     /// First vertex of the partition; `data` holds its whole range.
     pub first: VertexId,
+    /// The partition's vertex state, its pending messages replayed.
     pub data: Vec<P::VertexData>,
-    /// The partition's replay stream, in send order.
-    pub replay: Vec<(VertexId, P::Message)>,
     pub iteration: u32,
     pub num_vertices: u64,
     pub dynamic: bool,
@@ -210,8 +205,6 @@ pub struct ShardStart<P: VertexProgram> {
 /// What the Worker hands back at the partition barrier.
 pub struct ShardResult<P: VertexProgram> {
     pub data: Vec<P::VertexData>,
-    /// Messages not applied in place, grouped by destination partition.
-    pub deferred: DeferredGroups<P::Message>,
     pub changed: u64,
     pub sent: u64,
     pub dynamic_applied: u64,
@@ -241,25 +234,29 @@ impl<P: VertexProgram> Executor<P> {
         }
     }
 
-    /// Hand the Worker a partition's vertex data and replay stream.
+    /// Hand the Worker a partition's vertex data, its messages replayed.
     pub fn start(&mut self, job: ShardStart<P>) {
-        self.state = Some(ShardState::start(job, &self.program));
+        self.state = Some(ShardState::start(job));
     }
 
-    /// Update the vertices of one streamed batch, then recycle it.
-    pub fn feed(&mut self, batch: AdjBatch) -> Result<()> {
+    /// Update the vertices of one streamed batch, deferring what they send
+    /// to other partitions with `msgs`, then recycle the batch.
+    pub fn feed(&mut self, batch: AdjBatch, msgs: &mut MsgManager<P::Message>) -> Result<()> {
         let (program, state) = self.started()?;
-        state.process(program, &batch);
+        let routed = state.process(program, &batch, msgs);
         self.pool.put(batch);
-        Ok(())
+        routed
     }
 
     /// Update the vertices of a resident adjacency. The batch is borrowed,
     /// never moved or recycled, so it serves every iteration of the run.
-    pub fn feed_resident(&mut self, batch: &AdjBatch) -> Result<()> {
+    pub fn feed_resident(
+        &mut self,
+        batch: &AdjBatch,
+        msgs: &mut MsgManager<P::Message>,
+    ) -> Result<()> {
         let (program, state) = self.started()?;
-        state.process(program, batch);
-        Ok(())
+        state.process(program, batch, msgs)
     }
 
     /// Mark in `active` every vertex of the partition that wants an update,
@@ -291,6 +288,7 @@ mod tests {
     use super::*;
     use crate::program::UpdateContext;
     use crate::sio::PoolCounters;
+    use graphz_io::{IoStats, ScratchDir};
 
     /// Counts, at every vertex, the edges of every batch it is fed.
     struct OutDegree;
@@ -315,18 +313,19 @@ mod tests {
             weights: vec![],
         };
         let pool = BatchPool::new(4);
+        let dir = ScratchDir::new("worker-resident").unwrap();
+        let mut msgs = MsgManager::new(dir.file("msgs"), 1, 1024, IoStats::new()).unwrap();
         let mut exec: Executor<OutDegree> = Executor::new(Arc::new(OutDegree), Arc::clone(&pool));
         for iteration in 0..3 {
             exec.start(ShardStart {
                 first: 0,
                 data: vec![iteration; 3],
-                replay: Vec::new(),
                 iteration: 0,
                 num_vertices: 3,
                 dynamic: true,
                 per_partition: 3,
             });
-            exec.feed_resident(&piece).unwrap();
+            exec.feed_resident(&piece, &mut msgs).unwrap();
             let out = exec.finish().unwrap();
             assert_eq!(out.data, vec![iteration + 2, iteration, iteration + 1]);
         }
@@ -336,8 +335,11 @@ mod tests {
     #[test]
     fn feeding_an_unstarted_partition_is_a_typed_error() {
         let pool = BatchPool::new(1);
+        let dir = ScratchDir::new("worker-unstarted").unwrap();
+        let mut msgs = MsgManager::new(dir.file("msgs"), 1, 1024, IoStats::new()).unwrap();
         let mut exec: Executor<OutDegree> = Executor::new(Arc::new(OutDegree), pool);
-        assert!(matches!(exec.feed(AdjBatch::default()), Err(GraphError::InvalidConfig(_))));
+        let fed = exec.feed(AdjBatch::default(), &mut msgs);
+        assert!(matches!(fed, Err(GraphError::InvalidConfig(_))));
         assert!(matches!(exec.finish(), Err(GraphError::InvalidConfig(_))));
     }
 }

@@ -79,10 +79,12 @@ impl From<std::io::Error> for GraphError {
         // validation) signal a malformed stream; surface it as the typed
         // corruption error rather than a generic IO failure.
         if e.kind() == std::io::ErrorKind::InvalidData {
+            // ipa:allow(hot-path-alloc) — allocates only on the error path, which ends the run
             GraphError::Corrupt(e.to_string())
         } else if e.kind() == std::io::ErrorKind::StorageFull {
             // ENOSPC from the OS, or a scratch disk budget tripping: either
             // way the caller should see "storage full", not "io error".
+            // ipa:allow(hot-path-alloc) — allocates only on the error path, which ends the run
             GraphError::StorageFull(e.to_string())
         } else {
             GraphError::Io(e)

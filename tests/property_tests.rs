@@ -216,7 +216,11 @@ fn msgmanager_preserves_order_under_any_interleaving() {
         }
         for part in 0..4u32 {
             let mut seen = Vec::new();
-            m.drain(part, |dst, msg| seen.push((dst, msg))).unwrap();
+            m.drain(part, |dst, msg| {
+                seen.push((dst, msg));
+                true
+            })
+            .unwrap();
             assert_eq!(&seen, &expected[part as usize], "case {case}");
         }
         assert_eq!(m.pending(), 0);
