@@ -110,8 +110,15 @@ step "checkpoint chaos + retention (DESIGN.md §6c)"
 # snapshot tests are the other reader of a generation manifest: a pin reads
 # the manifest and each listed file once, and damage (a flipped frame, a
 # valid frame of other bytes, a malformed `file:` entry) falls back one
-# generation.
+# generation. Commits run on a commit thread behind the next iteration:
+# label_probes_fire_at_commit_thread_ops fails its fsync, rename, fsync-dir
+# and retire-remove ops (the run returns the error, nothing later is
+# staged, resume is exact), a_failing_run_joins_the_commit_in_flight shows
+# an error return joins it, and the unit test and the CLI test below check
+# the handle's join rules and the `--verbose` checkpoint line.
 cargo test -q --offline -p graphz-bench --test chaos_checkpoint --test checkpoint_algos
+cargo test -q --offline -p graphz-core --lib in_flight_commit_lands_by_drop_and_wait_returns_its_error
+cargo test -q --offline -p graphz-cli --lib verbose_checkpoint_line_only_with_a_checkpoint_dir
 cargo test -q --offline -p graphz-serve --lib snapshot
 step_done
 

@@ -14,8 +14,8 @@ use graphz_baselines::gridgraph::{GridEngine, GridEngineConfig, GridPartitions};
 use graphz_baselines::xstream::{XsEngine, XsEngineConfig, XsPartitions};
 use graphz_baselines::BaselineRun;
 use graphz_core::{
-    ActivityCounters, DenseStore, DosStore, Engine, EngineConfig, GraphStore, RunSummary,
-    StageTimes, VertexProgram,
+    ActivityCounters, CheckpointTimes, DenseStore, DosStore, Engine, EngineConfig, GraphStore,
+    RunSummary, StageTimes, VertexProgram,
 };
 use graphz_io::{IoSnapshot, IoStats, PrefetchSnapshot};
 use graphz_storage::{CsrFiles, CsrGraph, DosConverter, DosGraph, EdgeListFile};
@@ -103,6 +103,9 @@ pub struct AlgoOutcome<V = AlgoValues> {
     /// What activity-aware scheduling skipped and wrote (GraphZ engines
     /// only).
     pub activity: Option<ActivityCounters>,
+    /// Checkpoint generations committed and where their time went (GraphZ
+    /// engines only).
+    pub checkpoint: Option<CheckpointTimes>,
     /// Per-vertex results indexed by original id (or the report's result).
     pub values: V,
 }
@@ -333,6 +336,7 @@ fn run_graphz_with<T>(
         prefetch: Some(run.prefetch),
         plan: Some(run.plan),
         activity: Some(run.activity),
+        checkpoint: Some(run.checkpoint),
         values,
     })
 }
@@ -681,6 +685,7 @@ pub fn run_reference(g: &CsrGraph, params: &AlgoParams) -> Result<AlgoOutcome> {
         prefetch: None,
         plan: None,
         activity: None,
+        checkpoint: None,
         values,
     })
 }
@@ -710,6 +715,7 @@ fn baseline_outcome(
         prefetch: None,
         plan: None,
         activity: None,
+        checkpoint: None,
         values,
     }
 }

@@ -71,7 +71,8 @@ pub const RULES: &[Rule] = &[
     Rule {
         name: "no-thread-spawn",
         why: "all concurrency flows through audited pipeline stages (the \
-              engine's Sio read-ahead and prefetcher; the serve fleet); \
+              engine's Sio read-ahead, prefetcher and checkpoint commit; \
+              the serve fleet); \
               ad-hoc threads escape that topology, and ingest runs on the \
               calling thread",
         scope: &[],
@@ -82,6 +83,10 @@ pub const RULES: &[Rule] = &[
             // joined in Server::shutdown/wait; queries themselves never spawn
             // (enforced by the serve-read-alloc ipa rule).
             "crates/serve/src/server.rs",
+            // Checkpoint commit: one thread per generation, at most one in
+            // flight, joined before the engine's next gated op and on drop
+            // (InFlightCommit), so no commit outlives Engine::run.
+            "crates/core/src/generations.rs",
         ],
     },
     Rule {
@@ -717,6 +722,9 @@ mod tests {
         assert_eq!(lint_str("crates/core/src/worker.rs", src).len(), 1, "the Worker runs inline");
         assert_eq!(lint_str("crates/core/src/sio.rs", src).len(), 0);
         assert_eq!(lint_str("crates/core/src/prefetch.rs", src).len(), 0);
+        // The checkpoint commit thread lives in generations.rs; the engine
+        // that starts it spawns nothing itself.
+        assert_eq!(lint_str("crates/core/src/generations.rs", src).len(), 0);
         // Ingest has one path, on the calling thread.
         for path in [
             "crates/extsort/src/lib.rs",

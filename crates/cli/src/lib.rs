@@ -259,8 +259,12 @@ pub const COMMANDS: &[CommandSpec] = &[
         summary: "run an algorithm out-of-core and print the top-K vertices",
         details: "Checkpointing: with --checkpoint-dir, a crash-safe generation is written\n\
                   under D after every N completed iterations (default 1). The newest two\n\
-                  generations are kept; each commit removes the older ones. --resume\n\
-                  continues from the newest valid generation, skipping one damaged by a crash.\n\
+                  generations are kept; each commit removes the older ones. A generation's\n\
+                  files are framed on the run's thread; its fsyncs, rename and retention\n\
+                  run on a commit thread while the next iteration computes, and it becomes\n\
+                  visible only once they finish. The run waits for the last commit before\n\
+                  it reports. --resume continues from the newest valid generation, skipping\n\
+                  one damaged by a crash.\n\
                   \n\
                   Schedule: one Worker updates vertices in ascending order, the paper's\n\
                   sequential schedule, while a read-ahead thread streams adjacency and a\n\
@@ -270,7 +274,8 @@ pub const COMMANDS: &[CommandSpec] = &[
                   background partition loader (results are identical either way).\n\
                   --verbose prints the resolved plan, per-stage wall times, prefetch\n\
                   hit/stall counters and messages buffered / spilled / replayed / held\n\
-                  in memory at most.\n\
+                  in memory at most; with --checkpoint-dir also the generations committed\n\
+                  and the time spent sealing them, waiting on a commit, and committing.\n\
                   \n\
                   Memory: half of --budget-mib holds a partition's vertex array and a\n\
                   quarter holds messages bound for other partitions; the message that\n\
@@ -752,6 +757,7 @@ pub fn execute(cmd: Command) -> Result<String> {
                 .with_source(source)
                 .with_max_iterations(iterations);
             let budget = MemoryBudget::from_mib(budget_mib);
+            let checkpointed = checkpoint_dir.is_some();
             let ckpt = runner::CheckpointSpec {
                 dir: checkpoint_dir,
                 every: checkpoint_every,
@@ -813,6 +819,13 @@ pub fn execute(cmd: Command) -> Result<String> {
                         act.adjacency_bytes_skipped,
                         act.gaps_reread,
                         act.slab_bytes_written,
+                    ));
+                }
+                if let (Some(ck), true) = (outcome.checkpoint, checkpointed) {
+                    out.push_str(&format!(
+                        "checkpoint: {} generations committed / seal {:?} / waited {:?} \
+                         / commit thread {:?}\n",
+                        ck.generations, ck.seal, ck.waited, ck.commit,
                     ));
                 }
             }
@@ -1643,6 +1656,33 @@ mod tests {
         )
         .unwrap();
         assert!(out.contains("top vertices by rank"), "{out}");
+    }
+
+    #[test]
+    fn verbose_checkpoint_line_only_with_a_checkpoint_dir() {
+        let dir = graphz_io::ScratchDir::new("cli-ckpt-verbose").unwrap();
+        let g = dir.file("g.bin").display().to_string();
+        let dos = dir.path().join("dos").display().to_string();
+        let ck = dir.path().join("ckpts").display().to_string();
+        execute(parse(&args(&format!("generate {g} --scale 9 --edges 2000"))).unwrap()).unwrap();
+        execute(parse(&args(&format!("convert {g} {dos}"))).unwrap()).unwrap();
+        let run = format!("run pr {dos} --budget-mib 1 --iterations 6 --verbose");
+
+        let plain = execute(parse(&args(&run)).unwrap()).unwrap();
+        assert!(!plain.contains("checkpoint:"), "{plain}");
+
+        let out = execute(parse(&args(&format!("{run} --checkpoint-dir {ck}"))).unwrap()).unwrap();
+        let line = out.lines().find(|l| l.starts_with("checkpoint: ")).expect("checkpoint line");
+        assert!(
+            line.contains(" generations committed / seal ")
+                && line.contains(" / waited ")
+                && line.contains(" / commit thread "),
+            "{line}"
+        );
+        // One generation per iteration, every one of them committed.
+        let iterations = out.split(": ").nth(1).and_then(|f| f.split(' ').next()).unwrap();
+        assert!(line.starts_with(&format!("checkpoint: {iterations} generations")), "{out}");
+        assert_eq!(iterations, "6", "{out}");
     }
 
     /// `values` (index = original id) as the stream a run hands its report.

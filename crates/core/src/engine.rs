@@ -18,7 +18,7 @@ use graphz_types::{
 /// On-disk checkpoint layout version (`manifest.txt` + framed files) —
 /// defined once in [`crate::generations`], shared with every non-engine
 /// consumer of a checkpoint root (the serving layer's snapshot pinning).
-use crate::generations::{self, CHECKPOINT_VERSION};
+use crate::generations::{self, CheckpointTimes, InFlightCommit, Retention, CHECKPOINT_VERSION};
 
 /// A framed checkpoint file being written: the frame takes the payload's
 /// length and CRC32 as it streams through, and every write passes the
@@ -36,45 +36,68 @@ fn create_frame(
     FramedWriter::new(GatedWriter::new(out, faults.clone(), retry)).ctx("write", dst)
 }
 
-/// One checkpoint generation on its way to disk. It is staged when the
-/// iteration that ends in it starts, so the vertex frame can take each
-/// partition's bytes right after that partition's flush — from the slab the
-/// engine holds, never read back from the working file — and is committed
-/// once the iteration's last partition and the message spills are in.
+/// One checkpoint generation on its way to disk. It is planned when the
+/// iteration that ends in it starts and staged at its first gated op — the
+/// first partition's vertex bytes, or the resident slab at the iteration's
+/// end — after the commit in flight has joined, so the previous
+/// generation's commit ops all come before this one's frame header. The
+/// vertex frame takes each partition's bytes right after that partition's
+/// flush — from the slab the engine holds, never read back from the working
+/// file — and the generation is sealed once the iteration's last partition
+/// and the message spills are in.
 struct PendingGeneration {
-    staged: StagedDir,
+    dest: PathBuf,
     next_iteration: u32,
-    vertices: FrameFile,
+    stats: Arc<IoStats>,
     faults: Option<Arc<FaultState>>,
     retry: RetryPolicy,
+    staged: Option<(StagedDir, FrameFile)>,
 }
 
 impl PendingGeneration {
-    fn stage(
-        dest: &Path,
+    fn new(
+        dest: PathBuf,
         next_iteration: u32,
         stats: &Arc<IoStats>,
         faults: Option<Arc<FaultState>>,
         retry: RetryPolicy,
-    ) -> Result<Self> {
+    ) -> Self {
+        let stats = Arc::clone(stats);
+        PendingGeneration { dest, next_iteration, stats, faults, retry, staged: None }
+    }
+
+    /// The staged tree and its vertex frame, taken out of `self`: staged
+    /// now — once `behind` has joined — if this is the generation's first
+    /// gated op.
+    fn take_staged(&mut self, behind: &mut InFlightCommit) -> Result<(StagedDir, FrameFile)> {
+        if let Some(staged) = self.staged.take() {
+            return Ok(staged);
+        }
+        behind.wait()?;
+        let dest = &self.dest;
         if let Some(parent) = dest.parent() {
             std::fs::create_dir_all(parent).ctx("create-dir", parent)?;
         }
-        let staged = StagedDir::stage_with_faults(dest, faults.clone(), retry).ctx("stage", dest)?;
-        let vertices = create_frame(&staged.path().join("vertices.bin"), stats, &faults, retry)?;
-        Ok(PendingGeneration { staged, next_iteration, vertices, faults, retry })
+        let staged = StagedDir::stage_with_faults(dest, self.faults.clone(), self.retry)
+            .ctx("stage", dest)?;
+        let frame = staged.path().join("vertices.bin");
+        let vertices = create_frame(&frame, &self.stats, &self.faults, self.retry)?;
+        Ok((staged, vertices))
     }
 
     /// Append the next partition's vertex bytes (partitions come in
     /// ascending order, so the frame is the vertex array in storage order).
-    fn append(&mut self, bytes: &[u8]) -> Result<()> {
-        self.vertices.write_all(bytes).ctx("write", self.staged.path())
+    fn append(&mut self, behind: &mut InFlightCommit, bytes: &[u8]) -> Result<()> {
+        let pair = self.take_staged(behind)?;
+        let (staged, vertices) = self.staged.insert(pair);
+        vertices.write_all(bytes).ctx("write", staged.path())
     }
 
     /// Append vertices `[a, b)` as the working file holds them — a partition
     /// this iteration did not flush. `buf` is reused scratch.
     fn copy_range<V: FixedCodec>(
         &mut self,
+        behind: &mut InFlightCommit,
         vfile: &mut TrackedFile,
         buf: &mut Vec<u8>,
         a: VertexId,
@@ -83,19 +106,21 @@ impl PendingGeneration {
         buf.resize((b - a) as usize * V::SIZE, 0);
         vfile.seek(SeekFrom::Start(a as u64 * V::SIZE as u64))?;
         vfile.read_exact(buf)?;
-        self.append(buf)
+        self.append(behind, buf)
     }
 
-    /// Seal the vertex frame, frame every spill segment of `msgs_dir`, write
-    /// the manifest into the staged tree, and commit it: one CRC pass per
-    /// file (the frame's own) and one fsync per file (the commit's).
-    fn commit(
+    /// Seal the generation: end the vertex frame, frame every spill segment
+    /// of `msgs_dir`, and write the manifest into the staged tree, which is
+    /// returned ready to commit. One CRC pass per file (the frame's own);
+    /// the commit adds one fsync per file.
+    fn seal(
         mut self,
+        behind: &mut InFlightCommit,
         msgs_dir: &Path,
         partitions: u32,
         counters: crate::msgmanager::MsgCounters,
-        stats: &Arc<IoStats>,
-    ) -> Result<()> {
+    ) -> Result<StagedDir> {
+        let (staged, mut vertices) = self.take_staged(behind)?;
         let mut mf = graphz_storage::meta::MetaFile::new();
         mf.set("format", "graphz-checkpoint")
             .set("version", CHECKPOINT_VERSION)
@@ -105,9 +130,9 @@ impl PendingGeneration {
             .set("msg_spilled", counters.spilled)
             .set("msg_replayed", counters.replayed);
 
-        mf.record_file("vertices.bin", self.vertices.finish().ctx("write", self.staged.path())?);
+        mf.record_file("vertices.bin", vertices.finish().ctx("write", staged.path())?);
 
-        let msg_dst = self.staged.path().join("msgs");
+        let msg_dst = staged.path().join("msgs");
         std::fs::create_dir(&msg_dst).ctx("create-dir", &msg_dst)?;
         let mut spill_names: Vec<std::ffi::OsString> = Vec::new();
         for entry in std::fs::read_dir(msgs_dir).ctx("read-dir", msgs_dir)? {
@@ -119,8 +144,9 @@ impl PendingGeneration {
         for name in spill_names {
             // Spill segments are sealed files: copied, framed on the way.
             let (src, dst) = (msgs_dir.join(&name), msg_dst.join(&name));
-            let mut reader = graphz_io::tracked::reader(&src, Arc::clone(stats)).ctx("read", &src)?;
-            let mut frame = create_frame(&dst, stats, &self.faults, self.retry)?;
+            let mut reader =
+                graphz_io::tracked::reader(&src, Arc::clone(&self.stats)).ctx("read", &src)?;
+            let mut frame = create_frame(&dst, &self.stats, &self.faults, self.retry)?;
             loop {
                 let n = reader.read(&mut buf).ctx("read", &src)?;
                 if n == 0 {
@@ -134,15 +160,14 @@ impl PendingGeneration {
 
         // The manifest is one more staged file: written once, gated, and
         // fsynced with the rest of the tree by the commit.
-        let manifest = self.staged.path().join("manifest.txt");
-        let out = TrackedFile::create(&manifest, Arc::clone(stats)).ctx("create", &manifest)?;
+        let manifest = staged.path().join("manifest.txt");
+        let out =
+            TrackedFile::create(&manifest, Arc::clone(&self.stats)).ctx("create", &manifest)?;
         GatedWriter::new(out, self.faults.clone(), self.retry)
             .labeled("write-manifest")
             .write_all(mf.render().as_bytes())
             .ctx("write", &manifest)?;
-        let dest = self.staged.dest().to_path_buf();
-        self.staged.commit().ctx("commit", &dest)?;
-        Ok(())
+        Ok(staged)
     }
 }
 
@@ -431,6 +456,10 @@ pub struct RunSummary {
     /// The execution plan the run resolved to (prefetch gating, residency)
     /// — a pure function of graph shape, budget and options.
     pub plan: graphz_types::ExecutionPlan,
+    /// Checkpoint generations committed, and the time spent sealing them on
+    /// the engine thread, waiting to join their commits, and committing
+    /// them behind the engine. [`StageTimes`] counts none of it.
+    pub checkpoint: CheckpointTimes,
     /// Per-iteration progress (one entry per executed iteration).
     pub per_iteration: Vec<IterationStats>,
 }
@@ -562,6 +591,9 @@ impl<P: VertexProgram> Engine<P> {
         let mut stages_total = StageTimes::default();
         let mut pool_counters = sio::PoolCounters::default();
         let mut activity = ActivityCounters::default();
+        // Each generation commits on its own thread behind the next
+        // iteration; dropping this on an error return joins it.
+        let mut commits = InFlightCommit::default();
 
         // Resolve the execution plan once per run: a pure function of the
         // graph's shape, the budget and the options (never thread
@@ -641,16 +673,18 @@ impl<P: VertexProgram> Engine<P> {
                 // Periodic crash-safe checkpoint. The generation number is
                 // the iteration count a restored engine resumes at, so the
                 // sequence keeps ascending across crash/resume cycles. It is
-                // staged now so each partition's flush can feed its frame.
+                // planned now so each partition's flush can feed its frame,
+                // and staged at the first of them, once the previous
+                // generation's commit has joined.
                 let mut generation = match &self.config.checkpoint_dir {
                     Some(root) if checkpoint_every > 0 && (step + 1) % checkpoint_every == 0 => {
-                        Some(PendingGeneration::stage(
-                            &generations::generation_path(root, iter + 1),
+                        Some(PendingGeneration::new(
+                            generations::generation_path(root, iter + 1),
                             iter + 1,
                             &self.stats,
                             self.config.checkpoint_faults.clone(),
                             self.config.checkpoint_retry,
-                        )?)
+                        ))
                     }
                     _ => None,
                 };
@@ -664,7 +698,13 @@ impl<P: VertexProgram> Engine<P> {
                     if !self.active[part as usize] && self.msgs.pending_in(part) == 0 {
                         activity.passes_skipped += 1;
                         if let (Some(g), None) = (generation.as_mut(), resident.as_ref()) {
-                            g.copy_range::<P::VertexData>(&mut vfile, &mut slab_bytes, a, b)?;
+                            g.copy_range::<P::VertexData>(
+                                &mut commits,
+                                &mut vfile,
+                                &mut slab_bytes,
+                                a,
+                                b,
+                            )?;
                         }
                         continue;
                     }
@@ -857,7 +897,7 @@ impl<P: VertexProgram> Engine<P> {
                     // After the flush `slab_bytes` holds exactly the bytes
                     // the working file now has for this partition.
                     if let (Some(g), false) = (generation.as_mut(), plan_cfg.resident) {
-                        g.append(&slab_bytes)?;
+                        g.append(&mut commits, &slab_bytes)?;
                     }
                 }
 
@@ -872,14 +912,35 @@ impl<P: VertexProgram> Engine<P> {
                 });
 
                 if let Some(mut g) = generation.take() {
+                    let (t_seal, waited_before) = (Instant::now(), commits.times().waited);
                     // The fast path holds vertex state in memory only: frame
                     // it from there; the working file waits for the run's end.
                     if let Some(slab) = &resident {
                         encode_slab(&mut slab_bytes, slab);
-                        g.append(&slab_bytes)?;
+                        g.append(&mut commits, &slab_bytes)?;
                     }
                     self.msgs.flush()?;
-                    self.commit_generation(g)?;
+                    let (counters, parts) = (self.msgs.counters(), self.partitions.num_partitions());
+                    let committed = g.next_iteration;
+                    let staged = g.seal(&mut commits, self.msgs.dir(), parts, counters)?;
+                    // A join the resident frame's staging waited on is
+                    // `waited` time, not sealing.
+                    let waited = commits.times().waited - waited_before;
+                    commits.add_seal(t_seal.elapsed().saturating_sub(waited));
+                    // The fsyncs, the rename and retention run behind the
+                    // next iteration; its first gated op joins them.
+                    let retention = match &self.config.checkpoint_dir {
+                        Some(root) if !self.config.keep_all_generations => {
+                            Some(Retention { root: root.clone(), committed })
+                        }
+                        _ => None,
+                    };
+                    commits.start(
+                        staged,
+                        retention,
+                        self.config.checkpoint_faults.clone(),
+                        self.config.checkpoint_retry,
+                    )?;
                 }
 
                 if changed == 0 {
@@ -887,6 +948,9 @@ impl<P: VertexProgram> Engine<P> {
                     break;
                 }
             }
+            // No commit outlives the run: the last generation is durable and
+            // retained before the run counts its iterations.
+            commits.wait()?;
             self.next_iteration += iterations;
             pool_counters = batch_pool.counters();
             // The fast path writes the final state exactly once.
@@ -916,6 +980,7 @@ impl<P: VertexProgram> Engine<P> {
             pool: pool_counters,
             activity,
             plan: plan_cfg,
+            checkpoint: commits.times(),
             per_iteration,
         })
     }
@@ -981,44 +1046,25 @@ impl<P: VertexProgram> Engine<P> {
         }
         self.msgs.flush()?;
         // The same writer a run uses, with no partition teed from a flush:
-        // every partition's vertices come from the working file.
-        let mut g = PendingGeneration::stage(
-            dir,
+        // every partition's vertices come from the working file. It commits
+        // on this thread, so there is never a commit in flight to join.
+        let mut idle = InFlightCommit::default();
+        let mut g = PendingGeneration::new(
+            dir.to_path_buf(),
             self.next_iteration,
             &self.stats,
             self.config.checkpoint_faults.clone(),
             self.config.checkpoint_retry,
-        )?;
+        );
         let mut vfile = TrackedFile::open(&self.vertices_path, Arc::clone(&self.stats))
             .ctx("open", &self.vertices_path)?;
         let mut buf = Vec::new();
         for (_, a, b) in self.partitions.iter() {
-            g.copy_range::<P::VertexData>(&mut vfile, &mut buf, a, b)?;
+            g.copy_range::<P::VertexData>(&mut idle, &mut vfile, &mut buf, a, b)?;
         }
-        self.commit(g)
-    }
-
-    /// Commit `g` with the engine's current message state.
-    fn commit(&self, g: PendingGeneration) -> Result<()> {
-        let counters = self.msgs.counters();
-        g.commit(self.msgs.dir(), self.partitions.num_partitions(), counters, &self.stats)
-    }
-
-    /// Commit a run's periodic generation, then retire the generations it
-    /// made redundant (unless the test hook keeps them all).
-    fn commit_generation(&self, g: PendingGeneration) -> Result<()> {
-        let committed = g.next_iteration;
-        self.commit(g)?;
-        if let (Some(root), false) = (&self.config.checkpoint_dir, self.config.keep_all_generations)
-        {
-            generations::retire_older(
-                root,
-                committed,
-                &self.config.checkpoint_faults,
-                self.config.checkpoint_retry,
-            )?;
-        }
-        Ok(())
+        let (counters, parts) = (self.msgs.counters(), self.partitions.num_partitions());
+        let staged = g.seal(&mut idle, self.msgs.dir(), parts, counters)?;
+        staged.commit().ctx("commit", dir)
     }
 
     /// Restore a computation previously saved with

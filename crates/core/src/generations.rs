@@ -11,15 +11,19 @@
 //! Listing is one `read_dir`, and verification replays each file's frame
 //! against the manifest entry without touching the files' contents on disk —
 //! which is what makes a pinned generation safe to serve from while a writer
-//! lays down newer ones next to it (DESIGN.md §6l). The one writer here is
+//! lays down newer ones next to it (DESIGN.md §6l). The writers here are
+//! `InFlightCommit`, the thread that makes a run's sealed generation
+//! durable and visible behind the engine's next iteration, and
 //! [`retire_older`], which removes whole generations the writer no longer
 //! needs (DESIGN.md §6c); a reader that loses one mid-pin sees it vanish
 //! and moves on, like any other crash damage.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
-use graphz_io::IoStats;
+use graphz_io::{FaultState, IoStats, RetryPolicy, StagedDir};
 use graphz_storage::meta::MetaFile;
 use graphz_types::{GraphError, IoCtx, Result};
 
@@ -270,6 +274,106 @@ pub fn retire_older(
     Ok(retired)
 }
 
+/// Where a run's checkpoint time went. The engine thread seals each
+/// generation (the vertex frame's end, the spill frames, the manifest); a
+/// commit thread then fsyncs, renames and retires while the next iteration
+/// computes, and the engine waits only when it must join that commit.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct CheckpointTimes {
+    /// Generations committed: fsynced, renamed into place, retention run.
+    pub generations: u32,
+    /// Engine-thread time sealing generations.
+    pub seal: Duration,
+    /// Engine-thread time spent blocked joining a commit still in flight.
+    pub waited: Duration,
+    /// Commit-thread time: the staged tree's fsyncs and rename, and
+    /// retention.
+    pub commit: Duration,
+}
+
+/// Retention to run once a commit lands: retire what generation `committed`
+/// made redundant under `root` ([`retire_older`]).
+pub(crate) struct Retention {
+    pub root: PathBuf,
+    pub committed: u32,
+}
+
+/// The one generation commit a run may have in flight: a thread that runs
+/// [`StagedDir::commit`] (fsync the tree, rename, fsync the parent) and then
+/// the [`Retention`] it was given. [`start`](Self::start) joins the commit
+/// before it, so at most one is in flight; [`wait`](Self::wait) joins and
+/// returns the commit's typed error; dropping the handle joins too, so no
+/// commit outlives the run that started it, whether the run returns `Ok` or
+/// `Err`. The thread's ops go through the same fault gate as the engine's,
+/// and the engine performs no gated op while a commit is in flight, so the
+/// gated ops keep one global order.
+#[derive(Default)]
+pub(crate) struct InFlightCommit {
+    handle: Option<JoinHandle<Result<Duration>>>,
+    times: CheckpointTimes,
+}
+
+impl InFlightCommit {
+    /// Commit `staged` on a new thread, after joining the commit before it.
+    pub fn start(
+        &mut self,
+        staged: StagedDir,
+        retention: Option<Retention>,
+        faults: Option<Arc<FaultState>>,
+        retry: RetryPolicy,
+    ) -> Result<()> {
+        self.wait()?;
+        let dest = staged.dest().to_path_buf();
+        let handle = std::thread::Builder::new()
+            .name("graphz-commit".into())
+            .spawn(move || {
+                let t = Instant::now();
+                let dest = staged.dest().to_path_buf();
+                staged.commit().ctx("commit", &dest)?;
+                if let Some(r) = retention {
+                    retire_older(&r.root, r.committed, &faults, retry)?;
+                }
+                Ok(t.elapsed())
+            })
+            .ctx("spawn-commit", &dest)?;
+        self.handle = Some(handle);
+        Ok(())
+    }
+
+    /// Join the commit in flight, if any, and return its error.
+    pub fn wait(&mut self) -> Result<()> {
+        let Some(handle) = self.handle.take() else { return Ok(()) };
+        let t = Instant::now();
+        let joined = handle.join();
+        self.times.waited += t.elapsed();
+        let took = joined.map_err(|_| {
+            GraphError::Io(std::io::Error::other("checkpoint commit thread panicked"))
+        })??;
+        self.times.commit += took;
+        self.times.generations += 1;
+        Ok(())
+    }
+
+    /// The times so far (join first for a complete count).
+    pub fn times(&self) -> CheckpointTimes {
+        self.times
+    }
+
+    /// Charge `seal` engine-thread time to sealing.
+    pub fn add_seal(&mut self, seal: Duration) {
+        self.times.seal += seal;
+    }
+}
+
+impl Drop for InFlightCommit {
+    fn drop(&mut self) {
+        // The run is already failing; its own error is the one it returns.
+        if let Some(handle) = self.handle.take() {
+            let _ = handle.join();
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -309,6 +413,43 @@ mod tests {
         let dir = ScratchDir::new("generations-missing").unwrap();
         let gens = list_generations(&dir.path().join("never-created")).unwrap();
         assert!(gens.is_empty());
+    }
+
+    #[test]
+    fn in_flight_commit_lands_by_drop_and_wait_returns_its_error() {
+        let dir = ScratchDir::new("generations-inflight").unwrap();
+        let staged_at = |n: u32, faults: Option<Arc<FaultState>>| {
+            let dest = generation_path(dir.path(), n);
+            let staged = StagedDir::stage_with_faults(&dest, faults, RetryPolicy::none()).unwrap();
+            std::fs::write(staged.path().join("manifest.txt"), b"x").unwrap();
+            staged
+        };
+        // Dropping the handle joins: the generation is in place after it.
+        {
+            let mut commits = InFlightCommit::default();
+            commits.start(staged_at(1, None), None, None, RetryPolicy::none()).unwrap();
+        }
+        assert!(generation_path(dir.path(), 1).join("manifest.txt").is_file());
+
+        // A failed commit is the error `wait` returns, and its staging is gone.
+        let faults = FaultState::fail_at_label("rename");
+        let mut commits = InFlightCommit::default();
+        let staged = staged_at(2, Some(Arc::clone(&faults)));
+        commits.start(staged, None, None, RetryPolicy::none()).unwrap();
+        let err = commits.wait().unwrap_err();
+        assert!(err.to_string().contains("injected fault: rename"), "{err}");
+        assert!(faults.fired());
+        assert!(!dir.path().join("gen-00000002.tmp").exists());
+        assert_eq!(commits.times().generations, 0);
+
+        // The next start joins nothing left over; retention runs after it.
+        let retention = Retention { root: dir.path().to_path_buf(), committed: 3 };
+        commits.start(staged_at(3, None), Some(retention), None, RetryPolicy::none()).unwrap();
+        commits.wait().unwrap();
+        assert_eq!(commits.times().generations, 1);
+        let numbers: Vec<u32> =
+            list_generations(dir.path()).unwrap().iter().map(|g| g.number).collect();
+        assert_eq!(numbers, vec![3, 1]);
     }
 
     #[test]

@@ -47,7 +47,7 @@ pub mod worker;
 
 pub use engine::{ActivityCounters, Engine, EngineConfig, RunSummary, StageTimes};
 pub use generations::{
-    generation_path, list_generations, parse_generation_name, Generation,
+    generation_path, list_generations, parse_generation_name, CheckpointTimes, Generation,
     GenerationManifest,
 };
 pub use program::{UpdateContext, VertexProgram};

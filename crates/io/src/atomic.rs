@@ -92,11 +92,6 @@ impl AtomicFile {
         Ok(AtomicFile { tmp, dest: dest.to_path_buf(), file: Some(file), faults, retry })
     }
 
-    /// Path of the staging file (for callers that need to reopen it).
-    pub fn staging_path(&self) -> &Path {
-        &self.tmp
-    }
-
     /// fsync the staged bytes, rename over the destination, fsync the parent
     /// directory. After this returns the new content is durable.
     pub fn commit(mut self) -> io::Result<()> {

@@ -10,8 +10,8 @@
 use std::sync::Arc;
 
 use graphz_core::{
-    generation_path, list_generations, DosStore, Engine, EngineConfig, GenerationManifest,
-    UpdateContext, VertexProgram,
+    generation_path, list_generations, parse_generation_name, DosStore, Engine, EngineConfig,
+    GenerationManifest, UpdateContext, VertexProgram,
 };
 use graphz_io::{FaultPlan, FaultState, IoStats, RetryPolicy, ScratchDir};
 use graphz_storage::{DosConverter, EdgeListFile};
@@ -59,15 +59,17 @@ fn edges() -> Vec<Edge> {
 }
 
 fn make_engine(config: EngineConfig) -> (ScratchDir, Engine<Counter>) {
+    make_engine_for(Counter { rounds: ROUNDS }, config)
+}
+
+fn make_engine_for<P: VertexProgram>(program: P, config: EngineConfig) -> (ScratchDir, Engine<P>) {
     let dir = ScratchDir::new("chaos").unwrap();
     let stats = IoStats::new();
     let el = EdgeListFile::create(&dir.file("g.bin"), Arc::clone(&stats), edges()).unwrap();
     let dos = DosConverter::new(MemoryBudget::from_kib(64), Arc::clone(&stats))
         .convert(&el, &dir.path().join("dos"))
         .unwrap();
-    let engine =
-        Engine::new(Box::new(DosStore::new(dos)), Counter { rounds: ROUNDS }, config, stats)
-            .unwrap();
+    let engine = Engine::new(Box::new(DosStore::new(dos)), program, config, stats).unwrap();
     (dir, engine)
 }
 
@@ -198,6 +200,111 @@ fn label_probes_fire_at_manifest_and_retention_ops() {
         resumed.run(MAX_ITER).unwrap();
         assert_eq!(resumed.values_by_original_id().unwrap(), expected, "after `{label}`");
     }
+}
+
+/// Assert what a crash leaves under a checkpoint root: no staging tree, and
+/// every generation there loads and verifies. `.old` debris of a retirement
+/// is allowed only where `debris_ok`.
+fn assert_only_committed(root: &std::path::Path, debris_ok: bool, what: &str) {
+    for entry in std::fs::read_dir(root).unwrap() {
+        let name = entry.unwrap().file_name().to_string_lossy().into_owned();
+        if debris_ok && name.strip_suffix(".old").and_then(parse_generation_name).is_some() {
+            continue;
+        }
+        assert!(parse_generation_name(&name).is_some(), "{what}: `{name}` left in the root");
+    }
+    for g in list_generations(root).unwrap() {
+        let manifest = GenerationManifest::load(&g.path, &IoStats::new()).unwrap();
+        manifest.verify_files(&IoStats::new()).unwrap();
+        assert_eq!(manifest.next_iteration().unwrap(), g.number, "{what}");
+    }
+}
+
+/// Faults at the ops the commit thread performs — the staged tree's fsyncs,
+/// the rename, the directory fsyncs, the removal of a retired generation —
+/// in a generation past the first. The run returns the injected error; the
+/// next generation never began staging (its first gated op joins the failed
+/// commit first); and resume is exact.
+#[test]
+fn label_probes_fire_at_commit_thread_ops() {
+    let expected = reference_values();
+    for (label, nth) in [("fsync", 5), ("rename", 2), ("fsync-dir", 4), ("retire-remove", 1)] {
+        let gens = ScratchDir::new("chaos-commit").unwrap();
+        let faults = FaultState::at_label_occurrence(FaultPlan::fail_at(u64::MAX), label, nth);
+        let config = plain_config()
+            .checkpoint_every(gens.path(), 1)
+            .with_checkpoint_faults(Arc::clone(&faults), RetryPolicy::none());
+        let (_dir, mut victim) = make_engine(config);
+        let err = victim.run(MAX_ITER).expect_err("a commit-thread fault must fail the run");
+        assert!(faults.fired(), "no op labeled `{label}` #{nth} ran");
+        let injected = format!("injected fault: {label} ");
+        assert!(err.to_string().contains(&injected), "`{label}`: run returned {err}");
+        drop(victim);
+        // No gated op passed after the failed one — the engine joined the
+        // commit before staging more — so the sweep's fault at the index of
+        // the ops that passed hits the same op.
+        let at = faults.ops_seen();
+        let gens_at = ScratchDir::new("chaos-commit-at").unwrap();
+        let config = plain_config()
+            .checkpoint_every(gens_at.path(), 1)
+            .with_checkpoint_faults(FaultState::new(FaultPlan::fail_at(at)), RetryPolicy::none());
+        let (_dir_at, mut same) = make_engine(config);
+        let err_at = same.run(MAX_ITER).expect_err("the indexed fault must fail the run");
+        let indexed = format!("injected fault: {label} (op {at})");
+        assert!(err_at.to_string().contains(&indexed), "`{label}` #{nth} is op {at}: {err_at}");
+        drop(same);
+        assert!(!list_generations(gens.path()).unwrap().is_empty(), "`{label}` #{nth}");
+        assert_only_committed(gens.path(), label == "retire-remove", label);
+
+        let (_dir2, mut resumed) = make_engine(plain_config());
+        resumed.resume_latest(gens.path()).unwrap();
+        resumed.run(MAX_ITER).unwrap();
+        assert_eq!(resumed.values_by_original_id().unwrap(), expected, "after `{label}`");
+    }
+}
+
+/// [`Counter`] that, in iteration `stray`, also sends one message to a
+/// vertex id past the graph.
+struct StrayAt {
+    stray: u32,
+}
+
+impl VertexProgram for StrayAt {
+    type VertexData = u64;
+    type Message = u64;
+
+    fn update(&self, vid: VertexId, data: &mut u64, ctx: &mut UpdateContext<'_, u64>) {
+        if ctx.iteration() == self.stray {
+            ctx.send(VertexId::MAX, 1);
+        }
+        Counter { rounds: ROUNDS }.update(vid, data, ctx);
+    }
+
+    fn apply_message(&self, vid: VertexId, data: &mut u64, msg: &u64) {
+        Counter { rounds: ROUNDS }.apply_message(vid, data, msg);
+    }
+}
+
+/// A run that fails in iteration k fails while generation k's commit (the
+/// one iteration k - 1 ended in) is still in flight: the error return joins
+/// it, so the generation is whole, committed and verifiable once `run`
+/// returns, and nothing of generation k + 1 was staged.
+#[test]
+fn a_failing_run_joins_the_commit_in_flight() {
+    const K: u32 = 3;
+    let gens = ScratchDir::new("chaos-join").unwrap();
+    let config = plain_config().checkpoint_every(gens.path(), 1);
+    let (_dir, mut victim) = make_engine_for(StrayAt { stray: K }, config);
+    let err = victim.run(MAX_ITER).expect_err("a stray send must fail the run");
+    assert!(err.to_string().contains(&format!("iteration {K}")), "{err}");
+    let numbers: Vec<u32> =
+        list_generations(gens.path()).unwrap().iter().map(|g| g.number).collect();
+    assert_eq!(numbers, vec![K, K - 1], "generation {K} is committed and retention ran");
+    let manifest = GenerationManifest::load(&generation_path(gens.path(), K), &IoStats::new())
+        .expect("the commit in flight finished before run returned");
+    manifest.verify_files(&IoStats::new()).unwrap();
+    assert_eq!(manifest.next_iteration().unwrap(), K);
+    assert_only_committed(gens.path(), false, "stray send");
 }
 
 #[test]
