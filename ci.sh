@@ -55,7 +55,7 @@ step "ingest equivalence (any budget, any relabel path, any resume point: same b
 # Part of the tier-1 gate. tests/ingest_equivalence.rs converts each
 # fixture under three budget arms: one where every sort is one in-memory run
 # and the id map fits (the reference), one where the map still fits but
-# every sort spills, and one so small that every sort spills and
+# the source runs spill, and one so small that every sort spills and
 # pre-merges and the map does not fit, so the sorted relabel path runs.
 # All three must produce byte-identical DOS directories, and a run killed
 # at any stage commit on any arm must resume to the same bytes (DESIGN.md
@@ -63,16 +63,20 @@ step "ingest equivalence (any budget, any relabel path, any resume point: same b
 # change that moves any image byte fails here, naming the file. The smoke
 # below does the same across the two relabel paths at real scale: a
 # scale-19 graph's id map (2 MiB) fits half the default 8 MiB budget but
-# not half of 1 MiB.
+# not half of 1 MiB. The map-fits path writes each list at its Eq. 1
+# offset, weights.bin too, so the pair runs with and without --weighted.
 cargo test -q --offline -p graphz-bench --test ingest_equivalence
 cargo test -q --offline -p graphz-storage --test golden_image
 cross_path=$(mktemp -d)
 ./target/release/graphz generate "$cross_path/g.bin" --scale 19 --edges 300000
-./target/release/graphz convert "$cross_path/g.bin" "$cross_path/map-fits"
-./target/release/graphz convert "$cross_path/g.bin" "$cross_path/sorted" --budget-mib 1
-diff -r "$cross_path/map-fits" "$cross_path/sorted"
-./target/release/graphz verify "$cross_path/map-fits"
-./target/release/graphz verify "$cross_path/sorted"
+for weighted in "" --weighted; do
+    ./target/release/graphz convert "$cross_path/g.bin" "$cross_path/map-fits" $weighted
+    ./target/release/graphz convert "$cross_path/g.bin" "$cross_path/sorted" --budget-mib 1 $weighted
+    diff -r "$cross_path/map-fits" "$cross_path/sorted"
+    ./target/release/graphz verify "$cross_path/map-fits"
+    ./target/release/graphz verify "$cross_path/sorted"
+    rm -rf "$cross_path/map-fits" "$cross_path/sorted"
+done
 rm -rf "$cross_path"
 step_done
 

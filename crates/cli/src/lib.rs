@@ -148,10 +148,14 @@ pub const COMMANDS: &[CommandSpec] = &[
         details: "Stages: runs (text or .mtx parsed straight into sorted runs on disk;\n\
                   a binary edge list is read in place), old2new (degrees counted,\n\
                   vertices numbered from the degree histogram), new2old, adjacency\n\
-                  (edges.bin, weights.bin), emit (index.tbl, meta.txt, checksums.txt).\n\
+                  (edges.bin, weights.bin: each vertex's list written at the offset\n\
+                  the index gives it), emit (index.tbl, meta.txt, checksums.txt).\n\
                   Memory: the id map (4 bytes per vertex) stays in memory when it\n\
-                  fits half of --budget-mib; a larger id space is streamed from\n\
-                  old2new.bin through one more sort. The output is the same.\n\
+                  fits half of --budget-mib; the other half holds the adjacency\n\
+                  stage's write buffers and the list being sorted, and no sort of\n\
+                  the whole edge set follows the runs. A larger id space is\n\
+                  streamed from old2new.bin through two more sorts. The output is\n\
+                  the same.\n\
                   Fault tolerance: each stage commits a checksummed manifest\n\
                   into a <dos-dir>.scratch directory; --resume skips stages whose\n\
                   manifests verify and restarts at the first incomplete one, producing\n\

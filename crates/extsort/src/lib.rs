@@ -4,8 +4,10 @@
 //! use external k-way merge sort to sort it using deg as 1st key and src as
 //! 2nd key", then again by `dest`, then by `src`. Ours sorts the edges by
 //! `(src, dst)` once, into durable runs, numbers the vertices from a degree
-//! histogram instead of the degree sort, and keeps the sort by `src`; the
-//! sort by `dest` remains only where the id map does not fit in memory.
+//! histogram instead of the degree sort, and, where the id map fits in
+//! memory, writes each source's list at its Eq. 1 offset instead of
+//! sorting by `src` again; the sorts by `dest` and by `src` remain only
+//! where the map does not fit.
 //! The GraphChi baseline's shard construction and X-Stream's
 //! partition bucketing reuse the same substrate.
 //!
@@ -42,13 +44,15 @@
 //!
 //! * DOS conversion (`graphz-storage`, `dos.rs`), each key packed into one
 //!   integer of the same order: the durable source runs' edges by
-//!   `(src, dst)` — the whole record; final records `(new_src,
-//!   new_dst[, weight])` by `(new_src, new_dst)` and, where the id map does
-//!   not fit in memory, source-relabeled records `(new_src, old_dst[,
-//!   weight])` by `(old_dst, new_src)` — the ids fix the old pair
-//!   (relabeling is a bijection), and the weight is a function of it; on
-//!   that path too, inverse pairs `(new, old)` by `new` — one pair per
-//!   vertex, so the key is unique.
+//!   `(src, dst)` — the whole record. Where the id map fits in memory,
+//!   nothing else is sorted externally but a list too large for memory:
+//!   one source's records `(new_src, new_dst[, weight])` by `new_dst`.
+//!   Where it does not, final records `(new_src, new_dst[, weight])` by
+//!   `(new_src, new_dst)` and source-relabeled records `(new_src,
+//!   old_dst[, weight])` by `(old_dst, new_src)` — the ids fix the old
+//!   pair (relabeling is a bijection), and the weight is a function of it;
+//!   and inverse pairs `(new, old)` by `new` — one pair per vertex, so the
+//!   key is unique.
 //! * CSR build (`csr.rs`) and `EdgeListFile::symmetrize` (`edgelist.rs`):
 //!   edges by `(src, dst)`.
 //! * GraphChi shards (`graphz-baselines`): edges by `(dst, src)` and by

@@ -98,6 +98,63 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     c.finish()
 }
 
+/// The CRC32 of `A ‖ B` from `crc32(A)`, `crc32(B)` and `B`'s length,
+/// with neither byte string at hand — zlib's `crc32_combine`. Appending
+/// `len_b` zero bytes to `A` multiplies its CRC register by
+/// `x^(8·len_b)` modulo the CRC polynomial over GF(2); that power is
+/// assembled from the table of `x^(2^k)` one set bit of the length at a
+/// time, so a combine costs O(log len_b) 32-step products. A writer that
+/// fills a file in separate regions folds one CRC per region and combines
+/// them in file order.
+pub fn crc32_combine(crc_a: u32, crc_b: u32, len_b: u64) -> u32 {
+    // x^0, then x^(8·len_b): bit k of the length in bytes is bit k + 3 of
+    // the length in bits.
+    let mut op = 1u32 << 31;
+    let mut len = len_b;
+    for power in &X2N[3..] {
+        if len == 0 {
+            break;
+        }
+        if len & 1 != 0 {
+            op = multmodp(*power, op);
+        }
+        len >>= 1;
+    }
+    multmodp(op, crc_a) ^ crc_b
+}
+
+/// `x^(2^k)` modulo the CRC polynomial, for `k` up to the bits of a `u64`
+/// byte count counted in bits.
+static X2N: [u32; 67] = build_x2n();
+
+const fn build_x2n() -> [u32; 67] {
+    let mut t = [0u32; 67];
+    let mut p = 1u32 << 30; // x^1
+    t[0] = p;
+    let mut k = 1;
+    while k < 67 {
+        p = multmodp(p, p);
+        t[k] = p;
+        k += 1;
+    }
+    t
+}
+
+/// `a · b` modulo the CRC polynomial over GF(2), in the register's
+/// reflected order (bit 31 is `x^0`).
+const fn multmodp(a: u32, mut b: u32) -> u32 {
+    let mut product = 0;
+    let mut m = 1u32 << 31;
+    while m != 0 {
+        if a & m != 0 {
+            product ^= b;
+        }
+        b = if b & 1 != 0 { (b >> 1) ^ POLY } else { b >> 1 };
+        m >>= 1;
+    }
+    product
+}
+
 /// Length and CRC32 of a file's bytes, rendered `len,crc` with the CRC as
 /// eight hex digits — the form every `file:` entry of a manifest records.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -249,6 +306,53 @@ mod tests {
                 }
                 assert_eq!(c.finish(), want, "size {size} step {step}");
             }
+        }
+    }
+
+    /// Combining the CRCs of two parts gives the CRC of their
+    /// concatenation: empty parts, one byte, splits at every alignment and
+    /// random splits of random data, and a three-way fold in order.
+    #[test]
+    fn combine_equals_the_crc_of_the_concatenation() {
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let data: Vec<u8> = (0..70_001).map(|_| (next() >> 24) as u8).collect();
+        let check = |a: &[u8], b: &[u8]| {
+            let whole: Vec<u8> = a.iter().chain(b).copied().collect();
+            let got = crc32_combine(crc32(a), crc32(b), b.len() as u64);
+            assert_eq!(got, crc32(&whole), "split {} + {}", a.len(), b.len());
+        };
+        check(b"", b"");
+        check(b"", b"a");
+        check(b"a", b"");
+        check(b"a", b"b");
+        check(b"1234", b"56789");
+        for split in 0..=17 {
+            check(&data[..split], &data[split..40]);
+            check(&data[3..3 + split], &data[3 + split..3 + 2 * split + 1]);
+        }
+        for _ in 0..200 {
+            let end = (next() % data.len() as u64) as usize;
+            let split = (next() % (end as u64 + 1)) as usize;
+            check(&data[..split], &data[split..end]);
+        }
+        check(&data[..1], &data[1..]);
+        check(&data[..data.len() - 1], &data[data.len() - 1..]);
+        // Regions folded separately, combined in file order.
+        let (a, b, c) = (&data[..1000], &data[1000..1003], &data[1003..50_000]);
+        let ab = crc32_combine(crc32(a), crc32(b), b.len() as u64);
+        assert_eq!(crc32_combine(ab, crc32(c), c.len() as u64), crc32(&data[..50_000]));
+        // Lengths no test buffer reaches: shifting by m zero bytes, then
+        // by n, is shifting by m + n, up to the top bit of a u64.
+        let shift = |crc: u32, n: u64| crc32_combine(crc, 0, n);
+        for (m, n) in [(1u64 << 40, 1u64 << 40), (u64::MAX / 2, 12_345), (1 << 62, (1 << 63) - 7)] {
+            let x = crc32(&data[..100]);
+            assert_eq!(shift(shift(x, m), n), shift(x, m + n), "{m} + {n}");
         }
     }
 

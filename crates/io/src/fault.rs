@@ -579,6 +579,12 @@ impl<W: Write> SurfaceWriter<W> {
         self
     }
 
+    /// The inner writer, for what its bytes do not reach: a seek before a
+    /// positional write.
+    pub fn get_mut(&mut self) -> &mut W {
+        &mut self.inner
+    }
+
     pub fn into_inner(self) -> W {
         self.inner
     }

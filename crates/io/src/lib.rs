@@ -30,7 +30,7 @@ pub mod stats;
 pub mod tracked;
 
 pub use atomic::{write_atomic, AtomicFile, StagedDir};
-pub use checksum::{crc32, crc32_stream, Crc32, CrcWriter, Fingerprint};
+pub use checksum::{crc32, crc32_combine, crc32_stream, Crc32, CrcWriter, Fingerprint};
 pub use device::{DeviceKind, DeviceModel};
 pub use fault::{
     is_transient, retry_transient, DiskBudget, FaultInjector, FaultKind, FaultPlan, FaultState,

@@ -28,11 +28,6 @@ impl<T: FixedCodec> RecordReader<T> {
     pub fn open(path: &Path, stats: Arc<IoStats>) -> Result<Self> {
         Ok(Self::from_reader(tracked::reader(path, stats)?))
     }
-
-    /// Open `path` with an explicit block size.
-    pub fn open_with_block(path: &Path, stats: Arc<IoStats>, block: usize) -> Result<Self> {
-        Ok(Self::from_reader(tracked::reader_with_block(path, stats, block)?))
-    }
 }
 
 impl<T: FixedCodec> RecordReader<T, FramedReader<tracked::TrackedReader>> {
@@ -191,11 +186,6 @@ impl<T: FixedCodec> RecordWriter<T> {
     pub fn create(path: &Path, stats: Arc<IoStats>) -> Result<Self> {
         // ipa:allow(fault-surface-reach) — writer primitive; the surface gates above this layer
         Ok(Self::from_writer(tracked::writer(path, stats)?))
-    }
-
-    /// Create/truncate `path` with an explicit block size.
-    pub fn create_with_block(path: &Path, stats: Arc<IoStats>, block: usize) -> Result<Self> {
-        Ok(Self::from_writer(tracked::writer_with_block(path, stats, block)?))
     }
 }
 

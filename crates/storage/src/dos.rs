@@ -26,21 +26,24 @@
 //! runs in bounded memory no matter the graph size. The source is parsed
 //! straight into durable by-`(src, dst)` runs; one merge of them counts
 //! out-degrees, and the new ids follow from the degree histogram (at most
-//! [`unique_degree_bound`] entries) without a sort; a second merge relabels
-//! the edges into a *pipeline* of lazy sort merges (no intermediate file
-//! between a sort and its consumer) that writes the adjacency. When the id
-//! map (4 bytes per vertex) fits the half of the budget a second sort would
-//! hold ([`id_map_fits`]), the map stays in memory: the second merge
-//! relabels both endpoints from it and feeds the final sort directly, so
-//! the edges pass four times (parse, count, relabel, final merge). Above
-//! that, the map is streamed from `old2new.bin` and destinations are
-//! relabeled by a co-scan after a by-destination sort, a fifth pass. The
-//! image bytes depend on neither the budget nor the path: every sort key in
-//! the pipeline determines its record's bytes, so run boundaries cannot
-//! show in the output (DESIGN.md §6g), and both paths number the vertices
-//! the same way. The records carry only what the image needs: after the
-//! source runs an edge is two ids, plus its weight when the image is
-//! weighted.
+//! [`unique_degree_bound`] entries) without a sort; a second merge yields
+//! each source's edges together and builds the adjacency. When the id map
+//! (4 bytes per vertex) fits the half of the budget a second sort would
+//! hold ([`id_map_fits`]), the map stays in memory, and the histogram has
+//! already fixed every source's Eq. 1 offset: the second merge relabels
+//! each source's list from the map, sorts it in memory and writes it at
+//! its offset, so the edges pass three times (parse, count, place) and no
+//! sort of the whole edge set follows the source runs. Above that, the map
+//! is streamed from `old2new.bin`: sources are relabeled by a co-scan,
+//! destinations by a second one after a by-destination sort, and a final
+//! sort by the new pair writes the files in order (a *pipeline* of lazy
+//! sort merges, no intermediate file between a sort and its consumer). The
+//! image bytes depend on neither the budget nor the path: every sort key
+//! determines its record's bytes, so run boundaries cannot show in the
+//! output, and a list's place is a function of the numbering (DESIGN.md
+//! §6g); both paths number the vertices the same way. The records carry
+//! only what the image needs: after the source runs an edge is two ids,
+//! plus its weight when the image is weighted.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -56,6 +59,7 @@ use graphz_types::prelude::*;
 use crate::edgelist::{
     quarantining, render_quarantine, strict, EdgeListFile, MatrixMarketEdges, TextEdges,
 };
+use crate::lanes::Lanes;
 use crate::meta::MetaFile;
 
 /// Upper bound on the number of unique out-degrees (paper §III-D, Claim 1):
@@ -162,7 +166,7 @@ impl DosIndex {
     /// produce) surfaces as [`GraphError::OffsetOverflow`] rather than a
     /// wrapped offset that would silently read the wrong adjacency block.
     #[inline]
-    fn eq1_offset(g: &DegreeGroup, v: VertexId) -> Result<u64> {
+    pub(crate) fn eq1_offset(g: &DegreeGroup, v: VertexId) -> Result<u64> {
         let rank = cast::sub_u32(v, g.first_id, "dos eq1: v - first_id")?;
         let span =
             cast::mul_u64(cast::widen_u32(rank), cast::widen_u32(g.degree), "dos eq1: rank * degree")?;
@@ -401,8 +405,8 @@ pub(crate) enum EdgeSource<'a> {
 /// its two ids: nothing for an unweighted image, the edge's `f32` weight
 /// under `--weighted`. The weight is a function of the *old* endpoint ids,
 /// so it is taken once, where the adjacency stage still has both at hand,
-/// and rides along to the final pass as four bytes.
-trait Payload: Copy + Send + 'static {
+/// and rides along to the write of `weights.bin` as four bytes.
+pub(crate) trait Payload: Copy + Send + 'static {
     /// Encoded bytes (0: the record is just its two ids).
     const SIZE: usize;
     fn write_to(&self, buf: &mut [u8]);
@@ -445,9 +449,10 @@ impl Payload for f32 {
     }
 }
 
-/// An edge record of the adjacency stage: the final sort's runs hold
-/// `(new_src, new_dst)`, the sorted path's by-dst runs `(new_src,
-/// old_dst)`, each followed by the payload.
+/// An edge record of the adjacency stage: the sorted path's final runs
+/// hold `(new_src, new_dst)` and its by-dst runs `(new_src, old_dst)`, an
+/// oversize list's sort on the in-memory path `(new_src, new_dst)` too,
+/// each followed by the payload.
 #[derive(Clone, Copy)]
 struct StageEdge<P> {
     src: u32,
@@ -484,8 +489,9 @@ fn run_bytes<R: FixedCodec>(num_edges: u64) -> u64 {
 
 /// Whether a conversion of `num_vertices` ids under `budget` keeps the id
 /// map in memory: 4 bytes per vertex within `budget.split(2)`, the half the
-/// by-destination sort would otherwise hold while the final sort holds the
-/// other. Then the map is counted, numbered, inverted and applied in
+/// sorted path's by-destination sort would otherwise hold; the other half
+/// holds the adjacency stage's write lanes and lists, or the sorted path's
+/// final sort. Then the map is counted, numbered, inverted and applied in
 /// memory; otherwise every stage streams it from `old2new.bin`. The image
 /// is the same either way.
 pub fn id_map_fits(budget: MemoryBudget, num_vertices: u64) -> bool {
@@ -502,6 +508,12 @@ const DEGRADED_FAN_IN: usize = 4096;
 #[inline]
 fn key2(a: u32, b: u32) -> u64 {
     (u64::from(a) << 32) | u64::from(b)
+}
+
+/// The final sort's key, `(new_src, new_dst)`: one function for both
+/// paths, so they share one sorter's code.
+fn by_new_pair<P>(r: &StageEdge<P>) -> u64 {
+    key2(r.src, r.dst)
 }
 
 /// The out-degree histogram: `(degree, number of sources with it)` for
@@ -666,6 +678,36 @@ where
     Ok((runs, num_vertices, num_edges))
 }
 
+/// The merged source runs, one source's edges at a time: they arrive
+/// together, in ascending old source id.
+struct BySource<I> {
+    edges: I,
+    next: Option<Edge>,
+}
+
+impl<I: Iterator<Item = Result<Edge>>> BySource<I> {
+    fn new(mut edges: I) -> Result<Self> {
+        let next = edges.next().transpose()?;
+        Ok(BySource { edges, next })
+    }
+
+    /// The old id of the next source, if any edge is left.
+    fn source(&self) -> Option<u32> {
+        self.next.map(|e| e.src)
+    }
+
+    /// The next edge of `src`, or `None` once its edges are taken.
+    fn take(&mut self, src: u32) -> Result<Option<Edge>> {
+        match self.next {
+            Some(e) if e.src == src => {
+                self.next = self.edges.next().transpose()?;
+                Ok(Some(e))
+            }
+            _ => Ok(None),
+        }
+    }
+}
+
 /// A stage artifact's writer: bytes pass the fault surface, then a block
 /// buffer, then a file sink that folds their fingerprint as they land.
 type StageWriter = SurfaceWriter<ChecksummedWriter>;
@@ -727,8 +769,23 @@ impl DosConverter {
         K: Ord,
         F: Fn(&T) -> K,
     {
+        self.sorter_within(self.budget.split(2), key, fan_in)
+    }
+
+    /// [`sorter`](Self::sorter) holding at most `budget`.
+    fn sorter_within<T, K, F>(
+        &self,
+        budget: MemoryBudget,
+        key: F,
+        fan_in: Option<usize>,
+    ) -> Result<ExternalSorter<T, K, F>>
+    where
+        T: FixedCodec,
+        K: Ord,
+        F: Fn(&T) -> K,
+    {
         let mut b = ExternalSorter::builder(key)
-            .budget(self.budget.split(2))
+            .budget(budget)
             .stats(Arc::clone(&self.stats))
             .faults(self.surface.clone());
         if let Some(t) = &self.timings {
@@ -1032,6 +1089,138 @@ impl DosConverter {
         Ok(map.insert(loaded))
     }
 
+    /// Stage `adjacency` when the id map fits (DESIGN.md §6g): merge the
+    /// source runs, which yield each source's edges together in ascending
+    /// old id, relabel each list's destinations from `ids`, sort it by new
+    /// destination with its payload and hand it to the [`Lanes`], which
+    /// write it at its Eq. 1 offset. The lanes and the list being sorted
+    /// share the `budget.split(2)` the final sort of the other path holds,
+    /// half each; a list larger than its half goes alone through a sorter
+    /// of that half, then straight to its offset. Returns the fingerprints
+    /// of `edges.bin` and `weights.bin` (when weighted).
+    fn place_lists<P: Payload>(
+        &self,
+        runs: &[PathBuf],
+        ids: &[u32],
+        index: &DosIndex,
+        dir: &Path,
+        root: &Path,
+        weigh: &impl Fn(VertexId, VertexId) -> P,
+    ) -> Result<(Fingerprint, Option<Fingerprint>)> {
+        let share = self.budget.split(2);
+        let list_share = share.split(2);
+        let weights_path = dir.join("weights.bin");
+        let mut lanes = Lanes::<P>::create(
+            index,
+            share.bytes().saturating_sub(list_share.bytes()),
+            &dir.join("edges.bin"),
+            self.weight_fn.map(|_| weights_path.as_path()),
+            &self.stats,
+            &self.surface,
+        )?;
+        // A list in memory costs its `(dst, payload)` pairs and, written
+        // out whole, their encoded bytes.
+        let per_edge = cast::len_u64(std::mem::size_of::<(u32, P)>() + 4 + P::SIZE);
+        let in_memory = list_share.bytes() / per_edge;
+        let by_src_sorter = self.by_src_sorter()?;
+        let mut sources = BySource::new(by_src_sorter.merge_runs(runs)?)?;
+        let mut list: Vec<(u32, P)> = Vec::new();
+        while let Some(src) = sources.source() {
+            let new_src = relabel(ids, src)?;
+            let lane = lanes.lane_of(new_src)?;
+            let degree = lanes.degree(lane);
+            if cast::widen_u32(degree) <= in_memory {
+                // One edge past the degree is enough to fail the list.
+                list.clear();
+                list.reserve_exact(cast::degree_index(degree) + 1);
+                while list.len() <= cast::degree_index(degree) {
+                    let Some(e) = sources.take(src)? else { break };
+                    list.push((relabel(ids, e.dst)?, weigh(e.src, e.dst)));
+                }
+                list.sort_unstable_by_key(|r| r.0);
+                lanes.place(lane, new_src, &list)?;
+            } else {
+                // One source: the final sort's key orders by destination,
+                // and equal destinations carry equal payloads, so the key
+                // fixes the record (DESIGN.md §6g).
+                let sorter = self.sorter_within(list_share, by_new_pair::<P>, None)?;
+                let scratch = ScratchDir::new_in(root, "list").ctx("scratch", root)?;
+                let relabeled = std::iter::from_fn(|| sources.take(src).transpose()).map(|e| {
+                    let e = e?;
+                    let dst = relabel(ids, e.dst)?;
+                    Ok(StageEdge { src: new_src, dst, payload: weigh(e.src, e.dst) })
+                });
+                let mut sorted = sorter.sort_stream(relabeled, &scratch)?;
+                lanes.begin(lane, new_src, sorted.total_records())?;
+                while let Some(r) = sorted.next_record()? {
+                    lanes.append(lane, r.dst, r.payload)?;
+                }
+            }
+        }
+        lanes.complete()
+    }
+
+    /// Stage `adjacency` on the sorted path: sources relabeled by
+    /// co-scanning old2new.bin, the edges sorted by old dst, the
+    /// destinations relabeled by a second co-scan into a final sort by the
+    /// new pair, whose merge writes `edges.bin` and `weights.bin` in order.
+    /// The by-dst runs coexist with the final sort's, which the pre-stage
+    /// disk check counts. Returns the files' fingerprints.
+    fn sort_lists<P: Payload>(
+        &self,
+        runs: &[PathBuf],
+        old2new_path: &Path,
+        num_edges: u64,
+        dir: &Path,
+        root: &Path,
+        weigh: &impl Fn(VertexId, VertexId) -> P,
+    ) -> Result<(Fingerprint, Option<Fingerprint>)> {
+        let fan_in =
+            self.stage_fan_in("adjacency", run_bytes::<StageEdge<P>>(num_edges).saturating_mul(2))?;
+        let by_src_sorter = self.by_src_sorter()?;
+        let final_sorter = self.sorter(by_new_pair::<P>, fan_in)?;
+        let final_runs = ScratchDir::new_in(root, "final").ctx("scratch", root)?;
+        let by_dst_sorter = self.sorter(|r: &StageEdge<P>| key2(r.dst, r.src), fan_in)?;
+        let by_dst_runs = ScratchDir::new_in(root, "by-dst").ctx("scratch", root)?;
+        let mut sources = Old2NewScan::open(old2new_path, Arc::clone(&self.stats))?;
+        let src_relabeled = by_src_sorter.merge_runs(runs)?.map(|e| {
+            let e = e?;
+            Ok(StageEdge { src: sources.new_id(e.src)?, dst: e.dst, payload: weigh(e.src, e.dst) })
+        });
+        let by_dst = by_dst_sorter.sort_stream(src_relabeled, &by_dst_runs)?;
+        let mut dests = Old2NewScan::open(old2new_path, Arc::clone(&self.stats))?;
+        let relabeled = by_dst.map(|r| {
+            let r = r?;
+            Ok(StageEdge { dst: dests.new_id(r.dst)?, ..r })
+        });
+        // The by-dst runs drain fully into the final sort's runs here, and
+        // go with their scratch dir.
+        let mut final_sorted = final_sorter.sort_stream(relabeled, &final_runs)?;
+
+        let mut w = RecordWriter::<u32, _>::from_writer(self.writer(&dir.join("edges.bin"))?);
+        let mut weights_w = match self.weight_fn {
+            Some(_) => {
+                Some(RecordWriter::<f32, _>::from_writer(self.writer(&dir.join("weights.bin"))?))
+            }
+            None => None,
+        };
+        let mut written: u64 = 0;
+        while let Some(r) = final_sorted.next_record()? {
+            w.push(&r.dst)?;
+            if let (Some(ww), Some(weight)) = (&mut weights_w, r.payload.weight()) {
+                ww.push(&weight)?;
+            }
+            written += 1;
+        }
+        if written != num_edges {
+            return Err(GraphError::Corrupt(format!(
+                "DOS conversion wrote {written} edges, expected {num_edges}"
+            )));
+        }
+        let edges_fp = seal(w)?;
+        Ok((edges_fp, weights_w.map(seal).transpose()?))
+    }
+
     /// The body of [`convert_from`](Self::convert_from) for one record
     /// shape: `P` is `()` for an unweighted image and `f32` for a weighted
     /// one, whose value `weigh(old_src, old_dst)` the adjacency stage
@@ -1042,7 +1231,8 @@ impl DosConverter {
     /// bijection) and the payload is a function of the old pair. Equal keys
     /// therefore mean equal bytes, and the output does not depend on how a
     /// sort orders ties (DESIGN.md §6g). The numbering itself is computed,
-    /// not sorted: see [`write_old2new`](Self::write_old2new).
+    /// not sorted: see [`write_old2new`](Self::write_old2new); and where the
+    /// map fits, so is each list's place (`place_lists`).
     fn convert_shaped<P: Payload>(
         &self,
         source: EdgeSource<'_>,
@@ -1177,97 +1367,36 @@ impl DosConverter {
             fp
         };
 
+        // The in-memory DOS index: Eq. 1 places every list, and emit
+        // writes it.
+        let index = DosIndex::new(groups, num_vertices, num_edges);
+
         // Stage `adjacency`: merge the runs a second time, relabel each
-        // edge and take its payload while both old ids are at hand, sort by
-        // the new pair and write the adjacency file (destination ids only;
-        // offsets are computed by Eq. 1) plus, when requested, the parallel
-        // per-edge weight file from the records' payload. When the map fits
-        // both endpoints are relabeled from it and the edges go straight
-        // into the final sort; otherwise sources are relabeled by
-        // co-scanning old2new.bin, the edges sorted by old dst, and the
-        // destinations relabeled by a second co-scan into the final sort's
-        // run formation.
+        // edge and take its payload while both old ids are at hand, and
+        // write the adjacency file (destination ids only; offsets are
+        // computed by Eq. 1) plus, when requested, the parallel per-edge
+        // weight file from the records' payload. When the map fits, each
+        // source's list is relabeled from it, sorted in memory and written
+        // at its Eq. 1 offset (`place_lists`); no sort of the whole edge
+        // set runs. Otherwise the lists go through two sorts
+        // (`sort_lists`).
         let record_bytes = cast::len_u64(StageEdge::<P>::SIZE);
-        let edges_path = dir.join("edges.bin");
         let (edges_fp, weights_fp) = if let Some(m) = skipped("adjacency") {
             let weights_fp = self.weight_fn.map(|_| m.file("weights.bin")).transpose()?;
             (m.file("edges.bin")?, weights_fp)
         } else {
-            // The final sort's runs; on the sorted path the by-dst runs
-            // coexist with them.
-            let sorts = if fits { 1 } else { 2 };
-            let fan_in = self.stage_fan_in(
-                "adjacency",
-                run_bytes::<StageEdge<P>>(num_edges).saturating_mul(sorts),
-            )?;
-            let mut written: u64 = 0;
-            let (edges_fp, weights_fp) = {
-                let by_src_sorter = self.by_src_sorter()?;
-                let final_sorter = self.sorter(|r: &StageEdge<P>| key2(r.src, r.dst), fan_in)?;
-                let final_runs = ScratchDir::new_in(&root, "final").ctx("scratch", &root)?;
-                let mut final_sorted = if fits {
-                    let ids = self.id_map(&mut map, &old2new_path, num_vertices)?;
-                    let relabeled = by_src_sorter.merge_runs(&runs)?.map(|e| {
-                        let e = e?;
-                        Ok(StageEdge {
-                            src: relabel(ids, e.src)?,
-                            dst: relabel(ids, e.dst)?,
-                            payload: weigh(e.src, e.dst),
-                        })
-                    });
-                    final_sorter.sort_stream(relabeled, &final_runs)?
-                } else {
-                    let by_dst_sorter =
-                        self.sorter(|r: &StageEdge<P>| key2(r.dst, r.src), fan_in)?;
-                    let by_dst_runs = ScratchDir::new_in(&root, "by-dst").ctx("scratch", &root)?;
-                    let mut sources = Old2NewScan::open(&old2new_path, Arc::clone(&self.stats))?;
-                    let src_relabeled = by_src_sorter.merge_runs(&runs)?.map(|e| {
-                        let e = e?;
-                        Ok(StageEdge {
-                            src: sources.new_id(e.src)?,
-                            dst: e.dst,
-                            payload: weigh(e.src, e.dst),
-                        })
-                    });
-                    let by_dst = by_dst_sorter.sort_stream(src_relabeled, &by_dst_runs)?;
-                    let mut dests = Old2NewScan::open(&old2new_path, Arc::clone(&self.stats))?;
-                    let relabeled = by_dst.map(|r| {
-                        let r = r?;
-                        Ok(StageEdge { dst: dests.new_id(r.dst)?, ..r })
-                    });
-                    // The by-dst runs drain fully into the final sort's
-                    // runs here, and go with their scratch dir.
-                    final_sorter.sort_stream(relabeled, &final_runs)?
-                };
-
-                let mut w = RecordWriter::<u32, _>::from_writer(self.writer(&edges_path)?);
-                let mut weights_w = match self.weight_fn {
-                    Some(_) => Some(RecordWriter::<f32, _>::from_writer(
-                        self.writer(&dir.join("weights.bin"))?,
-                    )),
-                    None => None,
-                };
-                while let Some(r) = final_sorted.next_record()? {
-                    w.push(&r.dst)?;
-                    if let (Some(ww), Some(weight)) = (&mut weights_w, r.payload.weight()) {
-                        ww.push(&weight)?;
-                    }
-                    written += 1;
-                }
-                let edges_fp = seal(w)?;
-                let weights_fp = match weights_w {
-                    Some(ww) => Some(seal(ww)?),
-                    None => None,
-                };
-                (edges_fp, weights_fp)
+            let (edges_fp, weights_fp) = if fits {
+                // No scratch: the image itself, 4 B per edge and the
+                // weight's 4 more when weighted.
+                let image_bytes = num_edges.saturating_mul(4 + cast::len_u64(P::SIZE));
+                self.check_disk("adjacency", image_bytes)?;
+                let ids = self.id_map(&mut map, &old2new_path, num_vertices)?;
+                self.place_lists(&runs, ids, &index, dir, &root, &weigh)?
+            } else {
+                self.sort_lists(&runs, &old2new_path, num_edges, dir, &root, &weigh)?
             };
-            if written != num_edges {
-                return Err(GraphError::Corrupt(format!(
-                    "DOS conversion wrote {written} edges, expected {num_edges}"
-                )));
-            }
             let mut m = MetaFile::stage("adjacency");
-            m.set("written", written);
+            m.set("written", num_edges);
             m.set("record_bytes", record_bytes);
             m.record_file("edges.bin", edges_fp);
             if let Some(fp) = weights_fp {
@@ -1284,7 +1413,6 @@ impl DosConverter {
         // recorded and re-verified). The sidecar is written after the data
         // files, so an interrupted conversion cannot leave a complete-looking
         // sidecar over partial data.
-        let index = DosIndex::new(groups, num_vertices, num_edges);
         let dos_meta = GraphMeta {
             num_vertices,
             num_edges,
@@ -2007,6 +2135,56 @@ mod tests {
             assert_eq!(got, dir_contents(&want_dir), "{first} then {then}");
         }
         assert_eq!(dir_contents(&dir.path().join("want-true")), dir_contents(&clean_dir));
+    }
+
+    /// A hub whose list is longer than the list half of the adjacency
+    /// stage's share (a star with repeated edges) goes alone through a sort
+    /// of that half, which spills, then to its offset: the image is the one
+    /// a 64 MiB build writes, weighted or not, and the only bytes written
+    /// beyond the source runs and the image are that sort's runs.
+    #[test]
+    fn an_oversize_list_is_sorted_alone_to_the_same_bytes() {
+        let mut edges: Vec<Edge> = (0..2000u32).map(|i| Edge::new(7, (i * 37) % 300)).collect();
+        let mut x: u64 = 99;
+        for _ in 0..1500 {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            edges.push(Edge::new(((x >> 33) % 300) as u32, ((x >> 17) % 300) as u32));
+        }
+        let e = edges.len() as u64;
+        let dir = ScratchDir::new("dos-hub").unwrap();
+        let el = EdgeListFile::create(&dir.file("g.bin"), stats(), edges).unwrap();
+        // 4 KiB: the stage's share is 2048 bytes, which the 1200-byte id map
+        // fits; the list half is 1024 bytes, 128 edges at 8 bytes each (a
+        // pair and its encoding), 64 weighted.
+        let small = MemoryBudget::from_kib(4);
+        assert!(id_map_fits(small, 300));
+        for weighted in [false, true] {
+            let build = |budget: MemoryBudget, name: &str| {
+                let io = stats();
+                let mut c = DosConverter::new(budget, Arc::clone(&io));
+                if weighted {
+                    c = c.with_weights(graphz_types::derive_weight);
+                }
+                let out = dir.path().join(format!("{name}-{weighted}"));
+                let hub = u64::from(c.convert(&el, &out).unwrap().index().degree_of(0));
+                assert!(hub >= 2000, "the hub is new id 0");
+                (out, hub, io.snapshot().bytes_written)
+            };
+            let (want, ..) = build(MemoryBudget::from_mib(64), "reference");
+            let (got, hub, written) = build(small, "hub");
+            assert_eq!(dir_contents(&got), dir_contents(&want), "weighted {weighted}");
+            // The hub sort's runs at 1024 bytes: full runs of 128 records of
+            // 8 bytes (85 of 12 weighted); the last partial run stays in
+            // memory.
+            let (record, per_run) = if weighted { (12, 85) } else { (8, 128) };
+            let hub_runs = hub / per_run * per_run * record;
+            let image: u64 = ["edges.bin", "weights.bin", "index.tbl", "old2new.bin", "new2old.bin"]
+                .iter()
+                .filter_map(|f| std::fs::metadata(got.join(f)).ok())
+                .map(|m| m.len())
+                .sum();
+            assert_eq!(written, 8 * e + image + hub_runs, "weighted {weighted}");
+        }
     }
 
     #[test]

@@ -437,8 +437,8 @@ mod tests {
 
         // The five conversion stages, with the scratch root kept: once
         // clean (counting the gated ops), then with a transient fault
-        // retried at points spread over the run, the last few inside the
-        // adjacency writes.
+        // retried at points spread over the run, and at the first and a
+        // later lane write of the adjacency stage.
         let convert = |name: &str, surface: FaultSurface| {
             let out = dir.path().join(name);
             let root = dir.path().join(format!("{name}.scratch"));
@@ -459,7 +459,7 @@ mod tests {
         let counting = FaultState::counting();
         let clean = convert("clean", FaultSurface::none().with_faults(Arc::clone(&counting)));
         let ops = counting.ops_seen();
-        assert!(ops > 6000, "{ops} gated ops");
+        assert!(ops > 3000, "{ops} gated ops");
         let files = |d: &Path| {
             let mut names: Vec<_> =
                 std::fs::read_dir(d).unwrap().map(|e| e.unwrap().file_name()).collect();
@@ -467,14 +467,20 @@ mod tests {
             let bytes = |n: &std::ffi::OsString| std::fs::read(d.join(n)).unwrap();
             names.iter().map(|n| (n.clone(), bytes(n))).collect::<Vec<_>>()
         };
-        for at in [ops / 4, ops / 2, ops - 1500, ops - 200] {
-            let faults = FaultState::new(FaultPlan::transient_at(at, 2));
+        let transient = FaultPlan::transient_at(u64::MAX, 2);
+        let points = [ops / 4, ops / 2, ops - 1500, ops - 200]
+            .map(|at| (format!("op {at}"), FaultState::new(FaultPlan::transient_at(at, 2))));
+        let lane_writes = [0, 7].map(|nth| {
+            let faults = FaultState::at_label_occurrence(transient, "write-adjacency", nth);
+            (format!("write-adjacency #{nth}"), faults)
+        });
+        for (at, faults) in points.into_iter().chain(lane_writes) {
             let surface = FaultSurface::none().with_faults(Arc::clone(&faults)).with_retry(
                 RetryPolicy { base_backoff: std::time::Duration::ZERO, ..RetryPolicy::default() },
             );
-            let out = convert(&format!("transient-{at}"), surface);
-            assert!(faults.fired(), "transient fault at op {at} never fired");
-            assert_eq!(files(&out), files(&clean), "transient at op {at}");
+            let out = convert(&format!("transient-{}", at.replace([' ', '#'], "")), surface);
+            assert!(faults.fired(), "transient fault at {at} never fired");
+            assert_eq!(files(&out), files(&clean), "transient at {at}");
         }
     }
 
@@ -550,6 +556,19 @@ mod tests {
         out
     }
 
+    /// The names of every directory under `dir`, recursively.
+    fn all_dirs(dir: &Path) -> Vec<String> {
+        let mut out = Vec::new();
+        for entry in std::fs::read_dir(dir).unwrap() {
+            let path = entry.unwrap().path();
+            if path.is_dir() {
+                out.push(path.file_name().unwrap().to_string_lossy().into_owned());
+                out.extend(all_dirs(&path));
+            }
+        }
+        out
+    }
+
     /// Bytes the runs of a streamed sort spill for `n` records of `size`
     /// bytes at a stage sort's half of `budget`: every full buffer, while
     /// the last partial one stays in memory. None of the sorts below spills
@@ -566,11 +585,11 @@ mod tests {
     /// image. meta.txt, checksums.txt and the stage manifests are written
     /// through atomic files the stats sink does not count.
     ///
-    /// * At 64 MiB the id map fits and nothing but the source runs reaches
-    ///   disk: that is all.
-    /// * At 8 KiB the map still fits, but the final sort spills: its runs
-    ///   are written and read once more, and nothing else is — no by-dst
-    ///   runs, no degree scratch, no re-read of old2new.bin.
+    /// * At 64 MiB and at 8 KiB the id map fits, and each source's list is
+    ///   written at its Eq. 1 offset with no sort: nothing but the source
+    ///   runs reaches disk besides the image, whatever the budget — no
+    ///   final runs, no by-dst runs, no degree scratch, no re-read of
+    ///   old2new.bin.
     /// * At 4 KiB the map (2400 bytes) exceeds the 2048-byte half budget,
     ///   so the sorted path runs: the degree scratch written and read once
     ///   (8 bytes per source with edges), old2new.bin read three times (by
@@ -627,12 +646,10 @@ mod tests {
                     image += len("weights.bin");
                 }
                 let record = if weighted { 12 } else { 8 };
-                let final_runs = spilled(budget, e, record);
                 let (mut writes, mut reads) = (8 * e + image, text_bytes + 16 * e);
-                if fits {
-                    writes += final_runs;
-                    reads += final_runs;
-                } else {
+                if !fits {
+                    let final_runs = spilled(budget, e, record);
+                    assert!(final_runs > 0, "{ctx}: the final sort did not spill");
                     // Sources with edges: the ids before the zero-degree group.
                     let groups = dos.index().groups();
                     let sources =
@@ -641,11 +658,6 @@ mod tests {
                     writes += 8 * sources + sorted_runs;
                     reads += 8 * sources + 3 * 4 * v + sorted_runs;
                 }
-                if budget == MemoryBudget::from_mib(64) {
-                    assert_eq!(final_runs, 0, "{ctx}: the final sort spilled at 64 MiB");
-                } else {
-                    assert!(final_runs > 0, "{ctx}: the final sort did not spill");
-                }
                 let io = stats.snapshot();
                 assert_eq!(io.bytes_written, writes, "{ctx}");
                 assert_eq!(io.bytes_read, reads, "{ctx}");
@@ -653,6 +665,12 @@ mod tests {
                 files.extend(all_files(&out));
                 for gone in ["imported.bin", "assign.bin", "half-relabeled.bin", "degrees.bin"] {
                     assert!(!files.iter().any(|f| f == gone), "{ctx}: {gone} in {files:?}");
+                }
+                if fits {
+                    let dirs = all_dirs(&scratch_root_for(&out));
+                    let sort_dir =
+                        |d: &String| ["final", "by-dst", "list"].iter().any(|s| d.contains(s));
+                    assert!(!dirs.iter().any(sort_dir), "{ctx}: a sort's scratch dir in {dirs:?}");
                 }
                 assert!(files.iter().any(|f| f == "run-000000.bin"), "{ctx}: {files:?}");
             }

@@ -30,6 +30,7 @@ pub mod csr;
 pub mod dos;
 pub mod edgelist;
 pub mod ingest;
+mod lanes;
 pub mod meta;
 pub mod partition;
 mod text;

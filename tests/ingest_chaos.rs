@@ -305,14 +305,76 @@ fn faults_in_spilled_runs_and_pre_merge_passes_resume_byte_identical() {
     assert_identical(&dir, &want, "transient@write-run");
 }
 
+/// The adjacency stage of the map-fits arm writes each source's list at
+/// its Eq. 1 offset through one write lane per degree group, gated as
+/// `write-adjacency`. At 32 KiB every lane's buffer holds its whole region,
+/// so each lane writes once, at the stage's end: one occurrence per degree
+/// group with edges, and none past them. Hard, torn and full faults at the
+/// first, a middle and the last lane write fail typed and resume to the
+/// clean bytes; a transient one retries through.
+#[test]
+fn faults_in_lane_writes_resume_byte_identical() {
+    let scratch = ScratchDir::new("ingest-chaos-lanes").unwrap();
+    let src = scratch.file("g.txt");
+    std::fs::write(&src, graph_text()).unwrap();
+    let clean = scratch.path().join("clean");
+    let dos = builder().build().unwrap().run(&src, &clean).unwrap();
+    let lanes = dos.index().groups().iter().filter(|g| g.degree > 0).count() as u64;
+    assert!(lanes >= 3, "only {lanes} degree groups");
+    let want = dir_contents(&clean);
+    let dir = scratch.path().join("dos");
+
+    for nth in [0, lanes / 2, lanes - 1] {
+        for (kind, plan) in [
+            ("hard", FaultPlan::fail_at(u64::MAX)),
+            ("torn", FaultPlan::torn_at(u64::MAX, 3)),
+            ("full", FaultPlan::full_at(u64::MAX)),
+        ] {
+            let ctx = format!("{kind}@write-adjacency#{nth}");
+            let faults = FaultState::at_label_occurrence(plan, "write-adjacency", nth);
+            let err = fail_then_resume_with(builder, &src, &dir, faults, &want, &ctx);
+            match kind {
+                "full" => assert!(matches!(err, GraphError::StorageFull(_)), "{ctx}: {err:?}"),
+                _ => assert!(
+                    err.to_string().contains("injected fault: write-adjacency"),
+                    "{ctx}: the error must carry the injected fault: {err}"
+                ),
+            }
+        }
+    }
+
+    // A transient fault at a lane write retries through.
+    let transient = FaultPlan::transient_at(u64::MAX, 2);
+    let faults = FaultState::at_label_occurrence(transient, "write-adjacency", lanes / 2);
+    builder()
+        .faults(FaultSurface::none().with_faults(Arc::clone(&faults)))
+        .build()
+        .unwrap()
+        .run(&src, &dir)
+        .unwrap();
+    assert!(faults.fired(), "transient@write-adjacency: planted fault never fired");
+    assert_identical(&dir, &want, "transient@write-adjacency");
+
+    // No lane writes twice: a fault planted one occurrence past the last
+    // never fires.
+    let hard = FaultPlan::fail_at(u64::MAX);
+    let past = FaultState::at_label_occurrence(hard, "write-adjacency", lanes);
+    let surface =
+        FaultSurface::none().with_faults(Arc::clone(&past)).with_retry(RetryPolicy::none());
+    builder().faults(surface).build().unwrap().run(&src, &dir).unwrap();
+    assert!(!past.fired(), "more than {lanes} lane writes");
+    assert_identical(&dir, &want, "past the last lane write");
+}
+
 /// DESIGN.md §6h graceful degradation: a pipeline run against an exhausted
 /// scratch disk budget fails with the *typed* `StorageFull` — scratch left
 /// resumable — and an attached-but-ample budget both completes and is
 /// actually charged. A text source learns its edge count only by parsing,
 /// so the first pre-stage check that can refuse it is the next stage's, on
 /// the counts the `runs` stage committed: a budget that holds the runs and
-/// the id maps but not the adjacency stage's final sort fails there, before
-/// it starts. (At 32 KiB the id map fits, so that stage has one sort.)
+/// the id maps but not the image the adjacency stage writes fails there,
+/// before it starts. (At 32 KiB the id map fits, so that stage writes each
+/// list at its offset and needs no scratch beyond the image.)
 #[test]
 fn enospc_fails_typed_and_resumes() {
     let scratch = ScratchDir::new("ingest-enospc").unwrap();
@@ -334,16 +396,16 @@ fn enospc_fails_typed_and_resumes() {
     assert!(scratch_root_for(&dir).exists(), "scratch must survive ENOSPC for resume");
 
     // 301 edges, 90 ids: 2408 bytes of runs and 2 * 4 * 90 = 720 bytes of
-    // old2new.bin and new2old.bin fit, 8 * 301 = 2408 bytes of final runs
+    // old2new.bin and new2old.bin fit, 4 * 301 = 1204 bytes of edges.bin
     // do not fit what is left.
     let err = builder()
-        .faults(FaultSurface::none().with_disk_budget(DiskBudget::new(5000)))
+        .faults(FaultSurface::none().with_disk_budget(DiskBudget::new(4000)))
         .build()
         .unwrap()
         .run(&src, &scratch.path().join("dos-checked"))
         .unwrap_err();
     assert!(matches!(err, GraphError::StorageFull(_)), "got {err:?}");
-    assert!(err.to_string().contains("stage `adjacency` needs about 2408"), "{err}");
+    assert!(err.to_string().contains("stage `adjacency` needs about 1204"), "{err}");
 
     // Resume with a budget that fits: the run completes, the budget is
     // charged, and the output is byte-identical to the clean run.

@@ -6,8 +6,9 @@
 //!
 //! * [`FITS`]: every sort is one in-memory run, and the id map is relabeled
 //!   in memory (the reference);
-//! * [`MAP_FITS_SPILLS`]: the id map still fits half the budget, but every
-//!   sort spills runs — the seam of the in-memory path;
+//! * [`MAP_FITS_SPILLS`]: the id map still fits half the budget, but the
+//!   source runs spill as several files — the seam of the in-memory path,
+//!   whose adjacency stage places each list at its offset with no sort;
 //! * [`SPILLS`]: so small that every edge sort spills 50 or more runs, most
 //!   need pre-merge passes, and the id map does not fit, so the sorted path
 //!   (degree scratch, pair sort, by-dst sort, two co-scans) runs.
@@ -32,10 +33,10 @@ use graphz_types::MemoryBudget;
 
 /// Every sort of these fixtures fits one in-memory run: the reference.
 const FITS: MemoryBudget = MemoryBudget::from_mib(64);
-/// Each stage sort gets half (1024 bytes): 128 edges (85 weighted) per
-/// run, so every edge sort of the 300- to 600-edge fixtures spills 3 to 8
-/// runs, while the id map of their at most 120 vertices (480 bytes) fits
-/// that half too.
+/// Each stage sort gets half (1024 bytes): 128 edges per run, so the
+/// source runs of the 300- to 600-edge fixtures spill 3 to 5 runs, while
+/// the id map of their at most 120 vertices (480 bytes) fits that half
+/// too.
 const MAP_FITS_SPILLS: MemoryBudget = MemoryBudget(2048);
 /// Each stage sort gets half (48 bytes): 6 edges (4 weighted) per run, so
 /// the 300- to 600-edge fixtures spill 50 to 150 runs per edge sort, and
@@ -103,6 +104,23 @@ fn ingest(src: &Path, dir: &Path, budget: MemoryBudget, weighted: bool) -> u64 {
     stats.snapshot().bytes_written
 }
 
+/// The source runs an ingest of `src` under `budget` spills: the run
+/// files the `runs` stage leaves in the scratch root, counted after a kill
+/// at the next stage's commit.
+fn source_runs(scratch: &ScratchDir, src: &Path, budget: MemoryBudget, weighted: bool) -> usize {
+    let dir = scratch.path().join(format!("runs-{}-{weighted}", budget.bytes()));
+    let faults = FaultState::fail_at_label("commit-manifest:old2new");
+    let mut b = IngestPipeline::builder()
+        .budget(budget)
+        .stats(stats())
+        .faults(FaultSurface::none().with_faults(faults));
+    if weighted {
+        b = b.weights(graphz_types::derive_weight);
+    }
+    b.build().unwrap().run(src, &dir).unwrap_err();
+    std::fs::read_dir(scratch_root_for(&dir).join("runs")).unwrap().count()
+}
+
 /// Ingest `text` under each spilling budget and assert the produced
 /// directory is byte-identical to the one-run build, and that the budgets
 /// put the fixture on the relabel path they are meant to.
@@ -124,11 +142,21 @@ fn assert_equivalent(label: &str, text: &str, weighted: bool) {
     for (arm, budget) in [("map-fits-spills", MAP_FITS_SPILLS), ("spills", SPILLS)] {
         let dir = scratch.path().join(arm);
         let spills_written = ingest(&src, &dir, budget, weighted);
-        // Spilled runs (and pre-merged runs) are written on top of the image.
-        assert!(
-            spills_written > fits_written,
-            "{label}/{arm}: the small budget wrote {spills_written} bytes, the large {fits_written}"
-        );
+        if budget == MAP_FITS_SPILLS {
+            // The source runs spill as more files, and no other sort runs:
+            // each list is written at its offset, so the bytes written do
+            // not depend on the budget.
+            let [one, many] = [FITS, budget].map(|b| source_runs(&scratch, &src, b, weighted));
+            assert!(many > one, "{label}/{arm}: {many} source runs, {one} at the large budget");
+            assert_eq!(spills_written, fits_written, "{label}/{arm}: bytes written");
+        } else {
+            // Spilled runs of the sorted path's sorts (and pre-merged runs)
+            // are written on top of the image.
+            assert!(
+                spills_written > fits_written,
+                "{label}/{arm}: the small budget wrote {spills_written} bytes, the large {fits_written}"
+            );
+        }
         let got = dir_contents(&dir);
         assert_eq!(
             got.keys().collect::<Vec<_>>(),
@@ -179,7 +207,7 @@ fn as_matrix_market(text: &str) -> String {
 /// scratch root must be gone afterwards. For a text, a Matrix Market and a
 /// binary source of the same edges, under all three arms: 32 KiB, where the
 /// id map fits and only the source runs reach disk; [`MAP_FITS_SPILLS`],
-/// where the map fits and every sort spills, so a resume that skipped the
+/// where the map fits and the source runs spill, so a resume that skipped the
 /// `old2new` stage loads the map from `old2new.bin`; and [`SPILLS`], where
 /// the sorted path's stages killed and resumed have spilled and pre-merged
 /// runs.
