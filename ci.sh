@@ -107,8 +107,11 @@ step "checkpoint chaos + retention (DESIGN.md §6c)"
 # A crash planted at every gated op of a checkpointing run — teed vertex
 # frame writes, spill frames, the staged manifest write, the commit, and the
 # retention that retires generations older than the newest two — must
-# resume to the uninterrupted run's exact values; label probes show the
-# manifest and retention ops are in the swept range. Then all six
+# resume to the uninterrupted run's exact values. The sweep's op count is
+# pinned at 94 in tests/chaos_checkpoint.rs, as the ingest step pins
+# chaos_ingest.json: checkpoints gate through the same FaultSurface, whose
+# io-level tests (the `fault` and `atomic` modules) run first. Label probes
+# show the manifest and retention ops are in the swept range. Then all six
 # algorithms resume from an intermediate generation, and a run keeps exactly
 # its newest two generations, the older a usable fallback. The serve
 # snapshot tests are the other reader of a generation manifest: a pin reads
@@ -120,6 +123,7 @@ step "checkpoint chaos + retention (DESIGN.md §6c)"
 # staged, resume is exact), a_failing_run_joins_the_commit_in_flight shows
 # an error return joins it, and the unit test and the CLI test below check
 # the handle's join rules and the `--verbose` checkpoint line.
+cargo test -q --offline -p graphz-io --lib -- fault atomic
 cargo test -q --offline -p graphz-bench --test chaos_checkpoint --test checkpoint_algos
 cargo test -q --offline -p graphz-core --lib in_flight_commit_lands_by_drop_and_wait_returns_its_error
 cargo test -q --offline -p graphz-cli --lib verbose_checkpoint_line_only_with_a_checkpoint_dir

@@ -728,14 +728,3 @@ fn effective_max_iterations(params: &AlgoParams) -> u32 {
         _ => params.max_iterations,
     }
 }
-
-/// Convenience for tests and examples: the source vertex must exist.
-pub fn validate_source(num_vertices: u64, source: VertexId) -> Result<()> {
-    if (source as u64) < num_vertices {
-        Ok(())
-    } else {
-        Err(graphz_types::GraphError::Algorithm(format!(
-            "source vertex {source} out of range (graph has {num_vertices} vertices)"
-        )))
-    }
-}

@@ -79,11 +79,6 @@ impl ChiShards {
         (start as VertexId, end as VertexId)
     }
 
-    /// Which interval owns vertex `v`.
-    pub fn interval_of(&self, v: VertexId) -> u32 {
-        (v as u64 / self.interval_width) as u32
-    }
-
     pub fn shard_path(&self, q: u32) -> PathBuf {
         self.dir.join(format!("shard-{q:04}.bin"))
     }

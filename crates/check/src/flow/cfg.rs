@@ -46,13 +46,6 @@ pub struct Cfg {
     pub error_exit: usize,
 }
 
-impl Cfg {
-    /// Blocks with an edge straight to the normal exit.
-    pub fn returns_normally(&self, block: usize) -> bool {
-        self.blocks[block].succs.contains(&self.normal_exit)
-    }
-}
-
 /// Control-flow keywords that head a construct the builder interprets.
 fn is_loop_kw(t: &str) -> bool {
     t == "loop" || t == "while" || t == "for"

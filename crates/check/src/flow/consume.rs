@@ -23,8 +23,8 @@ use super::solver::{solve, Direction};
 
 /// Constructors that start a staged-resource lifetime.
 const CREATORS: &[(&str, &[&str])] = &[
-    ("AtomicFile", &["create", "create_with_faults"]),
-    ("StagedDir", &["stage", "stage_with_faults"]),
+    ("AtomicFile", &["create"]),
+    ("StagedDir", &["stage"]),
     ("MetaFile", &["stage"]),
 ];
 

@@ -155,22 +155,13 @@ const SERVE_ENTRIES: &[(&str, &str)] = &[
 /// The ipa pass as a [`Tool`]; every rule reports through it.
 pub const IPA: Tool = Tool { prefix: "ipa", rules: IPA_RULES };
 
-/// True when token `g` applies a surface gate: a `.op(`/`.wrap(`/`.op_gate(`
-/// method, or a call to the `gated(faults, retry, what, op)` helper that
-/// runs its closure through the gate (the `AtomicFile` plumbing's local
-/// spelling of the same thing).
+/// True when token `g` applies a surface gate: a `.op(` or `.wrap(` method
+/// call (`FaultSurface::op`, `FaultSurface::wrap`).
 pub(crate) fn gate_at(t: &[Token], g: usize) -> bool {
-    let opens_call = t.get(g + 1).is_some_and(|n| n.text == "(");
-    let method = (t[g].text == "op" || t[g].text == "wrap" || t[g].text == "op_gate")
+    (t[g].text == "op" || t[g].text == "wrap")
         && g > 0
         && t[g - 1].text == "."
-        && opens_call;
-    let helper = t[g].text == "gated"
-        && opens_call
-        && g > 0
-        && t[g - 1].text != "fn"
-        && t[g - 1].text != ".";
-    method || helper
+        && t.get(g + 1).is_some_and(|n| n.text == "(")
 }
 
 /// Token indices dominated by a FaultSurface gate on every path from the

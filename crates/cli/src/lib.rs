@@ -251,7 +251,7 @@ pub const COMMANDS: &[CommandSpec] = &[
         positionals: &["<pr|bfs|cc|sssp|bp|rw>", "<dos-dir>"],
         flags: &[
             FlagSpec { name: "--budget-mib", value: Some("B"), help: "partition memory budget in MiB (default 8)" },
-            FlagSpec { name: "--source", value: Some("V"), help: "source vertex for bfs/sssp/rw (default 0)" },
+            FlagSpec { name: "--source", value: Some("V"), help: "source vertex for bfs/sssp (default 0)" },
             FlagSpec { name: "--iterations", value: Some("N"), help: "iteration cap (default 100)" },
             FlagSpec { name: "--top", value: Some("K"), help: "result rows to print (default 10)" },
             FlagSpec { name: "--checkpoint-dir", value: Some("D"), help: "write crash-safe generations under D" },

@@ -7,8 +7,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use graphz_io::{
-    FaultState, FramedWriter, GatedWriter, IoSnapshot, IoStats, PrefetchSnapshot,
-    RecordReader, RecordWriter, RetryPolicy, ScratchDir, StagedDir, TrackedFile,
+    FaultSurface, FramedWriter, IoSnapshot, IoStats, PrefetchSnapshot, RecordReader, RecordWriter,
+    ScratchDir, StagedDir, SurfaceWriter, TrackedFile,
 };
 use graphz_storage::{PartitionSet, Partitioner};
 use graphz_types::{
@@ -22,18 +22,13 @@ use crate::generations::{self, CheckpointTimes, InFlightCommit, Retention, CHECK
 
 /// A framed checkpoint file being written: the frame takes the payload's
 /// length and CRC32 as it streams through, and every write passes the
-/// optional fault gate *unbuffered* so chaos tests see a deterministic op
+/// fault surface *unbuffered* so chaos tests see a deterministic op
 /// sequence.
-type FrameFile = FramedWriter<GatedWriter<TrackedFile>>;
+type FrameFile = FramedWriter<SurfaceWriter<TrackedFile>>;
 
-fn create_frame(
-    dst: &Path,
-    stats: &Arc<IoStats>,
-    faults: &Option<Arc<FaultState>>,
-    retry: RetryPolicy,
-) -> Result<FrameFile> {
+fn create_frame(dst: &Path, stats: &Arc<IoStats>, surface: &FaultSurface) -> Result<FrameFile> {
     let out = TrackedFile::create(dst, Arc::clone(stats)).ctx("create", dst)?;
-    FramedWriter::new(GatedWriter::new(out, faults.clone(), retry)).ctx("write", dst)
+    FramedWriter::new(surface.wrap(out)).ctx("write", dst)
 }
 
 /// One checkpoint generation on its way to disk. It is planned when the
@@ -49,8 +44,7 @@ struct PendingGeneration {
     dest: PathBuf,
     next_iteration: u32,
     stats: Arc<IoStats>,
-    faults: Option<Arc<FaultState>>,
-    retry: RetryPolicy,
+    surface: FaultSurface,
     staged: Option<(StagedDir, FrameFile)>,
 }
 
@@ -59,11 +53,10 @@ impl PendingGeneration {
         dest: PathBuf,
         next_iteration: u32,
         stats: &Arc<IoStats>,
-        faults: Option<Arc<FaultState>>,
-        retry: RetryPolicy,
+        surface: &FaultSurface,
     ) -> Self {
-        let stats = Arc::clone(stats);
-        PendingGeneration { dest, next_iteration, stats, faults, retry, staged: None }
+        let (stats, surface) = (Arc::clone(stats), surface.clone());
+        PendingGeneration { dest, next_iteration, stats, surface, staged: None }
     }
 
     /// The staged tree and its vertex frame, taken out of `self`: staged
@@ -78,10 +71,9 @@ impl PendingGeneration {
         if let Some(parent) = dest.parent() {
             std::fs::create_dir_all(parent).ctx("create-dir", parent)?;
         }
-        let staged = StagedDir::stage_with_faults(dest, self.faults.clone(), self.retry)
-            .ctx("stage", dest)?;
+        let staged = StagedDir::stage(dest, &self.surface).ctx("stage", dest)?;
         let frame = staged.path().join("vertices.bin");
-        let vertices = create_frame(&frame, &self.stats, &self.faults, self.retry)?;
+        let vertices = create_frame(&frame, &self.stats, &self.surface)?;
         Ok((staged, vertices))
     }
 
@@ -146,7 +138,7 @@ impl PendingGeneration {
             let (src, dst) = (msgs_dir.join(&name), msg_dst.join(&name));
             let mut reader =
                 graphz_io::tracked::reader(&src, Arc::clone(&self.stats)).ctx("read", &src)?;
-            let mut frame = create_frame(&dst, &self.stats, &self.faults, self.retry)?;
+            let mut frame = create_frame(&dst, &self.stats, &self.surface)?;
             loop {
                 let n = reader.read(&mut buf).ctx("read", &src)?;
                 if n == 0 {
@@ -163,7 +155,8 @@ impl PendingGeneration {
         let manifest = staged.path().join("manifest.txt");
         let out =
             TrackedFile::create(&manifest, Arc::clone(&self.stats)).ctx("create", &manifest)?;
-        GatedWriter::new(out, self.faults.clone(), self.retry)
+        self.surface
+            .wrap(out)
             .labeled("write-manifest")
             .write_all(mf.render().as_bytes())
             .ctx("write", &manifest)?;
@@ -275,11 +268,10 @@ pub struct EngineConfig {
     /// Checkpoint after every `n` completed iterations (0 = never). Takes
     /// effect only when `checkpoint_dir` is set.
     pub checkpoint_every: u32,
-    /// Chaos-testing hook: fault gates applied to checkpoint IO. Production
-    /// code leaves this `None`.
-    pub checkpoint_faults: Option<Arc<graphz_io::FaultState>>,
-    /// Retry policy for transient checkpoint IO failures.
-    pub checkpoint_retry: graphz_io::RetryPolicy,
+    /// The fault surface every checkpoint file op passes: planned faults
+    /// and the retry policy for transient ones. Production code leaves it
+    /// inert ([`FaultSurface::none`]); chaos tests arm it.
+    pub checkpoint_surface: FaultSurface,
     /// Test hook: keep every checkpoint generation instead of the newest
     /// [`RETAINED_GENERATIONS`](crate::generations::RETAINED_GENERATIONS),
     /// for suites that inspect the whole history (`golden_values.rs`, and
@@ -297,8 +289,7 @@ impl EngineConfig {
             scratch_base: None,
             checkpoint_dir: None,
             checkpoint_every: 0,
-            checkpoint_faults: None,
-            checkpoint_retry: graphz_io::RetryPolicy::default(),
+            checkpoint_surface: FaultSurface::none(),
             keep_all_generations: false,
         }
     }
@@ -329,14 +320,9 @@ impl EngineConfig {
         self
     }
 
-    /// Route checkpoint IO through a fault gate (chaos tests only).
-    pub fn with_checkpoint_faults(
-        mut self,
-        faults: Arc<graphz_io::FaultState>,
-        retry: graphz_io::RetryPolicy,
-    ) -> Self {
-        self.checkpoint_faults = Some(faults);
-        self.checkpoint_retry = retry;
+    /// Route checkpoint IO through a fault surface (chaos tests only).
+    pub fn with_checkpoint_faults(mut self, surface: FaultSurface) -> Self {
+        self.checkpoint_surface = surface;
         self
     }
 }
@@ -682,8 +668,7 @@ impl<P: VertexProgram> Engine<P> {
                             generations::generation_path(root, iter + 1),
                             iter + 1,
                             &self.stats,
-                            self.config.checkpoint_faults.clone(),
-                            self.config.checkpoint_retry,
+                            &self.config.checkpoint_surface,
                         ))
                     }
                     _ => None,
@@ -935,12 +920,7 @@ impl<P: VertexProgram> Engine<P> {
                         }
                         _ => None,
                     };
-                    commits.start(
-                        staged,
-                        retention,
-                        self.config.checkpoint_faults.clone(),
-                        self.config.checkpoint_retry,
-                    )?;
+                    commits.start(staged, retention, &self.config.checkpoint_surface)?;
                 }
 
                 if changed == 0 {
@@ -1053,8 +1033,7 @@ impl<P: VertexProgram> Engine<P> {
             dir.to_path_buf(),
             self.next_iteration,
             &self.stats,
-            self.config.checkpoint_faults.clone(),
-            self.config.checkpoint_retry,
+            &self.config.checkpoint_surface,
         );
         let mut vfile = TrackedFile::open(&self.vertices_path, Arc::clone(&self.stats))
             .ctx("open", &self.vertices_path)?;
@@ -1063,7 +1042,9 @@ impl<P: VertexProgram> Engine<P> {
             g.copy_range::<P::VertexData>(&mut idle, &mut vfile, &mut buf, a, b)?;
         }
         let (counters, parts) = (self.msgs.counters(), self.partitions.num_partitions());
-        let staged = g.seal(&mut idle, self.msgs.dir(), parts, counters)?;
+        // Typed so the ipa call graph resolves `commit` to `StagedDir`'s
+        // alone, not to every workspace `commit` (DESIGN.md §6k).
+        let staged: StagedDir = g.seal(&mut idle, self.msgs.dir(), parts, counters)?;
         staged.commit().ctx("commit", dir)
     }
 

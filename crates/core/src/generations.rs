@@ -23,7 +23,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use graphz_io::{FaultState, IoStats, RetryPolicy, StagedDir};
+use graphz_io::{FaultSurface, IoStats, StagedDir};
 use graphz_storage::meta::MetaFile;
 use graphz_types::{GraphError, IoCtx, Result};
 
@@ -241,12 +241,7 @@ pub const RETAINED_GENERATIONS: usize = 2;
 /// generation it could not use, so such a generation is damaged or from an
 /// abandoned timeline, and it must never crowd out the one just committed.
 /// Returns how many generations were retired.
-pub fn retire_older(
-    root: &Path,
-    committed: u32,
-    faults: &Option<Arc<graphz_io::FaultState>>,
-    retry: graphz_io::RetryPolicy,
-) -> Result<usize> {
+pub fn retire_older(root: &Path, committed: u32, surface: &FaultSurface) -> Result<usize> {
     let mut leftovers: Vec<PathBuf> = Vec::new();
     for entry in std::fs::read_dir(root).ctx("read-dir", root)? {
         let entry = entry.ctx("read-dir", root)?;
@@ -259,7 +254,7 @@ pub fn retire_older(
     // Deterministic order so fault-sweep op counts are reproducible.
     leftovers.sort();
     for old in &leftovers {
-        graphz_io::atomic::remove_leftover(old, faults, retry).ctx("retire", old)?;
+        graphz_io::atomic::remove_leftover(old, surface).ctx("retire", old)?;
     }
     let older = list_generations(root)?
         .into_iter()
@@ -267,8 +262,7 @@ pub fn retire_older(
         .skip(RETAINED_GENERATIONS);
     let mut retired = 0;
     for generation in older {
-        graphz_io::atomic::retire_dir(&generation.path, faults, retry)
-            .ctx("retire", &generation.path)?;
+        graphz_io::atomic::retire_dir(&generation.path, surface).ctx("retire", &generation.path)?;
         retired += 1;
     }
     Ok(retired)
@@ -319,11 +313,11 @@ impl InFlightCommit {
         &mut self,
         staged: StagedDir,
         retention: Option<Retention>,
-        faults: Option<Arc<FaultState>>,
-        retry: RetryPolicy,
+        surface: &FaultSurface,
     ) -> Result<()> {
         self.wait()?;
         let dest = staged.dest().to_path_buf();
+        let surface = surface.clone();
         let handle = std::thread::Builder::new()
             .name("graphz-commit".into())
             .spawn(move || {
@@ -331,7 +325,7 @@ impl InFlightCommit {
                 let dest = staged.dest().to_path_buf();
                 staged.commit().ctx("commit", &dest)?;
                 if let Some(r) = retention {
-                    retire_older(&r.root, r.committed, &faults, retry)?;
+                    retire_older(&r.root, r.committed, &surface)?;
                 }
                 Ok(t.elapsed())
             })
@@ -377,7 +371,7 @@ impl Drop for InFlightCommit {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use graphz_io::ScratchDir;
+    use graphz_io::{FaultState, RetryPolicy, ScratchDir};
 
     #[test]
     fn parses_generation_names_strictly() {
@@ -418,24 +412,27 @@ mod tests {
     #[test]
     fn in_flight_commit_lands_by_drop_and_wait_returns_its_error() {
         let dir = ScratchDir::new("generations-inflight").unwrap();
-        let staged_at = |n: u32, faults: Option<Arc<FaultState>>| {
+        let inert = FaultSurface::none();
+        let staged_at = |n: u32, surface: &FaultSurface| {
             let dest = generation_path(dir.path(), n);
-            let staged = StagedDir::stage_with_faults(&dest, faults, RetryPolicy::none()).unwrap();
+            let staged = StagedDir::stage(&dest, surface).unwrap();
             std::fs::write(staged.path().join("manifest.txt"), b"x").unwrap();
             staged
         };
         // Dropping the handle joins: the generation is in place after it.
         {
             let mut commits = InFlightCommit::default();
-            commits.start(staged_at(1, None), None, None, RetryPolicy::none()).unwrap();
+            commits.start(staged_at(1, &inert), None, &inert).unwrap();
         }
         assert!(generation_path(dir.path(), 1).join("manifest.txt").is_file());
 
         // A failed commit is the error `wait` returns, and its staging is gone.
         let faults = FaultState::fail_at_label("rename");
+        let armed =
+            FaultSurface::none().with_faults(Arc::clone(&faults)).with_retry(RetryPolicy::none());
         let mut commits = InFlightCommit::default();
-        let staged = staged_at(2, Some(Arc::clone(&faults)));
-        commits.start(staged, None, None, RetryPolicy::none()).unwrap();
+        let staged = staged_at(2, &armed);
+        commits.start(staged, None, &inert).unwrap();
         let err = commits.wait().unwrap_err();
         assert!(err.to_string().contains("injected fault: rename"), "{err}");
         assert!(faults.fired());
@@ -444,7 +441,7 @@ mod tests {
 
         // The next start joins nothing left over; retention runs after it.
         let retention = Retention { root: dir.path().to_path_buf(), committed: 3 };
-        commits.start(staged_at(3, None), Some(retention), None, RetryPolicy::none()).unwrap();
+        commits.start(staged_at(3, &inert), Some(retention), &inert).unwrap();
         commits.wait().unwrap();
         assert_eq!(commits.times().generations, 1);
         let numbers: Vec<u32> =

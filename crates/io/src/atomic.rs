@@ -6,18 +6,18 @@
 //! — never a half-written hybrid — and stale `.tmp` debris is swept by the
 //! next attempt.
 //!
-//! Both [`AtomicFile`] (single file) and [`StagedDir`] (multi-file artifact,
-//! e.g. a checkpoint generation) optionally route their fsync/rename
-//! metadata operations through a [`FaultState`] gate so chaos tests can
-//! kill a commit at every step and assert the invariant above actually
-//! holds.
+//! [`AtomicFile`] (single file) commits ungated: a caller that wants its
+//! steps in a chaos sweep gates around it, as `MetaFile::save_with` does.
+//! [`StagedDir`] (multi-file artifact, e.g. a checkpoint generation) and the
+//! retirement helpers route every fsync/rename/remove through the
+//! [`FaultSurface`] they are given, so chaos tests can kill a commit at
+//! every step and assert the invariant above actually holds.
 
 use std::fs::{self, File};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 
-use crate::fault::{retry_transient, FaultState, RetryPolicy};
+use crate::fault::FaultSurface;
 
 /// Suffix for staging names; stale ones are removed before reuse.
 const TMP_SUFFIX: &str = ".tmp";
@@ -47,22 +47,6 @@ pub fn fsync_dir(dir: &Path) -> io::Result<()> {
     }
 }
 
-/// Run `op` through the fault gate (when present), retrying transients.
-fn gated(
-    faults: &Option<Arc<FaultState>>,
-    retry: &RetryPolicy,
-    what: &str,
-    mut op: impl FnMut() -> io::Result<()>,
-) -> io::Result<()> {
-    match faults {
-        None => op(),
-        Some(f) => retry_transient(retry, || {
-            f.op_gate(what)?;
-            op()
-        }),
-    }
-}
-
 /// A file written under `<name>.tmp` and renamed into place on
 /// [`commit`](Self::commit); dropping without committing removes the
 /// staging file.
@@ -70,26 +54,16 @@ pub struct AtomicFile {
     tmp: PathBuf,
     dest: PathBuf,
     file: Option<File>,
-    faults: Option<Arc<FaultState>>,
-    retry: RetryPolicy,
 }
 
 impl AtomicFile {
     pub fn create(dest: &Path) -> io::Result<Self> {
-        Self::create_with_faults(dest, None, RetryPolicy::default())
-    }
-
-    pub fn create_with_faults(
-        dest: &Path,
-        faults: Option<Arc<FaultState>>,
-        retry: RetryPolicy,
-    ) -> io::Result<Self> {
         let tmp = tmp_name(dest);
         if tmp.exists() {
             fs::remove_file(&tmp)?;
         }
         let file = File::create(&tmp)?;
-        Ok(AtomicFile { tmp, dest: dest.to_path_buf(), file: Some(file), faults, retry })
+        Ok(AtomicFile { tmp, dest: dest.to_path_buf(), file: Some(file) })
     }
 
     /// fsync the staged bytes, rename over the destination, fsync the parent
@@ -101,27 +75,21 @@ impl AtomicFile {
             .file
             .take()
             .ok_or_else(|| io::Error::other("atomic file already committed"))?;
-        let (faults, retry) = (self.faults.clone(), self.retry);
-        gated(&faults, &retry, "fsync", || file.sync_all())?;
+        file.sync_all()?;
         drop(file);
-        gated(&faults, &retry, "rename", || fs::rename(&self.tmp, &self.dest))?;
-        if let Some(parent) = self.dest.parent() {
-            gated(&faults, &retry, "fsync-dir", || fsync_dir(parent))?;
+        fs::rename(&self.tmp, &self.dest)?;
+        match self.dest.parent() {
+            Some(parent) => fsync_dir(parent),
+            None => Ok(()),
         }
-        // Nothing left to clean up.
-        self.tmp = PathBuf::new();
-        Ok(())
     }
 }
 
 impl Write for AtomicFile {
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        let Some(file) = self.file.as_mut() else {
-            return Err(io::Error::other("write after commit"));
-        };
-        match &self.faults {
-            None => file.write(buf),
-            Some(faults) => retry_transient(&self.retry, || faults.write_gate(file, buf)),
+        match self.file.as_mut() {
+            Some(file) => file.write(buf),
+            None => Err(io::Error::other("write after commit")),
         }
     }
 
@@ -157,25 +125,17 @@ pub fn write_atomic(dest: &Path, bytes: &[u8]) -> io::Result<()> {
 /// all at once. A pre-existing destination is moved aside to `<final>.old`
 /// first (directory renames cannot clobber non-empty directories), swapped,
 /// then removed — a crash between those steps leaves the committed new
-/// directory plus removable debris, never a mix.
+/// directory plus removable debris, never a mix. The commit's fsyncs and
+/// renames are gated ops of the surface the tree was staged with.
 pub struct StagedDir {
     tmp: PathBuf,
     dest: PathBuf,
     committed: bool,
-    faults: Option<Arc<FaultState>>,
-    retry: RetryPolicy,
+    surface: FaultSurface,
 }
 
 impl StagedDir {
-    pub fn stage(dest: &Path) -> io::Result<Self> {
-        Self::stage_with_faults(dest, None, RetryPolicy::default())
-    }
-
-    pub fn stage_with_faults(
-        dest: &Path,
-        faults: Option<Arc<FaultState>>,
-        retry: RetryPolicy,
-    ) -> io::Result<Self> {
+    pub fn stage(dest: &Path, surface: &FaultSurface) -> io::Result<Self> {
         let tmp = tmp_name(dest);
         if tmp.exists() {
             fs::remove_dir_all(&tmp)?;
@@ -186,7 +146,7 @@ impl StagedDir {
             fs::remove_dir_all(&old)?;
         }
         fs::create_dir_all(&tmp)?;
-        Ok(StagedDir { tmp, dest: dest.to_path_buf(), committed: false, faults, retry })
+        Ok(StagedDir { tmp, dest: dest.to_path_buf(), committed: false, surface: surface.clone() })
     }
 
     /// The staging directory to write artifact files into.
@@ -202,14 +162,16 @@ impl StagedDir {
     /// fsync every file in the staged tree, fsync the tree's directories,
     /// then atomically swap the staged directory into the destination.
     pub fn commit(mut self) -> io::Result<()> {
-        let (faults, retry) = (self.faults.clone(), self.retry);
-        sync_tree(&self.tmp, &faults, &retry)?;
+        let surface = &self.surface;
+        sync_tree(&self.tmp, surface)?;
 
         let old = old_name(&self.dest);
         if self.dest.exists() {
-            gated(&faults, &retry, "rename-old", || fs::rename(&self.dest, &old))?;
+            surface.op("rename-old")?;
+            fs::rename(&self.dest, &old)?;
         }
-        gated(&faults, &retry, "rename", || fs::rename(&self.tmp, &self.dest))?;
+        surface.op("rename")?;
+        fs::rename(&self.tmp, &self.dest)?;
         self.committed = true;
         if old.exists() {
             // The new directory is already in place; failing to clear the
@@ -217,7 +179,8 @@ impl StagedDir {
             let _ = fs::remove_dir_all(&old);
         }
         if let Some(parent) = self.dest.parent() {
-            gated(&faults, &retry, "fsync-dir", || fsync_dir(parent))?;
+            surface.op("fsync-dir")?;
+            fsync_dir(parent)?;
         }
         Ok(())
     }
@@ -228,27 +191,21 @@ impl StagedDir {
 /// sweep can crash between them. A crash after the rename leaves only
 /// `.old` debris, which no reader takes for the artifact and the next
 /// retirement sweeps with [`remove_leftover`].
-pub fn retire_dir(
-    dir: &Path,
-    faults: &Option<Arc<FaultState>>,
-    retry: RetryPolicy,
-) -> io::Result<()> {
+pub fn retire_dir(dir: &Path, surface: &FaultSurface) -> io::Result<()> {
     let old = old_name(dir);
-    gated(faults, &retry, "retire-rename", || fs::rename(dir, &old))?;
-    remove_leftover(&old, faults, retry)
+    surface.op("retire-rename")?;
+    fs::rename(dir, &old)?;
+    remove_leftover(&old, surface)
 }
 
 /// Delete `.old` debris a crashed [`retire_dir`] left behind (gated as
 /// `retire-remove`).
-pub fn remove_leftover(
-    old: &Path,
-    faults: &Option<Arc<FaultState>>,
-    retry: RetryPolicy,
-) -> io::Result<()> {
-    gated(faults, &retry, "retire-remove", || match fs::remove_dir_all(old) {
+pub fn remove_leftover(old: &Path, surface: &FaultSurface) -> io::Result<()> {
+    surface.op("retire-remove")?;
+    match fs::remove_dir_all(old) {
         Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(()),
         other => other,
-    })
+    }
 }
 
 fn old_name(path: &Path) -> PathBuf {
@@ -257,21 +214,19 @@ fn old_name(path: &Path) -> PathBuf {
     path.with_file_name(name)
 }
 
-fn sync_tree(
-    dir: &Path,
-    faults: &Option<Arc<FaultState>>,
-    retry: &RetryPolicy,
-) -> io::Result<()> {
+fn sync_tree(dir: &Path, surface: &FaultSurface) -> io::Result<()> {
     for entry in fs::read_dir(dir)? {
         let entry = entry?;
         let path = entry.path();
         if entry.file_type()?.is_dir() {
-            sync_tree(&path, faults, retry)?;
+            sync_tree(&path, surface)?;
         } else {
-            gated(faults, retry, "fsync", || File::open(&path)?.sync_all())?;
+            surface.op("fsync")?;
+            File::open(&path)?.sync_all()?;
         }
     }
-    gated(faults, retry, "fsync-dir", || fsync_dir(dir))
+    surface.op("fsync-dir")?;
+    fsync_dir(dir)
 }
 
 impl Drop for StagedDir {
@@ -285,7 +240,9 @@ impl Drop for StagedDir {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::{FaultPlan, FaultState};
+    use std::sync::Arc;
+
+    use crate::fault::{FaultState, RetryPolicy};
     use crate::scratch::ScratchDir;
 
     #[test]
@@ -317,15 +274,20 @@ mod tests {
     #[test]
     fn failed_commit_keeps_old_content() {
         let dir = ScratchDir::new("atomic-fail").unwrap();
-        let dest = dir.file("data.bin");
-        fs::write(&dest, b"old").unwrap();
-        // Fault at op 1 = the rename (op 0 is the fsync).
-        let faults = FaultState::new(FaultPlan::fail_at(1));
-        let mut f =
-            AtomicFile::create_with_faults(&dest, Some(faults), RetryPolicy::none()).unwrap();
-        f.write_all(b"new").unwrap();
-        assert!(f.commit().is_err());
-        assert_eq!(fs::read(&dest).unwrap(), b"old");
+        let dest = dir.path().join("artifact");
+        fs::create_dir(&dest).unwrap();
+        fs::write(dest.join("a.bin"), b"old").unwrap();
+        // The first rename moves the old tree aside; failing it leaves the
+        // destination as it was and the staging removed on drop.
+        let faults = FaultState::fail_at_label("rename-old");
+        let surface =
+            FaultSurface::none().with_faults(Arc::clone(&faults)).with_retry(RetryPolicy::none());
+        let staged = StagedDir::stage(&dest, &surface).unwrap();
+        fs::write(staged.path().join("a.bin"), b"new").unwrap();
+        assert!(staged.commit().is_err());
+        assert!(faults.fired());
+        assert_eq!(fs::read(dest.join("a.bin")).unwrap(), b"old", "old tree kept");
+        assert!(!dir.path().join("artifact.tmp").exists());
     }
 
     #[test]
@@ -336,7 +298,7 @@ mod tests {
         fs::write(dest.join("a.bin"), b"old-a").unwrap();
         fs::write(dest.join("stale.bin"), b"gone").unwrap();
 
-        let staged = StagedDir::stage(&dest).unwrap();
+        let staged = StagedDir::stage(&dest, &FaultSurface::none()).unwrap();
         fs::write(staged.path().join("a.bin"), b"new-a").unwrap();
         fs::create_dir(staged.path().join("sub")).unwrap();
         fs::write(staged.path().join("sub/b.bin"), b"new-b").unwrap();
@@ -354,7 +316,7 @@ mod tests {
         let dir = ScratchDir::new("staged-drop").unwrap();
         let dest = dir.path().join("artifact");
         {
-            let staged = StagedDir::stage(&dest).unwrap();
+            let staged = StagedDir::stage(&dest, &FaultSurface::none()).unwrap();
             fs::write(staged.path().join("a.bin"), b"x").unwrap();
         }
         assert!(!dest.exists());
@@ -368,7 +330,7 @@ mod tests {
         fs::create_dir_all(dir.path().join("artifact.tmp")).unwrap();
         fs::write(dir.path().join("artifact.tmp/junk.bin"), b"junk").unwrap();
 
-        let staged = StagedDir::stage(&dest).unwrap();
+        let staged = StagedDir::stage(&dest, &FaultSurface::none()).unwrap();
         assert!(!staged.path().join("junk.bin").exists(), "stale staging content swept");
         fs::write(staged.path().join("a.bin"), b"fresh").unwrap();
         staged.commit().unwrap();

@@ -1,86 +1,23 @@
-//! Fault injection for testing engine error paths.
+//! The fault surface: the one gate every fault-tested file op passes.
 //!
 //! Out-of-core engines must fail cleanly (not corrupt state or hang) when the
-//! backing store misbehaves. Two mechanisms live here:
-//!
-//! * [`FaultInjector`] wraps any reader/writer and injects an IO error after
-//!   a configurable number of *bytes*, letting integration tests drive every
-//!   spill/reload path into its error branch.
-//! * [`FaultPlan`]/[`FaultState`] model whole-operation failures for the
-//!   checkpoint chaos harness: hard failure at op N, a torn write (partial
-//!   bytes then error), or a transient fault that fails K times and then
-//!   succeeds — the case [`retry_transient`] exists for.
-//!
-//! Transient errors carry a [`TransientError`] payload so retry loops can
-//! distinguish "worth retrying" from a genuine failure via [`is_transient`].
+//! backing store misbehaves. A [`FaultSurface`] bundles what a chaos test
+//! arms against a pipeline's file ops: a planned fault ([`FaultPlan`],
+//! executed by [`FaultState`]: a hard failure at op N or at a named op, a
+//! torn write that leaves partial bytes, a transient fault that fails K
+//! times and then succeeds, a disk-full error), the [`RetryPolicy`] that
+//! retries transient faults, and an optional [`DiskBudget`] modelling a
+//! nearly-full device. Ingest and checkpoints thread the same surface:
+//! metadata ops (fsync, rename, commit, retire) gate through
+//! [`FaultSurface::op`] and byte writes through the [`SurfaceWriter`] that
+//! [`FaultSurface::wrap`] returns, each under a label a test can target.
+//! Production passes the inert [`FaultSurface::none`], which writes
+//! straight through.
 
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-
-/// Wraps a reader/writer and fails with [`io::ErrorKind::Other`] once
-/// `fail_after_bytes` bytes have passed through.
-pub struct FaultInjector<T> {
-    inner: T,
-    remaining: u64,
-    tripped: bool,
-}
-
-impl<T> FaultInjector<T> {
-    pub fn new(inner: T, fail_after_bytes: u64) -> Self {
-        FaultInjector { inner, remaining: fail_after_bytes, tripped: false }
-    }
-
-    /// Whether the fault has fired.
-    pub fn tripped(&self) -> bool {
-        self.tripped
-    }
-
-    pub fn into_inner(self) -> T {
-        self.inner
-    }
-
-    fn budget(&mut self, want: usize) -> io::Result<usize> {
-        if self.remaining == 0 {
-            self.tripped = true;
-            return Err(io::Error::other("injected fault"));
-        }
-        Ok(want.min(self.remaining as usize))
-    }
-
-    fn consume(&mut self, used: usize) {
-        self.remaining -= used as u64;
-    }
-}
-
-impl<T: Read> Read for FaultInjector<T> {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        if buf.is_empty() {
-            return Ok(0);
-        }
-        let allowed = self.budget(buf.len())?;
-        let n = self.inner.read(&mut buf[..allowed])?;
-        self.consume(n);
-        Ok(n)
-    }
-}
-
-impl<T: Write> Write for FaultInjector<T> {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        if buf.is_empty() {
-            return Ok(0);
-        }
-        let allowed = self.budget(buf.len())?;
-        let n = self.inner.write(&buf[..allowed])?;
-        self.consume(n);
-        Ok(n)
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        self.inner.flush()
-    }
-}
 
 /// What a planned fault does when it fires.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -127,7 +64,7 @@ impl FaultPlan {
 
 /// Error payload marking an injected fault as transient (retry-worthy).
 #[derive(Debug)]
-pub struct TransientError;
+struct TransientError;
 
 impl std::fmt::Display for TransientError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -138,23 +75,19 @@ impl std::fmt::Display for TransientError {
 impl std::error::Error for TransientError {}
 
 /// Whether `e` is a transient fault worth retrying.
-pub fn is_transient(e: &io::Error) -> bool {
+pub(crate) fn is_transient(e: &io::Error) -> bool {
     e.get_ref().is_some_and(|inner| inner.is::<TransientError>())
 }
 
 /// Shared, thread-safe state executing a [`FaultPlan`].
 ///
-/// Code under test threads an `Arc<FaultState>` through its IO layer and
-/// gates each operation: byte-carrying writes via [`write_gate`], metadata
-/// operations (fsync, rename) via [`op_gate`]. Successful operations advance
-/// a counter; when it reaches `plan.at_op` the fault fires. `Error` and
-/// `Torn` fire once and then pass everything through (the crashed process
-/// never retries); `Transient` holds the counter in place and fails
+/// A [`FaultSurface`] gates each operation through it: byte-carrying writes
+/// and metadata operations (fsync, rename) alike. Successful operations
+/// advance a counter; when it reaches `plan.at_op` the fault fires. `Error`
+/// and `Torn` fire once and then pass everything through (the crashed
+/// process never retries); `Transient` holds the counter in place and fails
 /// `failures` consecutive attempts at the same operation before letting it
 /// succeed.
-///
-/// [`write_gate`]: Self::write_gate
-/// [`op_gate`]: Self::op_gate
 #[derive(Debug)]
 pub struct FaultState {
     plan: FaultPlan,
@@ -177,9 +110,8 @@ impl FaultState {
     }
 
     /// A fault that fires at the first gated operation labeled `label`
-    /// (the `what` passed to [`op_gate`]), regardless of op index.
-    ///
-    /// [`op_gate`]: Self::op_gate
+    /// (the `what` passed to [`FaultSurface::op`], or a writer's label),
+    /// regardless of op index.
     pub fn new_at_label(plan: FaultPlan, label: &str) -> Arc<Self> {
         Self::at_label_occurrence(plan, label, 0)
     }
@@ -287,7 +219,7 @@ impl FaultState {
     /// Gate a metadata operation (fsync, rename, create). On success the op
     /// counter advances; a `Torn` plan degrades to `Error` here since
     /// metadata ops have no byte stream to tear.
-    pub fn op_gate(&self, what: &str) -> io::Result<()> {
+    pub(crate) fn op_gate(&self, what: &str) -> io::Result<()> {
         match self.arm(what) {
             Some(_) => Err(self.injected(what)),
             None => {
@@ -297,15 +229,15 @@ impl FaultState {
         }
     }
 
-    /// Gate a byte-carrying write of `buf` into `w`. A `Torn` plan writes
-    /// the planned prefix before failing, leaving real partial bytes behind.
-    pub fn write_gate<W: Write>(&self, w: &mut W, buf: &[u8]) -> io::Result<usize> {
-        self.write_gate_as("write", w, buf)
-    }
-
-    /// [`write_gate`](Self::write_gate) under the label `what`, so a label
-    /// probe can target one particular write.
-    pub fn write_gate_as<W: Write>(&self, what: &str, w: &mut W, buf: &[u8]) -> io::Result<usize> {
+    /// Gate a byte-carrying write of `buf` into `w`, labeled `what`. A
+    /// `Torn` plan writes the planned prefix before failing, leaving real
+    /// partial bytes behind.
+    pub(crate) fn write_gate_as<W: Write>(
+        &self,
+        what: &str,
+        w: &mut W,
+        buf: &[u8],
+    ) -> io::Result<usize> {
         match self.arm(what) {
             Some(FaultKind::Torn { keep_bytes }) => {
                 let keep = (keep_bytes as usize).min(buf.len());
@@ -319,50 +251,6 @@ impl FaultState {
                 Ok(buf.len())
             }
         }
-    }
-}
-
-/// A writer whose every `write` passes through a [`FaultState`] gate, with
-/// transient failures retried under a [`RetryPolicy`].
-///
-/// Each gated write is all-or-nothing from the caller's perspective except
-/// for `Torn` faults, which deliberately leave a prefix behind.
-pub struct GatedWriter<W: Write> {
-    inner: W,
-    faults: Option<Arc<FaultState>>,
-    retry: RetryPolicy,
-    label: &'static str,
-}
-
-impl<W: Write> GatedWriter<W> {
-    pub fn new(inner: W, faults: Option<Arc<FaultState>>, retry: RetryPolicy) -> Self {
-        GatedWriter { inner, faults, retry, label: "write" }
-    }
-
-    /// Gate every write under `label` instead of `write`.
-    pub fn labeled(mut self, label: &'static str) -> Self {
-        self.label = label;
-        self
-    }
-
-    pub fn into_inner(self) -> W {
-        self.inner
-    }
-}
-
-impl<W: Write> Write for GatedWriter<W> {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        match &self.faults {
-            None => self.inner.write(buf),
-            Some(faults) => {
-                let (inner, label) = (&mut self.inner, self.label);
-                retry_transient(&self.retry, || faults.write_gate_as(label, inner, buf))
-            }
-        }
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        self.inner.flush()
     }
 }
 
@@ -437,7 +325,7 @@ fn splitmix64(x: u64) -> u64 {
 /// Run `f`, retrying transient failures per `policy`. Non-transient errors
 /// propagate immediately; exhausting the retry budget returns the last
 /// transient error.
-pub fn retry_transient<T>(
+pub(crate) fn retry_transient<T>(
     policy: &RetryPolicy,
     mut f: impl FnMut() -> io::Result<T>,
 ) -> io::Result<T> {
@@ -498,10 +386,11 @@ impl DiskBudget {
     }
 }
 
-/// The pluggable fault surface threaded through every ingest file op:
-/// planned faults ([`FaultState`]), a retry policy for transient errors, and
-/// an optional [`DiskBudget`] modeling ENOSPC. The default surface is a pure
-/// pass-through — clean runs pay nothing and stay byte-identical.
+/// The pluggable fault surface threaded through every gated file op, ingest
+/// and checkpoints alike: planned faults ([`FaultState`]), a retry policy
+/// for transient errors, and an optional [`DiskBudget`] modeling ENOSPC. The
+/// default surface is a pure pass-through — clean runs pay nothing and stay
+/// byte-identical.
 #[derive(Debug, Clone, Default)]
 pub struct FaultSurface {
     faults: Option<Arc<FaultState>>,
@@ -530,23 +419,15 @@ impl FaultSurface {
         self
     }
 
-    /// Whether anything is armed (used to skip gating work on clean runs).
-    pub fn is_active(&self) -> bool {
-        self.faults.is_some() || self.disk.is_some()
-    }
-
-    pub fn retry(&self) -> &RetryPolicy {
-        &self.retry
-    }
-
     /// The scratch disk budget, if one is attached — callers use it to
     /// pre-check a stage's estimated footprint before starting work.
     pub fn disk(&self) -> Option<&Arc<DiskBudget>> {
         self.disk.as_ref()
     }
 
-    /// Gate a named metadata operation (stage commit, rename, fsync),
-    /// retrying transient faults per the surface's policy.
+    /// Gate a named metadata operation (stage commit, rename, fsync,
+    /// retire), retrying transient faults per the surface's policy. The
+    /// caller runs the operation itself once this returns `Ok`.
     pub fn op(&self, what: &str) -> io::Result<()> {
         match &self.faults {
             None => Ok(()),
@@ -614,49 +495,17 @@ mod tests {
     use super::*;
 
     #[test]
-    fn read_fails_after_budget() {
-        let data = [1u8; 100];
-        let mut f = FaultInjector::new(&data[..], 10);
-        let mut buf = [0u8; 8];
-        assert_eq!(f.read(&mut buf).unwrap(), 8);
-        assert_eq!(f.read(&mut buf).unwrap(), 2); // clipped to remaining budget
-        let err = f.read(&mut buf).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::Other);
-        assert!(f.tripped());
-    }
-
-    #[test]
-    fn write_fails_after_budget() {
-        let mut out = Vec::new();
-        {
-            let mut f = FaultInjector::new(&mut out, 5);
-            assert_eq!(f.write(&[9u8; 3]).unwrap(), 3);
-            assert_eq!(f.write(&[9u8; 3]).unwrap(), 2);
-            assert!(f.write(&[9u8; 1]).is_err());
-        }
-        assert_eq!(out.len(), 5);
-    }
-
-    #[test]
-    fn zero_len_ops_never_trip() {
-        let mut f = FaultInjector::new(std::io::empty(), 0);
-        let mut buf = [];
-        assert_eq!(f.read(&mut buf).unwrap(), 0);
-        assert!(!f.tripped());
-    }
-
-    #[test]
     fn plan_fails_exactly_at_op() {
         let faults = FaultState::new(FaultPlan::fail_at(2));
         let mut sink = Vec::new();
-        assert!(faults.write_gate(&mut sink, b"aa").is_ok()); // op 0
+        assert!(faults.write_gate_as("write", &mut sink, b"aa").is_ok()); // op 0
         assert!(faults.op_gate("fsync").is_ok()); // op 1
-        let err = faults.write_gate(&mut sink, b"bb").unwrap_err(); // op 2: boom
+        let err = faults.write_gate_as("write", &mut sink, b"bb").unwrap_err(); // op 2: boom
         assert!(!is_transient(&err));
         assert!(faults.fired());
         assert_eq!(sink, b"aa", "failed write must not land");
         // Fires once; later ops pass.
-        assert!(faults.write_gate(&mut sink, b"cc").is_ok());
+        assert!(faults.write_gate_as("write", &mut sink, b"cc").is_ok());
         assert_eq!(sink, b"aacc");
     }
 
@@ -664,7 +513,7 @@ mod tests {
     fn torn_write_leaves_prefix() {
         let faults = FaultState::new(FaultPlan::torn_at(0, 3));
         let mut sink = Vec::new();
-        assert!(faults.write_gate(&mut sink, b"abcdef").is_err());
+        assert!(faults.write_gate_as("write", &mut sink, b"abcdef").is_err());
         assert_eq!(sink, b"abc", "torn write keeps exactly keep_bytes");
     }
 
@@ -673,11 +522,11 @@ mod tests {
         let faults = FaultState::new(FaultPlan::transient_at(1, 2));
         let mut sink = Vec::new();
         assert!(faults.op_gate("fsync").is_ok()); // op 0
-        let e1 = faults.write_gate(&mut sink, b"x").unwrap_err();
+        let e1 = faults.write_gate_as("write", &mut sink, b"x").unwrap_err();
         assert!(is_transient(&e1));
-        let e2 = faults.write_gate(&mut sink, b"x").unwrap_err();
+        let e2 = faults.write_gate_as("write", &mut sink, b"x").unwrap_err();
         assert!(is_transient(&e2));
-        assert!(faults.write_gate(&mut sink, b"x").is_ok(), "third attempt succeeds");
+        assert!(faults.write_gate_as("write", &mut sink, b"x").is_ok(), "third attempt succeeds");
         assert_eq!(sink, b"x");
     }
 
@@ -686,7 +535,7 @@ mod tests {
         let faults = FaultState::counting();
         let mut sink = Vec::new();
         for _ in 0..100 {
-            faults.write_gate(&mut sink, b"y").unwrap();
+            faults.write_gate_as("write", &mut sink, b"y").unwrap();
         }
         assert_eq!(faults.ops_seen(), 100);
         assert!(!faults.fired());
@@ -697,7 +546,7 @@ mod tests {
         let faults = FaultState::new(FaultPlan::transient_at(0, 3));
         let policy = RetryPolicy { max_retries: 4, ..RetryPolicy::none() };
         let mut sink = Vec::new();
-        retry_transient(&policy, || faults.write_gate(&mut sink, b"data")).unwrap();
+        retry_transient(&policy, || faults.write_gate_as("write", &mut sink, b"data")).unwrap();
         assert_eq!(sink, b"data");
     }
 
@@ -706,14 +555,15 @@ mod tests {
         let faults = FaultState::new(FaultPlan::transient_at(0, 5));
         let policy = RetryPolicy { max_retries: 2, ..RetryPolicy::none() };
         let mut sink = Vec::new();
-        let err = retry_transient(&policy, || faults.write_gate(&mut sink, b"d")).unwrap_err();
+        let err = retry_transient(&policy, || faults.write_gate_as("write", &mut sink, b"d"))
+            .unwrap_err();
         assert!(is_transient(&err), "last transient error is returned");
 
         let hard = FaultState::new(FaultPlan::fail_at(0));
         let mut calls = 0;
         let err = retry_transient(&policy, || {
             calls += 1;
-            hard.write_gate(&mut sink, b"d")
+            hard.write_gate_as("write", &mut sink, b"d")
         })
         .unwrap_err();
         assert!(!is_transient(&err));
@@ -762,8 +612,8 @@ mod tests {
     fn full_fault_is_storage_full() {
         let faults = FaultState::new(FaultPlan::full_at(1));
         let mut sink = Vec::new();
-        assert!(faults.write_gate(&mut sink, b"aa").is_ok()); // op 0
-        let err = faults.write_gate(&mut sink, b"bb").unwrap_err();
+        assert!(faults.write_gate_as("write", &mut sink, b"aa").is_ok()); // op 0
+        let err = faults.write_gate_as("write", &mut sink, b"bb").unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::StorageFull);
         assert!(faults.fired());
         assert_eq!(sink, b"aa", "a full device writes nothing");
@@ -787,7 +637,7 @@ mod tests {
         let mut sink = Vec::new();
         // Unrelated ops and writes pass untouched.
         assert!(faults.op_gate("fsync").is_ok());
-        assert!(faults.write_gate(&mut sink, b"x").is_ok());
+        assert!(faults.write_gate_as("write", &mut sink, b"x").is_ok());
         assert!(faults.op_gate("commit-manifest:import").is_ok());
         let err = faults.op_gate("commit-manifest:triads").unwrap_err();
         assert!(err.to_string().contains("commit-manifest:triads"), "{err}");
@@ -811,7 +661,6 @@ mod tests {
     #[test]
     fn inert_surface_is_a_pass_through() {
         let surface = FaultSurface::none();
-        assert!(!surface.is_active());
         surface.op("anything").unwrap();
         let mut w = surface.wrap(Vec::new());
         w.write_all(b"hello").unwrap();
@@ -835,7 +684,6 @@ mod tests {
         let surface = FaultSurface::none()
             .with_faults(Arc::clone(&faults))
             .with_retry(RetryPolicy { max_retries: 3, ..RetryPolicy::none() });
-        assert!(surface.is_active());
         let mut w = surface.wrap(Vec::new());
         w.write_all(b"one").unwrap();
         w.write_all(b"two").unwrap();
@@ -846,11 +694,10 @@ mod tests {
     #[test]
     fn gated_writer_retries_transparently() {
         let faults = FaultState::new(FaultPlan::transient_at(1, 2));
-        let mut w = GatedWriter::new(
-            Vec::new(),
-            Some(faults),
-            RetryPolicy { max_retries: 3, ..RetryPolicy::none() },
-        );
+        let surface = FaultSurface::none()
+            .with_faults(faults)
+            .with_retry(RetryPolicy { max_retries: 3, ..RetryPolicy::none() });
+        let mut w = surface.wrap(Vec::new()).labeled("write-manifest");
         w.write_all(b"one").unwrap();
         w.write_all(b"two").unwrap(); // transient x2 under the hood
         assert_eq!(w.into_inner(), b"onetwo");

@@ -33,8 +33,7 @@ pub use atomic::{write_atomic, AtomicFile, StagedDir};
 pub use checksum::{crc32, crc32_combine, crc32_stream, Crc32, CrcWriter, Fingerprint};
 pub use device::{DeviceKind, DeviceModel};
 pub use fault::{
-    is_transient, retry_transient, DiskBudget, FaultInjector, FaultKind, FaultPlan, FaultState,
-    FaultSurface, GatedWriter, RetryPolicy, SurfaceWriter,
+    DiskBudget, FaultKind, FaultPlan, FaultState, FaultSurface, RetryPolicy, SurfaceWriter,
 };
 pub use framed::{FramedReader, FramedWriter};
 pub use record::{RecordReader, RecordWriter};

@@ -206,11 +206,6 @@ impl Server {
         self.addr
     }
 
-    /// Connections accepted so far.
-    pub fn connections_served(&self) -> u64 {
-        self.served.load(Ordering::SeqCst)
-    }
-
     /// Block until the server exits on its own (requires `max_conns`, which
     /// ends the accept loop) and all in-flight sessions finish.
     pub fn wait(mut self) -> Result<u64> {

@@ -153,11 +153,6 @@ impl GraphView {
         })
     }
 
-    /// Attach an already-pinned snapshot (shared across views).
-    pub fn attach_snapshot(&mut self, snapshot: Arc<Snapshot>) {
-        self.snapshot = Some(snapshot);
-    }
-
     /// Pin a checkpoint generation under `root` for this view:
     /// a specific generation number, or the newest usable one. Returns the
     /// pinned generation number.

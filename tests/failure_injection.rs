@@ -2,12 +2,13 @@
 //! errors, not corruption or hangs — when storage misbehaves or budgets are
 //! impossible.
 
+use std::io::Read;
 use std::sync::Arc;
 
 use graphz_algos::runner;
 use graphz_algos::{AlgoParams, Algorithm};
 use graphz_gen::rmat_edges;
-use graphz_io::{FaultInjector, IoStats, RecordReader, ScratchDir};
+use graphz_io::{IoStats, RecordReader, ScratchDir};
 use graphz_storage::{DosGraph, EdgeListFile};
 use graphz_types::{Edge, GraphError, MemoryBudget};
 
@@ -116,16 +117,34 @@ fn source_out_of_range_is_an_algorithm_error() {
     assert!(matches!(err, GraphError::NotFound(_)), "{err:?}");
 }
 
+/// A reader that fails with an IO error once `left` bytes have passed.
+struct FailAfter<R> {
+    inner: R,
+    left: usize,
+}
+
+impl<R: Read> Read for FailAfter<R> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        if self.left == 0 {
+            return Err(std::io::Error::other("injected fault"));
+        }
+        let want = buf.len().min(self.left);
+        let n = self.inner.read(&mut buf[..want])?;
+        self.left -= n;
+        Ok(n)
+    }
+}
+
 #[test]
 fn io_faults_surface_instead_of_corrupting() {
-    // Drive a record stream through the fault injector and confirm the
-    // error propagates as an IO error mid-stream.
+    // Drive a record stream through a reader that fails mid-stream and
+    // confirm the error propagates as an IO error.
     let dir = ScratchDir::new("fail-inject").unwrap();
     let stats = IoStats::new();
     let edges: Vec<Edge> = (0..100).map(|i| Edge::new(i, i + 1)).collect();
     graphz_io::record::write_records(&dir.file("edges.bin"), Arc::clone(&stats), &edges).unwrap();
     let raw = std::fs::File::open(dir.file("edges.bin")).unwrap();
-    let faulty = FaultInjector::new(raw, 100); // dies after 100 bytes
+    let faulty = FailAfter { inner: raw, left: 100 };
     let mut reader = RecordReader::<Edge, _>::from_reader(std::io::BufReader::new(faulty));
     let mut ok = 0;
     let err = loop {
