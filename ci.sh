@@ -38,7 +38,7 @@ step "test"
 cargo test -q --offline
 step_done
 
-step "run memory bound (ROADMAP item 1)"
+step "run memory bound (ROADMAP item 3)"
 # Also part of the test step above; run alone so the log names it.
 # crates/cli/tests/run_memory.rs runs `graphz run pr` and `run cc` at
 # --budget-mib 1 on a scale-20 graph of 100k edges and holds the process's
@@ -49,6 +49,16 @@ step "run memory bound (ROADMAP item 1)"
 # the cap never holds more than cap + 1 of them in memory (DESIGN.md §6d).
 cargo test -q --offline -p graphz-cli --test run_memory
 cargo test -q --offline -p graphz-core --lib in_memory_messages_never_exceed_the_cap_plus_one
+step_done
+
+step "examples (release)"
+# Every repo example runs to completion, not just compiles. checkpointing
+# asserts that a run resumed through Engine::checkpoint/restore is
+# bit-identical to the uninterrupted one: the partition pass and the
+# checkpoint staging end to end.
+for example in checkpointing quickstart dos_walkthrough web_ranking social_reachability; do
+    cargo run --release --offline -q -p graphz-bench --example "$example" > /dev/null
+done
 step_done
 
 step "ingest equivalence (any budget, any relabel path, any resume point: same bytes)"

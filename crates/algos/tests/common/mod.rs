@@ -10,6 +10,8 @@
 // Each suite compiles this module on its own and uses a subset of it.
 #![allow(dead_code)]
 
+pub mod oracle;
+
 use std::collections::BTreeMap;
 use std::io::Read;
 use std::path::Path;

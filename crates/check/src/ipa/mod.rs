@@ -7,17 +7,17 @@
 //! *transitively* (DESIGN.md §6k):
 //!
 //! * `hot-path-alloc` — nothing reachable from the Worker per-message
-//!   compute loop (`ShardState::process`, which also routes every sent
-//!   message: the in-shard apply, the per-partition defer push and the
-//!   per-neighbor expansion of a broadcast all live in its body) or the
-//!   per-iteration resident-adjacency feed (`Executor::feed_resident`), or
-//!   the activity checks (`mark_active`, the gap re-check `wakes_in`) may
-//!   allocate, take a lock, touch a file, or spawn. BatchPool reuse stops
-//!   being a bench anecdote and becomes a checked invariant.
+//!   compute loop (`Worker::process`, which also routes every sent
+//!   message: the in-partition apply, the per-partition defer push and the
+//!   per-neighbor expansion of a broadcast all live in its body, and which
+//!   also takes the resident adjacency each iteration), or the activity
+//!   checks (`mark_active`, the gap re-check `wakes_in`) may allocate, take
+//!   a lock, touch a file, or spawn. BatchPool reuse stops being a bench
+//!   anecdote and becomes a checked invariant.
 //! * `panic-freedom` — no unwrap/expect, release-enabled assert,
 //!   non-literal index/slice, or non-literal division reachable from the
-//!   compute phase entry points `Engine::run` drives (`ShardState::*`,
-//!   `Executor::*`, the shard-plan free functions).
+//!   compute phase entry points `Engine::run`'s partition pass drives
+//!   (`Worker::*`, `ActiveSet::any_in`, `BatchPool::put`).
 //! * `fault-surface-reach` — every file-creating sink in io/extsort/storage
 //!   is FaultSurface-gated on **all call paths**: a gate that dominates the
 //!   sink in its own function, or one on every call path into it. No file
@@ -110,37 +110,25 @@ const EXCLUDED: &[&str] = &[
     "crates/gen/",
 ];
 
-/// Hot-path entries: the per-message compute loop, whose body also holds
-/// the message routing (apply or defer, broadcast expansion), the
-/// resident-adjacency feed, and the activity checks the Worker runs per
-/// partition and per skipped block — marking the vertices that want an
-/// update, and the gap re-check (DESIGN.md §6d/§6i).
-const HOT_ENTRIES: &[(&str, &str)] = &[
-    ("ShardState", "process"),
-    ("Executor", "feed_resident"),
-    ("ShardState", "mark_active"),
-    ("ShardState", "wakes_in"),
-    ("Executor", "mark_active"),
-    ("Executor", "wakes_in"),
-];
+/// Hot-path entries: the per-message compute loop — whose body also holds
+/// the message routing (apply or defer, broadcast expansion) and which
+/// takes every batch, the resident adjacency included — and the activity
+/// checks the Worker runs per partition and per skipped block: marking the
+/// vertices that want an update, and the gap re-check (DESIGN.md §6d/§6i).
+const HOT_ENTRIES: &[(&str, &str)] =
+    &[("Worker", "process"), ("Worker", "mark_active"), ("Worker", "wakes_in")];
 
-/// Compute-phase entries: everything `Engine::run`'s iteration loop drives
-/// per batch — the inline executor's start/feed/finish protocol and the
-/// per-partition state machine (which fans out into every algorithm
-/// kernel).
+/// Compute-phase entries: everything the partition pass drives per batch —
+/// the Worker's start, its update loop (which fans out into every
+/// algorithm kernel) and its activity checks, and the return of each
+/// streamed batch to the pool.
 const PANIC_ENTRIES: &[(&str, &str)] = &[
-    ("ShardState", "start"),
-    ("ShardState", "process"),
-    ("ShardState", "finish"),
-    ("Executor", "start"),
-    ("Executor", "feed"),
-    ("Executor", "feed_resident"),
-    ("Executor", "finish"),
-    ("Executor", "mark_active"),
-    ("Executor", "wakes_in"),
-    ("ShardState", "mark_active"),
-    ("ShardState", "wakes_in"),
+    ("Worker", "start"),
+    ("Worker", "process"),
+    ("Worker", "mark_active"),
+    ("Worker", "wakes_in"),
     ("ActiveSet", "any_in"),
+    ("BatchPool", "put"),
 ];
 
 /// Serve read-path entries: the four GraphView point-query methods every

@@ -159,7 +159,7 @@ fn extract_fn(tokens: &[Token], at: usize) -> Option<Function> {
 /// the name of the *implemented type* (for `impl Trait for Type`, the type —
 /// the interprocedural pass resolves `Type::method` and `self.method`
 /// against the Self type, never the trait). Generic parameters on the type
-/// (`ShardState<P>`) are dropped; only the head identifier is kept.
+/// (`Worker<P>`) are dropped; only the head identifier is kept.
 pub fn impl_owners(tokens: &[Token]) -> Vec<(Range<usize>, String)> {
     let mut out = Vec::new();
     let mut i = 0;

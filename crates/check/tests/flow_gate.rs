@@ -223,8 +223,8 @@ fn report_binary_merges_artifacts() {
     write(
         &root,
         "crates/core/src/worker.rs",
-        "pub struct ShardState { sent: u64 }\n\
-         impl ShardState {\n\
+        "pub struct Worker { sent: u64 }\n\
+         impl Worker {\n\
          \x20   pub fn process(&mut self, n: usize) -> u64 {\n\
          \x20       let buf = staging(n);\n\
          \x20       buf.len() as u64\n\

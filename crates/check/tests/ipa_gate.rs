@@ -2,7 +2,7 @@
 //! engine hot path this crate certifies — must analyze clean, and seeded
 //! fixture trees must trip every rule, most through a *call chain*: an
 //! allocation in a helper the Worker loop calls, an unchecked index behind
-//! the Executor feed path, an ungated file-creating sink reached through
+//! the Worker's start, an ungated file-creating sink reached through
 //! one of the surface's own plumbing files (and one in a plain public
 //! function), a bare fs error `?`-crossing a crate boundary (and one
 //! leaving a storage root), and an allocation behind a GraphView point
@@ -41,8 +41,8 @@ fn seed_fixture(root: &Path, suppress: bool) {
         root,
         "crates/core/src/worker.rs",
         &format!(
-            "pub struct ShardState {{ sent: u64 }}\n\
-             impl ShardState {{\n\
+            "pub struct Worker {{ sent: u64 }}\n\
+             impl Worker {{\n\
              \x20   pub fn process(&mut self, n: usize) -> u64 {{\n\
              \x20       let buf = staging(n);\n\
              \x20       buf.len() as u64\n\
@@ -55,14 +55,14 @@ fn seed_fixture(root: &Path, suppress: bool) {
         ),
     );
 
-    // panic-freedom: an unchecked index in a helper the feed path calls.
+    // panic-freedom: an unchecked index in a helper the Worker's start calls.
     write(
         root,
         "crates/core/src/exec.rs",
         &format!(
-            "pub struct Executor {{ shards: usize }}\n\
-             impl Executor {{\n\
-             \x20   pub fn feed(&self, xs: &[u32], i: usize) -> u32 {{\n\
+            "pub struct Worker {{ first: usize }}\n\
+             impl Worker {{\n\
+             \x20   pub fn start(xs: &[u32], i: usize) -> u32 {{\n\
              \x20       pick(xs, i)\n\
              \x20   }}\n\
              }}\n\
@@ -194,8 +194,8 @@ fn helper_chain_findings_name_the_call_chain() {
     write(
         &root,
         "crates/core/src/worker.rs",
-        "pub struct ShardState { sent: u64 }\n\
-         impl ShardState {\n\
+        "pub struct Worker { sent: u64 }\n\
+         impl Worker {\n\
          \x20   pub fn process(&mut self, n: usize) -> u64 {\n\
          \x20       let buf = staging(n);\n\
          \x20       buf.len() as u64\n\
@@ -224,7 +224,7 @@ fn helper_chain_findings_name_the_call_chain() {
         .find(|v| v.rule == "hot-path-alloc")
         .expect("hot-path-alloc through the helper");
     assert!(
-        alloc.message.contains("core::ShardState::process → core::staging"),
+        alloc.message.contains("core::Worker::process → core::staging"),
         "finding must show the call chain: {}",
         alloc.message
     );
@@ -266,7 +266,7 @@ fn a_gate_on_one_branch_does_not_cover_the_sink() {
     assert_eq!(findings[0].line, 5);
 }
 
-/// Message routing written as a closure inside `ShardState::process` — the
+/// Message routing written as a closure inside `Worker::process` — the
 /// apply-or-defer the broadcast expansion calls per neighbor — is part of
 /// the hot-path and compute-phase roots: an allocation or an unchecked
 /// index there trips both rules without naming the closure as a root.
@@ -276,8 +276,8 @@ fn routing_closure_inside_process_is_covered() {
     write(
         &root,
         "crates/core/src/worker.rs",
-        "pub struct ShardState { deferred: Vec<Vec<u32>> }\n\
-         impl ShardState {\n\
+        "pub struct Worker { deferred: Vec<Vec<u32>> }\n\
+         impl Worker {\n\
          \x20   pub fn process(&mut self, neighbors: &[u32]) {\n\
          \x20       let deferred = &mut self.deferred;\n\
          \x20       let mut route = |dst: u32| {\n\
@@ -305,8 +305,8 @@ fn activity_checks_are_hot_path_and_panic_roots() {
     write(
         &root,
         "crates/core/src/worker.rs",
-        "pub struct ShardState { data: Vec<u32> }\n\
-         impl ShardState {\n\
+        "pub struct Worker { data: Vec<u32> }\n\
+         impl Worker {\n\
          \x20   fn mark_active(&self, active: &mut Vec<bool>) {\n\
          \x20       active.extend(vec![self.data.is_empty()]);\n\
          \x20   }\n\
@@ -417,7 +417,7 @@ fn ipa_binary_exit_codes_and_json() {
     let out = check_bin(&["--root", &root.to_string_lossy(), "--dump-callgraph"]);
     assert!(out.status.success(), "{out:?}");
     let dump = String::from_utf8_lossy(&out.stdout);
-    assert!(dump.contains("core::ShardState::process"), "{dump}");
+    assert!(dump.contains("core::Worker::process"), "{dump}");
     assert!(dump.contains("core::staging [alloc]"), "summary bits: {dump}");
 }
 

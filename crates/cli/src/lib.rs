@@ -527,6 +527,12 @@ pub fn parse(args: &[String]) -> Result<Command> {
                     return Err(GraphError::InvalidConfig(format!("unknown algorithm `{other}`")))
                 }
             };
+            if p.value("--source").is_some() && !matches!(algo, Algorithm::Bfs | Algorithm::Sssp) {
+                return Err(GraphError::InvalidConfig(format!(
+                    "--source applies to bfs and sssp only; {} has no source",
+                    algo.name()
+                )));
+            }
             Ok(Command::Run {
                 algo,
                 dos_dir: p.pos(1)?,
@@ -1141,6 +1147,22 @@ mod tests {
                 verbose: false,
             }
         );
+    }
+
+    #[test]
+    fn run_rejects_source_for_algorithms_without_one() {
+        for (algo, name) in [("pr", "PR"), ("cc", "CC"), ("bp", "BP"), ("rw", "RW")] {
+            let err = parse(&args(&format!("run {algo} dos-dir --source 4"))).unwrap_err();
+            assert!(matches!(err, GraphError::InvalidConfig(_)), "{algo}: {err:?}");
+            let want = format!("--source applies to bfs and sssp only; {name} has no source");
+            assert!(err.to_string().contains(&want), "{algo}: {err}");
+        }
+        for algo in ["bfs", "sssp"] {
+            match parse(&args(&format!("run {algo} dos-dir --source 4"))).unwrap() {
+                Command::Run { source, .. } => assert_eq!(source, 4, "{algo}"),
+                other => panic!("parsed {other:?}"),
+            }
+        }
     }
 
     #[test]

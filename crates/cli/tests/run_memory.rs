@@ -1,6 +1,6 @@
 //! Pins what `graphz run` holds beyond its budget on a graph of many
 //! vertices and few edges, where a per-vertex copy of the result would
-//! dominate (ROADMAP item 1). The graph is generated and converted by the
+//! dominate (ROADMAP item 3). The graph is generated and converted by the
 //! `graphz` binary in child processes, so only the runs count against this
 //! process's `VmHWM`.
 //!
@@ -23,7 +23,7 @@ const BUDGET_KIB: u64 = 1024;
 /// messages are not among them: the MsgManager holds them inside its
 /// quarter of the budget. Measured at 4.5 to 4.9 MiB in a release build
 /// (four runs); this keeps the 3.5 MiB margin the bound had over its
-/// earlier 6.5 MiB, rounded up to the half MiB. ROADMAP item 6's budget
+/// earlier 6.5 MiB, rounded up to the half MiB. ROADMAP item 3's budget
 /// ledger is to bring the rest under the budget.
 const RUN_PHASE_KIB: u64 = 8 * 1024 + 512;
 

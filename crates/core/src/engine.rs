@@ -11,6 +11,7 @@ use graphz_io::{
     ScratchDir, StagedDir, SurfaceWriter, TrackedFile,
 };
 use graphz_storage::{PartitionSet, Partitioner};
+use graphz_types::codec::decode_slice;
 use graphz_types::{
     cast, EngineOptions, FixedCodec, GraphError, IoCtx, MemoryBudget, Result, VertexId,
 };
@@ -95,10 +96,8 @@ impl PendingGeneration {
         a: VertexId,
         b: VertexId,
     ) -> Result<()> {
-        buf.resize((b - a) as usize * V::SIZE, 0);
-        vfile.seek(SeekFrom::Start(a as u64 * V::SIZE as u64))?;
-        vfile.read_exact(buf)?;
-        self.append(behind, buf)
+        let bytes = read_vertices::<V>(vfile, buf, a, b)?;
+        self.append(behind, bytes)
     }
 
     /// Seal the generation: end the vertex frame, frame every spill segment
@@ -172,18 +171,18 @@ fn encode_slab<V: FixedCodec>(buf: &mut Vec<u8>, slab: &[V]) {
     }
 }
 
-/// Encode `slab` through the reusable `buf` and write it over the vertex
-/// file's records starting at vertex `first`. Returns the bytes written.
-fn write_slab<V: FixedCodec>(
+/// Read vertices `[a, b)` of a vertex file into the reusable `bytes` —
+/// one seek, one read — and return them.
+pub(crate) fn read_vertices<'b, V: FixedCodec>(
     file: &mut TrackedFile,
-    buf: &mut Vec<u8>,
-    first: VertexId,
-    slab: &[V],
-) -> Result<u64> {
-    encode_slab(buf, slab);
-    file.seek(SeekFrom::Start(first as u64 * V::SIZE as u64))?;
-    file.write_all(buf)?;
-    Ok(buf.len() as u64)
+    bytes: &'b mut Vec<u8>,
+    a: VertexId,
+    b: VertexId,
+) -> Result<&'b [u8]> {
+    bytes.resize((b - a) as usize * V::SIZE, 0);
+    file.seek(SeekFrom::Start(a as u64 * V::SIZE as u64))?;
+    file.read_exact(bytes)?;
+    Ok(bytes)
 }
 
 /// Granularity of dirty write-back: a flushed slab is compared with the
@@ -244,11 +243,11 @@ fn adjacency_bytes(num_vertices: u64, num_edges: u64, weighted: bool) -> u64 {
 }
 
 use crate::msgmanager::MsgManager;
-use crate::prefetch::{Prefetched, Prefetcher};
+use crate::prefetch::{Loaded, Prefetcher};
 use crate::program::VertexProgram;
 use crate::sio;
 use crate::store::GraphStore;
-use crate::worker::{replay, Executor, ShardStart};
+use crate::worker::{replay, Worker};
 
 /// Engine construction parameters.
 #[derive(Debug, Clone)]
@@ -366,7 +365,7 @@ impl std::ops::Add for StageTimes {
 }
 
 /// Per-iteration progress record (convergence analysis, debugging).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct IterationStats {
     /// 0-based iteration number.
     pub iteration: u32,
@@ -571,11 +570,8 @@ impl<P: VertexProgram> Engine<P> {
         let num_vertices = self.store.num_vertices();
         let mut iterations = 0;
         let mut converged = false;
-        let mut messages_sent: u64 = 0;
-        let mut dynamic_applied: u64 = 0;
         let mut per_iteration: Vec<IterationStats> = Vec::new();
-        let mut stages_total = StageTimes::default();
-        let mut pool_counters = sio::PoolCounters::default();
+        let mut pool = sio::PoolCounters::default();
         let mut activity = ActivityCounters::default();
         // Each generation commits on its own thread behind the next
         // iteration; dropping this on an error return joins it.
@@ -586,7 +582,7 @@ impl<P: VertexProgram> Engine<P> {
         // availability or timing). It decides where bytes live and which
         // thread moves them, never the result bits.
         let num_edges = self.store.num_edges();
-        let plan_cfg = self.config.options.plan_execution(
+        let plan = self.config.options.plan_execution(
             self.partitions.num_partitions(),
             self.config.budget,
             num_vertices.saturating_mul(P::VertexData::SIZE as u64),
@@ -594,67 +590,12 @@ impl<P: VertexProgram> Engine<P> {
         );
 
         if num_vertices > 0 {
-            let mut vfile = TrackedFile::open_rw(&self.vertices_path, Arc::clone(&self.stats))
-                .ctx("open-rw", &self.vertices_path)?;
-            // The current partition's slab bytes as loaded, and the block a
-            // flush encodes into to find the blocks that changed.
-            let mut slab_bytes: Vec<u8> = Vec::new();
-            let mut block_bytes: Vec<u8> = Vec::new();
-            let bytes_per_edge: u64 = if self.store.weights_path().is_some() { 8 } else { 4 };
-            let mut gap_reader: Option<sio::GapReader> = None;
-            let dynamic = self.config.options.dynamic_messages;
-            let pipelined = plan_cfg.pipeline_threads > 1;
-            let per_partition = self.partitions.per_partition();
-            let checkpoint_every = self.config.checkpoint_every;
-
-            // The Worker stage runs inline on this thread for the whole run.
-            //
-            // The batch pool persists across partitions *and* iterations,
-            // pre-warmed to the pipeline's maximum in-flight batch count
-            // (the Sio producer's hand + its queue + the Worker's hand + a
-            // gap read back): after the buffers grow to their working size
-            // in iteration 1, no take() ever mints a fresh batch again.
-            let batch_pool = sio::BatchPool::prewarmed(3 + sio::SIO_QUEUE_CAP);
-            let mut executor: Executor<P> =
-                Executor::new(Arc::clone(&self.program), Arc::clone(&batch_pool));
-
-            // Double-buffered partition prefetcher; the plan enables it only
-            // when enough partitions exist to hide a load behind compute.
-            let mut prefetcher: Option<Prefetcher<P>> = if plan_cfg.prefetch {
-                Some(Prefetcher::spawn(
-                    Arc::clone(&self.store),
-                    Arc::clone(&self.program),
-                    &self.vertices_path,
-                    Arc::clone(&self.stats),
-                )?)
-            } else {
-                None
-            };
-
-            // §VI-E future work: when the plan says the whole graph is one
-            // resident partition, keep the vertex array in memory across
-            // iterations instead of flushing and reloading it every pass.
-            let mut resident: Option<Vec<P::VertexData>> = if plan_cfg.resident {
-                slab_bytes.resize(num_vertices as usize * P::VertexData::SIZE, 0);
-                vfile.seek(SeekFrom::Start(0))?;
-                vfile.read_exact(&mut slab_bytes)?;
-                Some(graphz_types::codec::decode_slice(&slab_bytes))
-            } else {
-                None
-            };
-
-            // When the plan keeps the adjacency resident too, the first
-            // partition load reads it once into one batch; every later
-            // iteration feeds that same batch.
-            let mut adjacency: Option<sio::AdjBatch> = None;
-
+            let first_iteration = self.next_iteration;
+            let mut pass = PartitionPass::open(self, plan)?;
+            let (config, surface) = (pass.config, &pass.config.checkpoint_surface);
             for step in 0..max_iterations {
-                let iter = self.next_iteration + step;
+                let iter = first_iteration + step;
                 iterations = step + 1;
-                let mut changed: u64 = 0;
-                let sent_before = messages_sent;
-                let dynamic_before = dynamic_applied;
-                let mut iter_stages = StageTimes::default();
 
                 // Periodic crash-safe checkpoint. The generation number is
                 // the iteration count a restored engine resumes at, so the
@@ -662,268 +603,42 @@ impl<P: VertexProgram> Engine<P> {
                 // planned now so each partition's flush can feed its frame,
                 // and staged at the first of them, once the previous
                 // generation's commit has joined.
-                let mut generation = match &self.config.checkpoint_dir {
-                    Some(root) if checkpoint_every > 0 && (step + 1) % checkpoint_every == 0 => {
-                        Some(PendingGeneration::new(
-                            generations::generation_path(root, iter + 1),
-                            iter + 1,
-                            &self.stats,
-                            &self.config.checkpoint_surface,
-                        ))
+                let every = config.checkpoint_every;
+                let mut generation = match &config.checkpoint_dir {
+                    Some(root) if every > 0 && (step + 1) % every == 0 => {
+                        let dest = generations::generation_path(root, iter + 1);
+                        Some(PendingGeneration::new(dest, iter + 1, pass.stats, surface))
                     }
                     _ => None,
                 };
 
-                for (part, a, b) in self.partitions.iter() {
-                    // Nothing to replay and nothing to update: the pass would
-                    // change no byte, so it is not run at all. The working
-                    // file holds its vertices, the one range a checkpoint
-                    // reads (the resident slab is framed at the iteration's
-                    // end instead).
-                    if !self.active[part as usize] && self.msgs.pending_in(part) == 0 {
-                        activity.passes_skipped += 1;
-                        if let (Some(g), None) = (generation.as_mut(), resident.as_ref()) {
-                            g.copy_range::<P::VertexData>(
-                                &mut commits,
-                                &mut vfile,
-                                &mut slab_bytes,
-                                a,
-                                b,
-                            )?;
-                        }
-                        continue;
-                    }
-                    let count = (b - a) as usize;
-                    let t_load = Instant::now();
-
-                    // MsgManager phase A: load the partition's vertices and
-                    // index — from the prefetcher's double buffer when it
-                    // has this partition in flight (its claimed spill run
-                    // already replayed into the slab), synchronously
-                    // otherwise (first load of a run, or prefetch disabled).
-                    let prefetched: Option<Prefetched<P>> =
-                        prefetcher.as_mut().and_then(|pf| pf.take(part));
-                    let (start_edge, mut degrees, mut slab, claim) = match prefetched {
-                        Some(p) => {
-                            slab_bytes = p.slab_bytes;
-                            (p.start_edge, p.degrees, p.slab, Some((p.claim, p.replayed)))
-                        }
-                        None => {
-                            let (start_edge, degrees) = match adjacency {
-                                Some(_) => (0, Vec::new()),
-                                None => self.store.partition_index(a, b, &self.stats)?,
-                            };
-                            let slab = match resident.take() {
-                                Some(s) => s,
-                                None => {
-                                    slab_bytes.resize(count * P::VertexData::SIZE, 0);
-                                    vfile.seek(SeekFrom::Start(
-                                        a as u64 * P::VertexData::SIZE as u64,
-                                    ))?;
-                                    vfile.read_exact(&mut slab_bytes)?;
-                                    graphz_types::codec::decode_slice(&slab_bytes)
-                                }
-                            };
-                            (start_edge, degrees, slab, None)
-                        }
-                    };
-
-                    // Kick off the next partition's load (wrapping into the
-                    // next iteration) so it overlaps this one's compute —
-                    // only if it already has work, so the load is never
-                    // wasted on a partition that will be skipped. The
-                    // claim seals the spill run the prefetcher will read;
-                    // anything spilled later lands in new segments.
-                    if let Some(pf) = prefetcher.as_mut() {
-                        let next = (part + 1) % self.partitions.num_partitions();
-                        if self.active[next as usize] || self.msgs.pending_in(next) > 0 {
-                            let (na, nb) = self.partitions.range(next);
-                            let next_claim = self.msgs.claim(next);
-                            pf.request(next, na, nb, next_claim);
-                        }
-                    }
-                    if plan_cfg.resident_adjacency && adjacency.is_none() {
-                        let degrees = std::mem::take(&mut degrees);
-                        adjacency = Some(self.load_adjacency(start_edge, a, degrees)?);
-                    }
-                    iter_stages.load += t_load.elapsed();
-                    let t_replay = Instant::now();
-
-                    // The claimed (prefetched) run is the oldest of the
-                    // partition's pending messages and is already applied:
-                    // retire its segments *before* draining the remainder.
-                    if let Some((c, replayed)) = &claim {
-                        self.msgs.consume_claimed(c, *replayed)?;
-                    }
-
-                    // A partition holding a quiet vertex may have blocks to
-                    // skip, and which ones is known only after replay, so
-                    // its stream opens then. Any other stream opens now, and
-                    // Sio reads ahead while the replay applies.
-                    let track = adjacency.is_none()
-                        && !slab.iter().all(|v| self.program.wants_update(v, iter));
-                    let open = |degrees: Vec<u32>, active: Option<sio::ActiveSet>| {
-                        sio::stream_partition_weighted(
-                            &self.store.edges_path(),
-                            self.store.weights_path().as_deref(),
-                            start_edge,
-                            a,
-                            degrees,
-                            self.config.batch_edges,
-                            Arc::clone(&self.stats),
-                            pipelined,
-                            Some(Arc::clone(&batch_pool)),
-                            active,
-                        )
-                    };
-                    let mut stream = match adjacency {
-                        None if !track => Some(open(std::mem::take(&mut degrees), None)?),
-                        _ => None,
-                    };
-                    // Replay what the MsgManager still holds for the
-                    // partition, in send order, straight into the slab.
-                    let program = &*self.program;
-                    self.msgs.drain(part, |dst, msg| replay(program, a, &mut slab, dst, &msg))?;
-                    executor.start(ShardStart {
-                        first: a,
-                        data: slab,
-                        iteration: iter,
-                        num_vertices,
-                        dynamic,
-                        per_partition,
-                    });
-                    iter_stages.replay += t_replay.elapsed();
-                    let t_compute = Instant::now();
-
-                    if let Some(whole) = &adjacency {
-                        executor.feed_resident(whole, &mut self.msgs)?;
-                    } else {
-                        if track {
-                            // The vertices that want an update after replay
-                            // decide which blocks Sio reads.
-                            let mut active = sio::ActiveSet::new(count);
-                            executor.mark_active(&mut active)?;
-                            if active.is_empty() {
-                                // No vertex updates, so none sends and none
-                                // can wake: the adjacency is skipped unread.
-                                let edges: u64 = degrees.iter().map(|&d| u64::from(d)).sum();
-                                activity.adjacency_bytes_skipped += edges * bytes_per_edge;
-                            } else {
-                                stream = Some(open(std::mem::take(&mut degrees), Some(active))?);
-                            }
-                        }
-                        // Sio/Dispatcher stream feeding the Worker.
-                        if let Some(mut stream) = stream {
-                            while let Some(block) = stream.next_block() {
-                                match block? {
-                                    sio::Block::Batch(batch) => {
-                                        executor.feed(batch, &mut self.msgs)?
-                                    }
-                                    // The stream skipped this block when the
-                                    // pass began; an in-pass dynamic message
-                                    // may have woken a vertex in it since.
-                                    // Re-check now, when the schedule reaches
-                                    // it, and read it back if so.
-                                    sio::Block::Gap(gap) => {
-                                        let (lo, hi) = gap.range();
-                                        if executor.wakes_in(lo, hi)? {
-                                            let reader = match &mut gap_reader {
-                                                Some(r) => r,
-                                                None => gap_reader.insert(sio::GapReader::open(
-                                                    &self.store.edges_path(),
-                                                    self.store.weights_path().as_deref(),
-                                                    Arc::clone(&self.stats),
-                                                )?),
-                                            };
-                                            executor.feed(reader.read(gap)?, &mut self.msgs)?;
-                                            activity.gaps_reread += 1;
-                                        } else {
-                                            activity.adjacency_bytes_skipped +=
-                                                gap.edges * bytes_per_edge;
-                                            batch_pool.put(gap.batch);
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                    }
-
-                    // Partition barrier: every message for another partition
-                    // (and, without dynamic messages, for this one) is
-                    // already with the MsgManager.
-                    let result = executor.finish()?;
-                    let slab = result.data;
-                    changed += result.changed;
-                    messages_sent += result.sent;
-                    dynamic_applied += result.dynamic_applied;
-                    if result.rejected > 0 {
-                        return Err(GraphError::Algorithm(format!(
-                            "iteration {iter}, partition {part}: {} message(s) sent to a \
-                             vertex id >= num_vertices ({num_vertices})",
-                            result.rejected
-                        )));
-                    }
-                    debug_assert_eq!(slab.len(), count);
-                    iter_stages.compute += t_compute.elapsed();
-                    let t_flush = Instant::now();
-
-                    // Whether the partition has work next iteration, then
-                    // flush its vertices back to disk — only the blocks that
-                    // changed — or keep them resident on the fast path.
-                    self.active[part as usize] =
-                        slab.iter().any(|v| self.program.wants_update(v, iter + 1));
-                    if plan_cfg.resident {
-                        resident = Some(slab);
-                    } else {
-                        activity.slab_bytes_written +=
-                            write_dirty(&mut vfile, &mut slab_bytes, &mut block_bytes, a, &slab)?;
-                    }
-                    iter_stages.flush += t_flush.elapsed();
-                    // After the flush `slab_bytes` holds exactly the bytes
-                    // the working file now has for this partition.
-                    if let (Some(g), false) = (generation.as_mut(), plan_cfg.resident) {
-                        g.append(&mut commits, &slab_bytes)?;
-                    }
-                }
-
-                stages_total = stages_total + iter_stages;
-                per_iteration.push(IterationStats {
-                    iteration: iter,
-                    changed,
-                    messages_sent: messages_sent - sent_before,
-                    dynamic_applied: dynamic_applied - dynamic_before,
-                    stages: iter_stages,
-                    pool: batch_pool.counters(),
-                });
+                let done = pass.sweep(iter, generation.as_mut(), &mut commits)?;
+                per_iteration.push(done);
 
                 if let Some(mut g) = generation.take() {
                     let (t_seal, waited_before) = (Instant::now(), commits.times().waited);
-                    // The fast path holds vertex state in memory only: frame
-                    // it from there; the working file waits for the run's end.
-                    if let Some(slab) = &resident {
-                        encode_slab(&mut slab_bytes, slab);
-                        g.append(&mut commits, &slab_bytes)?;
-                    }
-                    self.msgs.flush()?;
-                    let (counters, parts) = (self.msgs.counters(), self.partitions.num_partitions());
+                    pass.frame_resident(&mut g, &mut commits)?;
+                    pass.msgs.flush()?;
+                    let (counters, parts) =
+                        (pass.msgs.counters(), pass.partitions.num_partitions());
                     let committed = g.next_iteration;
-                    let staged = g.seal(&mut commits, self.msgs.dir(), parts, counters)?;
+                    let staged = g.seal(&mut commits, pass.msgs.dir(), parts, counters)?;
                     // A join the resident frame's staging waited on is
                     // `waited` time, not sealing.
                     let waited = commits.times().waited - waited_before;
                     commits.add_seal(t_seal.elapsed().saturating_sub(waited));
                     // The fsyncs, the rename and retention run behind the
                     // next iteration; its first gated op joins them.
-                    let retention = match &self.config.checkpoint_dir {
-                        Some(root) if !self.config.keep_all_generations => {
+                    let retention = match &config.checkpoint_dir {
+                        Some(root) if !config.keep_all_generations => {
                             Some(Retention { root: root.clone(), committed })
                         }
                         _ => None,
                     };
-                    commits.start(staged, retention, &self.config.checkpoint_surface)?;
+                    commits.start(staged, retention, surface)?;
                 }
 
-                if changed == 0 {
+                if done.changed == 0 {
                     converged = true;
                     break;
                 }
@@ -931,24 +646,21 @@ impl<P: VertexProgram> Engine<P> {
             // No commit outlives the run: the last generation is durable and
             // retained before the run counts its iterations.
             commits.wait()?;
+            let finished = pass.finish();
             self.next_iteration += iterations;
-            pool_counters = batch_pool.counters();
-            // The fast path writes the final state exactly once.
-            if let Some(slab) = &resident {
-                activity.slab_bytes_written += write_slab(&mut vfile, &mut slab_bytes, 0, slab)?;
-            }
-            vfile.flush()?;
+            (pool, activity) = finished?;
         } else {
             converged = true;
         }
 
         let mc = self.msgs.counters();
+        let total = |count: fn(&IterationStats) -> u64| per_iteration.iter().map(count).sum();
         Ok(RunSummary {
             iterations,
             converged,
             partitions: self.partitions.num_partitions(),
-            messages_sent,
-            dynamic_applied,
+            messages_sent: total(|s| s.messages_sent),
+            dynamic_applied: total(|s| s.dynamic_applied),
             buffered: mc.buffered,
             spilled: mc.spilled,
             replayed: mc.replayed,
@@ -956,55 +668,13 @@ impl<P: VertexProgram> Engine<P> {
             io: self.stats.snapshot() - io_before,
             prefetch: self.stats.prefetch_snapshot() - prefetch_before,
             wall: start.elapsed(),
-            stages: stages_total,
-            pool: pool_counters,
+            stages: per_iteration.iter().fold(StageTimes::default(), |t, s| t + s.stages),
+            pool,
             activity,
-            plan: plan_cfg,
+            plan,
             checkpoint: commits.times(),
             per_iteration,
         })
-    }
-
-    /// Read the adjacency of the partition starting at vertex `a` — its
-    /// edges from `start_edge` on, their weights, and `degrees` — through the
-    /// Sio reader in one pass, into one resident batch.
-    fn load_adjacency(
-        &self,
-        start_edge: u64,
-        a: VertexId,
-        degrees: Vec<u32>,
-    ) -> Result<sio::AdjBatch> {
-        let weights_path = self.store.weights_path();
-        let num_edges: usize = degrees.iter().map(|&d| d as usize).sum();
-        let mut whole = sio::AdjBatch {
-            first_vertex: a,
-            degrees: Vec::with_capacity(degrees.len()),
-            edges: Vec::with_capacity(num_edges),
-            weights: Vec::with_capacity(if weights_path.is_some() { num_edges } else { 0 }),
-        };
-        // A private pool, freed when the load ends: it recycles the stream's
-        // blocks.
-        let pool = sio::BatchPool::new(1);
-        let stream = sio::stream_partition_weighted(
-            &self.store.edges_path(),
-            weights_path.as_deref(),
-            start_edge,
-            a,
-            degrees,
-            self.config.batch_edges,
-            Arc::clone(&self.stats),
-            false,
-            Some(Arc::clone(&pool)),
-            None,
-        )?;
-        for batch in stream {
-            let batch = batch?;
-            whole.degrees.extend_from_slice(&batch.degrees);
-            whole.edges.extend_from_slice(&batch.edges);
-            whole.weights.extend_from_slice(&batch.weights);
-            pool.put(batch);
-        }
-        Ok(whole)
     }
 
     /// Checkpoint the engine's whole computation state — vertex values,
@@ -1016,8 +686,9 @@ impl<P: VertexProgram> Engine<P> {
     /// The write is crash-consistent: everything is staged into `dir.tmp/`,
     /// each file is wrapped in a checksummed frame and listed with its
     /// length and CRC32 in `manifest.txt`, the tree is fsynced, and the
-    /// staging directory is atomically renamed over `dir`. A crash at any
-    /// point leaves either the previous checkpoint or the new one.
+    /// staging directory is atomically renamed over `dir`. A failure at any
+    /// point leaves either the previous checkpoint or the new one (a crash
+    /// mid-swap leaves it as `dir.old`, which the next checkpoint puts back).
     pub fn checkpoint(&mut self, dir: &Path) -> Result<()> {
         if !self.initialized {
             return Err(GraphError::InvalidConfig(
@@ -1203,6 +874,382 @@ impl<P: VertexProgram> Engine<P> {
         // The stream checks every id against V, so the index is in bounds.
         self.for_each_value(|id, value| out[cast::vertex_index(id)] = value)?;
         Ok(out)
+    }
+}
+
+/// How the compute stage feeds the Worker: the resident adjacency, a
+/// stream over every block (opened before the replay, so Sio reads ahead
+/// while it applies), or one over the blocks of the vertices that want an
+/// update, known only once the replay has applied.
+enum Feed {
+    Resident,
+    Stream(sio::AdjacencyStream),
+    Tracked { start_edge: u64, degrees: Vec<u32> },
+}
+
+/// A partition's pass through the pipeline (paper §V, Fig. 4), as four
+/// stages: [`load`](Self::load), [`replay`](Self::replay) (which starts
+/// the Worker), [`compute`](Self::compute) and [`flush`](Self::flush). It
+/// holds the engine for one [`Engine::run`] and owns every buffer the
+/// partitions reuse.
+struct PartitionPass<'e, P: VertexProgram> {
+    store: &'e Arc<dyn GraphStore>,
+    program: &'e Arc<P>,
+    stats: &'e Arc<IoStats>,
+    config: &'e EngineConfig,
+    partitions: &'e PartitionSet,
+    msgs: &'e mut MsgManager<P::Message>,
+    active: &'e mut [bool],
+    plan: graphz_types::ExecutionPlan,
+    /// The working vertex file: loads read it, flushes write it.
+    vfile: TrackedFile,
+    /// The partition's slab bytes as loaded; after its flush, as written.
+    slab_bytes: Vec<u8>,
+    /// The block a flush encodes into to find the blocks that changed.
+    block_bytes: Vec<u8>,
+    /// Reads back a skipped block a dynamic message woke.
+    gap_reader: Option<sio::GapReader>,
+    /// The vertex array, when the plan keeps it in memory across
+    /// iterations (§VI-E future work) instead of flushing and reloading it.
+    resident: Option<Vec<P::VertexData>>,
+    /// The whole adjacency, when the plan keeps it resident too.
+    adjacency: Option<sio::AdjBatch>,
+    /// The stream's batches, pre-warmed to the most in flight (the Sio
+    /// producer's hand + its queue + the Worker's hand + a gap read back):
+    /// after iteration 1 no take() mints a fresh batch.
+    pool: Arc<sio::BatchPool>,
+    /// Double-buffers partition loads when the plan has enough partitions.
+    prefetcher: Option<Prefetcher<P>>,
+    /// The iteration in progress: its number, counters and stage times.
+    progress: IterationStats,
+    activity: ActivityCounters,
+}
+
+impl<'e, P: VertexProgram> PartitionPass<'e, P> {
+    /// Open the run's pass: the working vertex file, the prefetcher if the
+    /// plan has one, and the vertex array if the plan keeps it resident.
+    fn open(engine: &'e mut Engine<P>, plan: graphz_types::ExecutionPlan) -> Result<Self> {
+        let Engine {
+            store, program, stats, config, partitions, vertices_path, msgs, active, ..
+        } = engine;
+        let mut vfile =
+            TrackedFile::open_rw(vertices_path, Arc::clone(stats)).ctx("open-rw", vertices_path)?;
+        let prefetcher = match plan.prefetch {
+            true => Some(Prefetcher::spawn(
+                Arc::clone(store),
+                Arc::clone(program),
+                vertices_path,
+                Arc::clone(stats),
+            )?),
+            false => None,
+        };
+        // A resident plan has one partition: the whole vertex array.
+        let (mut slab_bytes, (a, b)) = (Vec::new(), partitions.range(0));
+        let resident = match plan.resident {
+            true => Some(read_vertices::<P::VertexData>(&mut vfile, &mut slab_bytes, a, b)?),
+            false => None,
+        }
+        .map(decode_slice);
+        Ok(PartitionPass {
+            store,
+            program,
+            stats,
+            config,
+            partitions,
+            msgs,
+            active,
+            plan,
+            vfile,
+            slab_bytes,
+            block_bytes: Vec::new(),
+            gap_reader: None,
+            resident,
+            adjacency: None,
+            pool: sio::BatchPool::prewarmed(3 + sio::SIO_QUEUE_CAP),
+            prefetcher,
+            progress: IterationStats::default(),
+            activity: ActivityCounters::default(),
+        })
+    }
+
+    /// Run iteration `iteration` over every partition in order, feeding
+    /// each flushed partition into `generation`; returns what it did.
+    fn sweep(
+        &mut self,
+        iteration: u32,
+        mut generation: Option<&mut PendingGeneration>,
+        commits: &mut InFlightCommit,
+    ) -> Result<IterationStats> {
+        self.progress = IterationStats { iteration, ..IterationStats::default() };
+        let partitions = self.partitions;
+        for (part, a, b) in partitions.iter() {
+            // Nothing to replay or update: the pass would change no byte.
+            // The working file holds its vertices for a checkpoint (the
+            // resident slab is framed at the iteration's end instead).
+            if !self.active[part as usize] && self.msgs.pending_in(part) == 0 {
+                self.activity.passes_skipped += 1;
+                if let (Some(g), None) = (generation.as_deref_mut(), &self.resident) {
+                    let (file, buf) = (&mut self.vfile, &mut self.slab_bytes);
+                    g.copy_range::<P::VertexData>(commits, file, buf, a, b)?;
+                }
+                continue;
+            }
+            let loaded = self.load(part, a, b)?;
+            let (mut worker, feed) = self.replay(part, loaded)?;
+            self.compute(&mut worker, feed, part)?;
+            self.flush(part, worker, generation.as_deref_mut(), commits)?;
+        }
+        self.progress.pool = self.pool.counters();
+        Ok(self.progress)
+    }
+
+    /// Load stage (MsgManager phase A): the slab and index — from the
+    /// prefetcher if it has the partition in flight (its claimed spill run
+    /// replayed into the slab), from memory on the resident plan, or read
+    /// now. Then the next partition with work (wrapping into the next
+    /// iteration) is requested, to load behind this one's compute; the
+    /// claim seals the spill run the prefetcher reads.
+    fn load(&mut self, part: u32, a: VertexId, b: VertexId) -> Result<Loaded<P::VertexData>> {
+        let t_load = Instant::now();
+        let mut loaded = match self.prefetcher.as_mut().and_then(|pf| pf.take(part)) {
+            Some((loaded, bytes)) => {
+                self.slab_bytes = bytes;
+                loaded
+            }
+            None => {
+                let (start_edge, degrees) = match self.adjacency {
+                    Some(_) => (0, Vec::new()),
+                    None => self.store.partition_index(a, b, self.stats)?,
+                };
+                let (file, bytes) = (&mut self.vfile, &mut self.slab_bytes);
+                let slab = match self.resident.take() {
+                    Some(slab) => slab,
+                    None => decode_slice(read_vertices::<P::VertexData>(file, bytes, a, b)?),
+                };
+                Loaded { slab, start_edge, degrees, claim: None }
+            }
+        };
+        if let Some(pf) = self.prefetcher.as_mut() {
+            let next = (part + 1) % self.partitions.num_partitions();
+            if self.active[next as usize] || self.msgs.pending_in(next) > 0 {
+                let (na, nb) = self.partitions.range(next);
+                pf.request(next, na, nb, self.msgs.claim(next));
+            }
+        }
+        if self.plan.resident_adjacency && self.adjacency.is_none() {
+            let degrees = std::mem::take(&mut loaded.degrees);
+            self.adjacency = Some(self.load_adjacency(loaded.start_edge, a, degrees)?);
+        }
+        self.progress.stages.load += t_load.elapsed();
+        Ok(loaded)
+    }
+
+    /// Replay stage: retire the prefetched claim (the oldest pending
+    /// messages, already applied), drain the rest into the slab in send
+    /// order, and start the Worker on it. A stream that may skip blocks
+    /// waits for the replay to know which; any other opens first.
+    fn replay(&mut self, part: u32, loaded: Loaded<P::VertexData>) -> Result<(Worker<P>, Feed)> {
+        let t_replay = Instant::now();
+        let Loaded { mut slab, start_edge, degrees, claim } = loaded;
+        if let Some((claim, replayed)) = &claim {
+            self.msgs.consume_claimed(claim, *replayed)?;
+        }
+        let (a, iteration, program) =
+            (self.partitions.range(part).0, self.progress.iteration, &**self.program);
+        let feed = if self.adjacency.is_some() {
+            Feed::Resident
+        } else if slab.iter().all(|v| program.wants_update(v, iteration)) {
+            Feed::Stream(self.open_stream(start_edge, a, degrees, None, &self.pool)?)
+        } else {
+            Feed::Tracked { start_edge, degrees }
+        };
+        self.msgs.drain(part, |dst, msg| replay(program, a, &mut slab, dst, &msg))?;
+        let dynamic = self.config.options.dynamic_messages;
+        let worker = Worker::start(a, slab, iteration, self.partitions, dynamic);
+        self.progress.stages.replay += t_replay.elapsed();
+        Ok((worker, feed))
+    }
+
+    /// Compute stage (Sio → Dispatcher → Worker): feed the Worker its
+    /// adjacency, returning each streamed batch to the pool. A block the
+    /// tracked stream skipped is re-checked when the sweep reaches it (an
+    /// in-pass dynamic message may have woken a vertex in it) and read back
+    /// if so. At the barrier a message sent past the last vertex fails the
+    /// run.
+    fn compute(&mut self, worker: &mut Worker<P>, feed: Feed, part: u32) -> Result<()> {
+        let t_compute = Instant::now();
+        let program = &**self.program;
+        let bytes_per_edge: u64 = if self.store.weights_path().is_some() { 8 } else { 4 };
+        let mut stream = match feed {
+            Feed::Resident => {
+                if let Some(whole) = &self.adjacency {
+                    worker.process(program, whole, self.msgs)?;
+                }
+                None
+            }
+            Feed::Stream(stream) => Some(stream),
+            Feed::Tracked { start_edge, degrees } => {
+                let mut active = sio::ActiveSet::new(worker.data.len());
+                worker.mark_active(program, &mut active);
+                if active.is_empty() {
+                    // No vertex updates, so none sends and none can wake:
+                    // the adjacency is skipped unread.
+                    let edges: u64 = degrees.iter().map(|&d| u64::from(d)).sum();
+                    self.activity.adjacency_bytes_skipped += edges * bytes_per_edge;
+                    None
+                } else {
+                    let (first, pool) = (worker.first, &self.pool);
+                    Some(self.open_stream(start_edge, first, degrees, Some(active), pool)?)
+                }
+            }
+        };
+        while let Some(block) = stream.as_mut().and_then(sio::AdjacencyStream::next_block) {
+            let batch = match block? {
+                sio::Block::Batch(batch) => batch,
+                sio::Block::Gap(gap) => {
+                    let (lo, hi) = gap.range();
+                    if !worker.wakes_in(program, lo, hi) {
+                        self.activity.adjacency_bytes_skipped += gap.edges * bytes_per_edge;
+                        self.pool.put(gap.batch);
+                        continue;
+                    }
+                    self.activity.gaps_reread += 1;
+                    let reader = match &mut self.gap_reader {
+                        Some(reader) => reader,
+                        None => self.gap_reader.insert(sio::GapReader::open(
+                            &self.store.edges_path(),
+                            self.store.weights_path().as_deref(),
+                            Arc::clone(self.stats),
+                        )?),
+                    };
+                    reader.read(gap)?
+                }
+            };
+            let routed = worker.process(program, &batch, self.msgs);
+            self.pool.put(batch);
+            routed?;
+        }
+        if worker.rejected > 0 {
+            return Err(GraphError::Algorithm(format!(
+                "iteration {}, partition {part}: {} message(s) sent to a vertex id >= \
+                 num_vertices ({})",
+                self.progress.iteration,
+                worker.rejected,
+                self.store.num_vertices()
+            )));
+        }
+        self.progress.changed += worker.changed;
+        self.progress.messages_sent += worker.sent;
+        self.progress.dynamic_applied += worker.dynamic_applied;
+        self.progress.stages.compute += t_compute.elapsed();
+        Ok(())
+    }
+
+    /// Flush stage: note whether the partition has work next iteration,
+    /// write back the slab blocks that changed (or keep the slab resident),
+    /// and tee the written bytes into the generation's frame.
+    fn flush(
+        &mut self,
+        part: u32,
+        worker: Worker<P>,
+        generation: Option<&mut PendingGeneration>,
+        commits: &mut InFlightCommit,
+    ) -> Result<()> {
+        let t_flush = Instant::now();
+        let (first, slab, next) = (worker.first, worker.data, self.progress.iteration + 1);
+        self.active[part as usize] = slab.iter().any(|v| self.program.wants_update(v, next));
+        if self.plan.resident {
+            self.resident = Some(slab);
+        } else {
+            let (file, block) = (&mut self.vfile, &mut self.block_bytes);
+            self.activity.slab_bytes_written +=
+                write_dirty(file, &mut self.slab_bytes, block, first, &slab)?;
+        }
+        self.progress.stages.flush += t_flush.elapsed();
+        if let (Some(g), false) = (generation, self.plan.resident) {
+            g.append(commits, &self.slab_bytes)?;
+        }
+        Ok(())
+    }
+
+    /// Frame the resident slab into `generation`: the fast path's working
+    /// file waits for the run's end.
+    fn frame_resident(
+        &mut self,
+        generation: &mut PendingGeneration,
+        commits: &mut InFlightCommit,
+    ) -> Result<()> {
+        let Some(slab) = &self.resident else { return Ok(()) };
+        encode_slab(&mut self.slab_bytes, slab);
+        generation.append(commits, &self.slab_bytes)
+    }
+
+    /// End the run: the fast path writes its final state once, all of it
+    /// (cleared `slab_bytes` say nothing of the file), and the working file
+    /// is flushed. Returns the pool's and the activity counters.
+    fn finish(mut self) -> Result<(sio::PoolCounters, ActivityCounters)> {
+        if let Some(slab) = &self.resident {
+            self.slab_bytes.clear();
+            let (file, block) = (&mut self.vfile, &mut self.block_bytes);
+            self.activity.slab_bytes_written +=
+                write_dirty(file, &mut self.slab_bytes, block, 0, slab)?;
+        }
+        self.vfile.flush()?;
+        Ok((self.pool.counters(), self.activity))
+    }
+
+    /// Open the Sio stream over the partition from vertex `first`, its
+    /// batches drawn from `pool`: every block, or with `active` only the
+    /// blocks holding a marked vertex.
+    fn open_stream(
+        &self,
+        start_edge: u64,
+        first: VertexId,
+        degrees: Vec<u32>,
+        active: Option<sio::ActiveSet>,
+        pool: &Arc<sio::BatchPool>,
+    ) -> Result<sio::AdjacencyStream> {
+        sio::stream_partition_weighted(
+            &self.store.edges_path(),
+            self.store.weights_path().as_deref(),
+            start_edge,
+            first,
+            degrees,
+            self.config.batch_edges,
+            Arc::clone(self.stats),
+            self.plan.pipeline_threads > 1,
+            Some(Arc::clone(pool)),
+            active,
+        )
+    }
+
+    /// Read the adjacency of the partition starting at vertex `a` — its
+    /// edges from `start_edge` on, their weights, and `degrees` — in one
+    /// pass (a resident plan has no read-ahead thread), into one batch.
+    fn load_adjacency(
+        &self,
+        start_edge: u64,
+        a: VertexId,
+        degrees: Vec<u32>,
+    ) -> Result<sio::AdjBatch> {
+        let num_edges: usize = degrees.iter().map(|&d| d as usize).sum();
+        let weighted = self.store.weights_path().is_some();
+        let mut whole = sio::AdjBatch {
+            first_vertex: a,
+            degrees: Vec::with_capacity(degrees.len()),
+            edges: Vec::with_capacity(num_edges),
+            weights: Vec::with_capacity(if weighted { num_edges } else { 0 }),
+        };
+        // A private pool, freed when the load ends, recycles the blocks.
+        let pool = sio::BatchPool::new(1);
+        for batch in self.open_stream(start_edge, a, degrees, None, &pool)? {
+            let batch = batch?;
+            whole.degrees.extend_from_slice(&batch.degrees);
+            whole.edges.extend_from_slice(&batch.edges);
+            whole.weights.extend_from_slice(&batch.weights);
+            pool.put(batch);
+        }
+        Ok(whole)
     }
 }
 
@@ -1896,6 +1943,32 @@ mod tests {
             resumed.values_by_original_id().unwrap(),
             reference.values_by_original_id().unwrap()
         );
+    }
+
+    /// A checkpoint over an existing one that fails its swap leaves the
+    /// first restorable, not moved aside.
+    #[test]
+    fn a_checkpoint_failing_its_swap_keeps_the_previous_one() {
+        use graphz_io::{FaultPlan, FaultState, RetryPolicy};
+        let ckpt = graphz_io::ScratchDir::new("engine-ckpt-twice").unwrap();
+        let dir = ckpt.path().join("ckpt");
+        // The first checkpoint's swap is the first `rename`; fail the second.
+        let faults = FaultState::at_label_occurrence(FaultPlan::fail_at(u64::MAX), "rename", 1);
+        let surface =
+            FaultSurface::none().with_faults(Arc::clone(&faults)).with_retry(RetryPolicy::none());
+        let config = EngineConfig::new(MemoryBudget(32)).with_checkpoint_faults(surface);
+        let (_d1, mut engine) = dos_engine_cfg(test_graph(), config, 6);
+        engine.run(2).unwrap();
+        engine.checkpoint(&dir).unwrap();
+        let first = engine.values().unwrap();
+        engine.run(2).unwrap();
+        assert_ne!(engine.values().unwrap(), first);
+        assert!(engine.checkpoint(&dir).is_err());
+        assert!(faults.fired());
+
+        let (_d2, mut restored) = dos_engine(test_graph(), MemoryBudget(32), EngineOptions::full(), 6);
+        restored.restore(&dir).unwrap();
+        assert_eq!(restored.values().unwrap(), first);
     }
 
     #[test]

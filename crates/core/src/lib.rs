@@ -19,9 +19,11 @@
 //! * the **Dispatcher** parses them into per-vertex adjacency lists
 //!   (also [`sio`]; the two stages share the pipeline thread),
 //! * the **Worker** applies `update()` in ascending vertex order and
-//!   intercepts outgoing messages ([`worker`], driven by [`engine`]); it
-//!   runs inline on the engine thread, while with `pipeline_threads > 1`
-//!   the Sio stage reads ahead on a thread of its own,
+//!   intercepts outgoing messages ([`worker`]); the engine's partition
+//!   pass (load, replay, compute, flush — [`engine`]) starts one per
+//!   partition and runs it inline on the engine thread, while with
+//!   `pipeline_threads > 1` the Sio stage reads ahead on a thread of its
+//!   own,
 //! * the **MsgManager** buffers cross-partition messages and replays them in
 //!   order when the destination partition loads ([`msgmanager`]).
 //!
@@ -50,5 +52,5 @@ pub use generations::{
     generation_path, list_generations, parse_generation_name, CheckpointTimes, Generation,
     GenerationManifest,
 };
-pub use program::{UpdateContext, VertexProgram};
+pub use program::{Outgoing, UpdateContext, VertexProgram};
 pub use store::{DenseStore, DosStore, GraphStore, OriginalIds};

@@ -20,57 +20,50 @@
 //!
 //! [`MsgManager::claim`]: crate::msgmanager::MsgManager::claim
 
-use std::io::{Read, Seek, SeekFrom};
 use std::path::Path;
 use std::sync::Arc;
 
 use crossbeam::channel::{bounded, Receiver, Sender};
 use graphz_io::{IoStats, TrackedFile};
-use graphz_types::{FixedCodec, IoCtx, Result, VertexId};
+use graphz_types::codec::decode_slice;
+use graphz_types::{IoCtx, Result, VertexId};
 
+use crate::engine::read_vertices;
 use crate::msgmanager::ClaimedSegments;
 use crate::program::VertexProgram;
 use crate::store::GraphStore;
 use crate::worker::replay;
 
 struct Request {
-    partition: u32,
     a: VertexId,
     b: VertexId,
     claim: ClaimedSegments,
 }
 
-/// A fully loaded partition, ready for the Worker.
-pub struct Prefetched<P: VertexProgram> {
-    pub partition: u32,
+/// A partition loaded for the Worker: its slab and its index. A prefetched
+/// one comes with its claimed spill run, already replayed into the slab:
+/// the claim to retire via [`MsgManager::consume_claimed`], and how many
+/// messages it held.
+///
+/// [`MsgManager::consume_claimed`]: crate::msgmanager::MsgManager::consume_claimed
+pub struct Loaded<V> {
+    pub slab: Vec<V>,
     pub start_edge: u64,
     pub degrees: Vec<u32>,
-    /// The partition's vertex state, with the claimed spill run applied.
-    pub slab: Vec<P::VertexData>,
-    /// The slab's bytes as read, which the engine's flush compares against
-    /// to write back only the blocks that changed.
-    pub slab_bytes: Vec<u8>,
-    /// Messages of the claimed spill run applied to `slab`.
-    pub replayed: u64,
-    /// The claim to retire via [`MsgManager::consume_claimed`], with
-    /// `replayed`.
-    ///
-    /// [`MsgManager::consume_claimed`]: crate::msgmanager::MsgManager::consume_claimed
-    pub claim: ClaimedSegments,
+    pub claim: Option<(ClaimedSegments, u64)>,
 }
 
-enum Response<P: VertexProgram> {
-    Ready(Box<Prefetched<P>>),
-    /// The load failed; the engine falls back to a synchronous load, which
-    /// will surface the underlying error through the normal path.
-    Failed,
-}
+/// A prefetched partition with its slab's bytes as read, which the flush
+/// compares against to write back only the blocks that changed; `None`
+/// when the load failed, and the engine's synchronous load then surfaces
+/// the error through the normal path.
+type Response<V> = Option<Box<(Loaded<V>, Vec<u8>)>>;
 
 /// Handle to the background loading thread. One outstanding request at a
 /// time (double buffering).
 pub struct Prefetcher<P: VertexProgram> {
     tx: Option<Sender<Request>>,
-    rx: Receiver<Response<P>>,
+    rx: Receiver<Response<P::VertexData>>,
     handle: Option<std::thread::JoinHandle<()>>,
     stats: Arc<IoStats>,
     outstanding: Option<u32>,
@@ -84,7 +77,7 @@ impl<P: VertexProgram> Prefetcher<P> {
         stats: Arc<IoStats>,
     ) -> Result<Self> {
         let (tx, req_rx) = bounded::<Request>(1);
-        let (resp_tx, rx) = bounded::<Response<P>>(1);
+        let (resp_tx, rx) = bounded::<Response<P::VertexData>>(1);
         // A dedicated read handle: the engine's write handle and this one
         // only ever touch disjoint partition regions.
         let mut vfile =
@@ -95,11 +88,7 @@ impl<P: VertexProgram> Prefetcher<P> {
             .spawn(move || {
                 for req in req_rx {
                     let loaded = load::<P>(&store, &program, &mut vfile, &thread_stats, req);
-                    let response = match loaded {
-                        Ok(p) => Response::Ready(Box::new(p)),
-                        Err(_) => Response::Failed,
-                    };
-                    if resp_tx.send(response).is_err() {
+                    if resp_tx.send(loaded.ok().map(Box::new)).is_err() {
                         return; // engine hung up
                     }
                 }
@@ -109,10 +98,10 @@ impl<P: VertexProgram> Prefetcher<P> {
     }
 
     /// Ask for partition `[a, b)` to be loaded in the background. Callers
-    /// must `take` or `discard` the previous request first.
+    /// must `take` the previous request first.
     pub fn request(&mut self, partition: u32, a: VertexId, b: VertexId, claim: ClaimedSegments) {
         assert!(self.outstanding.is_none(), "one prefetch request at a time");
-        let req = Request { partition, a, b, claim };
+        let req = Request { a, b, claim };
         // A shut-down prefetcher quietly declines: the engine then loads the
         // partition synchronously, same as a failed prefetch.
         let Some(tx) = self.tx.as_ref() else { return };
@@ -125,7 +114,7 @@ impl<P: VertexProgram> Prefetcher<P> {
     /// flight. Counts a hit when the buffer was already waiting, a stall
     /// when the engine had to wait for it (or the load failed — the caller
     /// then loads synchronously).
-    pub fn take(&mut self, partition: u32) -> Option<Prefetched<P>> {
+    pub fn take(&mut self, partition: u32) -> Option<(Loaded<P::VertexData>, Vec<u8>)> {
         if self.outstanding != Some(partition) {
             return None;
         }
@@ -140,27 +129,20 @@ impl<P: VertexProgram> Prefetcher<P> {
             }
         };
         self.outstanding = None;
-        match response {
-            Response::Ready(p) => Some(*p),
-            Response::Failed => None,
-        }
-    }
-
-    /// Drop whatever is in flight (end of run, or a restore invalidated the
-    /// buffers). The unconsumed claim loses nothing — the segments are
-    /// still registered with the MsgManager.
-    pub fn discard(&mut self) {
-        if self.outstanding.take().is_some() {
-            let _ = self.rx.recv();
-            self.stats.record_prefetch_wasted();
-        }
+        response.map(|loaded| *loaded)
     }
 }
 
 impl<P: VertexProgram> Drop for Prefetcher<P> {
+    /// Drop whatever is in flight at the end of the run — the unconsumed
+    /// claim loses nothing, its segments are still registered with the
+    /// MsgManager — then close the queue, which ends the thread.
     fn drop(&mut self) {
-        self.discard();
-        drop(self.tx.take()); // close the queue; the thread exits
+        if self.outstanding.take().is_some() {
+            let _ = self.rx.recv();
+            self.stats.record_prefetch_wasted();
+        }
+        drop(self.tx.take());
         if let Some(h) = self.handle.take() {
             let _ = h.join();
         }
@@ -173,22 +155,11 @@ fn load<P: VertexProgram>(
     vfile: &mut TrackedFile,
     stats: &Arc<IoStats>,
     req: Request,
-) -> Result<Prefetched<P>> {
+) -> Result<(Loaded<P::VertexData>, Vec<u8>)> {
     let (start_edge, degrees) = store.partition_index(req.a, req.b, stats)?;
-    let count = (req.b - req.a) as usize;
-    let mut bytes = vec![0u8; count * P::VertexData::SIZE];
-    vfile.seek(SeekFrom::Start(req.a as u64 * P::VertexData::SIZE as u64))?;
-    vfile.read_exact(&mut bytes)?;
-    let mut slab = graphz_types::codec::decode_slice(&bytes);
+    let mut bytes = Vec::new();
+    let mut slab = decode_slice(read_vertices::<P::VertexData>(vfile, &mut bytes, req.a, req.b)?);
     let replayed =
         req.claim.replay(stats, |dst, msg| replay(program, req.a, &mut slab, dst, &msg))?;
-    Ok(Prefetched {
-        partition: req.partition,
-        start_edge,
-        degrees,
-        slab,
-        slab_bytes: bytes,
-        replayed,
-        claim: req.claim,
-    })
+    Ok((Loaded { slab, start_edge, degrees, claim: Some((req.claim, replayed)) }, bytes))
 }

@@ -65,7 +65,7 @@ pub trait VertexProgram: Send + Sync + 'static {
 
 /// One entry of a vertex's outbox, in send order.
 #[derive(Debug, PartialEq)]
-pub(crate) enum Outgoing<M> {
+pub enum Outgoing<M> {
     /// [`UpdateContext::send`]: one message to one vertex.
     To(VertexId, M),
     /// [`UpdateContext::send_to_neighbors`]: the same message to every
@@ -75,15 +75,36 @@ pub(crate) enum Outgoing<M> {
 
 /// Everything an `update()` call may observe and do.
 pub struct UpdateContext<'a, M> {
-    pub(crate) iteration: u32,
-    pub(crate) num_vertices: u64,
-    pub(crate) neighbors: &'a [VertexId],
-    pub(crate) weights: &'a [f32],
-    pub(crate) outbox: &'a mut Vec<Outgoing<M>>,
-    pub(crate) changed: bool,
+    iteration: u32,
+    num_vertices: u64,
+    neighbors: &'a [VertexId],
+    weights: &'a [f32],
+    outbox: &'a mut Vec<Outgoing<M>>,
+    changed: bool,
 }
 
 impl<'a, M> UpdateContext<'a, M> {
+    /// The context of one `update()` call made outside the engine — by an
+    /// interpreter of the programming model, say: what the call sends lands
+    /// in `outbox`, in send order, and [`changed`](Self::changed) tells
+    /// whether it called [`mark_changed`](Self::mark_changed).
+    #[inline]
+    pub fn new(
+        iteration: u32,
+        num_vertices: u64,
+        neighbors: &'a [VertexId],
+        weights: &'a [f32],
+        outbox: &'a mut Vec<Outgoing<M>>,
+    ) -> Self {
+        UpdateContext { iteration, num_vertices, neighbors, weights, outbox, changed: false }
+    }
+
+    /// Whether the `update()` called [`mark_changed`](Self::mark_changed).
+    #[inline]
+    pub fn changed(&self) -> bool {
+        self.changed
+    }
+
     /// Current iteration (0-based).
     #[inline]
     pub fn iteration(&self) -> u32 {
@@ -162,15 +183,8 @@ mod tests {
         let neighbors = [3u32, 5, 9];
         let mut outbox: Vec<Outgoing<f32>> = Vec::new();
         let weights = [1.5f32, 2.0, 2.5];
-        let mut ctx = UpdateContext {
-            iteration: 2,
-            num_vertices: 10,
-            neighbors: &neighbors,
-            weights: &weights,
-            outbox: &mut outbox,
-            changed: false,
-        };
-        assert!(ctx.has_weights());
+        let mut ctx = UpdateContext::new(2, 10, &neighbors, &weights, &mut outbox);
+        assert!(ctx.has_weights() && !ctx.changed());
         assert_eq!(ctx.neighbor_weights(), &[1.5, 2.0, 2.5]);
         assert_eq!(ctx.iteration(), 2);
         assert_eq!(ctx.num_vertices(), 10);
@@ -180,7 +194,7 @@ mod tests {
         ctx.send_to_neighbors(0.5);
         ctx.send(5, 2.5);
         ctx.mark_changed();
-        assert!(ctx.changed);
+        assert!(ctx.changed());
         assert_eq!(
             outbox,
             vec![Outgoing::To(3, 1.5), Outgoing::Neighbors(0.5), Outgoing::To(5, 2.5)]

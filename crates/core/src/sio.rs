@@ -41,16 +41,6 @@ pub struct AdjBatch {
 }
 
 impl AdjBatch {
-    /// Iterate `(vertex, neighbors)` pairs.
-    pub fn vertices(&self) -> impl Iterator<Item = (VertexId, &[VertexId])> {
-        let mut cursor = 0usize;
-        self.degrees.iter().enumerate().map(move |(i, &d)| {
-            let slice = &self.edges[cursor..cursor + d as usize];
-            cursor += d as usize;
-            (self.first_vertex + i as VertexId, slice)
-        })
-    }
-
     /// Iterate `(vertex, neighbors, weights)`; the weights slice is empty
     /// for unweighted graphs.
     pub fn vertices_weighted(&self) -> impl Iterator<Item = (VertexId, &[VertexId], &[f32])> {
@@ -221,7 +211,8 @@ pub const DEFAULT_BATCH_EDGES: usize = 64 * 1024;
 ///
 /// The Dispatcher's hot path otherwise allocates three vectors per block
 /// (degrees, edges, weights). Consumers return finished batches with
-/// [`put`](BatchPool::put); the Dispatcher picks them up with
+/// [`put`](BatchPool::put) — the engine's partition pass does, once the
+/// Worker has processed one; the Dispatcher picks them up with
 /// [`take`](BatchPool::take) and refills them in place. The pool is a
 /// bounded channel: `take` on an empty pool falls back to a fresh
 /// allocation and `put` on a full pool drops the batch, so neither side
@@ -556,7 +547,7 @@ mod tests {
         let mut out = Vec::new();
         for batch in stream {
             let batch = batch.unwrap();
-            for (v, adj) in batch.vertices() {
+            for (v, adj, _) in batch.vertices_weighted() {
                 out.push((v, adj.to_vec()));
             }
         }
@@ -676,7 +667,7 @@ mod tests {
         let mut seen = Vec::new();
         for batch in recycled {
             let batch = batch.unwrap();
-            for (v, adj) in batch.vertices() {
+            for (v, adj, _) in batch.vertices_weighted() {
                 seen.push((v, adj.to_vec()));
             }
             assert!(batch.weights.is_empty(), "unweighted stream must clear stale weights");

@@ -1,24 +1,23 @@
 //! The Worker stage (paper §V, Fig. 4).
 //!
 //! The Worker applies `program.update` over the resident partition in
-//! ascending vertex order, on the engine thread. Each partition runs as one
-//! [`ShardState`] — its whole vertex range — so every in-partition dynamic
-//! message applies mid-sweep, the paper's sequential-equivalent schedule.
-//! A partition's pending messages are replayed into its slab before the
-//! Worker starts ([`replay`]). Messages it cannot apply in place go to the
-//! MsgManager as they are sent, one `defer` per message, so which of them
-//! spill depends only on the send sequence and the MsgManager's cap. The
-//! only overlap is around the Worker, never inside it: the Sio read-ahead
-//! thread streams adjacency ahead of it and the prefetcher loads the next
-//! partition.
+//! ascending vertex order, on the engine thread. Each partition's pass
+//! starts one `Worker` over its whole vertex range, so every in-partition
+//! dynamic message applies mid-sweep, the paper's sequential-equivalent
+//! schedule. A partition's pending messages are replayed into its slab
+//! before the Worker starts ([`replay`]). Messages it cannot apply in place
+//! go to the MsgManager as they are sent, one `defer` per message, so which
+//! of them spill depends only on the send sequence and the MsgManager's cap.
+//! The only overlap is around the Worker, never inside it: the Sio
+//! read-ahead thread streams adjacency ahead of it and the prefetcher loads
+//! the next partition.
 
-use std::sync::Arc;
-
-use graphz_types::{cast, GraphError, Result, VertexId};
+use graphz_storage::PartitionSet;
+use graphz_types::{cast, Result, VertexId};
 
 use crate::msgmanager::MsgManager;
 use crate::program::{Outgoing, UpdateContext, VertexProgram};
-use crate::sio::{ActiveSet, AdjBatch, BatchPool};
+use crate::sio::{ActiveSet, AdjBatch};
 
 /// Apply one replayed message to the slab of the partition whose first
 /// vertex is `first`. `false` when `dst` is not one of the slab's vertices:
@@ -30,26 +29,22 @@ pub fn replay<P: VertexProgram>(
     dst: VertexId,
     msg: &P::Message,
 ) -> bool {
-    match slab.get_mut(dst.wrapping_sub(first) as usize) {
-        Some(slot) => {
-            program.apply_message(dst, slot, msg);
-            true
-        }
-        None => false,
-    }
+    let slot = slab.get_mut(dst.wrapping_sub(first) as usize);
+    slot.map(|slot| program.apply_message(dst, slot, msg)).is_some()
 }
 
-/// One partition's vertex slab, plus the counters its updates produced.
-pub struct ShardState<P: VertexProgram> {
-    first: VertexId,
-    /// State of the partition's vertices, `first..first + data.len()`.
-    data: Vec<P::VertexData>,
-    changed: u64,
-    sent: u64,
-    dynamic_applied: u64,
-    /// Messages addressed outside `0..num_vertices`, dropped at routing and
-    /// reported by the engine as a typed error at the partition barrier.
-    rejected: u64,
+/// One partition's vertex slab — the state of vertices `first..first +
+/// data.len()` — plus what its updates produced: vertices changed, messages
+/// sent, messages applied in place, and messages addressed outside
+/// `0..num_vertices`, dropped at routing and reported by the engine as a
+/// typed error at the partition barrier.
+pub(crate) struct Worker<P: VertexProgram> {
+    pub(crate) first: VertexId,
+    pub(crate) data: Vec<P::VertexData>,
+    pub(crate) changed: u64,
+    pub(crate) sent: u64,
+    pub(crate) dynamic_applied: u64,
+    pub(crate) rejected: u64,
     iteration: u32,
     num_vertices: u64,
     dynamic: bool,
@@ -59,19 +54,27 @@ pub struct ShardState<P: VertexProgram> {
     outbox: Vec<Outgoing<P::Message>>,
 }
 
-impl<P: VertexProgram> ShardState<P> {
-    fn start(job: ShardStart<P>) -> Self {
-        ShardState {
-            first: job.first,
-            data: job.data,
+impl<P: VertexProgram> Worker<P> {
+    /// Start an iteration over the partition of `partitions` whose vertices
+    /// from `first` on hold `data`, its pending messages replayed.
+    pub(crate) fn start(
+        first: VertexId,
+        data: Vec<P::VertexData>,
+        iteration: u32,
+        partitions: &PartitionSet,
+        dynamic: bool,
+    ) -> Self {
+        Worker {
+            first,
+            data,
             changed: 0,
             sent: 0,
             dynamic_applied: 0,
             rejected: 0,
-            iteration: job.iteration,
-            num_vertices: job.num_vertices,
-            dynamic: job.dynamic,
-            per_partition: job.per_partition.max(1),
+            iteration,
+            num_vertices: partitions.num_vertices(),
+            dynamic,
+            per_partition: partitions.per_partition().max(1),
             outbox: Vec::new(),
         }
     }
@@ -88,7 +91,7 @@ impl<P: VertexProgram> ShardState<P> {
     /// whole batch, so a `defer` never forces them to be reloaded from
     /// `self`. A spill that fails is held by the MsgManager and returned
     /// once the batch is done.
-    fn process(
+    pub(crate) fn process(
         &mut self,
         program: &P,
         batch: &AdjBatch,
@@ -122,17 +125,11 @@ impl<P: VertexProgram> ShardState<P> {
             msgs.defer(p, dst, msg.clone());
         };
         for (v, neighbors, weights) in batch.vertices_weighted() {
-            let mut ctx = UpdateContext {
-                iteration,
-                num_vertices,
-                neighbors,
-                weights,
-                outbox: &mut *outbox,
-                changed: false,
-            };
+            let mut ctx =
+                UpdateContext::new(iteration, num_vertices, neighbors, weights, &mut *outbox);
             // ipa:allow(panic-freedom) — Sio streams only this partition's vertices
             program.update(v, &mut data[(v - first) as usize], &mut ctx);
-            changed += u64::from(ctx.changed);
+            changed += u64::from(ctx.changed());
             for out in outbox.iter() {
                 match out {
                     Outgoing::To(dst, msg) => {
@@ -158,7 +155,7 @@ impl<P: VertexProgram> ShardState<P> {
 
     /// Mark in `active` (bit `i` = the partition's `i`-th vertex) every
     /// vertex that wants an update this iteration.
-    fn mark_active(&self, program: &P, active: &mut ActiveSet) {
+    pub(crate) fn mark_active(&self, program: &P, active: &mut ActiveSet) {
         for (i, d) in self.data.iter().enumerate() {
             if program.wants_update(d, self.iteration) {
                 active.insert(i);
@@ -170,116 +167,12 @@ impl<P: VertexProgram> ShardState<P> {
     /// re-check: a dynamic message may have woken a vertex inside a block
     /// the Sio stream skipped. A range outside the partition answers
     /// `true`, so a malformed gap is read rather than lost.
-    fn wakes_in(&self, program: &P, lo: VertexId, hi: VertexId) -> bool {
+    pub(crate) fn wakes_in(&self, program: &P, lo: VertexId, hi: VertexId) -> bool {
         let range = lo.wrapping_sub(self.first) as usize..hi.wrapping_sub(self.first) as usize;
         match self.data.get(range) {
             Some(data) => data.iter().any(|d| program.wants_update(d, self.iteration)),
             None => true,
         }
-    }
-
-    fn finish(self) -> ShardResult<P> {
-        ShardResult {
-            data: self.data,
-            changed: self.changed,
-            sent: self.sent,
-            dynamic_applied: self.dynamic_applied,
-            rejected: self.rejected,
-        }
-    }
-}
-
-/// Everything the Worker needs to begin an iteration over a partition.
-pub struct ShardStart<P: VertexProgram> {
-    /// First vertex of the partition; `data` holds its whole range.
-    pub first: VertexId,
-    /// The partition's vertex state, its pending messages replayed.
-    pub data: Vec<P::VertexData>,
-    pub iteration: u32,
-    pub num_vertices: u64,
-    pub dynamic: bool,
-    /// Uniform partition width of the engine's partition set.
-    pub per_partition: u64,
-}
-
-/// What the Worker hands back at the partition barrier.
-pub struct ShardResult<P: VertexProgram> {
-    pub data: Vec<P::VertexData>,
-    pub changed: u64,
-    pub sent: u64,
-    pub dynamic_applied: u64,
-    /// Messages addressed outside `0..num_vertices`, which were dropped.
-    pub rejected: u64,
-}
-
-/// Runs one partition at a time through an inline [`ShardState`] on the
-/// engine thread, recycling streamed batches into the Sio [`BatchPool`].
-pub struct Executor<P: VertexProgram> {
-    program: Arc<P>,
-    pool: Arc<BatchPool>,
-    state: Option<ShardState<P>>,
-}
-
-impl<P: VertexProgram> Executor<P> {
-    pub fn new(program: Arc<P>, pool: Arc<BatchPool>) -> Self {
-        Executor { program, pool, state: None }
-    }
-
-    /// The program and the started partition's state, or a typed error if
-    /// the engine fed a partition it never started.
-    fn started(&mut self) -> Result<(&P, &mut ShardState<P>)> {
-        match self.state.as_mut() {
-            Some(state) => Ok((&self.program, state)),
-            None => Err(GraphError::InvalidConfig("batch fed to an un-started partition".into())),
-        }
-    }
-
-    /// Hand the Worker a partition's vertex data, its messages replayed.
-    pub fn start(&mut self, job: ShardStart<P>) {
-        self.state = Some(ShardState::start(job));
-    }
-
-    /// Update the vertices of one streamed batch, deferring what they send
-    /// to other partitions with `msgs`, then recycle the batch.
-    pub fn feed(&mut self, batch: AdjBatch, msgs: &mut MsgManager<P::Message>) -> Result<()> {
-        let (program, state) = self.started()?;
-        let routed = state.process(program, &batch, msgs);
-        self.pool.put(batch);
-        routed
-    }
-
-    /// Update the vertices of a resident adjacency. The batch is borrowed,
-    /// never moved or recycled, so it serves every iteration of the run.
-    pub fn feed_resident(
-        &mut self,
-        batch: &AdjBatch,
-        msgs: &mut MsgManager<P::Message>,
-    ) -> Result<()> {
-        let (program, state) = self.started()?;
-        state.process(program, batch, msgs)
-    }
-
-    /// Mark in `active` every vertex of the partition that wants an update,
-    /// after its replay.
-    pub fn mark_active(&mut self, active: &mut ActiveSet) -> Result<()> {
-        let (program, state) = self.started()?;
-        state.mark_active(program, active);
-        Ok(())
-    }
-
-    /// Whether any vertex in `[lo, hi)` wants an update now, with every
-    /// batch fed so far applied.
-    pub fn wakes_in(&mut self, lo: VertexId, hi: VertexId) -> Result<bool> {
-        let (program, state) = self.started()?;
-        Ok(state.wakes_in(program, lo, hi))
-    }
-
-    /// Partition barrier: the partition's slab and what its updates produced.
-    pub fn finish(&mut self) -> Result<ShardResult<P>> {
-        let state = self.state.take().ok_or_else(|| {
-            GraphError::InvalidConfig("finish for an un-started partition".into())
-        })?;
-        Ok(state.finish())
     }
 }
 
@@ -287,7 +180,7 @@ impl<P: VertexProgram> Executor<P> {
 mod tests {
     use super::*;
     use crate::program::UpdateContext;
-    use crate::sio::PoolCounters;
+    use crate::sio::{BatchPool, PoolCounters};
     use graphz_io::{IoStats, ScratchDir};
 
     /// Counts, at every vertex, the edges of every batch it is fed.
@@ -304,6 +197,8 @@ mod tests {
         fn apply_message(&self, _vid: VertexId, _data: &mut u64, _msg: &u64) {}
     }
 
+    /// The resident adjacency is one borrowed batch that every iteration's
+    /// Worker processes in place: never moved, consumed or recycled.
     #[test]
     fn resident_pieces_are_reused_not_consumed() {
         let piece = AdjBatch {
@@ -315,31 +210,13 @@ mod tests {
         let pool = BatchPool::new(4);
         let dir = ScratchDir::new("worker-resident").unwrap();
         let mut msgs = MsgManager::new(dir.file("msgs"), 1, 1024, IoStats::new()).unwrap();
-        let mut exec: Executor<OutDegree> = Executor::new(Arc::new(OutDegree), Arc::clone(&pool));
         for iteration in 0..3 {
-            exec.start(ShardStart {
-                first: 0,
-                data: vec![iteration; 3],
-                iteration: 0,
-                num_vertices: 3,
-                dynamic: true,
-                per_partition: 3,
-            });
-            exec.feed_resident(&piece, &mut msgs).unwrap();
-            let out = exec.finish().unwrap();
-            assert_eq!(out.data, vec![iteration + 2, iteration, iteration + 1]);
+            let partitions = PartitionSet::with_width(3, 3);
+            let mut worker: Worker<OutDegree> =
+                Worker::start(0, vec![iteration; 3], 0, &partitions, true);
+            worker.process(&OutDegree, &piece, &mut msgs).unwrap();
+            assert_eq!(worker.data, vec![iteration + 2, iteration, iteration + 1]);
         }
         assert_eq!(pool.counters(), PoolCounters::default(), "a resident piece is never recycled");
-    }
-
-    #[test]
-    fn feeding_an_unstarted_partition_is_a_typed_error() {
-        let pool = BatchPool::new(1);
-        let dir = ScratchDir::new("worker-unstarted").unwrap();
-        let mut msgs = MsgManager::new(dir.file("msgs"), 1, 1024, IoStats::new()).unwrap();
-        let mut exec: Executor<OutDegree> = Executor::new(Arc::new(OutDegree), pool);
-        let fed = exec.feed(AdjBatch::default(), &mut msgs);
-        assert!(matches!(fed, Err(GraphError::InvalidConfig(_))));
-        assert!(matches!(exec.finish(), Err(GraphError::InvalidConfig(_))));
     }
 }

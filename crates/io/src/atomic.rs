@@ -124,8 +124,10 @@ pub fn write_atomic(dest: &Path, bytes: &[u8]) -> io::Result<()> {
 /// states; staging the whole directory and renaming it makes the set appear
 /// all at once. A pre-existing destination is moved aside to `<final>.old`
 /// first (directory renames cannot clobber non-empty directories), swapped,
-/// then removed — a crash between those steps leaves the committed new
-/// directory plus removable debris, never a mix. The commit's fsyncs and
+/// then removed — never a mix. A swap that fails puts `.old` back; a crash
+/// before the swap leaves the previous tree as `.old`, which the next
+/// [`stage`](Self::stage) of the destination puts back; a crash after it
+/// leaves the new tree plus removable debris. The commit's fsyncs and
 /// renames are gated ops of the surface the tree was staged with.
 pub struct StagedDir {
     tmp: PathBuf,
@@ -140,7 +142,9 @@ impl StagedDir {
         if tmp.exists() {
             fs::remove_dir_all(&tmp)?;
         }
-        // Sweep debris from an earlier crashed commit as well.
+        // An earlier commit that crashed before its swap left the only
+        // committed copy as `.old`; after its swap, `.old` is debris.
+        put_back_old(dest, surface)?;
         let old = old_name(dest);
         if old.exists() {
             fs::remove_dir_all(&old)?;
@@ -170,8 +174,11 @@ impl StagedDir {
             surface.op("rename-old")?;
             fs::rename(&self.dest, &old)?;
         }
-        surface.op("rename")?;
-        fs::rename(&self.tmp, &self.dest)?;
+        if let Err(e) = surface.op("rename").and_then(|()| fs::rename(&self.tmp, &self.dest)) {
+            // The failed swap keeps the old content, as a failed move aside does.
+            let _ = put_back_old(&self.dest, surface);
+            return Err(e);
+        }
         self.committed = true;
         if old.exists() {
             // The new directory is already in place; failing to clear the
@@ -206,6 +213,18 @@ pub fn remove_leftover(old: &Path, surface: &FaultSurface) -> io::Result<()> {
         Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(()),
         other => other,
     }
+}
+
+/// Rename `<dest>.old` back to `dest` when `dest` is missing (gated as
+/// `rename-back`): the previous tree a commit moved aside before its swap
+/// failed or crashed.
+fn put_back_old(dest: &Path, surface: &FaultSurface) -> io::Result<()> {
+    let old = old_name(dest);
+    if old.exists() && !dest.exists() {
+        surface.op("rename-back")?;
+        fs::rename(&old, dest)?;
+    }
+    Ok(())
 }
 
 fn old_name(path: &Path) -> PathBuf {
@@ -288,6 +307,46 @@ mod tests {
         assert!(faults.fired());
         assert_eq!(fs::read(dest.join("a.bin")).unwrap(), b"old", "old tree kept");
         assert!(!dir.path().join("artifact.tmp").exists());
+    }
+
+    /// The swap failing after the old tree was moved aside puts it back.
+    #[test]
+    fn failed_swap_puts_the_old_tree_back() {
+        let dir = ScratchDir::new("atomic-fail-swap").unwrap();
+        let dest = dir.path().join("artifact");
+        fs::create_dir(&dest).unwrap();
+        fs::write(dest.join("a.bin"), b"old").unwrap();
+        let faults = FaultState::fail_at_label("rename");
+        let surface =
+            FaultSurface::none().with_faults(Arc::clone(&faults)).with_retry(RetryPolicy::none());
+        let staged = StagedDir::stage(&dest, &surface).unwrap();
+        fs::write(staged.path().join("a.bin"), b"new").unwrap();
+        assert!(staged.commit().is_err());
+        assert!(faults.fired());
+        assert_eq!(fs::read(dest.join("a.bin")).unwrap(), b"old", "old tree put back");
+        assert!(!dir.path().join("artifact.old").exists());
+    }
+
+    /// A crash between the two renames leaves the old tree only as `.old`:
+    /// the next stage puts it back rather than sweeping it as debris, and
+    /// `.old` beside a present destination is still swept.
+    #[test]
+    fn stage_puts_back_an_old_tree_a_crash_left() {
+        let dir = ScratchDir::new("staged-put-back").unwrap();
+        let (dest, old) = (dir.path().join("artifact"), dir.path().join("artifact.old"));
+        fs::create_dir(&old).unwrap();
+        fs::write(old.join("a.bin"), b"committed").unwrap();
+        let staged = StagedDir::stage(&dest, &FaultSurface::none()).unwrap();
+        assert_eq!(fs::read(dest.join("a.bin")).unwrap(), b"committed", "put back");
+        assert!(!old.exists());
+        drop(staged);
+        assert_eq!(fs::read(dest.join("a.bin")).unwrap(), b"committed", "kept on drop");
+
+        fs::create_dir(&old).unwrap();
+        fs::write(old.join("a.bin"), b"debris").unwrap();
+        let _staged = StagedDir::stage(&dest, &FaultSurface::none()).unwrap();
+        assert!(!old.exists(), "debris beside a present destination is swept");
+        assert_eq!(fs::read(dest.join("a.bin")).unwrap(), b"committed");
     }
 
     #[test]
