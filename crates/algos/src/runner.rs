@@ -17,7 +17,7 @@ use graphz_core::{
     ActivityCounters, CheckpointTimes, DenseStore, DosStore, Engine, EngineConfig, GraphStore,
     RunSummary, StageTimes, VertexProgram,
 };
-use graphz_io::{IoSnapshot, IoStats, PrefetchSnapshot};
+use graphz_io::{IoSnapshot, IoStats};
 use graphz_storage::{CsrFiles, CsrGraph, DosConverter, DosGraph, EdgeListFile};
 use graphz_types::prelude::*;
 
@@ -67,6 +67,15 @@ impl std::fmt::Display for EngineKind {
     }
 }
 
+/// The type of [`AlgoOutcome::prefetch`]: a compatibility name for the
+/// benchmark's engine adapter, never filled in.
+#[doc(hidden)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct PrefetchSnapshot {
+    pub hits: u64,
+    pub stalls: u64,
+}
+
 /// Everything a benchmark needs to report about one run. `V` is what the
 /// run's values became: [`AlgoValues`] for every collecting entry point,
 /// the report's result for [`run_graphz_reported`].
@@ -96,7 +105,11 @@ pub struct AlgoOutcome<V = AlgoValues> {
     pub wall: Duration,
     /// Engine-thread wall time per pipeline stage (GraphZ engines only).
     pub stages: Option<StageTimes>,
-    /// Partition-prefetch effectiveness (GraphZ engines only).
+    /// Compatibility name for the benchmark's engine adapter
+    /// (`benchmark/src/layers.rs`), which still reads its hits and stalls.
+    /// The engine has no partition prefetcher, so this is always `None`;
+    /// it goes away with that adapter.
+    #[doc(hidden)]
     pub prefetch: Option<PrefetchSnapshot>,
     /// The execution plan the engine resolved (GraphZ engines only).
     pub plan: Option<ExecutionPlan>,
@@ -215,8 +228,8 @@ pub fn run_graphz_checkpointed(
 }
 
 /// Run the GraphZ engine over DOS with explicit [`EngineOptions`] — the
-/// entry point for pipeline configurations (CLI `--no-prefetch`, the
-/// determinism suite's sweep over prefetch and pipeline threads).
+/// entry point for pipeline configurations (the Fig. 7 ablations, the
+/// determinism suite's sweep over pipeline threads).
 pub fn run_graphz_configured(
     dos: &DosGraph,
     params: &AlgoParams,
@@ -333,7 +346,7 @@ fn run_graphz_with<T>(
         io: run.io,
         wall: run.wall,
         stages: Some(run.stages),
-        prefetch: Some(run.prefetch),
+        prefetch: None,
         plan: Some(run.plan),
         activity: Some(run.activity),
         checkpoint: Some(run.checkpoint),

@@ -84,8 +84,8 @@ fn bfs(source: VertexId) -> impl Fn(&dyn GraphStore) -> Bfs {
     move |s| Bfs { source: s.to_storage_id(source, &IoStats::new()).unwrap() }
 }
 
-/// Resident; eight partitions (the Sio read-ahead thread, prefetch, spill,
-/// replay — and block skipping); and `without_dos_and_dm` over the dense
+/// Resident; eight partitions (the Sio read-ahead thread, spill, replay —
+/// and block skipping); and `without_dos_and_dm` over the dense
 /// CSR store at eight partitions, where every message is buffered.
 fn plans() -> [Plan; 3] {
     [Plan::Resident, Plan::Partitions(8), Plan::WithoutDosAndDm(8)]

@@ -158,7 +158,7 @@ pub enum Plan {
     /// The control: `in_memory_fast_path: false`, the paper's always-spill,
     /// always-stream behaviour, at one partition.
     Streamed,
-    /// `n` partitions: spill, replay, the Sio read-ahead thread and prefetch.
+    /// `n` partitions: spill, replay and the Sio read-ahead thread.
     Partitions(u32),
     /// Fig. 7's "GraphZ w/o DOS" over the CSR store at `n` partitions.
     WithoutDos(u32),
@@ -166,17 +166,14 @@ pub enum Plan {
     /// directly.
     WithoutDosAndDm(u32),
     /// One point of the schedule sweep, on a fixed byte budget.
-    Schedule { prefetch: bool, pipeline_threads: usize, budget: u64 },
+    Schedule { pipeline_threads: usize, budget: u64 },
 }
 
 impl Plan {
-    /// Every combination of `prefetch` × `pipeline_threads` {1, 2} on
-    /// `budget` bytes; the first, everything on the engine thread, is the
-    /// baseline.
-    pub fn schedules(budget: u64) -> [Plan; 4] {
-        [(false, 1), (false, 2), (true, 1), (true, 2)].map(|(prefetch, pipeline_threads)| {
-            Plan::Schedule { prefetch, pipeline_threads, budget }
-        })
+    /// `pipeline_threads` {1, 2} on `budget` bytes; the first, everything
+    /// on the engine thread, is the baseline.
+    pub fn schedules(budget: u64) -> [Plan; 2] {
+        [1, 2].map(|pipeline_threads| Plan::Schedule { pipeline_threads, budget })
     }
 
     pub fn options(self) -> EngineOptions {
@@ -185,9 +182,7 @@ impl Plan {
             Plan::Streamed => EngineOptions { in_memory_fast_path: false, ..full },
             Plan::WithoutDos(_) => EngineOptions::without_dos(),
             Plan::WithoutDosAndDm(_) => EngineOptions::without_dos_and_dm(),
-            Plan::Schedule { prefetch, pipeline_threads, .. } => {
-                EngineOptions { prefetch, pipeline_threads, ..full }
-            }
+            Plan::Schedule { pipeline_threads, .. } => EngineOptions { pipeline_threads, ..full },
             _ => full,
         }
     }
@@ -326,19 +321,10 @@ pub fn normalized(tree: &BTreeMap<String, Vec<u8>>) -> BTreeMap<String, Vec<u8>>
 
 /// The names of everything `a` and `b` disagree on.
 pub fn differences(a: &Outcome, b: &Outcome) -> Vec<&'static str> {
-    // A prefetch claim seals a partition's open spill segment early, so its
-    // later messages land in the next one: plans that differ in `prefetch`
-    // number segments differently while every message byte stays put.
-    let renumbered = a.plan.options().prefetch != b.plan.options().prefetch;
-    let same_generations = if renumbered {
-        normalized(&a.generations) == normalized(&b.generations)
-    } else {
-        a.generations == b.generations
-    };
     let (x, y) = (&a.run, &b.run);
     [
         ("values", a.values == b.values),
-        ("generations", same_generations),
+        ("generations", a.generations == b.generations),
         ("iterations", x.iterations == y.iterations),
         ("converged", x.converged == y.converged),
         ("messages_sent", x.messages_sent == y.messages_sent),

@@ -1,11 +1,9 @@
-//! `must-consume-paths`: staged resources and message claims must be
-//! consumed on every success path.
+//! `must-consume-paths`: staged resources must be consumed on every
+//! success path.
 //!
-//! Two protocols: atomic writes (`AtomicFile::create`, `StagedDir::stage`,
-//! a `MetaFile::stage` manifest) stage work that only becomes durable on
-//! `commit()`, and a `MsgManager` claim (`mgr.claim(p)`) hands out
-//! segments that must be retired (`consume_claimed`) or released, or the
-//! engine replays them. A per-creation forward *may* analysis tracks
+//! Atomic writes (`AtomicFile::create`, `StagedDir::stage`, a
+//! `MetaFile::stage` manifest) stage work that only becomes durable on
+//! `commit()`. A per-creation forward *may* analysis tracks
 //! "still live and un-consumed", and a finding fires iff that fact can
 //! reach the function's normal exit — so a conditional `commit` (one
 //! branch commits, the other falls through) is visible, not just a
@@ -30,17 +28,13 @@ const CREATORS: &[(&str, &[&str])] = &[
 
 /// Methods that settle the resource.
 fn is_consumer(name: &str) -> bool {
-    matches!(name, "commit" | "abort" | "release") || name.starts_with("consume")
+    matches!(name, "commit" | "abort" | "release")
 }
 
 /// `Some((label, expression start))` when token `g` begins
-/// `Type::method(` for a creator pair, or is the `claim` of a
-/// `recv.claim(` message claim.
+/// `Type::method(` for a creator pair.
 fn creation_at(t: &[Token], g: usize) -> Option<(String, usize)> {
     let tx = |k: usize| t.get(k).map(|x| x.text.as_str()).unwrap_or("");
-    if t[g].text == "claim" && g >= 2 && tx(g - 1) == "." && t[g - 2].is_name() && tx(g + 1) == "(" {
-        return Some(("the message claim `.claim(…)`".into(), path_start(t, g - 2)));
-    }
     CREATORS.iter().find_map(|&(ty, methods)| {
         (t[g].text == ty && tx(g + 1) == "::" && methods.contains(&tx(g + 2)) && tx(g + 3) == "(")
             .then(|| (format!("`{ty}::{}`", tx(g + 2)), path_start(t, g)))
@@ -169,23 +163,6 @@ mod tests {
         let src = "fn record(dir: &Path, s: &FaultSurface) -> Result<()> {\n\
                    let mut m = MetaFile::stage(\"triads\");\n\
                    m.set(\"assigned\", \"7\");\n m.commit(&dir.join(\"m\"), s)?;\n Ok(())\n}";
-        assert!(flow(src).is_empty());
-    }
-
-    #[test]
-    fn unconsumed_claim_is_flagged() {
-        let src = "fn peek(mgr: &mut MsgManager) -> Result<u64> {\n\
-                   let c = mgr.claim(0)?;\n Ok(c.total)\n}";
-        let v = flow(src);
-        assert_eq!(v.len(), 1, "{v:?}");
-        assert_eq!(v[0].line, 2);
-        assert!(v[0].message.contains("message claim"), "{}", v[0].message);
-    }
-
-    #[test]
-    fn claim_passed_to_the_manager_is_clean() {
-        let src = "fn run(mgr: &mut MsgManager) -> Result<()> {\n\
-                   let c = mgr.claim(0)?;\n mgr.consume_claimed(&c, 0)?;\n Ok(())\n}";
         assert!(flow(src).is_empty());
     }
 }

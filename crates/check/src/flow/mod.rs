@@ -6,9 +6,9 @@
 //! solver ([`solver`]) over it. Two rule families, documented in DESIGN.md §6j:
 //!
 //! * `consume` — `must-consume-paths`: staged resources (`AtomicFile`,
-//!   `StagedDir`, a `MetaFile::stage` manifest) and `MsgManager` claims
-//!   must reach a consumer or escape on *every* success path; dropping on
-//!   a `?`-error path is the abort and is allowed.
+//!   `StagedDir`, a `MetaFile::stage` manifest) must reach a consumer or
+//!   escape on *every* success path; dropping on a `?`-error path is the
+//!   abort and is allowed.
 //! * `taint` — `determinism-taint`: values derived from thread identity,
 //!   polling order, or unordered-container iteration must not reach
 //!   output-writing or key-ordering sinks.
@@ -34,10 +34,9 @@ use crate::parser::{parse_sources, SourceFile};
 pub const FLOW_RULES: &[Rule] = &[
     Rule {
         name: "must-consume-paths",
-        why: "an AtomicFile/StagedDir/stage manifest or a MsgManager claim \
-              that can reach the end of its function un-consumed on a success \
-              path silently discards staged work (or replays claimed \
-              segments) there; every success path must commit, abort, \
+        why: "an AtomicFile/StagedDir/stage manifest that can reach the end \
+              of its function un-consumed on a success path silently discards \
+              staged work there; every success path must commit, abort, \
               release, or move the value on (error paths may drop — that is \
               the abort)",
         scope: &[],

@@ -6,18 +6,20 @@
 //! ([`summary`]) let five rules reason about what a function does
 //! *transitively* (DESIGN.md §6k):
 //!
-//! * `hot-path-alloc` — nothing reachable from the Worker per-message
-//!   compute loop (`Worker::process`, which also routes every sent
-//!   message: the in-partition apply, the per-partition defer push and the
-//!   per-neighbor expansion of a broadcast all live in its body, and which
-//!   also takes the resident adjacency each iteration), or the activity
-//!   checks (`mark_active`, the gap re-check `wakes_in`) may allocate, take
-//!   a lock, touch a file, or spawn. BatchPool reuse stops being a bench
-//!   anecdote and becomes a checked invariant.
+//! * `hot-path-alloc` — nothing reachable from the partition pass's
+//!   per-batch loop (`PartitionPass::stream_batches`), the Worker
+//!   per-message compute loop (`Worker::process`, which also routes every
+//!   sent message: the in-partition apply, the per-partition defer push
+//!   and the per-neighbor expansion of a broadcast all live in its body,
+//!   and which also takes the resident adjacency each iteration), or the
+//!   activity checks (`mark_active`, the gap re-check `wakes_in`) may
+//!   allocate, take a lock, touch a file, or spawn. BatchPool reuse stops
+//!   being a bench anecdote and becomes a checked invariant.
 //! * `panic-freedom` — no unwrap/expect, release-enabled assert,
 //!   non-literal index/slice, or non-literal division reachable from the
 //!   compute phase entry points `Engine::run`'s partition pass drives
-//!   (`Worker::*`, `ActiveSet::any_in`, `BatchPool::put`).
+//!   (its per-batch loop, `Worker::*`, `ActiveSet::any_in`,
+//!   `BatchPool::put`).
 //! * `fault-surface-reach` — every file-creating sink in io/extsort/storage
 //!   is FaultSurface-gated on **all call paths**: a gate that dominates the
 //!   sink in its own function, or one on every call path into it. No file
@@ -110,19 +112,28 @@ const EXCLUDED: &[&str] = &[
     "crates/gen/",
 ];
 
-/// Hot-path entries: the per-message compute loop — whose body also holds
-/// the message routing (apply or defer, broadcast expansion) and which
-/// takes every batch, the resident adjacency included — and the activity
-/// checks the Worker runs per partition and per skipped block: marking the
-/// vertices that want an update, and the gap re-check (DESIGN.md §6d/§6i).
-const HOT_ENTRIES: &[(&str, &str)] =
-    &[("Worker", "process"), ("Worker", "mark_active"), ("Worker", "wakes_in")];
+/// Hot-path entries: the partition pass's per-batch loop, which hands
+/// every streamed batch to the Worker (the Sio stage's `next_block` is
+/// named there as a function path, so the block reads behind it — the
+/// stage's job — stay outside); the per-message compute loop — whose body
+/// also holds the message routing (apply or defer, broadcast expansion)
+/// and which takes every batch, the resident adjacency included — and the
+/// activity checks the Worker runs per partition and per skipped block:
+/// marking the vertices that want an update, and the gap re-check
+/// (DESIGN.md §6d/§6i).
+const HOT_ENTRIES: &[(&str, &str)] = &[
+    ("PartitionPass", "stream_batches"),
+    ("Worker", "process"),
+    ("Worker", "mark_active"),
+    ("Worker", "wakes_in"),
+];
 
 /// Compute-phase entries: everything the partition pass drives per batch —
-/// the Worker's start, its update loop (which fans out into every
-/// algorithm kernel) and its activity checks, and the return of each
-/// streamed batch to the pool.
+/// its own per-batch loop, the Worker's start, its update loop (which fans
+/// out into every algorithm kernel) and its activity checks, and the
+/// return of each streamed batch to the pool.
 const PANIC_ENTRIES: &[(&str, &str)] = &[
+    ("PartitionPass", "stream_batches"),
     ("Worker", "start"),
     ("Worker", "process"),
     ("Worker", "mark_active"),

@@ -71,13 +71,12 @@ pub const RULES: &[Rule] = &[
     Rule {
         name: "no-thread-spawn",
         why: "all concurrency flows through audited pipeline stages (the \
-              engine's Sio read-ahead, prefetcher and checkpoint commit; \
+              engine's Sio read-ahead and checkpoint commit; \
               the serve fleet); \
               ad-hoc threads escape that topology, and ingest runs on the \
               calling thread",
         scope: &[],
         allow: &[
-            "crates/core/src/prefetch.rs",
             "crates/core/src/sio.rs",
             // Serve fleet: one accept thread + N reader threads,
             // joined in Server::shutdown/wait; queries themselves never spawn
@@ -98,7 +97,6 @@ pub const RULES: &[Rule] = &[
             "crates/core/src/worker.rs",
             "crates/core/src/sio.rs",
             "crates/core/src/msgmanager.rs",
-            "crates/core/src/prefetch.rs",
             "crates/algos/src/graphz/",
         ],
         allow: &[],
@@ -721,7 +719,6 @@ mod tests {
         assert_eq!(lint_str("crates/core/src/engine.rs", src).len(), 1);
         assert_eq!(lint_str("crates/core/src/worker.rs", src).len(), 1, "the Worker runs inline");
         assert_eq!(lint_str("crates/core/src/sio.rs", src).len(), 0);
-        assert_eq!(lint_str("crates/core/src/prefetch.rs", src).len(), 0);
         // The checkpoint commit thread lives in generations.rs; the engine
         // that starts it spawns nothing itself.
         assert_eq!(lint_str("crates/core/src/generations.rs", src).len(), 0);

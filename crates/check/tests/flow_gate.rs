@@ -1,8 +1,7 @@
 //! End-to-end gate for the flow rules: the real repository — including
 //! this crate analyzing itself — must flow clean, and seeded fixture trees
 //! must trip every rule: an `AtomicFile` committed on only one path, one
-//! never committed, a message claim never retired, and a HashMap-iteration
-//! value reaching a `push` sink.
+//! never committed, and a HashMap-iteration value reaching a `push` sink.
 
 mod common;
 
@@ -46,8 +45,7 @@ fn seed_fixture(root: &Path, suppress: bool) {
         ),
     );
 
-    // must-consume-paths: a tempfile written but never committed, and a
-    // claim that is read but never retired.
+    // must-consume-paths: a tempfile written but never committed.
     write(
         root,
         "crates/io/src/leak.rs",
@@ -55,15 +53,6 @@ fn seed_fixture(root: &Path, suppress: bool) {
             "pub fn write(dest: &Path, bytes: &[u8]) -> Result<()> {{\n\
              {}    let mut f = AtomicFile::create(dest)?;\n\
              f.write_all(bytes)?;\n    Ok(())\n}}\n",
-            allow("must-consume-paths"),
-        ),
-    );
-    write(
-        root,
-        "crates/core/src/claimleak.rs",
-        &format!(
-            "pub fn peek(mgr: &mut MsgManager) -> Result<u64> {{\n\
-             {}    let c = mgr.claim(0)?;\n    Ok(c.total)\n}}\n",
             allow("must-consume-paths"),
         ),
     );
@@ -100,9 +89,9 @@ fn seeded_fixtures_trip_every_rule() {
     let tripped: BTreeSet<&str> = findings.iter().map(|v| v.rule).collect();
     let all: BTreeSet<&str> = FLOW_RULES.iter().map(|r| r.name).collect();
     assert_eq!(tripped, all, "every flow rule must trip, got:\n{findings:?}");
-    // All three resource leaks (branch, tempfile, claim) are reported.
+    // Both resource leaks (branch, tempfile) are reported.
     let consume: Vec<_> = findings.iter().filter(|v| v.rule == "must-consume-paths").collect();
-    assert_eq!(consume.len(), 3, "{consume:?}");
+    assert_eq!(consume.len(), 2, "{consume:?}");
 }
 
 #[test]
@@ -167,16 +156,16 @@ fn findings_name_file_line_and_rule() {
     let root = scratch("flow_fixture_report");
     seed_fixture(&root, false);
     let findings = flow_tree(&root).expect("flow fixture");
-    let claim = findings
+    let leak = findings
         .iter()
-        .find(|v| v.path == Path::new("crates/core/src/claimleak.rs"))
-        .expect("claim finding");
-    assert_eq!(claim.rule, "must-consume-paths");
-    assert_eq!(claim.line, 2);
-    assert!(claim.snippet.contains("mgr.claim(0)"), "{claim:?}");
-    assert!(claim.message.contains("message claim"), "{claim:?}");
-    let shown = claim.to_string();
-    assert!(shown.contains("crates/core/src/claimleak.rs:2"), "{shown}");
+        .find(|v| v.path == Path::new("crates/io/src/leak.rs"))
+        .expect("tempfile finding");
+    assert_eq!(leak.rule, "must-consume-paths");
+    assert_eq!(leak.line, 2);
+    assert!(leak.snippet.contains("AtomicFile::create(dest)"), "{leak:?}");
+    assert!(leak.message.contains("`AtomicFile::create` bound to `f`"), "{leak:?}");
+    let shown = leak.to_string();
+    assert!(shown.contains("crates/io/src/leak.rs:2"), "{shown}");
     assert!(shown.contains("[must-consume-paths]"), "{shown}");
 }
 
@@ -215,7 +204,7 @@ fn flow_binary_exit_codes_and_json() {
 
 /// One `--json` document merges every analyzer's findings: a fixture with
 /// one finding per tool (a hot-path allocation one call away, an unwrap
-/// in core, a claim never retired, a dropped Result) yields their summed
+/// in core, a tempfile never committed, a dropped Result) yields their summed
 /// count, and each finding prints its own tool's marker.
 #[test]
 fn report_binary_merges_artifacts() {
@@ -237,9 +226,9 @@ fn report_binary_merges_artifacts() {
     write(&root, "crates/core/src/engine.rs", "pub fn f(v: Option<u32>) -> u32 { v.unwrap() }\n");
     write(
         &root,
-        "crates/core/src/claimleak.rs",
-        "pub fn peek(mgr: &mut MsgManager) -> Result<u64> {\n\
-         \x20   let c = mgr.claim(0)?;\n    Ok(c.total)\n}\n",
+        "crates/io/src/leak.rs",
+        "pub fn write(dest: &Path, bytes: &[u8]) -> Result<()> {\n\
+         \x20   let mut f = AtomicFile::create(dest)?;\n    f.write_all(bytes)?;\n    Ok(())\n}\n",
     );
     write(
         &root,

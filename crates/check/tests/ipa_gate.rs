@@ -334,6 +334,36 @@ fn activity_checks_are_hot_path_and_panic_roots() {
     assert_eq!(lines("panic-freedom", "sio.rs"), vec![4], "{ipa:?}");
 }
 
+/// The partition pass's per-batch loop is a root of both Worker rules: the
+/// real `engine.rs` with an allocation and an unchecked index added inside
+/// `PartitionPass::stream_batches`'s loop trips `hot-path-alloc` and
+/// `panic-freedom` at exactly those lines, while the file as committed
+/// trips neither rule anywhere.
+#[test]
+fn the_partition_pass_batch_loop_is_a_hot_path_and_panic_root() {
+    let engine = "crates/core/src/engine.rs";
+    let src = fs::read_to_string(repo_root().join(engine)).expect("read engine.rs");
+    let anchor = "            let routed = worker.process(program, &batch, self.msgs);\n";
+    assert_eq!(src.matches(anchor).count(), 1, "the loop's Worker call moved");
+    let line = src[..src.find(anchor).expect("anchor")].lines().count() + 1;
+    let mutation = "            let staged = vec![0u8; batch.edges.len()];\n\
+                    \x20           let _first = batch.edges[staged.len()];\n";
+    let mutated = src.replacen(anchor, &format!("{mutation}{anchor}"), 1);
+    let root = scratch("ipa_fixture_batch_loop");
+    let reported = [("hot-path-alloc", line), ("panic-freedom", line + 1)];
+    for (text, expect) in [(&src, &reported[..0]), (&mutated, &reported[..])] {
+        write(&root, engine, text);
+        let ipa = ipa_tree(&root).expect("analyze fixture");
+        let found: Vec<_> =
+            ipa.iter().filter(|v| matches!(v.rule, "hot-path-alloc" | "panic-freedom")).collect();
+        let sites: Vec<(&str, usize)> = found.iter().map(|v| (v.rule, v.line)).collect();
+        assert_eq!(sites, expect, "{ipa:?}");
+        for v in found {
+            assert!(v.message.contains("core::PartitionPass::stream_batches"), "{v:?}");
+        }
+    }
+}
+
 /// The serve rule's offends set deliberately admits file reads — adjacency
 /// stays out-of-core, so `File::open`/`fs::read` behind a point query are
 /// the design — while an allocation one call away still trips, with the
@@ -425,8 +455,8 @@ fn ipa_binary_exit_codes_and_json() {
 /// successor that reports each at the same site: flow's
 /// `fault-surface-bypass` → ipa `fault-surface-reach`, flow's
 /// `error-context` → ipa `error-context-prop` (its storage-root clause),
-/// audit's `must-consume` → flow `must-consume-paths` (both the dropped
-/// tempfile and the unretired claim).
+/// audit's `must-consume` → flow `must-consume-paths` (the dropped
+/// tempfile).
 #[test]
 fn subsumed_rules_report_their_old_fixtures_at_the_same_site() {
     let root = scratch("check_fixture_parity");
@@ -451,12 +481,6 @@ fn subsumed_rules_report_their_old_fixtures_at_the_same_site() {
          \x20   let mut f = AtomicFile::create(dest)?;\n\
          f.write_all(bytes)?;\n    Ok(())\n}\n",
     );
-    write(
-        &root,
-        "crates/core/src/claimleak.rs",
-        "pub fn peek(mgr: &mut MsgManager) -> Result<u64> {\n\
-         \x20   let c = mgr.claim(0)?;\n    Ok(c.total)\n}\n",
-    );
     let findings = check_tree(&root).expect("check fixture");
     let sites: BTreeSet<(&str, String, usize)> = findings
         .iter()
@@ -466,7 +490,6 @@ fn subsumed_rules_report_their_old_fixtures_at_the_same_site() {
         ("fault-surface-reach", "crates/io/src/rawdump.rs"),
         ("error-context-prop", "crates/storage/src/readraw.rs"),
         ("must-consume-paths", "crates/io/src/leak.rs"),
-        ("must-consume-paths", "crates/core/src/claimleak.rs"),
     ] {
         assert!(sites.contains(&(rule, rel.to_string(), 2)), "{rule} at {rel}:2 missing:\n{findings:?}");
     }

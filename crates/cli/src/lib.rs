@@ -70,6 +70,11 @@ pub enum Command {
         /// for the benchmark's engine adapter (`benchmark/src/layers.rs`),
         /// which still destructures it; goes away with that adapter.
         threads: usize,
+        /// Always `false`: `run` takes no `--no-prefetch` flag and the engine
+        /// has no partition prefetcher. A compatibility name for the
+        /// benchmark's engine adapter (`benchmark/src/layers.rs`), which
+        /// still destructures it; goes away with that adapter.
+        #[doc(hidden)]
         prefetch: bool,
         verbose: bool,
     },
@@ -257,8 +262,7 @@ pub const COMMANDS: &[CommandSpec] = &[
             FlagSpec { name: "--checkpoint-dir", value: Some("D"), help: "write crash-safe generations under D" },
             FlagSpec { name: "--checkpoint-every", value: Some("N"), help: "iterations per generation (default 1)" },
             FlagSpec { name: "--resume", value: None, help: "continue from the newest valid generation" },
-            FlagSpec { name: "--no-prefetch", value: None, help: "disable the background partition loader" },
-            FlagSpec { name: "--verbose", value: None, help: "print the plan, per-stage wall times, prefetch and message counters" },
+            FlagSpec { name: "--verbose", value: None, help: "print the plan, per-stage wall times and message counters" },
         ],
         summary: "run an algorithm out-of-core and print the top-K vertices",
         details: "Checkpointing: with --checkpoint-dir, a crash-safe generation is written\n\
@@ -271,25 +275,23 @@ pub const COMMANDS: &[CommandSpec] = &[
                   one damaged by a crash.\n\
                   \n\
                   Schedule: one Worker updates vertices in ascending order, the paper's\n\
-                  sequential schedule, while a read-ahead thread streams adjacency and a\n\
-                  background loader prefetches the next partition. A graph that fits one\n\
-                  partition keeps its vertex array in memory for the whole run, and its\n\
-                  adjacency, when both fit the budget. --no-prefetch disables the\n\
-                  background partition loader (results are identical either way).\n\
-                  --verbose prints the resolved plan, per-stage wall times, prefetch\n\
-                  hit/stall counters and messages buffered / spilled / replayed / held\n\
-                  in memory at most; with --checkpoint-dir also the generations committed\n\
-                  and the time spent sealing them, waiting on a commit, and committing.\n\
+                  sequential schedule, while a read-ahead thread streams adjacency.\n\
+                  Partitions load one after another on the run's thread. A graph that\n\
+                  fits one partition keeps its vertex array in memory for the whole run,\n\
+                  and its adjacency, when both fit the budget. --verbose prints the\n\
+                  resolved plan, per-stage wall times and messages buffered / spilled /\n\
+                  replayed / held in memory at most; with --checkpoint-dir also the\n\
+                  generations committed and the time spent sealing them, waiting on a\n\
+                  commit, and committing.\n\
                   \n\
                   Memory: half of --budget-mib holds a partition's vertex array and a\n\
                   quarter holds messages bound for other partitions; the message that\n\
                   takes them past that quarter spills them all to disk, and a partition's\n\
                   messages are applied to its vertices as they are read back, never\n\
-                  collected. Outside the budget: the adjacency read-ahead blocks and the\n\
-                  prefetched next partition. The listing is made in one pass over the\n\
-                  final values, each with its original id; --top K holds K rows, not one\n\
-                  per vertex. cc also counts component sizes in a table of 8 bytes per\n\
-                  vertex.",
+                  collected. Outside the budget: the adjacency read-ahead blocks. The\n\
+                  listing is made in one pass over the final values, each with its\n\
+                  original id; --top K holds K rows, not one per vertex. cc also counts\n\
+                  component sizes in a table of 8 bytes per vertex.",
     },
 ];
 
@@ -544,7 +546,7 @@ pub fn parse(args: &[String]) -> Result<Command> {
                 checkpoint_every: p.parse_value("--checkpoint-every", 1)?,
                 resume: p.switch("--resume"),
                 threads: 1,
-                prefetch: !p.switch("--no-prefetch"),
+                prefetch: false,
                 verbose: p.switch("--verbose"),
             })
         }
@@ -758,7 +760,6 @@ pub fn execute(cmd: Command) -> Result<String> {
             checkpoint_dir,
             checkpoint_every,
             resume,
-            prefetch,
             verbose,
             ..
         } => {
@@ -773,12 +774,11 @@ pub fn execute(cmd: Command) -> Result<String> {
                 every: checkpoint_every,
                 resume,
             };
-            let options = EngineOptions { prefetch, ..EngineOptions::full() };
             let outcome = runner::run_graphz_reported(
                 &dos,
                 &params,
                 budget,
-                options,
+                EngineOptions::full(),
                 &ckpt,
                 Arc::clone(&stats),
                 |values| render_top(values, top),
@@ -799,9 +799,8 @@ pub fn execute(cmd: Command) -> Result<String> {
             if verbose {
                 if let Some(plan) = outcome.plan {
                     out.push_str(&format!(
-                        "plan: threads {} / prefetch {} / residency {}\n",
+                        "plan: threads {} / residency {}\n",
                         plan.pipeline_threads,
-                        if plan.prefetch { "on" } else { "off" },
                         plan.residency(),
                     ));
                 }
@@ -809,12 +808,6 @@ pub fn execute(cmd: Command) -> Result<String> {
                     out.push_str(&format!(
                         "stage times: load {:?} / replay {:?} / compute {:?} / flush {:?}\n",
                         st.load, st.replay, st.compute, st.flush,
-                    ));
-                }
-                if let Some(pf) = outcome.prefetch {
-                    out.push_str(&format!(
-                        "prefetch: {} hits / {} stalls / {} wasted\n",
-                        pf.hits, pf.stalls, pf.wasted,
                     ));
                 }
                 out.push_str(&format!(
@@ -1143,7 +1136,7 @@ mod tests {
                 checkpoint_every: 1,
                 resume: false,
                 threads: 1,
-                prefetch: true,
+                prefetch: false,
                 verbose: false,
             }
         );
@@ -1167,7 +1160,7 @@ mod tests {
 
     #[test]
     fn parses_run_parallelism_flags() {
-        let cmd = parse(&args("run pr dos-dir --no-prefetch --verbose")).unwrap();
+        let cmd = parse(&args("run pr dos-dir --verbose")).unwrap();
         match cmd {
             Command::Run { threads, prefetch, verbose, .. } => {
                 assert_eq!(threads, 1);
@@ -1176,12 +1169,13 @@ mod tests {
             }
             other => panic!("parsed {other:?}"),
         }
-        // `run` has one Worker schedule: --threads is an unknown flag.
-        let err = parse(&args("run pr dos-dir --threads 2")).unwrap_err().to_string();
-        assert!(
-            err.contains("unknown flag `--threads` for `graphz run` — see `graphz run --help`"),
-            "{err}"
-        );
+        // `run` has one Worker schedule and loads partitions on its own
+        // thread: --threads and --no-prefetch are unknown flags.
+        for (flag, rest) in [("--threads", " 2"), ("--no-prefetch", "")] {
+            let err = parse(&args(&format!("run pr dos-dir {flag}{rest}"))).unwrap_err();
+            let want = format!("unknown flag `{flag}` for `graphz run` — see `graphz run --help`");
+            assert!(err.to_string().contains(&want), "{err}");
+        }
     }
 
     #[test]
@@ -1525,7 +1519,7 @@ mod tests {
         )
         .unwrap();
         assert!(out.contains("stage times:"), "{out}");
-        assert!(out.contains("prefetch:"), "{out}");
+        assert!(!out.contains("prefetch"), "{out}");
         assert!(out.contains("plan: threads "), "{out}");
         // One resident partition: no message is ever buffered or spilled.
         let msgs = "msgs: 0 buffered / 0 spilled / 0 replayed / 0 held at most\n";
@@ -1555,7 +1549,7 @@ mod tests {
         let out = execute(parse(&args(&format!("run pr {dos} --iterations 3 --verbose"))).unwrap())
             .unwrap();
         assert!(
-            out.contains("plan: threads 1 / prefetch off / residency slab+adjacency\n"),
+            out.contains("plan: threads 1 / residency slab+adjacency\n"),
             "{out}"
         );
         let out =

@@ -7,8 +7,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use graphz_io::{
-    FaultSurface, FramedWriter, IoSnapshot, IoStats, PrefetchSnapshot, RecordReader, RecordWriter,
-    ScratchDir, StagedDir, SurfaceWriter, TrackedFile,
+    FaultSurface, FramedWriter, IoSnapshot, IoStats, RecordReader, RecordWriter, ScratchDir,
+    StagedDir, SurfaceWriter, TrackedFile,
 };
 use graphz_storage::{PartitionSet, Partitioner};
 use graphz_types::codec::decode_slice;
@@ -173,7 +173,7 @@ fn encode_slab<V: FixedCodec>(buf: &mut Vec<u8>, slab: &[V]) {
 
 /// Read vertices `[a, b)` of a vertex file into the reusable `bytes` —
 /// one seek, one read — and return them.
-pub(crate) fn read_vertices<'b, V: FixedCodec>(
+fn read_vertices<'b, V: FixedCodec>(
     file: &mut TrackedFile,
     bytes: &'b mut Vec<u8>,
     a: VertexId,
@@ -243,7 +243,6 @@ fn adjacency_bytes(num_vertices: u64, num_edges: u64, weighted: bool) -> u64 {
 }
 
 use crate::msgmanager::MsgManager;
-use crate::prefetch::{Loaded, Prefetcher};
 use crate::program::VertexProgram;
 use crate::sio;
 use crate::store::GraphStore;
@@ -327,13 +326,11 @@ impl EngineConfig {
 }
 
 /// Wall-clock time spent in each pipeline stage, as observed from the
-/// engine thread (with the Sio read-ahead thread or prefetch, work overlaps —
-/// these measure where the *engine* waited, which is exactly what shows a
-/// prefetch win: `load` shrinks).
+/// engine thread (with the Sio read-ahead thread, reads overlap compute —
+/// these measure where the *engine* waited).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct StageTimes {
-    /// Loading the partition index and vertex slab (or waiting for the
-    /// prefetcher to deliver them).
+    /// Loading the partition index and vertex slab.
     pub load: Duration,
     /// Draining pending messages and applying them to the slab.
     pub replay: Duration,
@@ -427,9 +424,6 @@ pub struct RunSummary {
     pub msg_high_water: u64,
     /// IO charged to this run (engine traffic only).
     pub io: IoSnapshot,
-    /// Prefetch effectiveness (kept separate from `io` because the
-    /// hit/stall split depends on thread timing).
-    pub prefetch: PrefetchSnapshot,
     /// Wall-clock duration of the run.
     pub wall: Duration,
     /// Engine-thread wall time per pipeline stage, summed over the run.
@@ -438,8 +432,8 @@ pub struct RunSummary {
     pub pool: sio::PoolCounters,
     /// Bytes activity-aware scheduling skipped, and slab bytes written.
     pub activity: ActivityCounters,
-    /// The execution plan the run resolved to (prefetch gating, residency)
-    /// — a pure function of graph shape, budget and options.
+    /// The execution plan the run resolved to (read-ahead, residency) — a
+    /// pure function of graph shape, budget and options.
     pub plan: graphz_types::ExecutionPlan,
     /// Checkpoint generations committed, and the time spent sealing them on
     /// the engine thread, waiting to join their commits, and committing
@@ -451,8 +445,8 @@ pub struct RunSummary {
 
 /// The GraphZ engine, generic over the vertex program.
 pub struct Engine<P: VertexProgram> {
-    store: Arc<dyn GraphStore>,
-    program: Arc<P>,
+    store: Box<dyn GraphStore>,
+    program: P,
     config: EngineConfig,
     stats: Arc<IoStats>,
     scratch: ScratchDir,
@@ -494,8 +488,8 @@ impl<P: VertexProgram> Engine<P> {
         let vertices_path = scratch.file("vertices.bin");
         let active = vec![true; partitions.num_partitions() as usize];
         Ok(Engine {
-            store: Arc::from(store),
-            program: Arc::new(program),
+            store,
+            program,
             config,
             stats,
             scratch,
@@ -560,7 +554,6 @@ impl<P: VertexProgram> Engine<P> {
     pub fn run(&mut self, max_iterations: u32) -> Result<RunSummary> {
         let start = Instant::now();
         let io_before = self.stats.snapshot();
-        let prefetch_before = self.stats.prefetch_snapshot();
         // Conservative at every start: whatever happened since the last
         // flush (a restore, say) is treated as activity.
         self.active.fill(true);
@@ -666,7 +659,6 @@ impl<P: VertexProgram> Engine<P> {
             replayed: mc.replayed,
             msg_high_water: mc.high_water,
             io: self.stats.snapshot() - io_before,
-            prefetch: self.stats.prefetch_snapshot() - prefetch_before,
             wall: start.elapsed(),
             stages: per_iteration.iter().fold(StageTimes::default(), |t, s| t + s.stages),
             pool,
@@ -877,6 +869,13 @@ impl<P: VertexProgram> Engine<P> {
     }
 }
 
+/// A partition loaded for the Worker: its slab and its index.
+struct Loaded<V> {
+    slab: Vec<V>,
+    start_edge: u64,
+    degrees: Vec<u32>,
+}
+
 /// How the compute stage feeds the Worker: the resident adjacency, a
 /// stream over every block (opened before the replay, so Sio reads ahead
 /// while it applies), or one over the blocks of the vertices that want an
@@ -893,8 +892,8 @@ enum Feed {
 /// holds the engine for one [`Engine::run`] and owns every buffer the
 /// partitions reuse.
 struct PartitionPass<'e, P: VertexProgram> {
-    store: &'e Arc<dyn GraphStore>,
-    program: &'e Arc<P>,
+    store: &'e dyn GraphStore,
+    program: &'e P,
     stats: &'e Arc<IoStats>,
     config: &'e EngineConfig,
     partitions: &'e PartitionSet,
@@ -907,7 +906,8 @@ struct PartitionPass<'e, P: VertexProgram> {
     slab_bytes: Vec<u8>,
     /// The block a flush encodes into to find the blocks that changed.
     block_bytes: Vec<u8>,
-    /// Reads back a skipped block a dynamic message woke.
+    /// Reads back a skipped block a dynamic message woke: opened with the
+    /// run's first stream that may skip blocks.
     gap_reader: Option<sio::GapReader>,
     /// The vertex array, when the plan keeps it in memory across
     /// iterations (§VI-E future work) instead of flushing and reloading it.
@@ -918,31 +918,20 @@ struct PartitionPass<'e, P: VertexProgram> {
     /// producer's hand + its queue + the Worker's hand + a gap read back):
     /// after iteration 1 no take() mints a fresh batch.
     pool: Arc<sio::BatchPool>,
-    /// Double-buffers partition loads when the plan has enough partitions.
-    prefetcher: Option<Prefetcher<P>>,
     /// The iteration in progress: its number, counters and stage times.
     progress: IterationStats,
     activity: ActivityCounters,
 }
 
 impl<'e, P: VertexProgram> PartitionPass<'e, P> {
-    /// Open the run's pass: the working vertex file, the prefetcher if the
-    /// plan has one, and the vertex array if the plan keeps it resident.
+    /// Open the run's pass: the working vertex file, and the vertex array if
+    /// the plan keeps it resident.
     fn open(engine: &'e mut Engine<P>, plan: graphz_types::ExecutionPlan) -> Result<Self> {
         let Engine {
             store, program, stats, config, partitions, vertices_path, msgs, active, ..
         } = engine;
         let mut vfile =
             TrackedFile::open_rw(vertices_path, Arc::clone(stats)).ctx("open-rw", vertices_path)?;
-        let prefetcher = match plan.prefetch {
-            true => Some(Prefetcher::spawn(
-                Arc::clone(store),
-                Arc::clone(program),
-                vertices_path,
-                Arc::clone(stats),
-            )?),
-            false => None,
-        };
         // A resident plan has one partition: the whole vertex array.
         let (mut slab_bytes, (a, b)) = (Vec::new(), partitions.range(0));
         let resident = match plan.resident {
@@ -951,7 +940,7 @@ impl<'e, P: VertexProgram> PartitionPass<'e, P> {
         }
         .map(decode_slice);
         Ok(PartitionPass {
-            store,
+            store: &**store,
             program,
             stats,
             config,
@@ -966,7 +955,6 @@ impl<'e, P: VertexProgram> PartitionPass<'e, P> {
             resident,
             adjacency: None,
             pool: sio::BatchPool::prewarmed(3 + sio::SIO_QUEUE_CAP),
-            prefetcher,
             progress: IterationStats::default(),
             activity: ActivityCounters::default(),
         })
@@ -994,7 +982,7 @@ impl<'e, P: VertexProgram> PartitionPass<'e, P> {
                 }
                 continue;
             }
-            let loaded = self.load(part, a, b)?;
+            let loaded = self.load(a, b)?;
             let (mut worker, feed) = self.replay(part, loaded)?;
             self.compute(&mut worker, feed, part)?;
             self.flush(part, worker, generation.as_deref_mut(), commits)?;
@@ -1003,59 +991,35 @@ impl<'e, P: VertexProgram> PartitionPass<'e, P> {
         Ok(self.progress)
     }
 
-    /// Load stage (MsgManager phase A): the slab and index — from the
-    /// prefetcher if it has the partition in flight (its claimed spill run
-    /// replayed into the slab), from memory on the resident plan, or read
-    /// now. Then the next partition with work (wrapping into the next
-    /// iteration) is requested, to load behind this one's compute; the
-    /// claim seals the spill run the prefetcher reads.
-    fn load(&mut self, part: u32, a: VertexId, b: VertexId) -> Result<Loaded<P::VertexData>> {
+    /// Load stage (MsgManager phase A): the slab and index — from memory on
+    /// the resident plan, else read now.
+    fn load(&mut self, a: VertexId, b: VertexId) -> Result<Loaded<P::VertexData>> {
         let t_load = Instant::now();
-        let mut loaded = match self.prefetcher.as_mut().and_then(|pf| pf.take(part)) {
-            Some((loaded, bytes)) => {
-                self.slab_bytes = bytes;
-                loaded
-            }
-            None => {
-                let (start_edge, degrees) = match self.adjacency {
-                    Some(_) => (0, Vec::new()),
-                    None => self.store.partition_index(a, b, self.stats)?,
-                };
-                let (file, bytes) = (&mut self.vfile, &mut self.slab_bytes);
-                let slab = match self.resident.take() {
-                    Some(slab) => slab,
-                    None => decode_slice(read_vertices::<P::VertexData>(file, bytes, a, b)?),
-                };
-                Loaded { slab, start_edge, degrees, claim: None }
-            }
+        let (start_edge, mut degrees) = match self.adjacency {
+            Some(_) => (0, Vec::new()),
+            None => self.store.partition_index(a, b, self.stats)?,
         };
-        if let Some(pf) = self.prefetcher.as_mut() {
-            let next = (part + 1) % self.partitions.num_partitions();
-            if self.active[next as usize] || self.msgs.pending_in(next) > 0 {
-                let (na, nb) = self.partitions.range(next);
-                pf.request(next, na, nb, self.msgs.claim(next));
-            }
-        }
+        let (file, bytes) = (&mut self.vfile, &mut self.slab_bytes);
+        let slab = match self.resident.take() {
+            Some(slab) => slab,
+            None => decode_slice(read_vertices::<P::VertexData>(file, bytes, a, b)?),
+        };
         if self.plan.resident_adjacency && self.adjacency.is_none() {
-            let degrees = std::mem::take(&mut loaded.degrees);
-            self.adjacency = Some(self.load_adjacency(loaded.start_edge, a, degrees)?);
+            let whole = self.load_adjacency(start_edge, a, std::mem::take(&mut degrees))?;
+            self.adjacency = Some(whole);
         }
         self.progress.stages.load += t_load.elapsed();
-        Ok(loaded)
+        Ok(Loaded { slab, start_edge, degrees })
     }
 
-    /// Replay stage: retire the prefetched claim (the oldest pending
-    /// messages, already applied), drain the rest into the slab in send
-    /// order, and start the Worker on it. A stream that may skip blocks
-    /// waits for the replay to know which; any other opens first.
+    /// Replay stage: drain the partition's pending messages into the slab
+    /// in send order, and start the Worker on it. A stream that may skip
+    /// blocks waits for the replay to know which; any other opens first.
     fn replay(&mut self, part: u32, loaded: Loaded<P::VertexData>) -> Result<(Worker<P>, Feed)> {
         let t_replay = Instant::now();
-        let Loaded { mut slab, start_edge, degrees, claim } = loaded;
-        if let Some((claim, replayed)) = &claim {
-            self.msgs.consume_claimed(claim, *replayed)?;
-        }
+        let Loaded { mut slab, start_edge, degrees } = loaded;
         let (a, iteration, program) =
-            (self.partitions.range(part).0, self.progress.iteration, &**self.program);
+            (self.partitions.range(part).0, self.progress.iteration, self.program);
         let feed = if self.adjacency.is_some() {
             Feed::Resident
         } else if slab.iter().all(|v| program.wants_update(v, iteration)) {
@@ -1070,17 +1034,16 @@ impl<'e, P: VertexProgram> PartitionPass<'e, P> {
         Ok((worker, feed))
     }
 
-    /// Compute stage (Sio → Dispatcher → Worker): feed the Worker its
-    /// adjacency, returning each streamed batch to the pool. A block the
-    /// tracked stream skipped is re-checked when the sweep reaches it (an
-    /// in-pass dynamic message may have woken a vertex in it) and read back
-    /// if so. At the barrier a message sent past the last vertex fails the
-    /// run.
+    /// Compute stage (Sio → Dispatcher → Worker): feed the Worker the
+    /// resident adjacency, or open the partition's stream — a tracked one
+    /// skips the blocks of quiet vertices — and run it through
+    /// [`stream_batches`](Self::stream_batches). At the barrier a message
+    /// sent past the last vertex fails the run.
     fn compute(&mut self, worker: &mut Worker<P>, feed: Feed, part: u32) -> Result<()> {
         let t_compute = Instant::now();
-        let program = &**self.program;
+        let program = self.program;
         let bytes_per_edge: u64 = if self.store.weights_path().is_some() { 8 } else { 4 };
-        let mut stream = match feed {
+        let stream = match feed {
             Feed::Resident => {
                 if let Some(whole) = &self.adjacency {
                     worker.process(program, whole, self.msgs)?;
@@ -1098,37 +1061,21 @@ impl<'e, P: VertexProgram> PartitionPass<'e, P> {
                     self.activity.adjacency_bytes_skipped += edges * bytes_per_edge;
                     None
                 } else {
+                    // A stream that skips blocks comes with the reader that
+                    // reads a woken one back, opened once per run.
+                    if self.gap_reader.is_none() {
+                        self.gap_reader = Some(sio::GapReader::open(
+                            &self.store.edges_path(),
+                            self.store.weights_path().as_deref(),
+                            Arc::clone(self.stats),
+                        )?);
+                    }
                     let (first, pool) = (worker.first, &self.pool);
                     Some(self.open_stream(start_edge, first, degrees, Some(active), pool)?)
                 }
             }
         };
-        while let Some(block) = stream.as_mut().and_then(sio::AdjacencyStream::next_block) {
-            let batch = match block? {
-                sio::Block::Batch(batch) => batch,
-                sio::Block::Gap(gap) => {
-                    let (lo, hi) = gap.range();
-                    if !worker.wakes_in(program, lo, hi) {
-                        self.activity.adjacency_bytes_skipped += gap.edges * bytes_per_edge;
-                        self.pool.put(gap.batch);
-                        continue;
-                    }
-                    self.activity.gaps_reread += 1;
-                    let reader = match &mut self.gap_reader {
-                        Some(reader) => reader,
-                        None => self.gap_reader.insert(sio::GapReader::open(
-                            &self.store.edges_path(),
-                            self.store.weights_path().as_deref(),
-                            Arc::clone(self.stats),
-                        )?),
-                    };
-                    reader.read(gap)?
-                }
-            };
-            let routed = worker.process(program, &batch, self.msgs);
-            self.pool.put(batch);
-            routed?;
-        }
+        self.stream_batches(worker, stream, bytes_per_edge)?;
         if worker.rejected > 0 {
             return Err(GraphError::Algorithm(format!(
                 "iteration {}, partition {part}: {} message(s) sent to a vertex id >= \
@@ -1142,6 +1089,48 @@ impl<'e, P: VertexProgram> PartitionPass<'e, P> {
         self.progress.messages_sent += worker.sent;
         self.progress.dynamic_applied += worker.dynamic_applied;
         self.progress.stages.compute += t_compute.elapsed();
+        Ok(())
+    }
+
+    /// The compute stage's per-batch loop: each batch of `stream` goes
+    /// through the Worker and back to the pool; a gap is re-checked when
+    /// the sweep reaches it (an in-pass dynamic message may have woken a
+    /// vertex in it) and read back if so. A root of
+    /// the `hot-path-alloc` and `panic-freedom` analyses (DESIGN.md §6k),
+    /// so it opens nothing: the stream and the gap reader come from
+    /// [`compute`](Self::compute).
+    fn stream_batches(
+        &mut self,
+        worker: &mut Worker<P>,
+        mut stream: Option<sio::AdjacencyStream>,
+        bytes_per_edge: u64,
+    ) -> Result<()> {
+        let program = self.program;
+        while let Some(block) = stream.as_mut().and_then(sio::AdjacencyStream::next_block) {
+            let batch = match block? {
+                sio::Block::Batch(batch) => batch,
+                sio::Block::Gap(gap) => {
+                    // Typed: the ipa call graph resolves an untyped
+                    // `gap.range()` to every workspace `range`.
+                    let (lo, hi) = sio::Gap::range(&gap);
+                    if !worker.wakes_in(program, lo, hi) {
+                        self.activity.adjacency_bytes_skipped += gap.edges * bytes_per_edge;
+                        self.pool.put(gap.batch);
+                        continue;
+                    }
+                    self.activity.gaps_reread += 1;
+                    match &mut self.gap_reader {
+                        Some(reader) => reader.read(gap)?,
+                        None => return Err(GraphError::InvalidConfig(
+                            "an adjacency gap from a stream opened without its reader".into(),
+                        )),
+                    }
+                }
+            };
+            let routed = worker.process(program, &batch, self.msgs);
+            self.pool.put(batch);
+            routed?;
+        }
         Ok(())
     }
 
@@ -1632,27 +1621,20 @@ mod tests {
         let edges: Vec<Edge> = (0..48u32)
             .flat_map(|i| (0..5u32).map(move |j| Edge::new(i, (i * 11 + j * 17) % 48)))
             .collect();
-        for prefetch in [false, true] {
-            let (dir, mut engine) = dos_engine(
-                edges.clone(),
-                MemoryBudget(64),
-                EngineOptions { prefetch, ..EngineOptions::full() },
-                5,
-            );
-            let s = engine.run(2).unwrap();
-            assert!(s.partitions >= 3 && s.spilled > 0, "budget must force spills: {s:?}");
-            engine.checkpoint(&dir.path().join("ckpt")).unwrap();
-            let msgs = engine.scratch_dir().file("msgs");
-            let mut segs: Vec<PathBuf> =
-                std::fs::read_dir(&msgs).unwrap().map(|e| e.unwrap().path()).collect();
-            segs.sort();
-            let seg = segs.first().expect("a pending spill segment");
-            let len = std::fs::metadata(seg).unwrap().len();
-            std::fs::OpenOptions::new().write(true).open(seg).unwrap().set_len(len - 3).unwrap();
-            match engine.run(10) {
-                Err(GraphError::Corrupt(msg)) => assert!(msg.contains("truncated record"), "{msg}"),
-                other => panic!("prefetch {prefetch}: expected Corrupt, got {other:?}"),
-            }
+        let (dir, mut engine) = dos_engine(edges, MemoryBudget(64), EngineOptions::full(), 5);
+        let s = engine.run(2).unwrap();
+        assert!(s.partitions >= 3 && s.spilled > 0, "budget must force spills: {s:?}");
+        engine.checkpoint(&dir.path().join("ckpt")).unwrap();
+        let msgs = engine.scratch_dir().file("msgs");
+        let mut segs: Vec<PathBuf> =
+            std::fs::read_dir(&msgs).unwrap().map(|e| e.unwrap().path()).collect();
+        segs.sort();
+        let seg = segs.first().expect("a pending spill segment");
+        let len = std::fs::metadata(seg).unwrap().len();
+        std::fs::OpenOptions::new().write(true).open(seg).unwrap().set_len(len - 3).unwrap();
+        match engine.run(10) {
+            Err(GraphError::Corrupt(msg)) => assert!(msg.contains("truncated record"), "{msg}"),
+            other => panic!("expected Corrupt, got {other:?}"),
         }
     }
 
@@ -1667,22 +1649,19 @@ mod tests {
         let budget = MemoryBudget(512);
         let cap = budget.bytes() / 4 / (4 + <u64 as FixedCodec>::SIZE as u64);
         assert_eq!(cap, 10);
-        for prefetch in [false, true] {
-            let options = EngineOptions { prefetch, ..EngineOptions::full() };
-            let (_d, mut engine) = dos_engine(edges.clone(), budget, options, 3);
-            let s = engine.run(5).unwrap();
-            assert_eq!(s.partitions, 8);
-            let first = &s.per_iteration[0];
-            let deferred = first.messages_sent - first.dynamic_applied;
-            // Some pass deferred far more than the cap before its barrier.
-            assert!(deferred > 8 * (cap + 1) * 10, "prefetch {prefetch}: {deferred} deferred");
-            assert!(s.spilled > 0, "prefetch {prefetch}: {s:?}");
-            assert!(
-                (1..=cap + 1).contains(&s.msg_high_water),
-                "prefetch {prefetch}: held {} messages, cap {cap}",
-                s.msg_high_water
-            );
-        }
+        let (_d, mut engine) = dos_engine(edges, budget, EngineOptions::full(), 3);
+        let s = engine.run(5).unwrap();
+        assert_eq!(s.partitions, 8);
+        let first = &s.per_iteration[0];
+        let deferred = first.messages_sent - first.dynamic_applied;
+        // Some pass deferred far more than the cap before its barrier.
+        assert!(deferred > 8 * (cap + 1) * 10, "{deferred} deferred");
+        assert!(s.spilled > 0, "{s:?}");
+        assert!(
+            (1..=cap + 1).contains(&s.msg_high_water),
+            "held {} messages, cap {cap}",
+            s.msg_high_water
+        );
     }
 
     #[test]
@@ -1692,35 +1671,28 @@ mod tests {
         let edges: Vec<Edge> = (0..48u32)
             .flat_map(|i| (0..5u32).map(move |j| Edge::new(i, (i * 11 + j * 17) % 48)))
             .collect();
-        for prefetch in [false, true] {
-            let (dir, mut engine) = dos_engine(
-                edges.clone(),
-                MemoryBudget(64),
-                EngineOptions { prefetch, ..EngineOptions::full() },
-                5,
-            );
-            let s = engine.run(2).unwrap();
-            assert!(s.partitions >= 3 && s.spilled > 0, "budget must force spills: {s:?}");
-            engine.checkpoint(&dir.path().join("ckpt")).unwrap();
-            let msgs = engine.scratch_dir().file("msgs");
-            let mut segs: Vec<PathBuf> =
-                std::fs::read_dir(&msgs).unwrap().map(|e| e.unwrap().path()).collect();
-            segs.sort();
-            let seg = segs.first().expect("a pending spill segment");
-            let name = seg.file_name().unwrap().to_string_lossy().into_owned();
-            let part: u32 = name["msgs-".len().."msgs-".len() + 5].parse().unwrap();
-            let other = (part + 1) % engine.num_partitions();
-            let stray = engine.partitions.range(other).0;
-            let mut bytes = std::fs::read(seg).unwrap();
-            bytes[..4].copy_from_slice(&stray.to_le_bytes());
-            std::fs::write(seg, bytes).unwrap();
-            match engine.run(10) {
-                Err(GraphError::Corrupt(msg)) => {
-                    assert!(msg.contains(&name), "{msg}");
-                    assert!(msg.contains(&format!("vertex {stray}, which is not in")), "{msg}");
-                }
-                other => panic!("prefetch {prefetch}: expected Corrupt, got {other:?}"),
+        let (dir, mut engine) = dos_engine(edges, MemoryBudget(64), EngineOptions::full(), 5);
+        let s = engine.run(2).unwrap();
+        assert!(s.partitions >= 3 && s.spilled > 0, "budget must force spills: {s:?}");
+        engine.checkpoint(&dir.path().join("ckpt")).unwrap();
+        let msgs = engine.scratch_dir().file("msgs");
+        let mut segs: Vec<PathBuf> =
+            std::fs::read_dir(&msgs).unwrap().map(|e| e.unwrap().path()).collect();
+        segs.sort();
+        let seg = segs.first().expect("a pending spill segment");
+        let name = seg.file_name().unwrap().to_string_lossy().into_owned();
+        let part: u32 = name["msgs-".len().."msgs-".len() + 5].parse().unwrap();
+        let other = (part + 1) % engine.num_partitions();
+        let stray = engine.partitions.range(other).0;
+        let mut bytes = std::fs::read(seg).unwrap();
+        bytes[..4].copy_from_slice(&stray.to_le_bytes());
+        std::fs::write(seg, bytes).unwrap();
+        match engine.run(10) {
+            Err(GraphError::Corrupt(msg)) => {
+                assert!(msg.contains(&name), "{msg}");
+                assert!(msg.contains(&format!("vertex {stray}, which is not in")), "{msg}");
             }
+            other => panic!("expected Corrupt, got {other:?}"),
         }
     }
 
@@ -1809,56 +1781,6 @@ mod tests {
                 prev = it.pool.reused;
             }
         }
-    }
-
-    #[test]
-    fn prefetch_counters_track_activity() {
-        let budget = MemoryBudget(16); // one vertex per partition: 4 partitions
-        let (_d1, mut on) = dos_engine(test_graph(), budget, EngineOptions::full(), 3);
-        let s_on = on.run(10).unwrap();
-        assert!(s_on.partitions >= EngineOptions::MIN_PREFETCH_PARTITIONS);
-        assert!(s_on.plan.prefetch, "enough partitions: the plan keeps prefetch");
-        assert!(
-            s_on.prefetch.hits + s_on.prefetch.stalls > 0,
-            "multi-partition run with prefetch must request loads: {:?}",
-            s_on.prefetch
-        );
-        let (_d2, mut off) = dos_engine(
-            test_graph(),
-            budget,
-            EngineOptions { prefetch: false, ..EngineOptions::full() },
-            3,
-        );
-        let s_off = off.run(10).unwrap();
-        assert_eq!(s_off.prefetch, graphz_io::PrefetchSnapshot::default());
-        assert_eq!(
-            on.values_by_original_id().unwrap(),
-            off.values_by_original_id().unwrap()
-        );
-    }
-
-    #[test]
-    fn prefetch_auto_disables_below_three_partitions() {
-        // Budget 32 → two partitions: the plan refuses the prefetcher even
-        // though the options request it (it is pure overhead there), and the
-        // results are identical to an explicit prefetch=false run.
-        let budget = MemoryBudget(32);
-        let (_d1, mut auto_off) = dos_engine(test_graph(), budget, EngineOptions::full(), 3);
-        let s = auto_off.run(10).unwrap();
-        assert_eq!(s.partitions, 2);
-        assert!(!s.plan.prefetch, "two partitions cannot hide a load: plan must refuse");
-        assert_eq!(s.prefetch, graphz_io::PrefetchSnapshot::default());
-        let (_d2, mut off) = dos_engine(
-            test_graph(),
-            budget,
-            EngineOptions { prefetch: false, ..EngineOptions::full() },
-            3,
-        );
-        off.run(10).unwrap();
-        assert_eq!(
-            auto_off.values_by_original_id().unwrap(),
-            off.values_by_original_id().unwrap()
-        );
     }
 
     #[test]

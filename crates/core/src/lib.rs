@@ -27,9 +27,6 @@
 //! * the **MsgManager** buffers cross-partition messages and replays them in
 //!   order when the destination partition loads ([`msgmanager`]).
 //!
-//! A [`prefetch`] stage double-buffers partition loads so the Worker never
-//! waits on the vertex file.
-//!
 //! Passes are activity-aware ([`VertexProgram::wants_update`]): a partition
 //! with nothing pending and nothing to update is not loaded at all, the
 //! Sio stream seeks past adjacency blocks of quiet vertices, and
@@ -41,7 +38,6 @@ pub mod engine;
 pub mod generations;
 pub mod graphchi_compat;
 pub mod msgmanager;
-pub mod prefetch;
 pub mod program;
 pub mod sio;
 pub mod store;

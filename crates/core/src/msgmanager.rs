@@ -14,13 +14,11 @@
 //! slab; nothing replayed is collected.
 //!
 //! Spill storage is a sequence of *segments* per partition
-//! (`msgs-{p:05}-{seg:05}.bin`, oldest first). Segments exist so the
-//! partition prefetcher can [`claim`](MsgManager::claim) the current spill
-//! run — sealing it against further appends and replaying it concurrently —
-//! while the engine keeps spilling new messages into a fresh segment. A
-//! claim never removes anything: if the prefetch is discarded, a normal
-//! [`drain`](MsgManager::drain) still replays every segment, so crashes and
-//! checkpoints taken between claim and consume lose no messages.
+//! (`msgs-{p:05}-{seg:05}.bin`, oldest first). A partition appends to one
+//! open segment until [`drain`](MsgManager::drain) replays and removes its
+//! segments; the next spill opens a fresh one under a new id. A manager
+//! [`restore`](MsgManager::restore)d from a checkpoint spills into a fresh
+//! segment after the restored ones, so a partition can hold several.
 
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -51,46 +49,8 @@ pub struct MsgCounters {
     pub high_water: u64,
 }
 
-/// A snapshot of the sealed spill segments for one partition, handed to the
-/// prefetcher. The segments stay registered in the manager (and on disk)
-/// until [`MsgManager::consume_claimed`] — discarding a claim is always safe.
-#[derive(Debug, Clone)]
-pub struct ClaimedSegments {
-    pub partition: u32,
-    /// Paths of the sealed segment files, oldest first.
-    pub paths: Vec<PathBuf>,
-    /// How many segment entries (a prefix of the partition's list) this
-    /// claim covers.
-    count: usize,
-}
-
-impl ClaimedSegments {
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
-    }
-
-    /// Replay every claimed envelope into `apply`, oldest first, each
-    /// segment read and decoded 64 KiB at a time; returns how many were
-    /// applied. `apply` answers whether the destination is a vertex of the
-    /// claimed partition. One that is not, or a segment that ends
-    /// mid-record, stops the replay with
-    /// [`GraphError::Corrupt`] naming the
-    /// segment, after the whole records before it were applied.
-    pub(crate) fn replay<M: FixedCodec>(
-        &self,
-        stats: &Arc<IoStats>,
-        mut apply: impl FnMut(VertexId, M) -> bool,
-    ) -> Result<u64> {
-        let mut replayed = 0;
-        for path in &self.paths {
-            replayed += replay_segment(path, self.partition, stats, &mut apply)?;
-        }
-        Ok(replayed)
-    }
-}
-
 /// Stream the segment at `path` into `apply` in send order, as
-/// [`ClaimedSegments::replay`] describes.
+/// [`MsgManager::drain`] describes.
 fn replay_segment<M: FixedCodec>(
     path: &Path,
     partition: u32,
@@ -129,7 +89,7 @@ struct Queue<M> {
     /// The segment currently accepting appends.
     open: Option<u32>,
     /// The open segment's path and file, once a spill has opened it. Kept
-    /// across spills; dropped at claim, drain, flush and restore.
+    /// across spills; dropped at drain, flush and restore.
     file: Option<(PathBuf, TrackedFile)>,
     /// Next segment id to allocate (monotonic, so the zero-padded filename
     /// sort order equals creation order).
@@ -287,43 +247,6 @@ impl<M: FixedCodec> MsgManager<M> {
             queue.tail.clear();
         }
         self.resident = 0;
-        Ok(())
-    }
-
-    /// Seal `partition`'s spill run and return a snapshot of it for the
-    /// prefetcher. After this call no more bytes are ever appended to the
-    /// returned files (new spills open a fresh segment), so another thread
-    /// may read them concurrently. The segments remain registered and on
-    /// disk: dropping the claim without [`consume_claimed`] loses nothing —
-    /// a later [`drain`] replays them as usual.
-    ///
-    /// [`consume_claimed`]: MsgManager::consume_claimed
-    /// [`drain`]: MsgManager::drain
-    pub fn claim(&mut self, partition: u32) -> ClaimedSegments {
-        let queue = &mut self.queues[partition as usize];
-        queue.seal();
-        let paths =
-            queue.segments.iter().map(|&s| seg_path(&self.dir, partition, s)).collect::<Vec<_>>();
-        ClaimedSegments { partition, count: paths.len(), paths }
-    }
-
-    /// Retire a claim whose messages were applied by the caller: removes the
-    /// claimed segment prefix, deletes the files, and accounts `replayed`
-    /// messages. Only call after actually applying the prefetched messages.
-    pub fn consume_claimed(&mut self, claim: &ClaimedSegments, replayed: u64) -> Result<()> {
-        let queue = &mut self.queues[claim.partition as usize];
-        debug_assert!(
-            claim.count <= queue.segments.len(),
-            "claim outlived a drain of partition {}",
-            claim.partition
-        );
-        let retired: Vec<u32> = queue.segments.drain(..claim.count).collect();
-        queue.on_disk = queue.on_disk.saturating_sub(replayed);
-        for seg in retired {
-            let path = seg_path(&self.dir, claim.partition, seg);
-            std::fs::remove_file(&path).ctx("remove", &path)?;
-        }
-        self.counters.replayed += replayed;
         Ok(())
     }
 
@@ -544,80 +467,6 @@ mod tests {
         assert_eq!(m.counters().replayed, 3);
     }
 
-    /// Replay a claimed run into a vector, as the prefetcher replays it
-    /// into its slab.
-    fn read_claim<M: FixedCodec>(
-        claim: &ClaimedSegments,
-        stats: &Arc<IoStats>,
-    ) -> Result<Vec<Envelope<M>>> {
-        let mut out = Vec::new();
-        claim.replay(stats, |d, v| {
-            out.push((d, v));
-            true
-        })?;
-        Ok(out)
-    }
-
-    #[test]
-    fn claim_seals_run_and_consume_retires_it() {
-        let (_dir, mut m) = manager((4 + 4) * 2); // spills every 3rd message
-        for i in 0..9u32 {
-            m.enqueue(0, i, i).unwrap();
-        }
-        m.flush().unwrap();
-        let claim = m.claim(0);
-        assert!(!claim.is_empty());
-        // Spills after the claim must not land in the sealed segment.
-        for i in 9..15u32 {
-            m.enqueue(0, i, i).unwrap();
-        }
-        m.flush().unwrap();
-        let pre = read_claim::<u32>(&claim, &IoStats::new()).unwrap();
-        assert_eq!(pre.iter().map(|e| e.0).collect::<Vec<_>>(), (0..9).collect::<Vec<_>>());
-        assert_eq!(m.pending_in(0), 15);
-        m.consume_claimed(&claim, pre.len() as u64).unwrap();
-        assert_eq!(m.pending_in(0), 6, "the consumed claim leaves the post-claim messages");
-        // The remainder (post-claim segment + tail) drains in order.
-        let mut rest = Vec::new();
-        m.drain(0, |d, _| {
-            rest.push(d);
-            true
-        }).unwrap();
-        assert_eq!(rest, (9..15).collect::<Vec<_>>());
-        assert_eq!(m.pending(), 0);
-        assert_eq!(m.counters().replayed, 15);
-    }
-
-    #[test]
-    fn discarded_claim_loses_nothing() {
-        let (_dir, mut m) = manager((4 + 4) * 2);
-        for i in 0..9u32 {
-            m.enqueue(0, i, i).unwrap();
-        }
-        m.flush().unwrap();
-        let claim = m.claim(0);
-        drop(claim); // prefetch discarded — e.g. run converged or checkpoint restored
-        for i in 9..12u32 {
-            m.enqueue(0, i, i).unwrap();
-        }
-        m.flush().unwrap();
-        // The next claim covers the discarded segment and the newer one,
-        // and reads them oldest first into one run.
-        let again = m.claim(0);
-        assert_eq!(again.paths.len(), 2);
-        let run: Vec<VertexId> =
-            read_claim::<u32>(&again, &IoStats::new()).unwrap().iter().map(|e| e.0).collect();
-        assert_eq!(run, (0..12).collect::<Vec<_>>());
-        drop(again);
-        let mut seen = Vec::new();
-        m.drain(0, |d, _| {
-            seen.push(d);
-            true
-        }).unwrap();
-        assert_eq!(seen, (0..12).collect::<Vec<_>>());
-        assert_eq!(m.pending(), 0);
-    }
-
     /// A 13-byte envelope: `u32` destination plus a `(u64, u8)` payload, so
     /// no record lines up with a word or with the 64 KiB read size.
     type Odd = (u64, u8);
@@ -654,29 +503,30 @@ mod tests {
         send(&mut m, &mut sent, 0..10);
         assert_eq!(m.counters().spilled, 8, "two spill rounds before the flush");
         m.flush().unwrap();
-        let claim = m.claim(0);
-        let claimed = sent[0].len();
-        // After the claim, partition 0 spills into a fresh segment while
+        let seg = |p: u32, s: u32| std::fs::read(path.join(format!("msgs-{p:05}-{s:05}.bin")));
+        assert_eq!(seg(0, 0).unwrap(), reference_bytes(&sent[0]));
+        let mut drained = Vec::new();
+        m.drain(0, |d, v| {
+            drained.push((d, v));
+            true
+        }).unwrap();
+        assert_eq!(drained, std::mem::take(&mut sent[0]));
+        assert!(seg(0, 0).is_err(), "a drained segment is removed");
+        // After the drain, partition 0 spills into a fresh segment while
         // partition 1 keeps appending to its first one.
         send(&mut m, &mut sent, 10..30);
         m.flush().unwrap();
         assert_eq!(m.counters().spilled, 30);
-
-        let seg = |p: u32, s: u32| std::fs::read(path.join(format!("msgs-{p:05}-{s:05}.bin")));
-        assert_eq!(seg(0, 0).unwrap(), reference_bytes(&sent[0][..claimed]));
-        assert_eq!(seg(0, 1).unwrap(), reference_bytes(&sent[0][claimed..]));
+        assert_eq!(seg(0, 1).unwrap(), reference_bytes(&sent[0]));
         assert_eq!(seg(1, 0).unwrap(), reference_bytes(&sent[1]));
-        assert!(seg(1, 1).is_err(), "partition 1 was never claimed");
+        assert!(seg(1, 1).is_err(), "partition 1 was never drained");
 
-        let pre: Vec<Envelope<Odd>> = read_claim(&claim, &stats).unwrap();
-        assert_eq!(pre, sent[0][..claimed]);
-        m.consume_claimed(&claim, pre.len() as u64).unwrap();
         let mut rest = Vec::new();
         m.drain(0, |d, v| {
             rest.push((d, v));
             true
         }).unwrap();
-        assert_eq!(rest, sent[0][claimed..]);
+        assert_eq!(rest, sent[0]);
         let mut p1 = Vec::new();
         m.drain(1, |d, v| {
             p1.push((d, v));
@@ -702,12 +552,8 @@ mod tests {
         let len = std::fs::metadata(&seg).unwrap().len();
         assert_eq!(len, 13 * 10);
         std::fs::OpenOptions::new().write(true).open(&seg).unwrap().set_len(len - 5).unwrap();
-        // The prefetcher's read of a claim refuses the segment outright; the
-        // engine's own replay streams it and fails at the tear, having
+        // The replay streams the segment and fails at the tear, having
         // applied exactly the whole records before it, in send order.
-        let claim = m.claim(0);
-        let err = read_claim::<Odd>(&claim, &stats).unwrap_err();
-        assert!(matches!(err, GraphError::Corrupt(_)), "claim read: {err:?}");
         let mut applied = Vec::new();
         let err = m.drain(0, |d, v| {
             applied.push((d, v));
@@ -751,12 +597,10 @@ mod tests {
             }
             other => panic!("expected Corrupt, got {other:?}"),
         };
-        // The prefetcher's replay of a claim, then the engine's drain: both
-        // stop at the stray envelope, having applied the ones before it.
-        let claim = m.claim(1);
-        expect_corrupt(claim.replay(&stats, &mut apply).unwrap_err());
+        // The drain stops at the stray envelope, having applied the ones
+        // before it.
         expect_corrupt(m.drain(1, &mut apply).unwrap_err());
-        assert_eq!(applied, [(10, 1), (11, 2), (10, 1), (11, 2)]);
+        assert_eq!(applied, [(10, 1), (11, 2)]);
     }
 
     #[test]
@@ -813,12 +657,14 @@ mod tests {
             m.enqueue(0, i, i).unwrap();
         }
         m.flush().unwrap();
-        // Seal + spill again so partition 0 has two segments on disk.
-        let _ = m.claim(0);
+        // A restored manager spills into a fresh segment, so partition 0
+        // has two segments on disk.
+        m.restore(m.counters());
         for i in 9..12u32 {
             m.enqueue(0, i, i).unwrap();
         }
         m.flush().unwrap();
+        assert!(path.join("msgs-00000-00001.bin").exists());
         let counters = m.counters();
         drop(m);
         // Fresh manager over the same directory, as after checkpoint restore.

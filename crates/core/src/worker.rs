@@ -9,8 +9,7 @@
 //! go to the MsgManager as they are sent, one `defer` per message, so which
 //! of them spill depends only on the send sequence and the MsgManager's cap.
 //! The only overlap is around the Worker, never inside it: the Sio
-//! read-ahead thread streams adjacency ahead of it and the prefetcher loads
-//! the next partition.
+//! read-ahead thread streams adjacency ahead of it.
 
 use graphz_storage::PartitionSet;
 use graphz_types::{cast, Result, VertexId};

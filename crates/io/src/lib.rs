@@ -38,5 +38,5 @@ pub use fault::{
 pub use framed::{FramedReader, FramedWriter};
 pub use record::{RecordReader, RecordWriter};
 pub use scratch::ScratchDir;
-pub use stats::{IoSnapshot, IoStats, PrefetchSnapshot};
+pub use stats::{IoSnapshot, IoStats};
 pub use tracked::{ChecksummedWriter, TrackedFile, TrackedReader, TrackedWriter};

@@ -17,9 +17,6 @@ pub struct IoStats {
     bytes_read: AtomicU64,
     bytes_written: AtomicU64,
     seeks: AtomicU64,
-    prefetch_hits: AtomicU64,
-    prefetch_stalls: AtomicU64,
-    prefetch_wasted: AtomicU64,
 }
 
 impl IoStats {
@@ -47,25 +44,6 @@ impl IoStats {
         self.seeks.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// The partition loader found the prefetched buffer ready.
-    #[inline]
-    pub fn record_prefetch_hit(&self) {
-        self.prefetch_hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// The partition loader had to wait for (or bypass) the prefetcher.
-    #[inline]
-    pub fn record_prefetch_stall(&self) {
-        self.prefetch_stalls.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A prefetched buffer was discarded without being consumed (e.g. the
-    /// run converged before the next partition was needed).
-    #[inline]
-    pub fn record_prefetch_wasted(&self) {
-        self.prefetch_wasted.fetch_add(1, Ordering::Relaxed);
-    }
-
     pub fn snapshot(&self) -> IoSnapshot {
         IoSnapshot {
             read_ops: self.read_ops.load(Ordering::Relaxed),
@@ -76,28 +54,12 @@ impl IoStats {
         }
     }
 
-    /// Prefetch effectiveness counters, separate from [`IoSnapshot`] because
-    /// hit/stall splits depend on thread timing: two runs that do identical
-    /// IO may divide it differently between the prefetcher and the loader.
-    /// Keeping them out of the deterministic snapshot lets ablation tests
-    /// keep asserting `IoSnapshot` equality.
-    pub fn prefetch_snapshot(&self) -> PrefetchSnapshot {
-        PrefetchSnapshot {
-            hits: self.prefetch_hits.load(Ordering::Relaxed),
-            stalls: self.prefetch_stalls.load(Ordering::Relaxed),
-            wasted: self.prefetch_wasted.load(Ordering::Relaxed),
-        }
-    }
-
     pub fn reset(&self) {
         self.read_ops.store(0, Ordering::Relaxed);
         self.write_ops.store(0, Ordering::Relaxed);
         self.bytes_read.store(0, Ordering::Relaxed);
         self.bytes_written.store(0, Ordering::Relaxed);
         self.seeks.store(0, Ordering::Relaxed);
-        self.prefetch_hits.store(0, Ordering::Relaxed);
-        self.prefetch_stalls.store(0, Ordering::Relaxed);
-        self.prefetch_wasted.store(0, Ordering::Relaxed);
     }
 }
 
@@ -119,42 +81,6 @@ impl IoSnapshot {
 
     pub fn total_ops(&self) -> u64 {
         self.read_ops + self.write_ops
-    }
-}
-
-/// A point-in-time copy of the prefetch counters (see
-/// [`IoStats::prefetch_snapshot`] for why these live outside [`IoSnapshot`]).
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct PrefetchSnapshot {
-    /// Partition loads satisfied by a ready prefetch buffer.
-    pub hits: u64,
-    /// Partition loads that waited on (or ran without) the prefetcher.
-    pub stalls: u64,
-    /// Prefetched buffers discarded without use.
-    pub wasted: u64,
-}
-
-impl std::ops::Sub for PrefetchSnapshot {
-    type Output = PrefetchSnapshot;
-
-    fn sub(self, rhs: PrefetchSnapshot) -> PrefetchSnapshot {
-        PrefetchSnapshot {
-            hits: self.hits - rhs.hits,
-            stalls: self.stalls - rhs.stalls,
-            wasted: self.wasted - rhs.wasted,
-        }
-    }
-}
-
-impl std::ops::Add for PrefetchSnapshot {
-    type Output = PrefetchSnapshot;
-
-    fn add(self, rhs: PrefetchSnapshot) -> PrefetchSnapshot {
-        PrefetchSnapshot {
-            hits: self.hits + rhs.hits,
-            stalls: self.stalls + rhs.stalls,
-            wasted: self.wasted + rhs.wasted,
-        }
     }
 }
 
@@ -227,28 +153,8 @@ mod tests {
     fn reset_zeroes() {
         let s = IoStats::new();
         s.record_write(10);
-        s.record_prefetch_hit();
         s.reset();
         assert_eq!(s.snapshot(), IoSnapshot::default());
-        assert_eq!(s.prefetch_snapshot(), PrefetchSnapshot::default());
-    }
-
-    #[test]
-    fn prefetch_counters_are_separate_from_io_snapshot() {
-        let s = IoStats::new();
-        let io_before = s.snapshot();
-        s.record_prefetch_hit();
-        s.record_prefetch_hit();
-        s.record_prefetch_stall();
-        s.record_prefetch_wasted();
-        assert_eq!(s.snapshot(), io_before, "prefetch counters must not leak into IoSnapshot");
-        let p = s.prefetch_snapshot();
-        assert_eq!(p.hits, 2);
-        assert_eq!(p.stalls, 1);
-        assert_eq!(p.wasted, 1);
-        let sum = p + p;
-        assert_eq!(sum.hits, 4);
-        assert_eq!(sum - p, p);
     }
 
     #[test]

@@ -97,10 +97,12 @@ pub struct EngineOptions {
     /// always-stream behaviour. See [`ExecutionPlan::resident`] and
     /// [`ExecutionPlan::resident_adjacency`].
     pub in_memory_fast_path: bool,
-    /// Prefetch the next partition's vertex slab, partition index, and
-    /// spilled message run on a background thread while the current partition
-    /// computes (GridGraph-style double buffering). Pure scheduling: results
-    /// are bit-identical with prefetch on or off.
+    /// Compatibility name for the benchmark's engine adapter
+    /// (`benchmark/src/layers.rs`), which still assigns it from
+    /// `Command::Run::prefetch`. The engine has no partition prefetcher and
+    /// nothing reads this field; it defaults to `false` and goes away with
+    /// that adapter.
+    #[doc(hidden)]
     pub prefetch: bool,
 }
 
@@ -111,7 +113,7 @@ impl Default for EngineOptions {
             dynamic_messages: true,
             pipeline_threads: 2,
             in_memory_fast_path: true,
-            prefetch: true,
+            prefetch: false,
         }
     }
 }
@@ -129,9 +131,6 @@ pub struct ExecutionPlan {
     /// [`EngineOptions::pipeline_threads`]). `1` whenever the adjacency is
     /// resident: no IO is left to overlap, so the Sio stage runs inline.
     pub pipeline_threads: usize,
-    /// Whether the partition prefetcher runs. Pure scheduling; disabled when
-    /// the partition count cannot hide a load.
-    pub prefetch: bool,
     /// Whether the vertex slab stays in memory for the whole run instead of
     /// being flushed and reloaded every iteration: `in_memory_fast_path`
     /// and a single partition. Pure residency; the on-disk vertex array is
@@ -159,12 +158,6 @@ impl ExecutionPlan {
 }
 
 impl EngineOptions {
-    /// Prefetch pays only when a *third* partition exists: with ≤2 the
-    /// "next" partition is the one the barrier is about to need anyway, so
-    /// the background load overlaps no compute and only adds a thread
-    /// hand-off.
-    pub const MIN_PREFETCH_PARTITIONS: u32 = 3;
-
     /// Resolve these options against the graph's shape. The inputs are
     /// deliberately limited to the partition count the memory budget
     /// produced, the budget with the bytes that would live in it —
@@ -178,12 +171,11 @@ impl EngineOptions {
         slab_bytes: u64,
         adjacency_bytes: u64,
     ) -> ExecutionPlan {
-        let prefetch = self.prefetch && num_partitions >= Self::MIN_PREFETCH_PARTITIONS;
         let resident = self.in_memory_fast_path && num_partitions == 1;
         let resident_adjacency = resident
             && budget.bytes().checked_sub(slab_bytes).is_some_and(|left| adjacency_bytes <= left);
         let pipeline_threads = if resident_adjacency { 1 } else { self.pipeline_threads.max(1) };
-        ExecutionPlan { pipeline_threads, prefetch, resident, resident_adjacency }
+        ExecutionPlan { pipeline_threads, resident, resident_adjacency }
     }
 
     /// The full-featured configuration (the "GraphZ" bars in the paper).
@@ -248,12 +240,6 @@ impl EngineOptionsBuilder {
     /// Pipeline thread count for the Sio → Dispatcher → Worker stages.
     pub fn threads(mut self, threads: usize) -> Self {
         self.opts.pipeline_threads = threads;
-        self
-    }
-
-    /// Toggle background partition prefetch.
-    pub fn prefetch(mut self, on: bool) -> Self {
-        self.opts.prefetch = on;
         self
     }
 
@@ -325,20 +311,6 @@ mod tests {
     }
 
     #[test]
-    fn prefetch_plan_requires_three_partitions() {
-        let opts = EngineOptions::full();
-        assert!(opts.prefetch, "full options request prefetch");
-        // ≤2 partitions cannot hide a load behind compute: auto-disabled.
-        assert!(!streamed(&opts, 1).prefetch);
-        assert!(!streamed(&opts, 2).prefetch);
-        assert!(streamed(&opts, 3).prefetch);
-        assert!(streamed(&opts, 64).prefetch);
-        // An explicit prefetch=false is never overridden back on.
-        let off = EngineOptions { prefetch: false, ..opts };
-        assert!(!streamed(&off, 64).prefetch);
-    }
-
-    #[test]
     fn resident_plan_requires_one_partition() {
         let opts = EngineOptions::full();
         assert!(opts.in_memory_fast_path, "the fast path is the default");
@@ -350,9 +322,9 @@ mod tests {
         // The ablation control is never overridden back on.
         let off = EngineOptions { in_memory_fast_path: false, ..opts };
         assert!(!streamed(&off, 1).resident);
-        // Pure: independent of threads and prefetch.
-        for (threads, prefetch) in [(1, true), (8, false), (2, true)] {
-            let o = EngineOptions { pipeline_threads: threads, prefetch, ..opts };
+        // Pure: independent of threads.
+        for threads in [1, 8, 2] {
+            let o = EngineOptions { pipeline_threads: threads, ..opts };
             assert!(streamed(&o, 1).resident);
             assert!(!streamed(&o, 2).resident);
             assert_eq!(streamed(&o, 1), streamed(&o, 1));
@@ -425,6 +397,5 @@ mod tests {
         assert!(EngineOptions::full().in_memory_fast_path);
         let control = EngineOptions::builder().in_memory_fast_path(false).build().unwrap();
         assert_eq!(control, EngineOptions { in_memory_fast_path: false, ..EngineOptions::full() });
-        assert!(EngineOptions::full().prefetch);
     }
 }
