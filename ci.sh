@@ -61,6 +61,23 @@ for example in checkpointing quickstart dos_walkthrough web_ranking social_reach
 done
 step_done
 
+step "paper claims (Fig. 9 bytes, Fig. 7 order, the repro binary)"
+# Also part of the test step above; run alone so the log names it.
+# tests/bytes_moved.rs runs PR, BFS and CC out of core (GraphZ at four
+# partitions) and holds GraphZ's bytes read + written to at most half of
+# GraphChi's and of X-Stream's, and to the Fig. 7 order GraphZ <= w/o DOS
+# <= w/o DOS and DM. Then the `repro` binary: the two LOC tables, which
+# generate no graph, and an unknown report name, which must exit 2.
+cargo test -q --offline -p graphz-bench --test bytes_moved
+./target/release/repro table01_loc table09_loc_engines > /dev/null
+repro_status=0
+./target/release/repro no-such-table 2> /dev/null || repro_status=$?
+if [ "$repro_status" -ne 2 ]; then
+    echo "-- repro no-such-table exited $repro_status, expected 2" >&2
+    exit 1
+fi
+step_done
+
 step "ingest equivalence (any budget, any relabel path, any resume point: same bytes)"
 # Part of the tier-1 gate. tests/ingest_equivalence.rs converts each
 # fixture under three budget arms: one where every sort is one in-memory run

@@ -5,7 +5,7 @@
 use graphz_types::Result;
 
 use super::loc_of;
-use crate::Table;
+use crate::{Harness, Table};
 
 struct AlgoSources {
     name: &'static str,
@@ -62,7 +62,7 @@ const SOURCES: &[AlgoSources] = &[
 
 /// Table I: LOC to implement PageRank, per system. The "plain C" row counts
 /// only the PageRank function of the reference module.
-pub fn table01() -> Result<String> {
+pub fn table01(_: &Harness) -> Result<String> {
     let pr = SOURCES.iter().find(|s| s.name == "PR").unwrap();
     // Isolate the reference pagerank function (up to the next `pub fn`).
     let reference = pr.reference.unwrap();
@@ -82,7 +82,7 @@ pub fn table01() -> Result<String> {
 }
 
 /// Table IX: LOC for all six benchmarks across the three engines.
-pub fn table09() -> Result<String> {
+pub fn table09(_: &Harness) -> Result<String> {
     let mut t = Table::new(
         "Table IX: LOC Comparison of Graph Engines",
         &["Benchmark", "GraphChi", "X-Stream", "GraphZ"],
@@ -104,9 +104,10 @@ mod tests {
 
     #[test]
     fn tables_render_with_all_rows() {
-        let t1 = table01().unwrap();
+        let h = Harness::new();
+        let t1 = table01(&h).unwrap();
         assert!(t1.contains("GraphZ"));
-        let t9 = table09().unwrap();
+        let t9 = table09(&h).unwrap();
         for name in ["BFS", "CC", "PR", "BP", "RW", "SSSP"] {
             assert!(t9.contains(name), "missing {name}");
         }

@@ -1,7 +1,8 @@
-//! One module per paper table/figure. Every module exposes
-//! `report(&Harness) -> Result<String>` producing the experiment's tables;
-//! the `src/bin/*` wrappers print a single experiment and `repro-all`
-//! composes them into EXPERIMENTS.md.
+//! One module per paper table/figure. Every module exposes a
+//! `report(&Harness) -> Result<String>` producing the experiment's tables,
+//! and [`EXPERIMENTS`] lists them all: the `repro` binary prints one report
+//! per name it is given, and `repro all` runs the whole list into
+//! `EXPERIMENTS_RESULTS.txt`, the source of EXPERIMENTS.md.
 
 pub mod ablations;
 pub mod ext_gridgraph;
@@ -18,6 +19,35 @@ pub mod table10_graphs;
 pub mod table11_index_size;
 pub mod table12_preprocessing;
 pub mod table14_iterations;
+
+use graphz_types::Result;
+
+use crate::Harness;
+
+/// Renders one report of the evaluation.
+pub type Report = fn(&Harness) -> Result<String>;
+
+/// Every report as `(name, section, report)`, in the order `repro all`
+/// runs them: `repro NAME` prints one, and `repro all` announces each by
+/// its section title.
+pub const EXPERIMENTS: &[(&str, &str, Report)] = &[
+    ("table01_loc", "Table I", loc::table01),
+    ("table02_pr_time", "Table II", table02_pr_time::report),
+    ("table08_unique_degrees", "Table VIII", table08_unique_degrees::report),
+    ("table09_loc_engines", "Table IX", loc::table09),
+    ("table10_graphs", "Table X", table10_graphs::report),
+    ("table11_index_size", "Table XI", table11_index_size::report),
+    ("table12_preprocessing", "Table XII", table12_preprocessing::report),
+    ("fig02_inpartition_cdf", "Fig. 2", fig02_inpartition_cdf::report),
+    ("fig05_xlarge", "Fig. 5", fig05_xlarge::report),
+    ("fig06_runtimes", "Fig. 6", fig06_runtimes::report),
+    ("fig07_breakdown", "Fig. 7", fig07_breakdown::report),
+    ("fig08_energy", "Fig. 8 / Table XIII", fig08_energy::report),
+    ("fig09_iostats", "Fig. 9", fig09_iostats::report),
+    ("table14_iterations", "Table XIV", table14_iterations::report),
+    ("ext_gridgraph", "Extension: GridGraph", ext_gridgraph::report),
+    ("ablations", "Ablations", ablations::report),
+];
 
 /// Lines of code the way the paper counts them: non-blank, non-comment
 /// source lines.

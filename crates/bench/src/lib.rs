@@ -1,8 +1,8 @@
-//! Shared harness for the experiment binaries (one per paper table/figure;
-//! see DESIGN.md §5 for the index).
+//! Shared harness for the paper's experiments (one report per table/figure,
+//! run by the `repro` binary; see DESIGN.md §5 for the index).
 //!
 //! The harness owns a persistent cache of generated graphs and prepared
-//! (converted) artifacts so the binaries can be run independently and in any
+//! (converted) artifacts so the reports can be run independently and in any
 //! order, and provides the uniform run/measure/report plumbing.
 
 #![forbid(unsafe_code)]
@@ -324,10 +324,6 @@ impl Table {
             out.push('\n');
         }
         out
-    }
-
-    pub fn print(&self) {
-        print!("{}", self.render());
     }
 }
 

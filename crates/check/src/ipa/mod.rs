@@ -113,9 +113,9 @@ const EXCLUDED: &[&str] = &[
 ];
 
 /// Hot-path entries: the partition pass's per-batch loop, which hands
-/// every streamed batch to the Worker (the Sio stage's `next_block` is
-/// named there as a function path, so the block reads behind it — the
-/// stage's job — stay outside); the per-message compute loop — whose body
+/// every streamed batch to the Worker (its typed `stream.next_block()`
+/// brings the inline Sio stage's block read and decode along); the
+/// per-message compute loop — whose body
 /// also holds the message routing (apply or defer, broadcast expansion)
 /// and which takes every batch, the resident adjacency included — and the
 /// activity checks the Worker runs per partition and per skipped block:

@@ -364,6 +364,40 @@ fn the_partition_pass_batch_loop_is_a_hot_path_and_panic_root() {
     }
 }
 
+/// The inline Sio stage is on the batch loop's chain: the real `engine.rs`
+/// and `sio.rs` with a `vec!` planted in `read_block` trip
+/// `hot-path-alloc` there, through `stream_batches` and both
+/// `next_block`s, while the files as committed trip neither Worker rule.
+#[test]
+fn the_inline_sio_block_read_is_on_the_hot_path() {
+    let (engine, sio) = ("crates/core/src/engine.rs", "crates/core/src/sio.rs");
+    let read = |rel: &str| fs::read_to_string(repo_root().join(rel)).expect("read source");
+    let src = read(sio);
+    let body = src.find("\nfn read_block(").expect("read_block moved");
+    let at = body + src[body..].find("    let first_vertex").expect("read_block's first line moved");
+    let line = src[..at].lines().count() + 1;
+    let mutated = format!("{}    let _staged = vec![0u8; 4];\n{}", &src[..at], &src[at..]);
+    let root = scratch("ipa_fixture_sio_block");
+    write(&root, engine, &read(engine));
+    for (text, expect) in [(&src, vec![]), (&mutated, vec![("hot-path-alloc", line)])] {
+        write(&root, sio, text);
+        let ipa = ipa_tree(&root).expect("analyze fixture");
+        let found: Vec<_> =
+            ipa.iter().filter(|v| matches!(v.rule, "hot-path-alloc" | "panic-freedom")).collect();
+        let sites: Vec<(&str, usize)> = found.iter().map(|v| (v.rule, v.line)).collect();
+        assert_eq!(sites, expect, "{ipa:?}");
+        for v in found {
+            assert!(
+                v.message.contains(
+                    "core::PartitionPass::stream_batches → core::AdjacencyStream::next_block \
+                     → core::InlineStream::next_block → core::read_block"
+                ),
+                "{v:?}"
+            );
+        }
+    }
+}
+
 /// The serve rule's offends set deliberately admits file reads — adjacency
 /// stays out-of-core, so `File::open`/`fs::read` behind a point query are
 /// the design — while an allocation one call away still trips, with the

@@ -1075,7 +1075,9 @@ impl<'e, P: VertexProgram> PartitionPass<'e, P> {
                 }
             }
         };
-        self.stream_batches(worker, stream, bytes_per_edge)?;
+        if let Some(stream) = stream {
+            self.stream_batches(worker, stream, bytes_per_edge)?;
+        }
         if worker.rejected > 0 {
             return Err(GraphError::Algorithm(format!(
                 "iteration {}, partition {part}: {} message(s) sent to a vertex id >= \
@@ -1098,15 +1100,16 @@ impl<'e, P: VertexProgram> PartitionPass<'e, P> {
     /// vertex in it) and read back if so. A root of
     /// the `hot-path-alloc` and `panic-freedom` analyses (DESIGN.md §6k),
     /// so it opens nothing: the stream and the gap reader come from
-    /// [`compute`](Self::compute).
+    /// [`compute`](Self::compute). The typed `stream.next_block()` call
+    /// puts the inline Sio stage's block read and decode under both.
     fn stream_batches(
         &mut self,
         worker: &mut Worker<P>,
-        mut stream: Option<sio::AdjacencyStream>,
+        mut stream: sio::AdjacencyStream,
         bytes_per_edge: u64,
     ) -> Result<()> {
         let program = self.program;
-        while let Some(block) = stream.as_mut().and_then(sio::AdjacencyStream::next_block) {
+        while let Some(block) = stream.next_block() {
             let batch = match block? {
                 sio::Block::Batch(batch) => batch,
                 sio::Block::Gap(gap) => {

@@ -186,12 +186,14 @@ fn read_block(
     let first_vertex = batch.first_vertex;
     read_buf.resize(edge_count * 4, 0);
     file.read_exact(read_buf).map_err(|e| {
+        // ipa:allow(hot-path-alloc) — error arm: formats once, and the failed read ends the pass
         GraphError::Corrupt(format!("adjacency file ended early at vertex {first_vertex}: {e}"))
     })?;
     graphz_types::codec::decode_into(read_buf, &mut batch.edges);
     match weights_file {
         Some(wf) => {
             wf.read_exact(read_buf).map_err(|e| {
+                // ipa:allow(hot-path-alloc) — error arm: formats once, and the failed read ends the pass
                 GraphError::Corrupt(format!(
                     "weight file ended early at vertex {first_vertex}: {e}"
                 ))
@@ -480,8 +482,8 @@ impl InlineStream {
         let first_vertex = self.next_vertex;
         let start = self.next_index;
         let mut edge_count = 0usize;
-        while self.next_index < self.degrees.len() {
-            let d = self.degrees[self.next_index] as usize;
+        while let Some(&d) = self.degrees.get(self.next_index) {
+            let d = d as usize;
             if edge_count > 0 && edge_count + d > self.batch_edges {
                 break;
             }
@@ -495,7 +497,9 @@ impl InlineStream {
         let mut batch = self.pool.take();
         batch.first_vertex = first_vertex;
         batch.degrees.clear();
-        batch.degrees.extend_from_slice(&self.degrees[start..self.next_index]);
+        if let Some(run) = self.degrees.get(start..self.next_index) {
+            batch.degrees.extend_from_slice(run);
+        }
         let block_start = self.next_edge;
         self.next_edge += edge_count as u64;
         if self.active.as_ref().is_some_and(|set| !set.any_in(start, self.next_index)) {

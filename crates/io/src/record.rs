@@ -60,19 +60,6 @@ impl<T: FixedCodec, R: Read> RecordReader<T, R> {
         }
     }
 
-    /// Read up to `max` records into `out` (cleared first); returns how many
-    /// records were read.
-    pub fn read_batch(&mut self, out: &mut Vec<T>, max: usize) -> Result<usize> {
-        out.clear();
-        while out.len() < max {
-            match self.next_record()? {
-                Some(r) => out.push(r),
-                None => break,
-            }
-        }
-        Ok(out.len())
-    }
-
     /// Drain the remaining records into a vector. The bytes are read in
     /// bulk — about 64 KiB per call, a whole number of records — and decoded
     /// through `chunks_exact`; a partial trailing record is the same
@@ -266,24 +253,6 @@ pub fn read_records<T: FixedCodec>(path: &Path, stats: Arc<IoStats>) -> Result<V
     RecordReader::<T>::open(path, stats)?.read_all()
 }
 
-/// Convenience: write a whole slice of records to `path` as a checksummed
-/// framed file.
-pub fn write_records_framed<T: FixedCodec>(
-    path: &Path,
-    stats: Arc<IoStats>,
-    records: &[T],
-) -> Result<()> {
-    let mut w = RecordWriter::<T, _>::create_framed(path, stats)?;
-    w.push_all(records)?;
-    w.finish_framed()?;
-    Ok(())
-}
-
-/// Convenience: read and verify every record in a checksummed framed file.
-pub fn read_records_framed<T: FixedCodec>(path: &Path, stats: Arc<IoStats>) -> Result<Vec<T>> {
-    RecordReader::<T, _>::open_framed(path, stats)?.read_all()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -372,23 +341,6 @@ mod tests {
     }
 
     #[test]
-    fn batched_reads_respect_max() {
-        let dir = ScratchDir::new("rec-batch").unwrap();
-        let stats = IoStats::new();
-        let path = dir.file("n.bin");
-        let vals: Vec<u32> = (0..10).collect();
-        write_records(&path, Arc::clone(&stats), &vals).unwrap();
-        let mut r = RecordReader::<u32>::open(&path, stats).unwrap();
-        let mut batch = Vec::new();
-        assert_eq!(r.read_batch(&mut batch, 4).unwrap(), 4);
-        assert_eq!(batch, vec![0, 1, 2, 3]);
-        assert_eq!(r.read_batch(&mut batch, 4).unwrap(), 4);
-        assert_eq!(r.read_batch(&mut batch, 4).unwrap(), 2);
-        assert_eq!(batch, vec![8, 9]);
-        assert_eq!(r.read_batch(&mut batch, 4).unwrap(), 0);
-    }
-
-    #[test]
     fn try_for_each_record_stops_at_the_first_error() {
         let dir = ScratchDir::new("rec-try").unwrap();
         let stats = IoStats::new();
@@ -423,14 +375,24 @@ mod tests {
         assert_eq!(vals.unwrap(), vec![10, 20, 30]);
     }
 
+    fn write_framed<T: FixedCodec>(path: &Path, stats: Arc<IoStats>, records: &[T]) {
+        let mut w = RecordWriter::<T, _>::create_framed(path, stats).unwrap();
+        w.push_all(records).unwrap();
+        w.finish_framed().unwrap();
+    }
+
+    fn read_framed<T: FixedCodec>(path: &Path, stats: Arc<IoStats>) -> Result<Vec<T>> {
+        RecordReader::<T, _>::open_framed(path, stats)?.read_all()
+    }
+
     #[test]
     fn framed_roundtrip() {
         let dir = ScratchDir::new("rec-framed").unwrap();
         let stats = IoStats::new();
         let path = dir.file("f.bin");
         let edges: Vec<Edge> = (0..500).map(|i| Edge::new(i, i + 1)).collect();
-        write_records_framed(&path, Arc::clone(&stats), &edges).unwrap();
-        let back: Vec<Edge> = read_records_framed(&path, stats).unwrap();
+        write_framed(&path, Arc::clone(&stats), &edges);
+        let back: Vec<Edge> = read_framed(&path, stats).unwrap();
         assert_eq!(back, edges);
     }
 
@@ -440,12 +402,12 @@ mod tests {
         let stats = IoStats::new();
         let path = dir.file("f.bin");
         let vals: Vec<u64> = (0..100).collect();
-        write_records_framed(&path, Arc::clone(&stats), &vals).unwrap();
+        write_framed(&path, Arc::clone(&stats), &vals);
         // Chop the footer plus a record off the end: an unframed reader
         // would silently return fewer records.
         let full = std::fs::read(&path).unwrap();
         std::fs::write(&path, &full[..full.len() - 24]).unwrap();
-        let err = read_records_framed::<u64>(&path, stats).unwrap_err();
+        let err = read_framed::<u64>(&path, stats).unwrap_err();
         assert!(matches!(err, GraphError::Corrupt(_)), "got {err:?}");
     }
 
@@ -455,12 +417,12 @@ mod tests {
         let stats = IoStats::new();
         let path = dir.file("f.bin");
         let vals: Vec<u64> = (0..100).collect();
-        write_records_framed(&path, Arc::clone(&stats), &vals).unwrap();
+        write_framed(&path, Arc::clone(&stats), &vals);
         let mut bytes = std::fs::read(&path).unwrap();
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x01;
         std::fs::write(&path, &bytes).unwrap();
-        let err = read_records_framed::<u64>(&path, stats).unwrap_err();
+        let err = read_framed::<u64>(&path, stats).unwrap_err();
         assert!(matches!(err, GraphError::Corrupt(_)), "got {err:?}");
     }
 
@@ -478,7 +440,7 @@ mod tests {
             w.inner.flush().unwrap();
             std::mem::forget(w);
         }
-        let err = read_records_framed::<u32>(&path, stats).unwrap_err();
+        let err = read_framed::<u32>(&path, stats).unwrap_err();
         assert!(matches!(err, GraphError::Corrupt(_)), "got {err:?}");
     }
 

@@ -39,30 +39,9 @@ impl ScratchDir {
         self.path.join(name)
     }
 
-    /// Create a subdirectory inside the scratch directory.
-    pub fn subdir(&self, name: &str) -> std::io::Result<PathBuf> {
-        let p = self.path.join(name);
-        std::fs::create_dir_all(&p)?;
-        Ok(p)
-    }
-
     /// Disarm cleanup (useful when debugging a failing run).
     pub fn keep(&mut self) {
         self.keep = true;
-    }
-
-    /// Total bytes currently stored in the directory (recursive).
-    pub fn disk_usage(&self) -> std::io::Result<u64> {
-        fn walk(p: &Path) -> std::io::Result<u64> {
-            let mut total = 0;
-            for entry in std::fs::read_dir(p)? {
-                let entry = entry?;
-                let md = entry.metadata()?;
-                total += if md.is_dir() { walk(&entry.path())? } else { md.len() };
-            }
-            Ok(total)
-        }
-        walk(&self.path)
     }
 }
 
@@ -90,7 +69,6 @@ mod tests {
             assert_ne!(p1, p2);
             assert!(p1.is_dir());
             std::fs::write(d1.file("x.bin"), b"abc").unwrap();
-            assert_eq!(d1.disk_usage().unwrap(), 3);
         }
         assert!(!p1.exists(), "dropped scratch dir must be removed");
         assert!(!p2.exists());
@@ -106,14 +84,5 @@ mod tests {
         }
         assert!(p.exists());
         std::fs::remove_dir_all(&p).unwrap();
-    }
-
-    #[test]
-    fn subdir_and_disk_usage_recurse() {
-        let d = ScratchDir::new("sub").unwrap();
-        let s = d.subdir("inner").unwrap();
-        std::fs::write(s.join("a"), vec![0u8; 10]).unwrap();
-        std::fs::write(d.file("b"), vec![0u8; 5]).unwrap();
-        assert_eq!(d.disk_usage().unwrap(), 15);
     }
 }

@@ -53,14 +53,6 @@ impl IoStats {
             seeks: self.seeks.load(Ordering::Relaxed),
         }
     }
-
-    pub fn reset(&self) {
-        self.read_ops.store(0, Ordering::Relaxed);
-        self.write_ops.store(0, Ordering::Relaxed);
-        self.bytes_read.store(0, Ordering::Relaxed);
-        self.bytes_written.store(0, Ordering::Relaxed);
-        self.seeks.store(0, Ordering::Relaxed);
-    }
 }
 
 /// A point-in-time copy of [`IoStats`]; supports subtraction so harnesses can
@@ -147,14 +139,6 @@ mod tests {
         assert_eq!(d.bytes_written, 7);
         let sum = a + d;
         assert_eq!(sum, b);
-    }
-
-    #[test]
-    fn reset_zeroes() {
-        let s = IoStats::new();
-        s.record_write(10);
-        s.reset();
-        assert_eq!(s.snapshot(), IoSnapshot::default());
     }
 
     #[test]

@@ -224,13 +224,13 @@ mod tests {
             w.write_all(&vec![7u8; 4096]).unwrap();
             w.flush().unwrap();
         }
-        stats.reset();
-        let mut r = reader_with_block(&path, Arc::clone(&stats), 1024).unwrap();
+        let read_stats = IoStats::new();
+        let mut r = reader_with_block(&path, Arc::clone(&read_stats), 1024).unwrap();
         let mut chunk = [0u8; 256];
         for _ in 0..16 {
             r.read_exact(&mut chunk).unwrap();
         }
-        let s = stats.snapshot();
+        let s = read_stats.snapshot();
         assert_eq!(s.bytes_read, 4096);
         // 16 small reads serviced by 4 block refills of the tracked file.
         assert_eq!(s.read_ops, 4, "read_ops = {}", s.read_ops);

@@ -1554,35 +1554,6 @@ impl DosGraph {
         Ok(out)
     }
 
-    /// Random-access read of one vertex's adjacency list together with the
-    /// stored per-edge weights. Errors if the graph is unweighted.
-    pub fn adjacency_weighted(
-        &self,
-        v: VertexId,
-        stats: Arc<IoStats>,
-    ) -> Result<Vec<(VertexId, f32)>> {
-        use std::io::{Read, Seek, SeekFrom};
-        let weights_path = self.weights_path().ok_or_else(|| {
-            GraphError::InvalidConfig("graph has no weights.bin; convert with_weights".into())
-        })?;
-        let (deg, offset) = self.index.lookup(v)?;
-        let byte_offset = cast::mul_u64(offset, 4, "dos adjacency byte offset")?;
-        let byte_len = cast::mul_usize(cast::degree_index(deg), 4, "dos adjacency length")?;
-        let edges_path = self.edges_path();
-        let mut ef =
-            TrackedFile::open(&edges_path, Arc::clone(&stats)).ctx("open", &edges_path)?;
-        ef.seek(SeekFrom::Start(byte_offset))?;
-        let mut ebuf = vec![0u8; byte_len];
-        ef.read_exact(&mut ebuf)?;
-        let mut wf = TrackedFile::open(&weights_path, stats).ctx("open", &weights_path)?;
-        wf.seek(SeekFrom::Start(byte_offset))?;
-        let mut wbuf = vec![0u8; byte_len];
-        wf.read_exact(&mut wbuf)?;
-        let dsts: Vec<u32> = graphz_types::codec::decode_slice(&ebuf);
-        let ws: Vec<f32> = graphz_types::codec::decode_slice(&wbuf);
-        Ok(dsts.into_iter().zip(ws).collect())
-    }
-
     /// Load the new→old id map (4 bytes per vertex).
     pub fn load_new2old(&self, stats: Arc<IoStats>) -> Result<Vec<VertexId>> {
         RecordReader::<u32>::open(&self.new2old_path(), stats)?.read_all()
@@ -2023,27 +1994,32 @@ mod tests {
         assert!(dos.has_weights());
         assert!(dos.weights_path().unwrap().exists());
 
-        let old2new = dos.load_old2new(stats()).unwrap();
         let new2old = dos.load_new2old(stats()).unwrap();
-        // Every edge's stored weight must equal the weight derived from the
-        // ORIGINAL endpoints, regardless of relabeling.
+        let dsts: Vec<u32> = graphz_io::record::read_records(&dos.edges_path(), stats()).unwrap();
+        let weights: Vec<f32> =
+            graphz_io::record::read_records(&dos.weights_path().unwrap(), stats()).unwrap();
+        assert_eq!(weights.len(), dsts.len());
+        // Every edge's stored weight, at the edge's own Eq. 1 offset, must
+        // equal the weight derived from the ORIGINAL endpoints, regardless
+        // of relabeling.
         let mut seen = 0;
         for v in 0..dos.meta().num_vertices as u32 {
-            for (dst, w) in dos.adjacency_weighted(v, stats()).unwrap() {
+            let (deg, offset) = dos.index().lookup(v).unwrap();
+            let list = offset as usize..offset as usize + deg as usize;
+            for (&dst, &w) in dsts[list.clone()].iter().zip(&weights[list]) {
                 let (os, od) = (new2old[v as usize], new2old[dst as usize]);
                 assert_eq!(w, graphz_types::derive_weight(os, od), "edge {os}->{od}");
                 seen += 1;
             }
         }
         assert_eq!(seen, edges.len());
-        let _ = old2new;
 
-        // Unweighted graphs refuse weighted access.
+        // Unweighted graphs carry no weights file.
         let plain = DosConverter::new(MemoryBudget::from_kib(64), stats())
             .convert(&el, &dir.path().join("dos-plain"))
             .unwrap();
         assert!(!plain.has_weights());
-        assert!(plain.adjacency_weighted(0, stats()).is_err());
+        assert!(plain.weights_path().is_none());
         // Reopen keeps the weighted flag.
         let reopened = DosGraph::open(&dir.path().join("dos"), stats()).unwrap();
         assert!(reopened.has_weights());

@@ -38,13 +38,6 @@ impl PartitionSet {
         PartitionSet { num_vertices, per_partition, num_partitions }
     }
 
-    /// Split into exactly `n` equal partitions.
-    pub fn with_count(num_vertices: u64, n: u32) -> Self {
-        assert!(n > 0, "partition count must be positive");
-        let per = num_vertices.div_ceil(cast::widen_u32(n)).max(1);
-        Self::with_width(num_vertices, per)
-    }
-
     pub fn num_partitions(&self) -> u32 {
         self.num_partitions
     }
@@ -95,24 +88,19 @@ impl PartitionSet {
     }
 }
 
+/// Fraction of the budget available for the resident vertex array; the
+/// rest is reserved for message buffers and pipeline blocks.
+const VERTEX_FRACTION: f64 = 0.5;
+
 /// Computes partition layouts from memory budgets.
 #[derive(Debug, Clone, Copy)]
 pub struct Partitioner {
     budget: MemoryBudget,
-    /// Fraction of the budget available for the resident vertex array; the
-    /// rest is reserved for message buffers and pipeline blocks.
-    vertex_fraction: f64,
 }
 
 impl Partitioner {
     pub fn new(budget: MemoryBudget) -> Self {
-        Partitioner { budget, vertex_fraction: 0.5 }
-    }
-
-    pub fn with_vertex_fraction(mut self, fraction: f64) -> Self {
-        assert!(fraction > 0.0 && fraction <= 1.0);
-        self.vertex_fraction = fraction;
-        self
+        Partitioner { budget }
     }
 
     pub fn budget(&self) -> MemoryBudget {
@@ -122,7 +110,7 @@ impl Partitioner {
     /// Lay out partitions for `num_vertices` vertices of `vertex_bytes`
     /// resident state each.
     pub fn layout(&self, num_vertices: u64, vertex_bytes: usize) -> PartitionSet {
-        let resident = cast::fraction_of(self.budget.bytes(), self.vertex_fraction);
+        let resident = cast::fraction_of(self.budget.bytes(), VERTEX_FRACTION);
         let per = (resident / cast::len_u64(vertex_bytes.max(1))).max(1);
         PartitionSet::with_width(num_vertices, per)
     }
@@ -190,14 +178,6 @@ mod tests {
     }
 
     #[test]
-    fn with_count_splits_evenly() {
-        let p = PartitionSet::with_count(100, 3);
-        assert_eq!(p.num_partitions(), 3);
-        assert_eq!(p.per_partition(), 34);
-        assert_eq!(p.range(2), (68, 100));
-    }
-
-    #[test]
     fn every_vertex_has_exactly_one_partition() {
         let p = PartitionSet::with_width(1000, 77);
         let mut seen = vec![false; 1000];
@@ -227,14 +207,6 @@ mod tests {
         // Everything fits => single partition.
         let one = Partitioner::new(MemoryBudget::from_mib(1)).layout(1000, 8);
         assert_eq!(one.num_partitions(), 1);
-    }
-
-    #[test]
-    fn partitioner_fraction() {
-        let layout = Partitioner::new(MemoryBudget::from_kib(1))
-            .with_vertex_fraction(1.0)
-            .layout(1000, 8);
-        assert_eq!(layout.per_partition(), 128);
     }
 
     #[test]

@@ -182,16 +182,18 @@ pub fn decode_slice<T: FixedCodec>(bytes: &[u8]) -> Vec<T> {
 /// `bytes.len() / T::SIZE` records. This is the allocation-free variant of
 /// [`decode_slice`] for hot paths that recycle buffers.
 pub fn decode_into<T: FixedCodec>(bytes: &[u8], out: &mut Vec<T>) {
-    assert_eq!(
-        bytes.len() % T::SIZE,
-        0,
+    let records = bytes.chunks_exact(T::SIZE);
+    // ipa:allow(panic-freedom) — once per call: a partial record is the caller's bug, and the Sio reader sizes its buffer in whole records
+    assert!(
+        records.remainder().is_empty(),
         "byte length {} is not a multiple of record size {}",
         bytes.len(),
         T::SIZE
     );
     out.clear();
-    out.reserve(bytes.len() / T::SIZE);
-    out.extend(bytes.chunks_exact(T::SIZE).map(T::read_from));
+    // `ChunksExact` knows its length, so `extend` reserves room for every
+    // record up front.
+    out.extend(records.map(T::read_from));
 }
 
 #[cfg(test)]

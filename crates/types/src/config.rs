@@ -44,14 +44,6 @@ impl MemoryBudget {
         let n = shards.max(1) as u64;
         MemoryBudget((self.0 / n).max(1))
     }
-
-    /// Number of partitions needed to process `total` records of
-    /// `record_size` bytes `fraction`-of-budget at a time.
-    pub fn partitions_for(self, total: u64, record_size: usize, fraction: f64) -> u32 {
-        assert!(fraction > 0.0 && fraction <= 1.0, "fraction must be in (0, 1]");
-        let per_part = ((self.records(record_size) as f64 * fraction) as u64).max(1);
-        total.div_ceil(per_part).max(1) as u32
-    }
 }
 
 impl std::fmt::Display for MemoryBudget {
@@ -370,21 +362,6 @@ mod tests {
         let over = opts.plan_execution(1, budget, 0, budget.bytes() + 1);
         assert_eq!(over.pipeline_threads, 2);
         assert_eq!(opts.plan_execution(8, budget, 0, 1).pipeline_threads, 2);
-    }
-
-    #[test]
-    fn partition_count_covers_everything() {
-        let b = MemoryBudget::from_kib(1); // 256 4-byte records
-        assert_eq!(b.partitions_for(256, 4, 1.0), 1);
-        assert_eq!(b.partitions_for(257, 4, 1.0), 2);
-        assert_eq!(b.partitions_for(1024, 4, 0.5), 8);
-        assert_eq!(b.partitions_for(0, 4, 1.0), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "fraction")]
-    fn partition_fraction_validated() {
-        MemoryBudget::from_kib(1).partitions_for(10, 4, 0.0);
     }
 
     #[test]
