@@ -44,10 +44,15 @@ step "run memory bound (ROADMAP item 3)"
 # --budget-mib 1 on a scale-20 graph of 100k edges and holds the process's
 # VmHWM to the fixed overhead + the budget + the run phase's own buffers
 # (+ CC's 8-byte-per-vertex component table): the `--top` listing streams,
-# so no per-vertex copy of the result counts against it. The engine test
+# so no per-vertex copy of the result counts against it.
+# crates/cli/tests/resident_memory.rs (its own binary: VmHWM is per
+# process) runs `graphz run pr` on a scale-17 graph that plans
+# `slab+adjacency` and holds VmHWM to the overhead + one slab + one
+# adjacency + a 768 KiB allowance, and its `io:` line to `0 written`. The engine test
 # pins the MsgManager's share: a pass that defers far more messages than
 # the cap never holds more than cap + 1 of them in memory (DESIGN.md §6d).
 cargo test -q --offline -p graphz-cli --test run_memory
+cargo test -q --offline -p graphz-cli --test resident_memory
 cargo test -q --offline -p graphz-core --lib in_memory_messages_never_exceed_the_cap_plus_one
 step_done
 

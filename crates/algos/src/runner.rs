@@ -244,8 +244,9 @@ pub fn run_graphz_configured(
 /// [`run_graphz_configured`] handing the final values to `report` as one
 /// [`ResultStream`] instead of collecting them — the CLI's entry, whose
 /// `--top K` listing holds K rows, not V values. The outcome's `values` is
-/// what `report` returns. `vertices.bin` and the id map are each read once,
-/// as collecting reads them.
+/// what `report` returns. The final values (the resident slab in memory, or
+/// the working `vertices.bin`) and the id map are each read once, as
+/// collecting reads them.
 pub fn run_graphz_reported<T>(
     dos: &DosGraph,
     params: &AlgoParams,

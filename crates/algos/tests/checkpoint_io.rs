@@ -6,11 +6,16 @@
 //!   vertex frame is teed from the flushed slabs, never read back), and the
 //!   extra bytes written are exactly the generations' files;
 //! * the resident single-partition plan: the same two equalities (the slab
-//!   is framed from memory; the working `vertices.bin` is written only at
-//!   the run's end, as without checkpoints);
+//!   is framed from memory; the working `vertices.bin` is never written,
+//!   with or without checkpoints);
 //! * BFS, where quiet partitions are skipped: the extra read is at most the
 //!   skipped partitions' slab bytes, the only range a checkpoint copies from
 //!   the working file.
+//!
+//! Underneath both, the unprotected run moves no vertex byte it need not:
+//! one PageRank iteration over several partitions reads only the adjacency
+//! and writes each vertex once, since no run writes initial values to read
+//! them back.
 //!
 //! The graph is a staircase — vertex `i` points at `i+1 ..= i+4` — so every
 //! edge runs forward in storage order (degree-ordered storage keeps the
@@ -105,6 +110,22 @@ fn multi_partition_checkpoints_read_nothing_back() {
     assert_eq!(plain.activity.passes_skipped, 0, "PageRank runs every pass");
     assert_eq!(protected.io.bytes_read, plain.io.bytes_read, "a generation read something back");
     assert_eq!(protected.io.bytes_written, plain.io.bytes_written + generation_bytes);
+}
+
+#[test]
+fn a_first_pagerank_iteration_reads_no_vertex_bytes() {
+    let dir = ScratchDir::new("ckpt-io-first").unwrap();
+    let dos = image(&dir);
+    let config = EngineConfig::new(MemoryBudget::from_kib(8)).with_options(EngineOptions::full());
+    let store = Box::new(DosStore::new(dos.clone()));
+    let mut engine = Engine::new(store, pagerank(), config, IoStats::new()).unwrap();
+    let first = engine.run(1).unwrap();
+    assert!(first.partitions >= 4, "the budget must split the graph: {}", first.partitions);
+    assert_eq!(first.spilled, 0, "the staircase's messages fit the MsgManager's cap");
+    let vertex = <gz::PageRank as VertexProgram>::VertexData::SIZE as u64;
+    let (edges, vertices) = (dos.meta().num_edges, u64::from(VERTICES));
+    assert_eq!(first.io.bytes_read, edges * 4, "only the adjacency is read");
+    assert_eq!(first.io.bytes_written, vertices * vertex, "each vertex is written once");
 }
 
 #[test]

@@ -4,8 +4,8 @@
 //! claim (§IV-C) is that no plan changes a result bit. [`run`] executes a
 //! program under a plan over a [`Fixture`], whole or as a checkpoint/resume
 //! split run, and [`assert_same`] compares two [`Outcome`]s: the engine's
-//! `vertices.bin`, every `RunSummary` message counter and every checkpoint
-//! generation's bytes.
+//! final values (`Engine::values`, encoded), every `RunSummary` message
+//! counter and every checkpoint generation's bytes.
 
 // Each suite compiles this module on its own and uses a subset of it.
 #![allow(dead_code)]
@@ -25,7 +25,7 @@ use graphz_core::{
 use graphz_gen::rmat_edges;
 use graphz_io::{FramedReader, IoStats, ScratchDir};
 use graphz_storage::{CsrFiles, DosConverter, DosGraph, EdgeListFile};
-use graphz_types::{Edge, EngineOptions, FixedCodec, MemoryBudget, VertexId};
+use graphz_types::{codec, Edge, EngineOptions, FixedCodec, MemoryBudget, VertexId};
 
 /// An R-MAT edge list with default skew.
 pub fn rmat(scale: u32, edges: u64, seed: u64) -> Vec<Edge> {
@@ -220,7 +220,7 @@ impl Plan {
 /// What a run leaves that no plan may change, plus its summary.
 pub struct Outcome {
     pub plan: Plan,
-    /// The engine's `vertices.bin`: the final values, in storage order.
+    /// The final values in storage order (`Engine::values`), encoded.
     pub values: Vec<u8>,
     /// `gen-*/<file>` → bytes, every generation a split run wrote.
     pub generations: BTreeMap<String, Vec<u8>>,
@@ -249,7 +249,7 @@ pub fn run<P: VertexProgram>(
         run = engine.run(max - k).unwrap();
     }
     assert_eq!(run.plan.residency(), plan.residency(), "{plan:?}: residency");
-    let values = std::fs::read(engine.scratch_dir().file("vertices.bin")).unwrap();
+    let values = codec::encode_slice(&engine.values().unwrap());
     Outcome { plan, values, generations: tree(gens.path()), run }
 }
 

@@ -35,7 +35,7 @@ fn agrees<P: VertexProgram>(fx: &Fixture, plan: Plan, make: impl Fn(&dyn GraphSt
 
         let run = engine.run(max).unwrap();
         let want = interpret(&program, &graph, &ranges, plan.options().dynamic_messages, max);
-        let values = std::fs::read(engine.scratch_dir().file("vertices.bin")).unwrap();
+        let values = codec::encode_slice(&engine.values().unwrap());
         assert!(values == codec::encode_slice(&want.values), "{plan:?}: values differ");
         assert_eq!(
             (run.iterations, run.converged, run.messages_sent, run.dynamic_applied, run.buffered),

@@ -6,7 +6,7 @@
 //! * slab only — a budget the vertex slab fits but the adjacency does not;
 //! * slab + adjacency — a budget both fit, so the graph is read once.
 //!
-//! Compared: the engine's `vertices.bin`, the message counters, and every
+//! Compared: the engine's final values, the message counters, and every
 //! checkpoint generation written with `checkpoint_every = 1`, including the
 //! generations a run resumed from mid-way writes. Also covered: a weighted
 //! image.

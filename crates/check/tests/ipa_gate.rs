@@ -365,19 +365,68 @@ fn the_partition_pass_batch_loop_is_a_hot_path_and_panic_root() {
 }
 
 /// The inline Sio stage is on the batch loop's chain: the real `engine.rs`
-/// and `sio.rs` with a `vec!` planted in `read_block` trip
-/// `hot-path-alloc` there, through `stream_batches` and both
-/// `next_block`s, while the files as committed trip neither Worker rule.
+/// and `sio.rs` with a `vec!` planted in `InlineStream::next_block` trip
+/// `hot-path-alloc` there, through `stream_batches` and the stream's
+/// `next_block`, and one planted in `read_block` trips it there, through
+/// the shorter of its two chains, the gap reader's (the other runs through
+/// both `next_block`s). The files as committed trip neither Worker rule.
 #[test]
 fn the_inline_sio_block_read_is_on_the_hot_path() {
     let (engine, sio) = ("crates/core/src/engine.rs", "crates/core/src/sio.rs");
     let read = |rel: &str| fs::read_to_string(repo_root().join(rel)).expect("read source");
     let src = read(sio);
-    let body = src.find("\nfn read_block(").expect("read_block moved");
-    let at = body + src[body..].find("    let first_vertex").expect("read_block's first line moved");
-    let line = src[..at].lines().count() + 1;
-    let mutated = format!("{}    let _staged = vec![0u8; 4];\n{}", &src[..at], &src[at..]);
     let root = scratch("ipa_fixture_sio_block");
+    write(&root, engine, &read(engine));
+    let plants = [
+        (
+            "    fn next_block(&mut self) -> Result<Option<Block>> {\n",
+            "        if self.next_index",
+            "        ",
+            "core::PartitionPass::stream_batches → core::AdjacencyStream::next_block \
+             → core::InlineStream::next_block",
+        ),
+        (
+            "\nfn read_block(",
+            "    let first_vertex",
+            "    ",
+            "core::PartitionPass::stream_batches → core::GapReader::read → core::read_block",
+        ),
+    ];
+    for (function, first_line, indent, chain) in plants {
+        let body = src.find(function).expect("planted function moved");
+        let at = body + src[body..].find(first_line).expect("its first line moved");
+        let line = src[..at].lines().count() + 1;
+        let mutated = format!("{}{indent}let _staged = vec![0u8; 4];\n{}", &src[..at], &src[at..]);
+        for (text, expect) in [(&src, vec![]), (&mutated, vec![("hot-path-alloc", line)])] {
+            write(&root, sio, text);
+            let ipa = ipa_tree(&root).expect("analyze fixture");
+            let found: Vec<_> = ipa
+                .iter()
+                .filter(|v| matches!(v.rule, "hot-path-alloc" | "panic-freedom"))
+                .collect();
+            let sites: Vec<(&str, usize)> = found.iter().map(|v| (v.rule, v.line)).collect();
+            assert_eq!(sites, expect, "{ipa:?}");
+            for v in found {
+                assert!(v.message.contains(chain), "{v:?}");
+            }
+        }
+    }
+}
+
+/// The batch loop hands every batch back by a typed call, so the pool is
+/// on its chain: the real `engine.rs` and `sio.rs` with a `vec!` planted in
+/// `BatchPool::put` trip `hot-path-alloc` there, through `stream_batches`,
+/// while the files as committed trip neither Worker rule.
+#[test]
+fn the_batch_pool_return_is_on_the_hot_path() {
+    let (engine, sio) = ("crates/core/src/engine.rs", "crates/core/src/sio.rs");
+    let read = |rel: &str| fs::read_to_string(repo_root().join(rel)).expect("read source");
+    let src = read(sio);
+    let body = src.find("    pub fn put(&self, batch: AdjBatch) {").expect("BatchPool::put moved");
+    let at = body + src[body..].find("        let _ = self.tx").expect("put's first line moved");
+    let line = src[..at].lines().count() + 1;
+    let mutated = format!("{}        let _staged = vec![0u8; 4];\n{}", &src[..at], &src[at..]);
+    let root = scratch("ipa_fixture_pool_put");
     write(&root, engine, &read(engine));
     for (text, expect) in [(&src, vec![]), (&mutated, vec![("hot-path-alloc", line)])] {
         write(&root, sio, text);
@@ -388,10 +437,7 @@ fn the_inline_sio_block_read_is_on_the_hot_path() {
         assert_eq!(sites, expect, "{ipa:?}");
         for v in found {
             assert!(
-                v.message.contains(
-                    "core::PartitionPass::stream_batches → core::AdjacencyStream::next_block \
-                     → core::InlineStream::next_block → core::read_block"
-                ),
+                v.message.contains("core::PartitionPass::stream_batches → core::BatchPool::put"),
                 "{v:?}"
             );
         }

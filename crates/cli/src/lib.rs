@@ -288,10 +288,13 @@ pub const COMMANDS: &[CommandSpec] = &[
                   quarter holds messages bound for other partitions; the message that\n\
                   takes them past that quarter spills them all to disk, and a partition's\n\
                   messages are applied to its vertices as they are read back, never\n\
-                  collected. Outside the budget: the adjacency read-ahead blocks. The\n\
-                  listing is made in one pass over the final values, each with its\n\
-                  original id; --top K holds K rows, not one per vertex. cc also counts\n\
-                  component sizes in a table of 8 bytes per vertex.",
+                  collected. Outside the budget: the adjacency read-ahead blocks. Vertex\n\
+                  state goes to disk only when memory cannot hold it: a vertex array that\n\
+                  fits one partition stays in memory from the start to the listing and is\n\
+                  never written, and no run writes initial values (a partition's first\n\
+                  flush does). The listing is made in one pass over the final values,\n\
+                  each with its original id; --top K holds K rows, not one per vertex. cc\n\
+                  also counts component sizes in a table of 8 bytes per vertex.",
     },
 ];
 
@@ -1541,7 +1544,7 @@ mod tests {
             .collect();
         assert_eq!(fields.len(), 4, "{line}");
         assert!(fields[0] > 0, "the quiet final pass is skipped: {line}");
-        assert!(fields[3] > 0, "the resident slab is written back: {line}");
+        assert_eq!(fields[3], 0, "the resident slab is never written: {line}");
         let quiet = execute(parse(&args(&bfs)).unwrap()).unwrap();
         assert!(!quiet.contains("activity:") && !quiet.contains("msgs:"), "{quiet}");
         // A graph that fits runs inline over a resident adjacency; without
@@ -1552,6 +1555,8 @@ mod tests {
             out.contains("plan: threads 1 / residency slab+adjacency\n"),
             "{out}"
         );
+        // It keeps its vertex state out of the working file.
+        assert!(out.contains(" read / 0 written / "), "{out}");
         let out =
             execute(parse(&args(&format!("run pr {dos} --iterations 3"))).unwrap()).unwrap();
         assert!(!out.contains("plan:"), "{out}");

@@ -7,9 +7,9 @@
 //! One `#[test]` only: the high-water mark is per process, and another test
 //! running on a sibling thread would move it.
 
-use std::path::Path;
-use std::process::Command;
+mod common;
 
+use common::{build_graph, vm_hwm_kib};
 use graphz_cli::{execute, parse};
 use graphz_io::ScratchDir;
 
@@ -30,36 +30,6 @@ const RUN_PHASE_KIB: u64 = 7 * 1024;
 const CC_TABLE_BYTES_PER_VERTEX: u64 = 8;
 
 const SCALE: u32 = 20;
-
-/// This process's peak resident set, or `None` where `/proc/self/status`
-/// has no `VmHWM` line.
-fn vm_hwm_kib() -> Option<u64> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    let line = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
-    line.trim().trim_end_matches("kB").trim().parse().ok()
-}
-
-/// `graphz generate` + `graphz convert` in child processes.
-fn build_graph(dir: &Path, name: &str, scale: u32, edges: u64) -> String {
-    let graphz = env!("CARGO_BIN_EXE_graphz");
-    let bin = dir.join(format!("{name}.bin"));
-    let dos = dir.join(name);
-    for args in [
-        vec![
-            "generate".to_string(),
-            bin.display().to_string(),
-            "--scale".to_string(),
-            scale.to_string(),
-            "--edges".to_string(),
-            edges.to_string(),
-        ],
-        vec!["convert".to_string(), bin.display().to_string(), dos.display().to_string()],
-    ] {
-        let status = Command::new(graphz).args(&args).output().unwrap();
-        assert!(status.status.success(), "graphz {args:?}: {status:?}");
-    }
-    dos.display().to_string()
-}
 
 fn run(algo: &str, dos: &str) {
     let line = format!("run {algo} {dos} --budget-mib 1 --iterations 2 --top 10");

@@ -7,7 +7,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use graphz_io::{
-    FaultSurface, FramedWriter, IoSnapshot, IoStats, RecordReader, RecordWriter, ScratchDir,
+    FaultSurface, FramedWriter, IoSnapshot, IoStats, RecordReader, ScratchDir,
     StagedDir, SurfaceWriter, TrackedFile,
 };
 use graphz_storage::{PartitionSet, Partitioner};
@@ -84,20 +84,6 @@ impl PendingGeneration {
         let pair = self.take_staged(behind)?;
         let (staged, vertices) = self.staged.insert(pair);
         vertices.write_all(bytes).ctx("write", staged.path())
-    }
-
-    /// Append vertices `[a, b)` as the working file holds them — a partition
-    /// this iteration did not flush. `buf` is reused scratch.
-    fn copy_range<V: FixedCodec>(
-        &mut self,
-        behind: &mut InFlightCommit,
-        vfile: &mut TrackedFile,
-        buf: &mut Vec<u8>,
-        a: VertexId,
-        b: VertexId,
-    ) -> Result<()> {
-        let bytes = read_vertices::<V>(vfile, buf, a, b)?;
-        self.append(behind, bytes)
     }
 
     /// Seal the generation: end the vertex frame, frame every spill segment
@@ -183,6 +169,75 @@ fn read_vertices<'b, V: FixedCodec>(
     file.seek(SeekFrom::Start(a as u64 * V::SIZE as u64))?;
     file.read_exact(bytes)?;
     Ok(bytes)
+}
+
+/// The initial values of the vertices from `a` on with out-degrees
+/// `degrees`, as `program.init` makes them.
+fn initial_slab<P: VertexProgram>(
+    program: &P,
+    a: VertexId,
+    degrees: &[u32],
+) -> Vec<P::VertexData> {
+    degrees.iter().zip(a..).map(|(&d, vid)| program.init(vid, d)).collect()
+}
+
+/// The working vertex file at `path` in `slot`, opened for reading and
+/// writing on first use; the first flush of a partitioned run creates it.
+fn working_file<'f>(
+    slot: &'f mut Option<TrackedFile>,
+    path: &Path,
+    stats: &Arc<IoStats>,
+) -> Result<&'f mut TrackedFile> {
+    Ok(match slot.take() {
+        Some(file) => slot.insert(file),
+        None => slot.insert(TrackedFile::open_rw(path, Arc::clone(stats)).ctx("open-rw", path)?),
+    })
+}
+
+/// Vertices `[a, b)` encoded into the reusable `buf`: read from the working
+/// file (`path`, opened into `file` on first use) if it holds them
+/// (`stored`), else made by `program.init` from the index degrees.
+fn partition_bytes<'b, P: VertexProgram>(
+    (program, store, stats): (&P, &dyn GraphStore, &Arc<IoStats>),
+    (path, file): (&Path, &mut Option<TrackedFile>),
+    stored: bool,
+    buf: &'b mut Vec<u8>,
+    (a, b): (VertexId, VertexId),
+) -> Result<&'b [u8]> {
+    if stored {
+        let file = working_file(file, path, stats)?;
+        return read_vertices::<P::VertexData>(file, buf, a, b).ctx("read", path);
+    }
+    let (_, degrees) = store.partition_index(a, b, stats)?;
+    encode_slab(buf, &initial_slab(program, a, &degrees));
+    Ok(buf)
+}
+
+/// `count` records of `path` from record `first` on, in a vector of that
+/// capacity, read in one pass through one 64 KiB buffer. A file that ends
+/// early is [`GraphError::Corrupt`] naming it.
+fn read_records_at<T: FixedCodec>(
+    path: &Path,
+    (first, count): (u64, u64),
+    stats: &Arc<IoStats>,
+) -> Result<Vec<T>> {
+    let mut file = TrackedFile::open(path, Arc::clone(stats)).ctx("open", path)?;
+    file.seek(SeekFrom::Start(first * T::SIZE as u64)).ctx("seek", path)?;
+    let range = file.take(count * T::SIZE as u64);
+    let mut out = Vec::with_capacity(cast::to_usize(count, "record count")?);
+    let read = RecordReader::<T, _>::from_reader(range)
+        .try_for_each_record(|record| {
+            out.push(record);
+            Ok(())
+        })
+        .ctx("read", path)?;
+    if read != count {
+        let path = path.display();
+        return Err(GraphError::Corrupt(format!(
+            "{path} ended early: {read} of {count} records from record {first}"
+        )));
+    }
+    Ok(out)
 }
 
 /// Granularity of dirty write-back: a flushed slab is compared with the
@@ -394,8 +449,10 @@ pub struct ActivityCounters {
     /// Skipped blocks read back after a dynamic message woke a vertex
     /// inside them.
     pub gaps_reread: u64,
-    /// Vertex-file bytes written back: the changed 4 KiB blocks of every
-    /// flushed slab, and the whole slab wherever the resident plan writes it.
+    /// Working vertex-file bytes written: the whole slab at a partition's
+    /// first flush, the changed 4 KiB blocks at every later one, and, at the
+    /// run's end, the initial values of each partition no flush has written.
+    /// Always 0 on the resident plan, which never writes the file.
     pub slab_bytes_written: u64,
 }
 
@@ -451,7 +508,24 @@ pub struct Engine<P: VertexProgram> {
     stats: Arc<IoStats>,
     scratch: ScratchDir,
     partitions: PartitionSet,
+    /// The execution plan: a pure function of the graph's shape, the budget
+    /// and the options (never thread availability or timing), resolved once.
+    /// It decides where bytes live and which thread moves them, never the
+    /// result bits.
+    plan: graphz_types::ExecutionPlan,
+    /// The working vertex file. It holds only what memory does not: the
+    /// partitions a flush (or a restore) has written, and never the resident
+    /// plan's slab.
     vertices_path: PathBuf,
+    /// Per partition: whether the working file holds its values. A partition
+    /// no flush has written still has `program.init`'s values, made again
+    /// wherever they are needed; a partitioned run's end writes them, so
+    /// after a run the file is complete.
+    stored: Vec<bool>,
+    /// The resident plan's whole vertex array, owned here between runs from
+    /// `initialize()` on. `None` on every other plan, and after a restore
+    /// until the next run loads the restored file.
+    slab: Option<Vec<P::VertexData>>,
     msgs: MsgManager<P::Message>,
     /// Per partition: whether a vertex may want an update the next time the
     /// partition comes up. Reset to all-`true` whenever a run starts — after
@@ -485,6 +559,13 @@ impl<P: VertexProgram> Engine<P> {
             config.budget.bytes() / 4,
             Arc::clone(&stats),
         )?;
+        let num_vertices = store.num_vertices();
+        let plan = config.options.plan_execution(
+            partitions.num_partitions(),
+            config.budget,
+            num_vertices.saturating_mul(P::VertexData::SIZE as u64),
+            adjacency_bytes(num_vertices, store.num_edges(), store.weights_path().is_some()),
+        );
         let vertices_path = scratch.file("vertices.bin");
         let active = vec![true; partitions.num_partitions() as usize];
         Ok(Engine {
@@ -493,8 +574,11 @@ impl<P: VertexProgram> Engine<P> {
             config,
             stats,
             scratch,
+            stored: vec![false; partitions.num_partitions() as usize],
             partitions,
+            plan,
             vertices_path,
+            slab: None,
             msgs,
             active,
             initialized: false,
@@ -524,22 +608,23 @@ impl<P: VertexProgram> Engine<P> {
         self.store.to_storage_id(original, &self.stats)
     }
 
-    /// Write the initial vertex array (called automatically by `run`), and
-    /// seed each partition's activity bit from its initial values.
+    /// Start the computation over (called automatically by `run`): seed each
+    /// partition's activity bit from its initial values. The resident plan
+    /// keeps the initial vertex array in memory; no plan writes it to the
+    /// working file, whose partitions the first flush of each writes.
     pub fn initialize(&mut self) -> Result<()> {
-        let mut w = RecordWriter::<P::VertexData>::create(&self.vertices_path, Arc::clone(&self.stats))
-            .ctx("create", &self.vertices_path)?;
+        self.slab = None;
         for (part, a, b) in self.partitions.iter() {
             let (_, degrees) = self.store.partition_index(a, b, &self.stats)?;
-            let mut active = false;
-            for (i, &d) in degrees.iter().enumerate() {
-                let value = self.program.init(a + i as VertexId, d);
-                active |= self.program.wants_update(&value, 0);
-                w.push(&value)?;
+            let program = &self.program;
+            let mut initial = degrees.iter().zip(a..).map(|(&d, vid)| program.init(vid, d));
+            self.active[part as usize] = initial.any(|value| program.wants_update(&value, 0));
+            // The resident plan's one partition is the whole vertex array.
+            if self.plan.resident {
+                self.slab = Some(initial_slab(program, a, &degrees));
             }
-            self.active[part as usize] = active;
         }
-        w.finish()?;
+        self.stored.fill(false);
         self.initialized = true;
         self.next_iteration = 0;
         Ok(())
@@ -569,22 +654,11 @@ impl<P: VertexProgram> Engine<P> {
         // Each generation commits on its own thread behind the next
         // iteration; dropping this on an error return joins it.
         let mut commits = InFlightCommit::default();
-
-        // Resolve the execution plan once per run: a pure function of the
-        // graph's shape, the budget and the options (never thread
-        // availability or timing). It decides where bytes live and which
-        // thread moves them, never the result bits.
-        let num_edges = self.store.num_edges();
-        let plan = self.config.options.plan_execution(
-            self.partitions.num_partitions(),
-            self.config.budget,
-            num_vertices.saturating_mul(P::VertexData::SIZE as u64),
-            adjacency_bytes(num_vertices, num_edges, self.store.weights_path().is_some()),
-        );
+        let plan = self.plan;
 
         if num_vertices > 0 {
             let first_iteration = self.next_iteration;
-            let mut pass = PartitionPass::open(self, plan)?;
+            let mut pass = PartitionPass::open(self);
             let (config, surface) = (pass.config, &pass.config.checkpoint_surface);
             for step in 0..max_iterations {
                 let iter = first_iteration + step;
@@ -689,7 +763,7 @@ impl<P: VertexProgram> Engine<P> {
         }
         self.msgs.flush()?;
         // The same writer a run uses, with no partition teed from a flush:
-        // every partition's vertices come from the working file. It commits
+        // every partition's vertices come from where they live. It commits
         // on this thread, so there is never a commit in flight to join.
         let mut idle = InFlightCommit::default();
         let mut g = PendingGeneration::new(
@@ -698,11 +772,22 @@ impl<P: VertexProgram> Engine<P> {
             &self.stats,
             &self.config.checkpoint_surface,
         );
-        let mut vfile = TrackedFile::open(&self.vertices_path, Arc::clone(&self.stats))
-            .ctx("open", &self.vertices_path)?;
-        let mut buf = Vec::new();
-        for (_, a, b) in self.partitions.iter() {
-            g.copy_range::<P::VertexData>(&mut idle, &mut vfile, &mut buf, a, b)?;
+        let (mut file, mut buf) = (None, Vec::new());
+        for (part, a, b) in self.partitions.iter() {
+            let bytes = match &self.slab {
+                Some(slab) => {
+                    encode_slab(&mut buf, slab);
+                    &buf[..]
+                }
+                None => partition_bytes(
+                    (&self.program, self.store.as_ref(), &self.stats),
+                    (&self.vertices_path, &mut file),
+                    self.stored[part as usize],
+                    &mut buf,
+                    (a, b),
+                )?,
+            };
+            g.append(&mut idle, bytes)?;
         }
         let (counters, parts) = (self.msgs.counters(), self.partitions.num_partitions());
         // Typed so the ipa call graph resolves `commit` to `StagedDir`'s
@@ -781,6 +866,9 @@ impl<P: VertexProgram> Engine<P> {
         let _ = std::fs::remove_dir(&staging);
         // Also closes the segment files the removed spills were open in.
         self.msgs.restore(counters);
+        // The restored file holds every partition; the next run loads it.
+        self.slab = None;
+        self.stored.fill(true);
         self.next_iteration = manifest.next_iteration()?;
         self.initialized = true;
         Ok(())
@@ -818,42 +906,60 @@ impl<P: VertexProgram> Engine<P> {
         }
     }
 
+    /// Pass every final value to `f` in storage order: straight from the
+    /// resident slab, else one partition's bytes at a time (at most half the
+    /// budget), as [`partition_bytes`] finds them.
+    fn for_each_in_storage_order(
+        &self,
+        mut f: impl FnMut(P::VertexData) -> Result<()>,
+    ) -> Result<()> {
+        self.ensure_ran()?;
+        if let Some(slab) = &self.slab {
+            return slab.iter().try_for_each(|value| f(value.clone()));
+        }
+        let (mut file, mut buf) = (None, Vec::new());
+        for (part, a, b) in self.partitions.iter() {
+            let bytes = partition_bytes(
+                (&self.program, self.store.as_ref(), &self.stats),
+                (&self.vertices_path, &mut file),
+                self.stored[part as usize],
+                &mut buf,
+                (a, b),
+            )?;
+            let size = P::VertexData::SIZE;
+            bytes.chunks_exact(size).map(P::VertexData::read_from).try_for_each(&mut f)?;
+        }
+        Ok(())
+    }
+
     /// Final vertex values in storage order.
     pub fn values(&self) -> Result<Vec<P::VertexData>> {
-        self.ensure_ran()?;
-        graphz_io::record::read_records(&self.vertices_path, Arc::clone(&self.stats))
+        let mut out = Vec::new();
+        self.for_each_in_storage_order(|value| {
+            out.push(value);
+            Ok(())
+        })?;
+        Ok(out)
     }
 
     /// Stream the final values in storage order, each with its *original*
-    /// id: one pass over `vertices.bin` zipped with the store's id map
-    /// ([`GraphStore::original_id_stream`]), holding one read buffer of
-    /// each. Returns the vertex count. A damaged id map stops the pass with
-    /// the [`GraphError::Corrupt`] that names it; the values before the
-    /// damage have already been passed to `f`.
+    /// id: one pass over the values — the resident slab, or the working file
+    /// through one read buffer — zipped with the store's id map
+    /// ([`GraphStore::original_id_stream`]), holding one read buffer of it.
+    /// Returns the vertex count. A damaged id map stops the pass with the
+    /// [`GraphError::Corrupt`] that names it; the values before the damage
+    /// have already been passed to `f`.
     pub fn for_each_value<F: FnMut(VertexId, P::VertexData)>(&self, mut f: F) -> Result<u64> {
-        self.ensure_ran()?;
         let mut originals = self.store.original_id_stream(&self.stats)?;
-        let path = &self.vertices_path;
-        let count = RecordReader::<P::VertexData>::open(path, Arc::clone(&self.stats))
-            .ctx("open", path)?
-            .try_for_each_record(|value| {
-                let id = originals.next().ok_or_else(|| {
-                    GraphError::Corrupt(format!(
-                        "{}: more records than the {} vertices",
-                        path.display(),
-                        self.store.num_vertices()
-                    ))
-                })??;
-                f(id, value);
-                Ok(())
-            })?;
-        if count != self.store.num_vertices() {
-            return Err(GraphError::Corrupt(format!(
-                "{}: {count} records for {} vertices",
-                path.display(),
-                self.store.num_vertices()
-            )));
-        }
+        let mut count = 0u64;
+        self.for_each_in_storage_order(|value| {
+            // The id stream yields exactly one id per vertex.
+            if let Some(id) = originals.next() {
+                f(id?, value);
+                count += 1;
+            }
+            Ok(())
+        })?;
         Ok(count)
     }
 
@@ -900,18 +1006,25 @@ struct PartitionPass<'e, P: VertexProgram> {
     msgs: &'e mut MsgManager<P::Message>,
     active: &'e mut [bool],
     plan: graphz_types::ExecutionPlan,
-    /// The working vertex file: loads read it, flushes write it.
-    vfile: TrackedFile,
-    /// The partition's slab bytes as loaded; after its flush, as written.
+    vertices_path: &'e Path,
+    /// Which partitions the working file holds (see [`Engine`]'s field).
+    stored: &'e mut [bool],
+    /// The working vertex file, opened by the first load or flush that
+    /// needs it: loads of written partitions read it, flushes write it.
+    vfile: Option<TrackedFile>,
+    /// The partition's slab bytes as loaded (none, for a partition loaded
+    /// from `program.init`); after its flush, as written.
     slab_bytes: Vec<u8>,
     /// The block a flush encodes into to find the blocks that changed.
     block_bytes: Vec<u8>,
     /// Reads back a skipped block a dynamic message woke: opened with the
     /// run's first stream that may skip blocks.
     gap_reader: Option<sio::GapReader>,
-    /// The vertex array, when the plan keeps it in memory across
-    /// iterations (§VI-E future work) instead of flushing and reloading it.
-    resident: Option<Vec<P::VertexData>>,
+    /// The engine's resident slab: the vertex array, when the plan keeps it
+    /// in memory across iterations (§VI-E future work) instead of flushing
+    /// and reloading it. A load takes it, a flush puts it back, so the
+    /// engine holds it again when the run ends.
+    resident: &'e mut Option<Vec<P::VertexData>>,
     /// The whole adjacency, when the plan keeps it resident too.
     adjacency: Option<sio::AdjBatch>,
     /// The stream's batches, pre-warmed to the most in flight (the Sio
@@ -924,22 +1037,24 @@ struct PartitionPass<'e, P: VertexProgram> {
 }
 
 impl<'e, P: VertexProgram> PartitionPass<'e, P> {
-    /// Open the run's pass: the working vertex file, and the vertex array if
-    /// the plan keeps it resident.
-    fn open(engine: &'e mut Engine<P>, plan: graphz_types::ExecutionPlan) -> Result<Self> {
+    /// Open the run's pass over the engine's state. It reads nothing: the
+    /// resident slab is in memory, or the first load reads it.
+    fn open(engine: &'e mut Engine<P>) -> Self {
         let Engine {
-            store, program, stats, config, partitions, vertices_path, msgs, active, ..
+            store,
+            program,
+            stats,
+            config,
+            partitions,
+            plan,
+            vertices_path,
+            stored,
+            slab,
+            msgs,
+            active,
+            ..
         } = engine;
-        let mut vfile =
-            TrackedFile::open_rw(vertices_path, Arc::clone(stats)).ctx("open-rw", vertices_path)?;
-        // A resident plan has one partition: the whole vertex array.
-        let (mut slab_bytes, (a, b)) = (Vec::new(), partitions.range(0));
-        let resident = match plan.resident {
-            true => Some(read_vertices::<P::VertexData>(&mut vfile, &mut slab_bytes, a, b)?),
-            false => None,
-        }
-        .map(decode_slice);
-        Ok(PartitionPass {
+        PartitionPass {
             store: &**store,
             program,
             stats,
@@ -947,17 +1062,19 @@ impl<'e, P: VertexProgram> PartitionPass<'e, P> {
             partitions,
             msgs,
             active,
-            plan,
-            vfile,
-            slab_bytes,
+            plan: *plan,
+            vertices_path,
+            stored,
+            vfile: None,
+            slab_bytes: Vec::new(),
             block_bytes: Vec::new(),
             gap_reader: None,
-            resident,
+            resident: slab,
             adjacency: None,
             pool: sio::BatchPool::prewarmed(3 + sio::SIO_QUEUE_CAP),
             progress: IterationStats::default(),
             activity: ActivityCounters::default(),
-        })
+        }
     }
 
     /// Run iteration `iteration` over every partition in order, feeding
@@ -972,17 +1089,24 @@ impl<'e, P: VertexProgram> PartitionPass<'e, P> {
         let partitions = self.partitions;
         for (part, a, b) in partitions.iter() {
             // Nothing to replay or update: the pass would change no byte.
-            // The working file holds its vertices for a checkpoint (the
-            // resident slab is framed at the iteration's end instead).
+            // A checkpoint takes its vertices from the working file, or from
+            // `program.init` if no flush has written them (the resident slab
+            // is framed at the iteration's end instead).
             if !self.active[part as usize] && self.msgs.pending_in(part) == 0 {
                 self.activity.passes_skipped += 1;
-                if let (Some(g), None) = (generation.as_deref_mut(), &self.resident) {
-                    let (file, buf) = (&mut self.vfile, &mut self.slab_bytes);
-                    g.copy_range::<P::VertexData>(commits, file, buf, a, b)?;
+                if let (Some(g), None) = (generation.as_deref_mut(), &*self.resident) {
+                    let bytes = partition_bytes(
+                        (self.program, self.store, self.stats),
+                        (self.vertices_path, &mut self.vfile),
+                        self.stored[part as usize],
+                        &mut self.slab_bytes,
+                        (a, b),
+                    )?;
+                    g.append(commits, bytes)?;
                 }
                 continue;
             }
-            let loaded = self.load(a, b)?;
+            let loaded = self.load(part, a, b)?;
             let (mut worker, feed) = self.replay(part, loaded)?;
             self.compute(&mut worker, feed, part)?;
             self.flush(part, worker, generation.as_deref_mut(), commits)?;
@@ -991,18 +1115,26 @@ impl<'e, P: VertexProgram> PartitionPass<'e, P> {
         Ok(self.progress)
     }
 
-    /// Load stage (MsgManager phase A): the slab and index — from memory on
-    /// the resident plan, else read now.
-    fn load(&mut self, a: VertexId, b: VertexId) -> Result<Loaded<P::VertexData>> {
+    /// Load stage (MsgManager phase A): the slab and index — the slab from
+    /// memory on the resident plan, from `program.init` for a partition no
+    /// flush has written, else read now.
+    fn load(&mut self, part: u32, a: VertexId, b: VertexId) -> Result<Loaded<P::VertexData>> {
         let t_load = Instant::now();
         let (start_edge, mut degrees) = match self.adjacency {
             Some(_) => (0, Vec::new()),
             None => self.store.partition_index(a, b, self.stats)?,
         };
-        let (file, bytes) = (&mut self.vfile, &mut self.slab_bytes);
         let slab = match self.resident.take() {
             Some(slab) => slab,
-            None => decode_slice(read_vertices::<P::VertexData>(file, bytes, a, b)?),
+            None if self.stored[part as usize] => {
+                let file = working_file(&mut self.vfile, self.vertices_path, self.stats)?;
+                decode_slice(read_vertices::<P::VertexData>(file, &mut self.slab_bytes, a, b)?)
+            }
+            None => {
+                // Its first flush writes the whole slab.
+                self.slab_bytes.clear();
+                initial_slab(self.program, a, &degrees)
+            }
         };
         if self.plan.resident_adjacency && self.adjacency.is_none() {
             let whole = self.load_adjacency(start_edge, a, std::mem::take(&mut degrees))?;
@@ -1118,12 +1250,12 @@ impl<'e, P: VertexProgram> PartitionPass<'e, P> {
                     let (lo, hi) = sio::Gap::range(&gap);
                     if !worker.wakes_in(program, lo, hi) {
                         self.activity.adjacency_bytes_skipped += gap.edges * bytes_per_edge;
-                        self.pool.put(gap.batch);
+                        sio::BatchPool::put(&self.pool, gap.batch);
                         continue;
                     }
                     self.activity.gaps_reread += 1;
                     match &mut self.gap_reader {
-                        Some(reader) => reader.read(gap)?,
+                        Some(reader) => sio::GapReader::read(reader, gap)?,
                         None => return Err(GraphError::InvalidConfig(
                             "an adjacency gap from a stream opened without its reader".into(),
                         )),
@@ -1131,7 +1263,7 @@ impl<'e, P: VertexProgram> PartitionPass<'e, P> {
                 }
             };
             let routed = worker.process(program, &batch, self.msgs);
-            self.pool.put(batch);
+            sio::BatchPool::put(&self.pool, batch);
             routed?;
         }
         Ok(())
@@ -1151,11 +1283,12 @@ impl<'e, P: VertexProgram> PartitionPass<'e, P> {
         let (first, slab, next) = (worker.first, worker.data, self.progress.iteration + 1);
         self.active[part as usize] = slab.iter().any(|v| self.program.wants_update(v, next));
         if self.plan.resident {
-            self.resident = Some(slab);
+            *self.resident = Some(slab);
         } else {
-            let (file, block) = (&mut self.vfile, &mut self.block_bytes);
+            let file = working_file(&mut self.vfile, self.vertices_path, self.stats)?;
             self.activity.slab_bytes_written +=
-                write_dirty(file, &mut self.slab_bytes, block, first, &slab)?;
+                write_dirty(file, &mut self.slab_bytes, &mut self.block_bytes, first, &slab)?;
+            self.stored[part as usize] = true;
         }
         self.progress.stages.flush += t_flush.elapsed();
         if let (Some(g), false) = (generation, self.plan.resident) {
@@ -1164,29 +1297,41 @@ impl<'e, P: VertexProgram> PartitionPass<'e, P> {
         Ok(())
     }
 
-    /// Frame the resident slab into `generation`: the fast path's working
-    /// file waits for the run's end.
+    /// Frame the resident slab into `generation`, from memory: the resident
+    /// plan never writes the working file.
     fn frame_resident(
         &mut self,
         generation: &mut PendingGeneration,
         commits: &mut InFlightCommit,
     ) -> Result<()> {
-        let Some(slab) = &self.resident else { return Ok(()) };
+        let Some(slab) = &*self.resident else { return Ok(()) };
         encode_slab(&mut self.slab_bytes, slab);
         generation.append(commits, &self.slab_bytes)
     }
 
-    /// End the run: the fast path writes its final state once, all of it
-    /// (cleared `slab_bytes` say nothing of the file), and the working file
-    /// is flushed. Returns the pool's and the activity counters.
+    /// End the run. The resident slab stays with the engine, unwritten. On
+    /// any other plan each partition no flush has written gets its initial
+    /// values in the working file, all of it (cleared `slab_bytes` say
+    /// nothing of the file), so the file is complete. Returns the pool's and
+    /// the activity counters.
     fn finish(mut self) -> Result<(sio::PoolCounters, ActivityCounters)> {
-        if let Some(slab) = &self.resident {
-            self.slab_bytes.clear();
-            let (file, block) = (&mut self.vfile, &mut self.block_bytes);
-            self.activity.slab_bytes_written +=
-                write_dirty(file, &mut self.slab_bytes, block, 0, slab)?;
+        if self.resident.is_none() {
+            for (part, a, b) in self.partitions.iter() {
+                if self.stored[part as usize] {
+                    continue;
+                }
+                let (_, degrees) = self.store.partition_index(a, b, self.stats)?;
+                let slab = initial_slab(self.program, a, &degrees);
+                let file = working_file(&mut self.vfile, self.vertices_path, self.stats)?;
+                self.slab_bytes.clear();
+                self.activity.slab_bytes_written +=
+                    write_dirty(file, &mut self.slab_bytes, &mut self.block_bytes, a, &slab)?;
+                self.stored[part as usize] = true;
+            }
         }
-        self.vfile.flush()?;
+        if let Some(file) = &mut self.vfile {
+            file.flush()?;
+        }
         Ok((self.pool.counters(), self.activity))
     }
 
@@ -1215,33 +1360,23 @@ impl<'e, P: VertexProgram> PartitionPass<'e, P> {
         )
     }
 
-    /// Read the adjacency of the partition starting at vertex `a` — its
-    /// edges from `start_edge` on, their weights, and `degrees` — in one
-    /// pass (a resident plan has no read-ahead thread), into one batch.
+    /// Read the adjacency of the partition starting at vertex `a` into one
+    /// batch, in one pass (a resident plan has no read-ahead thread): the
+    /// index's `degrees` moved in, then its edges from record `start_edge`
+    /// on and their weights, each through one 64 KiB buffer.
     fn load_adjacency(
         &self,
         start_edge: u64,
         a: VertexId,
         degrees: Vec<u32>,
     ) -> Result<sio::AdjBatch> {
-        let num_edges: usize = degrees.iter().map(|&d| d as usize).sum();
-        let weighted = self.store.weights_path().is_some();
-        let mut whole = sio::AdjBatch {
-            first_vertex: a,
-            degrees: Vec::with_capacity(degrees.len()),
-            edges: Vec::with_capacity(num_edges),
-            weights: Vec::with_capacity(if weighted { num_edges } else { 0 }),
+        let range = (start_edge, degrees.iter().map(|&d| u64::from(d)).sum());
+        let edges = read_records_at(&self.store.edges_path(), range, self.stats)?;
+        let weights = match self.store.weights_path() {
+            Some(path) => read_records_at(&path, range, self.stats)?,
+            None => Vec::new(),
         };
-        // A private pool, freed when the load ends, recycles the blocks.
-        let pool = sio::BatchPool::new(1);
-        for batch in self.open_stream(start_edge, a, degrees, None, &pool)? {
-            let batch = batch?;
-            whole.degrees.extend_from_slice(&batch.degrees);
-            whole.edges.extend_from_slice(&batch.edges);
-            whole.weights.extend_from_slice(&batch.weights);
-            pool.put(batch);
-        }
-        Ok(whole)
+        Ok(sio::AdjBatch { first_vertex: a, degrees, edges, weights })
     }
 }
 
@@ -1573,6 +1708,91 @@ mod tests {
             .collect();
         assert!(streamed[1] > streamed[0]);
         assert!(read[1] < streamed[1]);
+    }
+
+    /// The resident plan keeps the working file out of it: a run reads the
+    /// adjacency (7 edges of 4 bytes) and nothing else, writes nothing, and
+    /// the values, and a checkpoint of them, come from memory. `run(3)` and
+    /// `run(7)` each pay only their own adjacency read and end where one
+    /// `run(10)` does.
+    #[test]
+    fn a_resident_run_reads_only_its_adjacency_and_writes_nothing() {
+        let (budget, adjacency) = (MemoryBudget::from_mib(1), 7 * 4);
+        let (_d1, mut whole) = dos_engine(test_graph(), budget, EngineOptions::full(), u32::MAX);
+        let (_d2, mut split) = dos_engine(test_graph(), budget, EngineOptions::full(), u32::MAX);
+        let runs = [whole.run(10).unwrap(), split.run(3).unwrap(), split.run(7).unwrap()];
+        for s in &runs {
+            assert_eq!(s.plan.residency(), "slab+adjacency");
+            assert_eq!((s.io.bytes_read, s.io.bytes_written), (adjacency, 0), "{s:?}");
+            assert_eq!(s.activity.slab_bytes_written, 0);
+        }
+        assert_eq!(runs[1].iterations + runs[2].iterations, runs[0].iterations);
+        let before = split.stats.snapshot();
+        assert_eq!(whole.values().unwrap(), split.values().unwrap());
+        let ckpt = graphz_io::ScratchDir::new("engine-resident-ckpt").unwrap();
+        split.checkpoint(ckpt.path()).unwrap();
+        assert_eq!(split.stats.snapshot().bytes_read, before.bytes_read, "read from memory");
+        for engine in [&whole, &split] {
+            let working = engine.scratch_dir().file("vertices.bin");
+            assert!(!working.exists(), "a run that fits wrote {}", working.display());
+        }
+    }
+
+    /// A resident adjacency whose file ends early fails the run's load with
+    /// `Corrupt` naming the file.
+    #[test]
+    fn a_short_resident_adjacency_is_corrupt_naming_its_file() {
+        let (dir, mut engine) =
+            dos_engine(test_graph(), MemoryBudget::from_mib(1), EngineOptions::full(), 2);
+        let edges = dir.path().join("dos").join("edges.bin");
+        let len = std::fs::metadata(&edges).unwrap().len();
+        std::fs::OpenOptions::new().write(true).open(&edges).unwrap().set_len(len - 4).unwrap();
+        match engine.run(3) {
+            Err(GraphError::Corrupt(msg)) => assert!(msg.contains("edges.bin ended early"), "{msg}"),
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
+    }
+
+    /// A restore drops the resident slab: the next run reads the restored
+    /// vertex file once (4 vertices of 8 bytes), with its adjacency, and
+    /// ends where an uninterrupted run does.
+    #[test]
+    fn a_resident_run_after_restore_reads_the_restored_file_once() {
+        let (budget, adjacency, vertices) = (MemoryBudget::from_mib(1), 7 * 4, 4 * 8);
+        let ckpt = graphz_io::ScratchDir::new("engine-resident-restore").unwrap();
+        let (_d1, mut reference) =
+            dos_engine(test_graph(), budget, EngineOptions::full(), u32::MAX);
+        reference.run(10).unwrap();
+        let (_d2, mut first) = dos_engine(test_graph(), budget, EngineOptions::full(), u32::MAX);
+        first.run(4).unwrap();
+        first.checkpoint(ckpt.path()).unwrap();
+        let (_d3, mut resumed) = dos_engine(test_graph(), budget, EngineOptions::full(), u32::MAX);
+        resumed.restore(ckpt.path()).unwrap();
+        let s = resumed.run(6).unwrap();
+        assert!(s.plan.resident_adjacency);
+        assert_eq!((s.io.bytes_read, s.io.bytes_written), (adjacency + vertices, 0), "{s:?}");
+        assert_eq!(resumed.values().unwrap(), reference.values().unwrap());
+    }
+
+    /// No partitioned run writes initial values to read them back: a first
+    /// iteration at four partitions, where every vertex updates and sends
+    /// along every edge, reads its adjacency (512 edges of 4 bytes) and no
+    /// vertex byte, and writes each of the 256 8-byte values once. The
+    /// messages crossing a partition boundary stay within the MsgManager's
+    /// cap (a quarter of the 1 KiB budget in 12-byte envelopes), so nothing
+    /// spills.
+    #[test]
+    fn a_first_partitioned_iteration_reads_no_vertex_bytes_and_writes_each_once() {
+        let edges: Vec<Edge> = (0..256u32)
+            .flat_map(|i| [Edge::new(i, (i + 1) % 256), Edge::new(i, (i + 2) % 256)])
+            .collect();
+        let (_d, mut engine) =
+            dos_engine(edges, MemoryBudget(2 * 64 * 8), EngineOptions::full(), u32::MAX);
+        let s = engine.run(1).unwrap();
+        assert_eq!(s.partitions, 4);
+        assert_eq!((s.spilled, s.messages_sent), (0, 512), "{s:?}");
+        assert_eq!((s.io.bytes_read, s.io.bytes_written), (512 * 4, 256 * 8), "{s:?}");
+        assert_eq!(s.activity.slab_bytes_written, 256 * 8);
     }
 
     #[test]

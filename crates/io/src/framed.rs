@@ -23,8 +23,7 @@
 //! The frame is an inner layer: `FramedWriter`/`FramedReader` wrap any
 //! `Write`/`Read`, and [`RecordWriter`](crate::RecordWriter) /
 //! [`RecordReader`](crate::RecordReader) compose with them via
-//! `from_writer`/`from_reader` (or the `create_framed`/`open_framed`
-//! shorthands).
+//! `from_writer`/`from_reader`.
 
 use std::io::{self, Read, Write};
 

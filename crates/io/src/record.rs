@@ -12,7 +12,6 @@ use std::sync::Arc;
 
 use graphz_types::{FixedCodec, GraphError, Result};
 
-use crate::framed::{FramedReader, FramedWriter};
 use crate::stats::IoStats;
 use crate::tracked;
 
@@ -27,16 +26,6 @@ impl<T: FixedCodec> RecordReader<T> {
     /// Open `path` with the default block size.
     pub fn open(path: &Path, stats: Arc<IoStats>) -> Result<Self> {
         Ok(Self::from_reader(tracked::reader(path, stats)?))
-    }
-}
-
-impl<T: FixedCodec> RecordReader<T, FramedReader<tracked::TrackedReader>> {
-    /// Open a checksummed record file written by
-    /// [`RecordWriter::create_framed`]. Truncation, torn writes, and bit rot
-    /// surface as [`GraphError::Corrupt`] from the read that reaches the
-    /// damage, instead of as silently wrong records.
-    pub fn open_framed(path: &Path, stats: Arc<IoStats>) -> Result<Self> {
-        Ok(Self::from_reader(FramedReader::new(tracked::reader(path, stats)?)?))
     }
 }
 
@@ -173,27 +162,6 @@ impl<T: FixedCodec> RecordWriter<T> {
     pub fn create(path: &Path, stats: Arc<IoStats>) -> Result<Self> {
         // ipa:allow(fault-surface-reach) — writer primitive; the surface gates above this layer
         Ok(Self::from_writer(tracked::writer(path, stats)?))
-    }
-}
-
-impl<T: FixedCodec> RecordWriter<T, FramedWriter<tracked::TrackedWriter>> {
-    /// Create/truncate `path` as a checksummed record file: a versioned
-    /// header precedes the records and a length+CRC32 footer follows them.
-    /// Must be closed with [`finish`](Self::finish), which seals the footer;
-    /// a crash before that leaves a file readers reject as truncated.
-    pub fn create_framed(path: &Path, stats: Arc<IoStats>) -> Result<Self> {
-        // ipa:allow(fault-surface-reach) — writer primitive; the surface gates above this layer
-        Ok(Self::from_writer(FramedWriter::new(tracked::writer(path, stats)?)?))
-    }
-}
-
-impl<T: FixedCodec, W: Write> RecordWriter<T, FramedWriter<W>> {
-    /// Seal the frame footer, flush, and return the record count. Use this
-    /// instead of [`finish`](Self::finish) — plain `finish` flushes records
-    /// but leaves the frame open, which readers treat as a torn file.
-    pub fn finish_framed(mut self) -> Result<u64> {
-        self.inner.finish()?;
-        Ok(self.written)
     }
 }
 
@@ -373,75 +341,6 @@ mod tests {
         let r = RecordReader::<u64>::open(&path, stats).unwrap();
         let vals: Result<Vec<u64>> = r.collect();
         assert_eq!(vals.unwrap(), vec![10, 20, 30]);
-    }
-
-    fn write_framed<T: FixedCodec>(path: &Path, stats: Arc<IoStats>, records: &[T]) {
-        let mut w = RecordWriter::<T, _>::create_framed(path, stats).unwrap();
-        w.push_all(records).unwrap();
-        w.finish_framed().unwrap();
-    }
-
-    fn read_framed<T: FixedCodec>(path: &Path, stats: Arc<IoStats>) -> Result<Vec<T>> {
-        RecordReader::<T, _>::open_framed(path, stats)?.read_all()
-    }
-
-    #[test]
-    fn framed_roundtrip() {
-        let dir = ScratchDir::new("rec-framed").unwrap();
-        let stats = IoStats::new();
-        let path = dir.file("f.bin");
-        let edges: Vec<Edge> = (0..500).map(|i| Edge::new(i, i + 1)).collect();
-        write_framed(&path, Arc::clone(&stats), &edges);
-        let back: Vec<Edge> = read_framed(&path, stats).unwrap();
-        assert_eq!(back, edges);
-    }
-
-    #[test]
-    fn framed_detects_truncation_as_corrupt() {
-        let dir = ScratchDir::new("rec-framed-trunc").unwrap();
-        let stats = IoStats::new();
-        let path = dir.file("f.bin");
-        let vals: Vec<u64> = (0..100).collect();
-        write_framed(&path, Arc::clone(&stats), &vals);
-        // Chop the footer plus a record off the end: an unframed reader
-        // would silently return fewer records.
-        let full = std::fs::read(&path).unwrap();
-        std::fs::write(&path, &full[..full.len() - 24]).unwrap();
-        let err = read_framed::<u64>(&path, stats).unwrap_err();
-        assert!(matches!(err, GraphError::Corrupt(_)), "got {err:?}");
-    }
-
-    #[test]
-    fn framed_detects_bitrot_as_corrupt() {
-        let dir = ScratchDir::new("rec-framed-rot").unwrap();
-        let stats = IoStats::new();
-        let path = dir.file("f.bin");
-        let vals: Vec<u64> = (0..100).collect();
-        write_framed(&path, Arc::clone(&stats), &vals);
-        let mut bytes = std::fs::read(&path).unwrap();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0x01;
-        std::fs::write(&path, &bytes).unwrap();
-        let err = read_framed::<u64>(&path, stats).unwrap_err();
-        assert!(matches!(err, GraphError::Corrupt(_)), "got {err:?}");
-    }
-
-    #[test]
-    fn unsealed_framed_file_reads_as_corrupt() {
-        let dir = ScratchDir::new("rec-framed-unsealed").unwrap();
-        let stats = IoStats::new();
-        let path = dir.file("f.bin");
-        {
-            let mut w =
-                RecordWriter::<u32, _>::create_framed(&path, Arc::clone(&stats)).unwrap();
-            w.push(&7).unwrap();
-            // Simulate a crash: flush records but never seal the footer.
-            use std::io::Write as _;
-            w.inner.flush().unwrap();
-            std::mem::forget(w);
-        }
-        let err = read_framed::<u32>(&path, stats).unwrap_err();
-        assert!(matches!(err, GraphError::Corrupt(_)), "got {err:?}");
     }
 
     #[test]

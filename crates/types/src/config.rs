@@ -123,11 +123,11 @@ pub struct ExecutionPlan {
     /// [`EngineOptions::pipeline_threads`]). `1` whenever the adjacency is
     /// resident: no IO is left to overlap, so the Sio stage runs inline.
     pub pipeline_threads: usize,
-    /// Whether the vertex slab stays in memory for the whole run instead of
-    /// being flushed and reloaded every iteration: `in_memory_fast_path`
-    /// and a single partition. Pure residency; the on-disk vertex array is
-    /// still brought current before every checkpoint and at the end of the
-    /// run.
+    /// Whether the vertex slab stays in memory instead of being flushed and
+    /// reloaded every iteration: `in_memory_fast_path` and a single
+    /// partition. Pure residency: the engine holds the slab from its
+    /// initial values to the final listing and never writes it to its
+    /// working file; checkpoints frame it from memory.
     pub resident: bool,
     /// Whether the partition's adjacency — edge targets, per-edge weights
     /// when the image has them, and per-vertex degrees — also stays in
